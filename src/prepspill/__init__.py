@@ -10,8 +10,8 @@ scenarios (config-driven batch runner), cli.
 from .integrators import IntegratorConfig, Trajectory, annual_series, integrate
 from .mixing import BasicMixing, RiskMixing, close_basic, close_risk
 from .model import (GroupId, GroupParams, ModelSpec, StateVec,
-                    TransmissionProbs, build_lambda_vectors, dfe, incidence,
-                    make_spec, rhs)
+                    TransmissionProbs, build_lambda_vectors, contact_matrix,
+                    dfe, incidence, make_spec, rhs)
 from .presets import georgia_basic, georgia_risk
 from .reproduction import (NGMatrices, ReproductionNumber, build_ngm,
                            rc_closed_basic, rc_closed_risk, rc_numeric,

@@ -8,6 +8,7 @@ annual aggregates are plain differences of stored values, never interpolated.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import math
@@ -33,6 +34,31 @@ _DP_A = (
 )
 _DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+# Times this close to a stored node are that node (lookups, breakpoint merging).
+NODE_TOL = 1e-9
+
+
+def interp_rows(t, times, rows):
+    """Every column of ``rows`` (one row per entry of ``times``) linearly
+    interpolated at t, as np.interp does column by column: held constant
+    beyond the ends."""
+    j = int(np.searchsorted(times, t, side="right")) - 1
+    if j < 0 or j >= len(times) - 1:
+        return rows[0 if j < 0 else -1].copy()
+    slope = (rows[j + 1] - rows[j]) / (times[j + 1] - times[j])
+    return slope * (t - times[j]) + rows[j]
+
+
+@contextlib.contextmanager
+def text_sink(path_or_file):
+    """Writable text file for a CSV writer: the object itself if it has
+    ``write``, else the path opened as UTF-8 with newlines untranslated."""
+    if hasattr(path_or_file, "write"):
+        yield path_or_file
+    else:
+        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
+            yield fh
 
 
 @dataclass(frozen=True)
@@ -83,7 +109,7 @@ class Trajectory:
     def n_groups(self):
         return len(self.labels)
 
-    def index_of(self, t, tol=1e-9):
+    def index_of(self, t, tol=NODE_TOL):
         i = int(np.searchsorted(self.times, t))
         for j in (i - 1, i, i + 1):
             if 0 <= j < len(self.times) and abs(self.times[j] - t) <= tol:
@@ -97,8 +123,7 @@ class Trajectory:
             return self.states[i]
         if not (self.times[0] <= t <= self.times[-1]):
             raise ValueError(f"t = {t} outside trajectory span")
-        return np.array([np.interp(t, self.times, self.states[:, j])
-                         for j in range(self.states.shape[1])])
+        return interp_rows(t, self.times, self.states)
 
     def state_at(self, t):
         return StateVec.from_flat(self.row_at(t), self.n_groups)
@@ -112,21 +137,24 @@ class Trajectory:
             header += [f"S_{lbl}", f"I_{lbl}"]
         header += [f"C_{lbl}" for lbl in self.labels]
         n = self.n_groups
-
-        def write(fh):
+        with text_sink(path_or_file) as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(header)
             for t, row in zip(self.times, self.states):
                 w.writerow([repr(float(t))] + [repr(float(v)) for v in row[:3 * n]])
 
-        if hasattr(path_or_file, "write"):
-            write(path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-                write(fh)
-
 
 def _breakpoints(cfg, sample_times):
+    """Sorted times every integration must land on: t0, t_end, each whole
+    year between, and the sample times.
+
+    Times closer together than a tolerance merge into one node, so float
+    noise in the samples (2020.999999999999 beside 2021.0) cannot force a
+    sub-dt_min step.  A merge keeps t0/t_end over a year node over a
+    sample.  The tolerance is NODE_TOL, scaled down for spans under a year
+    so it stays below the span, and every merged-away time lies within it of
+    the kept node, where Trajectory.index_of finds it.
+    """
     pts = {cfg.t0, cfg.t_end}
     y = math.ceil(cfg.t0)
     while y < cfg.t_end:
@@ -139,7 +167,19 @@ def _breakpoints(cfg, sample_times):
             if not (cfg.t0 <= t <= cfg.t_end):
                 raise ValueError(f"sample time {t} outside [{cfg.t0}, {cfg.t_end}]")
             pts.add(t)
-    return sorted(pts)
+
+    def rank(t):
+        return 2 if t in (cfg.t0, cfg.t_end) else 1 if t.is_integer() else 0
+
+    tol = NODE_TOL * min(1.0, cfg.t_end - cfg.t0)
+    pts = sorted(pts)
+    kept = pts[:1]
+    for t in pts[1:]:
+        if t - kept[-1] > tol:
+            kept.append(t)
+        elif rank(t) > rank(kept[-1]):
+            kept[-1] = t
+    return kept
 
 
 def _postprocess_step(t, y, n_state, atol, clamp_events):

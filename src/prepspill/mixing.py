@@ -27,6 +27,13 @@ class BasicMixing:
     eta_msm: float
     alpha_hetf: float
 
+    # Contact pairs (j, p, beta): group j's contacts with group p, and the
+    # TransmissionProbs field for infection of j by p.  pair_fractions()
+    # gives the share of j's contacts in each pair, in the same order.
+    PAIRS = ((0, 0, "beta_mm"), (0, 1, "beta_fm"),
+             (1, 0, "beta_mf"), (1, 2, "beta_mf"),
+             (2, 1, "beta_fm"))
+
     def __post_init__(self):
         for name in ("eta_msm", "alpha_hetf"):
             v = getattr(self, name)
@@ -35,6 +42,10 @@ class BasicMixing:
 
     def as_tuple(self):
         return (self.eta_msm, self.alpha_hetf)
+
+    def pair_fractions(self):
+        eta, alpha = self.eta_msm, self.alpha_hetf
+        return (eta, 1.0 - eta, alpha, 1.0 - alpha, 1.0)
 
 
 @dataclass(frozen=True)
@@ -52,6 +63,12 @@ class RiskMixing:
     alpha_hetfl: float
     xi_hetm: float
 
+    # Contact pairs (j, p, beta), as for BasicMixing.
+    PAIRS = ((0, 0, "beta_mm"), (0, 1, "beta_fm"), (0, 2, "beta_fm"),
+             (1, 0, "beta_mf"), (1, 3, "beta_mf"),
+             (2, 0, "beta_mf"), (2, 3, "beta_mf"),
+             (3, 1, "beta_fm"), (3, 2, "beta_fm"))
+
     def __post_init__(self):
         for name in ("eta_msm", "eta_hetfh", "alpha_hetfh", "alpha_hetfl",
                      "xi_hetm"):
@@ -64,6 +81,11 @@ class RiskMixing:
     def as_tuple(self):
         return (self.eta_msm, self.eta_hetfh, self.alpha_hetfh,
                 self.alpha_hetfl, self.xi_hetm)
+
+    def pair_fractions(self):
+        em, ehh, ahh, ahl, xi = self.as_tuple()
+        return (em, ehh, 1.0 - em - ehh, ahh, 1.0 - ahh, ahl, 1.0 - ahl,
+                xi, 1.0 - xi)
 
 
 def _check_unit_interval(name, value, t=None):

@@ -6,24 +6,47 @@ hetf_l, hetm).  Each group carries susceptible S_j, infected I_j, and a
 cumulative-incidence accumulator C_j integrated alongside the state so annual
 counts are exact under adaptive stepping.
 
-The force of infection is written through per-group contact-coefficient
-vectors ("lambda vectors") of length 2n whose only nonzero entries sit at the
-infected slots of partner groups; the per-susceptible infection rate of group
-j is then (1 - epsilon_j) * (lambda_j . X) with X the interleaved state
-(S_0, I_0, ..., S_{n-1}, I_{n-1}).
+The force of infection is written through the n x n contact matrix
+W[j, p] = a_j * (share of j's contacts made with p) * beta(p -> j), built by
+:func:`contact_matrix` from the variant's contact-pair table
+(``PAIRS`` on its mixing class).  The per-susceptible infection rate of group
+j is then (1 - epsilon_j) * (W @ (I / N))_j.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ZeroPopulation
-from .mixing import BasicMixing, RiskMixing, close_basic, close_risk
+from .mixing import BasicMixing, RiskMixing, close_basic, close_risk  # noqa: F401
 
-BASIC_GROUPS = ("msm", "hetf", "hetm")
-RISK_GROUPS = ("msm", "hetf_h", "hetf_l", "hetm")
+
+@dataclass(frozen=True)
+class Variant:
+    """Group labels in state order, the mixing class (which carries the
+    contact-pair table) and the name of the closure solver in this module,
+    looked up at use so that rebinding it (e.g. for tracing) takes effect."""
+
+    groups: tuple
+    mixing: type
+    closure: str
+
+
+VARIANTS = {
+    "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, "close_basic"),
+    "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, "close_risk"),
+}
+
+
+def variant_of(name):
+    """The Variant record for a variant name; ValueError if unknown."""
+    try:
+        return VARIANTS[name]
+    except KeyError:
+        raise ValueError(f"unknown variant {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -90,9 +113,8 @@ class ModelSpec:
     mixing: object = None
 
     def __post_init__(self):
-        expected = BASIC_GROUPS if self.variant == "basic" else RISK_GROUPS
-        if self.variant not in ("basic", "risk"):
-            raise ValueError(f"unknown variant {self.variant!r}")
+        var = variant_of(self.variant)
+        expected = var.groups
         labels = tuple(gid.label for gid, _ in self.groups)
         if labels != expected:
             raise ValueError(f"variant {self.variant!r} needs groups {expected}, got {labels}")
@@ -101,7 +123,7 @@ class ModelSpec:
                 raise ValueError(f"group {gid.label} has index {gid.index}, expected {i}")
         if self.mu <= 0.0:
             raise ValueError("mu must be positive")
-        want = BasicMixing if self.variant == "basic" else RiskMixing
+        want = var.mixing
         if not isinstance(self.mixing_priors, want):
             raise ValueError(f"mixing_priors must be {want.__name__} for {self.variant}")
         if self.mixing is not None and not isinstance(self.mixing, want):
@@ -147,7 +169,7 @@ class ModelSpec:
 
 def make_spec(variant, Pi, a, delta, epsilon, probs, mu, mixing_priors, mixing=None):
     """Assemble a ModelSpec from parallel parameter sequences in group order."""
-    names = BASIC_GROUPS if variant == "basic" else RISK_GROUPS
+    names = variant_of(variant).groups
     groups = tuple(
         (GroupId(label=lbl, index=i),
          GroupParams(Pi=float(Pi[i]), a=float(a[i]), delta=float(delta[i]),
@@ -199,51 +221,47 @@ def closed_mixing(spec, N, t=None):
     if spec.mixing is not None:
         return spec.mixing
     _, a, _, _ = spec.param_arrays()
-    if spec.variant == "basic":
-        return close_basic(N, a, spec.mixing_priors, t=t)
-    return close_risk(N, a, spec.mixing_priors, t=t)
+    close = globals()[VARIANTS[spec.variant].closure]
+    return close(N, a, spec.mixing_priors, t=t)
+
+
+def contact_matrix(spec, mix):
+    """Contact matrix W (n x n) for mixing fractions ``mix``.
+
+    W[j, p] = a_j * (share of j's contacts made with p) * beta(p -> j), so
+    (W @ (I / N))_j is the raw (pre-(1 - eps), pre-S) force of infection on
+    group j.  Entries outside the variant's contact pairs are zero.
+    """
+    W = np.zeros((spec.n, spec.n))
+    for (j, p, beta), frac in zip(mix.PAIRS, mix.pair_fractions()):
+        W[j, p] = spec.groups[j][1].a * frac * getattr(spec.probs, beta)
+    return W
+
+
+def _populations(spec, state):
+    N = state.N
+    if np.any(N <= 0.0):
+        bad = spec.labels[int(np.argmax(N <= 0.0))]
+        raise ZeroPopulation(f"group {bad} has N = 0")
+    return N
 
 
 def build_lambda_vectors(spec, state, t=None):
     """Contact-coefficient vectors, one row per group, columns over the
     interleaved (S, I) slots.  Row j dotted with the interleaved state gives
     the raw (pre-(1-eps), pre-S) force of infection on group j."""
-    N = state.N
-    if np.any(N <= 0.0):
-        bad = spec.labels[int(np.argmax(N <= 0.0))]
-        raise ZeroPopulation(f"group {bad} has N = 0")
-    _, a, _, _ = spec.param_arrays()
-    probs = spec.probs
-    mix = closed_mixing(spec, N, t=t)
-    n = spec.n
-    L = np.zeros((n, 2 * n))
-    if spec.variant == "basic":
-        eta, alpha = mix.eta_msm, mix.alpha_hetf
-        L[0, 1] = a[0] * eta * probs.beta_mm / N[0]
-        L[0, 3] = a[0] * (1.0 - eta) * probs.beta_fm / N[1]
-        L[1, 1] = a[1] * alpha * probs.beta_mf / N[0]
-        L[1, 5] = a[1] * (1.0 - alpha) * probs.beta_mf / N[2]
-        L[2, 3] = a[2] * probs.beta_fm / N[1]
-    else:
-        em, ehh, ahh, ahl, xi = mix.as_tuple()
-        L[0, 1] = a[0] * em * probs.beta_mm / N[0]
-        L[0, 3] = a[0] * ehh * probs.beta_fm / N[1]
-        L[0, 5] = a[0] * (1.0 - em - ehh) * probs.beta_fm / N[2]
-        L[1, 1] = a[1] * ahh * probs.beta_mf / N[0]
-        L[1, 7] = a[1] * (1.0 - ahh) * probs.beta_mf / N[3]
-        L[2, 1] = a[2] * ahl * probs.beta_mf / N[0]
-        L[2, 7] = a[2] * (1.0 - ahl) * probs.beta_mf / N[3]
-        L[3, 3] = a[3] * xi * probs.beta_fm / N[1]
-        L[3, 5] = a[3] * (1.0 - xi) * probs.beta_fm / N[2]
+    N = _populations(spec, state)
+    L = np.zeros((spec.n, 2 * spec.n))
+    L[:, 1::2] = contact_matrix(spec, closed_mixing(spec, N, t=t)) / N
     return L
 
 
 def incidence(spec, state, t=None):
-    """Per-group infection flux lambda_j = (1 - eps_j) (lambda_j . X) S_j, persons/year."""
-    L = build_lambda_vectors(spec, state, t=t)
-    x = state.to_flat()[:2 * spec.n]
+    """Per-group infection flux (1 - eps_j) (W @ (I / N))_j S_j, persons/year."""
+    N = _populations(spec, state)
+    W = contact_matrix(spec, closed_mixing(spec, N, t=t))
     _, _, _, eps = spec.param_arrays()
-    return (1.0 - eps) * (L @ x) * state.S
+    return (1.0 - eps) * (W @ (state.I / N)) * state.S
 
 
 def rhs(spec, state, t=0.0):
@@ -265,108 +283,89 @@ def dfe(spec):
 
 # ---------------------------------------------------------------------------
 # Flat fast path used by the integrators.  Python-float arithmetic beats tiny
-# numpy arrays by an order of magnitude at these dimensions.
+# numpy arrays by an order of magnitude at these dimensions, and an unrolled
+# body beats a loop over the contact pairs, so the body is generated from the
+# variant's contact-pair table.  The generated source holds only integer
+# indices and fixed names; every value enters through closure cells.
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _flat_rhs_maker(n, pairs, pinned, tracked):
+    """Compile ``make(**cells) -> f(t, y)`` for one contact-pair table.
+
+    ``pinned``: the mixing fractions are fixed (cell ``fixed``) instead of
+    re-closed at each new population vector.  ``tracked``: the groups whose
+    coverage is re-derived from a tracked count (cell ``c<j>``).  Cells a<j>
+    and b<i> hold the contact rates and each pair's transmission probability.
+    The three row forms below keep the arithmetic order of the hand-written
+    closures they replaced, so integrations are unchanged to the last bit
+    (spillover._contact_sum says why that matters).  Cached: at most
+    2 * 2**n sources per table.
+    """
+    g = range(n)
+    m = ", ".join(f"m{i}" for i in range(len(pairs)))
+    Ns = ", ".join(f"N{j}" for j in g)
+    body = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * n}]",
+            *(f"N{j} = S{j} + I{j}" for j in g),
+            "if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
+            '    raise ZeroPopulation(f"zero group population at t = {t}")']
+    if pinned:
+        body.append(f"{m} = fixed")
+    else:
+        body += [f"if memo[0] == ({Ns}):",
+                 f"    {m} = memo[1]",
+                 "else:",
+                 f"    memo[1] = close(({Ns}), a, priors, t=t).pair_fractions()",
+                 f"    memo[0] = ({Ns})",
+                 f"    {m} = memo[1]"]
+    body += [f"u{j} = 1.0 - min(c{j} / S{j}, 1.0)" for j in tracked]
+    for j in g:
+        row = [(i, p, b) for i, (jj, p, b) in enumerate(pairs) if jj == j]
+        i0, p0, _ = row[0]
+        if len(row) == 1:  # a lone pair holds all of j's contacts
+            lam = f"a{j} * b{i0} * I{p0} / N{p0}"
+        elif len({b for _, _, b in row}) == 1:  # one beta: factored out
+            lam = f"a{j} * b{i0} * (" + " + ".join(
+                f"m{i} * I{p} / N{p}" for i, p, _ in row) + ")"
+        else:
+            lam = f"a{j} * (" + " + ".join(
+                f"m{i} * b{i} * I{p} / N{p}" for i, p, _ in row) + ")"
+        body.append(f"inc{j} = u{j} * ({lam}) * S{j}")
+    out = [f"Pi{j} - inc{j} - mu * S{j}, inc{j} - v{j} * I{j}" for j in g]
+    body.append("return [" + ", ".join(out + [f"inc{j}" for j in g]) + "]")
+    cells = (["ZeroPopulation", "close", "a", "priors", "fixed", "memo", "mu"]
+             + [f"{c}{j}" for c in ("Pi", "v", "a") for j in g]
+             + [f"u{j}" for j in g if j not in tracked]
+             + [f"c{j}" for j in tracked]
+             + [f"b{i}" for i in range(len(pairs))])
+    src = (f"def make({', '.join(cells)}):\n    def f(t, y):\n"
+           + "".join(f"        {line}\n" for line in body)
+           + "    return f\n")
+    scope = {}
+    exec(compile(src, "<flat_rhs>", "exec"), scope)
+    return scope["make"]
+
 
 def flat_rhs_factory(spec, tracked_counts=None):
     """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...].
 
     ``tracked_counts`` optionally gives absolute person counts on PrEP per
     group; coverage is then re-derived as E_j / S_j at every evaluation
-    (capped at 1) instead of using the spec's fixed fractions.
+    (capped at 1) instead of using the spec's fixed fractions.  Groups with
+    a zero count keep the spec's fraction.
     """
     Pi, a, delta, eps = (tuple(v) for v in spec.param_arrays())
-    mu = spec.mu
-    bmm, bfm, bmf = spec.probs.beta_mm, spec.probs.beta_fm, spec.probs.beta_mf
-    fixed = spec.mixing.as_tuple() if spec.mixing is not None else None
-    counts = tuple(tracked_counts) if tracked_counts is not None else None
-
-    if spec.variant == "basic":
-        Pi0, Pi1, Pi2 = Pi
-        a0, a1, a2 = a
-        d0, d1, d2 = delta
-        memo = [None, None]
-
-        def f(t, y):
-            S0, I0, S1, I1, S2, I2 = y[0], y[1], y[2], y[3], y[4], y[5]
-            N0 = S0 + I0
-            N1 = S1 + I1
-            N2 = S2 + I2
-            if N0 <= 0.0 or N1 <= 0.0 or N2 <= 0.0:
-                raise ZeroPopulation(f"zero group population at t = {t}")
-            if fixed is not None:
-                eta, alpha = fixed
-            elif memo[0] == (N0, N1, N2):
-                eta, alpha = memo[1]
-            else:
-                mix = close_basic((N0, N1, N2), (a0, a1, a2),
-                                  spec.mixing_priors, t=t)
-                eta, alpha = mix.eta_msm, mix.alpha_hetf
-                memo[0] = (N0, N1, N2)
-                memo[1] = (eta, alpha)
-            if counts is None:
-                e0, e1, e2 = eps
-            else:
-                e0 = min(counts[0] / S0, 1.0) if counts[0] else eps[0]
-                e1 = min(counts[1] / S1, 1.0) if counts[1] else eps[1]
-                e2 = min(counts[2] / S2, 1.0) if counts[2] else eps[2]
-            lam0 = a0 * (eta * bmm * I0 / N0 + (1.0 - eta) * bfm * I1 / N1)
-            lam1 = a1 * bmf * (alpha * I0 / N0 + (1.0 - alpha) * I2 / N2)
-            lam2 = a2 * bfm * I1 / N1
-            inc0 = (1.0 - e0) * lam0 * S0
-            inc1 = (1.0 - e1) * lam1 * S1
-            inc2 = (1.0 - e2) * lam2 * S2
-            return [Pi0 - inc0 - mu * S0, inc0 - (mu + d0) * I0,
-                    Pi1 - inc1 - mu * S1, inc1 - (mu + d1) * I1,
-                    Pi2 - inc2 - mu * S2, inc2 - (mu + d2) * I2,
-                    inc0, inc1, inc2]
-
-        return f
-
-    Pi0, Pi1, Pi2, Pi3 = Pi
-    a0, a1, a2, a3 = a
-    d0, d1, d2, d3 = delta
-    memo = [None, None]
-
-    def f(t, y):
-        S0, I0, S1, I1 = y[0], y[1], y[2], y[3]
-        S2, I2, S3, I3 = y[4], y[5], y[6], y[7]
-        N0 = S0 + I0
-        N1 = S1 + I1
-        N2 = S2 + I2
-        N3 = S3 + I3
-        if N0 <= 0.0 or N1 <= 0.0 or N2 <= 0.0 or N3 <= 0.0:
-            raise ZeroPopulation(f"zero group population at t = {t}")
-        if fixed is not None:
-            em, ehh, ahh, ahl, xi = fixed
-        elif memo[0] == (N0, N1, N2, N3):
-            em, ehh, ahh, ahl, xi = memo[1]
-        else:
-            mix = close_risk((N0, N1, N2, N3), (a0, a1, a2, a3),
-                             spec.mixing_priors, t=t)
-            em, ehh, ahh, ahl, xi = mix.as_tuple()
-            memo[0] = (N0, N1, N2, N3)
-            memo[1] = (em, ehh, ahh, ahl, xi)
-        if counts is None:
-            e0, e1, e2, e3 = eps
-        else:
-            e0 = min(counts[0] / S0, 1.0) if counts[0] else eps[0]
-            e1 = min(counts[1] / S1, 1.0) if counts[1] else eps[1]
-            e2 = min(counts[2] / S2, 1.0) if counts[2] else eps[2]
-            e3 = min(counts[3] / S3, 1.0) if counts[3] else eps[3]
-        lam0 = a0 * (em * bmm * I0 / N0 + ehh * bfm * I1 / N1
-                     + (1.0 - em - ehh) * bfm * I2 / N2)
-        lam1 = a1 * bmf * (ahh * I0 / N0 + (1.0 - ahh) * I3 / N3)
-        lam2 = a2 * bmf * (ahl * I0 / N0 + (1.0 - ahl) * I3 / N3)
-        lam3 = a3 * bfm * (xi * I1 / N1 + (1.0 - xi) * I2 / N2)
-        inc0 = (1.0 - e0) * lam0 * S0
-        inc1 = (1.0 - e1) * lam1 * S1
-        inc2 = (1.0 - e2) * lam2 * S2
-        inc3 = (1.0 - e3) * lam3 * S3
-        return [Pi0 - inc0 - mu * S0, inc0 - (mu + d0) * I0,
-                Pi1 - inc1 - mu * S1, inc1 - (mu + d1) * I1,
-                Pi2 - inc2 - mu * S2, inc2 - (mu + d2) * I2,
-                Pi3 - inc3 - mu * S3, inc3 - (mu + d3) * I3,
-                inc0, inc1, inc2, inc3]
-
-    return f
+    var = VARIANTS[spec.variant]
+    pairs = var.mixing.PAIRS
+    counts = tuple(tracked_counts) if tracked_counts is not None else (0.0,) * spec.n
+    tracked = tuple(j for j, c in enumerate(counts) if c)
+    cells = {"ZeroPopulation": ZeroPopulation, "close": globals()[var.closure],
+             "a": a, "priors": spec.mixing_priors, "memo": [None, None], "mu": spec.mu,
+             "fixed": spec.mixing.pair_fractions() if spec.mixing is not None else None}
+    for j in range(spec.n):
+        cells.update({f"Pi{j}": Pi[j], f"v{j}": spec.mu + delta[j], f"a{j}": a[j]})
+        cells.update({f"c{j}": counts[j]} if j in tracked else {f"u{j}": 1.0 - eps[j]})
+    for i, (_, _, beta) in enumerate(pairs):
+        cells[f"b{i}"] = getattr(spec.probs, beta)
+    make = _flat_rhs_maker(spec.n, pairs, spec.mixing is not None, tracked)
+    return make(**cells)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleClosure
 from .integrators import IntegratorConfig, integrate
-from .model import StateVec, closed_mixing, dfe
+from .model import StateVec, closed_mixing, contact_matrix, dfe
 
 _AGREE_RTOL = 1e-9
 _IMAG_TOL = 1e-9
@@ -54,33 +54,12 @@ def build_ngm(spec):
     spec pins them).  Entry (j, p) of F is the rate at which one infected in
     group p creates infections in group j near the DFE.
     """
-    eq = dfe(spec)
-    Nstar = eq.N
+    Nstar = dfe(spec).N
     if np.any(Nstar <= 0.0):
         raise InfeasibleClosure("DFE has an empty group; NGM undefined")
-    _, a, delta, eps = spec.param_arrays()
-    probs = spec.probs
-    mix = closed_mixing(spec, Nstar)
-    n = spec.n
-    F = np.zeros((n, n))
-    if spec.variant == "basic":
-        eta, al = mix.eta_msm, mix.alpha_hetf
-        F[0, 0] = a[0] * (1 - eps[0]) * eta * probs.beta_mm
-        F[0, 1] = a[0] * (1 - eps[0]) * (1 - eta) * probs.beta_fm * Nstar[0] / Nstar[1]
-        F[1, 0] = a[1] * (1 - eps[1]) * al * probs.beta_mf * Nstar[1] / Nstar[0]
-        F[1, 2] = a[1] * (1 - eps[1]) * (1 - al) * probs.beta_mf * Nstar[1] / Nstar[2]
-        F[2, 1] = a[2] * (1 - eps[2]) * probs.beta_fm * Nstar[2] / Nstar[1]
-    else:
-        em, ehh, ahh, ahl, xi = mix.as_tuple()
-        F[0, 0] = a[0] * (1 - eps[0]) * em * probs.beta_mm
-        F[0, 1] = a[0] * (1 - eps[0]) * ehh * probs.beta_fm * Nstar[0] / Nstar[1]
-        F[0, 2] = a[0] * (1 - eps[0]) * (1 - em - ehh) * probs.beta_fm * Nstar[0] / Nstar[2]
-        F[1, 0] = a[1] * (1 - eps[1]) * ahh * probs.beta_mf * Nstar[1] / Nstar[0]
-        F[1, 3] = a[1] * (1 - eps[1]) * (1 - ahh) * probs.beta_mf * Nstar[1] / Nstar[3]
-        F[2, 0] = a[2] * (1 - eps[2]) * ahl * probs.beta_mf * Nstar[2] / Nstar[0]
-        F[2, 3] = a[2] * (1 - eps[2]) * (1 - ahl) * probs.beta_mf * Nstar[2] / Nstar[3]
-        F[3, 1] = a[3] * (1 - eps[3]) * xi * probs.beta_fm * Nstar[3] / Nstar[1]
-        F[3, 2] = a[3] * (1 - eps[3]) * (1 - xi) * probs.beta_fm * Nstar[3] / Nstar[2]
+    _, _, delta, eps = spec.param_arrays()
+    W = contact_matrix(spec, closed_mixing(spec, Nstar))
+    F = (1.0 - eps)[:, None] * W * Nstar[:, None] / Nstar[None, :]
     V = np.diag(spec.mu + delta)
     return NGMatrices(F=F, V=V, labels=spec.labels, dfe_populations=Nstar)
 

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup)
-from .integrators import IntegratorConfig, annual_series, integrate
-from .mixing import BasicMixing, RiskMixing
-from .model import StateVec
+from .integrators import IntegratorConfig, annual_series, integrate, text_sink
+from .model import VARIANTS, StateVec
 from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       SIM_START, TABLE_BASIC_BASELINE,
                       TABLE_BASIC_INTERVENTIONS, TABLE_RISK_BASELINE,
@@ -94,11 +93,10 @@ def _config_from_raw(raw):
         raise SchemaViolation(f"unsupported schema_version {version}",
                               key="schema_version")
     variant = raw.get("model", "basic")
-    if variant not in ("basic", "risk"):
+    if not isinstance(variant, str) or variant not in VARIANTS:
         raise SchemaViolation(f"model must be 'basic' or 'risk', got {variant!r}",
                               key="model")
-    labels = ("msm", "hetf", "hetm") if variant == "basic" \
-        else ("msm", "hetf_h", "hetf_l", "hetm")
+    labels = VARIANTS[variant].groups
 
     hor = raw.get("horizon", {})
     start = float(hor.get("start", SIM_START))
@@ -180,7 +178,7 @@ def build_model(config):
         vals = {k: float(v) for k, v in ov["probs"].items()}
         spec = replace(spec, probs=type(p)(**{**p.__dict__, **vals}))
     if "mixing_priors" in ov:
-        cls = BasicMixing if config.variant == "basic" else RiskMixing
+        cls = VARIANTS[config.variant].mixing
         cur = spec.mixing_priors.__dict__
         spec = replace(spec, mixing_priors=cls(**{**cur, **{
             k: float(v) for k, v in ov["mixing_priors"].items()}}))
@@ -288,7 +286,7 @@ def report_to_csv(report, path_or_file):
     for c in cols:
         header += [f"incidence_{c}", f"prevented_{c}"]
 
-    def write(fh):
+    with text_sink(path_or_file) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for r in [report.baseline] + report.scenarios:
@@ -296,12 +294,6 @@ def report_to_csv(report, path_or_file):
             for c in cols:
                 row += [f"{r.incidence[c]:.3f}", f"{r.prevented[c]:.3f}"]
             w.writerow(row)
-
-    if hasattr(path_or_file, "write"):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
 
 
 @dataclass
@@ -327,7 +319,7 @@ class ValidationReport:
         return [c for c in self.cells if not c.ok]
 
     def to_csv(self, path_or_file):
-        def write(fh):
+        with text_sink(path_or_file) as fh:
             w = csv.writer(fh, lineterminator="\n")
             w.writerow(["table", "row", "cell", "expected", "actual",
                         "tolerance", "status"])
@@ -335,12 +327,6 @@ class ValidationReport:
                 w.writerow([c.table, c.row, c.cell, f"{c.expected:.3f}",
                             f"{c.actual:.3f}", f"{c.tolerance:.3f}",
                             "ok" if c.ok else "FAIL"])
-
-        if hasattr(path_or_file, "write"):
-            write(path_or_file)
-        else:
-            with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-                write(fh)
 
 
 def validate_tables(variants=("basic", "risk")):
@@ -497,7 +483,7 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
 
 
 def write_sobol_csv(study, path_or_file):
-    def write(fh):
+    with text_sink(path_or_file) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(["year", "output_group", "input", "first_order", "total",
                     "mean", "variance"])
@@ -508,12 +494,6 @@ def write_sobol_csv(study, path_or_file):
                             f"{si.first_order[d]:.10f}" if si.defined else "",
                             f"{si.total[d]:.10f}" if si.defined else "",
                             f"{si.mean:.6f}", f"{si.variance:.6f}"])
-
-    if hasattr(path_or_file, "write"):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            write(fh)
 
 
 def sobol_manifest(study):

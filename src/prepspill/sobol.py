@@ -343,17 +343,15 @@ def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
     grid = build_grid(inputs, rule=rule, level=level)
     clamp_counter = [0]
     fn = coverage_model_fn(spec, y0, inputs, cfg, clamp_counter)
-    all_years = None
-    rows = []
-    for i, node in enumerate(grid.nodes):
-        try:
-            yrs, table = fn(node)
-        except Exception as e:  # noqa: BLE001
-            raise EnsembleError(f"model failed at node {i}: {e}", i, node) from e
-        if all_years is None:
-            all_years = yrs
-        rows.append(table)
-    rows = np.array(rows)  # (nodes, n_years, n_groups)
+    all_years = []
+
+    def node_table(theta):
+        # every node integrates the same window, hence reports the same years
+        years, table = fn(theta)
+        all_years[:] = years
+        return table
+
+    rows = evaluate_ensemble(node_table, grid)  # (nodes, n_years, n_groups)
     if years is None:
         years = all_years
     indices = {}

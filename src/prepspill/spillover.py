@@ -30,8 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PerturbationOutOfRange, UnsupportedVariant, ZeroPopulation
-from .integrators import Trajectory, integrate, integrate_flat
-from .model import closed_mixing, rhs
+from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate,
+                          integrate_flat, interp_rows, text_sink)
+from .model import closed_mixing, contact_matrix, rhs
 
 MODES = ("practical", "exact_delta")
 
@@ -65,13 +66,11 @@ class SensitivityTrajectory:
 
     def at(self, t):
         i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) <= 1e-9:
+        if abs(self.times[i] - t) <= NODE_TOL:
             sig, gam = self.sigma[i], self.gamma[i]
         else:
-            sig = np.array([np.interp(t, self.times, self.sigma[:, j])
-                            for j in range(self.sigma.shape[1])])
-            gam = np.array([np.interp(t, self.times, self.gamma[:, j])
-                            for j in range(self.gamma.shape[1])])
+            sig = interp_rows(t, self.times, self.sigma)
+            gam = interp_rows(t, self.times, self.gamma)
         return SensitivityState(source=self.source, source_index=self.source_index,
                                 sigma=sig, gamma=gam)
 
@@ -88,68 +87,74 @@ class NNTResult:
     defined: bool
 
 
-def _mix_weights(spec, mix, a):
-    """Per group: list of (partner index, contact coefficient a_j * frac * beta)."""
-    probs = spec.probs
-    if spec.variant == "basic":
-        eta, al = mix.eta_msm, mix.alpha_hetf
-        return (
-            ((0, a[0] * eta * probs.beta_mm), (1, a[0] * (1 - eta) * probs.beta_fm)),
-            ((0, a[1] * al * probs.beta_mf), (2, a[1] * (1 - al) * probs.beta_mf)),
-            ((1, a[2] * probs.beta_fm),),
-        )
-    em, ehh, ahh, ahl, xi = mix.as_tuple()
-    return (
-        ((0, a[0] * em * probs.beta_mm), (1, a[0] * ehh * probs.beta_fm),
-         (2, a[0] * (1 - em - ehh) * probs.beta_fm)),
-        ((0, a[1] * ahh * probs.beta_mf), (3, a[1] * (1 - ahh) * probs.beta_mf)),
-        ((0, a[2] * ahl * probs.beta_mf), (3, a[2] * (1 - ahl) * probs.beta_mf)),
-        ((1, a[3] * xi * probs.beta_fm), (2, a[3] * (1 - xi) * probs.beta_fm)),
-    )
+def _contact_sum(W, x, N):
+    """sum_p (W[j, p] * x_p) / N_p for every j, batched over leading axes of x.
+
+    The same values as W @ (x / N), but each term is rounded as
+    (W[j, p] * x_p) / N_p and the terms are added in partner order.  Near
+    the risk closure's xi_hetm clamp the step-size control amplifies
+    last-bit differences in this sum into node-time shifts, so the order is
+    held fixed.
+    """
+    terms = W * x[..., None, :] / N
+    out = terms[..., 0]
+    for p in range(1, terms.shape[-1]):
+        out = out + terms[..., p]
+    return out
+
+
+def _sensitivity_kernel(spec, mode):
+    """derivs(W, S, I, N, lam, sig, gam, src) -> (dsig, dgam) for a batch of
+    sensitivity blocks: ``sig``/``gam`` are (B, n), one row per source,
+    ``src`` holds each row's source index, W is the contact matrix and lam
+    the raw force of infection W @ (I / N)."""
+    if mode == "exact_delta" and spec.variant != "basic":
+        raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
+    _, _, delta, eps = spec.param_arrays()
+    u = 1.0 - eps
+    mu = spec.mu
+    exact = mode == "exact_delta"
+    gdecay = mu + delta if exact else mu
+
+    def derivs(W, S, I, N, lam, sig, gam, src):
+        coup = u * (_contact_sum(W, gam, N) * S + lam * sig)
+        dsig = -coup - mu * sig
+        dgam = coup - gdecay * gam
+        if exact:
+            corr = u * _contact_sum(W, (sig + gam) * I, N ** 2) * S
+            dsig += corr
+            dgam -= corr
+        rows = np.arange(len(src))
+        inhom = lam[src] * S[src]
+        dsig[rows, src] -= inhom
+        dgam[rows, src] += inhom
+        return dsig, dgam
+
+    return derivs
 
 
 def spillover_rhs(spec, state, sens, mode="practical", t=None):
     """Time derivative of one sensitivity block given the current state."""
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact_delta" and spec.variant != "basic":
-        raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
+    derivs = _sensitivity_kernel(spec, mode)
     N = state.N
     if np.any(N <= 0.0):
         raise ZeroPopulation("zero group population")
-    _, a, delta, eps = spec.param_arrays()
-    mu = spec.mu
-    mix = closed_mixing(spec, N, t=t)
-    w = _mix_weights(spec, mix, a)
-    n = spec.n
-    k = sens.source_index
-    lam = np.array([sum(c * state.I[p] / N[p] for p, c in w[j]) for j in range(n)])
-    bdot = np.array([sum(c * sens.gamma[p] / N[p] for p, c in w[j]) for j in range(n)])
-    coup = (1.0 - eps) * (bdot * state.S + lam * sens.sigma)
-    dsig = -coup - mu * sens.sigma
-    if mode == "practical":
-        dgam = coup - mu * sens.gamma
-    else:
-        dgam = coup - (mu + delta) * sens.gamma
-        xi_dot = np.array([
-            sum(c * (sens.sigma[p] + sens.gamma[p]) / N[p] ** 2 * state.I[p]
-                for p, c in w[j]) for j in range(n)])
-        corr = (1.0 - eps) * xi_dot * state.S
-        dsig += corr
-        dgam -= corr
-    inhom = lam[k] * state.S[k]
-    dsig[k] -= inhom
-    dgam[k] += inhom
-    return SensitivityState(source=sens.source, source_index=k, sigma=dsig, gamma=dgam)
+    W = contact_matrix(spec, closed_mixing(spec, N, t=t))
+    dsig, dgam = derivs(W, state.S, state.I, N, _contact_sum(W, state.I, N),
+                        sens.sigma[None, :], sens.gamma[None, :], [sens.source_index])
+    return SensitivityState(source=sens.source, source_index=sens.source_index,
+                            sigma=dsig[0], gamma=dgam[0])
 
 
 def xi_correction(spec, state, sens):
     """Population-size correction vectors for the exact-delta mode.
 
     Returns (Xi, contrib): Xi is (n, 2n) with entries
-    a_j * frac * beta * (sigma_p + gamma_p) / N_p^2 at partner infected
-    slots, and contrib_j = (1 - eps_j) * (Xi_j . X) * S_j is the term added
-    to dsigma_j/dt and subtracted from dgamma_j/dt when the flag is on.
+    W[j, p] * (sigma_p + gamma_p) / N_p^2 at partner infected slots, and
+    contrib_j = (1 - eps_j) * (Xi_j . X) * S_j is the term added to
+    dsigma_j/dt and subtracted from dgamma_j/dt when the flag is on.
     Only derived for the basic variant.
     """
     if spec.variant != "basic":
@@ -157,65 +162,41 @@ def xi_correction(spec, state, sens):
     N = state.N
     if np.any(N <= 0.0):
         raise ZeroPopulation("zero group population")
-    _, a, _, eps = spec.param_arrays()
-    mix = closed_mixing(spec, N)
-    w = _mix_weights(spec, mix, a)
-    n = spec.n
-    Xi = np.zeros((n, 2 * n))
-    for j in range(n):
-        for p, c in w[j]:
-            Xi[j, 2 * p + 1] = c * (sens.sigma[p] + sens.gamma[p]) / N[p] ** 2
-    x = state.to_flat()[:2 * n]
-    contrib = (1.0 - eps) * (Xi @ x) * state.S
-    return Xi, contrib
+    _, _, _, eps = spec.param_arrays()
+    Xi = np.zeros((spec.n, 2 * spec.n))
+    Xi[:, 1::2] = contact_matrix(spec, closed_mixing(spec, N)) \
+        * ((sens.sigma + sens.gamma) / N ** 2)
+    return Xi, (1.0 - eps) * (Xi[:, 1::2] @ state.I) * state.S
 
 
 def _augmented_rhs_factory(spec, source_indices, mode):
     """Flat rhs over [state | C | one (sigma, gamma) block per source]."""
-    Pi, a, delta, eps = (np.asarray(v) for v in spec.param_arrays())
+    derivs = _sensitivity_kernel(spec, mode)
+    Pi, _, delta, eps = spec.param_arrays()
     mu = spec.mu
     n = spec.n
     base = 3 * n
-    exact = mode == "exact_delta"
-    if exact and spec.variant != "basic":
-        raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
-    gdecay = mu + delta if exact else np.full(n, mu)
+    src = np.asarray(source_indices)
 
     def f(t, y):
-        S = np.array(y[0:2 * n:2])
-        I = np.array(y[1:2 * n:2])
+        y = np.asarray(y)
+        S = y[0:2 * n:2]
+        I = y[1:2 * n:2]
         N = S + I
         if np.any(N <= 0.0):
             raise ZeroPopulation(f"zero group population at t = {t}")
-        mix = closed_mixing(spec, N, t=t)
-        w = _mix_weights(spec, mix, a)
-        lam = np.array([sum(c * I[p] / N[p] for p, c in w[j]) for j in range(n)])
+        W = contact_matrix(spec, closed_mixing(spec, N, t=t))
+        lam = _contact_sum(W, I, N)
         inc = (1.0 - eps) * lam * S
-        out = np.empty(base + 2 * n * len(source_indices))
+        blocks = y[base:].reshape(len(src), n, 2)
+        out = np.empty(len(y))
         out[0:2 * n:2] = Pi - inc - mu * S
         out[1:2 * n:2] = inc - (mu + delta) * I
         out[2 * n:base] = inc
-        for b, k in enumerate(source_indices):
-            off = base + 2 * n * b
-            sig = np.array(y[off:off + 2 * n:2])
-            gam = np.array(y[off + 1:off + 2 * n:2])
-            bdot = np.array([sum(c * gam[p] / N[p] for p, c in w[j]) for j in range(n)])
-            coup = (1.0 - eps) * (bdot * S + lam * sig)
-            dsig = -coup - mu * sig
-            dgam = coup - gdecay * gam
-            if exact:
-                xi_dot = np.array([
-                    sum(c * (sig[p] + gam[p]) / N[p] ** 2 * I[p] for p, c in w[j])
-                    for j in range(n)])
-                corr = (1.0 - eps) * xi_dot * S
-                dsig += corr
-                dgam -= corr
-            inhom = lam[k] * S[k]
-            dsig[k] -= inhom
-            dgam[k] += inhom
-            out[off:off + 2 * n:2] = dsig
-            out[off + 1:off + 2 * n:2] = dgam
-        return out
+        dblocks = out[base:].reshape(len(src), n, 2)
+        dblocks[:, :, 0], dblocks[:, :, 1] = derivs(
+            W, S, I, N, lam, blocks[:, :, 0], blocks[:, :, 1], src)
+        return out.tolist()
 
     return f
 
@@ -364,7 +345,7 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg, sample_times=None):
     else:
         raise PerturbationOutOfRange(
             f"eps_{label} = {eps_k} admits no +/-{eps_tilde} perturbation in [0, 1]")
-    grid = _breakpoint_grid(cfg, sample_times)
+    grid = _breakpoints(cfg, sample_times)
     runs = []
     for e in pair:
         pspec = spec.with_epsilon({label: e})
@@ -373,18 +354,6 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg, sample_times=None):
     diff = (runs[0] - runs[1]) / denom
     return FdEstimate(source=label, source_index=k_idx, times=np.array(grid),
                       sigma=diff[:, 0::2], gamma=diff[:, 1::2], scheme=scheme)
-
-
-def _breakpoint_grid(cfg, sample_times):
-    pts = {cfg.t0, cfg.t_end}
-    y = int(np.ceil(cfg.t0))
-    while y < cfg.t_end:
-        if y > cfg.t0:
-            pts.add(float(y))
-        y += 1
-    if sample_times is not None:
-        pts.update(float(t) for t in sample_times)
-    return sorted(pts)
 
 
 def sensitivity_to_csv(sens_map, labels, path_or_file):
@@ -399,7 +368,7 @@ def sensitivity_to_csv(sens_map, labels, path_or_file):
             header += [f"sigma_{jl}__{k}", f"gamma_{jl}__{k}"]
             cols.append((st, j))
 
-    def write(fh):
+    with text_sink(path_or_file) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for i, t in enumerate(times):
@@ -407,9 +376,3 @@ def sensitivity_to_csv(sens_map, labels, path_or_file):
             for st, j in cols:
                 row += [repr(float(st.sigma[i, j])), repr(float(st.gamma[i, j]))]
             w.writerow(row)
-
-    if hasattr(path_or_file, "write"):
-        write(path_or_file)
-    else:
-        with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            write(fh)

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
-from prepspill.integrators import (IntegratorConfig, annual_series, integrate,
-                                   integrate_flat)
+from prepspill.integrators import (IntegratorConfig, _breakpoints, annual_series,
+                                   integrate, integrate_flat, interp_rows)
 from prepspill.model import StateVec, TransmissionProbs, make_spec
 from prepspill.mixing import BasicMixing
+from prepspill.spillover import integrate_with_spillover
 
 
 def decay_spec():
@@ -134,3 +135,37 @@ def test_trajectory_csv(baseline_basic):
     assert float(first[0]) == 2017.0
     assert float(first[1]) == 123418.0
     assert len(lines) == len(baseline_basic.times) + 1
+
+
+def test_float_noise_samples_beside_year_nodes(basic):
+    # np.arange(2020, 2031, 0.01) holds 2020.999999999999 beside the year
+    # node 2021.0; the two must merge instead of forcing a 9e-13 step
+    spec, y0 = basic
+    cfg = IntegratorConfig(2020, 2031)
+    samples = np.arange(2020, 2031, 0.01)
+    traj = integrate(spec, y0, cfg, sample_times=samples)
+    traj_s, _ = integrate_with_spillover(spec, y0, spec.labels, cfg,
+                                         sample_times=samples)
+    for tr in (traj, traj_s):
+        assert all(tr.index_of(t) is not None for t in samples)
+        assert annual_series(tr)[0] == list(range(2020, 2031))
+
+
+def test_breakpoints_merge_keeps_ends_then_years():
+    cfg = IntegratorConfig(2019.9999999999, 2022.0)
+    pts = _breakpoints(cfg, [2021.0000000001, 2021.5, 2021.5, 2022.0 - 1e-12])
+    assert pts == [2019.9999999999, 2021.0, 2021.5, 2022.0]
+    # under a year the tolerance shrinks with the span
+    short = IntegratorConfig(0.0, 1e-6)
+    assert _breakpoints(short, [5e-7, 5e-7 + 1e-16, 5e-7 + 1e-14]) == \
+        [0.0, 5e-7, 5e-7 + 1e-14, 1e-6]
+
+
+def test_interp_rows_matches_per_column_interp():
+    rng = np.random.default_rng(4)
+    times = np.concatenate([[2017.0], np.sort(rng.uniform(2017, 2031, 40)), [2031.0]])
+    rows = rng.normal(0.0, 1e4, (len(times), 9)) * rng.uniform(1e-3, 1e3, 9)
+    for t in np.concatenate([rng.uniform(2016, 2032, 200), times]):
+        want = np.array([np.interp(t, times, rows[:, c]) for c in range(9)])
+        got = interp_rows(t, times, rows)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))

@@ -1,12 +1,92 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spec, random_state
 from prepspill.errors import ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate
 from prepspill.model import (StateVec, TransmissionProbs, build_lambda_vectors,
-                             dfe, flat_rhs_factory, incidence, make_spec, rhs)
+                             closed_mixing, contact_matrix, dfe,
+                             flat_rhs_factory, incidence, make_spec, rhs)
 from prepspill.mixing import BasicMixing
+from prepspill.reproduction import build_ngm
+
+
+def hand_contact_matrix(spec, mix):
+    """Reference contact coefficients written out entry by entry (the form
+    the model, spillover and NGM code each spelled out per variant before
+    they were derived from the mixing classes' contact-pair tables)."""
+    _, a, _, _ = spec.param_arrays()
+    p = spec.probs
+    W = np.zeros((spec.n, spec.n))
+    if spec.variant == "basic":
+        eta, al = mix.eta_msm, mix.alpha_hetf
+        W[0, 0] = a[0] * eta * p.beta_mm
+        W[0, 1] = a[0] * (1 - eta) * p.beta_fm
+        W[1, 0] = a[1] * al * p.beta_mf
+        W[1, 2] = a[1] * (1 - al) * p.beta_mf
+        W[2, 1] = a[2] * p.beta_fm
+    else:
+        em, ehh, ahh, ahl, xi = mix.as_tuple()
+        W[0, 0] = a[0] * em * p.beta_mm
+        W[0, 1] = a[0] * ehh * p.beta_fm
+        W[0, 2] = a[0] * (1 - em - ehh) * p.beta_fm
+        W[1, 0] = a[1] * ahh * p.beta_mf
+        W[1, 3] = a[1] * (1 - ahh) * p.beta_mf
+        W[2, 0] = a[2] * ahl * p.beta_mf
+        W[2, 3] = a[2] * (1 - ahl) * p.beta_mf
+        W[3, 1] = a[3] * xi * p.beta_fm
+        W[3, 2] = a[3] * (1 - xi) * p.beta_fm
+    return W
+
+
+def test_contact_matrix_matches_hand_coefficients():
+    rng = np.random.default_rng(23)
+    for variant in ("basic", "risk"):
+        for _ in range(40):
+            spec = random_spec(rng, variant)
+            Nstar = dfe(spec).N
+            mix = closed_mixing(spec, Nstar)
+            want = hand_contact_matrix(spec, mix)
+            assert np.allclose(contact_matrix(spec, mix), want, rtol=1e-15, atol=0.0)
+            # F_jp = a_j (1 - eps_j) frac beta N*_j / N*_p, entry by entry
+            _, _, _, eps = spec.param_arrays()
+            F = (1 - eps)[:, None] * want * Nstar[:, None] / Nstar[None, :]
+            assert np.allclose(build_ngm(spec).F, F, rtol=1e-12, atol=0.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
+       pinned=st.booleans(), tracked=st.booleans())
+def test_flat_rhs_equals_structured_property(seed, variant, pinned, tracked):
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant)
+    state = random_state(rng, spec)
+    if pinned:
+        # fixed fractions, not the closure at this state
+        spec = replace(spec, mixing=spec.mixing_priors)
+    counts = None
+    if tracked:
+        # some groups tracked, some counts beyond S (coverage capped at 1)
+        counts = list(state.S * rng.uniform(0.0, 1.5, spec.n)
+                      * rng.integers(0, 2, spec.n))
+    got = np.array(flat_rhs_factory(spec, tracked_counts=counts)(0.0, list(state.to_flat())))
+    if tracked:
+        spec = spec.with_epsilon({spec.labels[j]: min(E / state.S[j], 1.0)
+                                  for j, E in enumerate(counts) if E})
+    want = rhs(spec, state)
+    # each component to 1e-12 of the magnitudes of the terms it sums
+    Pi, _, delta, _ = spec.param_arrays()
+    inc = want.C
+    scale = np.concatenate([Pi + inc + spec.mu * state.S,
+                            inc + (spec.mu + delta) * state.I, inc])
+    n = spec.n
+    err = np.abs(np.concatenate([got[0:2 * n:2] - want.S, got[1:2 * n:2] - want.I,
+                                 got[2 * n:] - want.C]))
+    assert np.all(err <= 1e-12 * scale)
 
 
 def test_lambda_vectors_zero_betas(basic):
@@ -125,7 +205,7 @@ def test_rhs_zero_at_dfe_random_specs():
 
 
 def test_flat_rhs_matches_structured(basic, risk):
-    # two independent code paths (unrolled floats vs lambda-vector algebra);
+    # two independent code paths (generated floats vs contact-matrix algebra);
     # jitter kept small so the risk closure stays feasible
     rng = np.random.default_rng(5)
     for spec, y0 in (basic, risk):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -10,7 +11,8 @@ from prepspill.presets import (ANNUAL_INCIDENCE_BAND, PREVALENCE_ANCHOR_2017,
                                PREVALENCE_BAND, georgia_basic)
 from prepspill.integrators import annual_series
 from prepspill.scenarios import (build_model, default_config, emit_plot_data,
-                                 load_config, run_scenarios, validate_tables)
+                                 load_config, report_to_csv, run_scenarios,
+                                 validate_tables)
 
 # Table-9 cells known to sit outside tolerance under the fixed-contact-rate
 # closure (see decisions notes); everything else must pass.
@@ -87,6 +89,17 @@ def test_reports_reproducible():
     assert r1.baseline.incidence == r2.baseline.incidence
     for a, b in zip(r1.scenarios, r2.scenarios):
         assert a.incidence == b.incidence
+
+
+def test_csv_to_path_and_to_open_file_agree(tmp_path):
+    report = run_scenarios(default_config("basic", arms=[("msm", 10000)]))
+    buf = io.StringIO()
+    report_to_csv(report, buf)
+    assert not buf.closed  # a caller's file stays open
+    path = tmp_path / "table.csv"
+    report_to_csv(report, str(path))
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    assert buf.getvalue().count("\n") == 3
 
 
 def test_validate_tables_known_outcome():

@@ -219,3 +219,39 @@ def test_timeseries_study_patterns(basic):
         assert msm.total[3] < 1e-6          # inert input contributes nothing
         hetf = study.indices[(year, "hetf")]
         assert hetf.total[0] > hetf.total[1]
+
+
+def test_timeseries_node_calls_and_failure(basic, monkeypatch):
+    # one model call per node; a failing node is named by its grid index
+    import prepspill.sobol as sobol_mod
+
+    spec, y0 = basic
+    inputs = [UncertainInput(group="msm", lo=-0.5, hi=1.0)]
+    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0, method="rk4_fixed", dt=0.25)
+    make_fn = sobol_mod.coverage_model_fn
+    calls = []
+
+    def counting(*args, fail_at=None, **kwargs):
+        fn = make_fn(*args, **kwargs)
+
+        def node_fn(theta):
+            calls.append(theta)
+            if len(calls) - 1 == fail_at:
+                raise ValueError("boom")
+            return fn(theta)
+
+        return node_fn
+
+    monkeypatch.setattr(sobol_mod, "coverage_model_fn", counting)
+    study = sobol_timeseries(spec, y0, inputs, level=4, total_degree=2, cfg=cfg)
+    assert len(calls) == study.n_nodes == 4
+    assert study.years == [2017, 2018]
+
+    calls.clear()
+    monkeypatch.setattr(sobol_mod, "coverage_model_fn",
+                        lambda *a, **k: counting(*a, fail_at=2, **k))
+    with pytest.raises(EnsembleError) as exc:
+        sobol_timeseries(spec, y0, inputs, level=4, total_degree=2, cfg=cfg)
+    assert str(exc.value) == "model failed at node 2: boom"
+    assert exc.value.node_index == 2
+    assert len(calls) == 3
