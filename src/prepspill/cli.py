@@ -14,14 +14,13 @@ import sys
 import numpy as np
 
 from .errors import PrepspillError
-from .integrators import integrate
-from .presets import INTERVENTION_START, REPORT_END, default_integrator
+from .presets import INTERVENTION_START, REPORT_END
 from .reproduction import build_ngm, rc_closed, rc_numeric
 from .scenarios import (build_model, default_config, emit_plot_data,
-                        load_config, report_to_csv, run_scenarios,
+                        load_config, report_to_csv, run_scenarios, run_spillover,
                         sobol_manifest, validate_tables, write_sobol_csv)
 from .sobol import UncertainInput, sobol_timeseries
-from .spillover import integrate_with_spillover, nnt, sensitivity_to_csv
+from .spillover import nnt, sensitivity_to_csv
 
 
 def _config_from_args(args):
@@ -37,12 +36,9 @@ def _out_path(args, name):
 
 def cmd_simulate(args):
     config = _config_from_args(args)
-    spec, y0 = build_model(config)
-    cfg = (config.integrator or default_integrator()).over(config.start, config.end)
-    traj = integrate(spec, y0, cfg, sample_times=[config.intervention_year])
-    path = _out_path(args, f"trajectory_{config.variant}.csv")
-    traj.to_csv(path)
     report = run_scenarios(config)
+    path = _out_path(args, f"trajectory_{config.variant}.csv")
+    report.baseline_traj.to_csv(path)
     table = _out_path(args, f"table_{config.variant}.csv")
     report_to_csv(report, table)
     report.csv_paths = [path, table]
@@ -68,13 +64,7 @@ def cmd_simulate(args):
 
 def cmd_spillover(args):
     config = _config_from_args(args)
-    spec, y0 = build_model(config)
-    cfg = (config.integrator or default_integrator()).over(config.start, config.end)
-    base = integrate(spec, y0, cfg, sample_times=[config.intervention_year])
-    start = base.state_at(config.intervention_year)
-    traj, sens = integrate_with_spillover(
-        spec, start, sources=spec.labels,
-        cfg=cfg.over(config.intervention_year, config.end), mode=args.mode)
+    spec, _, _, sens = run_spillover(config, mode=args.mode)
     path = _out_path(args, f"spillover_{config.variant}.csv")
     sensitivity_to_csv(sens, spec.labels, path)
     if args.json:
@@ -90,13 +80,7 @@ def cmd_spillover(args):
 
 def cmd_nnt(args):
     config = _config_from_args(args)
-    spec, y0 = build_model(config)
-    cfg = (config.integrator or default_integrator()).over(config.start, config.end)
-    base = integrate(spec, y0, cfg, sample_times=[config.intervention_year])
-    start = base.state_at(config.intervention_year)
-    traj, sens = integrate_with_spillover(
-        spec, start, sources=spec.labels,
-        cfg=cfg.over(config.intervention_year, config.end))
+    spec, _, traj, sens = run_spillover(config)
     T = args.horizon
     rows = []
     for k in spec.labels:

@@ -39,6 +39,15 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 NODE_TOL = 1e-9
 
 
+def node_index(times, t):
+    """Index of the node of the sorted ``times`` within NODE_TOL of t, or None."""
+    i = int(times.searchsorted(t))
+    for j in (i - 1, i, i + 1):
+        if 0 <= j < len(times) and abs(times[j] - t) <= NODE_TOL:
+            return j
+    return None
+
+
 def interp_rows(t, times, rows):
     """Every column of ``rows`` (one row per entry of ``times``) linearly
     interpolated at t, as np.interp does column by column: held constant
@@ -109,12 +118,8 @@ class Trajectory:
     def n_groups(self):
         return len(self.labels)
 
-    def index_of(self, t, tol=NODE_TOL):
-        i = int(np.searchsorted(self.times, t))
-        for j in (i - 1, i, i + 1):
-            if 0 <= j < len(self.times) and abs(self.times[j] - t) <= tol:
-                return j
-        return None
+    def index_of(self, t):
+        return node_index(self.times, t)
 
     def row_at(self, t):
         """Flat row at time t: stored node if available, else linear interpolation."""
@@ -153,7 +158,7 @@ def _breakpoints(cfg, sample_times):
     sub-dt_min step.  A merge keeps t0/t_end over a year node over a
     sample.  The tolerance is NODE_TOL, scaled down for spans under a year
     so it stays below the span, and every merged-away time lies within it of
-    the kept node, where Trajectory.index_of finds it.
+    the kept node, where node_index finds it.
     """
     pts = {cfg.t0, cfg.t_end}
     y = math.ceil(cfg.t0)
@@ -297,8 +302,8 @@ def annual_series(traj):
     n = traj.n_groups
     out = np.empty((len(years), n))
     for r, y in enumerate(years):
-        i0 = traj.index_of(float(y))
-        i1 = traj.index_of(float(y + 1))
+        i0 = node_index(traj.times, float(y))
+        i1 = node_index(traj.times, float(y + 1))
         if i0 is None or i1 is None:
             raise PartialYear(f"year boundary {y} missing from trajectory grid")
         out[r] = traj.states[i1, 2 * n:3 * n] - traj.states[i0, 2 * n:3 * n]

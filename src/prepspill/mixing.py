@@ -83,8 +83,10 @@ class RiskMixing:
                 self.alpha_hetfl, self.xi_hetm)
 
     def pair_fractions(self):
+        # eta_msm + eta_hetfh may exceed 1 by roundoff (see __post_init__);
+        # the remaining MSM share is then 0, not a tiny negative.
         em, ehh, ahh, ahl, xi = self.as_tuple()
-        return (em, ehh, 1.0 - em - ehh, ahh, 1.0 - ahh, ahl, 1.0 - ahl,
+        return (em, ehh, max(0.0, 1.0 - em - ehh), ahh, 1.0 - ahh, ahl, 1.0 - ahl,
                 xi, 1.0 - xi)
 
 

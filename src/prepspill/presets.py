@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .integrators import IntegratorConfig
 from .mixing import BasicMixing, RiskMixing
 from .model import StateVec, TransmissionProbs, make_spec
 
@@ -67,11 +66,6 @@ def georgia_spec(variant):
     if variant == "risk":
         return georgia_risk()
     raise ValueError(f"unknown variant {variant!r}")
-
-
-def default_integrator(t0=SIM_START, t_end=REPORT_END):
-    return IntegratorConfig(t0=t0, t_end=t_end, method="rk45_adaptive",
-                            rtol=1e-8, atol=1e-6)
 
 
 # Published 10-year (2020-2030 inclusive) cumulative incidence and, per

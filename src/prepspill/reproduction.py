@@ -231,7 +231,7 @@ def rc_closed_risk(ngm):
         diagnostic=f"ClosedFormMismatch: closed = {closed!r} vs numeric = {numeric!r}")
 
 
-def rc_closed(spec_or_ngm, spec=None):
+def rc_closed(spec_or_ngm):
     """Closed-form reproduction number for either variant."""
     ngm = spec_or_ngm if isinstance(spec_or_ngm, NGMatrices) else build_ngm(spec_or_ngm)
     return rc_closed_basic(ngm) if ngm.F.shape == (3, 3) else rc_closed_risk(ngm)
@@ -312,58 +312,39 @@ def stability_probe(spec, n_trials=50, horizon=None, seed=0,
     infections fall below ``decay_ratio`` of their start (or the cap is
     reached -> inconclusive).  If above one, seeds a small perturbation of
     the DFE and requires growth by ``growth_factor``.
+
+    Each doubling continues every trial from its state at the previous
+    horizon, so each span is integrated once.  The integrations land on
+    every whole year and, from a 64-year horizon up, dt_max = horizon / 8
+    caps no step, so the end states match restarts from t = 0 up to the
+    step sizes chosen in the first year of each continuation.
     """
     _, _, delta, _ = spec.param_arrays()
     if np.any(delta != 0.0):
         raise ValueError("stability probe applies to delta = 0 specs")
     rc_hat = rc_numeric(build_ngm(spec)).value
-    rng = np.random.default_rng(seed)
-    n = spec.n
 
     if rc_hat < 1.0:
-        states = _random_feasible_states(spec, n_trials, rng)
-        h = 256.0 if horizon is None else horizon
-        while True:
-            worst = 0.0
-            for y0 in states:
-                cfg = IntegratorConfig(t0=0.0, t_end=h, method="rk45_adaptive",
-                                       rtol=1e-8, atol=1e-8, dt_max=h / 8)
-                traj = integrate(spec, y0, cfg)
-                end = traj.final_state()
-                start_tot = float(np.sum(y0.I))
-                ratio = float(np.sum(end.I)) / start_tot if start_tot > 0 else 0.0
-                worst = max(worst, ratio)
-            if worst < decay_ratio:
-                return StabilityProbeReport(rc_hat=rc_hat, regime="decay",
-                                            n_trials=n_trials, horizon=h,
-                                            confirmed=True, conclusive=True,
-                                            max_terminal_ratio=worst)
-            if h >= horizon_cap:
-                return StabilityProbeReport(rc_hat=rc_hat, regime="decay",
-                                            n_trials=n_trials, horizon=h,
-                                            confirmed=False, conclusive=False,
-                                            max_terminal_ratio=worst,
-                                            notes="horizon cap reached")
-            h *= 2.0
-
-    # growth regime: perturb the DFE
-    eq = dfe(spec)
-    I0 = np.full(n, 1.0)
-    y0 = StateVec.make(eq.S - I0, I0)
-    start_tot = float(np.sum(I0))
-    h = 64.0 if horizon is None else horizon
+        regime, h = "decay", 256.0
+        states = _random_feasible_states(spec, n_trials, np.random.default_rng(seed))
+    else:  # growth: perturb the DFE
+        regime, h = "growth", 64.0
+        I0 = np.full(spec.n, 1.0)
+        states = [StateVec.make(dfe(spec).S - I0, I0)]
+    h = h if horizon is None else horizon
+    start_tot = [float(np.sum(y.I)) for y in states]
+    t0 = 0.0
     while True:
-        cfg = IntegratorConfig(t0=0.0, t_end=h, method="rk45_adaptive",
-                               rtol=1e-8, atol=1e-8, dt_max=h / 8)
-        traj = integrate(spec, y0, cfg)
-        ratio = float(np.sum(traj.final_state().I)) / start_tot
-        if ratio >= growth_factor:
-            return StabilityProbeReport(rc_hat=rc_hat, regime="growth",
-                                        n_trials=1, horizon=h, confirmed=True,
-                                        conclusive=True, max_terminal_ratio=ratio)
-        if h >= horizon_cap:
-            return StabilityProbeReport(rc_hat=rc_hat, regime="growth",
-                                        n_trials=1, horizon=h, confirmed=False,
-                                        conclusive=False, max_terminal_ratio=ratio,
-                                        notes="horizon cap reached")
-        h *= 2.0
+        for i, y in enumerate(states):
+            cfg = IntegratorConfig(t0=t0, t_end=h, method="rk45_adaptive",
+                                   rtol=1e-8, atol=1e-8, dt_max=h / 8)
+            states[i] = integrate(spec, y, cfg).final_state()
+        worst = max((float(np.sum(y.I)) / s if s > 0 else 0.0
+                     for y, s in zip(states, start_tot)), default=0.0)
+        confirmed = worst < decay_ratio if regime == "decay" else worst >= growth_factor
+        if confirmed or h >= horizon_cap:
+            return StabilityProbeReport(
+                rc_hat=rc_hat, regime=regime, n_trials=len(states), horizon=h,
+                confirmed=confirmed, conclusive=confirmed, max_terminal_ratio=worst,
+                notes="" if confirmed else "horizon cap reached")
+        t0, h = h, 2.0 * h

@@ -19,13 +19,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup)
-from .integrators import IntegratorConfig, annual_series, integrate, text_sink
+from .integrators import (IntegratorConfig, Trajectory, annual_series, integrate,
+                          text_sink)
 from .model import VARIANTS, StateVec
 from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       SIM_START, TABLE_BASIC_BASELINE,
                       TABLE_BASIC_INTERVENTIONS, TABLE_RISK_BASELINE,
                       TABLE_RISK_INTERVENTIONS, combine_reported,
-                      default_integrator, georgia_spec, reported_groups)
+                      georgia_spec, reported_groups)
 from .spillover import integrate_with_spillover, nnt
 from .sobol import UncertainInput, sobol_timeseries
 
@@ -48,7 +49,7 @@ class ScenarioConfig:
     end: float
     interventions: tuple
     intervention_mode: str = "fixed-fraction"
-    integrator: IntegratorConfig = None
+    integrator: IntegratorConfig = None  # spans [start, end]
     overrides: dict = field(default_factory=dict)
     initial_conditions: dict = None
     raw: dict = field(default_factory=dict)
@@ -200,6 +201,29 @@ def build_model(config):
     return spec, y0
 
 
+def integrate_baseline(spec, y0, config):
+    """The config's no-intervention run over [start, end], with a node at
+    the intervention year."""
+    return integrate(spec, y0, config.integrator,
+                     sample_times=[config.intervention_year])
+
+
+def run_spillover(config, mode="practical", baseline=None):
+    """Sensitivities to every group's coverage over [intervention, end],
+    started from the baseline state at the intervention year.
+
+    Returns (spec, baseline, state trajectory, sensitivities by source).
+    The baseline is integrated unless one is passed in.
+    """
+    spec, y0 = build_model(config)
+    if baseline is None:
+        baseline = integrate_baseline(spec, y0, config)
+    traj, sens = integrate_with_spillover(
+        spec, baseline.state_at(config.intervention_year), sources=spec.labels,
+        cfg=config.integrator.over(config.intervention_year, config.end), mode=mode)
+    return spec, baseline, traj, sens
+
+
 @dataclass
 class ScenarioResult:
     name: str
@@ -217,6 +241,7 @@ class RunReport:
     scenarios: list
     config_hash: str
     config_echo: dict
+    baseline_traj: Trajectory  # the baseline over [start, end]
     csv_paths: list = field(default_factory=list)
 
 
@@ -235,12 +260,10 @@ def run_scenarios(config):
     [intervention_year, end] per reported group.
     """
     spec, y0 = build_model(config)
-    cfg = config.integrator or default_integrator(config.start, config.end)
-    cfg = cfg.over(config.start, config.end)
     t_int, t_end = config.intervention_year, config.end
     labels = spec.labels
 
-    base_traj = integrate(spec, y0, cfg, sample_times=[t_int])
+    base_traj = integrate_baseline(spec, y0, config)
     base_inc = _window_incidence(base_traj, spec, t_int, t_end)
     base_cols = combine_reported(config.variant, labels, base_inc)
     base_cols["total"] = float(np.sum(base_inc))
@@ -251,7 +274,7 @@ def run_scenarios(config):
     results = []
     for arm in config.interventions:
         k = spec.group_index(arm.group)
-        seg_cfg = cfg.over(arm.start_year, t_end)
+        seg_cfg = config.integrator.over(arm.start_year, t_end)
         start_state = base_traj.state_at(arm.start_year)
         if config.intervention_mode == "fixed-fraction":
             eps_k = spec.groups[k][1].epsilon + arm.additional_persons / start_state.S[k]
@@ -277,7 +300,7 @@ def run_scenarios(config):
     return RunReport(variant=config.variant, window=(t_int, t_end),
                      baseline=baseline, scenarios=results,
                      config_hash=config.content_hash(),
-                     config_echo=config.raw)
+                     config_echo=config.raw, baseline_traj=base_traj)
 
 
 def report_to_csv(report, path_or_file):
@@ -391,18 +414,15 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
     os.makedirs(out_dir, exist_ok=True)
     config = config or default_config(variant)
     spec, y0 = build_model(config)
-    cfg = (config.integrator or default_integrator()).over(config.start, config.end)
     labels = spec.labels
     paths = []
 
-    need_spill = {"effects", "nnt"} & set(series)
-    if "baseline" in series or need_spill:
-        base_traj = integrate(spec, y0, cfg, sample_times=[config.intervention_year])
-    if need_spill:
-        start_state = base_traj.state_at(config.intervention_year)
-        traj, sens = integrate_with_spillover(
-            spec, start_state, sources=labels,
-            cfg=cfg.over(config.intervention_year, config.end))
+    report = run_scenarios(config) if "table" in series else None
+    base_traj = report.baseline_traj if report else None
+    if {"effects", "nnt"} & set(series):
+        _, base_traj, traj, sens = run_spillover(config, baseline=base_traj)
+    elif "baseline" in series and base_traj is None:
+        base_traj = integrate_baseline(spec, y0, config)
 
     if "baseline" in series:
         years, inc = annual_series(base_traj)
@@ -463,7 +483,6 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
         paths.append(side)
 
     if "table" in series:
-        report = run_scenarios(config)
         p = os.path.join(out_dir, f"table_{variant}.csv")
         report_to_csv(report, p)
         paths.append(p)

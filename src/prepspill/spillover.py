@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import PerturbationOutOfRange, UnsupportedVariant, ZeroPopulation
 from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate,
-                          integrate_flat, interp_rows, text_sink)
+                          integrate_flat, interp_rows, node_index, text_sink)
 from .model import closed_mixing, contact_matrix, rhs
 
 MODES = ("practical", "exact_delta")
@@ -65,8 +65,8 @@ class SensitivityTrajectory:
     gamma: np.ndarray
 
     def at(self, t):
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) <= NODE_TOL:
+        i = node_index(self.times, t)
+        if i is not None:
             sig, gam = self.sigma[i], self.gamma[i]
         else:
             sig = interp_rows(t, self.times, self.sigma)
@@ -103,13 +103,19 @@ def _contact_sum(W, x, N):
     return out
 
 
+def _check_mode(spec, mode):
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact_delta" and spec.variant != "basic":
+        raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
+
+
 def _sensitivity_kernel(spec, mode):
     """derivs(W, S, I, N, lam, sig, gam, src) -> (dsig, dgam) for a batch of
     sensitivity blocks: ``sig``/``gam`` are (B, n), one row per source,
     ``src`` holds each row's source index, W is the contact matrix and lam
     the raw force of infection W @ (I / N)."""
-    if mode == "exact_delta" and spec.variant != "basic":
-        raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
+    _check_mode(spec, mode)
     _, _, delta, eps = spec.param_arrays()
     u = 1.0 - eps
     mu = spec.mu
@@ -135,8 +141,6 @@ def _sensitivity_kernel(spec, mode):
 
 def spillover_rhs(spec, state, sens, mode="practical", t=None):
     """Time derivative of one sensitivity block given the current state."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     derivs = _sensitivity_kernel(spec, mode)
     N = state.N
     if np.any(N <= 0.0):
@@ -208,10 +212,10 @@ def integrate_with_spillover(spec, y0, sources, cfg, mode="practical",
     Sensitivities start from exactly zero at cfg.t0.  Returns the state
     trajectory and one SensitivityTrajectory per requested source, keyed by
     group label.  With an empty source set this is identical to
-    :func:`prepspill.integrators.integrate`.
+    :func:`prepspill.integrators.integrate`, once the mode has been checked
+    against the variant.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
+    _check_mode(spec, mode)
     src = sorted(spec.group_index(s) if isinstance(s, str) else int(s)
                  for s in set(sources))
     if not src:
@@ -282,7 +286,7 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
     j_idx = state_traj.labels.index(j) if isinstance(j, str) else int(j)
     t_start = sens_traj.times[0]
     t_eval = t_start + T
-    if t_eval > state_traj.times[-1] + 1e-9:
+    if t_eval > state_traj.times[-1] + NODE_TOL:
         raise ValueError(f"T = {T} reaches beyond the trajectory span")
     gam_T = sens_traj.at(t_eval).gamma[j_idx]
     S_T = state_traj.state_at(t_eval).S[k_idx]

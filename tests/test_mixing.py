@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from prepspill.errors import InfeasibleClosure
+from prepspill.model import contact_matrix
+from prepspill.presets import georgia_risk
 from prepspill.mixing import (BasicMixing, RiskMixing, basic_residuals,
                               close_basic, close_risk, risk_objective,
                               risk_residuals)
@@ -134,3 +136,11 @@ def test_residuals_along_risk_trajectory(baseline_risk, risk):
         N = row[0:2 * n:2] + row[1:2 * n:2]
         mix = close_risk(N, a, spec.mixing_priors)
         assert np.max(np.abs(risk_residuals(mix, N, a))) < 1e-12
+
+
+def test_risk_pair_fractions_nonnegative_past_roundoff():
+    # accepted: eta_msm + eta_hetfh exceeds 1 by 1.1e-15, within roundoff
+    mix = RiskMixing(eta_msm=0.5, eta_hetfh=0.5000000000000011, alpha_hetfh=0.06,
+                     alpha_hetfl=0.01, xi_hetm=0.005)
+    assert min(mix.pair_fractions()) >= 0.0
+    assert contact_matrix(georgia_risk()[0], mix).min() >= 0.0

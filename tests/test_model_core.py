@@ -33,7 +33,7 @@ def hand_contact_matrix(spec, mix):
         em, ehh, ahh, ahl, xi = mix.as_tuple()
         W[0, 0] = a[0] * em * p.beta_mm
         W[0, 1] = a[0] * ehh * p.beta_fm
-        W[0, 2] = a[0] * (1 - em - ehh) * p.beta_fm
+        W[0, 2] = a[0] * max(0.0, 1 - em - ehh) * p.beta_fm  # share 0, not -1e-16
         W[1, 0] = a[1] * ahh * p.beta_mf
         W[1, 3] = a[1] * (1 - ahh) * p.beta_mf
         W[2, 0] = a[2] * ahl * p.beta_mf

@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from conftest import random_spec, stationary_risk
-from prepspill.model import TransmissionProbs
-from prepspill.reproduction import (NGMatrices, build_ngm, rc_closed_basic,
+from prepspill import reproduction
+from prepspill.integrators import IntegratorConfig, integrate
+from prepspill.model import StateVec, TransmissionProbs, dfe
+from prepspill.reproduction import (NGMatrices, _random_feasible_states,
+                                    build_ngm, rc_closed_basic,
                                     rc_closed_risk, rc_numeric,
                                     scale_transmission, stability_probe,
                                     tune_multiplier_to_rc)
@@ -177,3 +180,53 @@ def test_probe_tuned_to_decay(basic):
     assert report.regime == "decay"
     assert report.confirmed and report.conclusive
     assert report.max_terminal_ratio < 1e-3
+
+
+def _probe_spec(basic, regime):
+    """delta = 0 basic preset: as is (R_c > 1) or tuned to R_c = 0.9."""
+    spec0 = basic[0].with_delta_zero()
+    if regime == "growth":
+        return spec0
+    return scale_transmission(spec0, tune_multiplier_to_rc(spec0, 0.9))
+
+
+@pytest.mark.parametrize("regime", ["decay", "growth"])
+def test_probe_integrates_each_span_once(basic, monkeypatch, regime):
+    spec = _probe_spec(basic, regime)
+    calls = []  # (t0, t_end, start row, end row), trials in turn each round
+    real = reproduction.integrate
+
+    def spy(spec, y0, cfg, **kw):
+        traj = real(spec, y0, cfg, **kw)
+        calls.append((cfg.t0, cfg.t_end, y0.to_flat(), traj.states[-1]))
+        return traj
+
+    monkeypatch.setattr(reproduction, "integrate", spy)
+    report = stability_probe(spec, n_trials=2, seed=3)
+    assert report.regime == regime
+    n = report.n_trials
+    assert len(calls) % n == 0 and len(calls) > n  # more than one round
+    for trial in range(n):
+        mine = calls[trial::n]
+        assert mine[0][0] == 0.0 and mine[-1][1] == report.horizon
+        for prev, cur in zip(mine, mine[1:]):
+            assert cur[0] == prev[1]            # continues at the last horizon
+            assert np.array_equal(cur[2], prev[3])  # from that trial's end state
+
+
+@pytest.mark.parametrize("regime", ["decay", "growth"])
+def test_probe_ratio_matches_one_direct_integration(basic, regime):
+    spec = _probe_spec(basic, regime)
+    if regime == "decay":
+        starts = _random_feasible_states(spec, 1, np.random.default_rng(5))
+    else:
+        I0 = np.full(spec.n, 1.0)
+        starts = [StateVec.make(dfe(spec).S - I0, I0)]
+    report = stability_probe(spec, n_trials=1, seed=5)
+    h = report.horizon
+    assert report.regime == regime and h > (256.0 if regime == "decay" else 64.0)
+    cfg = IntegratorConfig(t0=0.0, t_end=h, method="rk45_adaptive", rtol=1e-8,
+                           atol=1e-8, dt_max=h / 8)
+    end = integrate(spec, starts[0], cfg).final_state()
+    direct = float(np.sum(end.I)) / float(np.sum(starts[0].I))
+    assert report.max_terminal_ratio == pytest.approx(direct, rel=1e-10, abs=0.0)

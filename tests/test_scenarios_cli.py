@@ -241,3 +241,35 @@ def test_cli_sobol_small(tmp_path, capsys):
     assert header == "year,output_group,input,first_order,total,mean,variance"
     man = json.load(open(os.path.join(out, "sobol_basic_manifest.json")))
     assert man["clamp_count"] == 0 and man["rule"] == "gauss_legendre_tensor"
+
+
+def test_cli_simulate_integrates_baseline_once(tmp_path, monkeypatch, capsys):
+    from prepspill import cli, integrators
+    calls, reports = [], []
+    real_flat, real_run = integrators.integrate_flat, cli.run_scenarios
+
+    def flat(*args, **kwargs):
+        calls.append(args[2])
+        return real_flat(*args, **kwargs)
+
+    def run(config):
+        reports.append(real_run(config))
+        return reports[-1]
+
+    monkeypatch.setattr(integrators, "integrate_flat", flat)
+    monkeypatch.setattr(cli, "run_scenarios", run)
+    assert main(["simulate", "--model", "basic", "--out", str(tmp_path)]) == 0
+    assert len(calls) == 10  # the baseline and 9 arms
+    buf = io.StringIO()
+    reports[0].baseline_traj.to_csv(buf)
+    assert (tmp_path / "trajectory_basic.csv").read_text() == buf.getvalue()
+
+
+def test_cli_spillover_starting_at_intervention(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": "basic", "horizon": {
+        "start": 2020, "intervention": 2020, "end": 2024}})
+    assert main(["spillover", "--config", cfg, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "spillover_basic.csv").read_text().splitlines()
+    first = [float(v) for v in rows[1].split(",")]
+    assert first[0] == 2020.0 and not any(first[1:])
+    assert float(rows[-1].split(",")[0]) == 2024.0

@@ -294,3 +294,10 @@ def test_locality_in_epsilon(basic):
     g0 = s0["msm"].gamma[-1][0]
     g2 = s2["msm"].gamma[-1][0]
     assert abs(g0 - g2) > 1e-3 * abs(g0)
+
+
+def test_exact_delta_risk_rejected_without_sources(risk):
+    spec, y0 = risk
+    with pytest.raises(UnsupportedVariant):
+        integrate_with_spillover(spec, y0, sources=(), cfg=CFG.over(2017.0, 2018.0),
+                                 mode="exact_delta")
