@@ -2,7 +2,18 @@
 
 
 class PrepspillError(Exception):
-    """Base class for all package-specific errors."""
+    """Base class for all package-specific errors.
+
+    ``member`` is the index of the failing member when the error comes from
+    a batched evaluation over many models at once, else None.
+    """
+
+    member = None
+
+    def for_member(self, i):
+        """Tag the error with batch member i; returns the error."""
+        self.member = int(i)
+        return self
 
 
 class ZeroPopulation(PrepspillError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NegativeState, PartialYear, StepSizeUnderflow
-from .model import StateVec, flat_rhs_factory
+from .model import StateVec, batched_rhs_factory, flat_rhs_factory
 
 log = logging.getLogger(__name__)
 
@@ -106,7 +106,8 @@ class Trajectory:
 
     states rows follow the flat layout of the integrated system; the first
     3n columns are the model state (S/I interleaved, then C), any further
-    columns belong to augmented blocks owned by the caller.
+    columns belong to augmented blocks owned by the caller.  A batched
+    integration (integrate_batch) adds a trailing member axis.
     """
 
     times: np.ndarray
@@ -200,6 +201,53 @@ def _postprocess_step(t, y, n_state, atol, clamp_events):
             log.info("clamped component %d (%.3e) to 0 at t=%.6f", i, v, t)
 
 
+def _postprocess_columns(t, y, n_state, atol, clamp_events):
+    """_postprocess_step over columns (one entry per batch member): tiny
+    negatives are clamped member by member; a hard negative raises
+    NegativeState for the first member that has one."""
+    for i in range(n_state):
+        col = y[i]
+        neg = col < 0.0
+        if neg.any():
+            hard = col < -atol
+            if hard.any():
+                b = int(hard.argmax())
+                raise NegativeState(f"state component {i} = {col[b]:.6g} < -atol at "
+                                    f"t = {t:.6f}").for_member(b)
+            for b in np.flatnonzero(neg):
+                clamp_events.append((t, i, int(b), float(col[b])))
+            log.info("clamped component %d to 0 in %d members at t=%.6f",
+                     i, int(neg.sum()), t)
+            y[i] = np.where(neg, 0.0, col)
+
+
+def _rk4_grid(breaks, dt):
+    """(t, h, t_next) of every fixed RK4 step: each span between breakpoints
+    is split evenly into steps of at most dt, and the last step of a span
+    ends exactly on the breakpoint."""
+    for b0, b1 in zip(breaks[:-1], breaks[1:]):
+        t = b0
+        nsub = max(1, math.ceil((b1 - b0) / dt - 1e-12))
+        h = (b1 - b0) / nsub
+        for i in range(nsub):
+            t_next = b1 if i == nsub - 1 else t + h
+            yield t, h, t_next
+            t = t_next
+
+
+def _rk4_step(f, t, y, h):
+    """One classic RK4 step; y is a list of floats or of batch columns."""
+    k1 = f(t, y)
+    y2 = [yi + 0.5 * h * ki for yi, ki in zip(y, k1)]
+    k2 = f(t + 0.5 * h, y2)
+    y3 = [yi + 0.5 * h * ki for yi, ki in zip(y, k2)]
+    k3 = f(t + 0.5 * h, y3)
+    y4 = [yi + h * ki for yi, ki in zip(y, k3)]
+    k4 = f(t + h, y4)
+    return [yi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
+            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+
+
 def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     """Integrate dy/dt = f(t, y) over cfg's window.
 
@@ -215,24 +263,11 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     clamps = []
 
     if cfg.method == "rk4_fixed":
-        for b0, b1 in zip(breaks[:-1], breaks[1:]):
-            t = b0
-            nsub = max(1, math.ceil((b1 - b0) / cfg.dt - 1e-12))
-            h = (b1 - b0) / nsub
-            for i in range(nsub):
-                k1 = f(t, y)
-                y2 = [yi + 0.5 * h * ki for yi, ki in zip(y, k1)]
-                k2 = f(t + 0.5 * h, y2)
-                y3 = [yi + 0.5 * h * ki for yi, ki in zip(y, k2)]
-                k3 = f(t + 0.5 * h, y3)
-                y4 = [yi + h * ki for yi, ki in zip(y, k3)]
-                k4 = f(t + h, y4)
-                y = [yi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-                     for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
-                t = b1 if i == nsub - 1 else t + h
-                _postprocess_step(t, y, n_state, cfg.atol, clamps)
-                ts.append(t)
-                ys.append(list(y))
+        for t, h, t_next in _rk4_grid(breaks, cfg.dt):
+            y = _rk4_step(f, t, y, h)
+            _postprocess_step(t_next, y, n_state, cfg.atol, clamps)
+            ts.append(t_next)
+            ys.append(list(y))
         return ts, ys, clamps
 
     # Dormand-Prince with FSAL
@@ -286,12 +321,49 @@ def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None):
                       labels=spec.labels, clamp_events=clamps)
 
 
+def integrate_batch(spec, y0, eps, cfg):
+    """Integrate a batch of models that differ only in coverage, all from y0.
+
+    Row b of ``eps`` (B, n) holds member b's coverage fractions.  Fixed-step
+    RK4 only: each member takes the steps integrate_flat takes, with the same
+    arithmetic, so its trajectory equals its own scalar integration bit for
+    bit.  Only the breakpoint rows (t0, whole years, t_end) are kept, so the
+    trajectory's states are (n_breaks, 3n, B).  The nonnegativity policy
+    applies member by member; clamp events are (t, component, member,
+    value).  A failure carries the index of the first failing member
+    (PrepspillError.member).
+
+    Returns (trajectory, RHS evaluations); each evaluation covers the batch.
+    """
+    if cfg.method != "rk4_fixed":
+        raise ValueError(f"batched integration needs method 'rk4_fixed', "
+                         f"not {cfg.method!r}")
+    eps = np.atleast_2d(np.asarray(eps, dtype=float))
+    f = batched_rhs_factory(spec, eps)
+    breaks = _breakpoints(cfg, None)
+    y = [np.full(len(eps), v) for v in y0.to_flat()]
+    states = np.empty((len(breaks), len(y), len(eps)))
+    states[0] = y
+    row, clamps, steps = 1, [], 0
+    for t, h, t_next in _rk4_grid(breaks, cfg.dt):
+        y = _rk4_step(f, t, y, h)
+        _postprocess_columns(t_next, y, 2 * spec.n, cfg.atol, clamps)
+        steps += 1
+        if t_next == breaks[row]:  # _rk4_grid lands on it exactly
+            states[row] = y
+            row += 1
+    traj = Trajectory(times=np.array(breaks), states=states, labels=spec.labels,
+                      clamp_events=clamps)
+    return traj, 4 * steps
+
+
 def annual_series(traj):
     """Per calendar year, per group new infections: differences of the
     cumulative accumulators at year boundaries.
 
     Requires the trajectory to span whole years; the yearly rows sum exactly
-    (telescoping) to C(t_end) - C(t0).
+    (telescoping) to C(t_end) - C(t0).  A batched trajectory gives
+    (years, n, B).
     """
     t0, t1 = traj.times[0], traj.times[-1]
     if abs(t0 - round(t0)) > 1e-9 or abs(t1 - round(t1)) > 1e-9:
@@ -300,7 +372,7 @@ def annual_series(traj):
     if not years:
         raise PartialYear("span shorter than one year")
     n = traj.n_groups
-    out = np.empty((len(years), n))
+    out = np.empty((len(years), n) + traj.states.shape[2:])
     for r, y in enumerate(years):
         i0 = node_index(traj.times, float(y))
         i1 = node_index(traj.times, float(y + 1))

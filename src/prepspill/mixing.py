@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import InfeasibleClosure
 
 _RESIDUAL_TOL = 1e-12
@@ -90,10 +92,14 @@ class RiskMixing:
                 xi, 1.0 - xi)
 
 
+def _unit_interval_error(name, value, t):
+    return InfeasibleClosure(
+        f"closure gives {name} = {value:.6g} outside [0, 1]", t=t, value=value)
+
+
 def _check_unit_interval(name, value, t=None):
     if not (0.0 <= value <= 1.0):
-        raise InfeasibleClosure(
-            f"closure gives {name} = {value:.6g} outside [0, 1]", t=t, value=value)
+        raise _unit_interval_error(name, value, t)
 
 
 def close_basic(N, a, priors=None, t=None):
@@ -190,3 +196,81 @@ def risk_residuals(mix, N, a):
 def risk_objective(mix, priors):
     """Squared distance from a mixing tuple to the priors (the projection objective)."""
     return sum((x - p) ** 2 for x, p in zip(mix.as_tuple(), priors.as_tuple()))
+
+
+# Array forms of the closures: N holds one column (B,) per group, one entry
+# per batch member.  Each check of the scalar solver runs over all members;
+# the first failing member's error is the scalar one, tagged with its index
+# (PrepspillError.member).  The arithmetic is the scalar solver's, term by
+# term, so every member's fractions equal the scalar ones bit for bit.
+
+def _first(bad):
+    """Index of the first True entry of a boolean column, or None."""
+    return int(bad.argmax()) if bad.any() else None
+
+
+def _check_volumes(B, t):
+    i = _first(np.logical_or.reduce([b <= 0.0 for b in B]))
+    if i is not None:
+        raise InfeasibleClosure("nonpositive total contact volume", t=t).for_member(i)
+
+
+def _check_unit_columns(name, v, t):
+    i = _first(~((0.0 <= v) & (v <= 1.0)))
+    if i is not None:
+        raise _unit_interval_error(name, v[i], t).for_member(i)
+
+
+def close_basic_batch(N, a, priors=None, t=None):
+    """close_basic over columns of N; returns the pair fractions as columns."""
+    B0, B1, B2 = N[0] * a[0], N[1] * a[1], N[2] * a[2]
+    _check_volumes((B0, B1, B2), t)
+    alpha = 1.0 - B2 / B1
+    _check_unit_columns("alpha_hetf", alpha, t)
+    eta = 1.0 - alpha * B1 / B0
+    _check_unit_columns("eta_msm", eta, t)
+    return (eta, 1.0 - eta, alpha, 1.0 - alpha, 1.0)
+
+
+def close_risk_batch(N, a, priors, t=None):
+    """close_risk over columns of N; returns the pair fractions as columns.
+
+    RiskMixing's check eta_msm + eta_hetfh <= 1 + 1e-12 is not repeated: it
+    holds by construction (xi_hetm >= 1 - B2/B3), up to roundoff that the
+    max(0, .) of the third MSM share absorbs, as in pair_fractions.
+    """
+    B0, B1, B2, B3 = N[0] * a[0], N[1] * a[1], N[2] * a[2], N[3] * a[3]
+    _check_volumes((B0, B1, B2, B3), t)
+    eta_msm = 1.0 - (B1 + B2 - B3) / B0
+    _check_unit_columns("eta_msm", eta_msm, t)
+
+    lo = np.maximum(np.maximum(0.0, (B1 - B0) / B3), 1.0 - B2 / B3)
+    hi = np.minimum(1.0, B1 / B3)
+    i = _first(lo > hi)
+    if i is not None:
+        raise InfeasibleClosure(
+            f"empty feasible interval for xi_hetm: [{lo[i]:.6g}, {hi[i]:.6g}]",
+            t=t, value=lo[i]).for_member(i)
+
+    slopes = (-B3 / B0, -B3 / B1, B3 / B2, 1.0)
+    offsets = (B1 / B0, 1.0, 1.0 - B3 / B2, 0.0)
+    targets = (priors.eta_hetfh, priors.alpha_hetfh, priors.alpha_hetfl,
+               priors.xi_hetm)
+    quad = sum(s * s for s in slopes)
+    lin = sum(s * (o - p) for s, o, p in zip(slopes, offsets, targets))
+    xi = np.minimum(np.maximum(-lin / quad, lo), hi)
+
+    values = {
+        "eta_hetfh": (B1 - xi * B3) / B0,
+        "alpha_hetfh": 1.0 - xi * B3 / B1,
+        "alpha_hetfl": 1.0 - (1.0 - xi) * B3 / B2,
+        "xi_hetm": xi,
+    }
+    for name, v in values.items():
+        roundoff = ((-1e-14 <= v) & (v < 0.0)) | ((1.0 < v) & (v <= 1.0 + 1e-14))
+        v = np.where(roundoff, np.minimum(np.maximum(v, 0.0), 1.0), v)
+        _check_unit_columns(name, v, t)
+        values[name] = v
+    ehh, ahh, ahl, xi = values.values()
+    return (eta_msm, ehh, np.maximum(0.0, 1.0 - eta_msm - ehh), ahh, 1.0 - ahh,
+            ahl, 1.0 - ahl, xi, 1.0 - xi)

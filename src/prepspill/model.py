@@ -21,23 +21,28 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroPopulation
-from .mixing import BasicMixing, RiskMixing, close_basic, close_risk  # noqa: F401
+from .mixing import (BasicMixing, RiskMixing, close_basic,  # noqa: F401
+                     close_basic_batch, close_risk, close_risk_batch)
 
 
 @dataclass(frozen=True)
 class Variant:
     """Group labels in state order, the mixing class (which carries the
-    contact-pair table) and the name of the closure solver in this module,
-    looked up at use so that rebinding it (e.g. for tracing) takes effect."""
+    contact-pair table) and the names of the closure solver and its array
+    form in this module, looked up at use so that rebinding them (e.g. for
+    tracing) takes effect."""
 
     groups: tuple
     mixing: type
     closure: str
+    batch_closure: str
 
 
 VARIANTS = {
-    "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, "close_basic"),
-    "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, "close_risk"),
+    "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, "close_basic",
+                     "close_basic_batch"),
+    "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, "close_risk",
+                    "close_risk_batch"),
 }
 
 
@@ -290,7 +295,7 @@ def dfe(spec):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _flat_rhs_maker(n, pairs, pinned, tracked):
+def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False):
     """Compile ``make(**cells) -> f(t, y)`` for one contact-pair table.
 
     ``pinned``: the mixing fractions are fixed (cell ``fixed``) instead of
@@ -299,18 +304,30 @@ def _flat_rhs_maker(n, pairs, pinned, tracked):
     and b<i> hold the contact rates and each pair's transmission probability.
     The three row forms below keep the arithmetic order of the hand-written
     closures they replaced, so integrations are unchanged to the last bit
-    (spillover._contact_sum says why that matters).  Cached: at most
-    2 * 2**n sources per table.
+    (spillover._contact_sum says why that matters).  ``batched``: y and the
+    u<j> cells hold columns, one entry per batch member; the population
+    check names the first failing member, the closure (its array form) runs
+    at every evaluation, and no group is tracked.  Each member's derivative
+    is then the scalar one bit for bit.  Cached: at most 2 * 2**n + 2 sources
+    per table.
     """
     g = range(n)
     m = ", ".join(f"m{i}" for i in range(len(pairs)))
     Ns = ", ".join(f"N{j}" for j in g)
     body = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * n}]",
-            *(f"N{j} = S{j} + I{j}" for j in g),
-            "if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
-            '    raise ZeroPopulation(f"zero group population at t = {t}")']
+            *(f"N{j} = S{j} + I{j}" for j in g)]
+    if batched:
+        body += ["bad = " + " | ".join(f"(N{j} <= 0.0)" for j in g),
+                 "if bad.any():",
+                 '    raise ZeroPopulation(f"zero group population at t = {t}")'
+                 ".for_member(bad.argmax())"]
+    else:
+        body += ["if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
+                 '    raise ZeroPopulation(f"zero group population at t = {t}")']
     if pinned:
         body.append(f"{m} = fixed")
+    elif batched:
+        body.append(f"{m} = close(({Ns}), a, priors, t=t)")
     else:
         body += [f"if memo[0] == ({Ns}):",
                  f"    {m} = memo[1]",
@@ -346,6 +363,20 @@ def _flat_rhs_maker(n, pairs, pinned, tracked):
     return scope["make"]
 
 
+def _rhs_cells(spec, closure):
+    """The cells of a generated flat RHS for the spec's own coverage."""
+    Pi, a, delta, eps = (tuple(v) for v in spec.param_arrays())
+    cells = {"ZeroPopulation": ZeroPopulation, "close": globals()[closure],
+             "a": a, "priors": spec.mixing_priors, "memo": [None, None], "mu": spec.mu,
+             "fixed": spec.mixing.pair_fractions() if spec.mixing is not None else None}
+    for j in range(spec.n):
+        cells.update({f"Pi{j}": Pi[j], f"v{j}": spec.mu + delta[j], f"a{j}": a[j],
+                      f"u{j}": 1.0 - eps[j]})
+    for i, (_, _, beta) in enumerate(VARIANTS[spec.variant].mixing.PAIRS):
+        cells[f"b{i}"] = getattr(spec.probs, beta)
+    return cells
+
+
 def flat_rhs_factory(spec, tracked_counts=None):
     """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...].
 
@@ -354,18 +385,30 @@ def flat_rhs_factory(spec, tracked_counts=None):
     (capped at 1) instead of using the spec's fixed fractions.  Groups with
     a zero count keep the spec's fraction.
     """
-    Pi, a, delta, eps = (tuple(v) for v in spec.param_arrays())
     var = VARIANTS[spec.variant]
-    pairs = var.mixing.PAIRS
     counts = tuple(tracked_counts) if tracked_counts is not None else (0.0,) * spec.n
     tracked = tuple(j for j, c in enumerate(counts) if c)
-    cells = {"ZeroPopulation": ZeroPopulation, "close": globals()[var.closure],
-             "a": a, "priors": spec.mixing_priors, "memo": [None, None], "mu": spec.mu,
-             "fixed": spec.mixing.pair_fractions() if spec.mixing is not None else None}
-    for j in range(spec.n):
-        cells.update({f"Pi{j}": Pi[j], f"v{j}": spec.mu + delta[j], f"a{j}": a[j]})
-        cells.update({f"c{j}": counts[j]} if j in tracked else {f"u{j}": 1.0 - eps[j]})
-    for i, (_, _, beta) in enumerate(pairs):
-        cells[f"b{i}"] = getattr(spec.probs, beta)
-    make = _flat_rhs_maker(spec.n, pairs, spec.mixing is not None, tracked)
+    cells = _rhs_cells(spec, var.closure)
+    for j in tracked:
+        del cells[f"u{j}"]
+        cells[f"c{j}"] = counts[j]
+    make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None, tracked)
+    return make(**cells)
+
+
+def batched_rhs_factory(spec, eps):
+    """The flat RHS of a batch of models that differ only in coverage.
+
+    ``eps`` is (B, n): member b's coverage fractions.  Returns rhs(t, y)
+    with y a list of columns (B,) in the flat layout, one entry per member;
+    mixing is the spec's pinned fractions or the array-form closure per
+    member.  Failures (ZeroPopulation, InfeasibleClosure) carry the index
+    of the first failing member (PrepspillError.member).
+    """
+    var = VARIANTS[spec.variant]
+    cells = _rhs_cells(spec, var.batch_closure)
+    for j, col in enumerate(np.asarray(eps, dtype=float).T):
+        cells[f"u{j}"] = 1.0 - col
+    make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None, (),
+                           batched=True)
     return make(**cells)

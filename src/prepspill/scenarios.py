@@ -522,6 +522,8 @@ def sobol_manifest(study):
         "node_count": study.n_nodes,
         "clamp_count": study.clamp_count,
         "boundary_affected": study.boundary_affected,
+        "integrator": {"method": study.method, "dt": study.dt},
+        "rhs_evals": study.rhs_evals,
         "inputs": [
             {"group": u.group, "lo": u.lo, "hi": u.hi, "domain": u.domain}
             for u in study.inputs],

@@ -10,13 +10,14 @@ collects every coefficient whose multi-index touches that input).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
 
-from .errors import DimensionOverflow, EnsembleError, ExactnessViolation
-from .integrators import IntegratorConfig, annual_series, integrate
+from .errors import (DimensionOverflow, EnsembleError, ExactnessViolation,
+                     PrepspillError)
+from .integrators import IntegratorConfig, annual_series, integrate, integrate_batch
 
 NODE_CAP = 20_000
 _GRAM_TOL = 1e-10
@@ -231,6 +232,10 @@ def fit_pce(samples, grid, total_degree):
     """Discrete projection d_p = sum_nodes w * y * P_p(node) over the
     total-degree index set.
 
+    ``samples`` holds one value per node, or one column per output
+    ((n_nodes, k)): the basis and the checks are then shared, and the
+    expansion's coeffs carry one column per output.
+
     Refuses (ExactnessViolation) when the grid cannot integrate the
     projection's Gram matrix: tensor Gauss rules need per-dimension
     exactness 2*level - 1 >= 2*total_degree, and the empirical Gram matrix
@@ -255,7 +260,15 @@ def fit_pce(samples, grid, total_degree):
         off = float(np.max(np.abs(gram - np.eye(len(index_set)))))
         raise ExactnessViolation(
             f"grid quadrature breaks basis orthonormality (max deviation {off:.2e})")
-    coeffs = P.T @ (grid.weights * samples)
+    if samples.ndim == 1:
+        coeffs = P.T @ (grid.weights * samples)
+    else:
+        # Column by column: each output's coefficients then equal its own
+        # 1-D fit bit for bit; one matrix product rounds differently and
+        # moves last printed digits of the study CSV.
+        coeffs = np.empty((len(index_set), samples.shape[1]))
+        for c, col in enumerate(samples.T):
+            coeffs[:, c] = P.T @ (grid.weights * col)
     return PCExpansion(index_set=index_set, coeffs=coeffs, intervals=grid.intervals)
 
 
@@ -289,7 +302,11 @@ def sobol_indices(pce, variance_floor=1e-28):
 
 @dataclass
 class SobolStudy:
-    """Per-(year, output group) indices for a coverage-uncertainty study."""
+    """Per-(year, output group) indices for a coverage-uncertainty study.
+
+    ``method``, ``dt`` and ``rhs_evals`` record the integration: RHS
+    evaluations of the batched RK4 (4 per step), each covering every node.
+    """
 
     years: list
     output_groups: tuple
@@ -300,71 +317,92 @@ class SobolStudy:
     n_nodes: int
     clamp_count: int
     boundary_affected: bool
+    method: str
+    dt: float
+    rhs_evals: int
     samples: dict = field(default_factory=dict, repr=False)
 
 
+def coverage_fractions(spec, y0, inputs, nodes):
+    """Coverage fractions (B, n) for each row of the (B, d) ``nodes``, and
+    the number of (node, input) values clamped to [0, 1].
+
+    A "scale" input sets eps = eps0 * (1 + theta), a "count" input
+    eps = theta / S(t0) (S floored at one person), an inert input nothing;
+    when two inputs drive one group, the later one wins.
+    """
+    nodes = np.atleast_2d(np.asarray(nodes, dtype=float))
+    eps0 = spec.param_arrays()[3]
+    eps = np.tile(eps0, (len(nodes), 1))
+    clamps = 0
+    for d, u in enumerate(inputs):
+        if u.group is None:
+            continue
+        k = spec.group_index(u.group)
+        th = nodes[:, d]
+        val = eps0[k] * (1.0 + th) if u.domain == "scale" else th / max(y0.S[k], 1.0)
+        eps[:, k] = np.minimum(np.maximum(val, 0.0), 1.0)
+        clamps += int(np.count_nonzero(eps[:, k] != val))
+    return eps, clamps
+
+
 def coverage_model_fn(spec, y0, inputs, cfg, clamp_counter=None):
-    """theta-vector -> (years, per-year per-group incidence) for the study."""
-    base_eps = {lbl: spec.groups[i][1].epsilon for i, lbl in enumerate(spec.labels)}
+    """theta-vector -> (years, per-year per-group incidence) for the study:
+    one node integrated on its own, with any integrator cfg."""
 
     def fn(theta):
-        eps = dict(base_eps)
-        for u, th in zip(inputs, theta):
-            if u.group is None:
-                continue
-            if u.domain == "scale":
-                val = base_eps[u.group] * (1.0 + th)
-            else:
-                k = spec.group_index(u.group)
-                val = th / max(y0.S[k], 1.0)
-            clamped = min(max(val, 0.0), 1.0)
-            if clamped != val and clamp_counter is not None:
-                clamp_counter[0] += 1
-            eps[u.group] = clamped
-        traj = integrate(spec.with_epsilon(eps), y0, cfg)
+        eps, clamps = coverage_fractions(spec, y0, inputs, theta)
+        if clamp_counter is not None:
+            clamp_counter[0] += clamps
+        traj = integrate(spec.with_epsilon(dict(zip(spec.labels, eps[0]))), y0, cfg)
         return annual_series(traj)
 
     return fn
+
+
+def _batch_incidence(spec, y0, grid, eps, cfg):
+    """Years, annual incidence (years, groups, nodes) and RHS evaluations of
+    every grid node integrated in one batch, with coverage eps (nodes, n).
+    A failing member raises EnsembleError naming its node."""
+    try:
+        traj, rhs_evals = integrate_batch(spec, y0, eps, cfg)
+    except PrepspillError as e:
+        if e.member is None:
+            raise
+        i = e.member
+        raise EnsembleError(f"model failed at node {i}: {e}", i, grid.nodes[i]) from e
+    return (*annual_series(traj), rhs_evals)
 
 
 def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
                      level=5, total_degree=4, cfg=None):
     """Sobol indices of annual incidence per output group and calendar year.
 
-    Inputs map sampled values onto coverage fractions (clamped to [0, 1];
-    a study with any clamped node is flagged boundary-affected).  The model
-    is integrated once per node with a fixed-step RK4 by default -- the
-    indices are ratios, so the cheap integrator is adequate and keeps full
-    ensembles tractable.
+    Inputs map sampled values onto coverage fractions (coverage_fractions:
+    clamped to [0, 1]; a study with any clamped value is flagged
+    boundary-affected).  Every grid node is integrated in one batch by a
+    fixed-step RK4 (integrate_batch; cfg must use "rk4_fixed", default
+    dt = 0.1 over 2017-2031) -- the indices are ratios, so the cheap
+    integrator is adequate -- and each node's samples equal its own scalar
+    integration (coverage_model_fn with the same cfg) bit for bit.  A
+    failing node raises EnsembleError naming it.  One projection (fit_pce)
+    fits every (year, group) series at once.
     """
     inputs = tuple(inputs)
     if cfg is None:
         cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, method="rk4_fixed", dt=0.1)
     grid = build_grid(inputs, rule=rule, level=level)
-    clamp_counter = [0]
-    fn = coverage_model_fn(spec, y0, inputs, cfg, clamp_counter)
-    all_years = []
-
-    def node_table(theta):
-        # every node integrates the same window, hence reports the same years
-        years, table = fn(theta)
-        all_years[:] = years
-        return table
-
-    rows = evaluate_ensemble(node_table, grid)  # (nodes, n_years, n_groups)
-    if years is None:
-        years = all_years
-    indices = {}
-    samples = {}
-    for yi, year in enumerate(all_years):
-        if year not in years:
-            continue
-        for gi, lbl in enumerate(spec.labels):
-            pce = fit_pce(rows[:, yi, gi], grid, total_degree)
-            indices[(year, lbl)] = sobol_indices(pce)
-            samples[(year, lbl)] = rows[:, yi, gi]
-    return SobolStudy(years=[y for y in all_years if y in years],
-                      output_groups=spec.labels, inputs=inputs, indices=indices,
-                      grid_rule=rule, grid_level=level, n_nodes=grid.n_nodes,
-                      clamp_count=clamp_counter[0],
-                      boundary_affected=clamp_counter[0] > 0, samples=samples)
+    eps, clamps = coverage_fractions(spec, y0, inputs, grid.nodes)
+    all_years, table, rhs_evals = _batch_incidence(spec, y0, grid, eps, cfg)
+    kept = [yi for yi, year in enumerate(all_years) if years is None or year in years]
+    keys = [(all_years[yi], lbl) for yi in kept for lbl in spec.labels]
+    Y = table[kept].reshape(len(keys), grid.n_nodes).T  # (nodes, series)
+    pce = fit_pce(Y, grid, total_degree)
+    indices = {key: sobol_indices(replace(pce, coeffs=pce.coeffs[:, c]))
+               for c, key in enumerate(keys)}
+    samples = {key: Y[:, c] for c, key in enumerate(keys)}
+    return SobolStudy(years=[all_years[yi] for yi in kept], output_groups=spec.labels,
+                      inputs=inputs, indices=indices, grid_rule=rule, grid_level=level,
+                      n_nodes=grid.n_nodes, clamp_count=clamps,
+                      boundary_affected=clamps > 0, method=cfg.method, dt=cfg.dt,
+                      rhs_evals=rhs_evals, samples=samples)

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
-from prepspill.integrators import (IntegratorConfig, _breakpoints, annual_series,
-                                   integrate, integrate_flat, interp_rows)
+from prepspill.integrators import (IntegratorConfig, _breakpoints,
+                                   _postprocess_columns, annual_series, integrate,
+                                   integrate_batch, integrate_flat, interp_rows)
 from prepspill.model import StateVec, TransmissionProbs, make_spec
 from prepspill.mixing import BasicMixing
 from prepspill.spillover import integrate_with_spillover
@@ -111,6 +112,39 @@ def test_tiny_negative_clamped_and_logged():
     ts, ys, clamps = integrate_flat(lambda t, y: [-0.1], [1e-9], cfg, n_state=1)
     assert len(clamps) >= 1
     assert ys[-1][0] == 0.0
+
+
+def test_columns_clamp_tiny_and_name_hard_negative():
+    y = [np.array([1.0, -1e-9, 2.0]), np.array([-1e-8, 3.0, 4.0])]
+    clamps = []
+    _postprocess_columns(0.5, y, 2, 1e-6, clamps)
+    assert [list(c) for c in y] == [[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]]
+    assert clamps == [(0.5, 0, 1, -1e-9), (0.5, 1, 0, -1e-8)]
+    y = [np.array([1.0, -1e-9, -2.0, -3.0])]
+    with pytest.raises(NegativeState) as exc:
+        _postprocess_columns(0.5, y, 1, 1e-6, [])
+    assert exc.value.member == 2
+    with pytest.raises(NegativeState) as scalar:
+        integrate_flat(lambda t, y: [0.0], [-2.0], IntegratorConfig(
+            t0=0.0, t_end=0.5, method="rk4_fixed", dt=0.5), n_state=1)
+    assert str(exc.value) == str(scalar.value)
+
+
+def test_batch_members_equal_scalar_integrations(basic, risk):
+    for spec, y0 in (basic, risk):
+        cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, method="rk4_fixed", dt=0.1)
+        eps = spec.param_arrays()[3] * np.array([[0.5], [1.0], [3.0]])
+        traj, rhs_evals = integrate_batch(spec, y0, eps, cfg)
+        assert traj.states.shape == (15, 3 * spec.n, 3)
+        assert rhs_evals == 4 * 140
+        for b, row in enumerate(eps):
+            one = integrate(spec.with_epsilon(dict(zip(spec.labels, row))), y0, cfg)
+            at_years = [one.index_of(t) for t in traj.times]
+            assert np.array_equal(traj.states[:, :, b], one.states[at_years])
+        years, table = annual_series(traj)
+        assert table.shape == (14, spec.n, 3)
+    with pytest.raises(ValueError, match="rk4_fixed"):
+        integrate_batch(spec, y0, eps, IntegratorConfig(t0=2017.0, t_end=2018.0))
 
 
 def test_step_size_underflow():

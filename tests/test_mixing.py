@@ -5,8 +5,8 @@ from prepspill.errors import InfeasibleClosure
 from prepspill.model import contact_matrix
 from prepspill.presets import georgia_risk
 from prepspill.mixing import (BasicMixing, RiskMixing, basic_residuals,
-                              close_basic, close_risk, risk_objective,
-                              risk_residuals)
+                              close_basic, close_basic_batch, close_risk,
+                              close_risk_batch, risk_objective, risk_residuals)
 
 # Georgia nominal populations and contact rates (2017 totals)
 N3 = np.array([165418.0, 3274801.0, 3145939.0])
@@ -144,3 +144,56 @@ def test_risk_pair_fractions_nonnegative_past_roundoff():
                      alpha_hetfl=0.01, xi_hetm=0.005)
     assert min(mix.pair_fractions()) >= 0.0
     assert contact_matrix(georgia_risk()[0], mix).min() >= 0.0
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_batch_closure_equals_scalar_along_trajectory(variant, request):
+    # every trajectory row as one member, through the risk xi_hetm clamp of 2027
+    spec, _ = request.getfixturevalue(variant)
+    traj = request.getfixturevalue(f"baseline_{variant}")
+    n = spec.n
+    N = traj.states[:, 0:2 * n:2] + traj.states[:, 1:2 * n:2]
+    a = spec.param_arrays()[1]
+    close, batch = ((close_basic, close_basic_batch) if variant == "basic"
+                    else (close_risk, close_risk_batch))
+    got = batch(list(N.T), a, spec.mixing_priors)
+    for b, row in enumerate(N):
+        want = close(tuple(row), a, spec.mixing_priors).pair_fractions()
+        assert all(np.broadcast_to(g, len(N))[b] == w for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("priors", [
+    PRIORS4,
+    # pulls xi_hetm past its upper bound B1/B3: the clamp at hi
+    RiskMixing(eta_msm=0.858, eta_hetfh=0.0, alpha_hetfh=0.0, alpha_hetfl=1.0,
+               xi_hetm=1.0)])
+def test_batch_risk_closure_equals_scalar_at_random_points(priors):
+    rng = np.random.default_rng(5)
+    points = []
+    for N in N4 * rng.uniform(0.9, 1.1, (400, 4)):
+        try:
+            points.append((N, close_risk(tuple(N), A4, priors).pair_fractions()))
+        except InfeasibleClosure:
+            pass
+    got = close_risk_batch(list(np.array([N for N, _ in points]).T), A4, priors)
+    assert len(points) > 100
+    for b, (_, want) in enumerate(points):
+        assert [g[b] for g in got] == list(want)
+
+
+@pytest.mark.parametrize("close, batch, N, a, priors", [
+    (close_basic, close_basic_batch, N3, A3, PRIORS3),
+    (close_risk, close_risk_batch, N4, A4, PRIORS4)])
+def test_batch_closure_names_first_failing_member(close, batch, N, a, priors):
+    cols = [np.full(5, v) for v in N]
+    bad = N.copy()
+    bad[-1] *= 1.5  # too many HETM contacts for the HETF to balance
+    for b in (3, 4):
+        for j, v in enumerate(bad):
+            cols[j][b] = v
+    with pytest.raises(InfeasibleClosure) as scalar:
+        close(tuple(bad), a, priors)
+    with pytest.raises(InfeasibleClosure) as batched:
+        batch(cols, a, priors)
+    assert str(batched.value) == str(scalar.value)
+    assert batched.value.member == 3 and scalar.value.member is None

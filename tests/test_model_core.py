@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_spec, random_state
 from prepspill.errors import ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate
-from prepspill.model import (StateVec, TransmissionProbs, build_lambda_vectors,
-                             closed_mixing, contact_matrix, dfe,
-                             flat_rhs_factory, incidence, make_spec, rhs)
+from prepspill.model import (StateVec, TransmissionProbs, batched_rhs_factory,
+                             build_lambda_vectors, closed_mixing, contact_matrix,
+                             dfe, flat_rhs_factory, incidence, make_spec, rhs)
 from prepspill.mixing import BasicMixing
 from prepspill.reproduction import build_ngm
 
@@ -87,6 +87,34 @@ def test_flat_rhs_equals_structured_property(seed, variant, pinned, tracked):
     err = np.abs(np.concatenate([got[0:2 * n:2] - want.S, got[1:2 * n:2] - want.I,
                                  got[2 * n:] - want.C]))
     assert np.all(err <= 1e-12 * scale)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
+       pinned=st.booleans())
+def test_batched_rhs_equals_flat_rhs_property(seed, variant, pinned):
+    # member b of the batch is the scalar flat RHS with coverage eps[b], bit for bit
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant)
+    states = [random_state(rng, spec) for _ in range(4)]
+    if pinned:
+        spec = replace(spec, mixing=spec.mixing_priors)
+    eps = rng.uniform(0.0, 1.0, (4, spec.n))
+    columns = list(np.array([s.to_flat() for s in states]).T)
+    got = batched_rhs_factory(spec, eps)(0.0, columns)
+    for b, state in enumerate(states):
+        one = spec.with_epsilon(dict(zip(spec.labels, eps[b])))
+        assert [g[b] for g in got] == flat_rhs_factory(one)(0.0, list(state.to_flat()))
+
+
+def test_batched_rhs_names_zero_population_member(basic):
+    spec, y0 = basic
+    y = [np.full(3, v) for v in y0.to_flat()]
+    y[2][1] = y[3][1] = 0.0  # member 1 has no HETF
+    with pytest.raises(ZeroPopulation) as exc:
+        batched_rhs_factory(spec, np.tile(spec.param_arrays()[3], (3, 1)))(2020.0, y)
+    assert exc.value.member == 1
+    assert str(exc.value) == "zero group population at t = 2020.0"
 
 
 def test_lambda_vectors_zero_betas(basic):

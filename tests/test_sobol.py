@@ -1,11 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import random_spec, random_state
 from prepspill.errors import (DimensionOverflow, EnsembleError,
                               ExactnessViolation)
 from prepspill.integrators import IntegratorConfig
-from prepspill.sobol import (UncertainInput, build_grid, evaluate_ensemble,
-                             fit_pce, mean_var, sobol_indices,
+from prepspill.sobol import (UncertainInput, build_grid, coverage_fractions,
+                             coverage_model_fn, evaluate_ensemble, fit_pce, mean_var, sobol_indices,
                              sobol_timeseries, total_degree_set)
 
 
@@ -173,7 +178,6 @@ def test_ensemble_monotone_in_msm_coverage(basic):
     inputs = [UncertainInput(group="msm", lo=-0.5, hi=4.0)]
     g = build_grid(inputs, level=7)
     cfg = IntegratorConfig(t0=2017.0, t_end=2022.0, method="rk4_fixed", dt=0.1)
-    from prepspill.sobol import coverage_model_fn
     fn = coverage_model_fn(spec, y0, inputs, cfg)
     msm_cum = []
     order = np.argsort(g.nodes[:, 0])
@@ -221,37 +225,145 @@ def test_timeseries_study_patterns(basic):
         assert hetf.total[0] > hetf.total[1]
 
 
-def test_timeseries_node_calls_and_failure(basic, monkeypatch):
-    # one model call per node; a failing node is named by its grid index
+def test_timeseries_one_batched_integration(basic, monkeypatch):
+    # every node in one integrate_batch call, every series in one fit_pce call
     import prepspill.sobol as sobol_mod
 
     spec, y0 = basic
     inputs = [UncertainInput(group="msm", lo=-0.5, hi=1.0)]
     cfg = IntegratorConfig(t0=2017.0, t_end=2019.0, method="rk4_fixed", dt=0.25)
-    make_fn = sobol_mod.coverage_model_fn
-    calls = []
-
-    def counting(*args, fail_at=None, **kwargs):
-        fn = make_fn(*args, **kwargs)
-
-        def node_fn(theta):
-            calls.append(theta)
-            if len(calls) - 1 == fail_at:
-                raise ValueError("boom")
-            return fn(theta)
-
-        return node_fn
-
-    monkeypatch.setattr(sobol_mod, "coverage_model_fn", counting)
+    calls = {"integrate_batch": [], "fit_pce": []}
+    for name in calls:
+        def counting(*args, _real=getattr(sobol_mod, name), _log=calls[name], **kwargs):
+            _log.append(args)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(sobol_mod, name, counting)
     study = sobol_timeseries(spec, y0, inputs, level=4, total_degree=2, cfg=cfg)
-    assert len(calls) == study.n_nodes == 4
-    assert study.years == [2017, 2018]
+    assert study.n_nodes == 4 and study.years == [2017, 2018]
+    assert len(calls["integrate_batch"]) == 1 and len(calls["fit_pce"]) == 1
+    assert calls["integrate_batch"][0][2].shape == (4, spec.n)
+    assert (study.method, study.dt, study.rhs_evals) == ("rk4_fixed", 0.25, 4 * 8)
+    one_year = sobol_timeseries(spec, y0, inputs, years=[2018], level=4,
+                                total_degree=2, cfg=cfg)
+    assert one_year.years == [2018] and set(one_year.indices) == {
+        (2018, lbl) for lbl in spec.labels}
+    assert np.array_equal(one_year.indices[(2018, "msm")].total,
+                          study.indices[(2018, "msm")].total)
+    none = sobol_timeseries(spec, y0, inputs, years=[1990], level=4, total_degree=2,
+                            cfg=cfg)
+    assert none.years == [] and none.indices == {} and none.samples == {}
 
-    calls.clear()
-    monkeypatch.setattr(sobol_mod, "coverage_model_fn",
-                        lambda *a, **k: counting(*a, fail_at=2, **k))
+
+def test_timeseries_failure_names_member(basic, monkeypatch):
+    # the array closure rejects member 2 only: the study names node 2
+    from prepspill import model
+    from prepspill.errors import InfeasibleClosure
+
+    spec, y0 = basic
+    inputs = [UncertainInput(group="msm", lo=-0.5, hi=1.0)]
+    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0, method="rk4_fixed", dt=0.25)
+    real = model.close_basic_batch
+
+    def reject_member_2(N, a, priors, t=None):
+        N = [col.copy() for col in N]
+        N[1][2] = -1.0
+        return real(N, a, priors, t=t)
+
+    monkeypatch.setattr(model, "close_basic_batch", reject_member_2)
     with pytest.raises(EnsembleError) as exc:
         sobol_timeseries(spec, y0, inputs, level=4, total_degree=2, cfg=cfg)
-    assert str(exc.value) == "model failed at node 2: boom"
+    grid = build_grid(inputs, level=4)
+    assert str(exc.value) == "model failed at node 2: nonpositive total contact volume"
     assert exc.value.node_index == 2
-    assert len(calls) == 3
+    assert np.array_equal(exc.value.node, grid.nodes[2])
+    assert isinstance(exc.value.__cause__, InfeasibleClosure)
+    assert exc.value.__cause__.member == 2
+
+
+def test_timeseries_requires_rk4_fixed(basic):
+    spec, y0 = basic
+    inputs = [UncertainInput(group="msm", lo=-0.5, hi=1.0)]
+    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
+    with pytest.raises(ValueError, match="rk4_fixed"):
+        sobol_timeseries(spec, y0, inputs, level=2, total_degree=1, cfg=cfg)
+
+
+def _per_node(spec, y0, inputs, grid, cfg):
+    """Every node integrated on its own: samples (nodes, years, groups) and
+    the summed clamp count."""
+    counter = [0]
+    fn = coverage_model_fn(spec, y0, inputs, cfg, counter)
+    return np.array([fn(node)[1] for node in grid.nodes]), counter[0]
+
+
+def _assert_study_matches_per_node(study, spec, y0, inputs, cfg):
+    grid = build_grid(inputs, level=study.grid_level)
+    want, clamps = _per_node(spec, y0, inputs, grid, cfg)
+    for yi, year in enumerate(study.years):
+        for gi, lbl in enumerate(spec.labels):
+            np.testing.assert_allclose(study.samples[(year, lbl)], want[:, yi, gi],
+                                       rtol=1e-12, atol=0.0)
+    assert study.clamp_count == clamps
+    assert study.boundary_affected == (clamps > 0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
+       pinned=st.booleans(), kinds=st.lists(st.sampled_from(["scale", "count", "inert"]),
+                                            min_size=1, max_size=3))
+def test_batched_study_equals_per_node_property(seed, variant, pinned, kinds):
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant)
+    y0 = random_state(rng, spec)
+    if pinned:
+        spec = replace(spec, mixing=spec.mixing_priors)
+    inputs = []
+    for kind in kinds:
+        k = int(rng.integers(spec.n))
+        if kind == "inert":
+            inputs.append(UncertainInput(group=None, lo=-1.0, hi=1.0))
+        elif kind == "scale":
+            lo = rng.uniform(-1.5, 0.0)
+            inputs.append(UncertainInput(spec.labels[k], lo, lo + rng.uniform(0.0, 3.0)))
+        else:  # counts up to 1.5 S, so some nodes clamp at full coverage
+            lo = rng.uniform(0.0, 0.5) * y0.S[k]
+            inputs.append(UncertainInput(spec.labels[k], lo, lo + y0.S[k],
+                                         domain="count"))
+    cfg = IntegratorConfig(t0=2017.0, t_end=2020.0, method="rk4_fixed", dt=0.25)
+    level = 2 if len(inputs) == 3 else 3
+    try:
+        study = sobol_timeseries(spec, y0, inputs, level=level, total_degree=1, cfg=cfg)
+    except EnsembleError as e:
+        # the named node fails on its own with the same error
+        fn = coverage_model_fn(spec, y0, inputs, cfg)
+        with pytest.raises(type(e.__cause__)) as alone:
+            fn(e.node)
+        assert str(e) == f"model failed at node {e.node_index}: {alone.value}"
+        return
+    _assert_study_matches_per_node(study, spec, y0, inputs, cfg)
+
+
+def test_batched_study_clamps_equal_per_node(basic):
+    # scale below -1 clamps coverage at 0, counts above S clamp it at 1
+    spec, y0 = basic
+    inputs = (UncertainInput("msm", -1.5, 0.5),
+              UncertainInput("hetf", 0.0, 2.0 * y0.S[1], domain="count"))
+    cfg = IntegratorConfig(t0=2017.0, t_end=2020.0, method="rk4_fixed", dt=0.25)
+    study = sobol_timeseries(spec, y0, inputs, level=3, total_degree=2, cfg=cfg)
+    nodes = build_grid(inputs, level=3).nodes
+    assert study.clamp_count == (np.sum(nodes[:, 0] < -1.0)
+                                 + np.sum(nodes[:, 1] > y0.S[1])) > 0
+    assert study.boundary_affected
+    _assert_study_matches_per_node(study, spec, y0, inputs, cfg)
+
+
+def test_coverage_fractions_hand_values(basic):
+    spec, y0 = basic
+    eps0 = spec.param_arrays()[3]
+    inputs = (UncertainInput("msm", -2.0, 2.0), UncertainInput(None, -1.0, 1.0),
+              UncertainInput("hetm", 0.0, 1e7, domain="count"))
+    nodes = np.array([[0.5, 0.3, 1000.0], [-1.5, -0.9, 2.0 * y0.S[2]]])
+    eps, clamps = coverage_fractions(spec, y0, inputs, nodes)
+    want = np.array([[eps0[0] * 1.5, eps0[1], 1000.0 / y0.S[2]],
+                     [0.0, eps0[1], 1.0]])
+    assert np.array_equal(eps, want) and clamps == 2
