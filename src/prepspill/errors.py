@@ -61,10 +61,6 @@ class ExactnessViolation(PrepspillError):
     """Quadrature rule is not exact enough for the requested projection."""
 
 
-class ZeroVariance(PrepspillError):
-    """Output variance is (numerically) zero; Sobol indices are undefined."""
-
-
 class EnsembleError(PrepspillError):
     """A model evaluation failed at a quadrature node.
 

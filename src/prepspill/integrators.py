@@ -1,9 +1,11 @@
 """Time integration with cumulative-incidence accounting.
 
-Two methods: classic fixed-step RK4 and an embedded Dormand-Prince 5(4) pair
-with PI-free elementary step control.  Both are forced to land exactly on
-every integer calendar year inside the span (plus any extra sample times), so
-annual aggregates are plain differences of stored values, never interpolated.
+Two methods: classic fixed-step RK4 and the embedded Dormand-Prince 5(4)
+pair with elementary step control and FSAL (1 + 6 RHS evaluations per
+attempted step), each step one function that builds its stages entry by
+entry with the tableau inline.  Both land exactly on every integer calendar
+year inside the span (plus any extra sample times), so annual aggregates
+are plain differences of stored values, never interpolated.
 """
 
 from __future__ import annotations
@@ -20,20 +22,6 @@ from .errors import NegativeState, PartialYear, StepSizeUnderflow
 from .model import StateVec, batched_rhs_factory, flat_rhs_factory
 
 log = logging.getLogger(__name__)
-
-# Dormand-Prince 5(4) tableau.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 # Times this close to a stored node are that node (lookups, breakpoint merging).
 NODE_TOL = 1e-9
@@ -248,6 +236,31 @@ def _rk4_step(f, t, y, h):
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
+def _dp_step(f, t, y, h, k1):
+    """One Dormand-Prince 5(4) attempt (Hairer, Norsett & Wanner, Solving
+    ODEs I, Table II.5.2) given k1 = f(t, y): the 5th-order solution y5, the
+    next k1 = f(t + h, y5), and y5 minus the embedded 4th-order solution."""
+    k2 = f(t + 1 / 5 * h, [yi + h * (1 / 5 * s1) for yi, s1 in zip(y, k1)])
+    k3 = f(t + 3 / 10 * h, [yi + h * (3 / 40 * s1 + 9 / 40 * s2)
+                            for yi, s1, s2 in zip(y, k1, k2)])
+    k4 = f(t + 4 / 5 * h, [yi + h * (44 / 45 * s1 - 56 / 15 * s2 + 32 / 9 * s3)
+                           for yi, s1, s2, s3 in zip(y, k1, k2, k3)])
+    k5 = f(t + 8 / 9 * h, [yi + h * (19372 / 6561 * s1 - 25360 / 2187 * s2
+                                     + 64448 / 6561 * s3 - 212 / 729 * s4)
+                           for yi, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
+    k6 = f(t + h, [yi + h * (9017 / 3168 * s1 - 355 / 33 * s2 + 46732 / 5247 * s3
+                             + 49 / 176 * s4 - 5103 / 18656 * s5)
+                   for yi, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
+    y5 = [yi + h * (35 / 384 * s1 + 500 / 1113 * s3 + 125 / 192 * s4
+                    - 2187 / 6784 * s5 + 11 / 84 * s6)
+          for yi, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(t + h, y5)
+    err = [h * (71 / 57600 * s1 - 71 / 16695 * s3 + 71 / 1920 * s4
+                - 17253 / 339200 * s5 + 22 / 525 * s6 - 1 / 40 * s7)
+           for s1, s3, s4, s5, s6, s7 in zip(k1, k3, k4, k5, k6, k7)]
+    return y5, k7, err
+
+
 def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     """Integrate dy/dt = f(t, y) over cfg's window.
 
@@ -259,7 +272,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     breaks = _breakpoints(cfg, sample_times)
     y = [float(v) for v in y0]
     ts = [breaks[0]]
-    ys = [list(y)]
+    ys = [y]
     clamps = []
 
     if cfg.method == "rk4_fixed":
@@ -267,7 +280,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
             y = _rk4_step(f, t, y, h)
             _postprocess_step(t_next, y, n_state, cfg.atol, clamps)
             ts.append(t_next)
-            ys.append(list(y))
+            ys.append(y)
         return ts, ys, clamps
 
     # Dormand-Prince with FSAL
@@ -279,33 +292,17 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
             h = min(h, cfg.dt_max, target - t)
             if h < cfg.dt_min:
                 raise StepSizeUnderflow(f"dt = {h:.3e} below dt_min at t = {t:.6f}")
-            ks = [k1]
-            for s in range(1, 7):
-                acc = [0.0] * len(y)
-                arow = _DP_A[s]
-                for j, aij in enumerate(arow):
-                    if aij != 0.0:
-                        kj = ks[j]
-                        for i in range(len(y)):
-                            acc[i] += aij * kj[i]
-                ys_stage = [yi + h * ai for yi, ai in zip(y, acc)]
-                ks.append(f(t + _DP_C[s] * h, ys_stage))
-            ynew = [yi + h * sum(b * ks[j][i] for j, b in enumerate(_DP_B5) if b)
-                    for i, yi in enumerate(y)]
-            # scaled RMS error of the embedded difference
-            err2 = 0.0
-            for i in range(len(y)):
-                e = h * sum(c * ks[j][i] for j, c in enumerate(_DP_E) if c)
-                sc = cfg.atol + cfg.rtol * max(abs(y[i]), abs(ynew[i]))
-                err2 += (e / sc) ** 2
-            err = math.sqrt(err2 / len(y))
+            ynew, k7, yerr = _dp_step(f, t, y, h, k1)
+            # scaled RMS norm of the error estimate
+            err = math.sqrt(sum((e / (cfg.atol + cfg.rtol * max(abs(yi), abs(yn)))) ** 2
+                                for e, yi, yn in zip(yerr, y, ynew)) / len(y))
             if err <= 1.0:
                 t = target if target - t - h <= 1e-13 else t + h
                 y = ynew
-                k1 = ks[6]  # FSAL
+                k1 = k7  # FSAL
                 _postprocess_step(t, y, n_state, cfg.atol, clamps)
                 ts.append(t)
-                ys.append(list(y))
+                ys.append(y)
                 h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
             else:
                 h *= max(0.2, 0.9 * err ** -0.2)

@@ -132,6 +132,32 @@ def basic_residuals(mix, N, a):
     return (r1, r2)
 
 
+# The risk closure's arithmetic, shared by close_risk and close_risk_batch:
+# each B_j (contact volume N_j * a_j) is a float or a column of them.
+
+def _risk_projection(B0, B1, B2, B3, priors):
+    """xi_hetm minimising the squared distance to the priors on the feasible
+    line, before clamping to the interval that keeps every share in [0, 1]."""
+    # Affine parameterisation x -> (eta_hetfh, alpha_hetfh, alpha_hetfl, xi).
+    slopes = (-B3 / B0, -B3 / B1, B3 / B2, 1.0)
+    offsets = (B1 / B0, 1.0, 1.0 - B3 / B2, 0.0)
+    targets = (priors.eta_hetfh, priors.alpha_hetfh, priors.alpha_hetfl,
+               priors.xi_hetm)
+    quad = sum(s * s for s in slopes)
+    lin = sum(s * (o - p) for s, o, p in zip(slopes, offsets, targets))
+    return -lin / quad
+
+
+def _risk_shares(B0, B1, B2, B3, xi):
+    """The four fractions that vary along the feasible line, at xi_hetm = xi."""
+    return {
+        "eta_hetfh": (B1 - xi * B3) / B0,
+        "alpha_hetfh": 1.0 - xi * B3 / B1,
+        "alpha_hetfl": 1.0 - (1.0 - xi) * B3 / B2,
+        "xi_hetm": xi,
+    }
+
+
 def close_risk(N, a, priors, t=None):
     """Close the 4-group mixing fractions, staying as near the priors as possible.
 
@@ -157,21 +183,8 @@ def close_risk(N, a, priors, t=None):
             f"empty feasible interval for xi_hetm: [{lo:.6g}, {hi:.6g}]",
             t=t, value=lo)
 
-    # Affine parameterisation x -> (eta_hetfh, alpha_hetfh, alpha_hetfl, xi).
-    slopes = (-B3 / B0, -B3 / B1, B3 / B2, 1.0)
-    offsets = (B1 / B0, 1.0, 1.0 - B3 / B2, 0.0)
-    targets = (priors.eta_hetfh, priors.alpha_hetfh, priors.alpha_hetfl,
-               priors.xi_hetm)
-    quad = sum(s * s for s in slopes)
-    lin = sum(s * (o - p) for s, o, p in zip(slopes, offsets, targets))
-    xi = min(max(-lin / quad, lo), hi)
-
-    values = {
-        "eta_hetfh": (B1 - xi * B3) / B0,
-        "alpha_hetfh": 1.0 - xi * B3 / B1,
-        "alpha_hetfl": 1.0 - (1.0 - xi) * B3 / B2,
-        "xi_hetm": xi,
-    }
+    xi = min(max(_risk_projection(B0, B1, B2, B3, priors), lo), hi)
+    values = _risk_shares(B0, B1, B2, B3, xi)
     for name, v in values.items():
         if -1e-14 <= v < 0.0 or 1.0 < v <= 1.0 + 1e-14:
             # roundoff at a clamped boundary
@@ -252,20 +265,8 @@ def close_risk_batch(N, a, priors, t=None):
             f"empty feasible interval for xi_hetm: [{lo[i]:.6g}, {hi[i]:.6g}]",
             t=t, value=lo[i]).for_member(i)
 
-    slopes = (-B3 / B0, -B3 / B1, B3 / B2, 1.0)
-    offsets = (B1 / B0, 1.0, 1.0 - B3 / B2, 0.0)
-    targets = (priors.eta_hetfh, priors.alpha_hetfh, priors.alpha_hetfl,
-               priors.xi_hetm)
-    quad = sum(s * s for s in slopes)
-    lin = sum(s * (o - p) for s, o, p in zip(slopes, offsets, targets))
-    xi = np.minimum(np.maximum(-lin / quad, lo), hi)
-
-    values = {
-        "eta_hetfh": (B1 - xi * B3) / B0,
-        "alpha_hetfh": 1.0 - xi * B3 / B1,
-        "alpha_hetfl": 1.0 - (1.0 - xi) * B3 / B2,
-        "xi_hetm": xi,
-    }
+    xi = np.minimum(np.maximum(_risk_projection(B0, B1, B2, B3, priors), lo), hi)
+    values = _risk_shares(B0, B1, B2, B3, xi)
     for name, v in values.items():
         roundoff = ((-1e-14 <= v) & (v < 0.0)) | ((1.0 < v) & (v <= 1.0 + 1e-14))
         v = np.where(roundoff, np.minimum(np.maximum(v, 0.0), 1.0), v)

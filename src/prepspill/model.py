@@ -243,28 +243,32 @@ def contact_matrix(spec, mix):
     return W
 
 
-def _populations(spec, state):
-    N = state.N
-    if np.any(N <= 0.0):
-        bad = spec.labels[int(np.argmax(N <= 0.0))]
-        raise ZeroPopulation(f"group {bad} has N = 0")
-    return N
+def contact_matrix_at(spec, N, t=None):
+    """Contact matrix W at group populations N, with the mixing fractions of
+    closed_mixing.  Raises ZeroPopulation naming the first group with
+    N <= 0, and the time t when one is given."""
+    bad = N <= 0.0
+    if bad.any():
+        i = int(bad.argmax())
+        at = "" if t is None else f" at t = {t}"
+        raise ZeroPopulation(f"group {spec.labels[i]} has N = {N[i]:.6g}{at}")
+    return contact_matrix(spec, closed_mixing(spec, N, t=t))
 
 
 def build_lambda_vectors(spec, state, t=None):
     """Contact-coefficient vectors, one row per group, columns over the
     interleaved (S, I) slots.  Row j dotted with the interleaved state gives
     the raw (pre-(1-eps), pre-S) force of infection on group j."""
-    N = _populations(spec, state)
+    N = state.N
     L = np.zeros((spec.n, 2 * spec.n))
-    L[:, 1::2] = contact_matrix(spec, closed_mixing(spec, N, t=t)) / N
+    L[:, 1::2] = contact_matrix_at(spec, N, t) / N
     return L
 
 
 def incidence(spec, state, t=None):
     """Per-group infection flux (1 - eps_j) (W @ (I / N))_j S_j, persons/year."""
-    N = _populations(spec, state)
-    W = contact_matrix(spec, closed_mixing(spec, N, t=t))
+    N = state.N
+    W = contact_matrix_at(spec, N, t)
     _, _, _, eps = spec.param_arrays()
     return (1.0 - eps) * (W @ (state.I / N)) * state.S
 

@@ -22,6 +22,10 @@ from .model import StateVec, closed_mixing, contact_matrix, dfe
 
 _AGREE_RTOL = 1e-9
 _IMAG_TOL = 1e-9
+# tune_multiplier_to_rc's starting bracket and tolerance on R; the stop rules
+# of stability_probe (see there).
+_MULTIPLIER_BRACKET, _TUNE_TOL = (1e-6, 10.0), 1e-10
+_DECAY_RATIO, _GROWTH_FACTOR, _HORIZON_CAP = 1e-3, 10.0, 32768.0
 
 
 @dataclass(frozen=True)
@@ -246,18 +250,19 @@ def scale_transmission(spec, multiplier):
                                        beta_mf=min(p.beta_mf * multiplier, 1.0)))
 
 
-def tune_multiplier_to_rc(spec, target, lo=1e-6, hi=10.0, tol=1e-10):
+def tune_multiplier_to_rc(spec, target):
     """Bisect a global transmission multiplier until rho(F V^-1) hits target."""
     def rc_of(m):
         return rc_numeric(build_ngm(scale_transmission(spec, m))).value
 
+    lo, hi = _MULTIPLIER_BRACKET
     flo, fhi = rc_of(lo) - target, rc_of(hi) - target
     if flo * fhi > 0:
         raise ValueError(f"target R = {target} not bracketed by multipliers [{lo}, {hi}]")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         fm = rc_of(mid) - target
-        if abs(fm) < tol:
+        if abs(fm) < _TUNE_TOL:
             return mid
         if flo * fm <= 0:
             hi = mid
@@ -302,16 +307,15 @@ def _random_feasible_states(spec, n_trials, rng):
     return out
 
 
-def stability_probe(spec, n_trials=50, horizon=None, seed=0,
-                    decay_ratio=1e-3, growth_factor=10.0, horizon_cap=32768.0):
+def stability_probe(spec, n_trials=50, seed=0):
     """Empirically probe the disease-free equilibrium's stability.
 
     The spec must have delta = 0 (the regime the global result covers).
     If the delta-free reproduction number is below one, integrates from
     ``n_trials`` random feasible states and doubles the horizon until total
-    infections fall below ``decay_ratio`` of their start (or the cap is
+    infections fall below _DECAY_RATIO of their start (or _HORIZON_CAP is
     reached -> inconclusive).  If above one, seeds a small perturbation of
-    the DFE and requires growth by ``growth_factor``.
+    the DFE and requires growth by _GROWTH_FACTOR.
 
     Each doubling continues every trial from its state at the previous
     horizon, so each span is integrated once.  The integrations land on
@@ -331,7 +335,6 @@ def stability_probe(spec, n_trials=50, horizon=None, seed=0,
         regime, h = "growth", 64.0
         I0 = np.full(spec.n, 1.0)
         states = [StateVec.make(dfe(spec).S - I0, I0)]
-    h = h if horizon is None else horizon
     start_tot = [float(np.sum(y.I)) for y in states]
     t0 = 0.0
     while True:
@@ -341,8 +344,8 @@ def stability_probe(spec, n_trials=50, horizon=None, seed=0,
             states[i] = integrate(spec, y, cfg).final_state()
         worst = max((float(np.sum(y.I)) / s if s > 0 else 0.0
                      for y, s in zip(states, start_tot)), default=0.0)
-        confirmed = worst < decay_ratio if regime == "decay" else worst >= growth_factor
-        if confirmed or h >= horizon_cap:
+        confirmed = worst < _DECAY_RATIO if regime == "decay" else worst >= _GROWTH_FACTOR
+        if confirmed or h >= _HORIZON_CAP:
             return StabilityProbeReport(
                 rc_hat=rc_hat, regime=regime, n_trials=len(states), horizon=h,
                 confirmed=confirmed, conclusive=confirmed, max_terminal_ratio=worst,

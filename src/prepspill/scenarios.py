@@ -203,9 +203,11 @@ def build_model(config):
 
 def integrate_baseline(spec, y0, config):
     """The config's no-intervention run over [start, end], with a node at
-    the intervention year."""
+    the intervention year and at every arm's start year, so the arms start
+    from, and take window incidence at, stored rows."""
     return integrate(spec, y0, config.integrator,
-                     sample_times=[config.intervention_year])
+                     sample_times=[config.intervention_year]
+                     + [arm.start_year for arm in config.interventions])
 
 
 def run_spillover(config, mode="practical", baseline=None):
@@ -395,15 +397,15 @@ def _write(path, text):
 
 def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
                                                      "nnt", "table"),
-                   config=None, sobol_level=3):
+                   config=None):
     """Write the figure-analog CSV bundle for one variant.
 
     Series names: baseline (prevalence and annual incidence), effects
     (per-person incidence effects over time), nnt (NNT curves; undefined or
     excessive values are left empty, with a sidecar note), table (scenario
-    incidence table), sobol (index time series).  Unknown names raise
-    MissingSeries.  Outputs are deterministic: rerunning produces identical
-    bytes.
+    incidence table), sobol (index time series of a level-3, degree-2
+    study).  Unknown names raise MissingSeries.  Outputs are deterministic:
+    rerunning produces identical bytes.
     """
     import os
 
@@ -489,8 +491,7 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
 
     if "sobol" in series:
         inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0) for l in labels)
-        study = sobol_timeseries(spec, y0, inputs, level=sobol_level,
-                                 total_degree=min(sobol_level - 1, 4))
+        study = sobol_timeseries(spec, y0, inputs, level=3, total_degree=2)
         p = os.path.join(out_dir, f"sobol_{variant}.csv")
         write_sobol_csv(study, p)
         paths.append(p)

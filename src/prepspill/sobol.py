@@ -21,6 +21,7 @@ from .integrators import IntegratorConfig, annual_series, integrate, integrate_b
 
 NODE_CAP = 20_000
 _GRAM_TOL = 1e-10
+_VARIANCE_FLOOR = 1e-28  # at or below it (or roundoff of the mean), no indices
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ def _cc_rule(n_points):
     return x, w / w.sum()
 
 
-def build_grid(inputs, rule="gauss_legendre_tensor", level=5, node_cap=NODE_CAP):
+def build_grid(inputs, rule="gauss_legendre_tensor", level=5):
     """Quadrature grid over the inputs' intervals.
 
     gauss_legendre_tensor: ``level`` points per dimension, full tensor.
@@ -164,8 +165,8 @@ def build_grid(inputs, rule="gauss_legendre_tensor", level=5, node_cap=NODE_CAP)
             else:
                 axes.append((lo + (hi - lo) * (x1 + 1.0) / 2.0, w1))
         count = int(np.prod([len(ax[0]) for ax in axes]))
-        if count > node_cap:
-            raise DimensionOverflow(f"{count} nodes exceed cap {node_cap}")
+        if count > NODE_CAP:
+            raise DimensionOverflow(f"{count} nodes exceed cap {NODE_CAP}")
         nodes = np.empty((count, d))
         weights = np.ones(count)
         for i, combo in enumerate(product(*(range(len(ax[0])) for ax in axes))):
@@ -196,8 +197,8 @@ def build_grid(inputs, rule="gauss_legendre_tensor", level=5, node_cap=NODE_CAP)
             for dim, j in enumerate(idx):
                 w *= axes[dim][1][j]
             acc[pt] = acc.get(pt, 0.0) + w
-            if len(acc) > node_cap:
-                raise DimensionOverflow(f"sparse grid exceeds cap {node_cap}")
+            if len(acc) > NODE_CAP:
+                raise DimensionOverflow(f"sparse grid exceeds cap {NODE_CAP}")
     pts = sorted(acc)
     nodes = np.empty((len(pts), d))
     weights = np.empty(len(pts))
@@ -280,11 +281,11 @@ def mean_var(pce):
     return mean, variance
 
 
-def sobol_indices(pce, variance_floor=1e-28):
+def sobol_indices(pce):
     """First-order and total indices per input from the expansion coefficients."""
     mean, variance = mean_var(pce)
     d = pce.index_set.shape[1]
-    if variance <= max(variance_floor, (1e-12 * max(1.0, abs(mean))) ** 2):
+    if variance <= max(_VARIANCE_FLOOR, (1e-12 * max(1.0, abs(mean))) ** 2):
         nan = np.full(d, np.nan)
         return SobolIndices(first_order=nan, total=nan, mean=mean,
                             variance=variance, defined=False)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import PerturbationOutOfRange, UnsupportedVariant, ZeroPopulation
 from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate,
                           integrate_flat, interp_rows, node_index, text_sink)
-from .model import closed_mixing, contact_matrix, rhs
+from .model import contact_matrix_at, rhs
 
 MODES = ("practical", "exact_delta")
 
@@ -143,9 +143,7 @@ def spillover_rhs(spec, state, sens, mode="practical", t=None):
     """Time derivative of one sensitivity block given the current state."""
     derivs = _sensitivity_kernel(spec, mode)
     N = state.N
-    if np.any(N <= 0.0):
-        raise ZeroPopulation("zero group population")
-    W = contact_matrix(spec, closed_mixing(spec, N, t=t))
+    W = contact_matrix_at(spec, N, t)
     dsig, dgam = derivs(W, state.S, state.I, N, _contact_sum(W, state.I, N),
                         sens.sigma[None, :], sens.gamma[None, :], [sens.source_index])
     return SensitivityState(source=sens.source, source_index=sens.source_index,
@@ -164,12 +162,9 @@ def xi_correction(spec, state, sens):
     if spec.variant != "basic":
         raise UnsupportedVariant("correction vectors exist for the basic variant only")
     N = state.N
-    if np.any(N <= 0.0):
-        raise ZeroPopulation("zero group population")
     _, _, _, eps = spec.param_arrays()
     Xi = np.zeros((spec.n, 2 * spec.n))
-    Xi[:, 1::2] = contact_matrix(spec, closed_mixing(spec, N)) \
-        * ((sens.sigma + sens.gamma) / N ** 2)
+    Xi[:, 1::2] = contact_matrix_at(spec, N) * ((sens.sigma + sens.gamma) / N ** 2)
     return Xi, (1.0 - eps) * (Xi[:, 1::2] @ state.I) * state.S
 
 
@@ -187,9 +182,7 @@ def _augmented_rhs_factory(spec, source_indices, mode):
         S = y[0:2 * n:2]
         I = y[1:2 * n:2]
         N = S + I
-        if np.any(N <= 0.0):
-            raise ZeroPopulation(f"zero group population at t = {t}")
-        W = contact_matrix(spec, closed_mixing(spec, N, t=t))
+        W = contact_matrix_at(spec, N, t)
         lam = _contact_sum(W, I, N)
         inc = (1.0 - eps) * lam * S
         blocks = y[base:].reshape(len(src), n, 2)
@@ -325,14 +318,14 @@ class FdEstimate:
     scheme: str
 
 
-def fd_oracle(spec, y0, k, eps_tilde, cfg, sample_times=None):
+def fd_oracle(spec, y0, k, eps_tilde, cfg):
     """Estimate the coverage sensitivity by differencing two perturbed runs.
 
     Integrates the given spec with eps_k shifted by +/- eps_tilde and forms
     (X(eps - e) - X(eps + e)) / (2 e), matching the package's
-    reduction-sign convention.  Falls back to a one-sided difference when
-    eps_k sits at a boundary of [0, 1]; raises PerturbationOutOfRange when
-    no admissible perturbation exists.
+    reduction-sign convention, at t0, every whole year and t_end.  Falls
+    back to a one-sided difference when eps_k sits at a boundary of [0, 1];
+    raises PerturbationOutOfRange when no admissible perturbation exists.
     """
     if eps_tilde <= 0.0:
         raise PerturbationOutOfRange("eps_tilde must be positive")
@@ -349,11 +342,11 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg, sample_times=None):
     else:
         raise PerturbationOutOfRange(
             f"eps_{label} = {eps_k} admits no +/-{eps_tilde} perturbation in [0, 1]")
-    grid = _breakpoints(cfg, sample_times)
+    grid = _breakpoints(cfg, None)
     runs = []
     for e in pair:
         pspec = spec.with_epsilon({label: e})
-        traj = integrate(pspec, y0, cfg, sample_times=grid)
+        traj = integrate(pspec, y0, cfg)
         runs.append(np.array([traj.row_at(t)[:2 * spec.n] for t in grid]))
     diff = (runs[0] - runs[1]) / denom
     return FdEstimate(source=label, source_index=k_idx, times=np.array(grid),

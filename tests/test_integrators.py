@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
-from prepspill.integrators import (IntegratorConfig, _breakpoints,
+from prepspill.integrators import (IntegratorConfig, _breakpoints, _dp_step,
                                    _postprocess_columns, annual_series, integrate,
                                    integrate_batch, integrate_flat, interp_rows)
 from prepspill.model import StateVec, TransmissionProbs, make_spec
@@ -203,3 +203,51 @@ def test_interp_rows_matches_per_column_interp():
         want = np.array([np.interp(t, times, rows[:, c]) for c in range(9)])
         got = interp_rows(t, times, rows)
         assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+# Embedded 4th-order weights of Dormand-Prince 5(4) (Hairer, Norsett & Wanner,
+# Solving ODEs I, Table II.5.2); _dp_step's error is y5 minus this solution.
+DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
+         187 / 2100, 1 / 40)
+
+
+@pytest.mark.parametrize("z", [0.1, -0.5, -2.0])
+def test_dp_step_linear_stability_function(z):
+    # On y' = z y one step of size h = 1 multiplies y by the pair's stability
+    # function R(z) = sum_{i<=5} z^i / i! + z^6 / 600.
+    calls = []
+
+    def f(t, y):
+        calls.append((t, list(y)))
+        return [z * v for v in y]
+
+    y0, t, h = [1.0, -3.0], 2.0, 1.0
+    k1 = f(t, y0)
+    y5, k7, err = _dp_step(f, t, y0, h, k1)
+    R = sum(z ** i / math.factorial(i) for i in range(6)) + z ** 6 / 600
+    assert len(calls) == 7  # k1 plus six new stages, the last at y5
+    assert [c[0] for c in calls] == [t + c * h for c in
+                                     (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)]
+    assert calls[-1][1] == y5 and k7 == [z * v for v in y5]
+    ks = [[z * v for v in c[1]] for c in calls]
+    for i, (v0, v5, e) in enumerate(zip(y0, y5, err)):
+        assert abs(v5 - R * v0) <= 1e-13 * abs(R * v0)
+        y4 = v0 + h * sum(b * k[i] for b, k in zip(DP_B4, ks))
+        assert abs(e - (v5 - y4)) <= 1e-13 * abs(v5)
+
+
+def test_dp_rhs_count_with_rejections():
+    # FSAL: one evaluation at t0, then six per attempted step, accepted or not
+    calls = [0]
+
+    def van_der_pol(t, y):
+        calls[0] += 1
+        return [y[1], 5.0 * (1.0 - y[0] ** 2) * y[1] - y[0]]
+
+    cfg = IntegratorConfig(t0=0.0, t_end=30.0, rtol=1e-3, atol=1e-6)
+    ts, ys, _ = integrate_flat(van_der_pol, [2.0, 0.0], cfg, n_state=0)
+    attempts, rem = divmod(calls[0] - 1, 6)
+    accepted = len(ts) - 1
+    assert rem == 0 and len(ys) == len(ts)
+    assert attempts > accepted  # the run rejects steps
+    assert all(t in ts for t in range(1, 31))

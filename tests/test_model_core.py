@@ -275,3 +275,29 @@ def test_population_relaxation_delta_zero(basic):
     end = traj.final_state()
     expected = Pi / spec.mu + (y0.N - Pi / spec.mu) * np.exp(-spec.mu * 10.0)
     assert np.allclose(end.N, expected, rtol=1e-8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]))
+def test_population_balance_property(seed, variant):
+    # Infection only moves people from S to I: total population changes by
+    # recruitment minus natural removal minus disease-induced deaths.
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant)
+    state = random_state(rng, spec)
+    Pi, _, delta, _ = spec.param_arrays()
+    want = Pi.sum() - spec.mu * state.N.sum() - (delta * state.I).sum()
+    d = rhs(spec, state)
+    flat = flat_rhs_factory(spec)(0.0, list(state.to_flat()))
+    scale = Pi.sum() + spec.mu * state.N.sum() + (delta * state.I).sum() + d.C.sum()
+    for got in ((d.S + d.I).sum(), sum(flat[:2 * spec.n])):
+        assert abs(got - want) <= 1e-12 * scale
+
+
+def test_zero_population_names_group_and_time(basic):
+    spec, y0 = basic
+    empty = StateVec.make(y0.S * [1.0, 0.0, 1.0], y0.I * [1.0, 0.0, 1.0])
+    with pytest.raises(ZeroPopulation, match=r"^group hetf has N = 0$"):
+        incidence(spec, empty)
+    with pytest.raises(ZeroPopulation, match=r"^group hetf has N = 0 at t = 2020.5$"):
+        build_lambda_vectors(spec, empty, t=2020.5)

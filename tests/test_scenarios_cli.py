@@ -1,6 +1,7 @@
 import io
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ def test_emit_plot_data_deterministic(tmp_path):
     paths2 = emit_plot_data(str(out2), variant="basic",
                             series=("baseline", "table"))
     for p1, p2 in zip(paths1, paths2):
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_emit_plot_data_unknown_series(tmp_path):
@@ -141,9 +142,9 @@ def test_emit_nnt_has_empty_cells_and_sidecar(tmp_path):
     paths = emit_plot_data(str(tmp_path), variant="basic", series=("nnt",))
     csv_path = [p for p in paths if p.endswith(".csv")][0]
     side_path = [p for p in paths if p.endswith(".json")][0]
-    rows = open(csv_path).read().splitlines()
+    rows = Path(csv_path).read_text().splitlines()
     assert any(",," in r or r.endswith(",") for r in rows[1:])
-    side = json.load(open(side_path))
+    side = json.loads(Path(side_path).read_text())
     assert side["suppressed"], "expected suppressed NNT cells"
     reasons = {s["reason"] for s in side["suppressed"]}
     assert reasons <= {"undefined", "excessive"}
@@ -204,7 +205,7 @@ def test_cli_ngm_and_nnt(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     path = os.path.join(out, "nnt_basic.csv")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert lines[0] == "j,k,T,nnt_simple,nnt_integral,defined"
     assert len(lines) == 10
 
@@ -223,7 +224,7 @@ def test_cli_spillover_csv_schema(tmp_path, capsys):
     assert rc == 0
     capsys.readouterr()
     path = os.path.join(out, "spillover_basic.csv")
-    header = open(path).readline().strip().split(",")
+    header = Path(path).read_text().splitlines()[0].strip().split(",")
     assert header[0] == "t"
     assert "sigma_msm__msm" in header and "gamma_hetf__msm" in header
     assert len(header) == 1 + 3 * 6  # three sources x (sigma, gamma) x 3 groups
@@ -237,9 +238,9 @@ def test_cli_sobol_small(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["node_count"] == 8  # 2**3 inputs for the basic model
     csv_path = os.path.join(out, "sobol_basic.csv")
-    header = open(csv_path).readline().strip()
+    header = Path(csv_path).read_text().splitlines()[0].strip()
     assert header == "year,output_group,input,first_order,total,mean,variance"
-    man = json.load(open(os.path.join(out, "sobol_basic_manifest.json")))
+    man = json.loads(Path(out, "sobol_basic_manifest.json").read_text())
     assert man["clamp_count"] == 0 and man["rule"] == "gauss_legendre_tensor"
 
 
@@ -273,3 +274,27 @@ def test_cli_spillover_starting_at_intervention(tmp_path, capsys):
     first = [float(v) for v in rows[1].split(",")]
     assert first[0] == 2020.0 and not any(first[1:])
     assert float(rows[-1].split(",")[0]) == 2024.0
+
+
+def test_fractional_start_year_starts_from_baseline_node(tmp_path, monkeypatch):
+    # An arm starting between year nodes starts from a baseline node, not
+    # from a linear interpolation between yearly rows.
+    from prepspill import scenarios
+    from prepspill.integrators import integrate
+    config = load_config(write_config(tmp_path, {"model": "basic", "interventions": [
+        {"group": "msm", "additional_persons": 25000, "start_year": 2021.5}]}))
+    starts = []
+
+    def spy(spec, y0, cfg, **kwargs):
+        starts.append((cfg.t0, y0))
+        return integrate(spec, y0, cfg, **kwargs)
+
+    monkeypatch.setattr(scenarios, "integrate", spy)
+    report = scenarios.run_scenarios(config)
+    assert report.baseline_traj.index_of(2021.5) is not None
+    spec, y0 = build_model(config)
+    direct = integrate(spec, y0, config.integrator, sample_times=[2020.0, 2021.5])
+    arm_start = dict(starts)[2021.5]
+    want = direct.state_at(2021.5)
+    assert np.array_equal(arm_start.S, want.S) and np.array_equal(arm_start.I, want.I)
+    assert np.array_equal(report.baseline_traj.states, direct.states)

@@ -301,3 +301,16 @@ def test_exact_delta_risk_rejected_without_sources(risk):
     with pytest.raises(UnsupportedVariant):
         integrate_with_spillover(spec, y0, sources=(), cfg=CFG.over(2017.0, 2018.0),
                                  mode="exact_delta")
+
+
+def test_augmented_rhs_zero_population_names_group_and_time(basic):
+    from prepspill.spillover import _augmented_rhs_factory
+    spec, y0 = basic
+    f = _augmented_rhs_factory(spec, [0], "practical")
+    y = np.concatenate([y0.to_flat(), np.zeros(2 * spec.n)])
+    y[4] = y[5] = 0.0  # no HETM
+    with pytest.raises(ZeroPopulation, match=r"^group hetm has N = 0 at t = 2021.0$"):
+        f(2021.0, list(y))
+    empty = StateVec.make(y0.S * [1.0, 1.0, 0.0], y0.I * [1.0, 1.0, 0.0])
+    with pytest.raises(ZeroPopulation, match=r"^group hetm has N = 0$"):
+        spillover_rhs(spec, empty, SensitivityState.zero(spec, "msm"))
