@@ -19,8 +19,8 @@ from .reproduction import (NGMatrices, ReproductionNumber, build_ngm,
 from .scenarios import (RunReport, ScenarioConfig, default_config, load_config,
                         run_scenarios, validate_tables)
 from .sobol import (PCExpansion, QuadratureGrid, SobolIndices, UncertainInput,
-                    build_grid, evaluate_ensemble, fit_pce, mean_var,
-                    sobol_indices, sobol_timeseries)
+                    build_grid, fit_pce, mean_var, sobol_indices,
+                    sobol_timeseries)
 from .spillover import (NNTResult, SensitivityState, SensitivityTrajectory,
                         fd_oracle, incidence_sensitivity,
                         integrate_with_spillover, nnt, per_person_effect,

@@ -4,8 +4,9 @@ Two methods: classic fixed-step RK4 and the embedded Dormand-Prince 5(4)
 pair with elementary step control and FSAL (1 + 6 RHS evaluations per
 attempted step), each step one function that builds its stages entry by
 entry with the tableau inline.  Both land exactly on every integer calendar
-year inside the span (plus any extra sample times), so annual aggregates
-are plain differences of stored values, never interpolated.
+year inside the span, unless ``year_nodes`` is off, and on any extra sample
+times, so annual aggregates are plain differences of stored values, never
+interpolated.
 """
 
 from __future__ import annotations
@@ -64,7 +65,9 @@ class IntegratorConfig:
 
     t0/t_end are calendar years ("model year 2020" starts at t = 2020.0).
     dt is the fixed step for rk4_fixed; rtol/atol/dt_min/dt_max control the
-    adaptive method.  atol is in persons.
+    adaptive method.  atol is in persons.  year_nodes=False drops the whole
+    years from the nodes; first_step (default 1e-2) is the adaptive method's
+    first trial step, e.g. the next_step of the trajectory this one continues.
     """
 
     t0: float
@@ -75,6 +78,8 @@ class IntegratorConfig:
     atol: float = 1e-6
     dt_min: float = 1e-10
     dt_max: float = 25.0
+    year_nodes: bool = True
+    first_step: float | None = None
 
     def __post_init__(self):
         if self.method not in ("rk4_fixed", "rk45_adaptive"):
@@ -95,13 +100,15 @@ class Trajectory:
     states rows follow the flat layout of the integrated system; the first
     3n columns are the model state (S/I interleaved, then C), any further
     columns belong to augmented blocks owned by the caller.  A batched
-    integration (integrate_batch) adds a trailing member axis.
+    integration (integrate_batch) adds a trailing member axis.  next_step is
+    the adaptive controller's step after the last accepted one (None for RK4).
     """
 
     times: np.ndarray
     states: np.ndarray
     labels: tuple
     clamp_events: list = field(default_factory=list)
+    next_step: float | None = None
 
     @property
     def n_groups(self):
@@ -140,7 +147,7 @@ class Trajectory:
 
 def _breakpoints(cfg, sample_times):
     """Sorted times every integration must land on: t0, t_end, each whole
-    year between, and the sample times.
+    year between (if cfg.year_nodes), and the sample times.
 
     Times closer together than a tolerance merge into one node, so float
     noise in the samples (2020.999999999999 beside 2021.0) cannot force a
@@ -151,7 +158,7 @@ def _breakpoints(cfg, sample_times):
     """
     pts = {cfg.t0, cfg.t_end}
     y = math.ceil(cfg.t0)
-    while y < cfg.t_end:
+    while cfg.year_nodes and y < cfg.t_end:
         if y > cfg.t0:
             pts.add(float(y))
         y += 1
@@ -267,7 +274,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     ``n_state`` marks how many leading components are physical populations
     subject to the nonnegativity policy; trailing components (cumulative
     counters, sensitivity blocks) may take either sign.
-    Returns (times list, states list, clamp_events).
+    Returns (times list, states list, clamp_events, Trajectory.next_step).
     """
     breaks = _breakpoints(cfg, sample_times)
     y = [float(v) for v in y0]
@@ -281,14 +288,16 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
             _postprocess_step(t_next, y, n_state, cfg.atol, clamps)
             ts.append(t_next)
             ys.append(y)
-        return ts, ys, clamps
+        return ts, ys, clamps, None
 
-    # Dormand-Prince with FSAL
+    # Dormand-Prince with FSAL; a step ending within tol (as in _breakpoints,
+    # well above one ulp of a calendar year) of a node lands on it
+    tol = NODE_TOL * min(1.0, cfg.t_end - cfg.t0)
     t = breaks[0]
     k1 = f(t, y)
-    h = min(cfg.dt_max, max(cfg.dt_min, 1e-2))
+    h = min(cfg.dt_max, max(cfg.dt_min, cfg.first_step or 1e-2))
     for target in breaks[1:]:
-        while t < target - 1e-13:
+        while t < target - tol:
             h = min(h, cfg.dt_max, target - t)
             if h < cfg.dt_min:
                 raise StepSizeUnderflow(f"dt = {h:.3e} below dt_min at t = {t:.6f}")
@@ -297,7 +306,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
             err = math.sqrt(sum((e / (cfg.atol + cfg.rtol * max(abs(yi), abs(yn)))) ** 2
                                 for e, yi, yn in zip(yerr, y, ynew)) / len(y))
             if err <= 1.0:
-                t = target if target - t - h <= 1e-13 else t + h
+                t = target if target - t - h <= tol else t + h
                 y = ynew
                 k1 = k7  # FSAL
                 _postprocess_step(t, y, n_state, cfg.atol, clamps)
@@ -306,16 +315,16 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                 h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
             else:
                 h *= max(0.2, 0.9 * err ** -0.2)
-    return ts, ys, clamps
+    return ts, ys, clamps, h
 
 
 def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None):
     """Integrate a model from StateVec y0 over the configured window."""
     f = flat_rhs_factory(spec, tracked_counts=tracked_counts)
-    ts, ys, clamps = integrate_flat(f, y0.to_flat(), cfg, n_state=2 * spec.n,
-                                    sample_times=sample_times)
+    ts, ys, clamps, h = integrate_flat(f, y0.to_flat(), cfg, n_state=2 * spec.n,
+                                       sample_times=sample_times)
     return Trajectory(times=np.array(ts), states=np.array(ys),
-                      labels=spec.labels, clamp_events=clamps)
+                      labels=spec.labels, clamp_events=clamps, next_step=h)
 
 
 def integrate_batch(spec, y0, eps, cfg):

@@ -243,15 +243,19 @@ def contact_matrix(spec, mix):
     return W
 
 
+def _zero_population(labels, N, t=None):
+    """ZeroPopulation naming the first group with N <= 0, and the time t
+    when one is given."""
+    i = next(i for i, v in enumerate(N) if v <= 0.0)
+    at = "" if t is None else f" at t = {t}"
+    return ZeroPopulation(f"group {labels[i]} has N = {N[i]:.6g}{at}")
+
+
 def contact_matrix_at(spec, N, t=None):
     """Contact matrix W at group populations N, with the mixing fractions of
-    closed_mixing.  Raises ZeroPopulation naming the first group with
-    N <= 0, and the time t when one is given."""
-    bad = N <= 0.0
-    if bad.any():
-        i = int(bad.argmax())
-        at = "" if t is None else f" at t = {t}"
-        raise ZeroPopulation(f"group {spec.labels[i]} has N = {N[i]:.6g}{at}")
+    closed_mixing.  Raises _zero_population's error if a group has N <= 0."""
+    if (N <= 0.0).any():
+        raise _zero_population(spec.labels, N, t)
     return contact_matrix(spec, closed_mixing(spec, N, t=t))
 
 
@@ -303,17 +307,16 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False):
     """Compile ``make(**cells) -> f(t, y)`` for one contact-pair table.
 
     ``pinned``: the mixing fractions are fixed (cell ``fixed``) instead of
-    re-closed at each new population vector.  ``tracked``: the groups whose
+    re-closed at every evaluation.  ``tracked``: the groups whose
     coverage is re-derived from a tracked count (cell ``c<j>``).  Cells a<j>
     and b<i> hold the contact rates and each pair's transmission probability.
     The three row forms below keep the arithmetic order of the hand-written
     closures they replaced, so integrations are unchanged to the last bit
     (spillover._contact_sum says why that matters).  ``batched``: y and the
     u<j> cells hold columns, one entry per batch member; the population
-    check names the first failing member, the closure (its array form) runs
-    at every evaluation, and no group is tracked.  Each member's derivative
-    is then the scalar one bit for bit.  Cached: at most 2 * 2**n + 2 sources
-    per table.
+    check names the first failing member, the closure is the array form,
+    and no group is tracked.  Each member's derivative is then the scalar
+    one bit for bit.  Cached: at most 2 * 2**n + 2 sources per table.
     """
     g = range(n)
     m = ", ".join(f"m{i}" for i in range(len(pairs)))
@@ -323,22 +326,17 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False):
     if batched:
         body += ["bad = " + " | ".join(f"(N{j} <= 0.0)" for j in g),
                  "if bad.any():",
-                 '    raise ZeroPopulation(f"zero group population at t = {t}")'
-                 ".for_member(bad.argmax())"]
+                 "    b = bad.argmax()",
+                 "    raise zero_population(labels, (" + ", ".join(f"N{j}[b]" for j in g)
+                 + "), t).for_member(b)"]
     else:
         body += ["if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
-                 '    raise ZeroPopulation(f"zero group population at t = {t}")']
+                 f"    raise zero_population(labels, ({Ns}), t)"]
     if pinned:
         body.append(f"{m} = fixed")
-    elif batched:
-        body.append(f"{m} = close(({Ns}), a, priors, t=t)")
     else:
-        body += [f"if memo[0] == ({Ns}):",
-                 f"    {m} = memo[1]",
-                 "else:",
-                 f"    memo[1] = close(({Ns}), a, priors, t=t).pair_fractions()",
-                 f"    memo[0] = ({Ns})",
-                 f"    {m} = memo[1]"]
+        body.append(f"{m} = close(({Ns}), a, priors, t=t)"
+                    + ("" if batched else ".pair_fractions()"))
     body += [f"u{j} = 1.0 - min(c{j} / S{j}, 1.0)" for j in tracked]
     for j in g:
         row = [(i, p, b) for i, (jj, p, b) in enumerate(pairs) if jj == j]
@@ -354,7 +352,7 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False):
         body.append(f"inc{j} = u{j} * ({lam}) * S{j}")
     out = [f"Pi{j} - inc{j} - mu * S{j}, inc{j} - v{j} * I{j}" for j in g]
     body.append("return [" + ", ".join(out + [f"inc{j}" for j in g]) + "]")
-    cells = (["ZeroPopulation", "close", "a", "priors", "fixed", "memo", "mu"]
+    cells = (["zero_population", "labels", "close", "a", "priors", "fixed", "mu"]
              + [f"{c}{j}" for c in ("Pi", "v", "a") for j in g]
              + [f"u{j}" for j in g if j not in tracked]
              + [f"c{j}" for j in tracked]
@@ -370,8 +368,8 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False):
 def _rhs_cells(spec, closure):
     """The cells of a generated flat RHS for the spec's own coverage."""
     Pi, a, delta, eps = (tuple(v) for v in spec.param_arrays())
-    cells = {"ZeroPopulation": ZeroPopulation, "close": globals()[closure],
-             "a": a, "priors": spec.mixing_priors, "memo": [None, None], "mu": spec.mu,
+    cells = {"zero_population": _zero_population, "labels": spec.labels, "mu": spec.mu,
+             "close": globals()[closure], "a": a, "priors": spec.mixing_priors,
              "fixed": spec.mixing.pair_fractions() if spec.mixing is not None else None}
     for j in range(spec.n):
         cells.update({f"Pi{j}": Pi[j], f"v{j}": spec.mu + delta[j], f"a{j}": a[j],

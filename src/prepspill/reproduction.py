@@ -318,10 +318,11 @@ def stability_probe(spec, n_trials=50, seed=0):
     the DFE and requires growth by _GROWTH_FACTOR.
 
     Each doubling continues every trial from its state at the previous
-    horizon, so each span is integrated once.  The integrations land on
-    every whole year and, from a 64-year horizon up, dt_max = horizon / 8
-    caps no step, so the end states match restarts from t = 0 up to the
-    step sizes chosen in the first year of each continuation.
+    horizon, so each span is integrated once, in free steps (no whole-year
+    nodes; dt_max = horizon / 8) starting from the step the trial's
+    controller proposed at the end of the previous span.  Where no dt_max
+    binds, a trial takes the steps of one integration from t = 0 that stops
+    at each horizon.
     """
     _, _, delta, _ = spec.param_arrays()
     if np.any(delta != 0.0):
@@ -336,12 +337,15 @@ def stability_probe(spec, n_trials=50, seed=0):
         I0 = np.full(spec.n, 1.0)
         states = [StateVec.make(dfe(spec).S - I0, I0)]
     start_tot = [float(np.sum(y.I)) for y in states]
+    steps = [None] * len(states)
     t0 = 0.0
     while True:
         for i, y in enumerate(states):
             cfg = IntegratorConfig(t0=t0, t_end=h, method="rk45_adaptive",
-                                   rtol=1e-8, atol=1e-8, dt_max=h / 8)
-            states[i] = integrate(spec, y, cfg).final_state()
+                                   rtol=1e-8, atol=1e-8, dt_max=h / 8,
+                                   year_nodes=False, first_step=steps[i])
+            traj = integrate(spec, y, cfg)
+            states[i], steps[i] = traj.final_state(), traj.next_step
         worst = max((float(np.sum(y.I)) / s if s > 0 else 0.0
                      for y, s in zip(states, start_tot)), default=0.0)
         confirmed = worst < _DECAY_RATIO if regime == "decay" else worst >= _GROWTH_FACTOR

@@ -391,7 +391,7 @@ def validate_tables(variants=("basic", "risk")):
 
 
 def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with text_sink(path) as fh:
         fh.write(text)
 
 

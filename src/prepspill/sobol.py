@@ -211,17 +211,6 @@ def build_grid(inputs, rule="gauss_legendre_tensor", level=5):
                           weights=weights, intervals=intervals)
 
 
-def evaluate_ensemble(model_fn, grid):
-    """One model evaluation per node; failures carry the offending node."""
-    out = []
-    for i, node in enumerate(grid.nodes):
-        try:
-            out.append(model_fn(node))
-        except Exception as e:  # noqa: BLE001 - re-raised with context
-            raise EnsembleError(f"model failed at node {i}: {e}", i, node) from e
-    return np.array(out)
-
-
 def total_degree_set(dims, total_degree):
     idx = [p for p in product(range(total_degree + 1), repeat=dims)
            if sum(p) <= total_degree]

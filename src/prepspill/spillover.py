@@ -217,8 +217,8 @@ def integrate_with_spillover(spec, y0, sources, cfg, mode="practical",
     n = spec.n
     f = _augmented_rhs_factory(spec, src, mode)
     y0_flat = np.concatenate([y0.to_flat(), np.zeros(2 * n * len(src))])
-    ts, ys, clamps = integrate_flat(f, y0_flat, cfg, n_state=2 * n,
-                                    sample_times=sample_times)
+    ts, ys, clamps, _ = integrate_flat(f, y0_flat, cfg, n_state=2 * n,
+                                       sample_times=sample_times)
     times = np.array(ts)
     ymat = np.array(ys)
     traj = Trajectory(times=times, states=ymat, labels=spec.labels,

@@ -1,11 +1,12 @@
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
-from prepspill.integrators import (IntegratorConfig, _breakpoints, _dp_step,
+from prepspill.integrators import (NODE_TOL, IntegratorConfig, _breakpoints, _dp_step,
                                    _postprocess_columns, annual_series, integrate,
                                    integrate_batch, integrate_flat, interp_rows)
 from prepspill.model import StateVec, TransmissionProbs, make_spec
@@ -109,7 +110,7 @@ def test_negative_state_error():
 def test_tiny_negative_clamped_and_logged():
     cfg = IntegratorConfig(t0=0.0, t_end=2e-8, method="rk4_fixed", dt=1e-8,
                            atol=1e-6)
-    ts, ys, clamps = integrate_flat(lambda t, y: [-0.1], [1e-9], cfg, n_state=1)
+    ts, ys, clamps, _ = integrate_flat(lambda t, y: [-0.1], [1e-9], cfg, n_state=1)
     assert len(clamps) >= 1
     assert ys[-1][0] == 0.0
 
@@ -185,6 +186,29 @@ def test_float_noise_samples_beside_year_nodes(basic):
         assert annual_series(tr)[0] == list(range(2020, 2031))
 
 
+@pytest.mark.parametrize("dt_max", [0.01, 0.1, 1 / 3])
+def test_dp_lands_on_years_under_small_dt_max(basic, dt_max):
+    # steps of dt_max sum to each year only up to a few ulps of 2018.0; the
+    # landing rule must absorb that rather than leave a sub-dt_min step
+    spec, y0 = basic
+    traj = integrate(spec, y0, IntegratorConfig(2017, 2031, dt_max=dt_max))
+    assert annual_series(traj)[0] == list(range(2017, 2031))
+    assert np.diff(traj.times).max() <= dt_max + NODE_TOL
+
+
+def test_no_year_nodes_keeps_samples(basic):
+    spec, y0 = basic
+    cfg = IntegratorConfig(2017.0, 2031.0, dt_max=4.0, year_nodes=False)
+    samples = [2020.5, 2024.0]
+    traj = integrate(spec, y0, cfg, sample_times=samples)
+    assert all(traj.index_of(t) is not None for t in samples)
+    years = [t for t in traj.times if t.is_integer()]
+    assert years == [2017.0, 2024.0, 2031.0]
+    with_years = integrate(spec, y0, replace(cfg, year_nodes=True), sample_times=samples)
+    assert len(traj.times) < len(with_years.times)
+    assert traj.next_step > 0.0
+
+
 def test_breakpoints_merge_keeps_ends_then_years():
     cfg = IntegratorConfig(2019.9999999999, 2022.0)
     pts = _breakpoints(cfg, [2021.0000000001, 2021.5, 2021.5, 2022.0 - 1e-12])
@@ -245,7 +269,7 @@ def test_dp_rhs_count_with_rejections():
         return [y[1], 5.0 * (1.0 - y[0] ** 2) * y[1] - y[0]]
 
     cfg = IntegratorConfig(t0=0.0, t_end=30.0, rtol=1e-3, atol=1e-6)
-    ts, ys, _ = integrate_flat(van_der_pol, [2.0, 0.0], cfg, n_state=0)
+    ts, ys, _, _ = integrate_flat(van_der_pol, [2.0, 0.0], cfg, n_state=0)
     attempts, rem = divmod(calls[0] - 1, 6)
     accepted = len(ts) - 1
     assert rem == 0 and len(ys) == len(ts)

@@ -114,7 +114,7 @@ def test_batched_rhs_names_zero_population_member(basic):
     with pytest.raises(ZeroPopulation) as exc:
         batched_rhs_factory(spec, np.tile(spec.param_arrays()[3], (3, 1)))(2020.0, y)
     assert exc.value.member == 1
-    assert str(exc.value) == "zero group population at t = 2020.0"
+    assert str(exc.value) == "group hetf has N = 0 at t = 2020.0"
 
 
 def test_lambda_vectors_zero_betas(basic):
@@ -301,3 +301,5 @@ def test_zero_population_names_group_and_time(basic):
         incidence(spec, empty)
     with pytest.raises(ZeroPopulation, match=r"^group hetf has N = 0 at t = 2020.5$"):
         build_lambda_vectors(spec, empty, t=2020.5)
+    with pytest.raises(ZeroPopulation, match=r"^group hetf has N = 0 at t = 2020.5$"):
+        flat_rhs_factory(spec)(2020.5, list(empty.to_flat()))

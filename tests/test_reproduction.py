@@ -1,3 +1,7 @@
+import json
+import math
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +9,7 @@ from conftest import random_spec, stationary_risk
 from prepspill import reproduction
 from prepspill.integrators import IntegratorConfig, integrate
 from prepspill.model import StateVec, TransmissionProbs, dfe
+from prepspill.presets import georgia_basic
 from prepspill.reproduction import (NGMatrices, _random_feasible_states,
                                     build_ngm, rc_closed_basic,
                                     rc_closed_risk, rc_numeric,
@@ -190,28 +195,47 @@ def _probe_spec(basic, regime):
     return scale_transmission(spec0, tune_multiplier_to_rc(spec0, 0.9))
 
 
-@pytest.mark.parametrize("regime", ["decay", "growth"])
-def test_probe_integrates_each_span_once(basic, monkeypatch, regime):
-    spec = _probe_spec(basic, regime)
-    calls = []  # (t0, t_end, start row, end row), trials in turn each round
+def _spied_probe(monkeypatch, spec, n_trials, seed):
+    """The probe report and its integrations, (cfg, start row, trajectory)
+    per call, grouped by trial."""
+    calls = []  # trials in turn each round
     real = reproduction.integrate
 
     def spy(spec, y0, cfg, **kw):
         traj = real(spec, y0, cfg, **kw)
-        calls.append((cfg.t0, cfg.t_end, y0.to_flat(), traj.states[-1]))
+        calls.append((cfg, y0.to_flat(), traj))
         return traj
 
     monkeypatch.setattr(reproduction, "integrate", spy)
-    report = stability_probe(spec, n_trials=2, seed=3)
-    assert report.regime == regime
+    report = stability_probe(spec, n_trials=n_trials, seed=seed)
     n = report.n_trials
     assert len(calls) % n == 0 and len(calls) > n  # more than one round
-    for trial in range(n):
-        mine = calls[trial::n]
-        assert mine[0][0] == 0.0 and mine[-1][1] == report.horizon
+    return report, [calls[trial::n] for trial in range(n)]
+
+
+@pytest.mark.parametrize("regime", ["decay", "growth"])
+def test_probe_integrates_each_span_once(basic, monkeypatch, regime):
+    report, trials = _spied_probe(monkeypatch, _probe_spec(basic, regime), 2, 3)
+    assert report.regime == regime
+    for mine in trials:
+        assert mine[0][0].t0 == 0.0 and mine[-1][0].t_end == report.horizon
         for prev, cur in zip(mine, mine[1:]):
-            assert cur[0] == prev[1]            # continues at the last horizon
-            assert np.array_equal(cur[2], prev[3])  # from that trial's end state
+            assert cur[0].t0 == prev[0].t_end   # continues at the last horizon
+            assert np.array_equal(cur[1], prev[2].states[-1])  # from that trial's end state
+
+
+@pytest.mark.parametrize("regime", ["decay", "growth"])
+def test_probe_steps_freely_and_carries_the_step(basic, monkeypatch, regime):
+    report, trials = _spied_probe(monkeypatch, _probe_spec(basic, regime), 2, 3)
+    for mine in trials:
+        assert mine[0][0].first_step is None
+        for prev, cur in zip(mine, mine[1:]):
+            assert cur[0].first_step == prev[2].next_step > 0.0
+        for _, _, traj in mine:
+            inner = traj.times[1:-1]
+            assert not any(t.is_integer() for t in inner)  # no whole-year nodes
+    steps = sum(len(traj.times) - 1 for mine in trials for _, _, traj in mine)
+    assert steps < report.n_trials * report.horizon
 
 
 @pytest.mark.parametrize("regime", ["decay", "growth"])
@@ -224,9 +248,36 @@ def test_probe_ratio_matches_one_direct_integration(basic, regime):
         starts = [StateVec.make(dfe(spec).S - I0, I0)]
     report = stability_probe(spec, n_trials=1, seed=5)
     h = report.horizon
-    assert report.regime == regime and h > (256.0 if regime == "decay" else 64.0)
+    first = 256.0 if regime == "decay" else 64.0
+    assert report.regime == regime and h > first
+    # the probe's nodes: free steps, stopping at every doubling
+    doublings = [first * 2 ** k for k in range(int(math.log2(h / first)))]
     cfg = IntegratorConfig(t0=0.0, t_end=h, method="rk45_adaptive", rtol=1e-8,
-                           atol=1e-8, dt_max=h / 8)
-    end = integrate(spec, starts[0], cfg).final_state()
+                           atol=1e-8, dt_max=h / 8, year_nodes=False)
+    end = integrate(spec, starts[0], cfg, sample_times=doublings).final_state()
     direct = float(np.sum(end.I)) / float(np.sum(starts[0].I))
     assert report.max_terminal_ratio == pytest.approx(direct, rel=1e-10, abs=0.0)
+
+
+PROBE_CATALOG = Path(__file__).resolve().parents[1] / "bench" / "reference" / "probe.json"
+
+
+@pytest.mark.parametrize("name", ["basic", "risk"])
+def test_probe_matches_benchmark_catalog(name):
+    # one catalogued one-trial seed per final horizon, and the growth probe,
+    # at the benchmark's tolerances: a probe change that moves a horizon
+    # fails here, not only in the benchmark
+    ref = json.loads(PROBE_CATALOG.read_text())
+    spec0 = {"basic": georgia_basic, "risk": stationary_risk}[name]()[0].with_delta_zero()
+    gro, want = stability_probe(spec0, seed=0), ref["growth"][name]
+    assert gro.horizon == want["horizon"]
+    assert gro.max_terminal_ratio == pytest.approx(want["ratio"], rel=1e-5, abs=0.0)
+    tuned = scale_transmission(spec0, tune_multiplier_to_rc(spec0, 0.9))
+    first = {}
+    for seed, (horizon, ratio) in enumerate(ref["decay"][name]):
+        first.setdefault(horizon, (seed, ratio))
+    assert sorted(first) == [1024.0, 2048.0, 4096.0]
+    for horizon, (seed, ratio) in first.items():
+        rep = stability_probe(tuned, n_trials=1, seed=seed)
+        assert rep.horizon == horizon
+        assert rep.max_terminal_ratio == pytest.approx(ratio, rel=1e-4, abs=0.0)

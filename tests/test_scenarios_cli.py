@@ -62,6 +62,13 @@ def test_load_config_zero_length_horizon(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key, value", [("year_nodes", False), ("first_step", 0.5)])
+def test_load_config_rejects_internal_integrator_keys(tmp_path, key, value):
+    path = write_config(tmp_path, {"model": "basic", "integrator": {key: value}})
+    with pytest.raises(SchemaViolation, match=key):
+        load_config(path)
+
+
 def test_load_config_override_groups_and_ics(tmp_path):
     path = write_config(tmp_path, {
         "model": "basic",

@@ -10,7 +10,7 @@ from prepspill.errors import (DimensionOverflow, EnsembleError,
                               ExactnessViolation)
 from prepspill.integrators import IntegratorConfig
 from prepspill.sobol import (UncertainInput, build_grid, coverage_fractions,
-                             coverage_model_fn, evaluate_ensemble, fit_pce, mean_var, sobol_indices,
+                             coverage_model_fn, fit_pce, mean_var, sobol_indices,
                              sobol_timeseries, total_degree_set)
 
 
@@ -42,28 +42,6 @@ def test_tensor_node_count():
 def test_dimension_overflow():
     with pytest.raises(DimensionOverflow):
         build_grid(unit_inputs(4), level=12)  # 20736 > cap
-
-
-def test_evaluate_ensemble_constant_and_count():
-    g = build_grid(unit_inputs(2), level=3)
-    s = evaluate_ensemble(lambda th: 7.25, g)
-    assert s.shape == (9,)
-    assert np.all(s == 7.25)
-
-
-def test_evaluate_ensemble_error_attaches_node():
-    g = build_grid(unit_inputs(1), level=3)
-
-    def boom(theta):
-        if theta[0] > 0:
-            raise ValueError("bad region")
-        return 0.0
-
-    with pytest.raises(EnsembleError) as exc:
-        evaluate_ensemble(boom, g)
-    assert exc.value.node_index in (1, 2)
-    assert exc.value.node.shape == (1,)
-    assert isinstance(exc.value.__cause__, ValueError)
 
 
 def test_fit_linear_coefficient():
