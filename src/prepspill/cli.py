@@ -80,8 +80,10 @@ def cmd_spillover(args):
 
 def cmd_nnt(args):
     config = _config_from_args(args)
+    T, span = args.horizon, config.end - config.intervention_year
+    if not 0.0 < T <= span:
+        raise PrepspillError(f"--horizon {T} outside (0, {span}] (years after intervention)")
     spec, _, traj, sens = run_spillover(config)
-    T = args.horizon
     rows = []
     for k in spec.labels:
         for j in spec.labels:

@@ -4,9 +4,10 @@ Two methods: classic fixed-step RK4 and the embedded Dormand-Prince 5(4)
 pair with elementary step control and FSAL (1 + 6 RHS evaluations per
 attempted step), each step one function that builds its stages entry by
 entry with the tableau inline.  Both land exactly on every integer calendar
-year inside the span, unless ``year_nodes`` is off, and on any extra sample
-times, so annual aggregates are plain differences of stored values, never
-interpolated.
+year inside the span and on any extra sample times, so annual aggregates are
+plain differences of stored values, never interpolated.  Runs read only at
+their ends and sample times (scenario arms, stability probes) switch
+``year_nodes`` off and step freely between them.
 """
 
 from __future__ import annotations

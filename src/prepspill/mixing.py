@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InfeasibleClosure
 
-_RESIDUAL_TOL = 1e-12
+_RISK_SHARES = ("eta_hetfh", "alpha_hetfh", "alpha_hetfl", "xi_hetm")
 
 
 @dataclass(frozen=True)
@@ -97,29 +97,41 @@ def _unit_interval_error(name, value, t):
         f"closure gives {name} = {value:.6g} outside [0, 1]", t=t, value=value)
 
 
-def _check_unit_interval(name, value, t=None):
-    if not (0.0 <= value <= 1.0):
+def _check_unit_interval(name, value, t=None, slack=0.0):
+    if not (-slack <= value <= 1.0 + slack):
         raise _unit_interval_error(name, value, t)
 
 
-def close_basic(N, a, priors=None, t=None):
+def _basic_shares(B0, B1, B2):
+    """(alpha_hetf, eta_msm) from the contact volumes B_j = N_j * a_j: floats,
+    or columns of them for close_basic_batch."""
+    alpha = 1.0 - B2 / B1
+    return alpha, 1.0 - alpha * B1 / B0
+
+
+def basic_fractions(N, a, priors=None, t=None):
     """Close the 3-group mixing fractions for populations N and contact rates a.
 
     The two balance equations in two unknowns are uniquely solvable by
     elimination, so the prior fractions do not move the answer; they are
-    accepted for interface symmetry with the risk variant and used only in
-    error reporting.
+    accepted for interface symmetry with the risk variant.
 
-    Order of N and a is (msm, hetf, hetm).  Raises InfeasibleClosure when the
-    eliminated solution leaves [0, 1]; no silent clamping.
+    Order of N and a is (msm, hetf, hetm).  Returns the tuple that
+    BasicMixing.pair_fractions() gives; close_basic builds the record.  Raises
+    InfeasibleClosure when the solution leaves [0, 1]; no silent clamping.
     """
     B0, B1, B2 = N[0] * a[0], N[1] * a[1], N[2] * a[2]
     if min(B0, B1, B2) <= 0.0:
         raise InfeasibleClosure("nonpositive total contact volume", t=t)
-    alpha = 1.0 - B2 / B1
+    alpha, eta = _basic_shares(B0, B1, B2)
     _check_unit_interval("alpha_hetf", alpha, t)
-    eta = 1.0 - alpha * B1 / B0
     _check_unit_interval("eta_msm", eta, t)
+    return (eta, 1.0 - eta, alpha, 1.0 - alpha, 1.0)
+
+
+def close_basic(N, a, priors=None, t=None):
+    """basic_fractions as a BasicMixing record."""
+    eta, _, alpha, _, _ = basic_fractions(N, a, priors, t)
     return BasicMixing(eta_msm=eta, alpha_hetf=alpha)
 
 
@@ -132,33 +144,27 @@ def basic_residuals(mix, N, a):
     return (r1, r2)
 
 
-# The risk closure's arithmetic, shared by close_risk and close_risk_batch:
+# The risk closure's arithmetic, shared by risk_fractions and close_risk_batch:
 # each B_j (contact volume N_j * a_j) is a float or a column of them.
 
 def _risk_projection(B0, B1, B2, B3, priors):
     """xi_hetm minimising the squared distance to the priors on the feasible
     line, before clamping to the interval that keeps every share in [0, 1]."""
-    # Affine parameterisation x -> (eta_hetfh, alpha_hetfh, alpha_hetfl, xi).
-    slopes = (-B3 / B0, -B3 / B1, B3 / B2, 1.0)
-    offsets = (B1 / B0, 1.0, 1.0 - B3 / B2, 0.0)
-    targets = (priors.eta_hetfh, priors.alpha_hetfh, priors.alpha_hetfl,
-               priors.xi_hetm)
-    quad = sum(s * s for s in slopes)
-    lin = sum(s * (o - p) for s, o, p in zip(slopes, offsets, targets))
+    # Affine parameterisation x -> (eta_hetfh, alpha_hetfh, alpha_hetfl, xi):
+    # slopes (s0, s1, s2, 1) and offsets (B1/B0, 1, 1 - B3/B2, 0).
+    s0, s1, s2 = -B3 / B0, -B3 / B1, B3 / B2
+    quad = s0 * s0 + s1 * s1 + s2 * s2 + 1.0
+    lin = (s0 * (B1 / B0 - priors.eta_hetfh) + s1 * (1.0 - priors.alpha_hetfh)
+           + s2 * (1.0 - B3 / B2 - priors.alpha_hetfl) + (0.0 - priors.xi_hetm))
     return -lin / quad
 
 
 def _risk_shares(B0, B1, B2, B3, xi):
-    """The four fractions that vary along the feasible line, at xi_hetm = xi."""
-    return {
-        "eta_hetfh": (B1 - xi * B3) / B0,
-        "alpha_hetfh": 1.0 - xi * B3 / B1,
-        "alpha_hetfl": 1.0 - (1.0 - xi) * B3 / B2,
-        "xi_hetm": xi,
-    }
+    """The four _RISK_SHARES at xi_hetm = xi."""
+    return ((B1 - xi * B3) / B0, 1.0 - xi * B3 / B1, 1.0 - (1.0 - xi) * B3 / B2, xi)
 
 
-def close_risk(N, a, priors, t=None):
+def risk_fractions(N, a, priors, t=None):
     """Close the 4-group mixing fractions, staying as near the priors as possible.
 
     Order of N and a is (msm, hetf_h, hetf_l, hetm).  The four balance
@@ -166,7 +172,8 @@ def close_risk(N, a, priors, t=None):
     by xi_hetm makes every other fraction affine in xi (and eta_msm constant),
     so the squared distance to the priors is a univariate convex quadratic
     minimised in closed form, with the minimiser clamped to the sub-interval
-    of xi keeping all five fractions in [0, 1].
+    of xi keeping all five fractions in [0, 1].  Returns the tuple that
+    RiskMixing.pair_fractions() gives; close_risk builds the record.
     """
     B0, B1, B2, B3 = N[0] * a[0], N[1] * a[1], N[2] * a[2], N[3] * a[3]
     if min(B0, B1, B2, B3) <= 0.0:
@@ -184,14 +191,22 @@ def close_risk(N, a, priors, t=None):
             t=t, value=lo)
 
     xi = min(max(_risk_projection(B0, B1, B2, B3, priors), lo), hi)
-    values = _risk_shares(B0, B1, B2, B3, xi)
-    for name, v in values.items():
-        if -1e-14 <= v < 0.0 or 1.0 < v <= 1.0 + 1e-14:
-            # roundoff at a clamped boundary
-            values[name] = min(max(v, 0.0), 1.0)
-        else:
-            _check_unit_interval(name, v, t)
-    return RiskMixing(eta_msm=eta_msm, **values)
+    ehh, ahh, ahl, xi = shares = _risk_shares(B0, B1, B2, B3, xi)
+    if not (0.0 <= ehh <= 1.0 and 0.0 <= ahh <= 1.0 and 0.0 <= ahl <= 1.0
+            and 0.0 <= xi <= 1.0):  # roundoff at a clamped boundary, or infeasible
+        for name, v in zip(_RISK_SHARES, shares):
+            _check_unit_interval(name, v, t, slack=1e-14)
+        ehh, ahh, ahl, xi = [min(max(v, 0.0), 1.0) for v in shares]
+    # RiskMixing's eta_msm + eta_hetfh <= 1 + 1e-12 holds by construction
+    # (xi_hetm >= 1 - B2/B3) up to roundoff, which max(0, .) absorbs.
+    return (eta_msm, ehh, max(0.0, 1.0 - eta_msm - ehh), ahh, 1.0 - ahh, ahl,
+            1.0 - ahl, xi, 1.0 - xi)
+
+
+def close_risk(N, a, priors, t=None):
+    """risk_fractions as a RiskMixing record."""
+    em, ehh, _, ahh, _, ahl, _, xi, _ = risk_fractions(N, a, priors, t)
+    return RiskMixing(em, ehh, ahh, ahl, xi)
 
 
 def risk_residuals(mix, N, a):
@@ -228,30 +243,24 @@ def _check_volumes(B, t):
         raise InfeasibleClosure("nonpositive total contact volume", t=t).for_member(i)
 
 
-def _check_unit_columns(name, v, t):
-    i = _first(~((0.0 <= v) & (v <= 1.0)))
+def _check_unit_columns(name, v, t, slack=0.0):
+    i = _first(~((-slack <= v) & (v <= 1.0 + slack)))
     if i is not None:
         raise _unit_interval_error(name, v[i], t).for_member(i)
 
 
 def close_basic_batch(N, a, priors=None, t=None):
-    """close_basic over columns of N; returns the pair fractions as columns."""
+    """basic_fractions over columns of N: the pair fractions as columns."""
     B0, B1, B2 = N[0] * a[0], N[1] * a[1], N[2] * a[2]
     _check_volumes((B0, B1, B2), t)
-    alpha = 1.0 - B2 / B1
+    alpha, eta = _basic_shares(B0, B1, B2)
     _check_unit_columns("alpha_hetf", alpha, t)
-    eta = 1.0 - alpha * B1 / B0
     _check_unit_columns("eta_msm", eta, t)
     return (eta, 1.0 - eta, alpha, 1.0 - alpha, 1.0)
 
 
 def close_risk_batch(N, a, priors, t=None):
-    """close_risk over columns of N; returns the pair fractions as columns.
-
-    RiskMixing's check eta_msm + eta_hetfh <= 1 + 1e-12 is not repeated: it
-    holds by construction (xi_hetm >= 1 - B2/B3), up to roundoff that the
-    max(0, .) of the third MSM share absorbs, as in pair_fractions.
-    """
+    """risk_fractions over columns of N: the pair fractions as columns."""
     B0, B1, B2, B3 = N[0] * a[0], N[1] * a[1], N[2] * a[2], N[3] * a[3]
     _check_volumes((B0, B1, B2, B3), t)
     eta_msm = 1.0 - (B1 + B2 - B3) / B0
@@ -266,12 +275,9 @@ def close_risk_batch(N, a, priors, t=None):
             t=t, value=lo[i]).for_member(i)
 
     xi = np.minimum(np.maximum(_risk_projection(B0, B1, B2, B3, priors), lo), hi)
-    values = _risk_shares(B0, B1, B2, B3, xi)
-    for name, v in values.items():
-        roundoff = ((-1e-14 <= v) & (v < 0.0)) | ((1.0 < v) & (v <= 1.0 + 1e-14))
-        v = np.where(roundoff, np.minimum(np.maximum(v, 0.0), 1.0), v)
-        _check_unit_columns(name, v, t)
-        values[name] = v
-    ehh, ahh, ahl, xi = values.values()
+    shares = _risk_shares(B0, B1, B2, B3, xi)
+    for name, v in zip(_RISK_SHARES, shares):
+        _check_unit_columns(name, v, t, slack=1e-14)
+    ehh, ahh, ahl, xi = [np.minimum(np.maximum(v, 0.0), 1.0) for v in shares]
     return (eta_msm, ehh, np.maximum(0.0, 1.0 - eta_msm - ehh), ahh, 1.0 - ahh,
             ahl, 1.0 - ahl, xi, 1.0 - xi)

@@ -21,28 +21,29 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroPopulation
-from .mixing import (BasicMixing, RiskMixing, close_basic,  # noqa: F401
-                     close_basic_batch, close_risk, close_risk_batch)
+from .mixing import (BasicMixing, RiskMixing, basic_fractions, close_basic,  # noqa: F401
+                     close_basic_batch, close_risk, close_risk_batch, risk_fractions)
 
 
 @dataclass(frozen=True)
 class Variant:
     """Group labels in state order, the mixing class (which carries the
-    contact-pair table) and the names of the closure solver and its array
-    form in this module, looked up at use so that rebinding them (e.g. for
-    tracing) takes effect."""
+    contact-pair table) and the names in this module of the closure solver,
+    its core (giving pair fractions, not the record) and the core's array
+    form, looked up at use so that rebinding them (e.g. for tracing) works."""
 
     groups: tuple
     mixing: type
     closure: str
+    fractions: str
     batch_closure: str
 
 
 VARIANTS = {
     "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, "close_basic",
-                     "close_basic_batch"),
+                     "basic_fractions", "close_basic_batch"),
     "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, "close_risk",
-                    "close_risk_batch"),
+                    "risk_fractions", "close_risk_batch"),
 }
 
 
@@ -231,14 +232,16 @@ def closed_mixing(spec, N, t=None):
 
 
 def contact_matrix(spec, mix):
-    """Contact matrix W (n x n) for mixing fractions ``mix``.
+    """Contact matrix W (n x n) for mixing fractions ``mix``: a mixing
+    record, or the tuple its pair_fractions() gives.
 
     W[j, p] = a_j * (share of j's contacts made with p) * beta(p -> j), so
     (W @ (I / N))_j is the raw (pre-(1 - eps), pre-S) force of infection on
     group j.  Entries outside the variant's contact pairs are zero.
     """
     W = np.zeros((spec.n, spec.n))
-    for (j, p, beta), frac in zip(mix.PAIRS, mix.pair_fractions()):
+    fractions = mix if isinstance(mix, tuple) else mix.pair_fractions()
+    for (j, p, beta), frac in zip(VARIANTS[spec.variant].mixing.PAIRS, fractions):
         W[j, p] = spec.groups[j][1].a * frac * getattr(spec.probs, beta)
     return W
 
@@ -253,10 +256,12 @@ def _zero_population(labels, N, t=None):
 
 def contact_matrix_at(spec, N, t=None):
     """Contact matrix W at group populations N, with the mixing fractions of
-    closed_mixing.  Raises _zero_population's error if a group has N <= 0."""
+    closed_mixing (from the closure core: no mixing record).  Raises
+    _zero_population's error if a group has N <= 0."""
     if (N <= 0.0).any():
         raise _zero_population(spec.labels, N, t)
-    return contact_matrix(spec, closed_mixing(spec, N, t=t))
+    close, a = globals()[VARIANTS[spec.variant].fractions], [p.a for _, p in spec.groups]
+    return contact_matrix(spec, spec.mixing or close(N, a, spec.mixing_priors, t=t))
 
 
 def build_lambda_vectors(spec, state, t=None):
@@ -335,8 +340,7 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False):
     if pinned:
         body.append(f"{m} = fixed")
     else:
-        body.append(f"{m} = close(({Ns}), a, priors, t=t)"
-                    + ("" if batched else ".pair_fractions()"))
+        body.append(f"{m} = close(({Ns}), a, priors, t=t)")
     body += [f"u{j} = 1.0 - min(c{j} / S{j}, 1.0)" for j in tracked]
     for j in g:
         row = [(i, p, b) for i, (jj, p, b) in enumerate(pairs) if jj == j]
@@ -390,7 +394,7 @@ def flat_rhs_factory(spec, tracked_counts=None):
     var = VARIANTS[spec.variant]
     counts = tuple(tracked_counts) if tracked_counts is not None else (0.0,) * spec.n
     tracked = tuple(j for j, c in enumerate(counts) if c)
-    cells = _rhs_cells(spec, var.closure)
+    cells = _rhs_cells(spec, var.fractions)
     for j in tracked:
         del cells[f"u{j}"]
         cells[f"c{j}"] = counts[j]

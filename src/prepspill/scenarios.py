@@ -248,10 +248,11 @@ class RunReport:
 
 
 def _window_incidence(traj, spec, t0, t1):
-    n = spec.n
-    c0 = traj.row_at(t0)[2 * n:3 * n]
-    c1 = traj.row_at(t1)[2 * n:3 * n]
-    return c1 - c0
+    """C(t1) - C(t0) per group, read at stored nodes, never interpolated."""
+    i0, i1, n = traj.index_of(t0), traj.index_of(t1), spec.n
+    if i0 is None or i1 is None:
+        raise ValueError(f"window [{t0}, {t1}] does not end on trajectory nodes")
+    return traj.states[i1, 2 * n:3 * n] - traj.states[i0, 2 * n:3 * n]
 
 
 def run_scenarios(config):
@@ -259,7 +260,9 @@ def run_scenarios(config):
 
     Interventions raise group coverage at their start year by
     additional_persons / S_k(start); incidence is aggregated over
-    [intervention_year, end] per reported group.
+    [intervention_year, end] per reported group.  Only the baseline lands on
+    whole years: an arm, read at its window ends alone, steps freely to t_end
+    from its start year with its window start as its one sample time.
     """
     spec, y0 = build_model(config)
     t_int, t_end = config.intervention_year, config.end
@@ -276,18 +279,20 @@ def run_scenarios(config):
     results = []
     for arm in config.interventions:
         k = spec.group_index(arm.group)
-        seg_cfg = config.integrator.over(arm.start_year, t_end)
+        seg_cfg = replace(config.integrator.over(arm.start_year, t_end), year_nodes=False)
+        window = max(arm.start_year, t_int)
         start_state = base_traj.state_at(arm.start_year)
+        arm_spec, counts = spec, None
         if config.intervention_mode == "fixed-fraction":
             eps_k = spec.groups[k][1].epsilon + arm.additional_persons / start_state.S[k]
             arm_spec = spec.with_epsilon({arm.group: min(eps_k, 1.0)})
-            traj = integrate(arm_spec, start_state, seg_cfg)
         else:
             counts = [0.0] * spec.n
             counts[k] = (spec.groups[k][1].epsilon * start_state.S[k]
                          + arm.additional_persons)
-            traj = integrate(spec, start_state, seg_cfg, tracked_counts=counts)
-        inc = _window_incidence(traj, spec, max(arm.start_year, t_int), t_end)
+        traj = integrate(arm_spec, start_state, seg_cfg, sample_times=[window],
+                         tracked_counts=counts)
+        inc = _window_incidence(traj, spec, window, t_end)
         if arm.start_year > t_int:
             # add the pre-intervention part of the window from baseline
             inc = inc + _window_incidence(base_traj, spec, t_int, arm.start_year)

@@ -290,10 +290,12 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
     if sens_traj.times.shape != state_traj.times.shape or \
             not np.allclose(sens_traj.times, state_traj.times):
         raise ValueError("sensitivity and state trajectories use different grids")
-    idx = np.flatnonzero((sens_traj.times >= t_start - 1e-12)
-                         & (sens_traj.times <= t_eval + 1e-12))
-    tt = sens_traj.times[idx]
-    ratio = sens_traj.gamma[idx, j_idx] / state_traj.states[idx, 2 * k_idx]
+    # trapezoid over the nodes up to t_eval, then on to t_eval if not a node
+    m = int(np.searchsorted(sens_traj.times, t_eval + NODE_TOL, side="right"))
+    tt = sens_traj.times[:m]
+    ratio = sens_traj.gamma[:m, j_idx] / state_traj.states[:m, 2 * k_idx]
+    if t_eval - tt[-1] > NODE_TOL:
+        tt, ratio = np.append(tt, t_eval), np.append(ratio, gam_T / S_T)
     integral = float(np.trapezoid(ratio, tt))
     simple = T * S_T / gam_T
     full = T / (gam_T / S_T + mu * integral)

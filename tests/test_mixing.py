@@ -1,12 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import random_spec
 from prepspill.errors import InfeasibleClosure
-from prepspill.model import contact_matrix
+from prepspill.model import contact_matrix, dfe
 from prepspill.presets import georgia_risk
-from prepspill.mixing import (BasicMixing, RiskMixing, basic_residuals,
-                              close_basic, close_basic_batch, close_risk,
-                              close_risk_batch, risk_objective, risk_residuals)
+from prepspill.mixing import (BasicMixing, RiskMixing, _risk_projection,
+                              basic_fractions, basic_residuals, close_basic,
+                              close_basic_batch, close_risk, close_risk_batch,
+                              risk_fractions, risk_objective, risk_residuals)
 
 # Georgia nominal populations and contact rates (2017 totals)
 N3 = np.array([165418.0, 3274801.0, 3145939.0])
@@ -197,3 +201,49 @@ def test_batch_closure_names_first_failing_member(close, batch, N, a, priors):
         batch(cols, a, priors)
     assert str(batched.value) == str(scalar.value)
     assert batched.value.member == 3 and scalar.value.member is None
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_closure_core_property(variant):
+    # Random feasible specs, populations scattered around each DFE: the core's
+    # tuple is the record's pair_fractions() bit for bit, balances hold, and an
+    # infeasible point fails with one message on the core, record and batch.
+    core, close, batch, residuals = (
+        (basic_fractions, close_basic, close_basic_batch, basic_residuals)
+        if variant == "basic" else
+        (risk_fractions, close_risk, close_risk_batch, risk_residuals))
+    rng = np.random.default_rng(17)
+    seen = {"interior": 0, "lo": 0, "hi": 0, "infeasible": 0}
+    for _ in range(12):
+        spec = random_spec(rng, variant)
+        a = tuple(spec.param_arrays()[1])
+        pulls = [spec.mixing_priors]
+        if variant == "risk":  # pull xi_hetm to its upper bound B1/B3
+            pulls.append(replace(spec.mixing_priors, eta_hetfh=0.0, alpha_hetfh=0.0,
+                                 alpha_hetfl=1.0, xi_hetm=1.0))
+        for N in dfe(spec).N * rng.uniform(0.5, 1.5, (40, spec.n)):
+            N = tuple(float(v) for v in N)
+            for priors in pulls:
+                try:
+                    got = core(N, a, priors)
+                except InfeasibleClosure as e:
+                    seen["infeasible"] += 1
+                    for other in (close, lambda N, a, priors: batch(
+                            [np.full(2, v) for v in N], a, priors)):
+                        with pytest.raises(InfeasibleClosure) as again:
+                            other(N, a, priors)
+                        assert str(again.value) == str(e)
+                    continue
+                mix = close(N, a, priors)
+                assert got == mix.pair_fractions()
+                assert max(abs(r) for r in residuals(mix, N, a)) < 1e-12
+                if variant == "risk":
+                    B = [n * x for n, x in zip(N, a)]
+                    x = _risk_projection(*B, priors)
+                    seen["lo" if x < mix.xi_hetm else "hi" if x > mix.xi_hetm
+                         else "interior"] += 1
+                else:
+                    seen["interior"] += 1
+    assert seen["interior"] > 50 and seen["infeasible"] > 20
+    if variant == "risk":
+        assert seen["lo"] > 20 and seen["hi"] > 20

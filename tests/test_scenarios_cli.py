@@ -305,3 +305,66 @@ def test_fractional_start_year_starts_from_baseline_node(tmp_path, monkeypatch):
     want = direct.state_at(2021.5)
     assert np.array_equal(arm_start.S, want.S) and np.array_equal(arm_start.I, want.I)
     assert np.array_equal(report.baseline_traj.states, direct.states)
+
+
+def test_arm_before_intervention_samples_window_start(tmp_path, monkeypatch):
+    # An arm starting before the intervention year steps freely from its
+    # start year; the intervention year, where its window opens, is a node.
+    from prepspill import scenarios
+    from prepspill.integrators import integrate
+    config = load_config(write_config(tmp_path, {"model": "basic", "interventions": [
+        {"group": "msm", "additional_persons": 25000, "start_year": 2018.5}]}))
+    arms = []
+
+    def spy(spec, y0, cfg, **kwargs):
+        traj = integrate(spec, y0, cfg, **kwargs)
+        if cfg.t0 == 2018.5:
+            arms.append((cfg, kwargs, traj))
+        return traj
+
+    monkeypatch.setattr(scenarios, "integrate", spy)
+    report = scenarios.run_scenarios(config)
+    (cfg, kwargs, traj), = arms
+    assert not cfg.year_nodes and kwargs["sample_times"] == [2020.0]
+    i = traj.index_of(2020.0)
+    assert i is not None
+    assert not any(float(t).is_integer() for t in traj.times[1:-1] if t != 2020.0)
+    inc = traj.states[-1, 6:9] - traj.states[i, 6:9]
+    assert report.scenarios[0].incidence["total"] == float(np.sum(inc))
+
+
+def test_window_incidence_reads_only_nodes(baseline_basic, basic):
+    from prepspill.scenarios import _window_incidence
+    spec, _ = basic
+    assert baseline_basic.index_of(2020.123456) is None
+    with pytest.raises(ValueError, match="does not end on trajectory nodes"):
+        _window_incidence(baseline_basic, spec, 2020.123456, 2031.0)
+
+
+@pytest.mark.parametrize("variant, budget", [("basic", 540), ("risk", 1490)])
+def test_cli_simulate_rhs_budget(tmp_path, monkeypatch, capsys, variant, budget):
+    # The arms step freely between their window ends; landing them on every
+    # whole year again costs 868 (basic) and 2131 (risk) evaluations.
+    from prepspill import integrators
+    evals = [0]
+    real_flat = integrators.integrate_flat
+
+    def flat(f, *args, **kwargs):
+        def counted(t, y):
+            evals[0] += 1
+            return f(t, y)
+        return real_flat(counted, *args, **kwargs)
+
+    monkeypatch.setattr(integrators, "integrate_flat", flat)
+    assert main(["simulate", "--model", variant, "--out", str(tmp_path)]) == 0
+    assert 0 < evals[0] <= budget
+
+
+@pytest.mark.parametrize("horizon, rc", [("0", 1), ("-1", 1), ("11", 0),
+                                         ("11.5", 1), ("20", 1)])
+def test_cli_nnt_horizon_within_window(tmp_path, capsys, horizon, rc):
+    # the default window runs 11 years after the intervention start
+    assert main(["nnt", "--model", "basic", "--out", str(tmp_path),
+                 "--horizon", horizon]) == rc
+    err = capsys.readouterr().err
+    assert err.startswith("error: --horizon ") if rc else err == ""

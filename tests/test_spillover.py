@@ -314,3 +314,27 @@ def test_augmented_rhs_zero_population_names_group_and_time(basic):
     empty = StateVec.make(y0.S * [1.0, 1.0, 0.0], y0.I * [1.0, 1.0, 0.0])
     with pytest.raises(ZeroPopulation, match=r"^group hetm has N = 0$"):
         spillover_rhs(spec, empty, SensitivityState.zero(spec, "msm"))
+
+
+def test_nnt_integral_continuous_across_node(aug_basic):
+    # T = 3 is the node 2023.0: the integral runs to the horizon itself, not
+    # to the last node at or before it, so it does not jump there
+    spec, traj, sens, _ = aug_basic
+    assert traj.index_of(2023.0) is not None
+    before, at, after = (nnt(sens["msm"], traj, "hetf", "msm", T, spec.mu).nnt_integral
+                         for T in (3.0 - 1e-6, 3.0, 3.0 + 1e-6))
+    assert before == pytest.approx(at, rel=1e-5)
+    assert after == pytest.approx(at, rel=1e-5)
+
+
+@pytest.mark.parametrize("T", [3.0, 11.0])
+def test_nnt_integral_at_node_horizon_is_node_trapezoid(aug_basic, T):
+    # at a node horizon the integral is the trapezoid over the nodes alone,
+    # with the arithmetic unchanged
+    spec, traj, sens, _ = aug_basic
+    j, k = spec.group_index("hetf"), spec.group_index("msm")
+    m = traj.index_of(2020.0 + T) + 1
+    ratio = sens["msm"].gamma[:m, j] / traj.states[:m, 2 * k]
+    integral = float(np.trapezoid(ratio, traj.times[:m]))
+    res = nnt(sens["msm"], traj, "hetf", "msm", T, spec.mu)
+    assert res.nnt_integral == T / (ratio[-1] + spec.mu * integral)
