@@ -261,7 +261,7 @@ def contact_matrix_at(spec, N, t=None):
     if (N <= 0.0).any():
         raise _zero_population(spec.labels, N, t)
     close, a = globals()[VARIANTS[spec.variant].fractions], [p.a for _, p in spec.groups]
-    return contact_matrix(spec, spec.mixing or close(N, a, spec.mixing_priors, t=t))
+    return contact_matrix(spec, spec.mixing or close(N.tolist(), a, spec.mixing_priors, t=t))
 
 
 def build_lambda_vectors(spec, state, t=None):
@@ -305,6 +305,10 @@ def dfe(spec):
 # body beats a loop over the contact pairs, so the body is generated from the
 # variant's contact-pair table.  The generated source holds only integer
 # indices and fixed names; every value enters through closure cells.
+# Float-cell rule: every numeric cell of a scalar RHS is a Python float,
+# converted once in _rhs_cells and flat_rhs_factory.  One numpy scalar cell
+# makes every returned entry, and so every Dormand-Prince stage, a numpy
+# scalar: the same IEEE values at about three times the cost.
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
@@ -370,16 +374,19 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False):
 
 
 def _rhs_cells(spec, closure):
-    """The cells of a generated flat RHS for the spec's own coverage."""
-    Pi, a, delta, eps = (tuple(v) for v in spec.param_arrays())
-    cells = {"zero_population": _zero_population, "labels": spec.labels, "mu": spec.mu,
+    """The cells of a generated flat RHS for the spec's own coverage, each
+    numeric one converted here to a Python float (the float-cell rule)."""
+    Pi, a, delta, eps = (tuple(map(float, v)) for v in spec.param_arrays())
+    mu = float(spec.mu)
+    fixed = spec.mixing and tuple(map(float, spec.mixing.pair_fractions()))
+    cells = {"zero_population": _zero_population, "labels": spec.labels, "mu": mu,
              "close": globals()[closure], "a": a, "priors": spec.mixing_priors,
-             "fixed": spec.mixing.pair_fractions() if spec.mixing is not None else None}
+             "fixed": fixed}
     for j in range(spec.n):
-        cells.update({f"Pi{j}": Pi[j], f"v{j}": spec.mu + delta[j], f"a{j}": a[j],
+        cells.update({f"Pi{j}": Pi[j], f"v{j}": mu + delta[j], f"a{j}": a[j],
                       f"u{j}": 1.0 - eps[j]})
     for i, (_, _, beta) in enumerate(VARIANTS[spec.variant].mixing.PAIRS):
-        cells[f"b{i}"] = getattr(spec.probs, beta)
+        cells[f"b{i}"] = float(getattr(spec.probs, beta))
     return cells
 
 
@@ -397,7 +404,7 @@ def flat_rhs_factory(spec, tracked_counts=None):
     cells = _rhs_cells(spec, var.fractions)
     for j in tracked:
         del cells[f"u{j}"]
-        cells[f"c{j}"] = counts[j]
+        cells[f"c{j}"] = float(counts[j])
     make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None, tracked)
     return make(**cells)
 

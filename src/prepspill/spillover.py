@@ -287,8 +287,9 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
     if gam_T <= 0.0:
         return NNTResult(j=jl, k=kl, horizon=T, nnt_simple=float("nan"),
                          nnt_integral=float("nan"), defined=False)
-    if sens_traj.times.shape != state_traj.times.shape or \
-            not np.allclose(sens_traj.times, state_traj.times):
+    if sens_traj.times is not state_traj.times and (  # shared by integrate_with_spillover
+            sens_traj.times.shape != state_traj.times.shape
+            or not np.allclose(sens_traj.times, state_traj.times)):
         raise ValueError("sensitivity and state trajectories use different grids")
     # trapezoid over the nodes up to t_eval, then on to t_eval if not a node
     m = int(np.searchsorted(sens_traj.times, t_eval + NODE_TOL, side="right"))

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 from conftest import random_spec, random_state
 from prepspill.errors import ZeroPopulation
-from prepspill.integrators import IntegratorConfig, integrate
-from prepspill.model import (StateVec, TransmissionProbs, batched_rhs_factory,
-                             build_lambda_vectors, closed_mixing, contact_matrix,
-                             dfe, flat_rhs_factory, incidence, make_spec, rhs)
-from prepspill.mixing import BasicMixing
+from prepspill.integrators import IntegratorConfig, integrate, integrate_flat
+from prepspill.model import (VARIANTS, StateVec, TransmissionProbs, _flat_rhs_maker,
+                             _rhs_cells, batched_rhs_factory, build_lambda_vectors,
+                             closed_mixing, contact_matrix, contact_matrix_at, dfe,
+                             flat_rhs_factory, incidence, make_spec, rhs)
+from prepspill.mixing import BasicMixing, basic_fractions, risk_fractions
 from prepspill.reproduction import build_ngm
 
 
@@ -264,6 +265,95 @@ def test_forward_invariance(basic):
         Ntot = pops[:, 0::2].sum(axis=1) + pops[:, 1::2].sum(axis=1)
         bound = max(np.sum(state.N), np.sum(Pi) / spec.mu) * (1 + 1e-9)
         assert np.all(Ntot <= bound)
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_forward_invariance_random_specs(variant):
+    # 14-year Dormand-Prince runs from random feasible points: S and I stay
+    # nonnegative at every node without a single clamp, and C never falls
+    rng = np.random.default_rng(31)
+    n = 3 if variant == "basic" else 4
+    cfg = IntegratorConfig(t0=2017.0, t_end=2031.0)
+    for _ in range(12):
+        spec = random_spec(rng, variant)
+        traj = integrate(spec, random_state(rng, spec), cfg)
+        assert traj.clamp_events == []
+        assert traj.states[:, :2 * n].min() >= 0.0
+        assert np.diff(traj.states[:, 2 * n:], axis=0).min() >= 0.0
+
+
+def _float_guard_cases(rng, variant):
+    """(spec, tracked counts, state) for the spec's own coverage, a tracked
+    count given as np.float64, pinned mixing closed on a numpy N, and
+    GroupParams (and mu and probs) holding np.float64 fields."""
+    spec = random_spec(rng, variant)
+    state = random_state(rng, spec)
+    counts = [0.0] * spec.n
+    counts[1] = np.float64(0.3) * state.S[1]
+    pinned = replace(spec, mixing=closed_mixing(spec, state.N))
+
+    def numpy_fields(record):
+        return replace(record, **{k: np.float64(v) for k, v in vars(record).items()})
+    numpy_params = replace(spec, groups=tuple((gid, numpy_fields(p)) for gid, p in spec.groups),
+                           mu=np.float64(spec.mu), probs=numpy_fields(spec.probs))
+    return [(spec, None, state), (spec, counts, state), (pinned, None, state),
+            (numpy_params, None, state)]
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_flat_rhs_and_dp_stages_are_python_floats(variant):
+    # the float-cell rule: no numpy scalar reaches the generated RHS, so its
+    # entries, the integrator's rows and its next step are all Python floats
+    rng = np.random.default_rng(43)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
+    for spec, counts, state in _float_guard_cases(rng, variant):
+        f = flat_rhs_factory(spec, tracked_counts=counts)
+        assert all(type(v) is float for v in f(2017.0, state.to_flat().tolist()))
+        _, rows, _, h = integrate_flat(f, state.to_flat(), cfg, n_state=2 * spec.n)
+        assert all(type(v) is float for row in rows for v in row)
+        assert type(h) is float
+
+
+def _as_numpy_scalars(cells):
+    """The cells with every Python float, alone or in a tuple, wrapped as np.float64."""
+    def wrap(v):
+        if type(v) is float:
+            return np.float64(v)
+        if isinstance(v, tuple) and all(type(x) is float for x in v):
+            return tuple(map(np.float64, v))
+        return v
+    return {k: wrap(v) for k, v in cells.items()}
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_float_cells_keep_the_arithmetic(variant):
+    # the same generated RHS with np.float64 cells (as before the float-cell
+    # rule) gives the same values bit for bit, tracked and untracked, and
+    # the closure core gives the same contact matrix for a list N
+    rng = np.random.default_rng(47)
+    var = VARIANTS[variant]
+    for i in range(8):
+        spec = random_spec(rng, variant)
+        if i % 2:
+            spec = replace(spec, mixing=spec.mixing_priors)
+        _, a, _, _ = spec.param_arrays()
+        for _ in range(5):
+            state = random_state(rng, spec)
+            y = state.to_flat().tolist()
+            k = int(rng.integers(spec.n))
+            for tracked in ((), (k,)):
+                cells = _rhs_cells(spec, var.fractions)
+                for j in tracked:
+                    del cells[f"u{j}"]
+                    cells[f"c{j}"] = float(state.S[j] * rng.uniform(0.0, 1.5))
+                make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None,
+                                       tracked)
+                want = make(**_as_numpy_scalars(cells))(2017.0, y)
+                assert make(**cells)(2017.0, y) == want
+            core = basic_fractions if variant == "basic" else risk_fractions
+            mix = spec.mixing or core(state.N, a, spec.mixing_priors)
+            assert np.array_equal(contact_matrix_at(spec, state.N),
+                                  contact_matrix(spec, mix))
 
 
 def test_population_relaxation_delta_zero(basic):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -144,6 +146,19 @@ def test_nnt_source_mismatch(aug_basic):
     spec, traj, sens, _ = aug_basic
     with pytest.raises(ValueError):
         nnt(sens["msm"], traj, "hetf", "hetf", 10.0, spec.mu)
+
+
+def test_nnt_compares_distinct_time_grids(aug_basic):
+    # integrate_with_spillover shares one times array between the state and
+    # the sensitivities; a distinct array is still compared in full
+    spec, traj, sens, _ = aug_basic
+    assert sens["msm"].times is traj.times
+    want = nnt(sens["msm"], traj, "hetf", "msm", 10.0, spec.mu)
+    copied = replace(traj, times=traj.times.copy())
+    assert nnt(sens["msm"], copied, "hetf", "msm", 10.0, spec.mu) == want
+    shifted = replace(traj, times=traj.times + 0.1)
+    with pytest.raises(ValueError, match="different grids"):
+        nnt(sens["msm"], shifted, "hetf", "msm", 10.0, spec.mu)
 
 
 def test_incidence_sensitivity_zero_state(basic):
