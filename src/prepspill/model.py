@@ -300,36 +300,48 @@ def dfe(spec):
 
 
 # ---------------------------------------------------------------------------
-# Flat fast path used by the integrators.  Python-float arithmetic beats tiny
-# numpy arrays by an order of magnitude at these dimensions, and an unrolled
-# body beats a loop over the contact pairs, so the body is generated from the
-# variant's contact-pair table.  The generated source holds only integer
-# indices and fixed names; every value enters through closure cells.
+# Flat fast path used by the integrators, for the state and for the spillover
+# system.  Python-float arithmetic beats tiny numpy arrays by an order of
+# magnitude at these dimensions, and an unrolled body beats a loop over the
+# contact pairs, so the body is generated from the variant's contact-pair
+# table.  The generated source holds only integer indices and fixed names;
+# every value enters through closure cells.
 # Float-cell rule: every numeric cell of a scalar RHS is a Python float,
 # converted once in _rhs_cells and flat_rhs_factory.  One numpy scalar cell
 # makes every returned entry, and so every Dormand-Prince stage, a numpy
 # scalar: the same IEEE values at about three times the cost.
+# Sums over a group's partners run in partner order: near the risk closure's
+# xi_hetm clamp the step-size control amplifies last-bit differences in them
+# into node-time shifts, so their rounding is held fixed.
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False):
+def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False, sources=(), exact=False):
     """Compile ``make(**cells) -> f(t, y)`` for one contact-pair table.
 
     ``pinned``: the mixing fractions are fixed (cell ``fixed``) instead of
-    re-closed at every evaluation.  ``tracked``: the groups whose
-    coverage is re-derived from a tracked count (cell ``c<j>``).  Cells a<j>
-    and b<i> hold the contact rates and each pair's transmission probability.
-    The three row forms below keep the arithmetic order of the hand-written
-    closures they replaced, so integrations are unchanged to the last bit
-    (spillover._contact_sum says why that matters).  ``batched``: y and the
-    u<j> cells hold columns, one entry per batch member; the population
-    check names the first failing member, the closure is the array form,
-    and no group is tracked.  Each member's derivative is then the scalar
-    one bit for bit.  Cached: at most 2 * 2**n + 2 sources per table.
+    re-closed at every evaluation.  ``tracked``: the groups whose coverage is
+    re-derived from a tracked count (cell ``c<j>``; full while S_j <= c_j).
+    Cells a<j> and b<i> hold the contact rates and each pair's transmission
+    probability.  ``batched``: y and the u<j> cells hold columns, one entry
+    per batch member; the population check names the first failing member,
+    the closure is the array form, and no group is tracked.  Each member's
+    derivative is then the scalar one bit for bit.  ``sources``: the
+    spillover system, y going on with one (sigma, gamma) block per source
+    group after the 3n state slots; ``exact``: its exact_delta mode.  The
+    three row forms of the flat RHS keep the arithmetic order of the
+    hand-written closures they replaced, and the spillover rows that of the
+    numpy kernel, so integrations are unchanged to the last bit.  Cached: at
+    most 6 * 2**n - 2 sources per table (2 * 2**n flat, 2 batched, and
+    4 * (2**n - 1) spillover: pinned or not, exact or not, by source set).
     """
     g = range(n)
     m = ", ".join(f"m{i}" for i in range(len(pairs)))
     Ns = ", ".join(f"N{j}" for j in g)
+    rows = [sorted((p, i, b) for i, (jj, p, b) in enumerate(pairs) if jj == j) for j in g]
+
+    def psum(j, x):  # sum over j's partners p of W[j, p] * x(p), term by term
+        return " + ".join(f"a{j} * m{i} * b{i} * {x(p)}" for p, i, _ in rows[j])
     body = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * n}]",
             *(f"N{j} = S{j} + I{j}" for j in g)]
     if batched:
@@ -345,21 +357,39 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False):
         body.append(f"{m} = fixed")
     else:
         body.append(f"{m} = close(({Ns}), a, priors, t=t)")
-    body += [f"u{j} = 1.0 - min(c{j} / S{j}, 1.0)" for j in tracked]
-    for j in g:
-        row = [(i, p, b) for i, (jj, p, b) in enumerate(pairs) if jj == j]
-        i0, p0, _ = row[0]
-        if len(row) == 1:  # a lone pair holds all of j's contacts
+    body += [f"u{j} = 1.0 - c{j} / S{j} if S{j} > c{j} else 0.0" for j in tracked]
+    for j, row in enumerate(rows):
+        p0, i0, _ = row[0]
+        if sources:
+            body.append(f"lam{j} = " + psum(j, lambda p: f"I{p} / N{p}"))
+            lam = f"lam{j}"
+        elif len(row) == 1:  # a lone pair holds all of j's contacts
             lam = f"a{j} * b{i0} * I{p0} / N{p0}"
         elif len({b for _, _, b in row}) == 1:  # one beta: factored out
             lam = f"a{j} * b{i0} * (" + " + ".join(
-                f"m{i} * I{p} / N{p}" for i, p, _ in row) + ")"
+                f"m{i} * I{p} / N{p}" for p, i, _ in row) + ")"
         else:
             lam = f"a{j} * (" + " + ".join(
-                f"m{i} * b{i} * I{p} / N{p}" for i, p, _ in row) + ")"
+                f"m{i} * b{i} * I{p} / N{p}" for p, i, _ in row) + ")"
         body.append(f"inc{j} = u{j} * ({lam}) * S{j}")
     out = [f"Pi{j} - inc{j} - mu * S{j}, inc{j} - v{j} * I{j}" for j in g]
-    body.append("return [" + ", ".join(out + [f"inc{j}" for j in g]) + "]")
+    out += [f"inc{j}" for j in g]
+    for b, k in enumerate(sources):
+        s, gm, off = [f"s{b}_{j}" for j in g], [f"g{b}_{j}" for j in g], 3 * n + 2 * n * b
+        body.append(", ".join(f"{s[j]}, {gm[j]}" for j in g) + f" = y[{off}:{off + 2 * n}]")
+        for j in g:
+            q, r = f"q{b}_{j}", f"r{b}_{j}"
+            body.append(f"{q} = u{j} * (({psum(j, lambda p: f'{gm[p]} / N{p}')}) * S{j}"
+                        f" + lam{j} * {s[j]})")
+            ds, dg = f"-{q} - mu * {s[j]}", f"{q} - {f'v{j}' if exact else 'mu'} * {gm[j]}"
+            if exact:  # population-size correction
+                corr = psum(j, lambda p: f"(({s[p]} + {gm[p]}) * I{p}) / (N{p} * N{p})")
+                body.append(f"{r} = u{j} * ({corr}) * S{j}")
+                ds, dg = f"{ds} + {r}", f"{dg} - {r}"
+            if j == k:
+                ds, dg = f"{ds} - lam{k} * S{k}", f"{dg} + lam{k} * S{k}"
+            out.append(f"{ds}, {dg}")
+    body.append("return [" + ", ".join(out) + "]")
     cells = (["zero_population", "labels", "close", "a", "priors", "fixed", "mu"]
              + [f"{c}{j}" for c in ("Pi", "v", "a") for j in g]
              + [f"u{j}" for j in g if j not in tracked]

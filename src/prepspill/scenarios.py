@@ -263,6 +263,8 @@ def run_scenarios(config):
     [intervention_year, end] per reported group.  Only the baseline lands on
     whole years: an arm, read at its window ends alone, steps freely to t_end
     from its start year with its window start as its one sample time.
+    Arm names, unique in a report: prep_<group>_<int persons>, _<start year>
+    unless it is the intervention year, and #<m> for the m-th of that name.
     """
     spec, y0 = build_model(config)
     t_int, t_end = config.intervention_year, config.end
@@ -276,7 +278,7 @@ def run_scenarios(config):
                               incidence=base_cols,
                               prevented={k: 0.0 for k in base_cols})
 
-    results = []
+    results, seen = [], {}
     for arm in config.interventions:
         k = spec.group_index(arm.group)
         seg_cfg = replace(config.integrator.over(arm.start_year, t_end), year_nodes=False)
@@ -299,8 +301,11 @@ def run_scenarios(config):
         cols = combine_reported(config.variant, labels, inc)
         cols["total"] = float(np.sum(inc))
         prevented = {key: base_cols[key] - cols[key] for key in cols}
+        name = f"prep_{arm.group}_{int(arm.additional_persons)}" + (
+            f"_{arm.start_year:g}" if arm.start_year != t_int else "")
+        seen[name] = seen.get(name, 0) + 1
         results.append(ScenarioResult(
-            name=f"prep_{arm.group}_{int(arm.additional_persons)}",
+            name=name if seen[name] == 1 else f"{name}#{seen[name]}",
             group=arm.group, additional_persons=arm.additional_persons,
             incidence=cols, prevented=prevented))
 

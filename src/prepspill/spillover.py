@@ -11,7 +11,8 @@ so gamma_j counts infections averted in group j per unit of additional
 coverage in group k, and is positive when PrEP helps.  The finite-difference
 check in :func:`fd_oracle` returns the same convention.
 
-Two dynamic modes:
+Two dynamic modes, generated with the state equations from the same
+contact-pair table by ``model._flat_rhs_maker`` (``sources``, ``exact``):
 
 * "practical" (default): the sensitivity block decays at the natural removal
   rate mu regardless of delta, while being driven by the full state
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import PerturbationOutOfRange, UnsupportedVariant, ZeroPopulation
 from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate,
                           integrate_flat, interp_rows, node_index, text_sink)
-from .model import contact_matrix_at, rhs
+from .model import VARIANTS, _flat_rhs_maker, _rhs_cells, contact_matrix_at, rhs
 
 MODES = ("practical", "exact_delta")
 
@@ -87,22 +88,6 @@ class NNTResult:
     defined: bool
 
 
-def _contact_sum(W, x, N):
-    """sum_p (W[j, p] * x_p) / N_p for every j, batched over leading axes of x.
-
-    The same values as W @ (x / N), but each term is rounded as
-    (W[j, p] * x_p) / N_p and the terms are added in partner order.  Near
-    the risk closure's xi_hetm clamp the step-size control amplifies
-    last-bit differences in this sum into node-time shifts, so the order is
-    held fixed.
-    """
-    terms = W * x[..., None, :] / N
-    out = terms[..., 0]
-    for p in range(1, terms.shape[-1]):
-        out = out + terms[..., p]
-    return out
-
-
 def _check_mode(spec, mode):
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -110,44 +95,14 @@ def _check_mode(spec, mode):
         raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
 
 
-def _sensitivity_kernel(spec, mode):
-    """derivs(W, S, I, N, lam, sig, gam, src) -> (dsig, dgam) for a batch of
-    sensitivity blocks: ``sig``/``gam`` are (B, n), one row per source,
-    ``src`` holds each row's source index, W is the contact matrix and lam
-    the raw force of infection W @ (I / N)."""
-    _check_mode(spec, mode)
-    _, _, delta, eps = spec.param_arrays()
-    u = 1.0 - eps
-    mu = spec.mu
-    exact = mode == "exact_delta"
-    gdecay = mu + delta if exact else mu
-
-    def derivs(W, S, I, N, lam, sig, gam, src):
-        coup = u * (_contact_sum(W, gam, N) * S + lam * sig)
-        dsig = -coup - mu * sig
-        dgam = coup - gdecay * gam
-        if exact:
-            corr = u * _contact_sum(W, (sig + gam) * I, N ** 2) * S
-            dsig += corr
-            dgam -= corr
-        rows = np.arange(len(src))
-        inhom = lam[src] * S[src]
-        dsig[rows, src] -= inhom
-        dgam[rows, src] += inhom
-        return dsig, dgam
-
-    return derivs
-
-
 def spillover_rhs(spec, state, sens, mode="practical", t=None):
-    """Time derivative of one sensitivity block given the current state."""
-    derivs = _sensitivity_kernel(spec, mode)
-    N = state.N
-    W = contact_matrix_at(spec, N, t)
-    dsig, dgam = derivs(W, state.S, state.I, N, _contact_sum(W, state.I, N),
-                        sens.sigma[None, :], sens.gamma[None, :], [sens.source_index])
-    return SensitivityState(source=sens.source, source_index=sens.source_index,
-                            sigma=dsig[0], gamma=dgam[0])
+    """Time derivative of one sensitivity block given the current state: the
+    block rows of the generated one-source augmented system."""
+    n, k = spec.n, sens.source_index
+    y = state.to_flat().tolist() + np.column_stack([sens.sigma, sens.gamma]).ravel().tolist()
+    out = _augmented_rhs_factory(spec, (k,), mode)(t, y)
+    return SensitivityState(source=sens.source, source_index=k,
+                            sigma=np.array(out[3 * n::2]), gamma=np.array(out[3 * n + 1::2]))
 
 
 def xi_correction(spec, state, sens):
@@ -170,32 +125,11 @@ def xi_correction(spec, state, sens):
 
 def _augmented_rhs_factory(spec, source_indices, mode):
     """Flat rhs over [state | C | one (sigma, gamma) block per source]."""
-    derivs = _sensitivity_kernel(spec, mode)
-    Pi, _, delta, eps = spec.param_arrays()
-    mu = spec.mu
-    n = spec.n
-    base = 3 * n
-    src = np.asarray(source_indices)
-
-    def f(t, y):
-        y = np.asarray(y)
-        S = y[0:2 * n:2]
-        I = y[1:2 * n:2]
-        N = S + I
-        W = contact_matrix_at(spec, N, t)
-        lam = _contact_sum(W, I, N)
-        inc = (1.0 - eps) * lam * S
-        blocks = y[base:].reshape(len(src), n, 2)
-        out = np.empty(len(y))
-        out[0:2 * n:2] = Pi - inc - mu * S
-        out[1:2 * n:2] = inc - (mu + delta) * I
-        out[2 * n:base] = inc
-        dblocks = out[base:].reshape(len(src), n, 2)
-        dblocks[:, :, 0], dblocks[:, :, 1] = derivs(
-            W, S, I, N, lam, blocks[:, :, 0], blocks[:, :, 1], src)
-        return out.tolist()
-
-    return f
+    _check_mode(spec, mode)
+    var = VARIANTS[spec.variant]
+    make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None, (),
+                           sources=tuple(source_indices), exact=mode == "exact_delta")
+    return make(**_rhs_cells(spec, var.fractions))
 
 
 def integrate_with_spillover(spec, y0, sources, cfg, mode="practical",

@@ -328,9 +328,11 @@ def _as_numpy_scalars(cells):
 @pytest.mark.parametrize("variant", ["basic", "risk"])
 def test_float_cells_keep_the_arithmetic(variant):
     # the same generated RHS with np.float64 cells (as before the float-cell
-    # rule) gives the same values bit for bit, tracked and untracked, and
-    # the closure core gives the same contact matrix for a list N
+    # rule) gives the same values bit for bit, tracked and untracked, as
+    # does the augmented spillover system (all sources, both basic modes),
+    # and the closure core gives the same contact matrix for a list N
     rng = np.random.default_rng(47)
+    block_rng = np.random.default_rng(59)
     var = VARIANTS[variant]
     for i in range(8):
         spec = random_spec(rng, variant)
@@ -350,10 +352,28 @@ def test_float_cells_keep_the_arithmetic(variant):
                                        tracked)
                 want = make(**_as_numpy_scalars(cells))(2017.0, y)
                 assert make(**cells)(2017.0, y) == want
+            cells = _rhs_cells(spec, var.fractions)
+            ya = y + (block_rng.uniform(-1.0, 1.0, 2 * spec.n ** 2) * state.N.mean()).tolist()
+            for exact in ((False, True) if variant == "basic" else (False,)):
+                make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None, (),
+                                       sources=tuple(range(spec.n)), exact=exact)
+                want = make(**_as_numpy_scalars(cells))(2017.0, ya)
+                assert make(**cells)(2017.0, ya) == want
             core = basic_fractions if variant == "basic" else risk_fractions
             mix = spec.mixing or core(state.N, a, spec.mixing_priors)
             assert np.array_equal(contact_matrix_at(spec, state.N),
                                   contact_matrix(spec, mix))
+
+
+def test_tracked_coverage_with_empty_pool(basic):
+    # S_j <= c_j means full coverage, also at S_j = 0 (no division by zero)
+    spec, y0 = basic
+    state = StateVec.make(y0.S * [0.0, 1.0, 1.0], y0.I)
+    f = flat_rhs_factory(spec, tracked_counts=[1000.0, 0.0, 0.0])
+    got = f(2017.0, state.to_flat().tolist())
+    want = rhs(spec.with_epsilon({"msm": 1.0}), state)
+    assert np.allclose(got, StateVec(S=want.S, I=want.I, C=want.C).to_flat(),
+                       rtol=1e-12, atol=0.0)
 
 
 def test_population_relaxation_delta_zero(basic):

@@ -8,8 +8,8 @@ import pytest
 
 from prepspill.cli import main
 from prepspill.errors import (MissingSeries, SchemaViolation, UnknownGroup)
-from prepspill.presets import (ANNUAL_INCIDENCE_BAND, PREVALENCE_ANCHOR_2017,
-                               PREVALENCE_BAND, georgia_basic)
+from prepspill.presets import (ANNUAL_INCIDENCE_BAND, BASIC_ARMS,
+                               PREVALENCE_ANCHOR_2017, PREVALENCE_BAND, georgia_basic)
 from prepspill.integrators import annual_series
 from prepspill.scenarios import (build_model, default_config, emit_plot_data,
                                  load_config, report_to_csv, run_scenarios,
@@ -368,3 +368,31 @@ def test_cli_nnt_horizon_within_window(tmp_path, capsys, horizon, rc):
                  "--horizon", horizon]) == rc
     err = capsys.readouterr().err
     assert err.startswith("error: --horizon ") if rc else err == ""
+
+
+def test_cli_tracked_count_with_empty_pool(tmp_path, capsys):
+    # a tracked group starting with S = 0 is fully covered until S exceeds
+    # the count, instead of dividing by zero
+    path = write_config(tmp_path, {
+        "model": "basic", "intervention_mode": "tracked-count",
+        "initial_conditions": {"msm": {"S": 0, "I": 42000}},
+        "interventions": [{"group": "msm", "additional_persons": 10000,
+                           "start_year": 2017}]})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_simulate_json_names_every_arm(tmp_path, capsys):
+    # arms differing only in start year, or repeated outright, each get an
+    # entry; preset arms keep their plain names
+    arms = [("msm", 10000, 2020), ("msm", 10000, 2022), ("msm", 10000, 2022),
+            ("msm", 10000.4, 2018.5)]
+    path = write_config(tmp_path, {"model": "basic", "interventions": [
+        {"group": g, "additional_persons": d, "start_year": y} for g, d, y in arms]})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out"), "--json"]) == 0
+    got = json.loads(capsys.readouterr().out)["scenarios"]
+    assert sorted(got) == ["prep_msm_10000", "prep_msm_10000_2018.5", "prep_msm_10000_2022",
+                           "prep_msm_10000_2022#2"]
+    assert got["prep_msm_10000_2022#2"] == got["prep_msm_10000_2022"] != got["prep_msm_10000"]
+    report = run_scenarios(default_config("basic"))
+    assert [r.name for r in report.scenarios] == [f"prep_{g}_{d}" for g, d in BASIC_ARMS]

@@ -3,11 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import random_spec, random_state
 from prepspill.errors import (PerturbationOutOfRange, UnsupportedVariant,
                               ZeroPopulation)
 from prepspill.integrators import IntegratorConfig, integrate
-from prepspill.model import StateVec, dfe
-from prepspill.spillover import (SensitivityState, fd_oracle,
+from prepspill.model import StateVec, closed_mixing, dfe, flat_rhs_factory, rhs
+from prepspill.spillover import (SensitivityState, _augmented_rhs_factory, fd_oracle,
                                  incidence_sensitivity,
                                  integrate_with_spillover, nnt,
                                  per_person_effect, spillover_rhs,
@@ -319,7 +320,6 @@ def test_exact_delta_risk_rejected_without_sources(risk):
 
 
 def test_augmented_rhs_zero_population_names_group_and_time(basic):
-    from prepspill.spillover import _augmented_rhs_factory
     spec, y0 = basic
     f = _augmented_rhs_factory(spec, [0], "practical")
     y = np.concatenate([y0.to_flat(), np.zeros(2 * spec.n)])
@@ -329,6 +329,44 @@ def test_augmented_rhs_zero_population_names_group_and_time(basic):
     empty = StateVec.make(y0.S * [1.0, 1.0, 0.0], y0.I * [1.0, 1.0, 0.0])
     with pytest.raises(ZeroPopulation, match=r"^group hetm has N = 0$"):
         spillover_rhs(spec, empty, SensitivityState.zero(spec, "msm"))
+
+
+@pytest.mark.parametrize("variant, mode", [("basic", "exact_delta"),
+                                           ("basic", "practical"), ("risk", "practical")])
+def test_sensitivity_rows_match_finite_differences(variant, mode):
+    # Each block of the augmented RHS is -d/dh at h = 0 of the flat RHS at
+    # x - h (sigma, gamma) with eps_k + h.  Mixing is pinned, so W is
+    # constant.  The practical block ignores delta, and is that derivative
+    # of the delta = 0 model for sigma = -gamma, where its correction term
+    # vanishes.
+    rng = np.random.default_rng(53)
+    h = 1e-6
+    for _ in range(40):
+        spec = random_spec(rng, variant)
+        state = random_state(rng, spec)
+        spec = replace(spec, mixing=closed_mixing(spec, state.N))
+        fd_spec = spec.with_delta_zero() if mode == "practical" else spec
+        n, x = spec.n, state.to_flat()
+        blocks = rng.uniform(-1.0, 1.0, (n, n, 2)) * state.N.mean()
+        if mode == "practical":
+            blocks[:, :, 0] = -blocks[:, :, 1]
+        got = np.array(_augmented_rhs_factory(spec, range(n), mode)(
+            2017.0, np.concatenate([x, blocks.ravel()]).tolist()))
+        flat = np.array(flat_rhs_factory(spec)(2017.0, x.tolist()))
+        Pi, _, delta, _ = spec.param_arrays()
+        inc = rhs(spec, state).C
+        scale = np.concatenate([np.column_stack([Pi + inc + spec.mu * state.S,
+                                                 inc + (spec.mu + delta) * state.I]).ravel(),
+                                inc])
+        assert np.all(np.abs(got[:3 * n] - flat) <= 1e-12 * scale)
+        for k in range(n):
+            d = np.concatenate([blocks[k].ravel(), np.zeros(n)])
+            lo, hi = (np.array(flat_rhs_factory(fd_spec.with_epsilon(
+                {spec.labels[k]: spec.groups[k][1].epsilon + e}))(2017.0, (x - e * d).tolist()))
+                for e in (-h, h))
+            want = -(hi - lo)[:2 * n] / (2.0 * h)
+            block = got[3 * n + 2 * n * k:3 * n + 2 * n * (k + 1)]
+            assert np.abs(block - want).max() <= 1e-6 * np.abs(block).max()
 
 
 def test_nnt_integral_continuous_across_node(aug_basic):
