@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation failure, 1 any other error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -200,6 +201,7 @@ def cmd_emit_plots(args):
     return 0
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def build_parser():
     ap = argparse.ArgumentParser(prog="prepspill",
                                  description=__doc__.splitlines()[0])

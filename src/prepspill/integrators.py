@@ -2,8 +2,10 @@
 
 Two methods: classic fixed-step RK4 and the embedded Dormand-Prince 5(4)
 pair with elementary step control and FSAL (1 + 6 RHS evaluations per
-attempted step), each step one function that builds its stages entry by
-entry with the tableau inline.  Both land exactly on every integer calendar
+attempted step).  The RK4 step builds its stages with one list pass each,
+so it also steps batch columns; the Dormand-Prince attempt, error norm
+included, is generated and compiled once per system width, unrolled over
+the components (_dp_step_maker).  Both land exactly on every integer calendar
 year inside the span and on any extra sample times, so annual aggregates are
 plain differences of stored values, never interpolated.  Runs read only at
 their ends and sample times (scenario arms, stability probes) switch
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -244,29 +247,61 @@ def _rk4_step(f, t, y, h):
             for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
 
 
-def _dp_step(f, t, y, h, k1):
-    """One Dormand-Prince 5(4) attempt (Hairer, Norsett & Wanner, Solving
-    ODEs I, Table II.5.2) given k1 = f(t, y): the 5th-order solution y5, the
-    next k1 = f(t + h, y5), and y5 minus the embedded 4th-order solution."""
-    k2 = f(t + 1 / 5 * h, [yi + h * (1 / 5 * s1) for yi, s1 in zip(y, k1)])
-    k3 = f(t + 3 / 10 * h, [yi + h * (3 / 40 * s1 + 9 / 40 * s2)
-                            for yi, s1, s2 in zip(y, k1, k2)])
-    k4 = f(t + 4 / 5 * h, [yi + h * (44 / 45 * s1 - 56 / 15 * s2 + 32 / 9 * s3)
-                           for yi, s1, s2, s3 in zip(y, k1, k2, k3)])
-    k5 = f(t + 8 / 9 * h, [yi + h * (19372 / 6561 * s1 - 25360 / 2187 * s2
-                                     + 64448 / 6561 * s3 - 212 / 729 * s4)
-                           for yi, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
-    k6 = f(t + h, [yi + h * (9017 / 3168 * s1 - 355 / 33 * s2 + 46732 / 5247 * s3
-                             + 49 / 176 * s4 - 5103 / 18656 * s5)
-                   for yi, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
-    y5 = [yi + h * (35 / 384 * s1 + 500 / 1113 * s3 + 125 / 192 * s4
-                    - 2187 / 6784 * s5 + 11 / 84 * s6)
-          for yi, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
-    k7 = f(t + h, y5)
-    err = [h * (71 / 57600 * s1 - 71 / 16695 * s3 + 71 / 1920 * s4
-                - 17253 / 339200 * s5 + 22 / 525 * s6 - 1 / 40 * s7)
-           for s1, s3, s4, s5, s6, s7 in zip(k1, k3, k4, k5, k6, k7)]
-    return y5, k7, err
+# Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# Table II.5.2) as source text over the stage names {0}..{6} (k1..k7): the
+# nodes and weights of stages 2-6, the 5th-order weights, and the weights of
+# y5 minus the embedded 4th-order solution.
+_DP_STAGES = (
+    ("t + 1 / 5 * h", "1 / 5 * {0}"),
+    ("t + 3 / 10 * h", "3 / 40 * {0} + 9 / 40 * {1}"),
+    ("t + 4 / 5 * h", "44 / 45 * {0} - 56 / 15 * {1} + 32 / 9 * {2}"),
+    ("t + 8 / 9 * h", "19372 / 6561 * {0} - 25360 / 2187 * {1} + 64448 / 6561 * {2}"
+                      " - 212 / 729 * {3}"),
+    ("t + h", "9017 / 3168 * {0} - 355 / 33 * {1} + 46732 / 5247 * {2} + 49 / 176 * {3}"
+              " - 5103 / 18656 * {4}"),
+)
+_DP_Y5 = ("35 / 384 * {0} + 500 / 1113 * {2} + 125 / 192 * {3} - 2187 / 6784 * {4}"
+          " + 11 / 84 * {5}")
+_DP_ERR = ("71 / 57600 * {0} - 71 / 16695 * {2} + 71 / 1920 * {3} - 17253 / 339200 * {4}"
+           " + 22 / 525 * {5} - 1 / 40 * {6}")
+
+
+@functools.lru_cache(maxsize=None)
+def _dp_step_maker(w):
+    """Compile one Dormand-Prince 5(4) attempt for systems of width w:
+    ``step(f, t, y, h, k1, atol, rtol) -> (y5, k7, err)`` given k1 = f(t, y),
+    with y5 the 5th-order solution, k7 = f(t + h, y5) the next k1 (FSAL),
+    and err the RMS over components of (y5 - y4) / (atol + rtol * max(|y|,
+    |y5|)), y4 the embedded 4th-order solution.
+
+    Unrolled like model._flat_rhs_maker: each stage's components are
+    unpacked into locals k<s>_<i>, each stage argument is a list display
+    with one expression per entry, and the norm's squares are summed term by
+    term, left to right (as sum() does on Python 3.11), so an attempt costs
+    6 RHS evaluations and no list passes.
+    """
+    c = range(w)
+
+    def stage(i, text):
+        return text.format(*(f"k{s}_{i}" for s in range(1, 8)))
+
+    def unpack(s, src):
+        return "".join(f"k{s}_{i}, " for i in c) + f"= {src}"
+    body = ["".join(f"y_{i}, " for i in c) + "= y", unpack(1, "k1")]
+    for s, (node, weights) in enumerate(_DP_STAGES, start=2):
+        args = ", ".join(f"y_{i} + h * ({stage(i, weights)})" for i in c)
+        body.append(unpack(s, f"f({node}, [{args}])"))
+    body += [f"z_{i} = y_{i} + h * ({stage(i, _DP_Y5)})" for i in c]
+    body += ["y5 = [" + ", ".join(f"z_{i}" for i in c) + "]", "k7 = f(t + h, y5)",
+             unpack(7, "k7")]
+    terms = " + ".join(f"(h * ({stage(i, _DP_ERR)}) / (atol + rtol * max(abs(y_{i}), "
+                       f"abs(z_{i})))) ** 2" for i in c)
+    body.append(f"return y5, k7, sqrt(({terms}) / {w})")
+    src = ("def step(f, t, y, h, k1, atol, rtol):\n"
+           + "".join(f"    {line}\n" for line in body))
+    scope = {"sqrt": math.sqrt}
+    exec(compile(src, f"<dp_step_{w}>", "exec"), scope)
+    return scope["step"]
 
 
 def integrate_flat(f, y0, cfg, n_state, sample_times=None):
@@ -296,16 +331,14 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     tol = NODE_TOL * min(1.0, cfg.t_end - cfg.t0)
     t = breaks[0]
     k1 = f(t, y)
+    step = _dp_step_maker(len(y))
     h = min(cfg.dt_max, max(cfg.dt_min, cfg.first_step or 1e-2))
     for target in breaks[1:]:
         while t < target - tol:
             h = min(h, cfg.dt_max, target - t)
             if h < cfg.dt_min:
                 raise StepSizeUnderflow(f"dt = {h:.3e} below dt_min at t = {t:.6f}")
-            ynew, k7, yerr = _dp_step(f, t, y, h, k1)
-            # scaled RMS norm of the error estimate
-            err = math.sqrt(sum((e / (cfg.atol + cfg.rtol * max(abs(yi), abs(yn)))) ** 2
-                                for e, yi, yn in zip(yerr, y, ynew)) / len(y))
+            ynew, k7, err = step(f, t, y, h, k1, cfg.atol, cfg.rtol)
             if err <= 1.0:
                 t = target if target - t - h <= tol else t + h
                 y = ynew

@@ -16,6 +16,7 @@ j is then (1 - epsilon_j) * (W @ (I / N))_j.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -77,6 +78,8 @@ class GroupParams:
     epsilon: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.Pi, self.a, self.delta, self.epsilon))):
+            raise ValueError(f"group parameters must be finite, got {self}")
         if min(self.Pi, self.a, self.delta, self.epsilon) < 0.0:
             raise ValueError("group parameters must be nonnegative")
         if self.epsilon > 1.0:
@@ -304,8 +307,9 @@ def dfe(spec):
 # system.  Python-float arithmetic beats tiny numpy arrays by an order of
 # magnitude at these dimensions, and an unrolled body beats a loop over the
 # contact pairs, so the body is generated from the variant's contact-pair
-# table.  The generated source holds only integer indices and fixed names;
-# every value enters through closure cells.
+# table (as integrators._dp_step_maker unrolls the Dormand-Prince attempt
+# that consumes it over the system width).  The generated source holds only
+# integer indices and fixed names; every value enters through closure cells.
 # Float-cell rule: every numeric cell of a scalar RHS is a Python float,
 # converted once in _rhs_cells and flat_rhs_factory.  One numpy scalar cell
 # makes every returned entry, and so every Dormand-Prince stage, a numpy

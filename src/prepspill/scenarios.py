@@ -27,7 +27,8 @@ from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       TABLE_BASIC_INTERVENTIONS, TABLE_RISK_BASELINE,
                       TABLE_RISK_INTERVENTIONS, combine_reported,
                       georgia_spec, reported_groups)
-from .spillover import integrate_with_spillover, nnt
+# nnt stays importable from here for tracers that rebind scenarios.nnt
+from .spillover import integrate_with_spillover, nnt, simple_nnt  # noqa: F401
 from .sobol import UncertainInput, sobol_timeseries
 
 SCHEMA_VERSION = 1
@@ -187,8 +188,11 @@ def build_model(config):
         groups = []
         for gid, params in spec.groups:
             upd = ov["groups"].get(gid.label, {})
-            kw = {k: float(v) for k, v in upd.items()}
-            groups.append((gid, replace(params, **kw)))
+            try:
+                groups.append((gid, replace(params, **{k: float(v) for k, v in upd.items()})))
+            except (TypeError, ValueError) as e:
+                raise SchemaViolation(f"overrides.groups.{gid.label}: {e}",
+                                      key=f"overrides.groups.{gid.label}") from e
         spec = replace(spec, groups=tuple(groups))
     if config.initial_conditions is not None:
         S = list(y0.S)
@@ -286,8 +290,11 @@ def run_scenarios(config):
         start_state = base_traj.state_at(arm.start_year)
         arm_spec, counts = spec, None
         if config.intervention_mode == "fixed-fraction":
-            eps_k = spec.groups[k][1].epsilon + arm.additional_persons / start_state.S[k]
-            arm_spec = spec.with_epsilon({arm.group: min(eps_k, 1.0)})
+            # as with tracked counts: persons added to an empty pool cover it
+            eps_k, S_k = spec.groups[k][1].epsilon, start_state.S[k]
+            if arm.additional_persons > 0.0:
+                eps_k = min(eps_k + arm.additional_persons / S_k, 1.0) if S_k > 0.0 else 1.0
+            arm_spec = spec.with_epsilon({arm.group: eps_k})
         else:
             counts = [0.0] * spec.n
             counts[k] = (spec.groups[k][1].epsilon * start_state.S[k]
@@ -474,16 +481,20 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
         w.writerow(["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs])
         horizons = [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]
         for T in horizons:
+            # nnt()'s nnt_simple, reading the state and each block once per horizon
+            t_eval = traj.times[0] + T
+            S = traj.state_at(t_eval).S
+            gamma = {k: sens[k].at(t_eval).gamma for k in labels}
             row = [f"{T:.2f}"]
             for jl, k in pairs:
-                res = nnt(sens[k], traj, jl, k, T, spec.mu)
-                if not res.defined or res.nnt_simple > NNT_DISPLAY_CAP:
+                simple = simple_nnt(T, S[labels.index(k)], gamma[k][labels.index(jl)])
+                if simple is None or simple > NNT_DISPLAY_CAP:
                     row.append("")
                     suppressed.append({"T": T, "j": jl, "k": k,
-                                       "reason": "undefined" if not res.defined
+                                       "reason": "undefined" if simple is None
                                        else "excessive"})
                 else:
-                    row.append(f"{res.nnt_simple:.3f}")
+                    row.append(f"{simple:.3f}")
             w.writerow(row)
         p = os.path.join(out_dir, f"nnt_{variant}.csv")
         _write(p, buf.getvalue())

@@ -20,7 +20,9 @@ contact-pair table by ``model._flat_rhs_maker`` (``sources``, ``exact``):
 * "exact_delta" (basic variant only): infected sensitivities decay at
   mu + delta_j and the population-size correction vectors (see
   :func:`xi_correction`) are added, making the block the exact derivative
-  system of the delta != 0 model.
+  system of the delta != 0 model at fixed mixing fractions.  A closure
+  re-solved from N at every evaluation moves with N too, which the block
+  leaves out (up to 3.3e-3 of a row's largest entry on random basic specs).
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from .errors import PerturbationOutOfRange, UnsupportedVariant, ZeroPopulation
 from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate,
                           integrate_flat, interp_rows, node_index, text_sink)
-from .model import VARIANTS, _flat_rhs_maker, _rhs_cells, contact_matrix_at, rhs
+from .model import VARIANTS, _flat_rhs_maker, _rhs_cells, contact_matrix_at
 
 MODES = ("practical", "exact_delta")
 
@@ -95,14 +97,19 @@ def _check_mode(spec, mode):
         raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
 
 
+def _one_source_rhs(spec, state, sens, mode, t):
+    """The generated one-source augmented system evaluated at (state, block):
+    the flat derivative, state slots first, then the block's (sigma, gamma)."""
+    y = state.to_flat().tolist() + np.column_stack([sens.sigma, sens.gamma]).ravel().tolist()
+    return _augmented_rhs_factory(spec, (sens.source_index,), mode)(t, y)
+
+
 def spillover_rhs(spec, state, sens, mode="practical", t=None):
     """Time derivative of one sensitivity block given the current state: the
     block rows of the generated one-source augmented system."""
-    n, k = spec.n, sens.source_index
-    y = state.to_flat().tolist() + np.column_stack([sens.sigma, sens.gamma]).ravel().tolist()
-    out = _augmented_rhs_factory(spec, (k,), mode)(t, y)
-    return SensitivityState(source=sens.source, source_index=k,
-                            sigma=np.array(out[3 * n::2]), gamma=np.array(out[3 * n + 1::2]))
+    out = _one_source_rhs(spec, state, sens, mode, t)[3 * spec.n:]
+    return SensitivityState(source=sens.source, source_index=sens.source_index,
+                            sigma=np.array(out[0::2]), gamma=np.array(out[1::2]))
 
 
 def xi_correction(spec, state, sens):
@@ -182,16 +189,22 @@ def per_person_effect(sens, state, j):
 
 def incidence_sensitivity(spec, state, sens, j, mode="practical"):
     """Sensitivity of group j's incidence rate to persons on PrEP in the source:
-    d/dt [gamma_j / S_k] + mu * gamma_j / S_k, evaluated from the available
-    state and sensitivity derivatives."""
+    d/dt [gamma_j / S_k] + mu * gamma_j / S_k, with dS_k/dt and dgamma_j/dt
+    from one evaluation of the one-source augmented system."""
     k = sens.source_index
     Sk = state.S[k]
     if Sk <= 0.0:
         raise ZeroPopulation(f"source group {sens.source} has S = 0")
-    dstate = rhs(spec, state)
-    dsens = spillover_rhs(spec, state, sens, mode=mode)
-    quot_dot = (dsens.gamma[j] * Sk - sens.gamma[j] * dstate.S[k]) / Sk ** 2
+    d = _one_source_rhs(spec, state, sens, mode, 0.0)
+    quot_dot = (d[3 * spec.n + 2 * j + 1] * Sk - sens.gamma[j] * d[2 * k]) / Sk ** 2
     return quot_dot + spec.mu * sens.gamma[j] / Sk
+
+
+def simple_nnt(T, S_k, gamma_j):
+    """nnt_simple = T * S_k / gamma_j: person-years of PrEP in k per
+    infection prevented in j over a horizon T, from S_k and gamma_j at the
+    horizon.  None (undefined) when gamma_j <= 0."""
+    return None if gamma_j <= 0.0 else T * S_k / gamma_j
 
 
 def nnt(sens_traj, state_traj, j, k, T, mu):
@@ -218,7 +231,8 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
     gam_T = sens_traj.at(t_eval).gamma[j_idx]
     S_T = state_traj.state_at(t_eval).S[k_idx]
     jl, kl = state_traj.labels[j_idx], sens_traj.source
-    if gam_T <= 0.0:
+    simple = simple_nnt(T, S_T, gam_T)
+    if simple is None:
         return NNTResult(j=jl, k=kl, horizon=T, nnt_simple=float("nan"),
                          nnt_integral=float("nan"), defined=False)
     if sens_traj.times is not state_traj.times and (  # shared by integrate_with_spillover
@@ -232,7 +246,6 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
     if t_eval - tt[-1] > NODE_TOL:
         tt, ratio = np.append(tt, t_eval), np.append(ratio, gam_T / S_T)
     integral = float(np.trapezoid(ratio, tt))
-    simple = T * S_T / gam_T
     full = T / (gam_T / S_T + mu * integral)
     return NNTResult(j=jl, k=kl, horizon=T, nnt_simple=simple,
                      nnt_integral=full, defined=True)

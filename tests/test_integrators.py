@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
-from prepspill.integrators import (NODE_TOL, IntegratorConfig, _breakpoints, _dp_step,
-                                   _postprocess_columns, annual_series, integrate,
-                                   integrate_batch, integrate_flat, interp_rows)
+from prepspill.integrators import (NODE_TOL, IntegratorConfig, _breakpoints,
+                                   _dp_step_maker, _postprocess_columns, annual_series,
+                                   integrate, integrate_batch, integrate_flat,
+                                   interp_rows)
 from prepspill.model import StateVec, TransmissionProbs, make_spec
 from prepspill.mixing import BasicMixing
 from prepspill.spillover import integrate_with_spillover
@@ -230,9 +231,64 @@ def test_interp_rows_matches_per_column_interp():
 
 
 # Embedded 4th-order weights of Dormand-Prince 5(4) (Hairer, Norsett & Wanner,
-# Solving ODEs I, Table II.5.2); _dp_step's error is y5 minus this solution.
+# Solving ODEs I, Table II.5.2); the step's error is y5 minus this solution.
 DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
          187 / 2100, 1 / 40)
+
+
+def reference_dp_step(f, t, y, h, k1, atol, rtol):
+    """The Dormand-Prince attempt as list comprehensions over the
+    components, with the scaled RMS error norm as a generator expression:
+    the oracle the generated step must match bit for bit."""
+    k2 = f(t + 1 / 5 * h, [yi + h * (1 / 5 * s1) for yi, s1 in zip(y, k1)])
+    k3 = f(t + 3 / 10 * h, [yi + h * (3 / 40 * s1 + 9 / 40 * s2)
+                            for yi, s1, s2 in zip(y, k1, k2)])
+    k4 = f(t + 4 / 5 * h, [yi + h * (44 / 45 * s1 - 56 / 15 * s2 + 32 / 9 * s3)
+                           for yi, s1, s2, s3 in zip(y, k1, k2, k3)])
+    k5 = f(t + 8 / 9 * h, [yi + h * (19372 / 6561 * s1 - 25360 / 2187 * s2
+                                     + 64448 / 6561 * s3 - 212 / 729 * s4)
+                           for yi, s1, s2, s3, s4 in zip(y, k1, k2, k3, k4)])
+    k6 = f(t + h, [yi + h * (9017 / 3168 * s1 - 355 / 33 * s2 + 46732 / 5247 * s3
+                             + 49 / 176 * s4 - 5103 / 18656 * s5)
+                   for yi, s1, s2, s3, s4, s5 in zip(y, k1, k2, k3, k4, k5)])
+    y5 = [yi + h * (35 / 384 * s1 + 500 / 1113 * s3 + 125 / 192 * s4
+                    - 2187 / 6784 * s5 + 11 / 84 * s6)
+          for yi, s1, s3, s4, s5, s6 in zip(y, k1, k3, k4, k5, k6)]
+    k7 = f(t + h, y5)
+    err = [h * (71 / 57600 * s1 - 71 / 16695 * s3 + 71 / 1920 * s4
+                - 17253 / 339200 * s5 + 22 / 525 * s6 - 1 / 40 * s7)
+           for s1, s3, s4, s5, s6, s7 in zip(k1, k3, k4, k5, k6, k7)]
+    norm = math.sqrt(sum((e / (atol + rtol * max(abs(yi), abs(yn)))) ** 2
+                         for e, yi, yn in zip(err, y, y5)) / len(y))
+    return y5, k7, norm
+
+
+@pytest.mark.parametrize("w", [1, 2, 9, 12, 27, 44])
+def test_generated_dp_step_equals_reference_bit_for_bit(w):
+    # a nonlinear, coupled RHS with mixed signs and magnitudes; every stage
+    # argument, y5, k7 and the norm must carry the reference's exact bits
+    rng = np.random.default_rng(1000 + w)
+    step = _dp_step_maker(w)
+    assert _dp_step_maker(w) is step
+    for _ in range(25):
+        A = rng.normal(0.0, 2.0, (w, w)) * rng.uniform(0.0, 1.0, (w, w)) ** 4
+        A, c, p = A.tolist(), rng.normal(0.0, 1.0, w).tolist(), int(rng.integers(w))
+
+        def f(t, y, log):
+            log.append((t, [v.hex() for v in y]))
+            return [sum(a * v for a, v in zip(row, y)) + ci * math.sin(t) * y[p]
+                    for row, ci in zip(A, c)]
+        y = (rng.normal(0.0, 1.0, w) * 10.0 ** rng.uniform(-8, 6, w)).tolist()
+        t, h = float(rng.uniform(-5.0, 2031.0)), float(10.0 ** rng.uniform(-6, 0))
+        atol, rtol = float(10.0 ** rng.uniform(-12, -4)), float(10.0 ** rng.uniform(-12, -2))
+        k1 = f(t, y, [])
+        got_log, want_log = [], []
+        got = step(lambda t, y: f(t, y, got_log), t, y, h, k1, atol, rtol)
+        want = reference_dp_step(lambda t, y: f(t, y, want_log), t, y, h, k1, atol, rtol)
+        assert len(got_log) == 6 and got_log == want_log
+        assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
+        assert [v.hex() for v in got[1]] == [v.hex() for v in want[1]]
+        assert got[2].hex() == want[2].hex()
 
 
 @pytest.mark.parametrize("z", [0.1, -0.5, -2.0])
@@ -245,19 +301,27 @@ def test_dp_step_linear_stability_function(z):
         calls.append((t, list(y)))
         return [z * v for v in y]
 
-    y0, t, h = [1.0, -3.0], 2.0, 1.0
+    y0, t, h, atol, rtol = [1.0, -3.0], 2.0, 1.0, 1e-9, 1e-6
     k1 = f(t, y0)
-    y5, k7, err = _dp_step(f, t, y0, h, k1)
+    y5, k7, err = _dp_step_maker(2)(f, t, y0, h, k1, atol, rtol)
     R = sum(z ** i / math.factorial(i) for i in range(6)) + z ** 6 / 600
     assert len(calls) == 7  # k1 plus six new stages, the last at y5
     assert [c[0] for c in calls] == [t + c * h for c in
                                      (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)]
     assert calls[-1][1] == y5 and k7 == [z * v for v in y5]
     ks = [[z * v for v in c[1]] for c in calls]
-    for i, (v0, v5, e) in enumerate(zip(y0, y5, err)):
-        assert abs(v5 - R * v0) <= 1e-13 * abs(R * v0)
+    # y5 - y4 to 1e-13 of |y5| in each component bounds the scaled RMS norm's
+    # error by 1e-13 times the same norm of y5 (triangle inequality)
+    scale = [atol + rtol * max(abs(v0), abs(v5)) for v0, v5 in zip(y0, y5)]
+    diffs = []
+    for i, v0 in enumerate(y0):
+        assert abs(y5[i] - R * v0) <= 1e-13 * abs(R * v0)
         y4 = v0 + h * sum(b * k[i] for b, k in zip(DP_B4, ks))
-        assert abs(e - (v5 - y4)) <= 1e-13 * abs(v5)
+        diffs.append(y5[i] - y4)
+
+    def norm(v):
+        return math.sqrt(sum((x / s) ** 2 for x, s in zip(v, scale)) / len(v))
+    assert abs(err - norm(diffs)) <= 1e-13 * norm(y5)
 
 
 def test_dp_rhs_count_with_rejections():

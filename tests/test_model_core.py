@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from conftest import random_spec, random_state
 from prepspill.errors import ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate, integrate_flat
-from prepspill.model import (VARIANTS, StateVec, TransmissionProbs, _flat_rhs_maker,
-                             _rhs_cells, batched_rhs_factory, build_lambda_vectors,
-                             closed_mixing, contact_matrix, contact_matrix_at, dfe,
-                             flat_rhs_factory, incidence, make_spec, rhs)
+from prepspill.model import (VARIANTS, GroupParams, StateVec, TransmissionProbs,
+                             _flat_rhs_maker, _rhs_cells, batched_rhs_factory,
+                             build_lambda_vectors, closed_mixing, contact_matrix,
+                             contact_matrix_at, dfe, flat_rhs_factory, incidence,
+                             make_spec, rhs)
 from prepspill.mixing import BasicMixing, basic_fractions, risk_fractions
 from prepspill.reproduction import build_ngm
 
@@ -413,3 +414,13 @@ def test_zero_population_names_group_and_time(basic):
         build_lambda_vectors(spec, empty, t=2020.5)
     with pytest.raises(ZeroPopulation, match=r"^group hetf has N = 0 at t = 2020.5$"):
         flat_rhs_factory(spec)(2020.5, list(empty.to_flat()))
+
+
+@pytest.mark.parametrize("field", ["Pi", "a", "delta", "epsilon"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_group_params_reject_non_finite(field, value):
+    # NaN passes both the < 0 and the > 1 comparison, so finiteness is
+    # checked first
+    with pytest.raises(ValueError, match="must be finite"):
+        GroupParams(**{"Pi": 1000.0, "a": 50.0, "delta": 0.01, "epsilon": 0.2,
+                       field: value})

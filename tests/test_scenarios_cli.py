@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import os
@@ -6,14 +7,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from prepspill.cli import main
+from prepspill.cli import build_parser, main
 from prepspill.errors import (MissingSeries, SchemaViolation, UnknownGroup)
 from prepspill.presets import (ANNUAL_INCIDENCE_BAND, BASIC_ARMS,
                                PREVALENCE_ANCHOR_2017, PREVALENCE_BAND, georgia_basic)
 from prepspill.integrators import annual_series
-from prepspill.scenarios import (build_model, default_config, emit_plot_data,
-                                 load_config, report_to_csv, run_scenarios,
-                                 validate_tables)
+from prepspill.scenarios import (NNT_DISPLAY_CAP, build_model, default_config,
+                                 emit_plot_data, load_config, report_to_csv,
+                                 run_scenarios, run_spillover, validate_tables)
+from prepspill.spillover import nnt
 
 # Table-9 cells known to sit outside tolerance under the fixed-contact-rate
 # closure (see decisions notes); everything else must pass.
@@ -155,6 +157,25 @@ def test_emit_nnt_has_empty_cells_and_sidecar(tmp_path):
     assert side["suppressed"], "expected suppressed NNT cells"
     reasons = {s["reason"] for s in side["suppressed"]}
     assert reasons <= {"undefined", "excessive"}
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
+    # every cell of the series is nnt()'s nnt_simple at that horizon, empty
+    # exactly where nnt() is undefined or above the display cap
+    config = default_config(variant)
+    spec, _, traj, sens = run_spillover(config)
+    csv_path = emit_plot_data(str(tmp_path), variant=variant, series=("nnt",))[0]
+    rows = list(csv.reader(io.StringIO(Path(csv_path).read_text())))
+    pairs = [(jl, k) for k in spec.labels for jl in spec.labels]
+    assert rows[0] == ["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs]
+    assert len(rows) == 23
+    for row in rows[1:]:
+        T = float(row[0])
+        for (jl, k), cell in zip(pairs, row[1:]):
+            res = nnt(sens[k], traj, jl, k, T, spec.mu)
+            shown = res.defined and res.nnt_simple <= NNT_DISPLAY_CAP
+            assert cell == (f"{res.nnt_simple:.3f}" if shown else "")
 
 
 def test_baseline_brackets_surveillance_bands(baseline_basic):
@@ -396,3 +417,59 @@ def test_cli_simulate_json_names_every_arm(tmp_path, capsys):
     assert got["prep_msm_10000_2022#2"] == got["prep_msm_10000_2022"] != got["prep_msm_10000"]
     report = run_scenarios(default_config("basic"))
     assert [r.name for r in report.scenarios] == [f"prep_{g}_{d}" for g, d in BASIC_ARMS]
+
+
+def test_cli_fixed_fraction_with_empty_pool(tmp_path, capsys):
+    # persons added to an empty pool cover it fully, as with tracked counts;
+    # an arm adding no one keeps the spec's coverage, so its row is the
+    # baseline's.  Neither divides by the empty pool.
+    path = write_config(tmp_path, {
+        "model": "basic", "intervention_mode": "fixed-fraction",
+        "initial_conditions": {"msm": {"S": 0, "I": 42000}},
+        "interventions": [{"group": "msm", "additional_persons": d, "start_year": 2017}
+                          for d in (1000, 0)]})
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    header, *rows = csv.reader(io.StringIO((out / "table_basic.csv").read_text()))
+    rows = {r[0]: dict(zip(header, r)) for r in rows}
+    base, full, none = rows["baseline"], rows["prep_msm_1000_2017"], rows["prep_msm_0_2017"]
+    assert full["incidence_msm"] == "0.000"
+    for col in header[3:]:
+        if col.startswith("incidence_"):
+            assert none[col] == base[col]
+        else:
+            assert float(none[col]) == 0.0
+
+
+def test_cli_calls_in_one_process_keep_their_own_arguments(tmp_path, capsys):
+    # one cached parser serves every main() call in a process; no call's
+    # subcommand, flags or defaults leak into the next
+    assert build_parser() is build_parser()
+    first = build_parser().parse_args(["spillover", "--mode", "exact_delta", "--json"])
+    second = build_parser().parse_args(["ngm", "--model", "risk"])
+    assert (first.command, first.mode, first.json, first.model) == \
+        ("spillover", "exact_delta", True, "basic")
+    assert (second.command, second.json, second.model) == ("ngm", False, "risk")
+    assert not hasattr(second, "mode")
+    out = str(tmp_path)
+    assert main(["nnt", "--horizon", "2.5", "--json", "--out", out]) == 0
+    assert {r["horizon"] for r in json.loads(capsys.readouterr().out)["results"]} == {2.5}
+    assert main(["nnt", "--out", out]) == 0
+    text = capsys.readouterr().out
+    assert text.startswith("wrote ") and "T=11.0]" in text and "T=2.5]" not in text
+    assert main(["ngm", "--json", "--out", out]) == 0
+    assert json.loads(capsys.readouterr().out)["labels"] == ["msm", "hetf", "hetm"]
+    assert main(["ngm", "--out", out]) == 0
+    assert capsys.readouterr().out.startswith("model: basic ")
+
+
+@pytest.mark.parametrize("override", [{"epsilon": 1.5}, {"Pi": float("nan")},
+                                      {"a": float("inf")}, {"beta": 0.1}])
+def test_cli_group_override_out_of_range_is_a_config_error(tmp_path, capsys, override):
+    # a group override GroupParams rejects is named as a config error, not
+    # a traceback (NaN passes the range checks, and JSON allows it)
+    path = write_config(tmp_path, {"model": "basic",
+                                   "overrides": {"groups": {"hetm": override}}})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("error: overrides.groups.hetm: ")
