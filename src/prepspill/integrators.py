@@ -2,13 +2,14 @@
 
 Two methods: classic fixed-step RK4 and the embedded Dormand-Prince 5(4)
 pair with elementary step control and FSAL (1 + 6 RHS evaluations per
-attempted step).  The RK4 step builds its stages with one list pass each,
-so it also steps batch columns; the Dormand-Prince attempt, error norm
-included, is generated and compiled once per system width, unrolled over
-the components (_dp_step_maker).  Both land exactly on every integer calendar
-year inside the span and on any extra sample times, so annual aggregates are
-plain differences of stored values, never interpolated.  Runs read only at
-their ends and sample times (scenario arms, stability probes) switch
+attempted step).  The RK4 step builds each stage as one whole-array
+expression, so it steps one system (a vector) or a batch of them (a row of
+members per component); the Dormand-Prince attempt, error norm included, is
+generated and compiled once per system width, unrolled over the components
+(_dp_step_maker).  Both land exactly on every integer calendar year inside
+the span and on any extra sample times, so annual aggregates are plain
+differences of stored values, never interpolated.  Runs read only at their
+ends and sample times (scenario arms, stability probes) switch
 ``year_nodes`` off and step freely between them.
 """
 
@@ -235,16 +236,15 @@ def _rk4_grid(breaks, dt):
 
 
 def _rk4_step(f, t, y, h):
-    """One classic RK4 step; y is a list of floats or of batch columns."""
-    k1 = f(t, y)
-    y2 = [yi + 0.5 * h * ki for yi, ki in zip(y, k1)]
-    k2 = f(t + 0.5 * h, y2)
-    y3 = [yi + 0.5 * h * ki for yi, ki in zip(y, k2)]
-    k3 = f(t + 0.5 * h, y3)
-    y4 = [yi + h * ki for yi, ki in zip(y, k3)]
-    k4 = f(t + h, y4)
-    return [yi + h / 6.0 * (a + 2.0 * b + 2.0 * c + d)
-            for yi, a, b, c, d in zip(y, k1, k2, k3, k4)]
+    """One classic RK4 step over the array y (one entry per component, or one
+    row of batch members per component); f returns a list, stacked once per
+    stage.  Each stage keeps the scalar step's association, so every entry
+    is stepped as a float would be, bit for bit."""
+    k1 = np.array(f(t, y))
+    k2 = np.array(f(t + 0.5 * h, y + 0.5 * h * k1))
+    k3 = np.array(f(t + 0.5 * h, y + 0.5 * h * k2))
+    k4 = np.array(f(t + h, y + h * k3))
+    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -319,8 +319,10 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     clamps = []
 
     if cfg.method == "rk4_fixed":
+        def g(t, y):  # the RHS sees Python floats (model's float-cell rule)
+            return f(t, y.tolist())
         for t, h, t_next in _rk4_grid(breaks, cfg.dt):
-            y = _rk4_step(f, t, y, h)
+            y = _rk4_step(g, t, np.array(y), h).tolist()
             _postprocess_step(t_next, y, n_state, cfg.atol, clamps)
             ts.append(t_next)
             ys.append(y)
@@ -365,9 +367,10 @@ def integrate_batch(spec, y0, eps, cfg):
     """Integrate a batch of models that differ only in coverage, all from y0.
 
     Row b of ``eps`` (B, n) holds member b's coverage fractions.  Fixed-step
-    RK4 only: each member takes the steps integrate_flat takes, with the same
-    arithmetic, so its trajectory equals its own scalar integration bit for
-    bit.  Only the breakpoint rows (t0, whole years, t_end) are kept, so the
+    RK4 only: the batch state is one (3n, B) array stepped whole, and each
+    member takes the steps integrate_flat takes, with the same arithmetic,
+    so its trajectory equals its own scalar integration bit for bit.  Only
+    the breakpoint rows (t0, whole years, t_end) are kept, so the
     trajectory's states are (n_breaks, 3n, B).  The nonnegativity policy
     applies member by member; clamp events are (t, component, member,
     value).  A failure carries the index of the first failing member
@@ -379,15 +382,18 @@ def integrate_batch(spec, y0, eps, cfg):
         raise ValueError(f"batched integration needs method 'rk4_fixed', "
                          f"not {cfg.method!r}")
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
+    if not len(eps):
+        raise ValueError("batched integration needs at least one member")
     f = batched_rhs_factory(spec, eps)
     breaks = _breakpoints(cfg, None)
-    y = [np.full(len(eps), v) for v in y0.to_flat()]
-    states = np.empty((len(breaks), len(y), len(eps)))
+    y = np.repeat(y0.to_flat()[:, None], len(eps), axis=1)
+    states = np.empty((len(breaks),) + y.shape)
     states[0] = y
     row, clamps, steps = 1, [], 0
     for t, h, t_next in _rk4_grid(breaks, cfg.dt):
         y = _rk4_step(f, t, y, h)
-        _postprocess_columns(t_next, y, 2 * spec.n, cfg.atol, clamps)
+        if not y[:2 * spec.n].min() >= 0.0:  # a negative, or a NaN it leaves as is
+            _postprocess_columns(t_next, y, 2 * spec.n, cfg.atol, clamps)
         steps += 1
         if t_next == breaks[row]:  # _rk4_grid lands on it exactly
             states[row] = y

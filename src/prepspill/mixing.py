@@ -227,20 +227,16 @@ def risk_objective(mix, priors):
 
 
 # Array forms of the closures: N holds one column (B,) per group, one entry
-# per batch member.  Each check of the scalar solver runs over all members;
-# the first failing member's error is the scalar one, tagged with its index
-# (PrepspillError.member).  The arithmetic is the scalar solver's, term by
-# term, so every member's fractions equal the scalar ones bit for bit.
+# per batch member, and the contact volumes B_j are the rows of one product.
+# Each check of the scalar solver is one reduction over all members (the
+# stacked risk shares share one); only when it fails does the ordered scan
+# run, naming the first failing member with the scalar error, tagged with
+# its index (PrepspillError.member).  The arithmetic is the scalar solver's,
+# term by term, so every member's fractions equal the scalar ones bit for bit.
 
 def _first(bad):
     """Index of the first True entry of a boolean column, or None."""
     return int(bad.argmax()) if bad.any() else None
-
-
-def _check_volumes(B, t):
-    i = _first(np.logical_or.reduce([b <= 0.0 for b in B]))
-    if i is not None:
-        raise InfeasibleClosure("nonpositive total contact volume", t=t).for_member(i)
 
 
 def _check_unit_columns(name, v, t, slack=0.0):
@@ -249,22 +245,36 @@ def _check_unit_columns(name, v, t, slack=0.0):
         raise _unit_interval_error(name, v[i], t).for_member(i)
 
 
+def _volumes(N, a, t):
+    """The contact volumes N_j * a_j as the rows of one array, all positive
+    (a NaN fails the reduction and passes the scan, as in the scalar)."""
+    B = np.multiply(N, np.array(a)[:, None])
+    i = None if B.min() > 0.0 else _first(np.logical_or.reduce([b <= 0.0 for b in B]))
+    if i is not None:
+        raise InfeasibleClosure("nonpositive total contact volume", t=t).for_member(i)
+    return B
+
+
+def _check_unit_rows(names, V, t, slack=0.0):
+    """Every row of V (one per name, in check order) within [0, 1] up to slack."""
+    if not (-slack <= V.min() and V.max() <= 1.0 + slack):
+        for name, v in zip(names, V):
+            _check_unit_columns(name, v, t, slack)
+
+
 def close_basic_batch(N, a, priors=None, t=None):
     """basic_fractions over columns of N: the pair fractions as columns."""
-    B0, B1, B2 = N[0] * a[0], N[1] * a[1], N[2] * a[2]
-    _check_volumes((B0, B1, B2), t)
+    B0, B1, B2 = _volumes(N, a, t)
     alpha, eta = _basic_shares(B0, B1, B2)
-    _check_unit_columns("alpha_hetf", alpha, t)
-    _check_unit_columns("eta_msm", eta, t)
+    _check_unit_rows(("alpha_hetf", "eta_msm"), np.array((alpha, eta)), t)
     return (eta, 1.0 - eta, alpha, 1.0 - alpha, 1.0)
 
 
 def close_risk_batch(N, a, priors, t=None):
     """risk_fractions over columns of N: the pair fractions as columns."""
-    B0, B1, B2, B3 = N[0] * a[0], N[1] * a[1], N[2] * a[2], N[3] * a[3]
-    _check_volumes((B0, B1, B2, B3), t)
+    B0, B1, B2, B3 = _volumes(N, a, t)
     eta_msm = 1.0 - (B1 + B2 - B3) / B0
-    _check_unit_columns("eta_msm", eta_msm, t)
+    _check_unit_rows(("eta_msm",), eta_msm[None], t)
 
     lo = np.maximum(np.maximum(0.0, (B1 - B0) / B3), 1.0 - B2 / B3)
     hi = np.minimum(1.0, B1 / B3)
@@ -275,9 +285,8 @@ def close_risk_batch(N, a, priors, t=None):
             t=t, value=lo[i]).for_member(i)
 
     xi = np.minimum(np.maximum(_risk_projection(B0, B1, B2, B3, priors), lo), hi)
-    shares = _risk_shares(B0, B1, B2, B3, xi)
-    for name, v in zip(_RISK_SHARES, shares):
-        _check_unit_columns(name, v, t, slack=1e-14)
-    ehh, ahh, ahl, xi = [np.minimum(np.maximum(v, 0.0), 1.0) for v in shares]
+    shares = np.array(_risk_shares(B0, B1, B2, B3, xi))
+    _check_unit_rows(_RISK_SHARES, shares, t, slack=1e-14)
+    ehh, ahh, ahl, xi = np.minimum(np.maximum(shares, 0.0), 1.0)
     return (eta_msm, ehh, np.maximum(0.0, 1.0 - eta_msm - ehh), ahh, 1.0 - ahh,
             ahl, 1.0 - ahl, xi, 1.0 - xi)

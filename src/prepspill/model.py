@@ -328,8 +328,9 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False, sources=(), exact=
     re-derived from a tracked count (cell ``c<j>``; full while S_j <= c_j).
     Cells a<j> and b<i> hold the contact rates and each pair's transmission
     probability.  ``batched``: y and the u<j> cells hold columns, one entry
-    per batch member; the population check names the first failing member,
-    the closure is the array form, and no group is tracked.  Each member's
+    per batch member; the population check (one reduction unless it fails)
+    names the first failing member, the closure is the array form, and no
+    group is tracked.  Each member's
     derivative is then the scalar one bit for bit.  ``sources``: the
     spillover system, y going on with one (sigma, gamma) block per source
     group after the 3n state slots; ``exact``: its exact_delta mode.  The
@@ -349,10 +350,11 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False, sources=(), exact=
     body = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * n}]",
             *(f"N{j} = S{j} + I{j}" for j in g)]
     if batched:
-        body += ["bad = " + " | ".join(f"(N{j} <= 0.0)" for j in g),
-                 "if bad.any():",
-                 "    b = bad.argmax()",
-                 "    raise zero_population(labels, (" + ", ".join(f"N{j}[b]" for j in g)
+        body += ["if not min(" + ", ".join(f"N{j}.min()" for j in g) + ") > 0.0:",
+                 "    bad = " + " | ".join(f"(N{j} <= 0.0)" for j in g),
+                 "    if bad.any():  # not only NaN",
+                 "        b = bad.argmax()",
+                 "        raise zero_population(labels, (" + ", ".join(f"N{j}[b]" for j in g)
                  + "), t).for_member(b)"]
     else:
         body += ["if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
@@ -447,9 +449,9 @@ def batched_rhs_factory(spec, eps):
     """The flat RHS of a batch of models that differ only in coverage.
 
     ``eps`` is (B, n): member b's coverage fractions.  Returns rhs(t, y)
-    with y a list of columns (B,) in the flat layout, one entry per member;
-    mixing is the spec's pinned fractions or the array-form closure per
-    member.  Failures (ZeroPopulation, InfeasibleClosure) carry the index
+    with y the flat layout as columns (B,), one entry per member (a list of
+    them or the rows of one array); mixing is the spec's pinned fractions or
+    the array-form closure per member.  Failures (ZeroPopulation, InfeasibleClosure) carry the index
     of the first failing member (PrepspillError.member).
     """
     var = VARIANTS[spec.variant]

@@ -28,7 +28,8 @@ from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       TABLE_RISK_INTERVENTIONS, combine_reported,
                       georgia_spec, reported_groups)
 # nnt stays importable from here for tracers that rebind scenarios.nnt
-from .spillover import integrate_with_spillover, nnt, simple_nnt  # noqa: F401
+from .spillover import (SensitivityState, integrate_with_spillover, nnt,  # noqa: F401
+                        per_person_effect, simple_nnt)
 from .sobol import UncertainInput, sobol_timeseries
 
 SCHEMA_VERSION = 1
@@ -463,11 +464,13 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
         cols = [(j, k) for k in labels for j in range(len(labels))]
         w.writerow(["t"] + [f"per_person_{labels[j]}__{k}" for j, k in cols])
         for i, t in enumerate(traj.times):
+            state = StateVec.from_flat(traj.states[i], len(labels))
             row = [f"{t:.6f}"]
-            for j, k in cols:
+            for k in labels:
                 st = sens[k]
-                Sk = traj.states[i, 2 * st.source_index]
-                row.append(f"{st.gamma[i, j] / Sk:.10e}")
+                at = SensitivityState(k, st.source_index, st.sigma[i], st.gamma[i])
+                row += [f"{per_person_effect(at, state, j)[0]:.10e}"
+                        for j in range(len(labels))]
             w.writerow(row)
         p = os.path.join(out_dir, f"per_person_effects_{variant}.csv")
         _write(p, buf.getvalue())
@@ -546,6 +549,7 @@ def sobol_manifest(study):
         "boundary_affected": study.boundary_affected,
         "integrator": {"method": study.method, "dt": study.dt},
         "rhs_evals": study.rhs_evals,
+        "members": study.members,
         "inputs": [
             {"group": u.group, "lo": u.lo, "hi": u.hi, "domain": u.domain}
             for u in study.inputs],

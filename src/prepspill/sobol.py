@@ -272,6 +272,11 @@ def mean_var(pce):
 
 def sobol_indices(pce):
     """First-order and total indices per input from the expansion coefficients."""
+    return _sobol_indices(pce, *_index_masks(pce.index_set))
+
+
+def _sobol_indices(pce, touches, only):
+    """sobol_indices given the index set's _index_masks."""
     mean, variance = mean_var(pce)
     d = pce.index_set.shape[1]
     if variance <= max(_VARIANCE_FLOOR, (1e-12 * max(1.0, abs(mean))) ** 2):
@@ -279,15 +284,17 @@ def sobol_indices(pce):
         return SobolIndices(first_order=nan, total=nan, mean=mean,
                             variance=variance, defined=False)
     sq = pce.coeffs ** 2
-    first = np.empty(d)
-    total = np.empty(d)
-    for k in range(d):
-        touches_k = pce.index_set[:, k] > 0
-        only_k = touches_k & np.all(np.delete(pce.index_set, k, axis=1) == 0, axis=1)
-        total[k] = sq[touches_k].sum() / variance
-        first[k] = sq[only_k].sum() / variance
+    first = np.array([sq[m].sum() / variance for m in only])
+    total = np.array([sq[m].sum() / variance for m in touches])
     return SobolIndices(first_order=first, total=total, mean=mean,
                         variance=variance, defined=True)
+
+
+def _index_masks(index_set):
+    """Per input k, the terms whose multi-index touches k, and those that
+    touch k alone: two (dims, n_terms) boolean arrays."""
+    touches = (index_set > 0).T
+    return touches, touches & (touches.sum(axis=0) == 1)
 
 
 @dataclass
@@ -295,7 +302,9 @@ class SobolStudy:
     """Per-(year, output group) indices for a coverage-uncertainty study.
 
     ``method``, ``dt`` and ``rhs_evals`` record the integration: RHS
-    evaluations of the batched RK4 (4 per step), each covering every node.
+    evaluations of the batched RK4 (4 per step), each covering the batch.
+    ``members`` counts the batch: the distinct coverage rows among the nodes,
+    each integrated once.
     """
 
     years: list
@@ -310,6 +319,7 @@ class SobolStudy:
     method: str
     dt: float
     rhs_evals: int
+    members: int
     samples: dict = field(default_factory=dict, repr=False)
 
 
@@ -351,17 +361,24 @@ def coverage_model_fn(spec, y0, inputs, cfg, clamp_counter=None):
 
 
 def _batch_incidence(spec, y0, grid, eps, cfg):
-    """Years, annual incidence (years, groups, nodes) and RHS evaluations of
-    every grid node integrated in one batch, with coverage eps (nodes, n).
-    A failing member raises EnsembleError naming its node."""
+    """Years, annual incidence (years, groups, nodes), RHS evaluations and
+    batch size of the grid nodes, coverage eps (nodes, n), integrated in one
+    batch with one member per distinct row.  Members run in order of their
+    first node, so the first failing member is the lowest failing node,
+    which the EnsembleError names."""
+    _, first, inverse = np.unique(eps, axis=0, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    nodes, member = first[order], np.argsort(order)  # member: of each distinct row
     try:
-        traj, rhs_evals = integrate_batch(spec, y0, eps, cfg)
+        traj, rhs_evals = integrate_batch(spec, y0, eps[nodes], cfg)
     except PrepspillError as e:
         if e.member is None:
             raise
-        i = e.member
-        raise EnsembleError(f"model failed at node {i}: {e}", i, grid.nodes[i]) from e
-    return (*annual_series(traj), rhs_evals)
+        i = int(nodes[e.member])
+        raise EnsembleError(f"model failed at node {i}: {e}", i,
+                            grid.nodes[i]) from e.for_member(i)
+    years, table = annual_series(traj)
+    return years, table[..., member[inverse.reshape(-1)]], rhs_evals, len(nodes)
 
 
 def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
@@ -370,29 +387,31 @@ def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
 
     Inputs map sampled values onto coverage fractions (coverage_fractions:
     clamped to [0, 1]; a study with any clamped value is flagged
-    boundary-affected).  Every grid node is integrated in one batch by a
-    fixed-step RK4 (integrate_batch; cfg must use "rk4_fixed", default
-    dt = 0.1 over 2017-2031) -- the indices are ratios, so the cheap
-    integrator is adequate -- and each node's samples equal its own scalar
-    integration (coverage_model_fn with the same cfg) bit for bit.  A
-    failing node raises EnsembleError naming it.  One projection (fit_pce)
-    fits every (year, group) series at once.
+    boundary-affected).  Each distinct coverage row among the grid nodes is
+    integrated once, all in one batch, by a fixed-step RK4 (integrate_batch;
+    cfg must use "rk4_fixed", default dt = 0.1 over 2017-2031) -- the
+    indices are ratios, so the cheap integrator is adequate -- and each
+    node's samples equal its own scalar integration (coverage_model_fn with
+    the same cfg) bit for bit.  A failing node raises EnsembleError naming
+    the lowest failing one.  One projection (fit_pce) fits every (year,
+    group) series at once.
     """
     inputs = tuple(inputs)
     if cfg is None:
         cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, method="rk4_fixed", dt=0.1)
     grid = build_grid(inputs, rule=rule, level=level)
     eps, clamps = coverage_fractions(spec, y0, inputs, grid.nodes)
-    all_years, table, rhs_evals = _batch_incidence(spec, y0, grid, eps, cfg)
+    all_years, table, rhs_evals, members = _batch_incidence(spec, y0, grid, eps, cfg)
     kept = [yi for yi, year in enumerate(all_years) if years is None or year in years]
     keys = [(all_years[yi], lbl) for yi in kept for lbl in spec.labels]
     Y = table[kept].reshape(len(keys), grid.n_nodes).T  # (nodes, series)
     pce = fit_pce(Y, grid, total_degree)
-    indices = {key: sobol_indices(replace(pce, coeffs=pce.coeffs[:, c]))
+    masks = _index_masks(pce.index_set)
+    indices = {key: _sobol_indices(replace(pce, coeffs=pce.coeffs[:, c]), *masks)
                for c, key in enumerate(keys)}
     samples = {key: Y[:, c] for c, key in enumerate(keys)}
     return SobolStudy(years=[all_years[yi] for yi in kept], output_groups=spec.labels,
                       inputs=inputs, indices=indices, grid_rule=rule, grid_level=level,
                       n_nodes=grid.n_nodes, clamp_count=clamps,
                       boundary_affected=clamps > 0, method=cfg.method, dt=cfg.dt,
-                      rhs_evals=rhs_evals, samples=samples)
+                      rhs_evals=rhs_evals, members=members, samples=samples)

@@ -10,7 +10,7 @@ from prepspill.integrators import (NODE_TOL, IntegratorConfig, _breakpoints,
                                    _dp_step_maker, _postprocess_columns, annual_series,
                                    integrate, integrate_batch, integrate_flat,
                                    interp_rows)
-from prepspill.model import StateVec, TransmissionProbs, make_spec
+from prepspill.model import StateVec, TransmissionProbs, closed_mixing, make_spec
 from prepspill.mixing import BasicMixing
 from prepspill.spillover import integrate_with_spillover
 
@@ -147,6 +147,25 @@ def test_batch_members_equal_scalar_integrations(basic, risk):
         assert table.shape == (14, spec.n, 3)
     with pytest.raises(ValueError, match="rk4_fixed"):
         integrate_batch(spec, y0, eps, IntegratorConfig(t0=2017.0, t_end=2018.0))
+
+
+def test_batch_passes_nan_through_unclamped(basic):
+    # a NaN population is neither clamped nor reported as a failing member
+    spec, y0 = basic
+    spec = replace(spec, mixing=closed_mixing(spec, y0.N))
+    S = y0.S.copy()
+    S[0] = np.nan
+    eps = spec.param_arrays()[3] * np.array([[1.0], [2.0]])
+    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0, method="rk4_fixed", dt=0.5)
+    traj, _ = integrate_batch(spec, replace(y0, S=S), eps, cfg)
+    assert traj.clamp_events == []
+    assert np.isnan(traj.states[-1, :2 * spec.n]).all()
+
+
+def test_batch_needs_a_member(basic):
+    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0, method="rk4_fixed", dt=0.5)
+    with pytest.raises(ValueError, match="at least one member"):
+        integrate_batch(*basic, np.empty((0, 3)), cfg)
 
 
 def test_step_size_underflow():

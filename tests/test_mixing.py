@@ -203,6 +203,35 @@ def test_batch_closure_names_first_failing_member(close, batch, N, a, priors):
     assert batched.value.member == 3 and scalar.value.member is None
 
 
+@pytest.mark.parametrize("close, batch, N, a, priors", [
+    (close_basic, close_basic_batch, N3, A3, PRIORS3),
+    (close_risk, close_risk_batch, N4, A4, PRIORS4)])
+def test_batch_closure_checks_keep_their_order(close, batch, N, a, priors):
+    # Member 1 has too many HETM contacts (basic: alpha_hetf, risk: eta_msm),
+    # member 2 a NaN MSM population (eta_msm = nan), member 3 no HETF volume,
+    # which is checked first.  Each mended in turn, the next failure is named
+    # with the scalar closure's error for that member.
+    cols = np.tile(N[:, None], 5)
+    cols[-1, 1] *= 1.5
+    cols[0, 2] = np.nan
+    cols[1, 3] = 0.0
+    for want in (3, 1, 2):
+        with pytest.raises(InfeasibleClosure) as scalar:
+            close(tuple(cols[:, want]), a, priors)
+        with pytest.raises(InfeasibleClosure) as batched:
+            batch(list(cols), a, priors)
+        assert type(batched.value) is type(scalar.value)
+        assert (str(batched.value), batched.value.member) == (str(scalar.value), want)
+        cols[:, want] = N
+    cols[1, 4] = 0.0  # a zero volume alone, with no NaN to fail the reduction
+    with pytest.raises(InfeasibleClosure, match="nonpositive total") as batched:
+        batch(list(cols), a, priors)
+    assert batched.value.member == 4
+    cols[:, 4] = N
+    want = close(tuple(N), a, priors).pair_fractions()
+    assert all(np.all(g == w) for g, w in zip(batch(list(cols), a, priors), want))
+
+
 @pytest.mark.parametrize("variant", ["basic", "risk"])
 def test_closure_core_property(variant):
     # Random feasible specs, populations scattered around each DFE: the core's

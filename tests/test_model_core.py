@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spec, random_state
-from prepspill.errors import ZeroPopulation
+from prepspill.errors import PrepspillError, ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate, integrate_flat
 from prepspill.model import (VARIANTS, GroupParams, StateVec, TransmissionProbs,
                              _flat_rhs_maker, _rhs_cells, batched_rhs_factory,
@@ -117,6 +117,29 @@ def test_batched_rhs_names_zero_population_member(basic):
         batched_rhs_factory(spec, np.tile(spec.param_arrays()[3], (3, 1)))(2020.0, y)
     assert exc.value.member == 1
     assert str(exc.value) == "group hetf has N = 0 at t = 2020.0"
+
+
+def test_batched_rhs_checks_keep_their_order(basic):
+    # Member 3 has no HETF (the population check, first), member 1 too many
+    # HETM contacts (the closure's alpha_hetf check), member 2 a NaN MSM
+    # population, which the population check passes and eta_msm fails.  Each
+    # mended in turn, the next failure is the scalar RHS's for that member.
+    spec, y0 = basic
+    f = batched_rhs_factory(spec, np.tile(spec.param_arrays()[3], (5, 1)))
+    y = np.tile(y0.to_flat()[:, None], 5)
+    y[4:6, 1] *= 1.5
+    y[0, 2] = np.nan
+    y[2:4, 3] = 0.0
+    for want in (3, 1, 2):
+        with pytest.raises(PrepspillError) as scalar:
+            flat_rhs_factory(spec)(2020.0, y[:, want].tolist())
+        with pytest.raises(PrepspillError) as batched:
+            f(2020.0, list(y))
+        assert type(batched.value) is type(scalar.value)
+        assert (str(batched.value), batched.value.member) == (str(scalar.value), want)
+        y[:, want] = y0.to_flat()
+    assert [list(g) for g in f(2020.0, list(y))] == [
+        [v] * 5 for v in flat_rhs_factory(spec)(2020.0, y0.to_flat().tolist())]
 
 
 def test_lambda_vectors_zero_betas(basic):

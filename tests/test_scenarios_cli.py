@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from prepspill.cli import build_parser, main
-from prepspill.errors import (MissingSeries, SchemaViolation, UnknownGroup)
+from prepspill.errors import (MissingSeries, SchemaViolation, UnknownGroup,
+                              ZeroPopulation)
 from prepspill.presets import (ANNUAL_INCIDENCE_BAND, BASIC_ARMS,
                                PREVALENCE_ANCHOR_2017, PREVALENCE_BAND, georgia_basic)
 from prepspill.integrators import annual_series
@@ -440,6 +441,17 @@ def test_cli_fixed_fraction_with_empty_pool(tmp_path, capsys):
             assert none[col] == base[col]
         else:
             assert float(none[col]) == 0.0
+
+
+def test_emit_effects_with_empty_source_pool(tmp_path):
+    # an MSM pool that starts empty and recruits no one has no per-person
+    # effect: the series raises instead of writing gamma / 0
+    path = write_config(tmp_path, {
+        "model": "basic", "overrides": {"groups": {"msm": {"Pi": 0}}},
+        "initial_conditions": {"msm": {"S": 0, "I": 42000}}})
+    with pytest.raises(ZeroPopulation, match="source group msm has S = 0"):
+        emit_plot_data(str(tmp_path / "out"), series=("effects",),
+                       config=load_config(path))
 
 
 def test_cli_calls_in_one_process_keep_their_own_arguments(tmp_path, capsys):

@@ -258,6 +258,63 @@ def test_timeseries_failure_names_member(basic, monkeypatch):
     assert exc.value.__cause__.member == 2
 
 
+def test_timeseries_failure_names_lowest_sharing_node(basic, monkeypatch):
+    # Node i is (hetf, msm, inert) = (i // 4, i // 2 % 2, i % 2): the inert
+    # input makes node pairs share a coverage row, and rows sorted by value
+    # (msm first) would put node 4's before node 2's.  The batch fails on the
+    # rows of nodes 3 and 5; the study names node 2, the lowest failing one.
+    from prepspill import integrators
+    from prepspill.errors import ZeroPopulation
+
+    spec, y0 = basic
+    inputs = [UncertainInput(group="hetf", lo=-0.5, hi=1.0),
+              UncertainInput(group="msm", lo=-0.5, hi=1.0),
+              UncertainInput(group=None, lo=-1.0, hi=1.0)]
+    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0, method="rk4_fixed", dt=0.25)
+    grid = build_grid(inputs, level=2)
+    rows = coverage_fractions(spec, y0, inputs, grid.nodes)[0][[3, 5]]
+    real = integrators.batched_rhs_factory
+
+    def fail_on_rows(spec, eps):
+        f = real(spec, eps)
+        hit = np.flatnonzero((eps[:, None] == rows).all(axis=2).any(axis=1))
+
+        def g(t, y):
+            if t > 2018.0:
+                raise ZeroPopulation("group msm has N = 0").for_member(hit[0])
+            return f(t, y)
+        return g
+
+    monkeypatch.setattr(integrators, "batched_rhs_factory", fail_on_rows)
+    with pytest.raises(EnsembleError) as exc:
+        sobol_timeseries(spec, y0, inputs, level=2, total_degree=1, cfg=cfg)
+    assert str(exc.value) == "model failed at node 2: group msm has N = 0"
+    assert exc.value.node_index == 2
+    assert np.array_equal(exc.value.node, grid.nodes[2])
+    assert exc.value.__cause__.member == 2
+
+
+def test_study_counts_distinct_coverage_rows(basic, risk):
+    # criterion 9's layout: hetm has no baseline coverage to scale and the
+    # fourth input is inert, so 625 nodes hold 25 coverage rows; the risk
+    # layout's 256 nodes are 256 rows.  rhs_evals counts batch evaluations.
+    from prepspill.scenarios import sobol_manifest
+
+    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0, method="rk4_fixed", dt=0.1)
+    spec, y0 = basic
+    inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0) for l in spec.labels) + (
+        UncertainInput(group=None, lo=-0.5, hi=4.0),)
+    study = sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=cfg)
+    man = sobol_manifest(study)
+    assert (man["node_count"], man["members"], man["rhs_evals"]) == (625, 25, 40)
+    spec, y0 = risk
+    inputs = (UncertainInput("msm", -0.5, 2.0), UncertainInput("hetf_h", -0.5, 2.0),
+              UncertainInput("hetf_l", 0.0, 20000.0, domain="count"),
+              UncertainInput("hetm", 0.0, 20000.0, domain="count"))
+    study = sobol_timeseries(spec, y0, inputs, level=4, total_degree=3, cfg=cfg)
+    assert (study.n_nodes, study.members, study.rhs_evals) == (256, 256, 40)
+
+
 def test_timeseries_requires_rk4_fixed(basic):
     spec, y0 = basic
     inputs = [UncertainInput(group="msm", lo=-0.5, hi=1.0)]
