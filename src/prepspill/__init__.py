@@ -10,8 +10,7 @@ scenarios (config-driven batch runner), cli.
 from .integrators import IntegratorConfig, Trajectory, annual_series, integrate
 from .mixing import BasicMixing, RiskMixing, close_basic, close_risk
 from .model import (GroupId, GroupParams, ModelSpec, StateVec,
-                    TransmissionProbs, build_lambda_vectors, contact_matrix,
-                    dfe, incidence, make_spec, rhs)
+                    TransmissionProbs, contact_matrix, dfe, make_spec)
 from .presets import georgia_basic, georgia_risk
 from .reproduction import (NGMatrices, ReproductionNumber, build_ngm,
                            rc_closed_basic, rc_closed_risk, rc_numeric,
@@ -22,8 +21,7 @@ from .sobol import (PCExpansion, QuadratureGrid, SobolIndices, UncertainInput,
                     build_grid, fit_pce, mean_var, sobol_indices,
                     sobol_timeseries)
 from .spillover import (NNTResult, SensitivityState, SensitivityTrajectory,
-                        fd_oracle, incidence_sensitivity,
-                        integrate_with_spillover, nnt, per_person_effect,
-                        spillover_rhs, xi_correction)
+                        fd_oracle, integrate_with_spillover, nnt,
+                        per_person_effect)
 
 __version__ = "0.1.0"

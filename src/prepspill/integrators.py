@@ -89,10 +89,15 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4_fixed", "rk45_adaptive"):
             raise ValueError(f"unknown method {self.method!r}")
+        for name in ("t0", "t_end", "dt", "rtol", "atol", "dt_min", "dt_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         if self.t_end <= self.t0:
             raise ValueError("t_end must exceed t0")
-        if self.dt <= 0 or self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("dt, rtol, atol must be positive")
+        if min(self.dt, self.rtol, self.atol, self.dt_min) <= 0:
+            raise ValueError("dt, rtol, atol, dt_min must be positive")
+        if self.dt_min > self.dt_max:
+            raise ValueError(f"dt_min = {self.dt_min} exceeds dt_max = {self.dt_max}")
 
     def over(self, t0, t_end):
         return replace(self, t0=float(t0), t_end=float(t_end))

@@ -135,15 +135,6 @@ def close_basic(N, a, priors=None, t=None):
     return BasicMixing(eta_msm=eta, alpha_hetf=alpha)
 
 
-def basic_residuals(mix, N, a):
-    """Relative residuals of the two basic balance equations."""
-    B0, B1, B2 = N[0] * a[0], N[1] * a[1], N[2] * a[2]
-    scale = max(B0, B1, B2)
-    r1 = ((1.0 - mix.eta_msm) * B0 - mix.alpha_hetf * B1) / scale
-    r2 = ((1.0 - mix.alpha_hetf) * B1 - B2) / scale
-    return (r1, r2)
-
-
 # The risk closure's arithmetic, shared by risk_fractions and close_risk_batch:
 # each B_j (contact volume N_j * a_j) is a float or a column of them.
 
@@ -207,23 +198,6 @@ def close_risk(N, a, priors, t=None):
     """risk_fractions as a RiskMixing record."""
     em, ehh, _, ahh, _, ahl, _, xi, _ = risk_fractions(N, a, priors, t)
     return RiskMixing(em, ehh, ahh, ahl, xi)
-
-
-def risk_residuals(mix, N, a):
-    """Relative residuals of the four risk-model balance equations."""
-    B0, B1, B2, B3 = N[0] * a[0], N[1] * a[1], N[2] * a[2], N[3] * a[3]
-    scale = max(B0, B1, B2, B3)
-    return (
-        (mix.eta_hetfh * B0 - mix.alpha_hetfh * B1) / scale,
-        ((1.0 - mix.eta_msm - mix.eta_hetfh) * B0 - mix.alpha_hetfl * B2) / scale,
-        ((1.0 - mix.alpha_hetfh) * B1 - mix.xi_hetm * B3) / scale,
-        ((1.0 - mix.alpha_hetfl) * B2 - (1.0 - mix.xi_hetm) * B3) / scale,
-    )
-
-
-def risk_objective(mix, priors):
-    """Squared distance from a mixing tuple to the priors (the projection objective)."""
-    return sum((x - p) ** 2 for x, p in zip(mix.as_tuple(), priors.as_tuple()))
 
 
 # Array forms of the closures: N holds one column (B,) per group, one entry

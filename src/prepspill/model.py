@@ -130,8 +130,8 @@ class ModelSpec:
         for i, (gid, _) in enumerate(self.groups):
             if gid.index != i:
                 raise ValueError(f"group {gid.label} has index {gid.index}, expected {i}")
-        if self.mu <= 0.0:
-            raise ValueError("mu must be positive")
+        if not 0.0 < self.mu < math.inf:  # NaN fails both comparisons
+            raise ValueError(f"mu = {self.mu} must be positive and finite")
         want = var.mixing
         if not isinstance(self.mixing_priors, want):
             raise ValueError(f"mixing_priors must be {want.__name__} for {self.variant}")
@@ -255,44 +255,6 @@ def _zero_population(labels, N, t=None):
     i = next(i for i, v in enumerate(N) if v <= 0.0)
     at = "" if t is None else f" at t = {t}"
     return ZeroPopulation(f"group {labels[i]} has N = {N[i]:.6g}{at}")
-
-
-def contact_matrix_at(spec, N, t=None):
-    """Contact matrix W at group populations N, with the mixing fractions of
-    closed_mixing (from the closure core: no mixing record).  Raises
-    _zero_population's error if a group has N <= 0."""
-    if (N <= 0.0).any():
-        raise _zero_population(spec.labels, N, t)
-    close, a = globals()[VARIANTS[spec.variant].fractions], [p.a for _, p in spec.groups]
-    return contact_matrix(spec, spec.mixing or close(N.tolist(), a, spec.mixing_priors, t=t))
-
-
-def build_lambda_vectors(spec, state, t=None):
-    """Contact-coefficient vectors, one row per group, columns over the
-    interleaved (S, I) slots.  Row j dotted with the interleaved state gives
-    the raw (pre-(1-eps), pre-S) force of infection on group j."""
-    N = state.N
-    L = np.zeros((spec.n, 2 * spec.n))
-    L[:, 1::2] = contact_matrix_at(spec, N, t) / N
-    return L
-
-
-def incidence(spec, state, t=None):
-    """Per-group infection flux (1 - eps_j) (W @ (I / N))_j S_j, persons/year."""
-    N = state.N
-    W = contact_matrix_at(spec, N, t)
-    _, _, _, eps = spec.param_arrays()
-    return (1.0 - eps) * (W @ (state.I / N)) * state.S
-
-
-def rhs(spec, state, t=0.0):
-    """Time derivative of the state (including cumulative-incidence slots)."""
-    inc = incidence(spec, state, t=t)
-    Pi, _, delta, _ = spec.param_arrays()
-    mu = spec.mu
-    dS = Pi - inc - mu * state.S
-    dI = inc - (mu + delta) * state.I
-    return StateVec(S=dS, I=dI, C=inc)
 
 
 def dfe(spec):

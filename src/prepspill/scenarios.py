@@ -10,10 +10,12 @@ running susceptible pool at every step.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -119,9 +121,9 @@ def _config_from_raw(raw):
         if g not in labels:
             raise UnknownGroup(f"{key}.group: no group {g!r} in variant {variant!r}")
         dE = item.get("additional_persons")
-        if not isinstance(dE, (int, float)) or dE < 0:
+        if not isinstance(dE, (int, float)) or dE < 0 or not math.isfinite(dE):
             raise SchemaViolation(
-                f"{key}.additional_persons must be a nonnegative number, got {dE!r}",
+                f"{key}.additional_persons must be a finite nonnegative number, got {dE!r}",
                 key=f"{key}.additional_persons")
         sy = float(item.get("start_year", inter))
         if not (start <= sy < end):
@@ -170,30 +172,40 @@ def _config_from_raw(raw):
                           overrides=overrides, initial_conditions=ics, raw=raw)
 
 
+@contextlib.contextmanager
+def _override(key):
+    """Report a TypeError or ValueError from applying overrides.<key> as a
+    SchemaViolation naming that key."""
+    try:
+        yield
+    except (TypeError, ValueError) as e:
+        raise SchemaViolation(f"overrides.{key}: {e}", key=f"overrides.{key}") from e
+
+
 def build_model(config):
     """Spec and initial state for a config: Georgia preset plus overrides."""
     spec, y0 = georgia_spec(config.variant)
     ov = config.overrides
     if "mu" in ov:
-        spec = replace(spec, mu=float(ov["mu"]))
+        with _override("mu"):
+            spec = replace(spec, mu=float(ov["mu"]))
     if "probs" in ov:
         p = spec.probs
-        vals = {k: float(v) for k, v in ov["probs"].items()}
-        spec = replace(spec, probs=type(p)(**{**p.__dict__, **vals}))
+        with _override("probs"):
+            vals = {k: float(v) for k, v in ov["probs"].items()}
+            spec = replace(spec, probs=type(p)(**{**p.__dict__, **vals}))
     if "mixing_priors" in ov:
         cls = VARIANTS[config.variant].mixing
         cur = spec.mixing_priors.__dict__
-        spec = replace(spec, mixing_priors=cls(**{**cur, **{
-            k: float(v) for k, v in ov["mixing_priors"].items()}}))
+        with _override("mixing_priors"):
+            spec = replace(spec, mixing_priors=cls(**{**cur, **{
+                k: float(v) for k, v in ov["mixing_priors"].items()}}))
     if "groups" in ov:
         groups = []
         for gid, params in spec.groups:
             upd = ov["groups"].get(gid.label, {})
-            try:
+            with _override(f"groups.{gid.label}"):
                 groups.append((gid, replace(params, **{k: float(v) for k, v in upd.items()})))
-            except (TypeError, ValueError) as e:
-                raise SchemaViolation(f"overrides.groups.{gid.label}: {e}",
-                                      key=f"overrides.groups.{gid.label}") from e
         spec = replace(spec, groups=tuple(groups))
     if config.initial_conditions is not None:
         S = list(y0.S)

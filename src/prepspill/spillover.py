@@ -18,11 +18,13 @@ contact-pair table by ``model._flat_rhs_maker`` (``sources``, ``exact``):
   rate mu regardless of delta, while being driven by the full state
   trajectory.  This mirrors how the published simulations treat the system.
 * "exact_delta" (basic variant only): infected sensitivities decay at
-  mu + delta_j and the population-size correction vectors (see
-  :func:`xi_correction`) are added, making the block the exact derivative
-  system of the delta != 0 model at fixed mixing fractions.  A closure
-  re-solved from N at every evaluation moves with N too, which the block
-  leaves out (up to 3.3e-3 of a row's largest entry on random basic specs).
+  mu + delta_j and the population-size correction
+  (1 - eps_j) * sum_p W[j, p] * (sigma_p + gamma_p) * I_p / N_p^2 * S_j is
+  added to dsigma_j/dt and subtracted from dgamma_j/dt, making the block the
+  exact derivative system of the delta != 0 model at fixed mixing
+  fractions.  A closure re-solved from N at every evaluation moves with N
+  too, which the block leaves out (up to 3.3e-3 of a row's largest entry on
+  random basic specs).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 from .errors import PerturbationOutOfRange, UnsupportedVariant, ZeroPopulation
 from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate,
                           integrate_flat, interp_rows, node_index, text_sink)
-from .model import VARIANTS, _flat_rhs_maker, _rhs_cells, contact_matrix_at
+from .model import VARIANTS, _flat_rhs_maker, _rhs_cells
 
 MODES = ("practical", "exact_delta")
 
@@ -51,9 +53,8 @@ class SensitivityState:
 
     @classmethod
     def zero(cls, spec, source):
-        k = spec.group_index(source) if isinstance(source, str) else int(source)
         n = spec.n
-        return cls(source=spec.labels[k], source_index=k,
+        return cls(source=source, source_index=spec.group_index(source),
                    sigma=np.zeros(n), gamma=np.zeros(n))
 
 
@@ -97,39 +98,6 @@ def _check_mode(spec, mode):
         raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
 
 
-def _one_source_rhs(spec, state, sens, mode, t):
-    """The generated one-source augmented system evaluated at (state, block):
-    the flat derivative, state slots first, then the block's (sigma, gamma)."""
-    y = state.to_flat().tolist() + np.column_stack([sens.sigma, sens.gamma]).ravel().tolist()
-    return _augmented_rhs_factory(spec, (sens.source_index,), mode)(t, y)
-
-
-def spillover_rhs(spec, state, sens, mode="practical", t=None):
-    """Time derivative of one sensitivity block given the current state: the
-    block rows of the generated one-source augmented system."""
-    out = _one_source_rhs(spec, state, sens, mode, t)[3 * spec.n:]
-    return SensitivityState(source=sens.source, source_index=sens.source_index,
-                            sigma=np.array(out[0::2]), gamma=np.array(out[1::2]))
-
-
-def xi_correction(spec, state, sens):
-    """Population-size correction vectors for the exact-delta mode.
-
-    Returns (Xi, contrib): Xi is (n, 2n) with entries
-    W[j, p] * (sigma_p + gamma_p) / N_p^2 at partner infected slots, and
-    contrib_j = (1 - eps_j) * (Xi_j . X) * S_j is the term added to
-    dsigma_j/dt and subtracted from dgamma_j/dt when the flag is on.
-    Only derived for the basic variant.
-    """
-    if spec.variant != "basic":
-        raise UnsupportedVariant("correction vectors exist for the basic variant only")
-    N = state.N
-    _, _, _, eps = spec.param_arrays()
-    Xi = np.zeros((spec.n, 2 * spec.n))
-    Xi[:, 1::2] = contact_matrix_at(spec, N) * ((sens.sigma + sens.gamma) / N ** 2)
-    return Xi, (1.0 - eps) * (Xi[:, 1::2] @ state.I) * state.S
-
-
 def _augmented_rhs_factory(spec, source_indices, mode):
     """Flat rhs over [state | C | one (sigma, gamma) block per source]."""
     _check_mode(spec, mode)
@@ -143,15 +111,14 @@ def integrate_with_spillover(spec, y0, sources, cfg, mode="practical",
                              sample_times=None):
     """Jointly integrate the state and the requested sensitivity blocks.
 
-    Sensitivities start from exactly zero at cfg.t0.  Returns the state
-    trajectory and one SensitivityTrajectory per requested source, keyed by
-    group label.  With an empty source set this is identical to
-    :func:`prepspill.integrators.integrate`, once the mode has been checked
-    against the variant.
+    ``sources`` are group labels.  Sensitivities start from exactly zero at
+    cfg.t0.  Returns the state trajectory and one SensitivityTrajectory per
+    requested source, keyed by group label.  With an empty source set this
+    is identical to :func:`prepspill.integrators.integrate`, once the mode
+    has been checked against the variant.
     """
     _check_mode(spec, mode)
-    src = sorted(spec.group_index(s) if isinstance(s, str) else int(s)
-                 for s in set(sources))
+    src = sorted(spec.group_index(s) for s in set(sources))
     if not src:
         traj = integrate(spec, y0, cfg, sample_times=sample_times)
         return traj, {}
@@ -187,19 +154,6 @@ def per_person_effect(sens, state, j):
     return sens.gamma[j] / Sk, sens.sigma[j] / Sk
 
 
-def incidence_sensitivity(spec, state, sens, j, mode="practical"):
-    """Sensitivity of group j's incidence rate to persons on PrEP in the source:
-    d/dt [gamma_j / S_k] + mu * gamma_j / S_k, with dS_k/dt and dgamma_j/dt
-    from one evaluation of the one-source augmented system."""
-    k = sens.source_index
-    Sk = state.S[k]
-    if Sk <= 0.0:
-        raise ZeroPopulation(f"source group {sens.source} has S = 0")
-    d = _one_source_rhs(spec, state, sens, mode, 0.0)
-    quot_dot = (d[3 * spec.n + 2 * j + 1] * Sk - sens.gamma[j] * d[2 * k]) / Sk ** 2
-    return quot_dot + spec.mu * sens.gamma[j] / Sk
-
-
 def simple_nnt(T, S_k, gamma_j):
     """nnt_simple = T * S_k / gamma_j: person-years of PrEP in k per
     infection prevented in j over a horizon T, from S_k and gamma_j at the
@@ -210,30 +164,25 @@ def simple_nnt(T, S_k, gamma_j):
 def nnt(sens_traj, state_traj, j, k, T, mu):
     """Person-years of additional PrEP in group k per infection prevented in
     group j over [t_start, t_start + T], t_start being the sensitivity start.
+    j and k are group labels; k must be the block's source.
 
     nnt_simple = T * S_k(T) / gamma_j(T); nnt_integral keeps the
     mu * integral(gamma/S) term in the denominator.  Undefined (flagged, not
     raised) when gamma_j(T) <= 0.
     """
-    if isinstance(k, str):
-        if k != sens_traj.source:
-            raise ValueError(f"sensitivity block is for source {sens_traj.source!r}, not {k!r}")
-        k_idx = sens_traj.source_index
-    else:
-        k_idx = int(k)
-        if k_idx != sens_traj.source_index:
-            raise ValueError("source mismatch between k and sensitivity block")
-    j_idx = state_traj.labels.index(j) if isinstance(j, str) else int(j)
+    if k != sens_traj.source:
+        raise ValueError(f"sensitivity block is for source {sens_traj.source!r}, not {k!r}")
+    k_idx = sens_traj.source_index
+    j_idx = state_traj.labels.index(j)
     t_start = sens_traj.times[0]
     t_eval = t_start + T
     if t_eval > state_traj.times[-1] + NODE_TOL:
         raise ValueError(f"T = {T} reaches beyond the trajectory span")
     gam_T = sens_traj.at(t_eval).gamma[j_idx]
     S_T = state_traj.state_at(t_eval).S[k_idx]
-    jl, kl = state_traj.labels[j_idx], sens_traj.source
     simple = simple_nnt(T, S_T, gam_T)
     if simple is None:
-        return NNTResult(j=jl, k=kl, horizon=T, nnt_simple=float("nan"),
+        return NNTResult(j=j, k=k, horizon=T, nnt_simple=float("nan"),
                          nnt_integral=float("nan"), defined=False)
     if sens_traj.times is not state_traj.times and (  # shared by integrate_with_spillover
             sens_traj.times.shape != state_traj.times.shape
@@ -247,7 +196,7 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
         tt, ratio = np.append(tt, t_eval), np.append(ratio, gam_T / S_T)
     integral = float(np.trapezoid(ratio, tt))
     full = T / (gam_T / S_T + mu * integral)
-    return NNTResult(j=jl, k=kl, horizon=T, nnt_simple=simple,
+    return NNTResult(j=j, k=k, horizon=T, nnt_simple=simple,
                      nnt_integral=full, defined=True)
 
 
@@ -271,7 +220,7 @@ class FdEstimate:
 def fd_oracle(spec, y0, k, eps_tilde, cfg):
     """Estimate the coverage sensitivity by differencing two perturbed runs.
 
-    Integrates the given spec with eps_k shifted by +/- eps_tilde and forms
+    Integrates the given spec with eps_k (k a group label) shifted by +/- eps_tilde and forms
     (X(eps - e) - X(eps + e)) / (2 e), matching the package's
     reduction-sign convention, at t0, every whole year and t_end.  Falls
     back to a one-sided difference when eps_k sits at a boundary of [0, 1];
@@ -279,8 +228,7 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg):
     """
     if eps_tilde <= 0.0:
         raise PerturbationOutOfRange("eps_tilde must be positive")
-    k_idx = spec.group_index(k) if isinstance(k, str) else int(k)
-    label = spec.labels[k_idx]
+    k_idx = spec.group_index(k)
     eps_k = spec.groups[k_idx][1].epsilon
     hi, lo = eps_k + eps_tilde, eps_k - eps_tilde
     if lo >= 0.0 and hi <= 1.0:
@@ -291,15 +239,15 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg):
         scheme, pair, denom = "backward", (lo, eps_k), eps_tilde
     else:
         raise PerturbationOutOfRange(
-            f"eps_{label} = {eps_k} admits no +/-{eps_tilde} perturbation in [0, 1]")
+            f"eps_{k} = {eps_k} admits no +/-{eps_tilde} perturbation in [0, 1]")
     grid = _breakpoints(cfg, None)
     runs = []
     for e in pair:
-        pspec = spec.with_epsilon({label: e})
+        pspec = spec.with_epsilon({k: e})
         traj = integrate(pspec, y0, cfg)
         runs.append(np.array([traj.row_at(t)[:2 * spec.n] for t in grid]))
     diff = (runs[0] - runs[1]) / denom
-    return FdEstimate(source=label, source_index=k_idx, times=np.array(grid),
+    return FdEstimate(source=k, source_index=k_idx, times=np.array(grid),
                       sigma=diff[:, 0::2], gamma=diff[:, 1::2], scheme=scheme)
 
 

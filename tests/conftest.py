@@ -1,9 +1,14 @@
+import numpy as np
 import pytest
 
+from prepspill import model
+from prepspill.errors import UnsupportedVariant, ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate
 from prepspill.mixing import BasicMixing, RiskMixing
-from prepspill.model import StateVec, TransmissionProbs, dfe, make_spec
+from prepspill.model import (VARIANTS, StateVec, TransmissionProbs, _zero_population,
+                             contact_matrix, dfe, make_spec)
 from prepspill.presets import georgia_basic, georgia_risk
+from prepspill.spillover import SensitivityState, _augmented_rhs_factory
 
 
 @pytest.fixture(scope="session")
@@ -108,3 +113,120 @@ def baseline_risk(risk):
     spec, y0 = risk
     cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-8, atol=1e-6)
     return integrate(spec, y0, cfg, sample_times=[2020.0])
+
+
+# ---------------------------------------------------------------------------
+# Structured numpy reference forms of the model, the spillover block and the
+# mixing balance.  The package integrates only the generated flat systems
+# (model._flat_rhs_maker); the tests compare those against these
+# independently written formulas.
+# ---------------------------------------------------------------------------
+
+def contact_matrix_at(spec, N, t=None):
+    """Contact matrix W at group populations N, with the mixing fractions of
+    closed_mixing (from the closure core: no mixing record).  Raises
+    _zero_population's error if a group has N <= 0."""
+    if (N <= 0.0).any():
+        raise _zero_population(spec.labels, N, t)
+    close, a = getattr(model, VARIANTS[spec.variant].fractions), [p.a for _, p in spec.groups]
+    return contact_matrix(spec, spec.mixing or close(N.tolist(), a, spec.mixing_priors, t=t))
+
+
+def build_lambda_vectors(spec, state, t=None):
+    """Contact-coefficient vectors, one row per group, columns over the
+    interleaved (S, I) slots.  Row j dotted with the interleaved state gives
+    the raw (pre-(1-eps), pre-S) force of infection on group j."""
+    N = state.N
+    L = np.zeros((spec.n, 2 * spec.n))
+    L[:, 1::2] = contact_matrix_at(spec, N, t) / N
+    return L
+
+
+def incidence(spec, state, t=None):
+    """Per-group infection flux (1 - eps_j) (W @ (I / N))_j S_j, persons/year."""
+    N = state.N
+    W = contact_matrix_at(spec, N, t)
+    _, _, _, eps = spec.param_arrays()
+    return (1.0 - eps) * (W @ (state.I / N)) * state.S
+
+
+def rhs(spec, state, t=0.0):
+    """Time derivative of the state (including cumulative-incidence slots)."""
+    inc = incidence(spec, state, t=t)
+    Pi, _, delta, _ = spec.param_arrays()
+    mu = spec.mu
+    dS = Pi - inc - mu * state.S
+    dI = inc - (mu + delta) * state.I
+    return StateVec(S=dS, I=dI, C=inc)
+
+
+def _one_source_rhs(spec, state, sens, mode, t):
+    """The generated one-source augmented system evaluated at (state, block):
+    the flat derivative, state slots first, then the block's (sigma, gamma)."""
+    y = state.to_flat().tolist() + np.column_stack([sens.sigma, sens.gamma]).ravel().tolist()
+    return _augmented_rhs_factory(spec, (sens.source_index,), mode)(t, y)
+
+
+def spillover_rhs(spec, state, sens, mode="practical", t=None):
+    """Time derivative of one sensitivity block given the current state: the
+    block rows of the generated one-source augmented system."""
+    out = _one_source_rhs(spec, state, sens, mode, t)[3 * spec.n:]
+    return SensitivityState(source=sens.source, source_index=sens.source_index,
+                            sigma=np.array(out[0::2]), gamma=np.array(out[1::2]))
+
+
+def xi_correction(spec, state, sens):
+    """Population-size correction vectors for the exact-delta mode.
+
+    Returns (Xi, contrib): Xi is (n, 2n) with entries
+    W[j, p] * (sigma_p + gamma_p) / N_p^2 at partner infected slots, and
+    contrib_j = (1 - eps_j) * (Xi_j . X) * S_j is the term added to
+    dsigma_j/dt and subtracted from dgamma_j/dt when the flag is on.
+    Only derived for the basic variant.
+    """
+    if spec.variant != "basic":
+        raise UnsupportedVariant("correction vectors exist for the basic variant only")
+    N = state.N
+    _, _, _, eps = spec.param_arrays()
+    Xi = np.zeros((spec.n, 2 * spec.n))
+    Xi[:, 1::2] = contact_matrix_at(spec, N) * ((sens.sigma + sens.gamma) / N ** 2)
+    return Xi, (1.0 - eps) * (Xi[:, 1::2] @ state.I) * state.S
+
+
+def incidence_sensitivity(spec, state, sens, j, mode="practical"):
+    """Sensitivity of group j's incidence rate to persons on PrEP in the source:
+    d/dt [gamma_j / S_k] + mu * gamma_j / S_k, with dS_k/dt and dgamma_j/dt
+    from one evaluation of the one-source augmented system."""
+    k = sens.source_index
+    Sk = state.S[k]
+    if Sk <= 0.0:
+        raise ZeroPopulation(f"source group {sens.source} has S = 0")
+    d = _one_source_rhs(spec, state, sens, mode, 0.0)
+    quot_dot = (d[3 * spec.n + 2 * j + 1] * Sk - sens.gamma[j] * d[2 * k]) / Sk ** 2
+    return quot_dot + spec.mu * sens.gamma[j] / Sk
+
+
+def basic_residuals(mix, N, a):
+    """Relative residuals of the two basic balance equations."""
+    B0, B1, B2 = N[0] * a[0], N[1] * a[1], N[2] * a[2]
+    scale = max(B0, B1, B2)
+    r1 = ((1.0 - mix.eta_msm) * B0 - mix.alpha_hetf * B1) / scale
+    r2 = ((1.0 - mix.alpha_hetf) * B1 - B2) / scale
+    return (r1, r2)
+
+
+def risk_residuals(mix, N, a):
+    """Relative residuals of the four risk-model balance equations."""
+    B0, B1, B2, B3 = N[0] * a[0], N[1] * a[1], N[2] * a[2], N[3] * a[3]
+    scale = max(B0, B1, B2, B3)
+    return (
+        (mix.eta_hetfh * B0 - mix.alpha_hetfh * B1) / scale,
+        ((1.0 - mix.eta_msm - mix.eta_hetfh) * B0 - mix.alpha_hetfl * B2) / scale,
+        ((1.0 - mix.alpha_hetfh) * B1 - mix.xi_hetm * B3) / scale,
+        ((1.0 - mix.alpha_hetfl) * B2 - (1.0 - mix.xi_hetm) * B3) / scale,
+    )
+
+
+def risk_objective(mix, priors):
+    """Squared distance from a mixing tuple to the priors (the projection objective)."""
+    return sum((x - p) ** 2 for x, p in zip(mix.as_tuple(), priors.as_tuple()))

@@ -176,6 +176,17 @@ def test_step_size_underflow():
                        n_state=1)
 
 
+@pytest.mark.parametrize("settings", [
+    {"t0": math.nan}, {"t_end": math.inf}, {"dt": math.nan}, {"rtol": math.nan},
+    {"atol": math.inf}, {"dt_min": math.nan}, {"dt_max": math.nan}, {"dt_min": 0.0},
+    {"dt_min": 2.0, "dt_max": 1.0}])
+def test_config_rejects_nonfinite_and_inconsistent_steps(settings):
+    # checked by construction only: a NaN rtol with a NaN dt_min never ends a
+    # run, a NaN dt reaches math.ceil, and dt_min > dt_max read as underflow
+    with pytest.raises(ValueError):
+        IntegratorConfig(**{"t0": 0.0, "t_end": 1.0, **settings})
+
+
 def test_no_clamps_on_presets(baseline_basic, baseline_risk):
     assert baseline_basic.clamp_events == []
     assert baseline_risk.clamp_events == []

@@ -3,14 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_spec
+from conftest import basic_residuals, random_spec, risk_objective, risk_residuals
 from prepspill.errors import InfeasibleClosure
 from prepspill.model import contact_matrix, dfe
 from prepspill.presets import georgia_risk
 from prepspill.mixing import (BasicMixing, RiskMixing, _risk_projection,
-                              basic_fractions, basic_residuals, close_basic,
-                              close_basic_batch, close_risk, close_risk_batch,
-                              risk_fractions, risk_objective, risk_residuals)
+                              basic_fractions, close_basic, close_basic_batch,
+                              close_risk, close_risk_batch, risk_fractions)
 
 # Georgia nominal populations and contact rates (2017 totals)
 N3 = np.array([165418.0, 3274801.0, 3145939.0])

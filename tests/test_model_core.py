@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spec, random_state
+from conftest import (build_lambda_vectors, contact_matrix_at, incidence,
+                      random_spec, random_state, rhs)
 from prepspill.errors import PrepspillError, ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate, integrate_flat
 from prepspill.model import (VARIANTS, GroupParams, StateVec, TransmissionProbs,
                              _flat_rhs_maker, _rhs_cells, batched_rhs_factory,
-                             build_lambda_vectors, closed_mixing, contact_matrix,
-                             contact_matrix_at, dfe, flat_rhs_factory, incidence,
-                             make_spec, rhs)
+                             closed_mixing, contact_matrix, dfe, flat_rhs_factory,
+                             make_spec)
 from prepspill.mixing import BasicMixing, basic_fractions, risk_fractions
 from prepspill.reproduction import build_ngm
 

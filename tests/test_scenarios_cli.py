@@ -57,6 +57,27 @@ def test_load_config_negative_persons(tmp_path):
     assert "additional_persons" in str(exc.value)
 
 
+@pytest.mark.parametrize("dE", [float("nan"), float("inf")])
+def test_load_config_nonfinite_persons(tmp_path, dE):
+    path = write_config(tmp_path, {
+        "model": "basic",
+        "interventions": [{"group": "msm", "additional_persons": dE}]})
+    with pytest.raises(SchemaViolation) as exc:
+        load_config(path)
+    assert exc.value.key == "interventions[0].additional_persons"
+
+
+@pytest.mark.parametrize("settings", [
+    {"rtol": float("nan"), "dt_min": float("nan")},
+    {"method": "rk4_fixed", "dt": float("nan")},
+    {"rtol": float("nan")}, {"dt_min": 2.0, "dt_max": 1.0}])
+def test_load_config_bad_integrator_settings(tmp_path, settings):
+    path = write_config(tmp_path, {"model": "basic", "integrator": settings})
+    with pytest.raises(SchemaViolation) as exc:
+        load_config(path)
+    assert exc.value.key == "integrator"
+
+
 def test_load_config_zero_length_horizon(tmp_path):
     path = write_config(tmp_path, {
         "model": "basic", "horizon": {"start": 2020, "intervention": 2020,
@@ -485,3 +506,14 @@ def test_cli_group_override_out_of_range_is_a_config_error(tmp_path, capsys, ove
                                    "overrides": {"groups": {"hetm": override}}})
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith("error: overrides.groups.hetm: ")
+
+
+@pytest.mark.parametrize("key, override", [
+    ("probs", {"beta_mm": 2.0}), ("mixing_priors", {"eta_msm": 1.5}),
+    ("probs", {"bogus": 0.1}), ("mu", "abc"), ("mu", float("nan"))])
+def test_cli_override_out_of_range_is_a_config_error(tmp_path, capsys, key, override):
+    # every override kind goes through the groups override's guard; a NaN mu
+    # once passed ModelSpec and failed later, in the closure
+    path = write_config(tmp_path, {"model": "basic", "overrides": {key: override}})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: overrides.{key}: ")

@@ -3,16 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import random_spec, random_state
+from conftest import (incidence_sensitivity, random_spec, random_state, rhs,
+                      spillover_rhs, xi_correction)
 from prepspill.errors import (PerturbationOutOfRange, UnsupportedVariant,
                               ZeroPopulation)
 from prepspill.integrators import IntegratorConfig, integrate, node_index
-from prepspill.model import StateVec, closed_mixing, dfe, flat_rhs_factory, rhs
+from prepspill.model import StateVec, closed_mixing, dfe, flat_rhs_factory
 from prepspill.spillover import (SensitivityState, _augmented_rhs_factory, fd_oracle,
-                                 incidence_sensitivity,
-                                 integrate_with_spillover, nnt,
-                                 per_person_effect, spillover_rhs,
-                                 xi_correction)
+                                 integrate_with_spillover, nnt, per_person_effect)
 
 CFG = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-9, atol=1e-7)
 
