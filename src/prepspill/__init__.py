@@ -9,8 +9,8 @@ scenarios (config-driven batch runner), cli.
 
 from .integrators import IntegratorConfig, Trajectory, annual_series, integrate
 from .mixing import BasicMixing, RiskMixing, close_basic, close_risk
-from .model import (GroupId, GroupParams, ModelSpec, StateVec,
-                    TransmissionProbs, contact_matrix, dfe, make_spec)
+from .model import (GroupParams, ModelSpec, StateVec, TransmissionProbs,
+                    contact_matrix, dfe, make_spec)
 from .presets import georgia_basic, georgia_risk
 from .reproduction import (NGMatrices, ReproductionNumber, build_ngm,
                            rc_closed_basic, rc_closed_risk, rc_numeric,

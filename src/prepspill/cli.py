@@ -17,8 +17,8 @@ import numpy as np
 from .errors import PrepspillError
 from .presets import INTERVENTION_START, REPORT_END
 from .reproduction import build_ngm, rc_closed, rc_numeric
-from .scenarios import (build_model, default_config, emit_plot_data,
-                        load_config, report_to_csv, run_scenarios, run_spillover,
+from .scenarios import (default_config, emit_plot_data, load_config,
+                        report_to_csv, run_scenarios, run_spillover,
                         sobol_manifest, validate_tables, write_sobol_csv)
 from .sobol import UncertainInput, sobol_timeseries
 from .spillover import nnt, sensitivity_to_csv
@@ -65,9 +65,9 @@ def cmd_simulate(args):
 
 def cmd_spillover(args):
     config = _config_from_args(args)
-    spec, _, _, sens = run_spillover(config, mode=args.mode)
+    _, _, sens = run_spillover(config, mode=args.mode)
     path = _out_path(args, f"spillover_{config.variant}.csv")
-    sensitivity_to_csv(sens, spec.labels, path)
+    sensitivity_to_csv(sens, config.spec.labels, path)
     if args.json:
         out = {"file": path, "sources": list(sens),
                "final": {k: {"gamma": sens[k].gamma[-1].tolist(),
@@ -84,12 +84,10 @@ def cmd_nnt(args):
     T, span = args.horizon, config.end - config.intervention_year
     if not 0.0 < T <= span:
         raise PrepspillError(f"--horizon {T} outside (0, {span}] (years after intervention)")
-    spec, _, traj, sens = run_spillover(config)
-    rows = []
-    for k in spec.labels:
-        for j in spec.labels:
-            res = nnt(sens[k], traj, j, k, T, spec.mu)
-            rows.append(res)
+    # the horizon is a node, so nnt() reads it instead of interpolating
+    _, traj, sens = run_spillover(config, sample_times=[config.intervention_year + T])
+    labels = config.spec.labels
+    rows = [nnt(sens[k], traj, j, k, T, config.spec.mu) for k in labels for j in labels]
     path = _out_path(args, f"nnt_{config.variant}.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("j,k,T,nnt_simple,nnt_integral,defined\n")
@@ -110,8 +108,7 @@ def cmd_nnt(args):
 
 def cmd_ngm(args):
     config = _config_from_args(args)
-    spec, _ = build_model(config)
-    ngm = build_ngm(spec)
+    ngm = build_ngm(config.spec)
     numeric = rc_numeric(ngm)
     closed = rc_closed(ngm)
     if args.json:
@@ -145,10 +142,9 @@ def cmd_ngm(args):
 
 def cmd_sobol(args):
     config = _config_from_args(args)
-    spec, y0 = build_model(config)
     inputs = tuple(UncertainInput(group=l, lo=args.lo, hi=args.hi)
-                   for l in spec.labels)
-    study = sobol_timeseries(spec, y0, inputs, level=args.level,
+                   for l in config.spec.labels)
+    study = sobol_timeseries(config.spec, config.y0, inputs, level=args.level,
                              total_degree=args.degree)
     path = _out_path(args, f"sobol_{config.variant}.csv")
     write_sobol_csv(study, path)

@@ -57,12 +57,6 @@ def variant_of(name):
 
 
 @dataclass(frozen=True)
-class GroupId:
-    label: str
-    index: int
-
-
-@dataclass(frozen=True)
 class GroupParams:
     """Demographic and intervention parameters of one group.
 
@@ -115,7 +109,7 @@ class ModelSpec:
     """
 
     variant: str
-    groups: tuple
+    groups: tuple  # (label, GroupParams) pairs in state order
     probs: TransmissionProbs
     mu: float
     mixing_priors: object
@@ -124,12 +118,9 @@ class ModelSpec:
     def __post_init__(self):
         var = variant_of(self.variant)
         expected = var.groups
-        labels = tuple(gid.label for gid, _ in self.groups)
-        if labels != expected:
-            raise ValueError(f"variant {self.variant!r} needs groups {expected}, got {labels}")
-        for i, (gid, _) in enumerate(self.groups):
-            if gid.index != i:
-                raise ValueError(f"group {gid.label} has index {gid.index}, expected {i}")
+        if self.labels != expected:
+            raise ValueError(f"variant {self.variant!r} needs groups {expected}, "
+                             f"got {self.labels}")
         if not 0.0 < self.mu < math.inf:  # NaN fails both comparisons
             raise ValueError(f"mu = {self.mu} must be positive and finite")
         want = var.mixing
@@ -144,7 +135,7 @@ class ModelSpec:
 
     @property
     def labels(self):
-        return tuple(gid.label for gid, _ in self.groups)
+        return tuple(label for label, _ in self.groups)
 
     def group_index(self, label):
         try:
@@ -164,15 +155,15 @@ class ModelSpec:
         ``new_eps`` maps group label -> epsilon; unlisted groups keep theirs.
         """
         groups = []
-        for gid, p in self.groups:
-            if gid.label in new_eps:
-                p = replace(p, epsilon=float(new_eps[gid.label]))
-            groups.append((gid, p))
+        for label, p in self.groups:
+            if label in new_eps:
+                p = replace(p, epsilon=float(new_eps[label]))
+            groups.append((label, p))
         return replace(self, groups=tuple(groups))
 
     def with_delta_zero(self):
         """Copy of the spec with disease-induced mortality switched off."""
-        groups = tuple((gid, replace(p, delta=0.0)) for gid, p in self.groups)
+        groups = tuple((label, replace(p, delta=0.0)) for label, p in self.groups)
         return replace(self, groups=groups)
 
 
@@ -180,9 +171,8 @@ def make_spec(variant, Pi, a, delta, epsilon, probs, mu, mixing_priors, mixing=N
     """Assemble a ModelSpec from parallel parameter sequences in group order."""
     names = variant_of(variant).groups
     groups = tuple(
-        (GroupId(label=lbl, index=i),
-         GroupParams(Pi=float(Pi[i]), a=float(a[i]), delta=float(delta[i]),
-                     epsilon=float(epsilon[i])))
+        (lbl, GroupParams(Pi=float(Pi[i]), a=float(a[i]), delta=float(delta[i]),
+                          epsilon=float(epsilon[i])))
         for i, lbl in enumerate(names))
     return ModelSpec(variant=variant, groups=groups, probs=probs, mu=float(mu),
                      mixing_priors=mixing_priors, mixing=mixing)
@@ -201,7 +191,10 @@ class StateVec:
         S = np.asarray(S, dtype=float)
         I = np.asarray(I, dtype=float)
         C = np.zeros_like(S) if C is None else np.asarray(C, dtype=float)
-        if S.min() < 0.0 or I.min() < 0.0 or C.min() < 0.0:
+        counts = S.tolist() + I.tolist() + C.tolist()  # floats check faster than arrays
+        if not all(map(math.isfinite, counts)):
+            raise ValueError("compartment populations must be finite")
+        if min(counts) < 0.0:
             raise ValueError("compartment populations must be nonnegative")
         return cls(S=S, I=I, C=C)
 

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup)
 from .integrators import (IntegratorConfig, Trajectory, annual_series, integrate,
                           text_sink)
-from .model import VARIANTS, StateVec
+from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       SIM_START, TABLE_BASIC_BASELINE,
                       TABLE_BASIC_INTERVENTIONS, TABLE_RISK_BASELINE,
@@ -52,10 +52,10 @@ class ScenarioConfig:
     intervention_year: float
     end: float
     interventions: tuple
+    spec: ModelSpec       # the Georgia preset of the variant plus overrides
+    y0: StateVec          # its initial state plus initial_conditions
     intervention_mode: str = "fixed-fraction"
     integrator: IntegratorConfig = None  # spans [start, end]
-    overrides: dict = field(default_factory=dict)
-    initial_conditions: dict = None
     raw: dict = field(default_factory=dict)
 
     def content_hash(self):
@@ -85,12 +85,42 @@ def load_config(path):
             raw = json.load(fh)
     except OSError as e:
         raise ParseError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSONDecodeError or a UnicodeDecodeError
         raise ParseError(f"config {path} is not valid JSON: {e}") from e
     return _config_from_raw(raw)
 
 
+@contextlib.contextmanager
+def _guard(key):
+    """Report a TypeError, ValueError or OverflowError from reading or
+    applying the value at ``key`` as a SchemaViolation naming that key."""
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as e:
+        raise SchemaViolation(f"{key}: {e}", key=key) from e
+
+
+def _section(parent, key, prefix=""):
+    """The object at parent[key], {} when absent or null; the section is
+    reported as prefix + key."""
+    sec = parent.get(key)
+    if sec is None:
+        return {}
+    if not isinstance(sec, dict):
+        raise SchemaViolation(f"{prefix}{key} must be an object", key=prefix + key)
+    return sec
+
+
+def _merged(record, parent, key, prefix):
+    """Dataclass ``record`` with the numbers in the section parent[key] put in."""
+    vals = _section(parent, key, prefix)
+    with _guard(prefix + key):
+        return replace(record, **{k: float(v) for k, v in vals.items()}) if vals else record
+
+
 def _config_from_raw(raw):
+    """The one reading of the config schema: every value is checked, and the
+    spec and initial state built, here."""
     if not isinstance(raw, dict):
         raise SchemaViolation("config root must be an object", key="<root>")
     version = raw.get("schema_version", SCHEMA_VERSION)
@@ -103,17 +133,21 @@ def _config_from_raw(raw):
                               key="model")
     labels = VARIANTS[variant].groups
 
-    hor = raw.get("horizon", {})
-    start = float(hor.get("start", SIM_START))
-    inter = float(hor.get("intervention", INTERVENTION_START))
-    end = float(hor.get("end", REPORT_END))
-    if not (start <= inter < end):
+    hor = _section(raw, "horizon")
+    with _guard("horizon"):
+        start = float(hor.get("start", SIM_START))
+        inter = float(hor.get("intervention", INTERVENTION_START))
+        end = float(hor.get("end", REPORT_END))
+    if not (-math.inf < start <= inter < end < math.inf):
         raise SchemaViolation(
-            f"horizon must satisfy start <= intervention < end, got {start}, {inter}, {end}",
+            f"horizon must be finite, start <= intervention < end, got {start}, {inter}, {end}",
             key="horizon")
 
+    items = raw.get("interventions", [])
+    if not isinstance(items, list):
+        raise SchemaViolation("interventions must be a list", key="interventions")
     arms = []
-    for i, item in enumerate(raw.get("interventions", [])):
+    for i, item in enumerate(items):
         key = f"interventions[{i}]"
         if not isinstance(item, dict):
             raise SchemaViolation("intervention must be an object", key=key)
@@ -121,11 +155,13 @@ def _config_from_raw(raw):
         if g not in labels:
             raise UnknownGroup(f"{key}.group: no group {g!r} in variant {variant!r}")
         dE = item.get("additional_persons")
-        if not isinstance(dE, (int, float)) or dE < 0 or not math.isfinite(dE):
-            raise SchemaViolation(
-                f"{key}.additional_persons must be a finite nonnegative number, got {dE!r}",
-                key=f"{key}.additional_persons")
-        sy = float(item.get("start_year", inter))
+        with _guard(f"{key}.additional_persons"):
+            if type(dE) not in (int, float) or not 0.0 <= float(dE) < math.inf:  # no bools
+                raise SchemaViolation(
+                    f"{key}.additional_persons must be a finite nonnegative number, got {dE!r}",
+                    key=f"{key}.additional_persons")
+        with _guard(f"{key}.start_year"):
+            sy = float(item.get("start_year", inter))
         if not (start <= sy < end):
             raise SchemaViolation(f"{key}.start_year {sy} outside horizon",
                                   key=f"{key}.start_year")
@@ -136,111 +172,78 @@ def _config_from_raw(raw):
         raise SchemaViolation(f"unknown intervention_mode {mode!r}",
                               key="intervention_mode")
 
-    icfg_raw = raw.get("integrator", {})
+    icfg_raw = _section(raw, "integrator")
     allowed = {"method", "dt", "rtol", "atol", "dt_min", "dt_max"}
     bad = set(icfg_raw) - allowed
     if bad:
         raise SchemaViolation(f"unknown integrator keys {sorted(bad)}",
                               key="integrator")
-    try:
+    with _guard("integrator"):
         icfg = IntegratorConfig(t0=start, t_end=end, **icfg_raw)
-    except (TypeError, ValueError) as e:
-        raise SchemaViolation(f"bad integrator settings: {e}", key="integrator") from e
 
-    overrides = raw.get("overrides", {})
-    if not isinstance(overrides, dict):
-        raise SchemaViolation("overrides must be an object", key="overrides")
-    for g in overrides.get("groups", {}):
+    spec, y0 = georgia_spec(variant)
+    overrides = _section(raw, "overrides")
+    bad = set(overrides) - {"mu", "probs", "mixing_priors", "groups"}
+    if bad:
+        raise SchemaViolation(f"unknown override keys {sorted(bad)}",
+                              key="overrides")
+    if "mu" in overrides:
+        with _guard("overrides.mu"):
+            spec = replace(spec, mu=float(overrides["mu"]))
+    groups = _section(overrides, "groups", "overrides.")
+    for g in groups:
         if g not in labels:
             raise UnknownGroup(f"overrides.groups: no group {g!r} in variant {variant!r}")
+    spec = replace(spec, probs=_merged(spec.probs, overrides, "probs", "overrides."),
+                   mixing_priors=_merged(spec.mixing_priors, overrides, "mixing_priors",
+                                         "overrides."),
+                   groups=tuple((g, _merged(p, groups, g, "overrides.groups."))
+                                for g, p in spec.groups))
 
-    ics = raw.get("initial_conditions")
-    if ics is not None:
-        for g in ics:
-            if g not in labels:
-                raise UnknownGroup(
-                    f"initial_conditions: no group {g!r} in variant {variant!r}")
-            for field_name in ("S", "I"):
-                if field_name not in ics[g]:
-                    raise SchemaViolation(
-                        f"initial_conditions.{g} needs S and I",
-                        key=f"initial_conditions.{g}")
+    ics = _section(raw, "initial_conditions")
+    S, I = list(y0.S), list(y0.I)
+    for g in ics:
+        key = f"initial_conditions.{g}"
+        if g not in labels:
+            raise UnknownGroup(f"initial_conditions: no group {g!r} in variant {variant!r}")
+        vals = _section(ics, g, "initial_conditions.")
+        if not {"S", "I"} <= vals.keys():
+            raise SchemaViolation(f"{key} needs S and I", key=key)
+        with _guard(key):
+            i = labels.index(g)
+            S[i], I[i] = float(vals["S"]), float(vals["I"])
+            y0 = StateVec.make(S, I)
 
     return ScenarioConfig(variant=variant, start=start, intervention_year=inter,
-                          end=end, interventions=tuple(arms),
-                          intervention_mode=mode, integrator=icfg,
-                          overrides=overrides, initial_conditions=ics, raw=raw)
+                          end=end, interventions=tuple(arms), spec=spec, y0=y0,
+                          intervention_mode=mode, integrator=icfg, raw=raw)
 
 
-@contextlib.contextmanager
-def _override(key):
-    """Report a TypeError or ValueError from applying overrides.<key> as a
-    SchemaViolation naming that key."""
-    try:
-        yield
-    except (TypeError, ValueError) as e:
-        raise SchemaViolation(f"overrides.{key}: {e}", key=f"overrides.{key}") from e
-
-
-def build_model(config):
-    """Spec and initial state for a config: Georgia preset plus overrides."""
-    spec, y0 = georgia_spec(config.variant)
-    ov = config.overrides
-    if "mu" in ov:
-        with _override("mu"):
-            spec = replace(spec, mu=float(ov["mu"]))
-    if "probs" in ov:
-        p = spec.probs
-        with _override("probs"):
-            vals = {k: float(v) for k, v in ov["probs"].items()}
-            spec = replace(spec, probs=type(p)(**{**p.__dict__, **vals}))
-    if "mixing_priors" in ov:
-        cls = VARIANTS[config.variant].mixing
-        cur = spec.mixing_priors.__dict__
-        with _override("mixing_priors"):
-            spec = replace(spec, mixing_priors=cls(**{**cur, **{
-                k: float(v) for k, v in ov["mixing_priors"].items()}}))
-    if "groups" in ov:
-        groups = []
-        for gid, params in spec.groups:
-            upd = ov["groups"].get(gid.label, {})
-            with _override(f"groups.{gid.label}"):
-                groups.append((gid, replace(params, **{k: float(v) for k, v in upd.items()})))
-        spec = replace(spec, groups=tuple(groups))
-    if config.initial_conditions is not None:
-        S = list(y0.S)
-        I = list(y0.I)
-        for g, vals in config.initial_conditions.items():
-            i = spec.group_index(g)
-            S[i] = float(vals["S"])
-            I[i] = float(vals["I"])
-        y0 = StateVec.make(S, I)
-    return spec, y0
-
-
-def integrate_baseline(spec, y0, config):
+def integrate_baseline(config):
     """The config's no-intervention run over [start, end], with a node at
     the intervention year and at every arm's start year, so the arms start
     from, and take window incidence at, stored rows."""
-    return integrate(spec, y0, config.integrator,
+    return integrate(config.spec, config.y0, config.integrator,
                      sample_times=[config.intervention_year]
                      + [arm.start_year for arm in config.interventions])
 
 
-def run_spillover(config, mode="practical", baseline=None):
+def run_spillover(config, mode="practical", baseline=None, sample_times=None):
     """Sensitivities to every group's coverage over [intervention, end],
-    started from the baseline state at the intervention year.
+    started from the baseline state at the intervention year, with nodes at
+    ``sample_times`` besides the whole years.
 
-    Returns (spec, baseline, state trajectory, sensitivities by source).
+    Returns (baseline, state trajectory, sensitivities by source).
     The baseline is integrated unless one is passed in.
     """
-    spec, y0 = build_model(config)
     if baseline is None:
-        baseline = integrate_baseline(spec, y0, config)
+        baseline = integrate_baseline(config)
     traj, sens = integrate_with_spillover(
-        spec, baseline.state_at(config.intervention_year), sources=spec.labels,
-        cfg=config.integrator.over(config.intervention_year, config.end), mode=mode)
-    return spec, baseline, traj, sens
+        config.spec, baseline.state_at(config.intervention_year),
+        sources=config.spec.labels,
+        cfg=config.integrator.over(config.intervention_year, config.end), mode=mode,
+        sample_times=sample_times)
+    return baseline, traj, sens
 
 
 @dataclass
@@ -283,11 +286,11 @@ def run_scenarios(config):
     Arm names, unique in a report: prep_<group>_<int persons>, _<start year>
     unless it is the intervention year, and #<m> for the m-th of that name.
     """
-    spec, y0 = build_model(config)
+    spec = config.spec
     t_int, t_end = config.intervention_year, config.end
     labels = spec.labels
 
-    base_traj = integrate_baseline(spec, y0, config)
+    base_traj = integrate_baseline(config)
     base_inc = _window_incidence(base_traj, spec, t_int, t_end)
     base_cols = combine_reported(config.variant, labels, base_inc)
     base_cols["total"] = float(np.sum(base_inc))
@@ -445,16 +448,16 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
         raise MissingSeries(f"unknown series {sorted(unknown)}; known: {sorted(known)}")
     os.makedirs(out_dir, exist_ok=True)
     config = config or default_config(variant)
-    spec, y0 = build_model(config)
+    spec, y0 = config.spec, config.y0
     labels = spec.labels
     paths = []
 
     report = run_scenarios(config) if "table" in series else None
     base_traj = report.baseline_traj if report else None
     if {"effects", "nnt"} & set(series):
-        _, base_traj, traj, sens = run_spillover(config, baseline=base_traj)
+        base_traj, traj, sens = run_spillover(config, baseline=base_traj)
     elif "baseline" in series and base_traj is None:
-        base_traj = integrate_baseline(spec, y0, config)
+        base_traj = integrate_baseline(config)
 
     if "baseline" in series:
         years, inc = annual_series(base_traj)

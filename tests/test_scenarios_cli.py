@@ -1,3 +1,4 @@
+import copy
 import csv
 import io
 import json
@@ -6,16 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prepspill.cli import build_parser, main
-from prepspill.errors import (MissingSeries, SchemaViolation, UnknownGroup,
-                              ZeroPopulation)
+from prepspill.errors import (ConfigError, MissingSeries, SchemaViolation,
+                              UnknownGroup, ZeroPopulation)
+from prepspill.model import StateVec
 from prepspill.presets import (ANNUAL_INCIDENCE_BAND, BASIC_ARMS,
                                PREVALENCE_ANCHOR_2017, PREVALENCE_BAND, georgia_basic)
 from prepspill.integrators import annual_series
-from prepspill.scenarios import (NNT_DISPLAY_CAP, build_model, default_config,
-                                 emit_plot_data, load_config, report_to_csv,
-                                 run_scenarios, run_spillover, validate_tables)
+from prepspill.scenarios import (NNT_DISPLAY_CAP, default_config, emit_plot_data,
+                                 load_config, report_to_csv, run_scenarios,
+                                 run_spillover, validate_tables)
 from prepspill.spillover import nnt
 
 # Table-9 cells known to sit outside tolerance under the fixed-contact-rate
@@ -34,7 +38,7 @@ def write_config(tmp_path, payload, name="cfg.json"):
 def test_load_config_defaults_match_preset(tmp_path):
     path = write_config(tmp_path, {"schema_version": 1, "model": "basic"})
     config = load_config(path)
-    spec, y0 = build_model(config)
+    spec, y0 = config.spec, config.y0
     pspec, py0 = georgia_basic()
     assert spec == pspec
     assert np.array_equal(y0.S, py0.S) and np.array_equal(y0.I, py0.I)
@@ -99,7 +103,7 @@ def test_load_config_override_groups_and_ics(tmp_path):
         "overrides": {"groups": {"msm": {"epsilon": 0.2}}, "mu": 0.025},
         "initial_conditions": {"msm": {"S": 100000, "I": 40000}}})
     config = load_config(path)
-    spec, y0 = build_model(config)
+    spec, y0 = config.spec, config.y0
     assert spec.groups[0][1].epsilon == 0.2
     assert spec.mu == 0.025
     assert y0.S[0] == 100000 and y0.I[0] == 40000
@@ -186,7 +190,7 @@ def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
     # every cell of the series is nnt()'s nnt_simple at that horizon, empty
     # exactly where nnt() is undefined or above the display cap
     config = default_config(variant)
-    spec, _, traj, sens = run_spillover(config)
+    spec, (_, traj, sens) = config.spec, run_spillover(config)
     csv_path = emit_plot_data(str(tmp_path), variant=variant, series=("nnt",))[0]
     rows = list(csv.reader(io.StringIO(Path(csv_path).read_text())))
     pairs = [(jl, k) for k in spec.labels for jl in spec.labels]
@@ -342,7 +346,7 @@ def test_fractional_start_year_starts_from_baseline_node(tmp_path, monkeypatch):
     monkeypatch.setattr(scenarios, "integrate", spy)
     report = scenarios.run_scenarios(config)
     assert report.baseline_traj.index_of(2021.5) is not None
-    spec, y0 = build_model(config)
+    spec, y0 = config.spec, config.y0
     direct = integrate(spec, y0, config.integrator, sample_times=[2020.0, 2021.5])
     arm_start = dict(starts)[2021.5]
     want = direct.state_at(2021.5)
@@ -517,3 +521,122 @@ def test_cli_override_out_of_range_is_a_config_error(tmp_path, capsys, key, over
     path = write_config(tmp_path, {"model": "basic", "overrides": {key: override}})
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err.startswith(f"error: overrides.{key}: ")
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("payload, key", [
+    ({"overrides": {"probs": [1]}}, "overrides.probs"),
+    ({"overrides": {"groups": {"hetm": 3}}}, "overrides.groups.hetm"),
+    ({"overrides": {"groups": ["msm"]}}, "overrides.groups"),
+    ({"overrides": {"muu": 0.5}}, "muu"),
+    ({"initial_conditions": {"msm": {"S": "x", "I": 1}}}, "initial_conditions.msm"),
+    ({"initial_conditions": {"msm": {"S": -5, "I": 1}}}, "initial_conditions.msm"),
+    ({"initial_conditions": {"msm": 7}}, "initial_conditions.msm"),
+    ({"initial_conditions": {"msm": {"S": NAN, "I": 1}}}, "initial_conditions.msm"),
+    ({"horizon": {"start": "x"}}, "horizon"),
+    ({"horizon": 5}, "horizon"),
+    ({"horizon": {"end": 10**400}}, "horizon"),
+    ({"interventions": [{"group": "msm", "additional_persons": 1, "start_year": "y"}]},
+     "interventions[0].start_year"),
+    ({"interventions": 5}, "interventions"),
+    ({"interventions": [{"group": "msm", "additional_persons": 10**400}]},
+     "interventions[0].additional_persons"),
+    ({"interventions": [{"group": "msm", "additional_persons": True}]},
+     "interventions[0].additional_persons"),
+    (b'{"model": "basic", "overrides": {"mu": "\xff"}}', "not valid JSON"),
+])
+def test_cli_malformed_config_is_one_error_line(tmp_path, capsys, payload, key):
+    # each of these once ended in a traceback, or (muu, True) ran and exited 0
+    path = tmp_path / "cfg.json"
+    if isinstance(payload, bytes):
+        path.write_bytes(payload)
+    else:
+        path.write_text(json.dumps({"model": "basic", **payload}))
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [NAN, float("inf"), float("-inf")])
+def test_nonfinite_initial_counts_rejected(tmp_path, value):
+    for S, I, C in (([value], [1.0], None), ([1.0], [value], None), ([1.0], [1.0], [value])):
+        with pytest.raises(ValueError, match="must be finite"):
+            StateVec.make(S, I, C)
+    path = write_config(tmp_path, {"model": "basic", "initial_conditions": {
+        "msm": {"S": value, "I": 1}}})
+    with pytest.raises(SchemaViolation) as exc:
+        load_config(path)
+    assert exc.value.key == "initial_conditions.msm"
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+@pytest.mark.parametrize("T", [0.5, 2.5])
+def test_cli_nnt_lands_on_its_horizon(tmp_path, capsys, variant, T):
+    # a horizon between whole years is a node of the run, not interpolated
+    # between year nodes: it matches a run that ends at the horizon
+    assert main(["nnt", "--model", variant, "--out", str(tmp_path), "--horizon", str(T),
+                 "--json"]) == 0
+    got = {(r["j"], r["k"]): r for r in json.loads(capsys.readouterr().out)["results"]}
+    raw = default_config(variant).raw
+    raw["horizon"]["end"] = raw["horizon"]["intervention"] + T
+    from prepspill.scenarios import _config_from_raw
+    config = _config_from_raw(raw)
+    _, traj, sens = run_spillover(config)
+    labels = config.spec.labels
+    for k in labels:
+        for j in labels:
+            want = nnt(sens[k], traj, j, k, T, config.spec.mu)
+            assert got[(j, k)]["defined"] == want.defined
+            if want.defined:
+                assert got[(j, k)]["nnt_simple"] == pytest.approx(want.nnt_simple, rel=1e-9)
+                assert got[(j, k)]["nnt_integral"] == pytest.approx(want.nnt_integral,
+                                                                    rel=1e-9)
+
+
+FULL_CONFIG = {
+    "schema_version": 1, "model": "basic",
+    "horizon": {"start": 2017, "intervention": 2020, "end": 2031},
+    "interventions": [{"group": "msm", "additional_persons": 25000, "start_year": 2021}],
+    "intervention_mode": "tracked-count",
+    "overrides": {"mu": 0.02, "probs": {"beta_mm": 0.0008},
+                  "mixing_priors": {"eta_msm": 0.9},
+                  "groups": {"hetf": {"epsilon": 0.1}}},
+    "initial_conditions": {"msm": {"S": 123418, "I": 42000}},
+    "integrator": {"method": "rk45_adaptive", "rtol": 1e-8, "dt_max": 0.5},
+}
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for k, v in items:
+        yield from _paths(v, prefix + (k,))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([10**400, -10**400])
+    | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["S", "I", "msm", "mu", "dt", "x"]) | st.text(max_size=3),
+                      inner, max_size=3),
+    max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(list(_paths(FULL_CONFIG))[1:]), value=JSON_VALUES)
+def test_config_with_any_value_anywhere_parses_or_is_a_config_error(path, value):
+    # parsing only: any JSON value at any key gives a config or a ConfigError
+    from prepspill.scenarios import ScenarioConfig, _config_from_raw
+    raw = copy.deepcopy(FULL_CONFIG)
+    node = raw
+    for k in path[:-1]:
+        node = node[k]
+    node[path[-1]] = value
+    try:
+        assert isinstance(_config_from_raw(raw), ScenarioConfig)
+    except ConfigError:
+        pass
