@@ -15,11 +15,12 @@ import sys
 import numpy as np
 
 from .errors import PrepspillError
+from .integrators import write_csv
 from .presets import INTERVENTION_START, REPORT_END
 from .reproduction import build_ngm, rc_closed, rc_numeric
 from .scenarios import (default_config, emit_plot_data, load_config,
                         report_to_csv, run_scenarios, run_spillover,
-                        sobol_manifest, validate_tables, write_sobol_csv)
+                        sobol_manifest, validate_tables, write_sobol)
 from .sobol import UncertainInput, sobol_timeseries
 from .spillover import nnt, sensitivity_to_csv
 
@@ -35,6 +36,18 @@ def _out_path(args, name):
     return os.path.join(args.out, name)
 
 
+def _report(args, payload, files=(), lines=()):
+    """Print a command's outcome: under --json the payload, else one
+    `wrote <path>` line per file and then the lines."""
+    if args.json:
+        print(json.dumps(payload, indent=1, sort_keys=True, default=str))
+        return
+    for path in files:
+        print(f"wrote {path}")
+    for line in lines:
+        print(line)
+
+
 def cmd_simulate(args):
     config = _config_from_args(args)
     report = run_scenarios(config)
@@ -42,7 +55,6 @@ def cmd_simulate(args):
     report.baseline_traj.to_csv(path)
     table = _out_path(args, f"table_{config.variant}.csv")
     report_to_csv(report, table)
-    report.csv_paths = [path, table]
     payload = {
         "variant": config.variant,
         "window": list(report.window),
@@ -52,14 +64,10 @@ def cmd_simulate(args):
                       for r in report.scenarios},
         "files": [path, table],
     }
-    if args.json:
-        print(json.dumps(payload, indent=1, sort_keys=True))
-    else:
-        print(f"wrote {path}")
-        print(f"wrote {table}")
-        b = report.baseline.incidence
-        print(f"baseline {config.variant} {report.window[0]:.0f}-{report.window[1]:.0f}: "
-              f"total {b['total']:.0f}")
+    b = report.baseline.incidence
+    _report(args, payload, files=[path, table],
+            lines=[f"baseline {config.variant} {report.window[0]:.0f}-{report.window[1]:.0f}: "
+                   f"total {b['total']:.0f}"])
     return 0
 
 
@@ -68,14 +76,11 @@ def cmd_spillover(args):
     _, _, sens = run_spillover(config, mode=args.mode)
     path = _out_path(args, f"spillover_{config.variant}.csv")
     sensitivity_to_csv(sens, config.spec.labels, path)
-    if args.json:
-        out = {"file": path, "sources": list(sens),
+    payload = {"file": path, "sources": list(sens),
                "final": {k: {"gamma": sens[k].gamma[-1].tolist(),
                              "sigma": sens[k].sigma[-1].tolist()}
                          for k in sens}}
-        print(json.dumps(out, indent=1, sort_keys=True))
-    else:
-        print(f"wrote {path}")
+    _report(args, payload, files=[path])
     return 0
 
 
@@ -89,20 +94,17 @@ def cmd_nnt(args):
     labels = config.spec.labels
     rows = [nnt(sens[k], traj, j, k, T, config.spec.mu) for k in labels for j in labels]
     path = _out_path(args, f"nnt_{config.variant}.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("j,k,T,nnt_simple,nnt_integral,defined\n")
-        for r in rows:
-            simple = f"{r.nnt_simple:.3f}" if r.defined else ""
-            full = f"{r.nnt_integral:.3f}" if r.defined else ""
-            fh.write(f"{r.j},{r.k},{r.horizon},{simple},{full},{str(r.defined).lower()}\n")
-    if args.json:
-        print(json.dumps({"file": path, "results": [r.__dict__ for r in rows]},
-                         indent=1, sort_keys=True, default=str))
-    else:
-        print(f"wrote {path}")
-        for r in rows:
-            val = f"{r.nnt_simple:10.1f}" if r.defined else " undefined"
-            print(f"  NNT[{r.k} -> {r.j}, T={r.horizon}] = {val}")
+    write_csv(path, ["j", "k", "T", "nnt_simple", "nnt_integral", "defined"],
+              ([r.j, r.k, r.horizon,
+                f"{r.nnt_simple:.3f}" if r.defined else "",
+                f"{r.nnt_integral:.3f}" if r.defined else "",
+                str(r.defined).lower()] for r in rows))
+    lines = []
+    for r in rows:
+        val = f"{r.nnt_simple:10.1f}" if r.defined else " undefined"
+        lines.append(f"  NNT[{r.k} -> {r.j}, T={r.horizon}] = {val}")
+    _report(args, {"file": path, "results": [r.__dict__ for r in rows]},
+            files=[path], lines=lines)
     return 0
 
 
@@ -111,32 +113,27 @@ def cmd_ngm(args):
     ngm = build_ngm(config.spec)
     numeric = rc_numeric(ngm)
     closed = rc_closed(ngm)
-    if args.json:
-        payload = {
-            "labels": list(ngm.labels),
-            "F": ngm.F.tolist(),
-            "V": ngm.V.tolist(),
-            "rc_numeric": numeric.value,
-            "rc_closed": closed.value,
-            "closed_method": closed.method,
-            "diagnostic": closed.diagnostic,
-            "components": {k: (str(v) if isinstance(v, complex) else v)
-                           for k, v in closed.components.items()},
-        }
-        print(json.dumps(payload, indent=1, sort_keys=True))
-        return 0
-    print(f"model: {config.variant}  groups: {', '.join(ngm.labels)}")
-    print("F (new infections):")
-    for row in ngm.F:
-        print("   " + "  ".join(f"{v:12.6e}" for v in row))
-    print("V (transitions): diag " + "  ".join(f"{v:.6f}" for v in np.diag(ngm.V)))
-    print(f"R_c numeric     = {numeric.value:.9f}")
-    print(f"R_c closed form = {closed.value:.9f}  [{closed.method}]")
+    payload = {
+        "labels": list(ngm.labels),
+        "F": ngm.F.tolist(),
+        "V": ngm.V.tolist(),
+        "rc_numeric": numeric.value,
+        "rc_closed": closed.value,
+        "closed_method": closed.method,
+        "diagnostic": closed.diagnostic,
+        "components": closed.components,
+    }
+    lines = [f"model: {config.variant}  groups: {', '.join(ngm.labels)}",
+             "F (new infections):"]
+    lines += ["   " + "  ".join(f"{v:12.6e}" for v in row) for row in ngm.F]
+    lines += ["V (transitions): diag " + "  ".join(f"{v:.6f}" for v in np.diag(ngm.V)),
+              f"R_c numeric     = {numeric.value:.9f}",
+              f"R_c closed form = {closed.value:.9f}  [{closed.method}]"]
     if closed.diagnostic:
-        print(f"  note: {closed.diagnostic}")
-    print("components:")
-    for k in sorted(closed.components):
-        print(f"  {k:14s} = {closed.components[k]}")
+        lines.append(f"  note: {closed.diagnostic}")
+    lines.append("components:")
+    lines += [f"  {k:14s} = {closed.components[k]}" for k in sorted(closed.components)]
+    _report(args, payload, lines=lines)
     return 0
 
 
@@ -146,17 +143,8 @@ def cmd_sobol(args):
                    for l in config.spec.labels)
     study = sobol_timeseries(config.spec, config.y0, inputs, level=args.level,
                              total_degree=args.degree)
-    path = _out_path(args, f"sobol_{config.variant}.csv")
-    write_sobol_csv(study, path)
-    man = _out_path(args, f"sobol_{config.variant}_manifest.json")
-    with open(man, "w", encoding="utf-8") as fh:
-        json.dump(sobol_manifest(study), fh, indent=1, sort_keys=True)
-    if args.json:
-        print(json.dumps({"files": [path, man], **sobol_manifest(study)},
-                         indent=1, sort_keys=True))
-    else:
-        print(f"wrote {path}")
-        print(f"wrote {man}")
+    paths = write_sobol(study, args.out, config.variant)
+    _report(args, {"files": paths, **sobol_manifest(study)}, files=paths)
     return 0
 
 
@@ -165,21 +153,20 @@ def cmd_validate(args):
     path = _out_path(args, "validation.csv")
     report.to_csv(path)
     n_fail = len(report.failures())
-    if args.json:
-        print(json.dumps({
-            "file": path,
-            "cells": len(report.cells),
-            "failures": [c.__dict__ for c in report.failures()],
-            "all_pass": report.all_pass,
-        }, indent=1, sort_keys=True))
-    else:
-        print(f"wrote {path}")
-        for c in report.cells:
-            mark = "ok  " if c.ok else "FAIL"
-            print(f"  [{mark}] {c.table} {c.row:16s} {c.cell:16s} "
-                  f"expected {c.expected:10.1f} actual {c.actual:10.1f} "
-                  f"(tol {c.tolerance:.1f})")
-        print(f"{len(report.cells) - n_fail}/{len(report.cells)} cells within tolerance")
+    payload = {
+        "file": path,
+        "cells": len(report.cells),
+        "failures": [c.__dict__ for c in report.failures()],
+        "all_pass": report.all_pass,
+    }
+    lines = []
+    for c in report.cells:
+        mark = "ok  " if c.ok else "FAIL"
+        lines.append(f"  [{mark}] {c.table} {c.row:16s} {c.cell:16s} "
+                     f"expected {c.expected:10.1f} actual {c.actual:10.1f} "
+                     f"(tol {c.tolerance:.1f})")
+    lines.append(f"{len(report.cells) - n_fail}/{len(report.cells)} cells within tolerance")
+    _report(args, payload, files=[path], lines=lines)
     return 0 if report.all_pass else 2
 
 
@@ -187,13 +174,8 @@ def cmd_emit_plots(args):
     config = _config_from_args(args)
     series = tuple(args.series.split(",")) if args.series else (
         "baseline", "effects", "nnt", "table")
-    paths = emit_plot_data(args.out, variant=config.variant, series=series,
-                           config=config)
-    if args.json:
-        print(json.dumps({"files": paths}, indent=1, sort_keys=True))
-    else:
-        for p in paths:
-            print(f"wrote {p}")
+    paths = emit_plot_data(args.out, series=series, config=config)
+    _report(args, {"files": paths}, files=paths)
     return 0
 
 

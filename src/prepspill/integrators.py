@@ -15,7 +15,6 @@ ends and sample times (scenario arms, stability probes) switch
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import logging
@@ -53,15 +52,16 @@ def interp_rows(t, times, rows):
     return slope * (t - times[j]) + rows[j]
 
 
-@contextlib.contextmanager
-def text_sink(path_or_file):
-    """Writable text file for a CSV writer: the object itself if it has
-    ``write``, else the path opened as UTF-8 with newlines untranslated."""
-    if hasattr(path_or_file, "write"):
-        yield path_or_file
-    else:
+def write_csv(path_or_file, header, rows):
+    """The package's one CSV writer: ``header``, then each of ``rows``, with
+    "\n" line ends, to the object itself if it has ``write``, else to the
+    path opened as UTF-8 with newlines untranslated."""
+    if not hasattr(path_or_file, "write"):
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            yield fh
+            return write_csv(fh, header, rows)
+    w = csv.writer(path_or_file, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
 
 
 @dataclass(frozen=True)
@@ -148,11 +148,9 @@ class Trajectory:
             header += [f"S_{lbl}", f"I_{lbl}"]
         header += [f"C_{lbl}" for lbl in self.labels]
         n = self.n_groups
-        with text_sink(path_or_file) as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(header)
-            for t, row in zip(self.times, self.states):
-                w.writerow([repr(float(t))] + [repr(float(v)) for v in row[:3 * n]])
+        write_csv(path_or_file, header,
+                  ([repr(float(t))] + [repr(float(v)) for v in row[:3 * n]]
+                   for t, row in zip(self.times, self.states)))
 
 
 def _breakpoints(cfg, sample_times):

@@ -11,18 +11,18 @@ running susceptible pool at every step.
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup)
 from .integrators import (IntegratorConfig, Trajectory, annual_series, integrate,
-                          text_sink)
+                          write_csv)
 from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       SIM_START, TABLE_BASIC_BASELINE,
@@ -100,6 +100,15 @@ def _guard(key):
         raise SchemaViolation(f"{key}: {e}", key=key) from e
 
 
+def _number(value, key):
+    """``value`` as a float if it is an int or a float (a bool is neither),
+    else a SchemaViolation naming ``key``."""
+    if type(value) not in (int, float):
+        raise SchemaViolation(f"{key}: must be a number, got {value!r}", key=key)
+    with _guard(key):
+        return float(value)
+
+
 def _section(parent, key, prefix=""):
     """The object at parent[key], {} when absent or null; the section is
     reported as prefix + key."""
@@ -114,8 +123,10 @@ def _section(parent, key, prefix=""):
 def _merged(record, parent, key, prefix):
     """Dataclass ``record`` with the numbers in the section parent[key] put in."""
     vals = _section(parent, key, prefix)
-    with _guard(prefix + key):
-        return replace(record, **{k: float(v) for k, v in vals.items()}) if vals else record
+    key = prefix + key
+    nums = {k: _number(v, f"{key}.{k}") for k, v in vals.items()}
+    with _guard(key):
+        return replace(record, **nums) if nums else record
 
 
 def _config_from_raw(raw):
@@ -124,7 +135,7 @@ def _config_from_raw(raw):
     if not isinstance(raw, dict):
         raise SchemaViolation("config root must be an object", key="<root>")
     version = raw.get("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaViolation(f"unsupported schema_version {version}",
                               key="schema_version")
     variant = raw.get("model", "basic")
@@ -134,10 +145,9 @@ def _config_from_raw(raw):
     labels = VARIANTS[variant].groups
 
     hor = _section(raw, "horizon")
-    with _guard("horizon"):
-        start = float(hor.get("start", SIM_START))
-        inter = float(hor.get("intervention", INTERVENTION_START))
-        end = float(hor.get("end", REPORT_END))
+    start = _number(hor.get("start", SIM_START), "horizon.start")
+    inter = _number(hor.get("intervention", INTERVENTION_START), "horizon.intervention")
+    end = _number(hor.get("end", REPORT_END), "horizon.end")
     if not (-math.inf < start <= inter < end < math.inf):
         raise SchemaViolation(
             f"horizon must be finite, start <= intervention < end, got {start}, {inter}, {end}",
@@ -154,18 +164,17 @@ def _config_from_raw(raw):
         g = item.get("group")
         if g not in labels:
             raise UnknownGroup(f"{key}.group: no group {g!r} in variant {variant!r}")
-        dE = item.get("additional_persons")
-        with _guard(f"{key}.additional_persons"):
-            if type(dE) not in (int, float) or not 0.0 <= float(dE) < math.inf:  # no bools
-                raise SchemaViolation(
-                    f"{key}.additional_persons must be a finite nonnegative number, got {dE!r}",
-                    key=f"{key}.additional_persons")
-        with _guard(f"{key}.start_year"):
-            sy = float(item.get("start_year", inter))
+        persons = item.get("additional_persons")
+        dE = _number(persons, f"{key}.additional_persons")
+        if not 0.0 <= dE < math.inf:
+            raise SchemaViolation(
+                f"{key}.additional_persons must be a finite nonnegative number, got {persons!r}",
+                key=f"{key}.additional_persons")
+        sy = _number(item.get("start_year", inter), f"{key}.start_year")
         if not (start <= sy < end):
             raise SchemaViolation(f"{key}.start_year {sy} outside horizon",
                                   key=f"{key}.start_year")
-        arms.append(Intervention(group=g, additional_persons=float(dE), start_year=sy))
+        arms.append(Intervention(group=g, additional_persons=dE, start_year=sy))
 
     mode = raw.get("intervention_mode", "fixed-fraction")
     if mode not in ("fixed-fraction", "tracked-count"):
@@ -178,8 +187,10 @@ def _config_from_raw(raw):
     if bad:
         raise SchemaViolation(f"unknown integrator keys {sorted(bad)}",
                               key="integrator")
+    steps = {k: v if k == "method" else _number(v, f"integrator.{k}")
+             for k, v in icfg_raw.items()}
     with _guard("integrator"):
-        icfg = IntegratorConfig(t0=start, t_end=end, **icfg_raw)
+        icfg = IntegratorConfig(t0=start, t_end=end, **steps)
 
     spec, y0 = georgia_spec(variant)
     overrides = _section(raw, "overrides")
@@ -188,8 +199,9 @@ def _config_from_raw(raw):
         raise SchemaViolation(f"unknown override keys {sorted(bad)}",
                               key="overrides")
     if "mu" in overrides:
+        mu = _number(overrides["mu"], "overrides.mu")
         with _guard("overrides.mu"):
-            spec = replace(spec, mu=float(overrides["mu"]))
+            spec = replace(spec, mu=mu)
     groups = _section(overrides, "groups", "overrides.")
     for g in groups:
         if g not in labels:
@@ -209,9 +221,9 @@ def _config_from_raw(raw):
         vals = _section(ics, g, "initial_conditions.")
         if not {"S", "I"} <= vals.keys():
             raise SchemaViolation(f"{key} needs S and I", key=key)
+        i = labels.index(g)
+        S[i], I[i] = _number(vals["S"], f"{key}.S"), _number(vals["I"], f"{key}.I")
         with _guard(key):
-            i = labels.index(g)
-            S[i], I[i] = float(vals["S"]), float(vals["I"])
             y0 = StateVec.make(S, I)
 
     return ScenarioConfig(variant=variant, start=start, intervention_year=inter,
@@ -262,9 +274,7 @@ class RunReport:
     baseline: ScenarioResult
     scenarios: list
     config_hash: str
-    config_echo: dict
     baseline_traj: Trajectory  # the baseline over [start, end]
-    csv_paths: list = field(default_factory=list)
 
 
 def _window_incidence(traj, spec, t0, t1):
@@ -334,8 +344,7 @@ def run_scenarios(config):
 
     return RunReport(variant=config.variant, window=(t_int, t_end),
                      baseline=baseline, scenarios=results,
-                     config_hash=config.content_hash(),
-                     config_echo=config.raw, baseline_traj=base_traj)
+                     config_hash=config.content_hash(), baseline_traj=base_traj)
 
 
 def report_to_csv(report, path_or_file):
@@ -344,14 +353,14 @@ def report_to_csv(report, path_or_file):
     for c in cols:
         header += [f"incidence_{c}", f"prevented_{c}"]
 
-    with text_sink(path_or_file) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
+    def rows():
         for r in [report.baseline] + report.scenarios:
             row = [r.name, r.group, int(r.additional_persons)]
             for c in cols:
                 row += [f"{r.incidence[c]:.3f}", f"{r.prevented[c]:.3f}"]
-            w.writerow(row)
+            yield row
+
+    write_csv(path_or_file, header, rows())
 
 
 @dataclass
@@ -377,14 +386,10 @@ class ValidationReport:
         return [c for c in self.cells if not c.ok]
 
     def to_csv(self, path_or_file):
-        with text_sink(path_or_file) as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["table", "row", "cell", "expected", "actual",
-                        "tolerance", "status"])
-            for c in self.cells:
-                w.writerow([c.table, c.row, c.cell, f"{c.expected:.3f}",
-                            f"{c.actual:.3f}", f"{c.tolerance:.3f}",
-                            "ok" if c.ok else "FAIL"])
+        write_csv(path_or_file,
+                  ["table", "row", "cell", "expected", "actual", "tolerance", "status"],
+                  ([c.table, c.row, c.cell, f"{c.expected:.3f}", f"{c.actual:.3f}",
+                    f"{c.tolerance:.3f}", "ok" if c.ok else "FAIL"] for c in self.cells))
 
 
 def validate_tables(variants=("basic", "risk")):
@@ -424,14 +429,21 @@ def validate_tables(variants=("basic", "risk")):
 
 
 def _write(path, text):
-    with text_sink(path) as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
+
+
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    write_csv(buf, header, rows)
+    return buf.getvalue()
 
 
 def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
                                                      "nnt", "table"),
                    config=None):
-    """Write the figure-analog CSV bundle for one variant.
+    """Write the figure-analog CSV bundle for one config, by default the
+    published study of ``variant``; file names carry the config's variant.
 
     Series names: baseline (prevalence and annual incidence), effects
     (per-person incidence effects over time), nnt (NNT curves; undefined or
@@ -440,17 +452,20 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
     study).  Unknown names raise MissingSeries.  Outputs are deterministic:
     rerunning produces identical bytes.
     """
-    import os
-
     known = {"baseline", "effects", "nnt", "table", "sobol"}
     unknown = set(series) - known
     if unknown:
         raise MissingSeries(f"unknown series {sorted(unknown)}; known: {sorted(known)}")
     os.makedirs(out_dir, exist_ok=True)
     config = config or default_config(variant)
+    variant = config.variant
     spec, y0 = config.spec, config.y0
     labels = spec.labels
     paths = []
+
+    def put(name, text):
+        paths.append(os.path.join(out_dir, name))
+        _write(paths[-1], text)
 
     report = run_scenarios(config) if "table" in series else None
     base_traj = report.baseline_traj if report else None
@@ -461,23 +476,18 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
 
     if "baseline" in series:
         years, inc = annual_series(base_traj)
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
-        w.writerow(["year"] + [f"prevalence_{l}" for l in labels]
-                   + [f"annual_incidence_{l}" for l in labels])
+        header = (["year"] + [f"prevalence_{l}" for l in labels]
+                  + [f"annual_incidence_{l}" for l in labels])
+        rows = []
         for r, y in enumerate(years):
             st = base_traj.state_at(float(y))
-            w.writerow([y] + [f"{v:.6f}" for v in st.I]
-                       + [f"{v:.6f}" for v in inc[r]])
-        p = os.path.join(out_dir, f"baseline_series_{variant}.csv")
-        _write(p, buf.getvalue())
-        paths.append(p)
+            rows.append([y] + [f"{v:.6f}" for v in st.I] + [f"{v:.6f}" for v in inc[r]])
+        put(f"baseline_series_{variant}.csv", _csv_text(header, rows))
 
     if "effects" in series:
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         cols = [(j, k) for k in labels for j in range(len(labels))]
-        w.writerow(["t"] + [f"per_person_{labels[j]}__{k}" for j, k in cols])
+        header = ["t"] + [f"per_person_{labels[j]}__{k}" for j, k in cols]
+        rows = []
         for i, t in enumerate(traj.times):
             state = StateVec.from_flat(traj.states[i], len(labels))
             row = [f"{t:.6f}"]
@@ -486,17 +496,14 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
                 at = SensitivityState(k, st.source_index, st.sigma[i], st.gamma[i])
                 row += [f"{per_person_effect(at, state, j)[0]:.10e}"
                         for j in range(len(labels))]
-            w.writerow(row)
-        p = os.path.join(out_dir, f"per_person_effects_{variant}.csv")
-        _write(p, buf.getvalue())
-        paths.append(p)
+            rows.append(row)
+        put(f"per_person_effects_{variant}.csv", _csv_text(header, rows))
 
     if "nnt" in series:
         suppressed = []
-        buf = io.StringIO()
-        w = csv.writer(buf, lineterminator="\n")
         pairs = [(jl, k) for k in labels for jl in labels]
-        w.writerow(["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs])
+        header = ["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs]
+        rows = []
         horizons = [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]
         for T in horizons:
             # nnt()'s nnt_simple, reading the state and each block once per horizon
@@ -513,15 +520,11 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
                                        else "excessive"})
                 else:
                     row.append(f"{simple:.3f}")
-            w.writerow(row)
-        p = os.path.join(out_dir, f"nnt_{variant}.csv")
-        _write(p, buf.getvalue())
-        paths.append(p)
-        side = os.path.join(out_dir, f"nnt_{variant}_suppressed.json")
-        _write(side, json.dumps({"display_cap": NNT_DISPLAY_CAP,
-                                 "suppressed": suppressed}, indent=1,
-                                sort_keys=True))
-        paths.append(side)
+            rows.append(row)
+        put(f"nnt_{variant}.csv", _csv_text(header, rows))
+        put(f"nnt_{variant}_suppressed.json",
+            json.dumps({"display_cap": NNT_DISPLAY_CAP, "suppressed": suppressed},
+                       indent=1, sort_keys=True))
 
     if "table" in series:
         p = os.path.join(out_dir, f"table_{variant}.csv")
@@ -531,28 +534,30 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
     if "sobol" in series:
         inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0) for l in labels)
         study = sobol_timeseries(spec, y0, inputs, level=3, total_degree=2)
-        p = os.path.join(out_dir, f"sobol_{variant}.csv")
-        write_sobol_csv(study, p)
-        paths.append(p)
-        man = os.path.join(out_dir, f"sobol_{variant}_manifest.json")
-        _write(man, json.dumps(sobol_manifest(study), indent=1, sort_keys=True))
-        paths.append(man)
+        paths += write_sobol(study, out_dir, variant)
 
     return paths
 
 
-def write_sobol_csv(study, path_or_file):
-    with text_sink(path_or_file) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["year", "output_group", "input", "first_order", "total",
-                    "mean", "variance"])
+def write_sobol(study, out_dir, variant):
+    """Write sobol_<variant>.csv and its manifest into out_dir; returns both paths."""
+    os.makedirs(out_dir, exist_ok=True)
+
+    def rows():
         for (year, lbl), si in sorted(study.indices.items()):
             for d, u in enumerate(study.inputs):
                 name = u.group if u.group is not None else f"null_{d}"
-                w.writerow([year, lbl, name,
-                            f"{si.first_order[d]:.10f}" if si.defined else "",
-                            f"{si.total[d]:.10f}" if si.defined else "",
-                            f"{si.mean:.6f}", f"{si.variance:.6f}"])
+                yield [year, lbl, name,
+                       f"{si.first_order[d]:.10f}" if si.defined else "",
+                       f"{si.total[d]:.10f}" if si.defined else "",
+                       f"{si.mean:.6f}", f"{si.variance:.6f}"]
+
+    path = os.path.join(out_dir, f"sobol_{variant}.csv")
+    write_csv(path, ["year", "output_group", "input", "first_order", "total",
+                     "mean", "variance"], rows())
+    man = os.path.join(out_dir, f"sobol_{variant}_manifest.json")
+    _write(man, json.dumps(sobol_manifest(study), indent=1, sort_keys=True))
+    return [path, man]
 
 
 def sobol_manifest(study):

@@ -346,14 +346,12 @@ def coverage_fractions(spec, y0, inputs, nodes):
     return eps, clamps
 
 
-def coverage_model_fn(spec, y0, inputs, cfg, clamp_counter=None):
+def coverage_model_fn(spec, y0, inputs, cfg):
     """theta-vector -> (years, per-year per-group incidence) for the study:
     one node integrated on its own, with any integrator cfg."""
 
     def fn(theta):
-        eps, clamps = coverage_fractions(spec, y0, inputs, theta)
-        if clamp_counter is not None:
-            clamp_counter[0] += clamps
+        eps, _ = coverage_fractions(spec, y0, inputs, theta)
         traj = integrate(spec.with_epsilon(dict(zip(spec.labels, eps[0]))), y0, cfg)
         return annual_series(traj)
 

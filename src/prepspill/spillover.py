@@ -29,14 +29,13 @@ contact-pair table by ``model._flat_rhs_maker`` (``sources``, ``exact``):
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PerturbationOutOfRange, UnsupportedVariant, ZeroPopulation
 from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate,
-                          integrate_flat, interp_rows, node_index, text_sink)
+                          integrate_flat, interp_rows, node_index, write_csv)
 from .model import VARIANTS, _flat_rhs_maker, _rhs_cells
 
 MODES = ("practical", "exact_delta")
@@ -263,11 +262,11 @@ def sensitivity_to_csv(sens_map, labels, path_or_file):
             header += [f"sigma_{jl}__{k}", f"gamma_{jl}__{k}"]
             cols.append((st, j))
 
-    with text_sink(path_or_file) as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(header)
+    def rows():
         for i, t in enumerate(times):
             row = [repr(float(t))]
             for st, j in cols:
                 row += [repr(float(st.sigma[i, j])), repr(float(st.gamma[i, j]))]
-            w.writerow(row)
+            yield row
+
+    write_csv(path_or_file, header, rows())

@@ -1,15 +1,20 @@
+import csv
 import io
 import math
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
 from prepspill.integrators import (NODE_TOL, IntegratorConfig, _breakpoints,
                                    _dp_step_maker, _postprocess_columns, annual_series,
                                    integrate, integrate_batch, integrate_flat,
-                                   interp_rows)
+                                   interp_rows, write_csv)
 from prepspill.model import StateVec, TransmissionProbs, closed_mixing, make_spec
 from prepspill.mixing import BasicMixing
 from prepspill.spillover import integrate_with_spillover
@@ -369,3 +374,25 @@ def test_dp_rhs_count_with_rejections():
     assert rem == 0 and len(ys) == len(ts)
     assert attempts > accepted  # the run rejects steps
     assert all(t in ts for t in range(1, 31))
+
+
+# a lone "\r" is left unquoted under the "\n" terminator and would not read
+# back; no cell the package writes holds one
+CELLS = st.text(alphabet=st.sampled_from(',"\n ') | st.characters(exclude_characters="\r"),
+                max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(header=st.lists(CELLS, min_size=1, max_size=4),
+       rows=st.lists(st.lists(CELLS, max_size=4), max_size=5))
+def test_write_csv_round_trips_any_cells(header, rows):
+    buf = io.StringIO()
+    write_csv(buf, header, iter(rows))
+    text = buf.getvalue()
+    assert not buf.closed  # a caller's file stays open
+    assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
+    assert text.endswith("\n") and "\r" not in text  # rows end in "\n" alone
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "out.csv"
+        write_csv(str(path), header, rows)
+        assert path.read_bytes() == text.encode("utf-8")

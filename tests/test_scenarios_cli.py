@@ -168,6 +168,17 @@ def test_emit_plot_data_deterministic(tmp_path):
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
+def test_emit_plot_data_names_files_after_the_config(tmp_path):
+    # the data comes from config, so the names do too; variant only picks
+    # the default config
+    risk = default_config("risk")
+    path, = emit_plot_data(str(tmp_path), variant="basic", series=("baseline",), config=risk)
+    assert os.path.basename(path) == "baseline_series_risk.csv"
+    assert Path(path).read_text().splitlines()[0].startswith("year,prevalence_msm,prevalence_hetf_h,")
+    default, = emit_plot_data(str(tmp_path / "default"), variant="risk", series=("baseline",))
+    assert Path(default).read_bytes() == Path(path).read_bytes()
+
+
 def test_emit_plot_data_unknown_series(tmp_path):
     with pytest.raises(MissingSeries):
         emit_plot_data(str(tmp_path), series=("baseline", "nosuch"))
@@ -546,6 +557,18 @@ NAN = float("nan")
     ({"interventions": [{"group": "msm", "additional_persons": True}]},
      "interventions[0].additional_persons"),
     (b'{"model": "basic", "overrides": {"mu": "\xff"}}', "not valid JSON"),
+    # strings and booleans are not numbers, wherever the schema reads one
+    ({"overrides": {"mu": True}}, "overrides.mu"),
+    ({"overrides": {"groups": {"msm": {"epsilon": "0.1"}}}}, "overrides.groups.msm.epsilon"),
+    ({"overrides": {"probs": {"beta_mm": "0.001"}}}, "overrides.probs.beta_mm"),
+    ({"overrides": {"mixing_priors": {"eta_msm": True}}}, "overrides.mixing_priors.eta_msm"),
+    ({"initial_conditions": {"msm": {"S": "5e4", "I": 1}}}, "initial_conditions.msm.S"),
+    ({"initial_conditions": {"msm": {"S": 5e4, "I": False}}}, "initial_conditions.msm.I"),
+    ({"horizon": {"start": "2017"}}, "horizon.start"),
+    ({"interventions": [{"group": "msm", "additional_persons": 1, "start_year": "2021"}]},
+     "interventions[0].start_year"),
+    ({"integrator": {"rtol": True}}, "integrator.rtol"),
+    ({"schema_version": True}, "schema_version"),
 ])
 def test_cli_malformed_config_is_one_error_line(tmp_path, capsys, payload, key):
     # each of these once ended in a traceback, or (muu, True) ran and exited 0

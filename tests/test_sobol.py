@@ -326,9 +326,9 @@ def test_timeseries_requires_rk4_fixed(basic):
 def _per_node(spec, y0, inputs, grid, cfg):
     """Every node integrated on its own: samples (nodes, years, groups) and
     the summed clamp count."""
-    counter = [0]
-    fn = coverage_model_fn(spec, y0, inputs, cfg, counter)
-    return np.array([fn(node)[1] for node in grid.nodes]), counter[0]
+    fn = coverage_model_fn(spec, y0, inputs, cfg)
+    clamps = sum(coverage_fractions(spec, y0, inputs, node)[1] for node in grid.nodes)
+    return np.array([fn(node)[1] for node in grid.nodes]), clamps
 
 
 def _assert_study_matches_per_node(study, spec, y0, inputs, cfg):
