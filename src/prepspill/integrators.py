@@ -2,15 +2,16 @@
 
 Two methods: classic fixed-step RK4 and the embedded Dormand-Prince 5(4)
 pair with elementary step control and FSAL (1 + 6 RHS evaluations per
-attempted step).  The RK4 step builds each stage as one whole-array
-expression, so it steps one system (a vector) or a batch of them (a row of
-members per component); the Dormand-Prince attempt, error norm included, is
-generated and compiled once per system width, unrolled over the components
-(_dp_step_maker).  Both land exactly on every integer calendar year inside
-the span and on any extra sample times, so annual aggregates are plain
-differences of stored values, never interpolated.  Runs read only at their
-ends and sample times (scenario arms, stability probes) switch
-``year_nodes`` off and step freely between them.
+attempted step).  Both steps are generated from their tableau text and
+compiled: the Dormand-Prince attempt, error norm included, once per system
+width, unrolled over the components (_dp_step_maker); the RK4 step once per
+width for floats and once for whole arrays, which steps a batch of systems
+(a row of members per component; _rk4_step_maker).  Both land exactly on
+every integer calendar year inside the span and on any extra sample times,
+so annual aggregates are plain differences of stored values, never
+interpolated.  Runs read only at their ends and sample times (scenario
+arms, stability probes) switch ``year_nodes`` off and step freely between
+them.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import NegativeState, PartialYear, StepSizeUnderflow
+from .mixing import exec_source
 from .model import StateVec, batched_rhs_factory, flat_rhs_factory
 
 log = logging.getLogger(__name__)
@@ -192,7 +194,13 @@ def _breakpoints(cfg, sample_times):
 
 
 def _postprocess_step(t, y, n_state, atol, clamp_events):
-    """Clamp tiny negatives in the physical slots; hard negatives are fatal."""
+    """Clamp tiny negatives in the physical slots; hard negatives are fatal.
+
+    One min() screens the slots: it reads below zero, or NaN when a NaN
+    leads, whenever a slot is negative, so the per-slot loop runs only then
+    (a NaN on its own passes unclamped)."""
+    if min(y[:n_state], default=0.0) >= 0.0:
+        return
     for i in range(n_state):
         v = y[i]
         if v < 0.0:
@@ -238,16 +246,56 @@ def _rk4_grid(breaks, dt):
             t = t_next
 
 
-def _rk4_step(f, t, y, h):
-    """One classic RK4 step over the array y (one entry per component, or one
-    row of batch members per component); f returns a list, stacked once per
-    stage.  Each stage keeps the scalar step's association, so every entry
-    is stepped as a float would be, bit for bit."""
-    k1 = np.array(f(t, y))
-    k2 = np.array(f(t + 0.5 * h, y + 0.5 * h * k1))
-    k3 = np.array(f(t + 0.5 * h, y + 0.5 * h * k2))
-    k4 = np.array(f(t + h, y + h * k3))
-    return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+# Classic RK4 as source text over {0} (the state) and {1}..{4} (k1..k4):
+# the node and argument of stages 2-4, then the update.
+_RK4_STAGES = (
+    ("t + 0.5 * h", "{0} + 0.5 * h * {1}"),
+    ("t + 0.5 * h", "{0} + 0.5 * h * {2}"),
+    ("t + h", "{0} + h * {3}"),
+)
+_RK4_UPDATE = "{0} + h / 6.0 * ({1} + 2.0 * {2} + 2.0 * {3} + {4})"
+
+
+def _unpack(names, src):
+    """Source unpacking ``src`` into ``names`` (a trailing comma keeps one
+    name an unpacking)."""
+    return "".join(f"{v}, " for v in names) + f"= {src}"
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_step_maker(w=None):
+    """Compile one classic RK4 step ``step(f, t, y, h) -> y_next``.
+
+    For a width w the step is unrolled over w float components, as
+    _dp_step_maker unrolls Dormand-Prince: y and every stage are lists of
+    floats, and f is called with lists.  For w = None it runs the same text
+    on whole arrays (a batch: one row of members per component), stacking
+    each stage's list once.  Both evaluate each entry as the scalar step
+    does, so every batch member is stepped as its own scalar integration
+    is, bit for bit.
+    """
+    if w is None:
+        def comps(text):
+            return text.format("y", "k1", "k2", "k3", "k4")
+
+        def stage(s, src):
+            return f"k{s} = array({src})"
+        head = []
+    else:
+        def comps(text):
+            return "[" + ", ".join(text.format(f"y_{i}", *(f"k{s}_{i}" for s in range(1, 5)))
+                                   for i in range(w)) + "]"
+
+        def stage(s, src):
+            return _unpack([f"k{s}_{i}" for i in range(w)], src)
+        head = [_unpack([f"y_{i}" for i in range(w)], "y")]
+    body = head + [stage(1, "f(t, y)")]
+    body += [stage(s, f"f({node}, {comps(arg)})")
+             for s, (node, arg) in enumerate(_RK4_STAGES, start=2)]
+    body.append(f"return {comps(_RK4_UPDATE)}")
+    src = "def step(f, t, y, h):\n" + "".join(f"    {line}\n" for line in body)
+    form = "arrays" if w is None else w
+    return exec_source(src, f"<rk4_step {form}>", {"array": np.array})["step"]
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -289,22 +337,21 @@ def _dp_step_maker(w):
         return text.format(*(f"k{s}_{i}" for s in range(1, 8)))
 
     def unpack(s, src):
-        return "".join(f"k{s}_{i}, " for i in c) + f"= {src}"
-    body = ["".join(f"y_{i}, " for i in c) + "= y", unpack(1, "k1")]
+        return _unpack([f"k{s}_{i}" for i in c], src)
+    body = [_unpack([f"y_{i}" for i in c], "y"), unpack(1, "k1")]
     for s, (node, weights) in enumerate(_DP_STAGES, start=2):
         args = ", ".join(f"y_{i} + h * ({stage(i, weights)})" for i in c)
         body.append(unpack(s, f"f({node}, [{args}])"))
     body += [f"z_{i} = y_{i} + h * ({stage(i, _DP_Y5)})" for i in c]
     body += ["y5 = [" + ", ".join(f"z_{i}" for i in c) + "]", "k7 = f(t + h, y5)",
              unpack(7, "k7")]
-    terms = " + ".join(f"(h * ({stage(i, _DP_ERR)}) / (atol + rtol * max(abs(y_{i}), "
-                       f"abs(z_{i})))) ** 2" for i in c)
+    # max(|y_i|, |z_i|) as the builtin compares: |z_i| only if greater
+    terms = " + ".join(f"(h * ({stage(i, _DP_ERR)}) / (atol + rtol * (e if (e := abs(z_{i})) "
+                       f"> (d := abs(y_{i})) else d))) ** 2" for i in c)
     body.append(f"return y5, k7, sqrt(({terms}) / {w})")
     src = ("def step(f, t, y, h, k1, atol, rtol):\n"
            + "".join(f"    {line}\n" for line in body))
-    scope = {"sqrt": math.sqrt}
-    exec(compile(src, f"<dp_step_{w}>", "exec"), scope)
-    return scope["step"]
+    return exec_source(src, f"<dp_step {w}>", {"sqrt": math.sqrt})["step"]
 
 
 def integrate_flat(f, y0, cfg, n_state, sample_times=None):
@@ -322,10 +369,9 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     clamps = []
 
     if cfg.method == "rk4_fixed":
-        def g(t, y):  # the RHS sees Python floats (model's float-cell rule)
-            return f(t, y.tolist())
+        step = _rk4_step_maker(len(y))
         for t, h, t_next in _rk4_grid(breaks, cfg.dt):
-            y = _rk4_step(g, t, np.array(y), h).tolist()
+            y = step(f, t, y, h)
             _postprocess_step(t_next, y, n_state, cfg.atol, clamps)
             ts.append(t_next)
             ys.append(y)
@@ -393,8 +439,9 @@ def integrate_batch(spec, y0, eps, cfg):
     states = np.empty((len(breaks),) + y.shape)
     states[0] = y
     row, clamps, steps = 1, [], 0
+    step = _rk4_step_maker()
     for t, h, t_next in _rk4_grid(breaks, cfg.dt):
-        y = _rk4_step(f, t, y, h)
+        y = step(f, t, y, h)
         if not y[:2 * spec.n].min() >= 0.0:  # a negative, or a NaN it leaves as is
             _postprocess_columns(t_next, y, 2 * spec.n, cfg.atol, clamps)
         steps += 1

@@ -9,6 +9,9 @@ which the configured prior fractions are projected.
 
 from __future__ import annotations
 
+import inspect
+import linecache
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,6 +19,118 @@ import numpy as np
 from .errors import InfeasibleClosure
 
 _RISK_SHARES = ("eta_hetfh", "alpha_hetfh", "alpha_hetfl", "xi_hetm")
+
+
+def exec_source(src, filename, namespace):
+    """Execute generated source ``src`` in ``namespace`` (its globals) and
+    return the namespace.  The text is registered with linecache under
+    ``filename``, which should name the generated form (``<dp_step 12>``),
+    so tracebacks show its lines and profiles keep the forms apart."""
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    exec(compile(src, filename, "exec"), namespace)
+    return namespace
+
+
+# ---------------------------------------------------------------------------
+# The scalar closures as source text, as integrators._DP_STAGES holds the
+# Dormand-Prince tableau.  A text reads the populations N<j> and contact
+# rates a<j> (floats), the prior fractions named in its class's
+# CLOSURE_PRIORS as p_<field>, and t; it leaves the pair fractions, in PAIRS
+# order, in m0, m1, ...  basic_fractions and risk_fractions are compiled
+# from it, and model._flat_rhs_maker pastes it into every unpinned scalar
+# RHS with each ``raise`` line replaced by a call of the core, which takes
+# the same branch on the same floats and raises.  So the success path makes
+# no call: each min and max is written as the comparisons the builtin makes
+# (an item replaces the one kept only if it is smaller, resp. greater),
+# which keeps the builtin's result on ties and NaN, and min() itself runs
+# only to tell a NaN volume from a nonpositive one.  The batch closures
+# compile the shares, eta_msm, bounds and projection pieces as functions.
+# ---------------------------------------------------------------------------
+
+_BASIC_SHARES = """\
+alpha = 1.0 - B2 / B1
+eta = 1.0 - alpha * B1 / B0"""
+
+_BASIC_CLOSURE = f"""\
+B0, B1, B2 = N0 * a0, N1 * a1, N2 * a2
+if not (B0 > 0.0 and B1 > 0.0 and B2 > 0.0) and min(B0, B1, B2) <= 0.0:
+    raise InfeasibleClosure("nonpositive total contact volume", t=t)
+{_BASIC_SHARES}
+if not 0.0 <= alpha <= 1.0:
+    raise _unit_interval_error("alpha_hetf", alpha, t)
+if not 0.0 <= eta <= 1.0:
+    raise _unit_interval_error("eta_msm", eta, t)
+m0, m1, m2, m3, m4 = eta, 1.0 - eta, alpha, 1.0 - alpha, 1.0
+"""
+
+# eta_msm is forced by the balance structure, independent of xi_hetm.
+_RISK_ETA_MSM = "em = 1.0 - (B1 + B2 - B3) / B0"
+# xi_hetm's feasible interval is [max(0, lo1, lo2), min(1, hi1)].
+_RISK_BOUNDS = "lo1, lo2, hi1 = (B1 - B0) / B3, 1.0 - B2 / B3, B1 / B3"
+# The xi_hetm minimising the squared distance to the priors on the feasible
+# line, before clamping.  Affine parameterisation x -> (eta_hetfh,
+# alpha_hetfh, alpha_hetfl, xi): slopes (s0, s1, s2, 1) and offsets
+# (B1/B0, 1, 1 - B3/B2, 0).
+_RISK_PROJECTION = """\
+s0, s1, s2 = -B3 / B0, -B3 / B1, B3 / B2
+quad = s0 * s0 + s1 * s1 + s2 * s2 + 1.0
+lin = (s0 * (B1 / B0 - p_eta_hetfh) + s1 * (1.0 - p_alpha_hetfh)
+       + s2 * (1.0 - B3 / B2 - p_alpha_hetfl) + (0.0 - p_xi_hetm))
+x = -lin / quad"""
+# The first three _RISK_SHARES at xi_hetm = xi.
+_RISK_XI_SHARES = ("ehh, ahh, ahl = (B1 - xi * B3) / B0, 1.0 - xi * B3 / B1, "
+                   "1.0 - (1.0 - xi) * B3 / B2")
+
+_RISK_CLOSURE = f"""\
+B0, B1, B2, B3 = N0 * a0, N1 * a1, N2 * a2, N3 * a3
+if not (B0 > 0.0 and B1 > 0.0 and B2 > 0.0 and B3 > 0.0) and min(B0, B1, B2, B3) <= 0.0:
+    raise InfeasibleClosure("nonpositive total contact volume", t=t)
+{_RISK_ETA_MSM}
+if not 0.0 <= em <= 1.0:
+    raise _unit_interval_error("eta_msm", em, t)
+{_RISK_BOUNDS}
+lo = lo1 if lo1 > 0.0 else 0.0
+lo = lo2 if lo2 > lo else lo
+hi = hi1 if hi1 < 1.0 else 1.0
+if lo > hi:
+    raise _empty_interval_error(lo, hi, t)
+{_RISK_PROJECTION}
+xi = lo if lo > x else x
+xi = hi if hi < xi else xi
+{_RISK_XI_SHARES}
+if not (0.0 <= ehh <= 1.0 and 0.0 <= ahh <= 1.0 and 0.0 <= ahl <= 1.0 and 0.0 <= xi <= 1.0):
+    # roundoff at a clamped boundary (within 1e-14, then clamped), else infeasible
+    if not -1e-14 <= ehh <= 1.0 + 1e-14:
+        raise _unit_interval_error("eta_hetfh", ehh, t)
+    if not -1e-14 <= ahh <= 1.0 + 1e-14:
+        raise _unit_interval_error("alpha_hetfh", ahh, t)
+    if not -1e-14 <= ahl <= 1.0 + 1e-14:
+        raise _unit_interval_error("alpha_hetfl", ahl, t)
+    if not -1e-14 <= xi <= 1.0 + 1e-14:
+        raise _unit_interval_error("xi_hetm", xi, t)
+    ehh = 0.0 if 0.0 > ehh else 1.0 if 1.0 < ehh else ehh
+    ahh = 0.0 if 0.0 > ahh else 1.0 if 1.0 < ahh else ahh
+    ahl = 0.0 if 0.0 > ahl else 1.0 if 1.0 < ahl else ahl
+    xi = 0.0 if 0.0 > xi else 1.0 if 1.0 < xi else xi
+# RiskMixing's eta_msm + eta_hetfh <= 1 + 1e-12 holds by construction
+# (xi_hetm >= 1 - B2/B3) up to roundoff, which the 0.0 floor absorbs.
+rest = 1.0 - em - ehh
+m0, m1, m2, m3, m4, m5, m6, m7, m8 = (em, ehh, rest if rest > 0.0 else 0.0, ahh, 1.0 - ahh,
+                                      ahl, 1.0 - ahl, xi, 1.0 - xi)
+"""
+
+
+def _text_function(name, args, text, result):
+    """The function ``name(args)`` running ``text`` and returning ``result``."""
+    src = f"def {name}({args}):\n" + textwrap.indent(f"{text.rstrip()}\nreturn {result}\n",
+                                                     "    ")
+    return exec_source(src, f"<{name}>", globals())[name]
+
+
+def _priors_line(fields):
+    """Source unpacking the record ``priors`` into the floats p_<field>."""
+    return (", ".join(f"p_{f}" for f in fields) + " = "
+            + ", ".join(f"priors.{f}" for f in fields))
 
 
 @dataclass(frozen=True)
@@ -35,6 +150,9 @@ class BasicMixing:
     PAIRS = ((0, 0, "beta_mm"), (0, 1, "beta_fm"),
              (1, 0, "beta_mf"), (1, 2, "beta_mf"),
              (2, 1, "beta_fm"))
+    # The scalar closure's text and the prior fields it reads (see above).
+    CLOSURE = _BASIC_CLOSURE
+    CLOSURE_PRIORS = ()
 
     def __post_init__(self):
         for name in ("eta_msm", "alpha_hetf"):
@@ -70,6 +188,8 @@ class RiskMixing:
              (1, 0, "beta_mf"), (1, 3, "beta_mf"),
              (2, 0, "beta_mf"), (2, 3, "beta_mf"),
              (3, 1, "beta_fm"), (3, 2, "beta_fm"))
+    CLOSURE = _RISK_CLOSURE
+    CLOSURE_PRIORS = _RISK_SHARES
 
     def __post_init__(self):
         for name in ("eta_msm", "eta_hetfh", "alpha_hetfh", "alpha_hetfl",
@@ -97,18 +217,29 @@ def _unit_interval_error(name, value, t):
         f"closure gives {name} = {value:.6g} outside [0, 1]", t=t, value=value)
 
 
-def _check_unit_interval(name, value, t=None, slack=0.0):
-    if not (-slack <= value <= 1.0 + slack):
-        raise _unit_interval_error(name, value, t)
+def _empty_interval_error(lo, hi, t):
+    return InfeasibleClosure(
+        f"empty feasible interval for xi_hetm: [{lo:.6g}, {hi:.6g}]", t=t, value=lo)
 
 
-def _basic_shares(B0, B1, B2):
-    """(alpha_hetf, eta_msm) from the contact volumes B_j = N_j * a_j: floats,
-    or columns of them for close_basic_batch."""
-    alpha = 1.0 - B2 / B1
-    return alpha, 1.0 - alpha * B1 / B0
+def _compiled_from(mixing):
+    """Decorator: the function with the stub's name, signature and docstring
+    whose body is ``mixing.CLOSURE``, returning the pair fractions as a tuple."""
+    def build(stub):
+        g = range(1 + max(j for j, _, _ in mixing.PAIRS))
+        head = [", ".join(f"N{j}" for j in g) + " = N",
+                ", ".join(f"a{j}" for j in g) + " = a"]
+        if mixing.CLOSURE_PRIORS:
+            head.append(_priors_line(mixing.CLOSURE_PRIORS))
+        result = ", ".join(f"m{i}" for i in range(len(mixing.PAIRS)))
+        fn = _text_function(stub.__name__, str(inspect.signature(stub))[1:-1],
+                            "\n".join(head) + "\n" + mixing.CLOSURE, f"({result})")
+        fn.__doc__ = stub.__doc__
+        return fn
+    return build
 
 
+@_compiled_from(BasicMixing)
 def basic_fractions(N, a, priors=None, t=None):
     """Close the 3-group mixing fractions for populations N and contact rates a.
 
@@ -120,13 +251,6 @@ def basic_fractions(N, a, priors=None, t=None):
     BasicMixing.pair_fractions() gives; close_basic builds the record.  Raises
     InfeasibleClosure when the solution leaves [0, 1]; no silent clamping.
     """
-    B0, B1, B2 = N[0] * a[0], N[1] * a[1], N[2] * a[2]
-    if min(B0, B1, B2) <= 0.0:
-        raise InfeasibleClosure("nonpositive total contact volume", t=t)
-    alpha, eta = _basic_shares(B0, B1, B2)
-    _check_unit_interval("alpha_hetf", alpha, t)
-    _check_unit_interval("eta_msm", eta, t)
-    return (eta, 1.0 - eta, alpha, 1.0 - alpha, 1.0)
 
 
 def close_basic(N, a, priors=None, t=None):
@@ -135,26 +259,7 @@ def close_basic(N, a, priors=None, t=None):
     return BasicMixing(eta_msm=eta, alpha_hetf=alpha)
 
 
-# The risk closure's arithmetic, shared by risk_fractions and close_risk_batch:
-# each B_j (contact volume N_j * a_j) is a float or a column of them.
-
-def _risk_projection(B0, B1, B2, B3, priors):
-    """xi_hetm minimising the squared distance to the priors on the feasible
-    line, before clamping to the interval that keeps every share in [0, 1]."""
-    # Affine parameterisation x -> (eta_hetfh, alpha_hetfh, alpha_hetfl, xi):
-    # slopes (s0, s1, s2, 1) and offsets (B1/B0, 1, 1 - B3/B2, 0).
-    s0, s1, s2 = -B3 / B0, -B3 / B1, B3 / B2
-    quad = s0 * s0 + s1 * s1 + s2 * s2 + 1.0
-    lin = (s0 * (B1 / B0 - priors.eta_hetfh) + s1 * (1.0 - priors.alpha_hetfh)
-           + s2 * (1.0 - B3 / B2 - priors.alpha_hetfl) + (0.0 - priors.xi_hetm))
-    return -lin / quad
-
-
-def _risk_shares(B0, B1, B2, B3, xi):
-    """The four _RISK_SHARES at xi_hetm = xi."""
-    return ((B1 - xi * B3) / B0, 1.0 - xi * B3 / B1, 1.0 - (1.0 - xi) * B3 / B2, xi)
-
-
+@_compiled_from(RiskMixing)
 def risk_fractions(N, a, priors, t=None):
     """Close the 4-group mixing fractions, staying as near the priors as possible.
 
@@ -166,38 +271,24 @@ def risk_fractions(N, a, priors, t=None):
     of xi keeping all five fractions in [0, 1].  Returns the tuple that
     RiskMixing.pair_fractions() gives; close_risk builds the record.
     """
-    B0, B1, B2, B3 = N[0] * a[0], N[1] * a[1], N[2] * a[2], N[3] * a[3]
-    if min(B0, B1, B2, B3) <= 0.0:
-        raise InfeasibleClosure("nonpositive total contact volume", t=t)
-
-    # eta_msm is forced by the balance structure, independent of xi.
-    eta_msm = 1.0 - (B1 + B2 - B3) / B0
-    _check_unit_interval("eta_msm", eta_msm, t)
-
-    lo = max(0.0, (B1 - B0) / B3, 1.0 - B2 / B3)
-    hi = min(1.0, B1 / B3)
-    if lo > hi:
-        raise InfeasibleClosure(
-            f"empty feasible interval for xi_hetm: [{lo:.6g}, {hi:.6g}]",
-            t=t, value=lo)
-
-    xi = min(max(_risk_projection(B0, B1, B2, B3, priors), lo), hi)
-    ehh, ahh, ahl, xi = shares = _risk_shares(B0, B1, B2, B3, xi)
-    if not (0.0 <= ehh <= 1.0 and 0.0 <= ahh <= 1.0 and 0.0 <= ahl <= 1.0
-            and 0.0 <= xi <= 1.0):  # roundoff at a clamped boundary, or infeasible
-        for name, v in zip(_RISK_SHARES, shares):
-            _check_unit_interval(name, v, t, slack=1e-14)
-        ehh, ahh, ahl, xi = [min(max(v, 0.0), 1.0) for v in shares]
-    # RiskMixing's eta_msm + eta_hetfh <= 1 + 1e-12 holds by construction
-    # (xi_hetm >= 1 - B2/B3) up to roundoff, which max(0, .) absorbs.
-    return (eta_msm, ehh, max(0.0, 1.0 - eta_msm - ehh), ahh, 1.0 - ahh, ahl,
-            1.0 - ahl, xi, 1.0 - xi)
 
 
 def close_risk(N, a, priors, t=None):
     """risk_fractions as a RiskMixing record."""
     em, ehh, _, ahh, _, ahl, _, xi, _ = risk_fractions(N, a, priors, t)
     return RiskMixing(em, ehh, ahh, ahl, xi)
+
+
+# The pieces of the closure texts the array forms share; each B_j (contact
+# volume N_j * a_j) is a float or a column of them.
+_B3, _B4 = "B0, B1, B2", "B0, B1, B2, B3"
+_basic_shares = _text_function("_basic_shares", _B3, _BASIC_SHARES, "alpha, eta")
+_risk_eta_msm = _text_function("_risk_eta_msm", _B4, _RISK_ETA_MSM, "em")
+_risk_bounds = _text_function("_risk_bounds", _B4, _RISK_BOUNDS, "lo1, lo2, hi1")
+_risk_projection = _text_function("_risk_projection", _B4 + ", priors",
+                                  _priors_line(_RISK_SHARES) + "\n" + _RISK_PROJECTION, "x")
+_risk_xi_shares = _text_function("_risk_xi_shares", _B4 + ", xi", _RISK_XI_SHARES,
+                                 "ehh, ahh, ahl, xi")
 
 
 # Array forms of the closures: N holds one column (B,) per group, one entry
@@ -247,19 +338,18 @@ def close_basic_batch(N, a, priors=None, t=None):
 def close_risk_batch(N, a, priors, t=None):
     """risk_fractions over columns of N: the pair fractions as columns."""
     B0, B1, B2, B3 = _volumes(N, a, t)
-    eta_msm = 1.0 - (B1 + B2 - B3) / B0
+    eta_msm = _risk_eta_msm(B0, B1, B2, B3)
     _check_unit_rows(("eta_msm",), eta_msm[None], t)
 
-    lo = np.maximum(np.maximum(0.0, (B1 - B0) / B3), 1.0 - B2 / B3)
-    hi = np.minimum(1.0, B1 / B3)
+    lo1, lo2, hi1 = _risk_bounds(B0, B1, B2, B3)
+    lo = np.maximum(np.maximum(0.0, lo1), lo2)
+    hi = np.minimum(1.0, hi1)
     i = _first(lo > hi)
     if i is not None:
-        raise InfeasibleClosure(
-            f"empty feasible interval for xi_hetm: [{lo[i]:.6g}, {hi[i]:.6g}]",
-            t=t, value=lo[i]).for_member(i)
+        raise _empty_interval_error(lo[i], hi[i], t).for_member(i)
 
     xi = np.minimum(np.maximum(_risk_projection(B0, B1, B2, B3, priors), lo), hi)
-    shares = np.array(_risk_shares(B0, B1, B2, B3, xi))
+    shares = np.array(_risk_xi_shares(B0, B1, B2, B3, xi))
     _check_unit_rows(_RISK_SHARES, shares, t, slack=1e-14)
     ehh, ahh, ahl, xi = np.minimum(np.maximum(shares, 0.0), 1.0)
     return (eta_msm, ehh, np.maximum(0.0, 1.0 - eta_msm - ehh), ahh, 1.0 - ahh,

@@ -17,21 +17,25 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ZeroPopulation
 from .mixing import (BasicMixing, RiskMixing, basic_fractions, close_basic,  # noqa: F401
-                     close_basic_batch, close_risk, close_risk_batch, risk_fractions)
+                     close_basic_batch, close_risk, close_risk_batch, exec_source,
+                     risk_fractions)
 
 
 @dataclass(frozen=True)
 class Variant:
     """Group labels in state order, the mixing class (which carries the
-    contact-pair table) and the names in this module of the closure solver,
-    its core (giving pair fractions, not the record) and the core's array
-    form, looked up at use so that rebinding them (e.g. for tracing) works."""
+    contact-pair table and the closure text) and the names in this module of
+    the closure solver, its core (giving pair fractions, not the record) and
+    the core's array form, looked up at use so that rebinding them (e.g. for
+    tracing) works.  An unpinned scalar RHS evaluates the core's text inline
+    and calls the core only on a failure."""
 
     groups: tuple
     mixing: type
@@ -269,14 +273,22 @@ def dfe(spec):
 # converted once in _rhs_cells and flat_rhs_factory.  One numpy scalar cell
 # makes every returned entry, and so every Dormand-Prince stage, a numpy
 # scalar: the same IEEE values at about three times the cost.
+# Closure-inline rule: an unpinned scalar RHS evaluates the mixing closure
+# inline, pasting the closure text of mixing.py (the text the core is
+# compiled from) into its body, with the contact rates a<j> and the priors
+# p_<field> as float cells.  Its success path makes no call; each ``raise``
+# line of the text becomes a call of the core (cell ``close``), which takes
+# the same branch and raises the same error.  The batched RHS calls the
+# array-form closure instead.
 # Sums over a group's partners run in partner order: near the risk closure's
 # xi_hetm clamp the step-size control amplifies last-bit differences in them
 # into node-time shifts, so their rounding is held fixed.
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False, sources=(), exact=False):
-    """Compile ``make(**cells) -> f(t, y)`` for one contact-pair table.
+def _flat_rhs_maker(variant, pinned, tracked, batched=False, sources=(), exact=False):
+    """Compile ``make(**cells) -> f(t, y)`` for one variant's contact-pair
+    table and closure text.
 
     ``pinned``: the mixing fractions are fixed (cell ``fixed``) instead of
     re-closed at every evaluation.  ``tracked``: the groups whose coverage is
@@ -292,9 +304,13 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False, sources=(), exact=
     three row forms of the flat RHS keep the arithmetic order of the
     hand-written closures they replaced, and the spillover rows that of the
     numpy kernel, so integrations are unchanged to the last bit.  Cached: at
-    most 6 * 2**n - 2 sources per table (2 * 2**n flat, 2 batched, and
+    most 6 * 2**n - 2 sources per variant (2 * 2**n flat, 2 batched, and
     4 * (2**n - 1) spillover: pinned or not, exact or not, by source set).
+    The source is registered under a name stating its form, e.g.
+    ``<flat_rhs risk sources=0,1,2,3>``.
     """
+    var = VARIANTS[variant]
+    mixing, n, pairs = var.mixing, len(var.groups), var.mixing.PAIRS
     g = range(n)
     m = ", ".join(f"m{i}" for i in range(len(pairs)))
     Ns = ", ".join(f"N{j}" for j in g)
@@ -316,8 +332,11 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False, sources=(), exact=
                  f"    raise zero_population(labels, ({Ns}), t)"]
     if pinned:
         body.append(f"{m} = fixed")
-    else:
+    elif batched:
         body.append(f"{m} = close(({Ns}), a, priors, t=t)")
+    else:
+        body += re.sub(r"(?m)^(\s*)raise .*$", rf"\1close(({Ns}), a, priors, t=t)",
+                       mixing.CLOSURE).splitlines()
     body += [f"u{j} = 1.0 - c{j} / S{j} if S{j} > c{j} else 0.0" for j in tracked]
     for j, row in enumerate(rows):
         p0, i0, _ = row[0]
@@ -355,13 +374,15 @@ def _flat_rhs_maker(n, pairs, pinned, tracked, batched=False, sources=(), exact=
              + [f"{c}{j}" for c in ("Pi", "v", "a") for j in g]
              + [f"u{j}" for j in g if j not in tracked]
              + [f"c{j}" for j in tracked]
-             + [f"b{i}" for i in range(len(pairs))])
+             + [f"b{i}" for i in range(len(pairs))]
+             + [f"p_{f}" for f in mixing.CLOSURE_PRIORS])
     src = (f"def make({', '.join(cells)}):\n    def f(t, y):\n"
            + "".join(f"        {line}\n" for line in body)
            + "    return f\n")
-    scope = {}
-    exec(compile(src, "<flat_rhs>", "exec"), scope)
-    return scope["make"]
+    form = [variant] + ["pinned"] * pinned + ["batched"] * batched
+    form += [f"{key}={','.join(map(str, js))}" for key, js in
+             (("tracked", tracked), ("sources", sources)) if js] + ["exact"] * exact
+    return exec_source(src, f"<flat_rhs {' '.join(form)}>", {})["make"]
 
 
 def _rhs_cells(spec, closure):
@@ -376,8 +397,11 @@ def _rhs_cells(spec, closure):
     for j in range(spec.n):
         cells.update({f"Pi{j}": Pi[j], f"v{j}": mu + delta[j], f"a{j}": a[j],
                       f"u{j}": 1.0 - eps[j]})
-    for i, (_, _, beta) in enumerate(VARIANTS[spec.variant].mixing.PAIRS):
+    mixing = VARIANTS[spec.variant].mixing
+    for i, (_, _, beta) in enumerate(mixing.PAIRS):
         cells[f"b{i}"] = float(getattr(spec.probs, beta))
+    for f in mixing.CLOSURE_PRIORS:
+        cells[f"p_{f}"] = float(getattr(spec.mixing_priors, f))
     return cells
 
 
@@ -396,7 +420,7 @@ def flat_rhs_factory(spec, tracked_counts=None):
     for j in tracked:
         del cells[f"u{j}"]
         cells[f"c{j}"] = float(counts[j])
-    make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None, tracked)
+    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked)
     return make(**cells)
 
 
@@ -413,6 +437,5 @@ def batched_rhs_factory(spec, eps):
     cells = _rhs_cells(spec, var.batch_closure)
     for j, col in enumerate(np.asarray(eps, dtype=float).T):
         cells[f"u{j}"] = 1.0 - col
-    make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None, (),
-                           batched=True)
+    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, (), batched=True)
     return make(**cells)

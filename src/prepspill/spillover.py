@@ -101,7 +101,7 @@ def _augmented_rhs_factory(spec, source_indices, mode):
     """Flat rhs over [state | C | one (sigma, gamma) block per source]."""
     _check_mode(spec, mode)
     var = VARIANTS[spec.variant]
-    make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None, (),
+    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, (),
                            sources=tuple(source_indices), exact=mode == "exact_delta")
     return make(**_rhs_cells(spec, var.fractions))
 

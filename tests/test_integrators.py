@@ -111,6 +111,13 @@ def test_negative_state_error():
                            atol=1e-6)
     with pytest.raises(NegativeState):
         integrate_flat(lambda t, y: [-1.0], [0.5], cfg, n_state=1)
+    # a NaN slot ahead of a hard negative (min() then reads NaN) still
+    # raises; a NaN on its own passes unclamped
+    with pytest.raises(NegativeState, match="component 1"):
+        integrate_flat(lambda t, y: [math.nan, -1.0], [1.0, 0.5], cfg, n_state=2)
+    _, ys, clamps, _ = integrate_flat(lambda t, y: [math.nan, 0.0], [1.0, 0.5], cfg,
+                                      n_state=2)
+    assert math.isnan(ys[-1][0]) and ys[-1][1] == 0.5 and clamps == []
 
 
 def test_tiny_negative_clamped_and_logged():

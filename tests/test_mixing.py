@@ -5,9 +5,9 @@ import pytest
 
 from conftest import basic_residuals, random_spec, risk_objective, risk_residuals
 from prepspill.errors import InfeasibleClosure
-from prepspill.model import contact_matrix, dfe
+from prepspill.model import VARIANTS, _flat_rhs_maker, _rhs_cells, contact_matrix, dfe
 from prepspill.presets import georgia_risk
-from prepspill.mixing import (BasicMixing, RiskMixing, _risk_projection,
+from prepspill.mixing import (BasicMixing, RiskMixing, _risk_projection, _risk_xi_shares,
                               basic_fractions, close_basic, close_basic_batch,
                               close_risk, close_risk_batch, risk_fractions)
 
@@ -231,17 +231,39 @@ def test_batch_closure_checks_keep_their_order(close, batch, N, a, priors):
     assert all(np.all(g == w) for g, w in zip(batch(list(cols), a, priors), want))
 
 
+def _generated_rhs_pair(variant, spec, form):
+    """The unpinned generated RHS of one form (flat, tracked or spillover)
+    and the same RHS pinned to given fractions: ``pinned(fixed)``."""
+    tracked, sources, exact = form
+    cells = _rhs_cells(spec, VARIANTS[variant].fractions)
+    for j in tracked:
+        del cells[f"u{j}"]
+        cells[f"c{j}"] = 2e3
+    kw = {"sources": sources, "exact": exact}
+    unpinned = _flat_rhs_maker(variant, False, tracked, **kw)(**cells)
+    return unpinned, lambda fixed: _flat_rhs_maker(variant, True, tracked, **kw)(
+        **{**cells, "fixed": fixed})
+
+
 @pytest.mark.parametrize("variant", ["basic", "risk"])
 def test_closure_core_property(variant):
     # Random feasible specs, populations scattered around each DFE: the core's
     # tuple is the record's pair_fractions() bit for bit, balances hold, and an
     # infeasible point fails with one message on the core, record and batch.
+    # At every point the generated RHS, which evaluates the closure inline,
+    # equals the same RHS pinned to the core's tuple bit for bit (flat,
+    # tracked and spillover forms), or raises the core's error.
     core, close, batch, residuals = (
         (basic_fractions, close_basic, close_basic_batch, basic_residuals)
         if variant == "basic" else
         (risk_fractions, close_risk, close_risk_batch, risk_residuals))
     rng = np.random.default_rng(17)
-    seen = {"interior": 0, "lo": 0, "hi": 0, "infeasible": 0}
+    block_rng = np.random.default_rng(19)
+    n = 3 if variant == "basic" else 4
+    forms = [((), (), False), ((1,), (), False), ((), tuple(range(n)), False)]
+    if variant == "basic":
+        forms.append(((), (0, 2), True))
+    seen = {"interior": 0, "lo": 0, "hi": 0, "infeasible": 0, "roundoff": 0}
     for _ in range(12):
         spec = random_spec(rng, variant)
         a = tuple(spec.param_arrays()[1])
@@ -249,8 +271,15 @@ def test_closure_core_property(variant):
         if variant == "risk":  # pull xi_hetm to its upper bound B1/B3
             pulls.append(replace(spec.mixing_priors, eta_hetfh=0.0, alpha_hetfh=0.0,
                                  alpha_hetfl=1.0, xi_hetm=1.0))
+        rhs_pairs = {priors: [_generated_rhs_pair(variant, replace(spec, mixing_priors=priors),
+                                                  form) for form in forms]
+                     for priors in pulls}
         for N in dfe(spec).N * rng.uniform(0.5, 1.5, (40, spec.n)):
             N = tuple(float(v) for v in N)
+            # S_j = I_j = N_j / 2 exactly, so the RHS closes at N itself
+            y = [v / 2 for v in N for _ in (0, 1)] + [0.0] * n
+            ys = [y, y] + [y + (block_rng.uniform(-1.0, 1.0, 2 * n * len(form[1]))
+                                * 1e4).tolist() for form in forms[2:]]
             for priors in pulls:
                 try:
                     got = core(N, a, priors)
@@ -261,17 +290,27 @@ def test_closure_core_property(variant):
                         with pytest.raises(InfeasibleClosure) as again:
                             other(N, a, priors)
                         assert str(again.value) == str(e)
+                    for (unpinned, _), yy in zip(rhs_pairs[priors], ys):
+                        with pytest.raises(InfeasibleClosure) as again:
+                            unpinned(2020.0, yy)
+                        assert str(again.value) == str(e) and again.value.t == 2020.0
                     continue
                 mix = close(N, a, priors)
                 assert got == mix.pair_fractions()
                 assert max(abs(r) for r in residuals(mix, N, a)) < 1e-12
+                for (unpinned, pinned), yy in zip(rhs_pairs[priors], ys):
+                    assert unpinned(2020.0, yy) == pinned(got)(2020.0, yy)
                 if variant == "risk":
                     B = [n * x for n, x in zip(N, a)]
                     x = _risk_projection(*B, priors)
                     seen["lo" if x < mix.xi_hetm else "hi" if x > mix.xi_hetm
                          else "interior"] += 1
+                    # the shares before the roundoff clamp (which keeps xi_hetm,
+                    # already clamped into [lo, hi])
+                    shares = _risk_xi_shares(*B, mix.xi_hetm)
+                    seen["roundoff"] += not all(0.0 <= v <= 1.0 for v in shares)
                 else:
                     seen["interior"] += 1
     assert seen["interior"] > 50 and seen["infeasible"] > 20
     if variant == "risk":
-        assert seen["lo"] > 20 and seen["hi"] > 20
+        assert seen["lo"] > 20 and seen["hi"] > 20 and seen["roundoff"] > 0

@@ -1,3 +1,4 @@
+import traceback
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from prepspill.model import (VARIANTS, GroupParams, StateVec, TransmissionProbs,
                              make_spec)
 from prepspill.mixing import BasicMixing, basic_fractions, risk_fractions
 from prepspill.reproduction import build_ngm
+from prepspill.spillover import _augmented_rhs_factory
 
 
 def hand_contact_matrix(spec, mix):
@@ -372,14 +374,13 @@ def test_float_cells_keep_the_arithmetic(variant):
                 for j in tracked:
                     del cells[f"u{j}"]
                     cells[f"c{j}"] = float(state.S[j] * rng.uniform(0.0, 1.5))
-                make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None,
-                                       tracked)
+                make = _flat_rhs_maker(variant, spec.mixing is not None, tracked)
                 want = make(**_as_numpy_scalars(cells))(2017.0, y)
                 assert make(**cells)(2017.0, y) == want
             cells = _rhs_cells(spec, var.fractions)
             ya = y + (block_rng.uniform(-1.0, 1.0, 2 * spec.n ** 2) * state.N.mean()).tolist()
             for exact in ((False, True) if variant == "basic" else (False,)):
-                make = _flat_rhs_maker(spec.n, var.mixing.PAIRS, spec.mixing is not None, (),
+                make = _flat_rhs_maker(variant, spec.mixing is not None, (),
                                        sources=tuple(range(spec.n)), exact=exact)
                 want = make(**_as_numpy_scalars(cells))(2017.0, ya)
                 assert make(**cells)(2017.0, ya) == want
@@ -437,6 +438,23 @@ def test_zero_population_names_group_and_time(basic):
         build_lambda_vectors(spec, empty, t=2020.5)
     with pytest.raises(ZeroPopulation, match=r"^group hetf has N = 0 at t = 2020.5$"):
         flat_rhs_factory(spec)(2020.5, list(empty.to_flat()))
+
+
+@pytest.mark.parametrize("sources, name", [((), "<flat_rhs basic>"),
+                                           ((0, 2), "<flat_rhs basic sources=0,2>")])
+def test_generated_rhs_traceback_shows_its_source(basic, sources, name):
+    # each generated form is compiled under its own name, with its text in
+    # linecache, so a traceback shows the generated line that raised
+    spec, y0 = basic
+    empty = StateVec.make(y0.S * [1.0, 0.0, 1.0], y0.I * [1.0, 0.0, 1.0])
+    f = (_augmented_rhs_factory(spec, sources, "practical") if sources
+         else flat_rhs_factory(spec))
+    y = empty.to_flat().tolist() + [0.0] * (6 * len(sources))
+    with pytest.raises(ZeroPopulation) as exc:
+        f(2020.5, y)
+    text = "".join(traceback.format_exception(exc.value))
+    assert f'File "{name}", line 8, in f\n' in text
+    assert "    raise zero_population(labels, (N0, N1, N2), t)\n" in text
 
 
 @pytest.mark.parametrize("field", ["Pi", "a", "delta", "epsilon"])
