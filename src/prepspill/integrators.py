@@ -1,17 +1,15 @@
 """Time integration with cumulative-incidence accounting.
 
-Two methods: classic fixed-step RK4 and the embedded Dormand-Prince 5(4)
-pair with elementary step control and FSAL (1 + 6 RHS evaluations per
-attempted step).  Both steps are generated from their tableau text and
-compiled: the Dormand-Prince attempt, error norm included, once per system
-width, unrolled over the components (_dp_step_maker); the RK4 step once per
-width for floats and once for whole arrays, which steps a batch of systems
-(a row of members per component; _rk4_step_maker).  Both land exactly on
-every integer calendar year inside the span and on any extra sample times,
-so annual aggregates are plain differences of stored values, never
-interpolated.  Runs read only at their ends and sample times (scenario
-arms, stability probes) switch ``year_nodes`` off and step freely between
-them.
+One method: the embedded Dormand-Prince 5(4) pair with elementary step
+control and FSAL (1 + 6 RHS evaluations per attempted step).  The attempt,
+error norm included, is generated from the tableau text and compiled once
+per system width, unrolled over the components, and once for whole arrays,
+which steps a batch of systems (a row of members per component) with one
+shared step (_dp_step_maker).  Runs land exactly on every integer calendar
+year inside the span and on any extra sample times, so annual aggregates
+are plain differences of stored values, never interpolated.  Runs read only
+at their ends and sample times (scenario arms, stability probes) switch
+``year_nodes`` off and step freely between them.
 """
 
 from __future__ import annotations
@@ -68,19 +66,20 @@ def write_csv(path_or_file, header, rows):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Integration window and method settings.
+    """Integration window and Dormand-Prince step control.
 
     t0/t_end are calendar years ("model year 2020" starts at t = 2020.0).
-    dt is the fixed step for rk4_fixed; rtol/atol/dt_min/dt_max control the
-    adaptive method.  atol is in persons.  year_nodes=False drops the whole
-    years from the nodes; first_step (default 1e-2) is the adaptive method's
-    first trial step, e.g. the next_step of the trajectory this one continues.
+    rtol/atol/dt_min/dt_max control the step; atol is in persons.
+    year_nodes=False drops the whole years from the nodes; first_step
+    (default 1e-2) is the first trial step, e.g. the next_step of the
+    trajectory this one continues.  ``method`` names the one method; it is
+    a constant, not a setting.
     """
+
+    method = "rk45_adaptive"
 
     t0: float
     t_end: float
-    method: str = "rk45_adaptive"
-    dt: float = 0.05
     rtol: float = 1e-8
     atol: float = 1e-6
     dt_min: float = 1e-10
@@ -89,15 +88,13 @@ class IntegratorConfig:
     first_step: float | None = None
 
     def __post_init__(self):
-        if self.method not in ("rk4_fixed", "rk45_adaptive"):
-            raise ValueError(f"unknown method {self.method!r}")
-        for name in ("t0", "t_end", "dt", "rtol", "atol", "dt_min", "dt_max"):
+        for name in ("t0", "t_end", "rtol", "atol", "dt_min", "dt_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} = {getattr(self, name)} is not finite")
         if self.t_end <= self.t0:
             raise ValueError("t_end must exceed t0")
-        if min(self.dt, self.rtol, self.atol, self.dt_min) <= 0:
-            raise ValueError("dt, rtol, atol, dt_min must be positive")
+        if min(self.rtol, self.atol, self.dt_min) <= 0:
+            raise ValueError("rtol, atol, dt_min must be positive")
         if self.dt_min > self.dt_max:
             raise ValueError(f"dt_min = {self.dt_min} exceeds dt_max = {self.dt_max}")
 
@@ -113,7 +110,8 @@ class Trajectory:
     3n columns are the model state (S/I interleaved, then C), any further
     columns belong to augmented blocks owned by the caller.  A batched
     integration (integrate_batch) adds a trailing member axis.  next_step is
-    the adaptive controller's step after the last accepted one (None for RK4).
+    the controller's step after the last accepted one, the first_step of a
+    run that continues this one.
     """
 
     times: np.ndarray
@@ -215,7 +213,10 @@ def _postprocess_step(t, y, n_state, atol, clamp_events):
 def _postprocess_columns(t, y, n_state, atol, clamp_events):
     """_postprocess_step over columns (one entry per batch member): tiny
     negatives are clamped member by member; a hard negative raises
-    NegativeState for the first member that has one."""
+    NegativeState for the first member that has one.  One min() screens
+    the slots, as in _postprocess_step; a NaN member passes unclamped."""
+    if np.min(y[:n_state]) >= 0.0:
+        return
     for i in range(n_state):
         col = y[i]
         neg = col < 0.0
@@ -232,70 +233,10 @@ def _postprocess_columns(t, y, n_state, atol, clamp_events):
             y[i] = np.where(neg, 0.0, col)
 
 
-def _rk4_grid(breaks, dt):
-    """(t, h, t_next) of every fixed RK4 step: each span between breakpoints
-    is split evenly into steps of at most dt, and the last step of a span
-    ends exactly on the breakpoint."""
-    for b0, b1 in zip(breaks[:-1], breaks[1:]):
-        t = b0
-        nsub = max(1, math.ceil((b1 - b0) / dt - 1e-12))
-        h = (b1 - b0) / nsub
-        for i in range(nsub):
-            t_next = b1 if i == nsub - 1 else t + h
-            yield t, h, t_next
-            t = t_next
-
-
-# Classic RK4 as source text over {0} (the state) and {1}..{4} (k1..k4):
-# the node and argument of stages 2-4, then the update.
-_RK4_STAGES = (
-    ("t + 0.5 * h", "{0} + 0.5 * h * {1}"),
-    ("t + 0.5 * h", "{0} + 0.5 * h * {2}"),
-    ("t + h", "{0} + h * {3}"),
-)
-_RK4_UPDATE = "{0} + h / 6.0 * ({1} + 2.0 * {2} + 2.0 * {3} + {4})"
-
-
 def _unpack(names, src):
     """Source unpacking ``src`` into ``names`` (a trailing comma keeps one
     name an unpacking)."""
     return "".join(f"{v}, " for v in names) + f"= {src}"
-
-
-@functools.lru_cache(maxsize=None)
-def _rk4_step_maker(w=None):
-    """Compile one classic RK4 step ``step(f, t, y, h) -> y_next``.
-
-    For a width w the step is unrolled over w float components, as
-    _dp_step_maker unrolls Dormand-Prince: y and every stage are lists of
-    floats, and f is called with lists.  For w = None it runs the same text
-    on whole arrays (a batch: one row of members per component), stacking
-    each stage's list once.  Both evaluate each entry as the scalar step
-    does, so every batch member is stepped as its own scalar integration
-    is, bit for bit.
-    """
-    if w is None:
-        def comps(text):
-            return text.format("y", "k1", "k2", "k3", "k4")
-
-        def stage(s, src):
-            return f"k{s} = array({src})"
-        head = []
-    else:
-        def comps(text):
-            return "[" + ", ".join(text.format(f"y_{i}", *(f"k{s}_{i}" for s in range(1, 5)))
-                                   for i in range(w)) + "]"
-
-        def stage(s, src):
-            return _unpack([f"k{s}_{i}" for i in range(w)], src)
-        head = [_unpack([f"y_{i}" for i in range(w)], "y")]
-    body = head + [stage(1, "f(t, y)")]
-    body += [stage(s, f"f({node}, {comps(arg)})")
-             for s, (node, arg) in enumerate(_RK4_STAGES, start=2)]
-    body.append(f"return {comps(_RK4_UPDATE)}")
-    src = "def step(f, t, y, h):\n" + "".join(f"    {line}\n" for line in body)
-    form = "arrays" if w is None else w
-    return exec_source(src, f"<rk4_step {form}>", {"array": np.array})["step"]
 
 
 # Dormand-Prince 5(4) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
@@ -318,7 +259,7 @@ _DP_ERR = ("71 / 57600 * {0} - 71 / 16695 * {2} + 71 / 1920 * {3} - 17253 / 3392
 
 
 @functools.lru_cache(maxsize=None)
-def _dp_step_maker(w):
+def _dp_step_maker(w=None):
     """Compile one Dormand-Prince 5(4) attempt for systems of width w:
     ``step(f, t, y, h, k1, atol, rtol) -> (y5, k7, err)`` given k1 = f(t, y),
     with y5 the 5th-order solution, k7 = f(t + h, y5) the next k1 (FSAL),
@@ -330,59 +271,78 @@ def _dp_step_maker(w):
     with one expression per entry, and the norm's squares are summed term by
     term, left to right (as sum() does on Python 3.11), so an attempt costs
     6 RHS evaluations and no list passes.
+
+    For w = None the same text runs on whole arrays: a batch, one row of
+    members per component, with each RHS result stacked by asarray and the
+    squares summed over the rows by the builtin sum, in the same order.
+    Every entry is then computed as in the scalar attempt, and err is the
+    largest member RMS, so a batch of one steps as its scalar run does, bit
+    for bit.
     """
-    c = range(w)
+    if w is None:
+        def stage(text):
+            return text.format(*(f"k{s}" for s in range(1, 8)))
+        body = ["k1 = asarray(k1)"]
+        body += [f"k{s} = asarray(f({node}, y + h * ({stage(weights)})))"
+                 for s, (node, weights) in enumerate(_DP_STAGES, start=2)]
+        body += [f"y5 = y + h * ({stage(_DP_Y5)})", "k7 = asarray(f(t + h, y5))",
+                 f"q = (h * ({stage(_DP_ERR)}) / (atol + rtol * maximum(abs(y), abs(y5)))) ** 2",
+                 "return y5, k7, float(sqrt(sum(q) / len(y)).max())"]
+        namespace = {"asarray": np.asarray, "maximum": np.maximum, "sqrt": np.sqrt}
+    else:
+        c = range(w)
 
-    def stage(i, text):
-        return text.format(*(f"k{s}_{i}" for s in range(1, 8)))
+        def stage(i, text):
+            return text.format(*(f"k{s}_{i}" for s in range(1, 8)))
 
-    def unpack(s, src):
-        return _unpack([f"k{s}_{i}" for i in c], src)
-    body = [_unpack([f"y_{i}" for i in c], "y"), unpack(1, "k1")]
-    for s, (node, weights) in enumerate(_DP_STAGES, start=2):
-        args = ", ".join(f"y_{i} + h * ({stage(i, weights)})" for i in c)
-        body.append(unpack(s, f"f({node}, [{args}])"))
-    body += [f"z_{i} = y_{i} + h * ({stage(i, _DP_Y5)})" for i in c]
-    body += ["y5 = [" + ", ".join(f"z_{i}" for i in c) + "]", "k7 = f(t + h, y5)",
-             unpack(7, "k7")]
-    # max(|y_i|, |z_i|) as the builtin compares: |z_i| only if greater
-    terms = " + ".join(f"(h * ({stage(i, _DP_ERR)}) / (atol + rtol * (e if (e := abs(z_{i})) "
-                       f"> (d := abs(y_{i})) else d))) ** 2" for i in c)
-    body.append(f"return y5, k7, sqrt(({terms}) / {w})")
+        def unpack(s, src):
+            return _unpack([f"k{s}_{i}" for i in c], src)
+        body = [_unpack([f"y_{i}" for i in c], "y"), unpack(1, "k1")]
+        for s, (node, weights) in enumerate(_DP_STAGES, start=2):
+            args = ", ".join(f"y_{i} + h * ({stage(i, weights)})" for i in c)
+            body.append(unpack(s, f"f({node}, [{args}])"))
+        body += [f"z_{i} = y_{i} + h * ({stage(i, _DP_Y5)})" for i in c]
+        body += ["y5 = [" + ", ".join(f"z_{i}" for i in c) + "]", "k7 = f(t + h, y5)",
+                 unpack(7, "k7")]
+        # max(|y_i|, |z_i|) as the builtin compares: |z_i| only if greater
+        terms = " + ".join(f"(h * ({stage(i, _DP_ERR)}) / (atol + rtol * (e if (e := abs(z_{i})) "
+                           f"> (d := abs(y_{i})) else d))) ** 2" for i in c)
+        body.append(f"return y5, k7, sqrt(({terms}) / {w})")
+        namespace = {"sqrt": math.sqrt}
     src = ("def step(f, t, y, h, k1, atol, rtol):\n"
            + "".join(f"    {line}\n" for line in body))
-    return exec_source(src, f"<dp_step {w}>", {"sqrt": math.sqrt})["step"]
+    form = "arrays" if w is None else w
+    return exec_source(src, f"<dp_step {form}>", namespace)["step"]
 
 
 def integrate_flat(f, y0, cfg, n_state, sample_times=None):
-    """Integrate dy/dt = f(t, y) over cfg's window.
+    """Integrate dy/dt = f(t, y) over cfg's window by Dormand-Prince with
+    FSAL.
 
-    ``n_state`` marks how many leading components are physical populations
-    subject to the nonnegativity policy; trailing components (cumulative
-    counters, sensitivity blocks) may take either sign.
+    A one-dimensional y0 is one system: its state is a list of floats.  A
+    two-dimensional y0 is a batch, one row of members per component, stepped
+    whole by one shared step that the largest member error controls; f then
+    takes and gives the rows.  ``n_state`` marks how many leading components
+    are physical populations subject to the nonnegativity policy, member by
+    member in a batch; trailing components (cumulative counters,
+    sensitivity blocks) may take either sign.
     Returns (times list, states list, clamp_events, Trajectory.next_step).
     """
+    if np.ndim(y0) == 1:
+        y = [float(v) for v in y0]
+        step, post = _dp_step_maker(len(y)), _postprocess_step
+    else:
+        y = np.array(y0, dtype=float)
+        step, post = _dp_step_maker(), _postprocess_columns
     breaks = _breakpoints(cfg, sample_times)
-    y = [float(v) for v in y0]
     ts = [breaks[0]]
     ys = [y]
     clamps = []
-
-    if cfg.method == "rk4_fixed":
-        step = _rk4_step_maker(len(y))
-        for t, h, t_next in _rk4_grid(breaks, cfg.dt):
-            y = step(f, t, y, h)
-            _postprocess_step(t_next, y, n_state, cfg.atol, clamps)
-            ts.append(t_next)
-            ys.append(y)
-        return ts, ys, clamps, None
-
-    # Dormand-Prince with FSAL; a step ending within tol (as in _breakpoints,
-    # well above one ulp of a calendar year) of a node lands on it
+    # a step ending within tol (as in _breakpoints, well above one ulp of a
+    # calendar year) of a node lands on it
     tol = NODE_TOL * min(1.0, cfg.t_end - cfg.t0)
     t = breaks[0]
     k1 = f(t, y)
-    step = _dp_step_maker(len(y))
     h = min(cfg.dt_max, max(cfg.dt_min, cfg.first_step or 1e-2))
     for target in breaks[1:]:
         while t < target - tol:
@@ -394,7 +354,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                 t = target if target - t - h <= tol else t + h
                 y = ynew
                 k1 = k7  # FSAL
-                _postprocess_step(t, y, n_state, cfg.atol, clamps)
+                post(t, y, n_state, cfg.atol, clamps)
                 ts.append(t)
                 ys.append(y)
                 h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
@@ -415,42 +375,31 @@ def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None):
 def integrate_batch(spec, y0, eps, cfg):
     """Integrate a batch of models that differ only in coverage, all from y0.
 
-    Row b of ``eps`` (B, n) holds member b's coverage fractions.  Fixed-step
-    RK4 only: the batch state is one (3n, B) array stepped whole, and each
-    member takes the steps integrate_flat takes, with the same arithmetic,
-    so its trajectory equals its own scalar integration bit for bit.  Only
-    the breakpoint rows (t0, whole years, t_end) are kept, so the
-    trajectory's states are (n_breaks, 3n, B).  The nonnegativity policy
-    applies member by member; clamp events are (t, component, member,
-    value).  A failure carries the index of the first failing member
-    (PrepspillError.member).
+    Row b of ``eps`` (B, n) holds member b's coverage fractions.  The batch
+    state is one (3n, B) array that integrate_flat steps whole, with one
+    step for all members; a batch of one equals its scalar integration bit
+    for bit.  The trajectory keeps every accepted node, so its states are
+    (nodes, 3n, B).  The nonnegativity policy applies member by member;
+    clamp events are (t, component, member, value).  A failure carries the
+    index of the first failing member (PrepspillError.member).
 
     Returns (trajectory, RHS evaluations); each evaluation covers the batch.
     """
-    if cfg.method != "rk4_fixed":
-        raise ValueError(f"batched integration needs method 'rk4_fixed', "
-                         f"not {cfg.method!r}")
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
     if not len(eps):
         raise ValueError("batched integration needs at least one member")
-    f = batched_rhs_factory(spec, eps)
-    breaks = _breakpoints(cfg, None)
+    rhs = batched_rhs_factory(spec, eps)
+    evals = 0
+
+    def f(t, y):
+        nonlocal evals
+        evals += 1
+        return rhs(t, y)
     y = np.repeat(y0.to_flat()[:, None], len(eps), axis=1)
-    states = np.empty((len(breaks),) + y.shape)
-    states[0] = y
-    row, clamps, steps = 1, [], 0
-    step = _rk4_step_maker()
-    for t, h, t_next in _rk4_grid(breaks, cfg.dt):
-        y = step(f, t, y, h)
-        if not y[:2 * spec.n].min() >= 0.0:  # a negative, or a NaN it leaves as is
-            _postprocess_columns(t_next, y, 2 * spec.n, cfg.atol, clamps)
-        steps += 1
-        if t_next == breaks[row]:  # _rk4_grid lands on it exactly
-            states[row] = y
-            row += 1
-    traj = Trajectory(times=np.array(breaks), states=states, labels=spec.labels,
-                      clamp_events=clamps)
-    return traj, 4 * steps
+    ts, ys, clamps, h = integrate_flat(f, y, cfg, 2 * spec.n)
+    traj = Trajectory(times=np.array(ts), states=np.array(ys), labels=spec.labels,
+                      clamp_events=clamps, next_step=h)
+    return traj, evals
 
 
 def annual_series(traj):

@@ -212,14 +212,20 @@ class RiskMixing:
                 xi, 1.0 - xi)
 
 
+def _at(t):
+    """The message suffix naming a known time t, else the empty string."""
+    return "" if t is None else f" at t = {t:.6f}"
+
+
 def _unit_interval_error(name, value, t):
     return InfeasibleClosure(
-        f"closure gives {name} = {value:.6g} outside [0, 1]", t=t, value=value)
+        f"closure gives {name} = {value:.6g} outside [0, 1]{_at(t)}", t=t, value=value)
 
 
 def _empty_interval_error(lo, hi, t):
     return InfeasibleClosure(
-        f"empty feasible interval for xi_hetm: [{lo:.6g}, {hi:.6g}]", t=t, value=lo)
+        f"empty feasible interval for xi_hetm: [{lo:.6g}, {hi:.6g}]{_at(t)}", t=t,
+        value=lo)
 
 
 def _compiled_from(mixing):

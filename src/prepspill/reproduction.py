@@ -341,8 +341,7 @@ def stability_probe(spec, n_trials=50, seed=0):
     t0 = 0.0
     while True:
         for i, y in enumerate(states):
-            cfg = IntegratorConfig(t0=t0, t_end=h, method="rk45_adaptive",
-                                   rtol=1e-8, atol=1e-8, dt_max=h / 8,
+            cfg = IntegratorConfig(t0=t0, t_end=h, rtol=1e-8, atol=1e-8, dt_max=h / 8,
                                    year_nodes=False, first_step=steps[i])
             traj = integrate(spec, y, cfg)
             states[i], steps[i] = traj.final_state(), traj.next_step

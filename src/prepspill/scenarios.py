@@ -182,13 +182,12 @@ def _config_from_raw(raw):
                               key="intervention_mode")
 
     icfg_raw = _section(raw, "integrator")
-    allowed = {"method", "dt", "rtol", "atol", "dt_min", "dt_max"}
+    allowed = {"rtol", "atol", "dt_min", "dt_max"}
     bad = set(icfg_raw) - allowed
     if bad:
         raise SchemaViolation(f"unknown integrator keys {sorted(bad)}",
                               key="integrator")
-    steps = {k: v if k == "method" else _number(v, f"integrator.{k}")
-             for k, v in icfg_raw.items()}
+    steps = {k: _number(v, f"integrator.{k}") for k, v in icfg_raw.items()}
     with _guard("integrator"):
         icfg = IntegratorConfig(t0=start, t_end=end, **steps)
 
@@ -567,7 +566,7 @@ def sobol_manifest(study):
         "node_count": study.n_nodes,
         "clamp_count": study.clamp_count,
         "boundary_affected": study.boundary_affected,
-        "integrator": {"method": study.method, "dt": study.dt},
+        "integrator": {"rtol": study.rtol, "atol": study.atol},
         "rhs_evals": study.rhs_evals,
         "members": study.members,
         "inputs": [

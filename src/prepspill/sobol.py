@@ -301,10 +301,10 @@ def _index_masks(index_set):
 class SobolStudy:
     """Per-(year, output group) indices for a coverage-uncertainty study.
 
-    ``method``, ``dt`` and ``rhs_evals`` record the integration: RHS
-    evaluations of the batched RK4 (4 per step), each covering the batch.
-    ``members`` counts the batch: the distinct coverage rows among the nodes,
-    each integrated once.
+    ``rtol``, ``atol`` and ``rhs_evals`` record the integration: the
+    batch's Dormand-Prince tolerances and its RHS evaluations (1 + 6 per
+    attempted step), each covering the batch.  ``members`` counts the
+    batch: the distinct coverage rows among the nodes, each integrated once.
     """
 
     years: list
@@ -316,8 +316,8 @@ class SobolStudy:
     n_nodes: int
     clamp_count: int
     boundary_affected: bool
-    method: str
-    dt: float
+    rtol: float
+    atol: float
     rhs_evals: int
     members: int
     samples: dict = field(default_factory=dict, repr=False)
@@ -386,17 +386,18 @@ def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
     Inputs map sampled values onto coverage fractions (coverage_fractions:
     clamped to [0, 1]; a study with any clamped value is flagged
     boundary-affected).  Each distinct coverage row among the grid nodes is
-    integrated once, all in one batch, by a fixed-step RK4 (integrate_batch;
-    cfg must use "rk4_fixed", default dt = 0.1 over 2017-2031) -- the
-    indices are ratios, so the cheap integrator is adequate -- and each
-    node's samples equal its own scalar integration (coverage_model_fn with
-    the same cfg) bit for bit.  A failing node raises EnsembleError naming
+    integrated once, all in one batch (integrate_batch: Dormand-Prince with
+    one step shared by the members, the largest member error controlling
+    it; cfg defaults to the scalar runs' 2017-2031 config).  A batch of one
+    node equals that node's scalar integration (coverage_model_fn with the
+    same cfg) bit for bit; in a larger batch each member stays within the
+    tolerances of its own run.  A failing node raises EnsembleError naming
     the lowest failing one.  One projection (fit_pce) fits every (year,
     group) series at once.
     """
     inputs = tuple(inputs)
     if cfg is None:
-        cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, method="rk4_fixed", dt=0.1)
+        cfg = IntegratorConfig(t0=2017.0, t_end=2031.0)
     grid = build_grid(inputs, rule=rule, level=level)
     eps, clamps = coverage_fractions(spec, y0, inputs, grid.nodes)
     all_years, table, rhs_evals, members = _batch_incidence(spec, y0, grid, eps, cfg)
@@ -411,5 +412,5 @@ def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
     return SobolStudy(years=[all_years[yi] for yi in kept], output_groups=spec.labels,
                       inputs=inputs, indices=indices, grid_rule=rule, grid_level=level,
                       n_nodes=grid.n_nodes, clamp_count=clamps,
-                      boundary_affected=clamps > 0, method=cfg.method, dt=cfg.dt,
+                      boundary_affected=clamps > 0, rtol=cfg.rtol, atol=cfg.atol,
                       rhs_evals=rhs_evals, members=members, samples=samples)

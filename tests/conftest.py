@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,32 @@ def baseline_risk(risk):
     spec, y0 = risk
     cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-8, atol=1e-6)
     return integrate(spec, y0, cfg, sample_times=[2020.0])
+
+
+def rk4_fixed(f, y0, t0, t_end, dt):
+    """Classic fixed-step RK4 of the flat system dy/dt = f(t, y) (f takes a
+    list), the test oracle that Dormand-Prince runs are checked against.
+    Each span between t0, the whole years and t_end is split evenly into
+    steps of at most dt.  Returns the times and the state rows at t0, each
+    whole year and t_end."""
+    def rate(t, y):
+        return np.array(f(t, y.tolist()))
+    breaks = sorted({float(t0), float(t_end)}
+                    | {float(y) for y in range(math.ceil(t0), math.floor(t_end) + 1)})
+    y = np.array(y0, dtype=float)
+    rows = [y]
+    for b0, b1 in zip(breaks, breaks[1:]):
+        steps = max(1, math.ceil((b1 - b0) / dt - 1e-12))
+        h = (b1 - b0) / steps
+        for i in range(steps):
+            t = b0 + i * h
+            k1 = rate(t, y)
+            k2 = rate(t + h / 2, y + h / 2 * k1)
+            k3 = rate(t + h / 2, y + h / 2 * k2)
+            k4 = rate(t + h, y + h * k3)
+            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        rows.append(y)
+    return np.array(breaks), np.array(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import rk4_fixed
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
 from prepspill.integrators import (NODE_TOL, IntegratorConfig, _breakpoints,
-                                   _dp_step_maker, _postprocess_columns, annual_series,
-                                   integrate, integrate_batch, integrate_flat,
-                                   interp_rows, write_csv)
-from prepspill.model import StateVec, TransmissionProbs, closed_mixing, make_spec
+                                   _dp_step_maker, _postprocess_columns,
+                                   _postprocess_step, annual_series, integrate,
+                                   integrate_batch, integrate_flat, interp_rows, write_csv)
+from prepspill.model import (StateVec, TransmissionProbs, closed_mixing, flat_rhs_factory,
+                             make_spec)
 from prepspill.mixing import BasicMixing
 from prepspill.spillover import integrate_with_spillover
 
@@ -50,16 +52,15 @@ def test_population_relaxation_matches_analytic(basic):
 
 
 def test_rk4_fourth_order_convergence(basic):
+    # the fixed-step oracle (conftest.rk4_fixed) is of order four: Richardson
+    # within one method; dt values divide a year exactly so the year
+    # breakpoints do not change the effective step ratio
     spec, y0 = basic
-    # Richardson within one method; dt values divide a year exactly so the
-    # forced year breakpoints do not change the effective step ratio
-    ref = integrate(spec, y0, IntegratorConfig(t0=2017.0, t_end=2020.0,
-                                               method="rk4_fixed", dt=1 / 64))
-    ref_end = ref.states[-1][:9]
+    f = flat_rhs_factory(spec)
+    ref_end = rk4_fixed(f, y0.to_flat(), 2017.0, 2020.0, 1 / 64)[1][-1][:9]
     errs = []
     for dt in (0.5, 0.25, 0.125):
-        cfg = IntegratorConfig(t0=2017.0, t_end=2020.0, method="rk4_fixed", dt=dt)
-        end = integrate(spec, y0, cfg).states[-1][:9]
+        end = rk4_fixed(f, y0.to_flat(), 2017.0, 2020.0, dt)[1][-1][:9]
         errs.append(np.max(np.abs(end - ref_end) / np.abs(ref_end)))
     order1 = math.log2(errs[0] / errs[1])
     order2 = math.log2(errs[1] / errs[2])
@@ -69,10 +70,9 @@ def test_rk4_fourth_order_convergence(basic):
 
 def test_adaptive_and_fixed_agree(baseline_basic, basic):
     spec, y0 = basic
-    cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, method="rk4_fixed", dt=0.05)
-    fixed = integrate(spec, y0, cfg)
+    times, rows = rk4_fixed(flat_rhs_factory(spec), y0.to_flat(), 2017.0, 2031.0, 0.05)
     n = spec.n
-    c_fixed = fixed.row_at(2031.0)[2 * n:] - fixed.row_at(2020.0)[2 * n:]
+    c_fixed = rows[-1][2 * n:] - rows[list(times).index(2020.0)][2 * n:]
     c_adapt = baseline_basic.row_at(2031.0)[2 * n:] - baseline_basic.row_at(2020.0)[2 * n:]
     assert np.all(np.abs(c_fixed - c_adapt) / c_adapt < 1e-3)
 
@@ -107,22 +107,20 @@ def test_year_boundaries_are_exact_nodes(baseline_basic):
 
 
 def test_negative_state_error():
-    cfg = IntegratorConfig(t0=0.0, t_end=1.0, method="rk4_fixed", dt=0.01,
-                           atol=1e-6)
+    cfg = IntegratorConfig(t0=0.0, t_end=1.0, atol=1e-6)
     with pytest.raises(NegativeState):
         integrate_flat(lambda t, y: [-1.0], [0.5], cfg, n_state=1)
     # a NaN slot ahead of a hard negative (min() then reads NaN) still
     # raises; a NaN on its own passes unclamped
     with pytest.raises(NegativeState, match="component 1"):
-        integrate_flat(lambda t, y: [math.nan, -1.0], [1.0, 0.5], cfg, n_state=2)
-    _, ys, clamps, _ = integrate_flat(lambda t, y: [math.nan, 0.0], [1.0, 0.5], cfg,
-                                      n_state=2)
-    assert math.isnan(ys[-1][0]) and ys[-1][1] == 0.5 and clamps == []
+        _postprocess_step(0.5, [math.nan, -1.0], 2, 1e-6, [])
+    y, clamps = [math.nan, 0.5], []
+    _postprocess_step(0.5, y, 2, 1e-6, clamps)
+    assert math.isnan(y[0]) and y[1] == 0.5 and clamps == []
 
 
 def test_tiny_negative_clamped_and_logged():
-    cfg = IntegratorConfig(t0=0.0, t_end=2e-8, method="rk4_fixed", dt=1e-8,
-                           atol=1e-6)
+    cfg = IntegratorConfig(t0=0.0, t_end=2e-8, atol=1e-6)
     ts, ys, clamps, _ = integrate_flat(lambda t, y: [-0.1], [1e-9], cfg, n_state=1)
     assert len(clamps) >= 1
     assert ys[-1][0] == 0.0
@@ -140,42 +138,45 @@ def test_columns_clamp_tiny_and_name_hard_negative():
     assert exc.value.member == 2
     with pytest.raises(NegativeState) as scalar:
         integrate_flat(lambda t, y: [0.0], [-2.0], IntegratorConfig(
-            t0=0.0, t_end=0.5, method="rk4_fixed", dt=0.5), n_state=1)
+            t0=0.0, t_end=0.5, first_step=0.5), n_state=1)
     assert str(exc.value) == str(scalar.value)
 
 
 def test_batch_members_equal_scalar_integrations(basic, risk):
+    # a batch of one steps as its scalar run does, bit for bit
+    cfg = IntegratorConfig(t0=2017.0, t_end=2031.0)
     for spec, y0 in (basic, risk):
-        cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, method="rk4_fixed", dt=0.1)
-        eps = spec.param_arrays()[3] * np.array([[0.5], [1.0], [3.0]])
-        traj, rhs_evals = integrate_batch(spec, y0, eps, cfg)
-        assert traj.states.shape == (15, 3 * spec.n, 3)
-        assert rhs_evals == 4 * 140
-        for b, row in enumerate(eps):
-            one = integrate(spec.with_epsilon(dict(zip(spec.labels, row))), y0, cfg)
-            at_years = [one.index_of(t) for t in traj.times]
-            assert np.array_equal(traj.states[:, :, b], one.states[at_years])
-        years, table = annual_series(traj)
-        assert table.shape == (14, spec.n, 3)
-    with pytest.raises(ValueError, match="rk4_fixed"):
-        integrate_batch(spec, y0, eps, IntegratorConfig(t0=2017.0, t_end=2018.0))
+        for scale in (0.5, 1.0, 3.0):
+            eps = spec.param_arrays()[3] * scale
+            traj, rhs_evals = integrate_batch(spec, y0, [eps], cfg)
+            one = integrate(spec.with_epsilon(dict(zip(spec.labels, eps))), y0, cfg)
+            assert np.array_equal(traj.times, one.times)
+            assert np.array_equal(traj.states[:, :, 0], one.states)
+            assert traj.next_step == one.next_step
+            assert (rhs_evals - 1) % 6 == 0 and (rhs_evals - 1) // 6 >= len(one.times) - 1
+            years, table = annual_series(traj)
+            assert table.shape == (14, spec.n, 1)
 
 
-def test_batch_passes_nan_through_unclamped(basic):
-    # a NaN population is neither clamped nor reported as a failing member
+def test_batch_nan_member_underflows_as_its_scalar_run(basic):
+    # a NaN population makes every error norm NaN, so each attempt is
+    # rejected until the step underflows, in the batch as in the scalar run
     spec, y0 = basic
     spec = replace(spec, mixing=closed_mixing(spec, y0.N))
     S = y0.S.copy()
     S[0] = np.nan
+    y0 = replace(y0, S=S)
     eps = spec.param_arrays()[3] * np.array([[1.0], [2.0]])
-    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0, method="rk4_fixed", dt=0.5)
-    traj, _ = integrate_batch(spec, replace(y0, S=S), eps, cfg)
-    assert traj.clamp_events == []
-    assert np.isnan(traj.states[-1, :2 * spec.n]).all()
+    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0)
+    with pytest.raises(StepSizeUnderflow) as batch:
+        integrate_batch(spec, y0, eps, cfg)
+    with pytest.raises(StepSizeUnderflow) as scalar:
+        integrate(spec, y0, cfg)
+    assert str(batch.value) == str(scalar.value)
 
 
 def test_batch_needs_a_member(basic):
-    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0, method="rk4_fixed", dt=0.5)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0)
     with pytest.raises(ValueError, match="at least one member"):
         integrate_batch(*basic, np.empty((0, 3)), cfg)
 
@@ -189,12 +190,12 @@ def test_step_size_underflow():
 
 
 @pytest.mark.parametrize("settings", [
-    {"t0": math.nan}, {"t_end": math.inf}, {"dt": math.nan}, {"rtol": math.nan},
+    {"t0": math.nan}, {"t_end": math.inf}, {"dt_max": math.inf}, {"rtol": math.nan},
     {"atol": math.inf}, {"dt_min": math.nan}, {"dt_max": math.nan}, {"dt_min": 0.0},
     {"dt_min": 2.0, "dt_max": 1.0}])
 def test_config_rejects_nonfinite_and_inconsistent_steps(settings):
     # checked by construction only: a NaN rtol with a NaN dt_min never ends a
-    # run, a NaN dt reaches math.ceil, and dt_min > dt_max read as underflow
+    # run, and dt_min > dt_max read as underflow
     with pytest.raises(ValueError):
         IntegratorConfig(**{"t0": 0.0, "t_end": 1.0, **settings})
 

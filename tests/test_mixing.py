@@ -290,10 +290,13 @@ def test_closure_core_property(variant):
                         with pytest.raises(InfeasibleClosure) as again:
                             other(N, a, priors)
                         assert str(again.value) == str(e)
+                    # the RHS passes its t, which the message then names
+                    with pytest.raises(InfeasibleClosure) as at_t:
+                        core(N, a, priors, t=2020.0)
                     for (unpinned, _), yy in zip(rhs_pairs[priors], ys):
                         with pytest.raises(InfeasibleClosure) as again:
                             unpinned(2020.0, yy)
-                        assert str(again.value) == str(e) and again.value.t == 2020.0
+                        assert str(again.value) == str(at_t.value) and again.value.t == 2020.0
                     continue
                 mix = close(N, a, priors)
                 assert got == mix.pair_fractions()

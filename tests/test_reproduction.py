@@ -252,8 +252,8 @@ def test_probe_ratio_matches_one_direct_integration(basic, regime):
     assert report.regime == regime and h > first
     # the probe's nodes: free steps, stopping at every doubling
     doublings = [first * 2 ** k for k in range(int(math.log2(h / first)))]
-    cfg = IntegratorConfig(t0=0.0, t_end=h, method="rk45_adaptive", rtol=1e-8,
-                           atol=1e-8, dt_max=h / 8, year_nodes=False)
+    cfg = IntegratorConfig(t0=0.0, t_end=h, rtol=1e-8, atol=1e-8, dt_max=h / 8,
+                           year_nodes=False)
     end = integrate(spec, starts[0], cfg, sample_times=doublings).final_state()
     direct = float(np.sum(end.I)) / float(np.sum(starts[0].I))
     assert report.max_terminal_ratio == pytest.approx(direct, rel=1e-10, abs=0.0)

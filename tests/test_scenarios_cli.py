@@ -73,7 +73,7 @@ def test_load_config_nonfinite_persons(tmp_path, dE):
 
 @pytest.mark.parametrize("settings", [
     {"rtol": float("nan"), "dt_min": float("nan")},
-    {"method": "rk4_fixed", "dt": float("nan")},
+    {"dt_max": float("nan")},
     {"rtol": float("nan")}, {"dt_min": 2.0, "dt_max": 1.0}])
 def test_load_config_bad_integrator_settings(tmp_path, settings):
     path = write_config(tmp_path, {"model": "basic", "integrator": settings})
@@ -281,6 +281,17 @@ def test_cli_error_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_infeasible_closure_names_its_time(tmp_path, capsys):
+    # the risk preset's closure has no solution from about 2042.75 on; the
+    # error line keeps its prefix and names the time it failed at
+    path = write_config(tmp_path, {"model": "risk", "horizon": {"end": 2045}})
+    assert main(["simulate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: closure gives eta_msm = ") and err.count("\n") == 1
+    t = float(err.split(" at t = ")[1])
+    assert 2042.7 <= t <= 2042.9
 
 
 def test_cli_spillover_csv_schema(tmp_path, capsys):
@@ -569,9 +580,13 @@ NAN = float("nan")
      "interventions[0].start_year"),
     ({"integrator": {"rtol": True}}, "integrator.rtol"),
     ({"schema_version": True}, "schema_version"),
+    # Dormand-Prince is the one method: no method or fixed step to choose
+    ({"integrator": {"method": "rk4_fixed"}}, "unknown integrator keys ['method']"),
+    ({"integrator": {"dt": 0.1}}, "unknown integrator keys ['dt']"),
 ])
 def test_cli_malformed_config_is_one_error_line(tmp_path, capsys, payload, key):
-    # each of these once ended in a traceback, or (muu, True) ran and exited 0
+    # each of these once ended in a traceback, or ran and exited 0 (muu,
+    # True; method and dt chose the integrator)
     path = tmp_path / "cfg.json"
     if isinstance(payload, bytes):
         path.write_bytes(payload)
@@ -628,7 +643,7 @@ FULL_CONFIG = {
                   "mixing_priors": {"eta_msm": 0.9},
                   "groups": {"hetf": {"epsilon": 0.1}}},
     "initial_conditions": {"msm": {"S": 123418, "I": 42000}},
-    "integrator": {"method": "rk45_adaptive", "rtol": 1e-8, "dt_max": 0.5},
+    "integrator": {"rtol": 1e-8, "dt_max": 0.5},
 }
 
 

@@ -155,7 +155,7 @@ def test_ensemble_monotone_in_msm_coverage(basic):
     spec, y0 = basic
     inputs = [UncertainInput(group="msm", lo=-0.5, hi=4.0)]
     g = build_grid(inputs, level=7)
-    cfg = IntegratorConfig(t0=2017.0, t_end=2022.0, method="rk4_fixed", dt=0.1)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2022.0)
     fn = coverage_model_fn(spec, y0, inputs, cfg)
     msm_cum = []
     order = np.argsort(g.nodes[:, 0])
@@ -168,7 +168,7 @@ def test_ensemble_monotone_in_msm_coverage(basic):
 def test_degenerate_intervals_zero_variance(basic):
     spec, y0 = basic
     inputs = [UncertainInput(group=l, lo=0.0, hi=0.0) for l in spec.labels]
-    cfg = IntegratorConfig(t0=2017.0, t_end=2020.0, method="rk4_fixed", dt=0.2)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2020.0)
     study = sobol_timeseries(spec, y0, inputs, level=2, total_degree=1, cfg=cfg)
     for si in study.indices.values():
         assert si.defined is False
@@ -178,7 +178,7 @@ def test_timeseries_study_smolyak_rule(basic):
     spec, y0 = basic
     inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0)
                    for l in spec.labels)
-    cfg = IntegratorConfig(t0=2017.0, t_end=2021.0, method="rk4_fixed", dt=0.2)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2021.0)
     study = sobol_timeseries(spec, y0, inputs, rule="clenshaw_curtis_smolyak",
                              level=4, total_degree=2, cfg=cfg)
     assert study.grid_rule == "clenshaw_curtis_smolyak"
@@ -191,7 +191,7 @@ def test_timeseries_study_patterns(basic):
     inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0)
                    for l in spec.labels) + \
         (UncertainInput(group=None, lo=-0.5, hi=4.0),)
-    cfg = IntegratorConfig(t0=2017.0, t_end=2024.0, method="rk4_fixed", dt=0.1)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2024.0)
     study = sobol_timeseries(spec, y0, inputs, level=3, total_degree=2, cfg=cfg)
     assert study.n_nodes == 81
     assert study.clamp_count == 0
@@ -209,7 +209,7 @@ def test_timeseries_one_batched_integration(basic, monkeypatch):
 
     spec, y0 = basic
     inputs = [UncertainInput(group="msm", lo=-0.5, hi=1.0)]
-    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0, method="rk4_fixed", dt=0.25)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
     calls = {"integrate_batch": [], "fit_pce": []}
     for name in calls:
         def counting(*args, _real=getattr(sobol_mod, name), _log=calls[name], **kwargs):
@@ -220,7 +220,8 @@ def test_timeseries_one_batched_integration(basic, monkeypatch):
     assert study.n_nodes == 4 and study.years == [2017, 2018]
     assert len(calls["integrate_batch"]) == 1 and len(calls["fit_pce"]) == 1
     assert calls["integrate_batch"][0][2].shape == (4, spec.n)
-    assert (study.method, study.dt, study.rhs_evals) == ("rk4_fixed", 0.25, 4 * 8)
+    # Dormand-Prince: 1 + 6 RHS evaluations per attempt, 5 attempts
+    assert (study.rtol, study.atol, study.rhs_evals) == (1e-8, 1e-6, 1 + 6 * 5)
     one_year = sobol_timeseries(spec, y0, inputs, years=[2018], level=4,
                                 total_degree=2, cfg=cfg)
     assert one_year.years == [2018] and set(one_year.indices) == {
@@ -239,7 +240,7 @@ def test_timeseries_failure_names_member(basic, monkeypatch):
 
     spec, y0 = basic
     inputs = [UncertainInput(group="msm", lo=-0.5, hi=1.0)]
-    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0, method="rk4_fixed", dt=0.25)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
     real = model.close_basic_batch
 
     def reject_member_2(N, a, priors, t=None):
@@ -270,7 +271,7 @@ def test_timeseries_failure_names_lowest_sharing_node(basic, monkeypatch):
     inputs = [UncertainInput(group="hetf", lo=-0.5, hi=1.0),
               UncertainInput(group="msm", lo=-0.5, hi=1.0),
               UncertainInput(group=None, lo=-1.0, hi=1.0)]
-    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0, method="rk4_fixed", dt=0.25)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
     grid = build_grid(inputs, level=2)
     rows = coverage_fractions(spec, y0, inputs, grid.nodes)[0][[3, 5]]
     real = integrators.batched_rhs_factory
@@ -297,30 +298,24 @@ def test_timeseries_failure_names_lowest_sharing_node(basic, monkeypatch):
 def test_study_counts_distinct_coverage_rows(basic, risk):
     # criterion 9's layout: hetm has no baseline coverage to scale and the
     # fourth input is inert, so 625 nodes hold 25 coverage rows; the risk
-    # layout's 256 nodes are 256 rows.  rhs_evals counts batch evaluations.
+    # layout's 256 nodes are 256 rows.  rhs_evals counts batch evaluations:
+    # 4 Dormand-Prince attempts over the year, 1 + 6 per attempt.
     from prepspill.scenarios import sobol_manifest
 
-    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0, method="rk4_fixed", dt=0.1)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0)
     spec, y0 = basic
     inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0) for l in spec.labels) + (
         UncertainInput(group=None, lo=-0.5, hi=4.0),)
     study = sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=cfg)
     man = sobol_manifest(study)
-    assert (man["node_count"], man["members"], man["rhs_evals"]) == (625, 25, 40)
+    assert (man["node_count"], man["members"], man["rhs_evals"]) == (625, 25, 25)
+    assert man["integrator"] == {"rtol": 1e-8, "atol": 1e-6}
     spec, y0 = risk
     inputs = (UncertainInput("msm", -0.5, 2.0), UncertainInput("hetf_h", -0.5, 2.0),
               UncertainInput("hetf_l", 0.0, 20000.0, domain="count"),
               UncertainInput("hetm", 0.0, 20000.0, domain="count"))
     study = sobol_timeseries(spec, y0, inputs, level=4, total_degree=3, cfg=cfg)
-    assert (study.n_nodes, study.members, study.rhs_evals) == (256, 256, 40)
-
-
-def test_timeseries_requires_rk4_fixed(basic):
-    spec, y0 = basic
-    inputs = [UncertainInput(group="msm", lo=-0.5, hi=1.0)]
-    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
-    with pytest.raises(ValueError, match="rk4_fixed"):
-        sobol_timeseries(spec, y0, inputs, level=2, total_degree=1, cfg=cfg)
+    assert (study.n_nodes, study.members, study.rhs_evals) == (256, 256, 25)
 
 
 def _per_node(spec, y0, inputs, grid, cfg):
@@ -331,13 +326,22 @@ def _per_node(spec, y0, inputs, grid, cfg):
     return np.array([fn(node)[1] for node in grid.nodes]), clamps
 
 
-def _assert_study_matches_per_node(study, spec, y0, inputs, cfg):
+def _assert_study_near_tight_runs(study, spec, y0, inputs, cfg, share=1e-9):
+    """Each node's samples against the node's own run at rtol 1e-12, atol
+    1e-10 and dt_max 0.05: within ``share`` of the (year, group) column's
+    largest entry on basic, and within 1e-4 relative (of at least one
+    person) on risk, where the closure's clamp of xi_hetm puts a kink in the
+    RHS.  The clamp counts are exact."""
     grid = build_grid(inputs, level=study.grid_level)
-    want, clamps = _per_node(spec, y0, inputs, grid, cfg)
+    want, clamps = _per_node(spec, y0, inputs, grid,
+                             replace(cfg, rtol=1e-12, atol=1e-10, dt_max=0.05))
     for yi, year in enumerate(study.years):
         for gi, lbl in enumerate(spec.labels):
-            np.testing.assert_allclose(study.samples[(year, lbl)], want[:, yi, gi],
-                                       rtol=1e-12, atol=0.0)
+            got, ref = study.samples[(year, lbl)], want[:, yi, gi]
+            if spec.variant == "basic":
+                assert np.abs(got - ref).max() <= share * np.abs(ref).max()
+            else:
+                assert np.all(np.abs(got - ref) <= 1e-4 * np.maximum(np.abs(ref), 1.0))
     assert study.clamp_count == clamps
     assert study.boundary_affected == (clamps > 0)
 
@@ -346,7 +350,7 @@ def _assert_study_matches_per_node(study, spec, y0, inputs, cfg):
 @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
        pinned=st.booleans(), kinds=st.lists(st.sampled_from(["scale", "count", "inert"]),
                                             min_size=1, max_size=3))
-def test_batched_study_equals_per_node_property(seed, variant, pinned, kinds):
+def test_batched_study_near_per_node_runs_property(seed, variant, pinned, kinds):
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, variant)
     y0 = random_state(rng, spec)
@@ -364,18 +368,22 @@ def test_batched_study_equals_per_node_property(seed, variant, pinned, kinds):
             lo = rng.uniform(0.0, 0.5) * y0.S[k]
             inputs.append(UncertainInput(spec.labels[k], lo, lo + y0.S[k],
                                          domain="count"))
-    cfg = IntegratorConfig(t0=2017.0, t_end=2020.0, method="rk4_fixed", dt=0.25)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2020.0)
     level = 2 if len(inputs) == 3 else 3
     try:
         study = sobol_timeseries(spec, y0, inputs, level=level, total_degree=1, cfg=cfg)
     except EnsembleError as e:
-        # the named node fails on its own with the same error
+        # the named node fails on its own with the same kind of error; its
+        # own steps are not the shared ones, so the time in it may differ
         fn = coverage_model_fn(spec, y0, inputs, cfg)
-        with pytest.raises(type(e.__cause__)) as alone:
+        with pytest.raises(type(e.__cause__)):
             fn(e.node)
-        assert str(e) == f"model failed at node {e.node_index}: {alone.value}"
+        assert str(e).startswith(f"model failed at node {e.node_index}: ")
         return
-    _assert_study_matches_per_node(study, spec, y0, inputs, cfg)
+    # Random specs hold the batch to its own rtol: their scalar runs at rtol
+    # 1e-8 are off by up to 1.6e-9 of column scale themselves, each batch
+    # member by the same (150 basic draws).
+    _assert_study_near_tight_runs(study, spec, y0, inputs, cfg, share=cfg.rtol)
 
 
 def test_batched_study_clamps_equal_per_node(basic):
@@ -383,13 +391,13 @@ def test_batched_study_clamps_equal_per_node(basic):
     spec, y0 = basic
     inputs = (UncertainInput("msm", -1.5, 0.5),
               UncertainInput("hetf", 0.0, 2.0 * y0.S[1], domain="count"))
-    cfg = IntegratorConfig(t0=2017.0, t_end=2020.0, method="rk4_fixed", dt=0.25)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2020.0)
     study = sobol_timeseries(spec, y0, inputs, level=3, total_degree=2, cfg=cfg)
     nodes = build_grid(inputs, level=3).nodes
     assert study.clamp_count == (np.sum(nodes[:, 0] < -1.0)
                                  + np.sum(nodes[:, 1] > y0.S[1])) > 0
     assert study.boundary_affected
-    _assert_study_matches_per_node(study, spec, y0, inputs, cfg)
+    _assert_study_near_tight_runs(study, spec, y0, inputs, cfg)
 
 
 def test_coverage_fractions_hand_values(basic):
