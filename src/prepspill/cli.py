@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -138,6 +139,13 @@ def cmd_ngm(args):
 
 
 def cmd_sobol(args):
+    if args.level < 1:
+        raise PrepspillError(f"--level {args.level} must be >= 1")
+    if args.degree < 0:
+        raise PrepspillError(f"--degree {args.degree} must be >= 0")
+    if not (math.isfinite(args.lo) and math.isfinite(args.hi) and args.lo <= args.hi):
+        raise PrepspillError(f"--lo {args.lo} and --hi {args.hi} must be finite "
+                             "with lo <= hi")
     config = _config_from_args(args)
     inputs = tuple(UncertainInput(group=l, lo=args.lo, hi=args.hi)
                    for l in config.spec.labels)

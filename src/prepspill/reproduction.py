@@ -251,7 +251,18 @@ def scale_transmission(spec, multiplier):
 
 
 def tune_multiplier_to_rc(spec, target):
-    """Bisect a global transmission multiplier until rho(F V^-1) hits target."""
+    """Global transmission multiplier m at which rho(F V^-1) hits target.
+
+    F is linear in the transmission probabilities and neither V nor the DFE
+    depends on them, so R_c(m) = m * R_c(1) until some beta * m reaches its
+    cap of 1, and piecewise linear and increasing beyond.  Illinois regula
+    falsi on _MULTIPLIER_BRACKET: its first secant point is the root of the
+    straight line, up to rounding, so an uncapped tune costs three NGM
+    solves (the bracket ends and that point).  Past a cap, halving the value
+    at an end the secant keeps missing moves the point off it; convergence
+    is superlinear near the root, but a sharp bend can cost more solves than
+    bisection would.  Stops at |R_c - target| < _TUNE_TOL.
+    """
     def rc_of(m):
         return rc_numeric(build_ngm(scale_transmission(spec, m))).value
 
@@ -259,16 +270,21 @@ def tune_multiplier_to_rc(spec, target):
     flo, fhi = rc_of(lo) - target, rc_of(hi) - target
     if flo * fhi > 0:
         raise ValueError(f"target R = {target} not bracketed by multipliers [{lo}, {hi}]")
+    moved = 0  # the end the last step moved, -1 lo or +1 hi; moving it again
+    #            halves the other end's value (the Illinois step)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        fm = rc_of(mid) - target
+        # equal end values are both zero: R_c is the target over the bracket
+        m = lo if fhi == flo else lo - flo * (hi - lo) / (fhi - flo)
+        fm = rc_of(m) - target
         if abs(fm) < _TUNE_TOL:
-            return mid
+            return m
         if flo * fm <= 0:
-            hi = mid
+            hi, fhi = m, fm
+            flo, moved = flo * 0.5 if moved > 0 else flo, 1
         else:
-            lo, flo = mid, fm
-    return 0.5 * (lo + hi)
+            lo, flo = m, fm
+            fhi, moved = fhi * 0.5 if moved < 0 else fhi, -1
+    return m
 
 
 @dataclass

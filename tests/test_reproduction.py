@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from prepspill.reproduction import (NGMatrices, _random_feasible_states,
                                     build_ngm, rc_closed_basic,
                                     rc_closed_risk, rc_numeric,
                                     scale_transmission, stability_probe,
-                                    tune_multiplier_to_rc)
+                                    tune_multiplier_to_rc, _TUNE_TOL)
 
 
 def test_ngm_full_prep_zero(basic):
@@ -187,6 +188,62 @@ def test_probe_tuned_to_decay(basic):
     assert report.max_terminal_ratio < 1e-3
 
 
+def _rc(spec, m=1.0):
+    return rc_numeric(build_ngm(scale_transmission(spec, m))).value
+
+
+def test_rc_is_homogeneous_in_the_multiplier_property():
+    # F is linear in the betas and V and the DFE do not depend on them, so
+    # below every cap R_c(m) = m * R_c(1): the premise of the regula falsi tune
+    rng = np.random.default_rng(24)
+    for variant in ("basic", "risk"):
+        for _ in range(100):
+            spec = random_spec(rng, variant)  # its DFE closes
+            p = spec.probs
+            cap = 1.0 / max(p.beta_mm, p.beta_fm, p.beta_mf)
+            base = _rc(spec)
+            for m in (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * cap, cap):
+                assert _rc(spec, m) == pytest.approx(m * base, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["basic", "risk"])
+def test_tune_takes_three_ngm_solves(monkeypatch, name):
+    # R_c(m) is a straight line through 0 until a beta caps, so the first
+    # secant point from the bracket is the root (bisection took 39 and 38)
+    spec0 = {"basic": georgia_basic, "risk": stationary_risk}[name]()[0].with_delta_zero()
+    solves = []
+    real = reproduction.build_ngm
+
+    def spy(spec):
+        solves.append(spec)
+        return real(spec)
+
+    monkeypatch.setattr(reproduction, "build_ngm", spy)
+    m = tune_multiplier_to_rc(spec0, 0.9)
+    assert len(solves) <= 4
+    assert abs(_rc(spec0, m) - 0.9) < _TUNE_TOL
+    assert m == pytest.approx(0.9 / _rc(spec0), rel=1e-14)
+
+
+def test_tune_past_a_capped_beta(basic):
+    # beta_mm = 0.5 caps at m = 2, beyond which R_c(m) bends; the target
+    # needs m = 4, past the bend, and the tune still lands on it (R_c is
+    # nearly flat there, so only R_c is pinned, not m)
+    spec0 = basic[0].with_delta_zero()
+    spec0 = replace(spec0, probs=replace(spec0.probs, beta_mm=0.5))
+    target = _rc(spec0, 4.0)
+    assert target < 2.0 * _rc(spec0, 2.0) * (1.0 - 1e-3)  # the cap binds
+    m = tune_multiplier_to_rc(spec0, target)
+    assert m > 2.0
+    assert abs(_rc(spec0, m) - target) < _TUNE_TOL
+
+
+@pytest.mark.parametrize("target", [0.0, 1e3])
+def test_tune_refuses_an_unbracketed_target(basic, target):
+    with pytest.raises(ValueError, match="not bracketed"):
+        tune_multiplier_to_rc(basic[0].with_delta_zero(), target)
+
+
 def _probe_spec(basic, regime):
     """delta = 0 basic preset: as is (R_c > 1) or tuned to R_c = 0.9."""
     spec0 = basic[0].with_delta_zero()
@@ -264,15 +321,18 @@ PROBE_CATALOG = Path(__file__).resolve().parents[1] / "bench" / "reference" / "p
 
 @pytest.mark.parametrize("name", ["basic", "risk"])
 def test_probe_matches_benchmark_catalog(name):
-    # one catalogued one-trial seed per final horizon, and the growth probe,
-    # at the benchmark's tolerances: a probe change that moves a horizon
-    # fails here, not only in the benchmark
+    # the tuned multiplier, one catalogued one-trial seed per final horizon,
+    # and the growth probe, at the benchmark's tolerances: a tune or probe
+    # change that moves a multiplier or a horizon fails here, not only in
+    # the benchmark
     ref = json.loads(PROBE_CATALOG.read_text())
     spec0 = {"basic": georgia_basic, "risk": stationary_risk}[name]()[0].with_delta_zero()
     gro, want = stability_probe(spec0, seed=0), ref["growth"][name]
     assert gro.horizon == want["horizon"]
     assert gro.max_terminal_ratio == pytest.approx(want["ratio"], rel=1e-5, abs=0.0)
-    tuned = scale_transmission(spec0, tune_multiplier_to_rc(spec0, 0.9))
+    m = tune_multiplier_to_rc(spec0, 0.9)
+    assert m == pytest.approx(ref["multiplier"][name], rel=1e-7, abs=0.0)
+    tuned = scale_transmission(spec0, m)
     first = {}
     for seed, (horizon, ratio) in enumerate(ref["decay"][name]):
         first.setdefault(horizon, (seed, ratio))

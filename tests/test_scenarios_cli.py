@@ -439,6 +439,21 @@ def test_cli_nnt_horizon_within_window(tmp_path, capsys, horizon, rc):
     assert err.startswith("error: --horizon ") if rc else err == ""
 
 
+@pytest.mark.parametrize("args, flag", [
+    (["--level", "0"], "--level"), (["--degree", "-1"], "--degree"),
+    (["--lo", "5", "--hi", "1"], "--lo"), (["--lo", "nan"], "--lo"),
+    (["--hi", "inf"], "--lo"), (["--level", "2", "--degree", "1"], None)],
+    ids=["level-0", "degree-negative", "lo-above-hi", "lo-nan", "hi-inf", "in-range"])
+def test_cli_sobol_flags_within_range(tmp_path, capsys, args, flag):
+    rc = main(["sobol", "--model", "basic", "--out", str(tmp_path), *args])
+    err = capsys.readouterr().err
+    if flag is None:
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 1
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {flag} ")
+
+
 def test_cli_tracked_count_with_empty_pool(tmp_path, capsys):
     # a tracked group starting with S = 0 is fully covered until S exceeds
     # the count, instead of dividing by zero

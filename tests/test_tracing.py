@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from prepspill import model, sobol
+from conftest import stationary_risk
+from prepspill import model, reproduction, sobol
 from prepspill.cli import main
 from prepspill.presets import georgia_basic
 
@@ -71,3 +72,27 @@ def test_traced_sobol_batch_and_simulate_keep_the_step_identity(monkeypatch, tmp
     assert batch[0]["method"] == "rk45_adaptive" and "error" not in batch[0]
     flat = [s for s in tracer.spans if s["name"] == "integrators.integrate_flat"]
     assert len(flat) > 1
+
+
+def test_traced_tunes_take_three_ngm_solves(monkeypatch):
+    # the probe benchmark traces build_ngm, rc_numeric and the tune itself;
+    # rc_of looks build_ngm and rc_numeric up in the module, so each of the
+    # tune's three NGM solves is one span under the tune's span
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for spec, _ in (georgia_basic(), stationary_risk()):
+            reproduction.tune_multiplier_to_rc(spec.with_delta_zero(), 0.9)
+    finally:
+        tracer.uninstall()
+    assert tracer.violations == []
+    tunes = [s["id"] for s in tracer.spans
+             if s["name"] == "reproduction.tune_multiplier_to_rc"]
+    assert len(tunes) == 2
+    for tune in tunes:
+        for name in ("reproduction.build_ngm", "reproduction.rc_numeric"):
+            assert sum(s["name"] == name and s["parent"] == tune
+                       for s in tracer.spans) == 3
