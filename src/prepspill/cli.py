@@ -74,7 +74,7 @@ def cmd_simulate(args):
 
 def cmd_spillover(args):
     config = _config_from_args(args)
-    _, _, sens = run_spillover(config, mode=args.mode)
+    _, sens = run_spillover(config, mode=args.mode)
     path = _out_path(args, f"spillover_{config.variant}.csv")
     sensitivity_to_csv(sens, config.spec.labels, path)
     payload = {"file": path, "sources": list(sens),
@@ -91,7 +91,7 @@ def cmd_nnt(args):
     if not 0.0 < T <= span:
         raise PrepspillError(f"--horizon {T} outside (0, {span}] (years after intervention)")
     # the horizon is a node, so nnt() reads it instead of interpolating
-    _, traj, sens = run_spillover(config, sample_times=[config.intervention_year + T])
+    traj, sens = run_spillover(config, sample_times=[config.intervention_year + T])
     labels = config.spec.labels
     rows = [nnt(sens[k], traj, j, k, T, config.spec.mu) for k in labels for j in labels]
     path = _out_path(args, f"nnt_{config.variant}.csv")

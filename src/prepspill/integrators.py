@@ -147,10 +147,10 @@ class Trajectory:
         for lbl in self.labels:
             header += [f"S_{lbl}", f"I_{lbl}"]
         header += [f"C_{lbl}" for lbl in self.labels]
-        n = self.n_groups
-        write_csv(path_or_file, header,
-                  ([repr(float(t))] + [repr(float(v)) for v in row[:3 * n]]
-                   for t, row in zip(self.times, self.states)))
+        # csv writes a float as its repr, so whole-array rows of Python
+        # floats give the digits of repr(float(v)) without per-cell calls
+        rows = np.column_stack((self.times, self.states[:, :3 * self.n_groups]))
+        write_csv(path_or_file, header, rows.tolist())
 
 
 def _breakpoints(cfg, sample_times):
@@ -363,9 +363,15 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     return ts, ys, clamps, h
 
 
-def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None):
-    """Integrate a model from StateVec y0 over the configured window."""
-    f = flat_rhs_factory(spec, tracked_counts=tracked_counts)
+def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, coverage=None):
+    """Integrate a model from StateVec y0 over the configured window.
+
+    ``tracked_counts`` and ``coverage`` go to the flat RHS
+    (model.flat_rhs_factory): ``coverage`` maps group labels to fractions
+    that replace the spec's, so the run equals that of
+    spec.with_epsilon(coverage) bit for bit, without copying the spec.
+    """
+    f = flat_rhs_factory(spec, tracked_counts=tracked_counts, coverage=coverage)
     ts, ys, clamps, h = integrate_flat(f, y0.to_flat(), cfg, n_state=2 * spec.n,
                                        sample_times=sample_times)
     return Trajectory(times=np.array(ts), states=np.array(ys),

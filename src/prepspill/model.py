@@ -388,15 +388,16 @@ def _flat_rhs_maker(variant, pinned, tracked, batched=False, sources=(), exact=F
 def _rhs_cells(spec, closure):
     """The cells of a generated flat RHS for the spec's own coverage, each
     numeric one converted here to a Python float (the float-cell rule)."""
-    Pi, a, delta, eps = (tuple(map(float, v)) for v in spec.param_arrays())
+    ps = [p for _, p in spec.groups]
+    a = tuple(float(p.a) for p in ps)
     mu = float(spec.mu)
     fixed = spec.mixing and tuple(map(float, spec.mixing.pair_fractions()))
     cells = {"zero_population": _zero_population, "labels": spec.labels, "mu": mu,
              "close": globals()[closure], "a": a, "priors": spec.mixing_priors,
              "fixed": fixed}
-    for j in range(spec.n):
-        cells.update({f"Pi{j}": Pi[j], f"v{j}": mu + delta[j], f"a{j}": a[j],
-                      f"u{j}": 1.0 - eps[j]})
+    for j, p in enumerate(ps):
+        cells.update({f"Pi{j}": float(p.Pi), f"v{j}": mu + float(p.delta), f"a{j}": a[j],
+                      f"u{j}": 1.0 - float(p.epsilon)})
     mixing = VARIANTS[spec.variant].mixing
     for i, (_, _, beta) in enumerate(mixing.PAIRS):
         cells[f"b{i}"] = float(getattr(spec.probs, beta))
@@ -405,18 +406,26 @@ def _rhs_cells(spec, closure):
     return cells
 
 
-def flat_rhs_factory(spec, tracked_counts=None):
+def flat_rhs_factory(spec, tracked_counts=None, coverage=None):
     """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...].
 
+    ``coverage`` optionally maps group labels to coverage fractions that
+    replace the spec's: the RHS is then that of spec.with_epsilon(coverage),
+    bit for bit, without the copy of the spec.
     ``tracked_counts`` optionally gives absolute person counts on PrEP per
     group; coverage is then re-derived as E_j / S_j at every evaluation
-    (capped at 1) instead of using the spec's fixed fractions.  Groups with
-    a zero count keep the spec's fraction.
+    (capped at 1) instead of using the fixed fractions.  Groups with a zero
+    count keep their fixed fraction.
     """
     var = VARIANTS[spec.variant]
     counts = tuple(tracked_counts) if tracked_counts is not None else (0.0,) * spec.n
     tracked = tuple(j for j, c in enumerate(counts) if c)
     cells = _rhs_cells(spec, var.fractions)
+    for label, eps in (coverage or {}).items():
+        eps = float(eps)
+        if not 0.0 <= eps <= 1.0:  # GroupParams' range, NaN included
+            raise ValueError(f"epsilon = {eps} outside [0, 1]")
+        cells[f"u{spec.group_index(label)}"] = 1.0 - eps
     for j in tracked:
         del cells[f"u{j}"]
         cells[f"c{j}"] = float(counts[j])

@@ -255,8 +255,9 @@ def tune_multiplier_to_rc(spec, target):
 
     F is linear in the transmission probabilities and neither V nor the DFE
     depends on them, so R_c(m) = m * R_c(1) until some beta * m reaches its
-    cap of 1, and piecewise linear and increasing beyond.  Illinois regula
-    falsi on _MULTIPLIER_BRACKET: its first secant point is the root of the
+    cap of 1.  Beyond it R_c(m) = rho(m A + B), with B the capped betas' part
+    of F V^-1: increasing, but not linear.  Illinois regula falsi on
+    _MULTIPLIER_BRACKET: its first secant point is the root of the
     straight line, up to rounding, so an uncapped tune costs three NGM
     solves (the bracket ends and that point).  Past a cap, halving the value
     at an end the secant keeps missing moves the point off it; convergence

@@ -20,9 +20,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup)
+from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup,
+                     ZeroPopulation)
 from .integrators import (IntegratorConfig, Trajectory, annual_series, integrate,
-                          write_csv)
+                          interp_rows, node_index, write_csv)
 from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       SIM_START, TABLE_BASIC_BASELINE,
@@ -30,8 +31,7 @@ from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       TABLE_RISK_INTERVENTIONS, combine_reported,
                       georgia_spec, reported_groups)
 # nnt stays importable from here for tracers that rebind scenarios.nnt
-from .spillover import (SensitivityState, integrate_with_spillover, nnt,  # noqa: F401
-                        per_person_effect, simple_nnt)
+from .spillover import integrate_with_spillover, nnt, simple_nnt  # noqa: F401
 from .sobol import UncertainInput, sobol_timeseries
 
 SCHEMA_VERSION = 1
@@ -230,13 +230,18 @@ def _config_from_raw(raw):
                           intervention_mode=mode, integrator=icfg, raw=raw)
 
 
+def _baseline_samples(config):
+    """The baseline's sample times: the intervention year and every arm's
+    start year."""
+    return [config.intervention_year] + [arm.start_year for arm in config.interventions]
+
+
 def integrate_baseline(config):
     """The config's no-intervention run over [start, end], with a node at
     the intervention year and at every arm's start year, so the arms start
     from, and take window incidence at, stored rows."""
     return integrate(config.spec, config.y0, config.integrator,
-                     sample_times=[config.intervention_year]
-                     + [arm.start_year for arm in config.interventions])
+                     sample_times=_baseline_samples(config))
 
 
 def run_spillover(config, mode="practical", baseline=None, sample_times=None):
@@ -244,17 +249,26 @@ def run_spillover(config, mode="practical", baseline=None, sample_times=None):
     started from the baseline state at the intervention year, with nodes at
     ``sample_times`` besides the whole years.
 
-    Returns (baseline, state trajectory, sensitivities by source).
-    The baseline is integrated unless one is passed in.
+    Returns (state trajectory, sensitivities by source).  The start state is
+    read from ``baseline`` when one is passed in.  Otherwise only the
+    baseline's head is integrated, over [start, intervention], with the
+    baseline's whole years and sample times up to the intervention year:
+    its steps are the full baseline's up to there, so the start state is the
+    same bits.  With the intervention at the start it is y0 itself.
     """
-    if baseline is None:
-        baseline = integrate_baseline(config)
-    traj, sens = integrate_with_spillover(
-        config.spec, baseline.state_at(config.intervention_year),
-        sources=config.spec.labels,
-        cfg=config.integrator.over(config.intervention_year, config.end), mode=mode,
+    t_int = config.intervention_year
+    if baseline is not None:
+        y_int = baseline.state_at(t_int)
+    elif t_int == config.start:
+        y_int = config.y0
+    else:
+        head = integrate(config.spec, config.y0, config.integrator.over(config.start, t_int),
+                         sample_times=[t for t in _baseline_samples(config) if t <= t_int])
+        y_int = head.final_state()
+    return integrate_with_spillover(
+        config.spec, y_int, sources=config.spec.labels,
+        cfg=config.integrator.over(t_int, config.end), mode=mode,
         sample_times=sample_times)
-    return baseline, traj, sens
 
 
 @dataclass
@@ -308,24 +322,24 @@ def run_scenarios(config):
                               prevented={k: 0.0 for k in base_cols})
 
     results, seen = [], {}
+    free = replace(config.integrator, year_nodes=False)
     for arm in config.interventions:
         k = spec.group_index(arm.group)
-        seg_cfg = replace(config.integrator.over(arm.start_year, t_end), year_nodes=False)
         window = max(arm.start_year, t_int)
         start_state = base_traj.state_at(arm.start_year)
-        arm_spec, counts = spec, None
+        coverage, counts = None, None
         if config.intervention_mode == "fixed-fraction":
             # as with tracked counts: persons added to an empty pool cover it
             eps_k, S_k = spec.groups[k][1].epsilon, start_state.S[k]
             if arm.additional_persons > 0.0:
                 eps_k = min(eps_k + arm.additional_persons / S_k, 1.0) if S_k > 0.0 else 1.0
-            arm_spec = spec.with_epsilon({arm.group: eps_k})
+            coverage = {arm.group: eps_k}
         else:
             counts = [0.0] * spec.n
             counts[k] = (spec.groups[k][1].epsilon * start_state.S[k]
                          + arm.additional_persons)
-        traj = integrate(arm_spec, start_state, seg_cfg, sample_times=[window],
-                         tracked_counts=counts)
+        traj = integrate(spec, start_state, free.over(arm.start_year, t_end),
+                         sample_times=[window], tracked_counts=counts, coverage=coverage)
         inc = _window_incidence(traj, spec, window, t_end)
         if arm.start_year > t_int:
             # add the pre-intervention part of the window from baseline
@@ -460,6 +474,7 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
     variant = config.variant
     spec, y0 = config.spec, config.y0
     labels = spec.labels
+    n = len(labels)
     paths = []
 
     def put(name, text):
@@ -468,34 +483,33 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
 
     report = run_scenarios(config) if "table" in series else None
     base_traj = report.baseline_traj if report else None
-    if {"effects", "nnt"} & set(series):
-        base_traj, traj, sens = run_spillover(config, baseline=base_traj)
-    elif "baseline" in series and base_traj is None:
+    if "baseline" in series and base_traj is None:
         base_traj = integrate_baseline(config)
+    if {"effects", "nnt"} & set(series):
+        traj, sens = run_spillover(config, baseline=base_traj)
+        S = traj.states[:, 0:2 * n:2]
 
     if "baseline" in series:
-        years, inc = annual_series(base_traj)
+        years, inc = annual_series(base_traj)  # every year is a node
+        nodes = [base_traj.index_of(float(y)) for y in years]
         header = (["year"] + [f"prevalence_{l}" for l in labels]
                   + [f"annual_incidence_{l}" for l in labels])
-        rows = []
-        for r, y in enumerate(years):
-            st = base_traj.state_at(float(y))
-            rows.append([y] + [f"{v:.6f}" for v in st.I] + [f"{v:.6f}" for v in inc[r]])
+        rows = [[y] + [f"{v:.6f}" for v in prev] + [f"{v:.6f}" for v in row]
+                for y, prev, row in zip(years, base_traj.states[nodes, 1:2 * n:2].tolist(),
+                                        inc.tolist())]
         put(f"baseline_series_{variant}.csv", _csv_text(header, rows))
 
     if "effects" in series:
-        cols = [(j, k) for k in labels for j in range(len(labels))]
-        header = ["t"] + [f"per_person_{labels[j]}__{k}" for j, k in cols]
-        rows = []
-        for i, t in enumerate(traj.times):
-            state = StateVec.from_flat(traj.states[i], len(labels))
-            row = [f"{t:.6f}"]
-            for k in labels:
-                st = sens[k]
-                at = SensitivityState(k, st.source_index, st.sigma[i], st.gamma[i])
-                row += [f"{per_person_effect(at, state, j)[0]:.10e}"
-                        for j in range(len(labels))]
-            rows.append(row)
+        empty = S <= 0.0
+        if empty.any():  # the first (node, source) with an empty pool
+            k = labels[int(empty.argmax()) % n]
+            raise ZeroPopulation(f"source group {k} has S = 0")
+        # gamma_j / S_k per node, j within the block of source k
+        effects = np.concatenate([sens[k].gamma / S[:, [c]] for c, k in enumerate(labels)],
+                                 axis=1)
+        header = ["t"] + [f"per_person_{j}__{k}" for k in labels for j in labels]
+        rows = [[f"{t:.6f}"] + [f"{v:.10e}" for v in row]
+                for t, row in zip(traj.times.tolist(), effects.tolist())]
         put(f"per_person_effects_{variant}.csv", _csv_text(header, rows))
 
     if "nnt" in series:
@@ -503,15 +517,18 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
         pairs = [(jl, k) for k in labels for jl in labels]
         header = ["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs]
         rows = []
+        # S_k, then gamma_j of each source block in pair order, per node
+        table = np.concatenate([S] + [sens[k].gamma for k in labels], axis=1)
         horizons = [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]
         for T in horizons:
-            # nnt()'s nnt_simple, reading the state and each block once per horizon
+            # nnt()'s nnt_simple, reading each state and gamma at the horizon
+            # as Trajectory.state_at and SensitivityTrajectory.at do
             t_eval = traj.times[0] + T
-            S = traj.state_at(t_eval).S
-            gamma = {k: sens[k].at(t_eval).gamma for k in labels}
+            i = node_index(traj.times, t_eval)
+            at = (table[i] if i is not None else interp_rows(t_eval, traj.times, table)).tolist()
             row = [f"{T:.2f}"]
-            for jl, k in pairs:
-                simple = simple_nnt(T, S[labels.index(k)], gamma[k][labels.index(jl)])
+            for p, (jl, k) in enumerate(pairs):
+                simple = simple_nnt(T, at[p // n], at[n + p])
                 if simple is None or simple > NNT_DISPLAY_CAP:
                     row.append("")
                     suppressed.append({"T": T, "j": jl, "k": k,

@@ -218,6 +218,15 @@ def total_degree_set(dims, total_degree):
     return np.array(idx, dtype=int)
 
 
+def _check_tensor_exactness(grid, total_degree):
+    """ExactnessViolation unless the grid, if a tensor Gauss rule, is exact
+    to the projection's degree: 2*level - 1 >= 2*total_degree per dimension."""
+    if grid.rule == "gauss_legendre_tensor" and 2 * grid.level - 1 < 2 * total_degree:
+        raise ExactnessViolation(
+            f"tensor level {grid.level} is exact to degree {2 * grid.level - 1}, "
+            f"projection needs {2 * total_degree}")
+
+
 def fit_pce(samples, grid, total_degree):
     """Discrete projection d_p = sum_nodes w * y * P_p(node) over the
     total-degree index set.
@@ -234,10 +243,7 @@ def fit_pce(samples, grid, total_degree):
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.n_nodes:
         raise ValueError("one sample per grid node required")
-    if grid.rule == "gauss_legendre_tensor" and 2 * grid.level - 1 < 2 * total_degree:
-        raise ExactnessViolation(
-            f"tensor level {grid.level} is exact to degree {2 * grid.level - 1}, "
-            f"projection needs {2 * total_degree}")
+    _check_tensor_exactness(grid, total_degree)
     index_set = total_degree_set(grid.dims, total_degree)
     degenerate = [d for d, (lo, hi) in enumerate(grid.intervals) if hi == lo]
     if degenerate:
@@ -393,12 +399,14 @@ def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
     same cfg) bit for bit; in a larger batch each member stays within the
     tolerances of its own run.  A failing node raises EnsembleError naming
     the lowest failing one.  One projection (fit_pce) fits every (year,
-    group) series at once.
+    group) series at once; a tensor grid too coarse for it is refused
+    (ExactnessViolation) before any node is integrated.
     """
     inputs = tuple(inputs)
     if cfg is None:
         cfg = IntegratorConfig(t0=2017.0, t_end=2031.0)
     grid = build_grid(inputs, rule=rule, level=level)
+    _check_tensor_exactness(grid, total_degree)  # before any node is integrated
     eps, clamps = coverage_fractions(spec, y0, inputs, grid.nodes)
     all_years, table, rhs_evals, members = _batch_incidence(spec, y0, grid, eps, cfg)
     kept = [yi for yi, year in enumerate(all_years) if years is None or year in years]

@@ -255,18 +255,12 @@ def sensitivity_to_csv(sens_map, labels, path_or_file):
     sources = sorted(sens_map)
     times = sens_map[sources[0]].times
     header = ["t"]
-    cols = []
-    for k in sources:
-        st = sens_map[k]
-        for j, jl in enumerate(labels):
-            header += [f"sigma_{jl}__{k}", f"gamma_{jl}__{k}"]
-            cols.append((st, j))
-
-    def rows():
-        for i, t in enumerate(times):
-            row = [repr(float(t))]
-            for st, j in cols:
-                row += [repr(float(st.sigma[i, j])), repr(float(st.gamma[i, j]))]
-            yield row
-
-    write_csv(path_or_file, header, rows())
+    n = len(labels)
+    table = np.empty((len(times), 1 + 2 * n * len(sources)))
+    table[:, 0] = times
+    for b, k in enumerate(sources):
+        header += [f"{c}_{jl}__{k}" for jl in labels for c in ("sigma", "gamma")]
+        table[:, 1 + 2 * n * b:1 + 2 * n * (b + 1):2] = sens_map[k].sigma
+        table[:, 2 + 2 * n * b:2 + 2 * n * (b + 1):2] = sens_map[k].gamma
+    # csv writes each float of the Python-float rows as its repr
+    write_csv(path_or_file, header, table.tolist())

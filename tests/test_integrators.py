@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import rk4_fixed
+from conftest import random_spec, random_state, rk4_fixed
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
 from prepspill.integrators import (NODE_TOL, IntegratorConfig, _breakpoints,
                                    _dp_step_maker, _postprocess_columns,
@@ -140,6 +140,36 @@ def test_columns_clamp_tiny_and_name_hard_negative():
         integrate_flat(lambda t, y: [0.0], [-2.0], IntegratorConfig(
             t0=0.0, t_end=0.5, first_step=0.5), n_state=1)
     assert str(exc.value) == str(scalar.value)
+
+
+def test_coverage_override_equals_spec_copy_property():
+    # a scenario arm passes its coverage to integrate instead of copying the
+    # spec (with_epsilon); the run is the copy's bit for bit, with fixed
+    # fractions and with a tracked count, on either variant
+    rng = np.random.default_rng(18)
+    cfg = IntegratorConfig(t0=2020.0, t_end=2024.5)
+    for variant in ("basic", "risk"):
+        for draw in range(60):
+            spec = random_spec(rng, variant)
+            y0 = random_state(rng, spec)
+            label = spec.labels[int(rng.integers(spec.n))]
+            eps = (0.0, 1.0, float(rng.uniform()))[draw % 3]
+            counts = None
+            if draw % 2:  # tracked-count mode: a count on some group, maybe this one
+                counts = [0.0] * spec.n
+                j = int(rng.integers(spec.n))
+                counts[j] = float(rng.uniform(0.0, 1.5) * y0.S[j])
+            got = integrate(spec, y0, cfg, tracked_counts=counts, coverage={label: eps})
+            want = integrate(spec.with_epsilon({label: eps}), y0, cfg, tracked_counts=counts)
+            assert np.array_equal(got.times, want.times)
+            assert np.array_equal(got.states, want.states)
+            assert got.next_step == want.next_step and got.clamp_events == want.clamp_events
+    spec = random_spec(rng, "basic")
+    for bad in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="outside"):
+            flat_rhs_factory(spec, coverage={"msm": bad})
+        with pytest.raises(ValueError):
+            spec.with_epsilon({"msm": bad})
 
 
 def test_batch_members_equal_scalar_integrations(basic, risk):

@@ -192,7 +192,7 @@ def _rc(spec, m=1.0):
     return rc_numeric(build_ngm(scale_transmission(spec, m))).value
 
 
-def test_rc_is_homogeneous_in_the_multiplier_property():
+def test_rc_is_homogeneous_in_the_multiplier_property(basic):
     # F is linear in the betas and V and the DFE do not depend on them, so
     # below every cap R_c(m) = m * R_c(1): the premise of the regula falsi tune
     rng = np.random.default_rng(24)
@@ -204,6 +204,18 @@ def test_rc_is_homogeneous_in_the_multiplier_property():
             base = _rc(spec)
             for m in (rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0) * cap, cap):
                 assert _rc(spec, m) == pytest.approx(m * base, rel=1e-12, abs=0.0)
+    # past a cap R_c(m) = rho(m A + B) with B != 0: increasing, not linear.
+    # beta_mm = 0.25 caps at m = 4; a chord midpoint is on the curve to
+    # rounding below the cap (4e-16) and off it past the cap (6.4e-11)
+    spec0 = basic[0].with_delta_zero()
+    spec0 = replace(spec0, probs=replace(spec0.probs, beta_mm=0.25))
+
+    def off_chord(lo, hi):
+        mid = _rc(spec0, (lo + hi) / 2)
+        return abs(mid - (_rc(spec0, lo) + _rc(spec0, hi)) / 2) / mid
+
+    assert off_chord(1.0, 3.0) < 1e-12 < off_chord(5.0, 9.0)
+    assert _rc(spec0, 5.0) < _rc(spec0, 7.0) < _rc(spec0, 9.0)
 
 
 @pytest.mark.parametrize("name", ["basic", "risk"])

@@ -17,10 +17,11 @@ from prepspill.model import StateVec
 from prepspill.presets import (ANNUAL_INCIDENCE_BAND, BASIC_ARMS,
                                PREVALENCE_ANCHOR_2017, PREVALENCE_BAND, georgia_basic)
 from prepspill.integrators import annual_series
-from prepspill.scenarios import (NNT_DISPLAY_CAP, default_config, emit_plot_data,
-                                 load_config, report_to_csv, run_scenarios,
-                                 run_spillover, validate_tables)
-from prepspill.spillover import nnt
+from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, default_config,
+                                 emit_plot_data, integrate_baseline, load_config,
+                                 report_to_csv, run_scenarios, run_spillover,
+                                 validate_tables)
+from prepspill.spillover import SensitivityState, nnt, per_person_effect, simple_nnt
 
 # Table-9 cells known to sit outside tolerance under the fixed-contact-rate
 # closure (see decisions notes); everything else must pass.
@@ -201,7 +202,7 @@ def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
     # every cell of the series is nnt()'s nnt_simple at that horizon, empty
     # exactly where nnt() is undefined or above the display cap
     config = default_config(variant)
-    spec, (_, traj, sens) = config.spec, run_spillover(config)
+    spec, (traj, sens) = config.spec, run_spillover(config)
     csv_path = emit_plot_data(str(tmp_path), variant=variant, series=("nnt",))[0]
     rows = list(csv.reader(io.StringIO(Path(csv_path).read_text())))
     pairs = [(jl, k) for k in spec.labels for jl in spec.labels]
@@ -213,6 +214,97 @@ def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
             res = nnt(sens[k], traj, jl, k, T, spec.mu)
             shown = res.defined and res.nnt_simple <= NNT_DISPLAY_CAP
             assert cell == (f"{res.nnt_simple:.3f}" if shown else "")
+
+
+def _plot_series_per_cell(config, base_traj, traj, sens):
+    """The baseline, effects and nnt plot series cell by cell, through
+    state_at, SensitivityTrajectory.at and per_person_effect: the oracle of
+    emit_plot_data's whole-array series.  Rows of strings, and the nnt
+    sidecar's suppressed list."""
+    labels = config.spec.labels
+    n = len(labels)
+    years, inc = annual_series(base_traj)
+    baseline = [[str(y)] + [f"{v:.6f}" for v in base_traj.state_at(float(y)).I]
+                + [f"{v:.6f}" for v in inc[r]] for r, y in enumerate(years)]
+    effects = []
+    for i, t in enumerate(traj.times):
+        state = StateVec.from_flat(traj.states[i], n)
+        row = [f"{t:.6f}"]
+        for k in labels:
+            st = sens[k]
+            at = SensitivityState(k, st.source_index, st.sigma[i], st.gamma[i])
+            row += [f"{per_person_effect(at, state, j)[0]:.10e}" for j in range(n)]
+        effects.append(row)
+    nnts, suppressed = [], []
+    for T in [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]:
+        t_eval = traj.times[0] + T
+        S = traj.state_at(t_eval).S
+        row = [f"{T:.2f}"]
+        for k in labels:
+            for jl in labels:
+                simple = simple_nnt(T, S[labels.index(k)],
+                                    sens[k].at(t_eval).gamma[labels.index(jl)])
+                if simple is None or simple > NNT_DISPLAY_CAP:
+                    row.append("")
+                    suppressed.append({"T": T, "j": jl, "k": k, "reason": "undefined"
+                                       if simple is None else "excessive"})
+                else:
+                    row.append(f"{simple:.3f}")
+        nnts.append(row)
+    return baseline, effects, nnts, suppressed
+
+
+@pytest.mark.parametrize("raw", [
+    {"model": "basic"}, {"model": "risk"},
+    {"model": "basic", "horizon": {"start": 2017, "intervention": 2020.25, "end": 2031},
+     "integrator": {"dt_max": 0.7}}], ids=["basic", "risk", "off-year-intervention"])
+def test_emit_plot_series_equal_per_cell_formulas(tmp_path, raw):
+    # the series read whole arrays; every cell is the per-cell formula's,
+    # byte for byte, half-year NNT rows between nodes included
+    config = _config_from_raw(raw)
+    paths = emit_plot_data(str(tmp_path), series=("baseline", "effects", "nnt"),
+                           config=config)
+    base_traj = integrate_baseline(config)
+    traj, sens = run_spillover(config, baseline=base_traj)
+    baseline, effects, nnts, suppressed = _plot_series_per_cell(config, base_traj, traj, sens)
+    for path, want in zip(paths, (baseline, effects, nnts)):
+        rows = list(csv.reader(io.StringIO(Path(path).read_text())))
+        assert rows[1:] == want
+    assert json.loads(Path(paths[3]).read_text())["suppressed"] == suppressed
+
+
+HEAD_CONFIGS = {
+    "basic": {"model": "basic"},
+    "risk": {"model": "risk"},
+    "arm-before-intervention": {"model": "risk", "interventions": [
+        {"group": "hetf_h", "additional_persons": 25000, "start_year": 2018.5},
+        {"group": "msm", "additional_persons": 10000, "start_year": 2022}]},
+    # a head under a year lands with a smaller tolerance than the whole run
+    "sub-year-head": {"model": "basic", "horizon": {
+        "start": 2019.5, "intervention": 2020, "end": 2026}, "interventions": [
+        {"group": "msm", "additional_persons": 10000, "start_year": 2019.75}]},
+    "intervention-at-start": {"model": "risk", "horizon": {
+        "start": 2020, "intervention": 2020, "end": 2031}},
+}
+
+
+@pytest.mark.parametrize("horizon", [None, 0.5])
+@pytest.mark.parametrize("name", list(HEAD_CONFIGS))
+def test_spillover_from_baseline_head_equals_full_baseline(name, horizon):
+    # spillover and nnt integrate the baseline only up to the intervention
+    # year; the run from it is the run from the full baseline, bit for bit
+    config = _config_from_raw(HEAD_CONFIGS[name])
+    samples = None if horizon is None else [config.intervention_year + horizon]
+    traj, sens = run_spillover(config, sample_times=samples)
+    want, want_sens = run_spillover(config, baseline=integrate_baseline(config),
+                                    sample_times=samples)
+    assert np.array_equal(traj.times, want.times)
+    assert np.array_equal(traj.states, want.states)
+    assert traj.clamp_events == want.clamp_events
+    assert sorted(sens) == sorted(want_sens) == sorted(config.spec.labels)
+    for k in sens:
+        assert np.array_equal(sens[k].sigma, want_sens[k].sigma)
+        assert np.array_equal(sens[k].gamma, want_sens[k].gamma)
 
 
 def test_baseline_brackets_surveillance_bands(baseline_basic):
@@ -410,10 +502,16 @@ def test_window_incidence_reads_only_nodes(baseline_basic, basic):
         _window_incidence(baseline_basic, spec, 2020.123456, 2031.0)
 
 
-@pytest.mark.parametrize("variant, budget", [("basic", 540), ("risk", 1490)])
-def test_cli_simulate_rhs_budget(tmp_path, monkeypatch, capsys, variant, budget):
+@pytest.mark.parametrize("command, variant, budget", [
+    pytest.param("simulate", "basic", 540, id="basic-540"),
+    pytest.param("simulate", "risk", 1490, id="risk-1490"),
+    *(pytest.param(c, v, 40, id=f"{c}-{v}-40") for c in ("spillover", "nnt")
+      for v in ("basic", "risk"))])
+def test_cli_simulate_rhs_budget(tmp_path, monkeypatch, capsys, command, variant, budget):
     # The arms step freely between their window ends; landing them on every
     # whole year again costs 868 (basic) and 2131 (risk) evaluations.
+    # spillover and nnt integrate the baseline only up to the intervention
+    # year (37 model evaluations); the whole window took 103 and 187.
     from prepspill import integrators
     evals = [0]
     real_flat = integrators.integrate_flat
@@ -425,7 +523,7 @@ def test_cli_simulate_rhs_budget(tmp_path, monkeypatch, capsys, variant, budget)
         return real_flat(counted, *args, **kwargs)
 
     monkeypatch.setattr(integrators, "integrate_flat", flat)
-    assert main(["simulate", "--model", variant, "--out", str(tmp_path)]) == 0
+    assert main([command, "--model", variant, "--out", str(tmp_path)]) == 0
     assert 0 < evals[0] <= budget
 
 
@@ -637,7 +735,7 @@ def test_cli_nnt_lands_on_its_horizon(tmp_path, capsys, variant, T):
     raw["horizon"]["end"] = raw["horizon"]["intervention"] + T
     from prepspill.scenarios import _config_from_raw
     config = _config_from_raw(raw)
-    _, traj, sens = run_spillover(config)
+    traj, sens = run_spillover(config)
     labels = config.spec.labels
     for k in labels:
         for j in labels:

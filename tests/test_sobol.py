@@ -83,6 +83,26 @@ def test_exactness_violation_refused():
         fit_pce(np.zeros(g.n_nodes), g, total_degree=3)  # needs level >= 3.5
 
 
+def test_study_refuses_a_coarse_tensor_before_integrating(risk, monkeypatch, tmp_path, capsys):
+    # level 5 is exact to degree 9 and degree 5 needs 10: the study and the
+    # CLI refuse before the 625-node batch, not after it
+    import prepspill.sobol as sobol_mod
+    from prepspill.cli import main
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrate_batch called")
+
+    monkeypatch.setattr(sobol_mod, "integrate_batch", never)
+    spec, y0 = risk
+    inputs = [UncertainInput(group=lbl, lo=-0.5, hi=4.0) for lbl in spec.labels]
+    with pytest.raises(ExactnessViolation, match="projection needs 10"):
+        sobol_mod.sobol_timeseries(spec, y0, inputs, level=5, total_degree=5)
+    assert main(["sobol", "--model", "risk", "--level", "5", "--degree", "5",
+                 "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: tensor level 5 ") and err.count("\n") == 1
+
+
 def test_gram_orthonormality_all_grids():
     from prepspill.sobol import _basis_matrix
     for rule, level, deg in (("gauss_legendre_tensor", 5, 4),

@@ -96,3 +96,23 @@ def test_traced_tunes_take_three_ngm_solves(monkeypatch):
         for name in ("reproduction.build_ngm", "reproduction.rc_numeric"):
             assert sum(s["name"] == name and s["parent"] == tune
                        for s in tracer.spans) == 3
+
+
+def test_traced_spillover_integrates_the_baseline_head_once(monkeypatch, tmp_path):
+    # spillover reads the baseline only at the intervention year, so it
+    # integrates [start, intervention] once (a model span) and then the
+    # augmented system (an aug span), each keeping the step identity
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert main(["spillover", "--model", "risk", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.violations == []
+    flat = sorted((s for s in tracer.spans if s["name"] == "integrators.integrate_flat"),
+                  key=lambda s: s["kind"])
+    assert [(s["kind"], s["t0"], s["t_end"]) for s in flat] == [
+        ("aug", 2020.0, 2031.0), ("model", 2017.0, 2020.0)]
