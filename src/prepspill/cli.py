@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import PrepspillError
 from .integrators import write_csv
-from .presets import INTERVENTION_START, REPORT_END
 from .reproduction import build_ngm, rc_closed, rc_numeric
 from .scenarios import (default_config, emit_plot_data, load_config,
                         report_to_csv, run_scenarios, run_spillover,
@@ -87,7 +86,8 @@ def cmd_spillover(args):
 
 def cmd_nnt(args):
     config = _config_from_args(args)
-    T, span = args.horizon, config.end - config.intervention_year
+    span = config.end - config.intervention_year
+    T = span if args.horizon is None else args.horizon
     if not 0.0 < T <= span:
         raise PrepspillError(f"--horizon {T} outside (0, {span}] (years after intervention)")
     # the horizon is a node, so nnt() reads it instead of interpolating
@@ -157,6 +157,8 @@ def cmd_sobol(args):
 
 
 def cmd_validate(args):
+    if args.config:
+        raise PrepspillError("validate checks both presets' published tables: no --config")
     report = validate_tables()
     path = _out_path(args, "validation.csv")
     report.to_csv(path)
@@ -212,8 +214,8 @@ def build_parser():
 
     p = sub.add_parser("nnt", help="person-years of PrEP per infection prevented")
     common(p)
-    p.add_argument("--horizon", type=float, default=REPORT_END - INTERVENTION_START,
-                   help="years after intervention start")
+    p.add_argument("--horizon", type=float,
+                   help="years after intervention start (default: to the window's end)")
     p.set_defaults(fn=cmd_nnt)
 
     p = sub.add_parser("ngm", help="next-generation matrices and R_c")
@@ -228,7 +230,8 @@ def build_parser():
     p.add_argument("--hi", type=float, default=4.0)
     p.set_defaults(fn=cmd_sobol)
 
-    p = sub.add_parser("validate", help="diff model output against published tables")
+    about = "diff both presets against their published tables (always checks both)"
+    p = sub.add_parser("validate", help=about, description=about)
     common(p)
     p.set_defaults(fn=cmd_validate)
 

@@ -273,8 +273,8 @@ def _dp_step_maker(w=None):
     6 RHS evaluations and no list passes.
 
     For w = None the same text runs on whole arrays: a batch, one row of
-    members per component, with each RHS result stacked by asarray and the
-    squares summed over the rows by the builtin sum, in the same order.
+    members per component, f returning one such array, and the squares
+    summed over the rows by the builtin sum, in the same order.
     Every entry is then computed as in the scalar attempt, and err is the
     largest member RMS, so a batch of one steps as its scalar run does, bit
     for bit.
@@ -282,13 +282,12 @@ def _dp_step_maker(w=None):
     if w is None:
         def stage(text):
             return text.format(*(f"k{s}" for s in range(1, 8)))
-        body = ["k1 = asarray(k1)"]
-        body += [f"k{s} = asarray(f({node}, y + h * ({stage(weights)})))"
-                 for s, (node, weights) in enumerate(_DP_STAGES, start=2)]
-        body += [f"y5 = y + h * ({stage(_DP_Y5)})", "k7 = asarray(f(t + h, y5))",
+        body = [f"k{s} = f({node}, y + h * ({stage(weights)}))"
+                for s, (node, weights) in enumerate(_DP_STAGES, start=2)]
+        body += [f"y5 = y + h * ({stage(_DP_Y5)})", "k7 = f(t + h, y5)",
                  f"q = (h * ({stage(_DP_ERR)}) / (atol + rtol * maximum(abs(y), abs(y5)))) ** 2",
                  "return y5, k7, float(sqrt(sum(q) / len(y)).max())"]
-        namespace = {"asarray": np.asarray, "maximum": np.maximum, "sqrt": np.sqrt}
+        namespace = {"maximum": np.maximum, "sqrt": np.sqrt}
     else:
         c = range(w)
 

@@ -297,13 +297,11 @@ _risk_xi_shares = _text_function("_risk_xi_shares", _B4 + ", xi", _RISK_XI_SHARE
                                  "ehh, ahh, ahl, xi")
 
 
-# Array forms of the closures: N holds one column (B,) per group, one entry
-# per batch member, and the contact volumes B_j are the rows of one product.
-# Each check of the scalar solver is one reduction over all members (the
-# stacked risk shares share one); only when it fails does the ordered scan
-# run, naming the first failing member with the scalar error, tagged with
-# its index (PrepspillError.member).  The arithmetic is the scalar solver's,
-# term by term, so every member's fractions equal the scalar ones bit for bit.
+# Array forms of the closures over the (n, B) columns of N, giving the pair
+# fractions as the rows of one (pairs, B) array, each member's the scalar
+# solver's bit for bit.  Past the volumes, one screen passes exactly when
+# every scalar check does; only otherwise do the checks run, in the scalar's
+# order, raising its error for the first failing member.
 
 def _first(bad):
     """Index of the first True entry of a boolean column, or None."""
@@ -319,44 +317,45 @@ def _check_unit_columns(name, v, t, slack=0.0):
 def _volumes(N, a, t):
     """The contact volumes N_j * a_j as the rows of one array, all positive
     (a NaN fails the reduction and passes the scan, as in the scalar)."""
-    B = np.multiply(N, np.array(a)[:, None])
-    i = None if B.min() > 0.0 else _first(np.logical_or.reduce([b <= 0.0 for b in B]))
+    B = np.multiply(N, np.asarray(a).reshape(-1, 1))
+    i = None if B.min() > 0.0 else _first(np.logical_or.reduce(B <= 0.0))
     if i is not None:
         raise InfeasibleClosure("nonpositive total contact volume", t=t).for_member(i)
     return B
 
 
-def _check_unit_rows(names, V, t, slack=0.0):
-    """Every row of V (one per name, in check order) within [0, 1] up to slack."""
-    if not (-slack <= V.min() and V.max() <= 1.0 + slack):
-        for name, v in zip(names, V):
-            _check_unit_columns(name, v, t, slack)
-
-
 def close_basic_batch(N, a, priors=None, t=None):
-    """basic_fractions over columns of N: the pair fractions as columns."""
+    """basic_fractions over the columns of N."""
     B0, B1, B2 = _volumes(N, a, t)
-    alpha, eta = _basic_shares(B0, B1, B2)
-    _check_unit_rows(("alpha_hetf", "eta_msm"), np.array((alpha, eta)), t)
-    return (eta, 1.0 - eta, alpha, 1.0 - alpha, 1.0)
+    m = np.empty((5,) + B0.shape)
+    m[2], m[0] = _basic_shares(B0, B1, B2)  # alpha, eta
+    np.subtract(1.0, m[0:4:2], out=m[1:4:2])
+    m[4] = 1.0
+    if not m[:4].min() >= 0.0:  # x and 1 - x are both >= 0 exactly when 0 <= x <= 1
+        _check_unit_columns("alpha_hetf", m[2], t)
+        _check_unit_columns("eta_msm", m[0], t)
+    return m
 
 
 def close_risk_batch(N, a, priors, t=None):
-    """risk_fractions over columns of N: the pair fractions as columns."""
+    """risk_fractions over the columns of N."""
     B0, B1, B2, B3 = _volumes(N, a, t)
-    eta_msm = _risk_eta_msm(B0, B1, B2, B3)
-    _check_unit_rows(("eta_msm",), eta_msm[None], t)
-
+    em = _risk_eta_msm(B0, B1, B2, B3)
     lo1, lo2, hi1 = _risk_bounds(B0, B1, B2, B3)
     lo = np.maximum(np.maximum(0.0, lo1), lo2)
     hi = np.minimum(1.0, hi1)
-    i = _first(lo > hi)
-    if i is not None:
-        raise _empty_interval_error(lo[i], hi[i], t).for_member(i)
-
     xi = np.minimum(np.maximum(_risk_projection(B0, B1, B2, B3, priors), lo), hi)
-    shares = np.array(_risk_xi_shares(B0, B1, B2, B3, xi))
-    _check_unit_rows(_RISK_SHARES, shares, t, slack=1e-14)
-    ehh, ahh, ahl, xi = np.minimum(np.maximum(shares, 0.0), 1.0)
-    return (eta_msm, ehh, np.maximum(0.0, 1.0 - eta_msm - ehh), ahh, 1.0 - ahh,
-            ahl, 1.0 - ahl, xi, 1.0 - xi)
+    # eta_msm and the clamped xi - lo (>= 0 exactly when lo <= hi), then the shares
+    v = np.array((em, xi - lo) + _risk_xi_shares(B0, B1, B2, B3, xi))
+    shares = v[2:]
+    if not (0.0 <= v[:2].min() and v[0].max() <= 1.0
+            and -1e-14 <= shares.min() and shares.max() <= 1.0 + 1e-14):
+        _check_unit_columns("eta_msm", em, t)
+        i = _first(lo > hi)
+        if i is not None:
+            raise _empty_interval_error(lo[i], hi[i], t).for_member(i)
+        for name, share in zip(_RISK_SHARES, shares):
+            _check_unit_columns(name, share, t, slack=1e-14)
+    ehh, ahh, ahl, xi = np.minimum(np.maximum(shares, 0.0), 1.0)  # roundoff at a bound
+    return np.array((em, ehh, np.maximum(0.0, 1.0 - em - ehh), ahh, 1.0 - ahh,
+                     ahl, 1.0 - ahl, xi, 1.0 - xi))

@@ -286,7 +286,7 @@ def dfe(spec):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _flat_rhs_maker(variant, pinned, tracked, batched=False, sources=(), exact=False):
+def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
     """Compile ``make(**cells) -> f(t, y)`` for one variant's contact-pair
     table and closure text.
 
@@ -294,19 +294,15 @@ def _flat_rhs_maker(variant, pinned, tracked, batched=False, sources=(), exact=F
     re-closed at every evaluation.  ``tracked``: the groups whose coverage is
     re-derived from a tracked count (cell ``c<j>``; full while S_j <= c_j).
     Cells a<j> and b<i> hold the contact rates and each pair's transmission
-    probability.  ``batched``: y and the u<j> cells hold columns, one entry
-    per batch member; the population check (one reduction unless it fails)
-    names the first failing member, the closure is the array form, and no
-    group is tracked.  Each member's
-    derivative is then the scalar one bit for bit.  ``sources``: the
-    spillover system, y going on with one (sigma, gamma) block per source
-    group after the 3n state slots; ``exact``: its exact_delta mode.  The
-    three row forms of the flat RHS keep the arithmetic order of the
-    hand-written closures they replaced, and the spillover rows that of the
-    numpy kernel, so integrations are unchanged to the last bit.  Cached: at
-    most 6 * 2**n - 2 sources per variant (2 * 2**n flat, 2 batched, and
-    4 * (2**n - 1) spillover: pinned or not, exact or not, by source set).
-    The source is registered under a name stating its form, e.g.
+    probability.  ``sources``: the spillover system, y going on with one
+    (sigma, gamma) block per source group after the 3n state slots;
+    ``exact``: its exact_delta mode.  The three row forms of the flat RHS
+    keep the arithmetic order of the hand-written closures they replaced,
+    and the spillover rows that of the numpy kernel, so integrations are
+    unchanged to the last bit.  Cached: at most 6 * 2**n - 4 sources per
+    variant (2 * 2**n flat and 4 * (2**n - 1) spillover: pinned or not,
+    exact or not, by source set).  The source is registered under a name
+    stating its form, e.g.
     ``<flat_rhs risk sources=0,1,2,3>``.
     """
     var = VARIANTS[variant]
@@ -320,20 +316,10 @@ def _flat_rhs_maker(variant, pinned, tracked, batched=False, sources=(), exact=F
         return " + ".join(f"a{j} * m{i} * b{i} * {x(p)}" for p, i, _ in rows[j])
     body = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * n}]",
             *(f"N{j} = S{j} + I{j}" for j in g)]
-    if batched:
-        body += ["if not min(" + ", ".join(f"N{j}.min()" for j in g) + ") > 0.0:",
-                 "    bad = " + " | ".join(f"(N{j} <= 0.0)" for j in g),
-                 "    if bad.any():  # not only NaN",
-                 "        b = bad.argmax()",
-                 "        raise zero_population(labels, (" + ", ".join(f"N{j}[b]" for j in g)
-                 + "), t).for_member(b)"]
-    else:
-        body += ["if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
-                 f"    raise zero_population(labels, ({Ns}), t)"]
+    body += ["if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
+             f"    raise zero_population(labels, ({Ns}), t)"]
     if pinned:
         body.append(f"{m} = fixed")
-    elif batched:
-        body.append(f"{m} = close(({Ns}), a, priors, t=t)")
     else:
         body += re.sub(r"(?m)^(\s*)raise .*$", rf"\1close(({Ns}), a, priors, t=t)",
                        mixing.CLOSURE).splitlines()
@@ -379,7 +365,7 @@ def _flat_rhs_maker(variant, pinned, tracked, batched=False, sources=(), exact=F
     src = (f"def make({', '.join(cells)}):\n    def f(t, y):\n"
            + "".join(f"        {line}\n" for line in body)
            + "    return f\n")
-    form = [variant] + ["pinned"] * pinned + ["batched"] * batched
+    form = [variant] + ["pinned"] * pinned
     form += [f"{key}={','.join(map(str, js))}" for key, js in
              (("tracked", tracked), ("sources", sources)) if js] + ["exact"] * exact
     return exec_source(src, f"<flat_rhs {' '.join(form)}>", {})["make"]
@@ -434,17 +420,47 @@ def flat_rhs_factory(spec, tracked_counts=None, coverage=None):
 
 
 def batched_rhs_factory(spec, eps):
-    """The flat RHS of a batch of models that differ only in coverage.
-
-    ``eps`` is (B, n): member b's coverage fractions.  Returns rhs(t, y)
-    with y the flat layout as columns (B,), one entry per member (a list of
-    them or the rows of one array); mixing is the spec's pinned fractions or
-    the array-form closure per member.  Failures (ZeroPopulation, InfeasibleClosure) carry the index
-    of the first failing member (PrepspillError.member).
-    """
+    """The flat RHS of a batch of models differing only in coverage (``eps``
+    (B, n)): rhs(t, y) maps the (3n, B) state (or its rows) to one (3n, B)
+    derivative; failures name the first failing member (.member).  Each step
+    is one ufunc call over the groups (n, B) or pairs (pairs, B), in the
+    scalar row forms: pair i of group j adds (m_i * c_i * I_p) / N_p, summed
+    in partner order (PAIRS lists pairs by (j, p)) and times A_j, where
+    (c_i, A_j) is (b_i, a_j) in a general row, (1, a_j * b) with one beta
+    and (a_j * b, 1) for a lone pair (m_i = 1).  Products by 1 are exact, so
+    each member's derivative is the scalar one bit for bit."""
     var = VARIANTS[spec.variant]
+    pairs, n = var.mixing.PAIRS, spec.n
     cells = _rhs_cells(spec, var.batch_closure)
-    for j, col in enumerate(np.asarray(eps, dtype=float).T):
-        cells[f"u{j}"] = 1.0 - col
-    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, (), batched=True)
-    return make(**cells)
+    b = [cells[f"b{i}"] for i in range(len(pairs))]
+    c, A, rows = [], [], [[i for i, pair in enumerate(pairs) if pair[0] == j] for j in range(n)]
+    for j, row in enumerate(rows):
+        ab, one_beta = cells[f"a{j}"] * b[row[0]], len({pairs[i][2] for i in row}) == 1
+        c += [ab] if len(row) == 1 else [1.0] * len(row) if one_beta else [b[i] for i in row]
+        A.append(1.0 if len(row) == 1 else ab if one_beta else cells[f"a{j}"])
+    width = max(map(len, rows))  # terms[k, j]: row j's k-th pair, where valid
+    terms = np.array([row + [0] * (width - len(row)) for row in rows]).T
+    valid = (np.arange(width)[:, None] < [len(row) for row in rows])[:, :, None]
+
+    def column(values):
+        return np.array(values, dtype=float)[:, None]
+    c, A, a, mu = column(c), column(A), column(cells["a"]), cells["mu"]
+    Pi, v = (column([cells[f"{x}{j}"] for j in range(n)]) for x in ("Pi", "v"))
+    partner, u = np.array([p for _, p, _ in pairs]), 1.0 - np.asarray(eps, dtype=float).T
+    fixed = None if spec.mixing is None else column(cells["fixed"])
+
+    def f(t, y):
+        y = np.asarray(y)
+        S, I = y[0:2 * n:2], y[1:2 * n:2]
+        N = S + I
+        if not N.min() > 0.0 and (bad := (N <= 0.0).any(axis=0)).any():  # not only NaN
+            i = bad.argmax()
+            raise _zero_population(spec.labels, N[:, i], t).for_member(i)
+        m = cells["close"](N, a, spec.mixing_priors, t=t) if fixed is None else fixed
+        T = (m * c * I[partner] / N[partner])[terms]
+        # summed term by term from -0.0, which leaves every first term as is
+        inc = u * (A * np.add.reduce(T, axis=0, initial=-0.0, where=valid)) * S
+        out = np.empty(y.shape)
+        out[0:2 * n:2], out[1:2 * n:2], out[2 * n:] = Pi - inc - mu * S, inc - v * I, inc
+        return out
+    return f

@@ -256,13 +256,13 @@ def tune_multiplier_to_rc(spec, target):
     F is linear in the transmission probabilities and neither V nor the DFE
     depends on them, so R_c(m) = m * R_c(1) until some beta * m reaches its
     cap of 1.  Beyond it R_c(m) = rho(m A + B), with B the capped betas' part
-    of F V^-1: increasing, but not linear.  Illinois regula falsi on
-    _MULTIPLIER_BRACKET: its first secant point is the root of the
+    of F V^-1: increasing, and smooth between the caps 1 / beta.  Regula
+    falsi on _MULTIPLIER_BRACKET: its first secant point is the root of the
     straight line, up to rounding, so an uncapped tune costs three NGM
-    solves (the bracket ends and that point).  Past a cap, halving the value
-    at an end the secant keeps missing moves the point off it; convergence
-    is superlinear near the root, but a sharp bend can cost more solves than
-    bisection would.  Stops at |R_c - target| < _TUNE_TOL.
+    solves.  Next come the caps inside the bracket (nearest first), then
+    secant steps on one smooth piece, Anderson-Bjorck: moving one end twice
+    scales the other's value by 1 - f(new) / f(replaced), or 0.5 if that
+    is not positive.  Stops at |R_c - target| < _TUNE_TOL.
     """
     def rc_of(m):
         return rc_numeric(build_ngm(scale_transmission(spec, m))).value
@@ -271,20 +271,26 @@ def tune_multiplier_to_rc(spec, target):
     flo, fhi = rc_of(lo) - target, rc_of(hi) - target
     if flo * fhi > 0:
         raise ValueError(f"target R = {target} not bracketed by multipliers [{lo}, {hi}]")
-    moved = 0  # the end the last step moved, -1 lo or +1 hi; moving it again
-    #            halves the other end's value (the Illinois step)
-    for _ in range(200):
-        # equal end values are both zero: R_c is the target over the bracket
-        m = lo if fhi == flo else lo - flo * (hi - lo) / (fhi - flo)
+    caps = sorted({1.0 / b for b in vars(spec.probs).values() if b > 0.0})
+    moved = 0  # the end the last secant step moved, -1 lo or +1 hi (0 after a cap)
+
+    def scale(f_new, f_replaced):
+        return g if (g := 1.0 - f_new / f_replaced) > 0.0 else 0.5
+    for step in range(200):
+        bends = [c for c in caps if lo < c < hi]
+        if step and bends:  # land on the bend nearest the last point first
+            m, secant = min(bends, key=lambda c: abs(c - m)), False
+        else:  # equal end values are both zero: R_c is the target over the bracket
+            m, secant = lo if fhi == flo else lo - flo * (hi - lo) / (fhi - flo), True
         fm = rc_of(m) - target
         if abs(fm) < _TUNE_TOL:
             return m
         if flo * fm <= 0:
-            hi, fhi = m, fm
-            flo, moved = flo * 0.5 if moved > 0 else flo, 1
+            flo *= scale(fm, fhi) if secant and moved > 0 else 1.0
+            hi, fhi, moved = m, fm, int(secant)
         else:
-            lo, flo = m, fm
-            fhi, moved = fhi * 0.5 if moved < 0 else fhi, -1
+            fhi *= scale(fm, flo) if secant and moved < 0 else 1.0
+            lo, flo, moved = m, fm, -int(secant)
     return m
 
 

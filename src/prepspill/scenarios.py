@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup,
                      ZeroPopulation)
-from .integrators import (IntegratorConfig, Trajectory, annual_series, integrate,
-                          interp_rows, node_index, write_csv)
+from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, interp_rows,
+                          node_index, write_csv)
 from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       SIM_START, TABLE_BASIC_BASELINE,
@@ -490,13 +490,15 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
         S = traj.states[:, 0:2 * n:2]
 
     if "baseline" in series:
-        years, inc = annual_series(base_traj)  # every year is a node
-        nodes = [base_traj.index_of(float(y)) for y in years]
+        # the whole calendar years inside [start, end]; every year is a node
+        t0, t1 = base_traj.times[0], base_traj.times[-1]
+        first, last = math.ceil(t0 - NODE_TOL), math.floor(t1 + NODE_TOL)
+        at = base_traj.states[[base_traj.index_of(float(y)) for y in range(first, last + 1)]]
         header = (["year"] + [f"prevalence_{l}" for l in labels]
                   + [f"annual_incidence_{l}" for l in labels])
         rows = [[y] + [f"{v:.6f}" for v in prev] + [f"{v:.6f}" for v in row]
-                for y, prev, row in zip(years, base_traj.states[nodes, 1:2 * n:2].tolist(),
-                                        inc.tolist())]
+                for y, prev, row in zip(range(first, last), at[:-1, 1:2 * n:2].tolist(),
+                                        (at[1:, 2 * n:3 * n] - at[:-1, 2 * n:3 * n]).tolist())]
         put(f"baseline_series_{variant}.csv", _csv_text(header, rows))
 
     if "effects" in series:

@@ -10,7 +10,7 @@ collects every coefficient whose multi-index touches that input).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
@@ -109,17 +109,14 @@ def _to_unit(x, lo, hi):
 
 
 def _basis_matrix(index_set, nodes, intervals):
-    n_dims = index_set.shape[1]
+    """P[node, term]: the product, in dimension order, of each dimension's
+    orthonormal Legendre polynomial of the term's degree at the node,
+    gathered from one table per dimension.  The degree-0 column is exactly
+    1.0, so its factors leave the product of the others unchanged."""
     max_deg = int(index_set.max()) if index_set.size else 0
-    uni = [
-        _legendre_orthonormal(max_deg, _to_unit(nodes[:, d], *intervals[d]))
-        for d in range(n_dims)
-    ]
     P = np.ones((nodes.shape[0], index_set.shape[0]))
-    for t, idx in enumerate(index_set):
-        for d, deg in enumerate(idx):
-            if deg:
-                P[:, t] *= uni[d][:, deg]
+    for d, degrees in enumerate(index_set.T):
+        P *= _legendre_orthonormal(max_deg, _to_unit(nodes[:, d], *intervals[d]))[:, degrees]
     return P
 
 
@@ -167,12 +164,13 @@ def build_grid(inputs, rule="gauss_legendre_tensor", level=5):
         count = int(np.prod([len(ax[0]) for ax in axes]))
         if count > NODE_CAP:
             raise DimensionOverflow(f"{count} nodes exceed cap {NODE_CAP}")
-        nodes = np.empty((count, d))
-        weights = np.ones(count)
-        for i, combo in enumerate(product(*(range(len(ax[0])) for ax in axes))):
-            for dim, j in enumerate(combo):
-                nodes[i, dim] = axes[dim][0][j]
-                weights[i] *= axes[dim][1][j]
+        # nodes in itertools.product order (last dimension fastest), each
+        # weight the product of its dimensions' weights in dimension order
+        nodes = np.array(np.meshgrid(*(x for x, _ in axes), indexing="ij"))
+        nodes = nodes.reshape(d, count).T.copy()
+        weights = np.ones(1)
+        for _, w in axes:
+            weights = np.multiply.outer(weights, w).ravel()
         return QuadratureGrid(dims=d, rule=rule, level=level, nodes=nodes,
                               weights=weights, intervals=intervals)
 
@@ -256,51 +254,50 @@ def fit_pce(samples, grid, total_degree):
         off = float(np.max(np.abs(gram - np.eye(len(index_set)))))
         raise ExactnessViolation(
             f"grid quadrature breaks basis orthonormality (max deviation {off:.2e})")
-    if samples.ndim == 1:
-        coeffs = P.T @ (grid.weights * samples)
-    else:
-        # Column by column: each output's coefficients then equal its own
-        # 1-D fit bit for bit; one matrix product rounds differently and
-        # moves last printed digits of the study CSV.
-        coeffs = np.empty((len(index_set), samples.shape[1]))
-        for c, col in enumerate(samples.T):
-            coeffs[:, c] = P.T @ (grid.weights * col)
+    # Column by column: each output's coefficients then equal its own 1-D
+    # fit bit for bit; one matrix product rounds differently and moves last
+    # printed digits of the study CSV.
+    coeffs = np.array([P.T @ (grid.weights * col) for col in np.atleast_2d(samples.T)]).T
+    coeffs = coeffs.reshape((len(index_set),) + samples.shape[1:])
     return PCExpansion(index_set=index_set, coeffs=coeffs, intervals=grid.intervals)
 
 
 def mean_var(pce):
     """Mean is the constant coefficient; variance the sum of squares of the rest."""
-    const = np.all(pce.index_set == 0, axis=1)
-    mean = float(pce.coeffs[const][0])
-    variance = float(np.sum(pce.coeffs[~const] ** 2))
-    return mean, variance
+    si = sobol_indices(pce)
+    return si.mean, si.variance
 
 
 def sobol_indices(pce):
-    """First-order and total indices per input from the expansion coefficients."""
-    return _sobol_indices(pce, *_index_masks(pce.index_set))
+    """First-order and total indices per input from the expansion coefficients:
+    the share of the variance in the terms whose multi-index touches the
+    input alone, resp. at all."""
+    return _series_indices(pce.index_set, pce.coeffs[:, None])[0]
 
 
-def _sobol_indices(pce, touches, only):
-    """sobol_indices given the index set's _index_masks."""
-    mean, variance = mean_var(pce)
-    d = pce.index_set.shape[1]
-    if variance <= max(_VARIANCE_FLOOR, (1e-12 * max(1.0, abs(mean))) ** 2):
-        nan = np.full(d, np.nan)
-        return SobolIndices(first_order=nan, total=nan, mean=mean,
-                            variance=variance, defined=False)
-    sq = pce.coeffs ** 2
-    first = np.array([sq[m].sum() / variance for m in only])
-    total = np.array([sq[m].sum() / variance for m in touches])
-    return SobolIndices(first_order=first, total=total, mean=mean,
-                        variance=variance, defined=True)
+def _series_indices(index_set, coeffs):
+    """sobol_indices of each column of ``coeffs`` (n_terms, k), all at once;
+    undefined (NaN) at or below _VARIANCE_FLOOR or the mean's roundoff.
+    Each column is summed as a contiguous row, which numpy sums (pairwise)
+    as that column alone."""
+    touches = index_set > 0
+    only = touches & (touches.sum(axis=1) == 1)[:, None]
+    const = ~touches.any(axis=1)
+    sq = coeffs.T ** 2
 
+    def sums(terms):  # a mask's columns come out F-ordered: copy to C for row sums
+        return np.ascontiguousarray(sq[:, terms]).sum(axis=1)
+    means, variances = coeffs[const][0].tolist(), sums(~const)
+    defined = np.array([v > max(_VARIANCE_FLOOR, (1e-12 * max(1.0, abs(m))) ** 2)
+                        for m, v in zip(means, variances.tolist())], dtype=bool)
 
-def _index_masks(index_set):
-    """Per input k, the terms whose multi-index touches k, and those that
-    touch k alone: two (dims, n_terms) boolean arrays."""
-    touches = (index_set > 0).T
-    return touches, touches & (touches.sum(axis=0) == 1)
+    def indices(masks):
+        part = np.reshape([sums(m) for m in masks.T], (len(masks.T), len(sq))).T
+        return np.divide(part, variances[:, None], out=np.full(part.shape, np.nan),
+                         where=defined[:, None])
+    first, total = indices(only), indices(touches)
+    return [SobolIndices(first_order=f, total=t, mean=m, variance=v, defined=bool(ok))
+            for f, t, m, v, ok in zip(first, total, means, variances.tolist(), defined)]
 
 
 @dataclass
@@ -413,9 +410,7 @@ def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
     keys = [(all_years[yi], lbl) for yi in kept for lbl in spec.labels]
     Y = table[kept].reshape(len(keys), grid.n_nodes).T  # (nodes, series)
     pce = fit_pce(Y, grid, total_degree)
-    masks = _index_masks(pce.index_set)
-    indices = {key: _sobol_indices(replace(pce, coeffs=pce.coeffs[:, c]), *masks)
-               for c, key in enumerate(keys)}
+    indices = dict(zip(keys, _series_indices(pce.index_set, pce.coeffs)))
     samples = {key: Y[:, c] for c, key in enumerate(keys)}
     return SobolStudy(years=[all_years[yi] for yi in kept], output_groups=spec.labels,
                       inputs=inputs, indices=indices, grid_rule=rule, grid_level=level,

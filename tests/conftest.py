@@ -258,3 +258,64 @@ def risk_residuals(mix, N, a):
 def risk_objective(mix, priors):
     """Squared distance from a mixing tuple to the priors (the projection objective)."""
     return sum((x - p) ** 2 for x, p in zip(mix.as_tuple(), priors.as_tuple()))
+
+
+# ---------------------------------------------------------------------------
+# Loop forms of the Sobol layers.  The package builds the tensor grid, the
+# basis matrix and the indices of all series as whole arrays; the tests hold
+# those equal to these node-by-node, term-by-term and series-by-series forms
+# bit for bit.
+# ---------------------------------------------------------------------------
+
+def tensor_grid_loop(inputs, level):
+    """(nodes, weights) of build_grid's tensor Gauss-Legendre rule, node by
+    node in itertools.product order, each weight multiplied in dimension order."""
+    from itertools import product
+
+    x1, w1 = np.polynomial.legendre.leggauss(level)
+    w1 = w1 / 2.0
+    axes = [(np.array([u.lo]), np.array([1.0])) if u.hi == u.lo
+            else (u.lo + (u.hi - u.lo) * (x1 + 1.0) / 2.0, w1) for u in inputs]
+    count = int(np.prod([len(ax[0]) for ax in axes]))
+    nodes = np.empty((count, len(inputs)))
+    weights = np.ones(count)
+    for i, combo in enumerate(product(*(range(len(ax[0])) for ax in axes))):
+        for dim, j in enumerate(combo):
+            nodes[i, dim] = axes[dim][0][j]
+            weights[i] *= axes[dim][1][j]
+    return nodes, weights
+
+
+def basis_matrix_loop(index_set, nodes, intervals):
+    """_basis_matrix term by term: each column the product of its nonzero
+    degrees' polynomials, in dimension order."""
+    from prepspill.sobol import _legendre_orthonormal, _to_unit
+
+    max_deg = int(index_set.max()) if index_set.size else 0
+    uni = [_legendre_orthonormal(max_deg, _to_unit(nodes[:, d], *intervals[d]))
+           for d in range(index_set.shape[1])]
+    P = np.ones((nodes.shape[0], index_set.shape[0]))
+    for t, idx in enumerate(index_set):
+        for d, deg in enumerate(idx):
+            if deg:
+                P[:, t] *= uni[d][:, deg]
+    return P
+
+
+def sobol_indices_loop(index_set, coeffs):
+    """(first, total, mean, variance, defined) of one series of coefficients,
+    one input at a time."""
+    from prepspill.sobol import _VARIANCE_FLOOR
+
+    const = np.all(index_set == 0, axis=1)
+    mean = float(coeffs[const][0])
+    variance = float(np.sum(coeffs[~const] ** 2))
+    d = index_set.shape[1]
+    if variance <= max(_VARIANCE_FLOOR, (1e-12 * max(1.0, abs(mean))) ** 2):
+        return np.full(d, np.nan), np.full(d, np.nan), mean, variance, False
+    touches = (index_set > 0).T
+    only = touches & (touches.sum(axis=0) == 1)
+    sq = coeffs ** 2
+    first = np.array([sq[m].sum() / variance for m in only])
+    total = np.array([sq[m].sum() / variance for m in touches])
+    return first, total, mean, variance, True

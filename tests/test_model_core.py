@@ -97,18 +97,35 @@ def test_flat_rhs_equals_structured_property(seed, variant, pinned, tracked):
 @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
        pinned=st.booleans())
 def test_batched_rhs_equals_flat_rhs_property(seed, variant, pinned):
-    # member b of the batch is the scalar flat RHS with coverage eps[b], bit for bit
+    # member b of the batch is the scalar flat RHS with coverage eps[b], bit
+    # for bit (signed zeros too: some infected counts are -0.0), and the
+    # batch's derivative is one (3n, B) array, for the state as one array
+    # or as its rows
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, variant)
     states = [random_state(rng, spec) for _ in range(4)]
     if pinned:
         spec = replace(spec, mixing=spec.mixing_priors)
     eps = rng.uniform(0.0, 1.0, (4, spec.n))
-    columns = list(np.array([s.to_flat() for s in states]).T)
-    got = batched_rhs_factory(spec, eps)(0.0, columns)
-    for b, state in enumerate(states):
+    y = np.array([s.to_flat() for s in states]).T
+    S, I, zero = y[0:2 * spec.n:2], y[1:2 * spec.n:2], rng.random((spec.n, 4)) < 0.3
+    S[zero], I[zero] = (S + I)[zero], -0.0  # the same N
+    f = batched_rhs_factory(spec, eps)
+    got = f(0.0, y)
+    assert type(got) is np.ndarray and got.shape == (3 * spec.n, 4)
+    assert f(0.0, list(y)).tobytes() == got.tobytes()
+    for b in range(4):
         one = spec.with_epsilon(dict(zip(spec.labels, eps[b])))
-        assert [g[b] for g in got] == flat_rhs_factory(one)(0.0, list(state.to_flat()))
+        want = flat_rhs_factory(one)(0.0, y[:, b].tolist())
+        assert got[:, b].tobytes() == np.array(want).tobytes()
+
+
+def test_pairs_are_listed_by_group_then_partner():
+    # the batched RHS sums each group's pairs as one contiguous run, in
+    # partner order, as the scalar RHS does
+    for var in VARIANTS.values():
+        pairs = var.mixing.PAIRS
+        assert list(pairs) == sorted(pairs, key=lambda pair: pair[:2])
 
 
 def test_batched_rhs_names_zero_population_member(basic):

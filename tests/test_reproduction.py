@@ -250,6 +250,66 @@ def test_tune_past_a_capped_beta(basic):
     assert abs(_rc(spec0, m) - target) < _TUNE_TOL
 
 
+def test_tune_past_caps_never_costs_more_than_bisection_property(monkeypatch):
+    # random specs with betas raised so that caps bend R_c(m) inside the
+    # bracket (all three up to 1, or one up to 1 and two small), targets
+    # R_c(m) for m in [0.01, 10]: the tune meets the tolerance and takes no
+    # more NGM solves than bisection of the bracket (the previous tune)
+    real = reproduction.build_ngm
+    solves = [0]
+
+    def counted(spec):
+        solves[0] += 1
+        return real(spec)
+
+    def bisection_solves(spec, target):
+        lo, hi = reproduction._MULTIPLIER_BRACKET
+        flo, n = _rc(spec, lo) - target, 2
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            fm, n = _rc(spec, mid) - target, n + 1
+            if abs(fm) < _TUNE_TOL:
+                break
+            if flo * fm <= 0:
+                hi = mid
+            else:
+                lo, flo = mid, fm
+        return n
+
+    rng = np.random.default_rng(31)
+    for draw in range(120):
+        spec = random_spec(rng, ("basic", "risk")[draw % 2]).with_delta_zero()
+        betas = rng.uniform(0.0, 1.0, 3)
+        if draw % 4 >= 2:
+            betas[:] = rng.uniform(0.0, 0.01, 3)
+            betas[rng.integers(3)] = rng.uniform(0.1, 1.0)
+        spec = replace(spec, probs=TransmissionProbs(*betas))
+        target = _rc(spec, rng.uniform(0.01, 10.0))
+        monkeypatch.setattr(reproduction, "build_ngm", counted)
+        solves[0] = 0
+        m = tune_multiplier_to_rc(spec, target)
+        monkeypatch.setattr(reproduction, "build_ngm", real)
+        assert abs(_rc(spec, m) - target) < _TUNE_TOL
+        assert solves[0] <= bisection_solves(spec, target), (draw, betas, target)
+
+
+@pytest.mark.parametrize("betas, m", [((0.31, 0.0045, 0.008), 3.2),
+                                      ((0.42, 0.0079, 0.0078), 2.38)])
+def test_tune_lands_past_a_sharp_cap(monkeypatch, basic, betas, m):
+    # one beta caps well inside the bracket and R_c(m) bends sharply there:
+    # the secant from the bracket ends keeps missing on one side (Illinois
+    # took 23 and 35 solves, the Anderson-Bjorck step alone ran out of its
+    # 200 steps off by 33 and 1.7); landing on the cap first takes 5
+    spec0 = replace(basic[0].with_delta_zero(), probs=TransmissionProbs(*betas))
+    target = _rc(spec0, m)
+    solves = []
+    real = reproduction.build_ngm
+    monkeypatch.setattr(reproduction, "build_ngm", lambda spec: solves.append(1) or real(spec))
+    got = tune_multiplier_to_rc(spec0, target)
+    assert len(solves) <= 6
+    assert abs(_rc(spec0, got) - target) < _TUNE_TOL
+
+
 @pytest.mark.parametrize("target", [0.0, 1e3])
 def test_tune_refuses_an_unbracketed_target(basic, target):
     with pytest.raises(ValueError, match="not bracketed"):

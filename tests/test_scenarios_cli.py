@@ -791,3 +791,51 @@ def test_config_with_any_value_anywhere_parses_or_is_a_config_error(path, value)
         assert isinstance(_config_from_raw(raw), ScenarioConfig)
     except ConfigError:
         pass
+
+
+SHORT_WINDOW = {"model": "basic",
+                "horizon": {"start": 2019.5, "intervention": 2020, "end": 2026}}
+
+
+@pytest.mark.parametrize("args, T", [(["--model", "basic"], 11.0),
+                                     (["--model", "risk"], 11.0),
+                                     (["--config", "short"], 6.0)],
+                         ids=["basic", "risk", "short"])
+def test_cli_nnt_default_horizon_is_the_window(tmp_path, capsys, args, T):
+    # without --horizon, the horizon runs to the window's end: 11 years on
+    # the presets, 6 on a config ending in 2026 (which failed on 11)
+    if args[1] == "short":
+        args = ["--config", write_config(tmp_path, SHORT_WINDOW)]
+    assert main(["nnt", *args, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    text = next((tmp_path / "out").glob("nnt_*.csv")).read_text()
+    rows = list(csv.reader(text.splitlines()))[1:]
+    assert rows and {r[2] for r in rows} == {str(T)}
+
+
+def test_cli_validate_refuses_a_config(tmp_path, capsys):
+    # validate always checks both published tables, so a config is an error
+    path = write_config(tmp_path, {"model": "basic"})
+    assert main(["validate", "--config", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "--config" in err and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+    assert "always checks both" in build_parser()._subparsers._group_actions[0].choices[
+        "validate"].format_help()
+
+
+def test_emit_plots_baseline_covers_whole_years_of_a_partial_span(tmp_path, capsys):
+    # a window starting mid-year: the default series run, and the baseline
+    # series lists the whole calendar years inside it, each read at its nodes
+    path = write_config(tmp_path, SHORT_WINDOW)
+    assert main(["emit-plots", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    text = (tmp_path / "out" / "baseline_series_basic.csv").read_text()
+    rows = list(csv.reader(text.splitlines()))
+    traj = integrate_baseline(load_config(path))
+    at = {y: traj.states[traj.index_of(float(y))] for y in range(2020, 2027)}
+    assert [int(r[0]) for r in rows[1:]] == list(range(2020, 2026))
+    for r in rows[1:]:
+        y = int(r[0])
+        assert r[1:4] == [f"{v:.6f}" for v in at[y][1:6:2]]
+        assert r[4:] == [f"{v:.6f}" for v in at[y + 1][6:] - at[y][6:]]

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_spec, random_state
+from conftest import (basis_matrix_loop, random_spec, random_state,
+                      sobol_indices_loop, tensor_grid_loop)
 from prepspill.errors import (DimensionOverflow, EnsembleError,
                               ExactnessViolation)
 from prepspill.integrators import IntegratorConfig
-from prepspill.sobol import (UncertainInput, build_grid, coverage_fractions,
+from prepspill.sobol import (PCExpansion, UncertainInput, _basis_matrix,
+                             _series_indices, build_grid, coverage_fractions,
                              coverage_model_fn, fit_pce, mean_var, sobol_indices,
                              sobol_timeseries, total_degree_set)
 
@@ -103,8 +105,53 @@ def test_study_refuses_a_coarse_tensor_before_integrating(risk, monkeypatch, tmp
     assert err.startswith("error: tensor level 5 ") and err.count("\n") == 1
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_whole_array_sobol_layers_equal_loop_forms(seed):
+    # the tensor grid, the basis matrix and every series' indices equal
+    # their loop forms (conftest) bit for bit, with degenerate intervals,
+    # constant series and series below the variance floor among the draws
+    rng = np.random.default_rng(seed)
+    dims, level = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+    inputs = []
+    for _ in range(dims):
+        lo = float(rng.uniform(-3.0, 3.0))
+        hi = lo if rng.random() < 0.3 else lo + float(rng.uniform(1e-3, 5.0))
+        inputs.append(UncertainInput(group=None, lo=lo, hi=hi))
+    grid = build_grid(inputs, level=level)
+    nodes, weights = tensor_grid_loop(inputs, level)
+    assert grid.nodes.shape == nodes.shape and grid.nodes.flags.c_contiguous
+    assert _bits(grid.nodes) == _bits(nodes) and _bits(grid.weights) == _bits(weights)
+
+    index_set = total_degree_set(dims, int(rng.integers(0, 5)))
+    lo = np.array([u.lo for u in inputs])
+    theta = np.vstack([grid.nodes, lo + (np.array([u.hi for u in inputs]) - lo)
+                       * rng.uniform(0.0, 1.0, (7, dims))])
+    assert _bits(_basis_matrix(index_set, theta, grid.intervals)) == _bits(
+        basis_matrix_loop(index_set, theta, grid.intervals))
+
+    k = int(rng.integers(1, 9))
+    coeffs = rng.standard_normal((len(index_set), k)) * 10.0 ** rng.uniform(-3, 6, k)
+    coeffs[1:, 0] = 0.0  # constant: zero variance
+    if k > 1:
+        coeffs[1:, 1] *= 1e-16  # within the roundoff of its mean
+    got = _series_indices(index_set, coeffs)
+    assert len(got) == k
+    for c, si in enumerate(got):
+        first, total, mean, variance, defined = sobol_indices_loop(index_set, coeffs[:, c])
+        assert (si.mean, si.variance, si.defined) == (mean, variance, defined)
+        assert _bits(si.first_order) == _bits(first) and _bits(si.total) == _bits(total)
+        one = sobol_indices(PCExpansion(index_set, coeffs[:, c], grid.intervals))
+        assert _bits(one.total) == _bits(total) and mean_var(
+            PCExpansion(index_set, coeffs[:, c], grid.intervals)) == (mean, variance)
+    assert not got[0].defined and (k == 1 or not got[1].defined)
+
+
 def test_gram_orthonormality_all_grids():
-    from prepspill.sobol import _basis_matrix
     for rule, level, deg in (("gauss_legendre_tensor", 5, 4),
                              ("gauss_legendre_tensor", 6, 5),
                              ("clenshaw_curtis_smolyak", 5, 2)):
