@@ -52,6 +52,13 @@ def interp_rows(t, times, rows):
     return slope * (t - times[j]) + rows[j]
 
 
+def rows_at(times, rows, t):
+    """The row of ``rows`` (one per entry of ``times``) at t: the stored row
+    of the node within NODE_TOL of t, else interp_rows'."""
+    i = node_index(times, t)
+    return rows[i] if i is not None else interp_rows(t, times, rows)
+
+
 def write_csv(path_or_file, header, rows):
     """The package's one CSV writer: ``header``, then each of ``rows``, with
     "\n" line ends, to the object itself if it has ``write``, else to the
@@ -120,6 +127,13 @@ class Trajectory:
     clamp_events: list = field(default_factory=list)
     next_step: float | None = None
 
+    @classmethod
+    def of(cls, run, labels):
+        """The trajectory of an integrate_flat run (its return value)."""
+        ts, ys, clamps, h = run
+        return cls(times=np.array(ts), states=np.array(ys), labels=labels,
+                   clamp_events=clamps, next_step=h)
+
     @property
     def n_groups(self):
         return len(self.labels)
@@ -128,13 +142,11 @@ class Trajectory:
         return node_index(self.times, t)
 
     def row_at(self, t):
-        """Flat row at time t: stored node if available, else linear interpolation."""
-        i = self.index_of(t)
-        if i is not None:
-            return self.states[i]
-        if not (self.times[0] <= t <= self.times[-1]):
+        """Flat row at time t (rows_at); ValueError unless t lies in the span
+        or at a node."""
+        if not self.times[0] <= t <= self.times[-1] and self.index_of(t) is None:
             raise ValueError(f"t = {t} outside trajectory span")
-        return interp_rows(t, self.times, self.states)
+        return rows_at(self.times, self.states, t)
 
     def state_at(self, t):
         return StateVec.from_flat(self.row_at(t), self.n_groups)
@@ -371,10 +383,8 @@ def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, coverage=No
     spec.with_epsilon(coverage) bit for bit, without copying the spec.
     """
     f = flat_rhs_factory(spec, tracked_counts=tracked_counts, coverage=coverage)
-    ts, ys, clamps, h = integrate_flat(f, y0.to_flat(), cfg, n_state=2 * spec.n,
-                                       sample_times=sample_times)
-    return Trajectory(times=np.array(ts), states=np.array(ys),
-                      labels=spec.labels, clamp_events=clamps, next_step=h)
+    return Trajectory.of(integrate_flat(f, y0.to_flat(), cfg, n_state=2 * spec.n,
+                                        sample_times=sample_times), spec.labels)
 
 
 def integrate_batch(spec, y0, eps, cfg):
@@ -401,10 +411,7 @@ def integrate_batch(spec, y0, eps, cfg):
         evals += 1
         return rhs(t, y)
     y = np.repeat(y0.to_flat()[:, None], len(eps), axis=1)
-    ts, ys, clamps, h = integrate_flat(f, y, cfg, 2 * spec.n)
-    traj = Trajectory(times=np.array(ts), states=np.array(ys), labels=spec.labels,
-                      clamp_events=clamps, next_step=h)
-    return traj, evals
+    return Trajectory.of(integrate_flat(f, y, cfg, 2 * spec.n), spec.labels), evals
 
 
 def annual_series(traj):

@@ -9,6 +9,7 @@ which the configured prior fractions are projected.
 
 from __future__ import annotations
 
+import dataclasses
 import inspect
 import linecache
 import textwrap
@@ -37,10 +38,10 @@ def exec_source(src, filename, namespace):
 # rates a<j> (floats), the prior fractions named in its class's
 # CLOSURE_PRIORS as p_<field>, and t; it leaves the pair fractions, in PAIRS
 # order, in m0, m1, ...  basic_fractions and risk_fractions are compiled
-# from it, and model._flat_rhs_maker pastes it into every unpinned scalar
-# RHS with each ``raise`` line replaced by a call of the core, which takes
-# the same branch on the same floats and raises.  So the success path makes
-# no call: each min and max is written as the comparisons the builtin makes
+# from it, and model._flat_rhs_maker pastes it verbatim into every unpinned
+# scalar RHS, whose namespace holds the names its ``raise`` lines read
+# (CLOSURE_ERRORS).  So the success path makes no call: each min and max is
+# written as the comparisons the builtin makes
 # (an item replaces the one kept only if it is smaller, resp. greater),
 # which keeps the builtin's result on ties and NaN, and min() itself runs
 # only to tell a NaN volume from a nonpositive one.  The batch closures
@@ -133,6 +134,15 @@ def _priors_line(fields):
             + ", ".join(f"priors.{f}" for f in fields))
 
 
+def check_unit_fields(record):
+    """ValueError naming the first field of the dataclass ``record`` that
+    lies outside [0, 1] (NaN included)."""
+    for f in dataclasses.fields(record):
+        v = getattr(record, f.name)
+        if not (0.0 <= v <= 1.0):
+            raise ValueError(f"{f.name} = {v} outside [0, 1]")
+
+
 @dataclass(frozen=True)
 class BasicMixing:
     """Mixing fractions of the 3-group model.
@@ -155,10 +165,7 @@ class BasicMixing:
     CLOSURE_PRIORS = ()
 
     def __post_init__(self):
-        for name in ("eta_msm", "alpha_hetf"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} = {v} outside [0, 1]")
+        check_unit_fields(self)
 
     def as_tuple(self):
         return (self.eta_msm, self.alpha_hetf)
@@ -192,11 +199,7 @@ class RiskMixing:
     CLOSURE_PRIORS = _RISK_SHARES
 
     def __post_init__(self):
-        for name in ("eta_msm", "eta_hetfh", "alpha_hetfh", "alpha_hetfl",
-                     "xi_hetm"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} = {v} outside [0, 1]")
+        check_unit_fields(self)
         if self.eta_msm + self.eta_hetfh > 1.0 + 1e-12:
             raise ValueError("eta_msm + eta_hetfh exceeds 1")
 
@@ -226,6 +229,12 @@ def _empty_interval_error(lo, hi, t):
     return InfeasibleClosure(
         f"empty feasible interval for xi_hetm: [{lo:.6g}, {hi:.6g}]{_at(t)}", t=t,
         value=lo)
+
+
+# The names the closure texts' ``raise`` lines read.
+CLOSURE_ERRORS = {"InfeasibleClosure": InfeasibleClosure,
+                  "_unit_interval_error": _unit_interval_error,
+                  "_empty_interval_error": _empty_interval_error}
 
 
 def _compiled_from(mixing):

@@ -17,38 +17,35 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ZeroPopulation
-from .mixing import (BasicMixing, RiskMixing, basic_fractions, close_basic,  # noqa: F401
-                     close_basic_batch, close_risk, close_risk_batch, exec_source,
-                     risk_fractions)
+from .mixing import CLOSURE_ERRORS, BasicMixing, RiskMixing, check_unit_fields, exec_source
+# looked up here by name at use (Variant), so rebinding them (e.g. for tracing) works
+from .mixing import close_basic, close_basic_batch, close_risk, close_risk_batch  # noqa: F401
 
 
 @dataclass(frozen=True)
 class Variant:
     """Group labels in state order, the mixing class (which carries the
     contact-pair table and the closure text) and the names in this module of
-    the closure solver, its core (giving pair fractions, not the record) and
-    the core's array form, looked up at use so that rebinding them (e.g. for
-    tracing) works.  An unpinned scalar RHS evaluates the core's text inline
-    and calls the core only on a failure."""
+    the closure solver and its array form, looked up at use so that
+    rebinding them (e.g. for tracing) works.  An unpinned scalar RHS
+    evaluates the closure text inline and calls neither."""
 
     groups: tuple
     mixing: type
     closure: str
-    fractions: str
     batch_closure: str
 
 
 VARIANTS = {
     "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, "close_basic",
-                     "basic_fractions", "close_basic_batch"),
+                     "close_basic_batch"),
     "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, "close_risk",
-                    "risk_fractions", "close_risk_batch"),
+                    "close_risk_batch"),
 }
 
 
@@ -96,10 +93,7 @@ class TransmissionProbs:
     beta_mf: float
 
     def __post_init__(self):
-        for name in ("beta_mm", "beta_fm", "beta_mf"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} = {v} outside [0, 1]")
+        check_unit_fields(self)
 
 
 @dataclass(frozen=True)
@@ -275,11 +269,11 @@ def dfe(spec):
 # scalar: the same IEEE values at about three times the cost.
 # Closure-inline rule: an unpinned scalar RHS evaluates the mixing closure
 # inline, pasting the closure text of mixing.py (the text the core is
-# compiled from) into its body, with the contact rates a<j> and the priors
-# p_<field> as float cells.  Its success path makes no call; each ``raise``
-# line of the text becomes a call of the core (cell ``close``), which takes
-# the same branch and raises the same error.  The batched RHS calls the
-# array-form closure instead.
+# compiled from) verbatim into its body, with the contact rates a<j> and the
+# priors p_<field> as float cells.  It makes no call: its ``raise`` lines
+# read their error builders from the generated namespace (CLOSURE_ERRORS),
+# so a failure raises the core's error on the same floats.  The batched RHS
+# calls the array-form closure instead.
 # Sums over a group's partners run in partner order: near the risk closure's
 # xi_hetm clamp the step-size control amplifies last-bit differences in them
 # into node-time shifts, so their rounding is held fixed.
@@ -299,10 +293,10 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
     ``exact``: its exact_delta mode.  The three row forms of the flat RHS
     keep the arithmetic order of the hand-written closures they replaced,
     and the spillover rows that of the numpy kernel, so integrations are
-    unchanged to the last bit.  Cached: at most 6 * 2**n - 4 sources per
-    variant (2 * 2**n flat and 4 * (2**n - 1) spillover: pinned or not,
-    exact or not, by source set).  The source is registered under a name
-    stating its form, e.g.
+    unchanged to the last bit.  Cached: at most 6 * 2**n - 2 sources per
+    variant (2 * 2**n flat and 4 * 2**n - 2 spillover: pinned or not, exact
+    or not, by source set, the empty one exact only).  The source is
+    registered under a name stating its form, e.g.
     ``<flat_rhs risk sources=0,1,2,3>``.
     """
     var = VARIANTS[variant]
@@ -321,8 +315,7 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
     if pinned:
         body.append(f"{m} = fixed")
     else:
-        body += re.sub(r"(?m)^(\s*)raise .*$", rf"\1close(({Ns}), a, priors, t=t)",
-                       mixing.CLOSURE).splitlines()
+        body += mixing.CLOSURE.splitlines()
     body += [f"u{j} = 1.0 - c{j} / S{j} if S{j} > c{j} else 0.0" for j in tracked]
     for j, row in enumerate(rows):
         p0, i0, _ = row[0]
@@ -356,7 +349,7 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
                 ds, dg = f"{ds} - lam{k} * S{k}", f"{dg} + lam{k} * S{k}"
             out.append(f"{ds}, {dg}")
     body.append("return [" + ", ".join(out) + "]")
-    cells = (["zero_population", "labels", "close", "a", "priors", "fixed", "mu"]
+    cells = (["zero_population", "labels", "fixed", "mu"]
              + [f"{c}{j}" for c in ("Pi", "v", "a") for j in g]
              + [f"u{j}" for j in g if j not in tracked]
              + [f"c{j}" for j in tracked]
@@ -368,22 +361,19 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
     form = [variant] + ["pinned"] * pinned
     form += [f"{key}={','.join(map(str, js))}" for key, js in
              (("tracked", tracked), ("sources", sources)) if js] + ["exact"] * exact
-    return exec_source(src, f"<flat_rhs {' '.join(form)}>", {})["make"]
+    return exec_source(src, f"<flat_rhs {' '.join(form)}>", dict(CLOSURE_ERRORS))["make"]
 
 
-def _rhs_cells(spec, closure):
+def _rhs_cells(spec):
     """The cells of a generated flat RHS for the spec's own coverage, each
     numeric one converted here to a Python float (the float-cell rule)."""
-    ps = [p for _, p in spec.groups]
-    a = tuple(float(p.a) for p in ps)
     mu = float(spec.mu)
     fixed = spec.mixing and tuple(map(float, spec.mixing.pair_fractions()))
     cells = {"zero_population": _zero_population, "labels": spec.labels, "mu": mu,
-             "close": globals()[closure], "a": a, "priors": spec.mixing_priors,
              "fixed": fixed}
-    for j, p in enumerate(ps):
-        cells.update({f"Pi{j}": float(p.Pi), f"v{j}": mu + float(p.delta), f"a{j}": a[j],
-                      f"u{j}": 1.0 - float(p.epsilon)})
+    for j, (_, p) in enumerate(spec.groups):
+        cells.update({f"Pi{j}": float(p.Pi), f"v{j}": mu + float(p.delta),
+                      f"a{j}": float(p.a), f"u{j}": 1.0 - float(p.epsilon)})
     mixing = VARIANTS[spec.variant].mixing
     for i, (_, _, beta) in enumerate(mixing.PAIRS):
         cells[f"b{i}"] = float(getattr(spec.probs, beta))
@@ -392,8 +382,11 @@ def _rhs_cells(spec, closure):
     return cells
 
 
-def flat_rhs_factory(spec, tracked_counts=None, coverage=None):
-    """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...].
+def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact=False):
+    """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...],
+    followed, for each of the group indices ``sources`` (sorted), by that
+    source's spillover block: the (sigma, gamma) pairs of every group, in
+    the exact_delta mode if ``exact`` (see prepspill.spillover).
 
     ``coverage`` optionally maps group labels to coverage fractions that
     replace the spec's: the RHS is then that of spec.with_epsilon(coverage),
@@ -403,10 +396,9 @@ def flat_rhs_factory(spec, tracked_counts=None, coverage=None):
     (capped at 1) instead of using the fixed fractions.  Groups with a zero
     count keep their fixed fraction.
     """
-    var = VARIANTS[spec.variant]
     counts = tuple(tracked_counts) if tracked_counts is not None else (0.0,) * spec.n
     tracked = tuple(j for j, c in enumerate(counts) if c)
-    cells = _rhs_cells(spec, var.fractions)
+    cells = _rhs_cells(spec)
     for label, eps in (coverage or {}).items():
         eps = float(eps)
         if not 0.0 <= eps <= 1.0:  # GroupParams' range, NaN included
@@ -415,7 +407,8 @@ def flat_rhs_factory(spec, tracked_counts=None, coverage=None):
     for j in tracked:
         del cells[f"u{j}"]
         cells[f"c{j}"] = float(counts[j])
-    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked)
+    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked, tuple(sources),
+                           exact)
     return make(**cells)
 
 
@@ -431,7 +424,7 @@ def batched_rhs_factory(spec, eps):
     each member's derivative is the scalar one bit for bit."""
     var = VARIANTS[spec.variant]
     pairs, n = var.mixing.PAIRS, spec.n
-    cells = _rhs_cells(spec, var.batch_closure)
+    cells, close = _rhs_cells(spec), globals()[var.batch_closure]
     b = [cells[f"b{i}"] for i in range(len(pairs))]
     c, A, rows = [], [], [[i for i, pair in enumerate(pairs) if pair[0] == j] for j in range(n)]
     for j, row in enumerate(rows):
@@ -444,8 +437,8 @@ def batched_rhs_factory(spec, eps):
 
     def column(values):
         return np.array(values, dtype=float)[:, None]
-    c, A, a, mu = column(c), column(A), column(cells["a"]), cells["mu"]
-    Pi, v = (column([cells[f"{x}{j}"] for j in range(n)]) for x in ("Pi", "v"))
+    c, A, mu = column(c), column(A), cells["mu"]
+    Pi, v, a = (column([cells[f"{x}{j}"] for j in range(n)]) for x in ("Pi", "v", "a"))
     partner, u = np.array([p for _, p, _ in pairs]), 1.0 - np.asarray(eps, dtype=float).T
     fixed = None if spec.mixing is None else column(cells["fixed"])
 
@@ -456,7 +449,7 @@ def batched_rhs_factory(spec, eps):
         if not N.min() > 0.0 and (bad := (N <= 0.0).any(axis=0)).any():  # not only NaN
             i = bad.argmax()
             raise _zero_population(spec.labels, N[:, i], t).for_member(i)
-        m = cells["close"](N, a, spec.mixing_priors, t=t) if fixed is None else fixed
+        m = close(N, a, spec.mixing_priors, t=t) if fixed is None else fixed
         T = (m * c * I[partner] / N[partner])[terms]
         # summed term by term from -0.0, which leaves every first term as is
         inc = u * (A * np.add.reduce(T, axis=0, initial=-0.0, where=valid)) * S

@@ -75,6 +75,18 @@ def rc_numeric(ngm):
     return ReproductionNumber(value=value, method="numeric", components={})
 
 
+def _checked_closed_form(ngm, closed, comps, real=True, residue=""):
+    """The closed-form value if it is ``real`` and agrees with rc_numeric to
+    _AGREE_RTOL, else the numeric value with a mismatch diagnostic quoting
+    the closed value, then ``residue``."""
+    numeric = rc_numeric(ngm).value
+    if real and abs(closed - numeric) <= _AGREE_RTOL * max(numeric, 1e-30):
+        return ReproductionNumber(value=closed, method="closed_form", components=comps)
+    return ReproductionNumber(
+        value=numeric, method="numeric", components=comps,
+        diagnostic=f"ClosedFormMismatch: closed = {closed!r}{residue} vs numeric = {numeric!r}")
+
+
 def _cubic_roots(b, c, d):
     """All roots of z^3 + b z^2 + c z + d, complex principal radicals."""
     P = c - b * b / 3.0
@@ -140,14 +152,8 @@ def rc_closed_basic(ngm):
         z = G2 / G1 + G1
         closed = z.real + G_mm / 3.0
         resid = abs(z.imag)
-    numeric = rc_numeric(ngm).value
-    scale = max(numeric, 1e-30)
-    if resid < _IMAG_TOL and abs(closed - numeric) <= _AGREE_RTOL * scale:
-        return ReproductionNumber(value=closed, method="closed_form", components=comps)
-    return ReproductionNumber(
-        value=numeric, method="numeric", components=comps,
-        diagnostic=(f"ClosedFormMismatch: closed = {closed!r} "
-                    f"(imag residue {resid:.3e}) vs numeric = {numeric!r}"))
+    return _checked_closed_form(ngm, closed, comps, resid < _IMAG_TOL,
+                                f" (imag residue {resid:.3e})")
 
 
 def _depressed_quartic_roots(p, q, r):
@@ -224,15 +230,7 @@ def rc_closed_risk(ngm):
     for i, z in enumerate(roots):
         comps[f"R_cr{i + 1}"] = base + z.real if abs(z.imag) <= 1e-9 * max(1.0, abs(z)) \
             else complex(base + z.real, z.imag)
-    numeric = rc_numeric(ngm).value
-    scale = max(numeric, 1e-30)
-    if cands and abs(max(cands) - numeric) <= _AGREE_RTOL * scale:
-        return ReproductionNumber(value=max(cands), method="closed_form",
-                                  components=comps)
-    closed = max(cands) if cands else float("nan")
-    return ReproductionNumber(
-        value=numeric, method="numeric", components=comps,
-        diagnostic=f"ClosedFormMismatch: closed = {closed!r} vs numeric = {numeric!r}")
+    return _checked_closed_form(ngm, max(cands) if cands else float("nan"), comps)
 
 
 def rc_closed(spec_or_ngm):
@@ -311,7 +309,6 @@ def _random_feasible_states(spec, n_trials, rng):
     that are also mixing-feasible; rejection sampling."""
     eq = dfe(spec)
     Sstar = eq.S
-    _, a, _, _ = spec.param_arrays()
     out = []
     guard = 0
     while len(out) < n_trials:
@@ -345,8 +342,10 @@ def stability_probe(spec, n_trials=50, seed=0):
     nodes; dt_max = horizon / 8) starting from the step the trial's
     controller proposed at the end of the previous span.  Where no dt_max
     binds, a trial takes the steps of one integration from t = 0 that stops
-    at each horizon.
+    at each horizon.  ``n_trials`` must be at least 1 in either regime.
     """
+    if n_trials < 1:
+        raise ValueError(f"n_trials = {n_trials} must be at least 1")
     _, _, delta, _ = spec.param_arrays()
     if np.any(delta != 0.0):
         raise ValueError("stability probe applies to delta = 0 specs")

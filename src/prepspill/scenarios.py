@@ -22,8 +22,8 @@ import numpy as np
 
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup,
                      ZeroPopulation)
-from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, interp_rows,
-                          node_index, write_csv)
+from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, rows_at,
+                          write_csv)
 from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       SIM_START, TABLE_BASIC_BASELINE,
@@ -525,9 +525,7 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
         for T in horizons:
             # nnt()'s nnt_simple, reading each state and gamma at the horizon
             # as Trajectory.state_at and SensitivityTrajectory.at do
-            t_eval = traj.times[0] + T
-            i = node_index(traj.times, t_eval)
-            at = (table[i] if i is not None else interp_rows(t_eval, traj.times, table)).tolist()
+            at = rows_at(traj.times, table, traj.times[0] + T).tolist()
             row = [f"{T:.2f}"]
             for p, (jl, k) in enumerate(pairs):
                 simple = simple_nnt(T, at[p // n], at[n + p])

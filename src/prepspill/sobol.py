@@ -10,6 +10,7 @@ collects every coefficient whose multi-index touches that input).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -42,8 +43,8 @@ class UncertainInput:
     domain: str = "scale"
 
     def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError("need lo <= hi")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.lo <= self.hi):
+            raise ValueError(f"need finite lo <= hi, got lo = {self.lo}, hi = {self.hi}")
         if self.domain not in ("scale", "count"):
             raise ValueError(f"unknown domain {self.domain!r}")
 
@@ -217,8 +218,11 @@ def total_degree_set(dims, total_degree):
 
 
 def _check_tensor_exactness(grid, total_degree):
-    """ExactnessViolation unless the grid, if a tensor Gauss rule, is exact
-    to the projection's degree: 2*level - 1 >= 2*total_degree per dimension."""
+    """ValueError for a negative total_degree; ExactnessViolation unless the
+    grid, if a tensor Gauss rule, is exact to the projection's degree:
+    2*level - 1 >= 2*total_degree per dimension."""
+    if total_degree < 0:
+        raise ValueError(f"total_degree = {total_degree} must be >= 0")
     if grid.rule == "gauss_legendre_tensor" and 2 * grid.level - 1 < 2 * total_degree:
         raise ExactnessViolation(
             f"tensor level {grid.level} is exact to degree {2 * grid.level - 1}, "

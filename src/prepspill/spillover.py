@@ -12,7 +12,7 @@ coverage in group k, and is positive when PrEP helps.  The finite-difference
 check in :func:`fd_oracle` returns the same convention.
 
 Two dynamic modes, generated with the state equations from the same
-contact-pair table by ``model._flat_rhs_maker`` (``sources``, ``exact``):
+contact-pair table by ``model.flat_rhs_factory`` (``sources``, ``exact``):
 
 * "practical" (default): the sensitivity block decays at the natural removal
   rate mu regardless of delta, while being driven by the full state
@@ -34,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PerturbationOutOfRange, UnsupportedVariant, ZeroPopulation
-from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate,
-                          integrate_flat, interp_rows, node_index, write_csv)
-from .model import VARIANTS, _flat_rhs_maker, _rhs_cells
+from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate, integrate_flat,
+                          rows_at, write_csv)
+from .model import flat_rhs_factory
 
 MODES = ("practical", "exact_delta")
 
@@ -68,14 +68,9 @@ class SensitivityTrajectory:
     gamma: np.ndarray
 
     def at(self, t):
-        i = node_index(self.times, t)
-        if i is not None:
-            sig, gam = self.sigma[i], self.gamma[i]
-        else:
-            sig = interp_rows(t, self.times, self.sigma)
-            gam = interp_rows(t, self.times, self.gamma)
         return SensitivityState(source=self.source, source_index=self.source_index,
-                                sigma=sig, gamma=gam)
+                                sigma=rows_at(self.times, self.sigma, t),
+                                gamma=rows_at(self.times, self.gamma, t))
 
 
 @dataclass(frozen=True)
@@ -97,45 +92,29 @@ def _check_mode(spec, mode):
         raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
 
 
-def _augmented_rhs_factory(spec, source_indices, mode):
-    """Flat rhs over [state | C | one (sigma, gamma) block per source]."""
-    _check_mode(spec, mode)
-    var = VARIANTS[spec.variant]
-    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, (),
-                           sources=tuple(source_indices), exact=mode == "exact_delta")
-    return make(**_rhs_cells(spec, var.fractions))
-
-
 def integrate_with_spillover(spec, y0, sources, cfg, mode="practical",
                              sample_times=None):
     """Jointly integrate the state and the requested sensitivity blocks.
 
     ``sources`` are group labels.  Sensitivities start from exactly zero at
     cfg.t0.  Returns the state trajectory and one SensitivityTrajectory per
-    requested source, keyed by group label.  With an empty source set this
-    is identical to :func:`prepspill.integrators.integrate`, once the mode
-    has been checked against the variant.
+    requested source, keyed by group label.  With an empty source set the
+    state trajectory is that of :func:`prepspill.integrators.integrate`, bit
+    for bit, once the mode has been checked against the variant.
     """
     _check_mode(spec, mode)
     src = sorted(spec.group_index(s) for s in set(sources))
-    if not src:
-        traj = integrate(spec, y0, cfg, sample_times=sample_times)
-        return traj, {}
     n = spec.n
-    f = _augmented_rhs_factory(spec, src, mode)
+    f = flat_rhs_factory(spec, sources=src, exact=mode == "exact_delta")
     y0_flat = np.concatenate([y0.to_flat(), np.zeros(2 * n * len(src))])
-    ts, ys, clamps, _ = integrate_flat(f, y0_flat, cfg, n_state=2 * n,
-                                       sample_times=sample_times)
-    times = np.array(ts)
-    ymat = np.array(ys)
-    traj = Trajectory(times=times, states=ymat, labels=spec.labels,
-                      clamp_events=clamps)
+    traj = Trajectory.of(integrate_flat(f, y0_flat, cfg, n_state=2 * n,
+                                        sample_times=sample_times), spec.labels)
     sens = {}
     for b, k in enumerate(src):
         off = 3 * n + 2 * n * b
-        block = ymat[:, off:off + 2 * n]
+        block = traj.states[:, off:off + 2 * n]
         sens[spec.labels[k]] = SensitivityTrajectory(
-            source=spec.labels[k], source_index=k, times=times,
+            source=spec.labels[k], source_index=k, times=traj.times,
             sigma=block[:, 0::2].copy(), gamma=block[:, 1::2].copy())
     return traj, sens
 
@@ -200,7 +179,7 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
 
 
 @dataclass
-class FdEstimate:
+class FdEstimate(SensitivityTrajectory):
     """Finite-difference sensitivity estimate on a fixed sample grid.
 
     Same sign convention as SensitivityTrajectory (reductions).  ``scheme``
@@ -208,11 +187,6 @@ class FdEstimate:
     fallback was used at a coverage boundary.
     """
 
-    source: str
-    source_index: int
-    times: np.ndarray
-    sigma: np.ndarray
-    gamma: np.ndarray
     scheme: str
 
 

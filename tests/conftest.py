@@ -3,14 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from prepspill import model
 from prepspill.errors import UnsupportedVariant, ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate
-from prepspill.mixing import BasicMixing, RiskMixing
-from prepspill.model import (VARIANTS, StateVec, TransmissionProbs, _zero_population,
-                             contact_matrix, dfe, make_spec)
+from prepspill.mixing import BasicMixing, RiskMixing, basic_fractions, risk_fractions
+from prepspill.model import (StateVec, TransmissionProbs, _zero_population, contact_matrix,
+                             dfe, flat_rhs_factory, make_spec)
 from prepspill.presets import georgia_basic, georgia_risk
-from prepspill.spillover import SensitivityState, _augmented_rhs_factory
+from prepspill.spillover import SensitivityState
 
 
 @pytest.fixture(scope="session")
@@ -156,7 +155,8 @@ def contact_matrix_at(spec, N, t=None):
     _zero_population's error if a group has N <= 0."""
     if (N <= 0.0).any():
         raise _zero_population(spec.labels, N, t)
-    close, a = getattr(model, VARIANTS[spec.variant].fractions), [p.a for _, p in spec.groups]
+    close = basic_fractions if spec.variant == "basic" else risk_fractions
+    a = [p.a for _, p in spec.groups]
     return contact_matrix(spec, spec.mixing or close(N.tolist(), a, spec.mixing_priors, t=t))
 
 
@@ -192,7 +192,7 @@ def _one_source_rhs(spec, state, sens, mode, t):
     """The generated one-source augmented system evaluated at (state, block):
     the flat derivative, state slots first, then the block's (sigma, gamma)."""
     y = state.to_flat().tolist() + np.column_stack([sens.sigma, sens.gamma]).ravel().tolist()
-    return _augmented_rhs_factory(spec, (sens.source_index,), mode)(t, y)
+    return flat_rhs_factory(spec, sources=(sens.source_index,), exact=mode == "exact_delta")(t, y)
 
 
 def spillover_rhs(spec, state, sens, mode="practical", t=None):

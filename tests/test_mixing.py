@@ -5,7 +5,7 @@ import pytest
 
 from conftest import basic_residuals, random_spec, risk_objective, risk_residuals
 from prepspill.errors import InfeasibleClosure
-from prepspill.model import VARIANTS, _flat_rhs_maker, _rhs_cells, contact_matrix, dfe
+from prepspill.model import _flat_rhs_maker, _rhs_cells, contact_matrix, dfe
 from prepspill.presets import georgia_risk
 from prepspill.mixing import (BasicMixing, RiskMixing, _risk_projection, _risk_xi_shares,
                               basic_fractions, close_basic, close_basic_batch,
@@ -235,7 +235,7 @@ def _generated_rhs_pair(variant, spec, form):
     """The unpinned generated RHS of one form (flat, tracked or spillover)
     and the same RHS pinned to given fractions: ``pinned(fixed)``."""
     tracked, sources, exact = form
-    cells = _rhs_cells(spec, VARIANTS[variant].fractions)
+    cells = _rhs_cells(spec)
     for j in tracked:
         del cells[f"u{j}"]
         cells[f"c{j}"] = 2e3

@@ -16,7 +16,6 @@ from prepspill.model import (VARIANTS, GroupParams, StateVec, TransmissionProbs,
                              make_spec)
 from prepspill.mixing import BasicMixing, basic_fractions, risk_fractions
 from prepspill.reproduction import build_ngm
-from prepspill.spillover import _augmented_rhs_factory
 
 
 def hand_contact_matrix(spec, mix):
@@ -376,7 +375,6 @@ def test_float_cells_keep_the_arithmetic(variant):
     # and the closure core gives the same contact matrix for a list N
     rng = np.random.default_rng(47)
     block_rng = np.random.default_rng(59)
-    var = VARIANTS[variant]
     for i in range(8):
         spec = random_spec(rng, variant)
         if i % 2:
@@ -387,14 +385,14 @@ def test_float_cells_keep_the_arithmetic(variant):
             y = state.to_flat().tolist()
             k = int(rng.integers(spec.n))
             for tracked in ((), (k,)):
-                cells = _rhs_cells(spec, var.fractions)
+                cells = _rhs_cells(spec)
                 for j in tracked:
                     del cells[f"u{j}"]
                     cells[f"c{j}"] = float(state.S[j] * rng.uniform(0.0, 1.5))
                 make = _flat_rhs_maker(variant, spec.mixing is not None, tracked)
                 want = make(**_as_numpy_scalars(cells))(2017.0, y)
                 assert make(**cells)(2017.0, y) == want
-            cells = _rhs_cells(spec, var.fractions)
+            cells = _rhs_cells(spec)
             ya = y + (block_rng.uniform(-1.0, 1.0, 2 * spec.n ** 2) * state.N.mean()).tolist()
             for exact in ((False, True) if variant == "basic" else (False,)):
                 make = _flat_rhs_maker(variant, spec.mixing is not None, (),
@@ -464,8 +462,7 @@ def test_generated_rhs_traceback_shows_its_source(basic, sources, name):
     # linecache, so a traceback shows the generated line that raised
     spec, y0 = basic
     empty = StateVec.make(y0.S * [1.0, 0.0, 1.0], y0.I * [1.0, 0.0, 1.0])
-    f = (_augmented_rhs_factory(spec, sources, "practical") if sources
-         else flat_rhs_factory(spec))
+    f = flat_rhs_factory(spec, sources=sources)
     y = empty.to_flat().tolist() + [0.0] * (6 * len(sources))
     with pytest.raises(ZeroPopulation) as exc:
         f(2020.5, y)

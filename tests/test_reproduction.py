@@ -176,6 +176,17 @@ def test_probe_georgia_grows(basic):
     assert report.confirmed
 
 
+@pytest.mark.parametrize("n_trials", [0, -1])
+def test_probe_needs_a_trial(basic, n_trials):
+    # zero trials would confirm decay with nothing run; growth ignores the
+    # count but is refused the same way
+    spec, _ = basic
+    decay = spec.with_delta_zero().with_epsilon({l: 1.0 for l in spec.labels})
+    for spec0 in (decay, spec.with_delta_zero()):
+        with pytest.raises(ValueError, match=f"n_trials = {n_trials} must be at least 1"):
+            stability_probe(spec0, n_trials=n_trials)
+
+
 def test_probe_tuned_to_decay(basic):
     spec, _ = basic
     spec0 = spec.with_delta_zero()

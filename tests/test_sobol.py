@@ -105,6 +105,33 @@ def test_study_refuses_a_coarse_tensor_before_integrating(risk, monkeypatch, tmp
     assert err.startswith("error: tensor level 5 ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("nan")),
+                                   (-float("inf"), 1.0), (0.0, float("inf")), (1.0, 0.0)])
+def test_uncertain_input_needs_finite_ordered_bounds(lo, hi):
+    # a NaN bound fails lo > hi as well, so it is refused as non-finite here,
+    # not deep in a study's closure
+    with pytest.raises(ValueError, match="need finite lo <= hi"):
+        UncertainInput(group="msm", lo=lo, hi=hi)
+
+
+def test_negative_degree_refused_before_integrating(basic, monkeypatch):
+    # both entry points refuse a negative degree, the study before its batch
+    import prepspill.sobol as sobol_mod
+
+    def never(*args, **kwargs):
+        raise AssertionError("integrate_batch called")
+
+    monkeypatch.setattr(sobol_mod, "integrate_batch", never)
+    spec, y0 = basic
+    inputs = [UncertainInput(group=lbl, lo=-0.5, hi=1.0) for lbl in spec.labels]
+    with pytest.raises(ValueError, match="total_degree = -1 must be >= 0"):
+        sobol_timeseries(spec, y0, inputs, level=2, total_degree=-1)
+    for rule in ("gauss_legendre_tensor", "clenshaw_curtis_smolyak"):
+        g = build_grid(unit_inputs(2), rule=rule, level=2)
+        with pytest.raises(ValueError, match="total_degree = -1 must be >= 0"):
+            fit_pce(np.zeros(g.n_nodes), g, total_degree=-1)
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 

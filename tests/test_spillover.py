@@ -9,7 +9,7 @@ from prepspill.errors import (PerturbationOutOfRange, UnsupportedVariant,
                               ZeroPopulation)
 from prepspill.integrators import IntegratorConfig, integrate, node_index
 from prepspill.model import StateVec, closed_mixing, dfe, flat_rhs_factory
-from prepspill.spillover import (SensitivityState, _augmented_rhs_factory, fd_oracle,
+from prepspill.spillover import (SensitivityState, fd_oracle,
                                  integrate_with_spillover, nnt, per_person_effect)
 
 CFG = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-9, atol=1e-7)
@@ -80,7 +80,7 @@ def test_adaptive_vs_fixed_gamma(basic):
                                          cfg=CFG.over(2020.0, 2030.0))
     # the fixed-step oracle over the same generated augmented system
     msm, hetf = spec.group_index("msm"), spec.group_index("hetf")
-    f = _augmented_rhs_factory(spec, [msm], "practical")
+    f = flat_rhs_factory(spec, sources=[msm])
     y0_flat = np.concatenate([start.to_flat(), np.zeros(2 * spec.n)])
     _, rows = rk4_fixed(f, y0_flat, 2020.0, 2030.0, 0.05)
     ga = sens_a["msm"].at(2030.0).gamma[hetf]
@@ -321,7 +321,7 @@ def test_exact_delta_risk_rejected_without_sources(risk):
 
 def test_augmented_rhs_zero_population_names_group_and_time(basic):
     spec, y0 = basic
-    f = _augmented_rhs_factory(spec, [0], "practical")
+    f = flat_rhs_factory(spec, sources=[0])
     y = np.concatenate([y0.to_flat(), np.zeros(2 * spec.n)])
     y[4] = y[5] = 0.0  # no HETM
     with pytest.raises(ZeroPopulation, match=r"^group hetm has N = 0 at t = 2021.0$"):
@@ -350,7 +350,7 @@ def test_sensitivity_rows_match_finite_differences(variant, mode):
         blocks = rng.uniform(-1.0, 1.0, (n, n, 2)) * state.N.mean()
         if mode == "practical":
             blocks[:, :, 0] = -blocks[:, :, 1]
-        got = np.array(_augmented_rhs_factory(spec, range(n), mode)(
+        got = np.array(flat_rhs_factory(spec, sources=range(n), exact=mode == "exact_delta")(
             2017.0, np.concatenate([x, blocks.ravel()]).tolist()))
         flat = np.array(flat_rhs_factory(spec)(2017.0, x.tolist()))
         Pi, _, delta, _ = spec.param_arrays()
