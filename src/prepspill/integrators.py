@@ -54,9 +54,14 @@ def interp_rows(t, times, rows):
 
 def rows_at(times, rows, t):
     """The row of ``rows`` (one per entry of ``times``) at t: the stored row
-    of the node within NODE_TOL of t, else interp_rows'."""
+    of the node within NODE_TOL of t, else interp_rows'.  ValueError unless
+    t lies in the span or at a node."""
     i = node_index(times, t)
-    return rows[i] if i is not None else interp_rows(t, times, rows)
+    if i is not None:
+        return rows[i]
+    if not times[0] <= t <= times[-1]:
+        raise ValueError(f"t = {t} outside trajectory span")
+    return interp_rows(t, times, rows)
 
 
 def write_csv(path_or_file, header, rows):
@@ -142,10 +147,7 @@ class Trajectory:
         return node_index(self.times, t)
 
     def row_at(self, t):
-        """Flat row at time t (rows_at); ValueError unless t lies in the span
-        or at a node."""
-        if not self.times[0] <= t <= self.times[-1] and self.index_of(t) is None:
-            raise ValueError(f"t = {t} outside trajectory span")
+        """Flat row at time t (rows_at, which refuses t outside the span)."""
         return rows_at(self.times, self.states, t)
 
     def state_at(self, t):

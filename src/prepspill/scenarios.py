@@ -32,7 +32,7 @@ from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
                       georgia_spec, reported_groups)
 # nnt stays importable from here for tracers that rebind scenarios.nnt
 from .spillover import integrate_with_spillover, nnt, simple_nnt  # noqa: F401
-from .sobol import UncertainInput, sobol_timeseries
+from .sobol import QuadratureGrid, UncertainInput, sobol_timeseries
 
 SCHEMA_VERSION = 1
 NNT_DISPLAY_CAP = 1e5  # person-years; larger values are suppressed in plot data
@@ -578,7 +578,7 @@ def write_sobol(study, out_dir, variant):
 
 def sobol_manifest(study):
     return {
-        "rule": study.grid_rule,
+        "rule": QuadratureGrid.rule,
         "level": study.grid_level,
         "node_count": study.n_nodes,
         "clamp_count": study.clamp_count,

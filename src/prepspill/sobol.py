@@ -52,10 +52,12 @@ class UncertainInput:
 @dataclass(frozen=True)
 class QuadratureGrid:
     """Nodes and weights normalised against the joint uniform density
-    (weights sum to one)."""
+    (weights sum to one).  ``rule`` names the one rule, the tensor
+    Gauss-Legendre product; it is a constant, not a setting."""
+
+    rule = "gauss_legendre_tensor"
 
     dims: int
-    rule: str
     level: int
     nodes: np.ndarray    # (n_nodes, dims), in the inputs' intervals
     weights: np.ndarray  # (n_nodes,)
@@ -121,93 +123,34 @@ def _basis_matrix(index_set, nodes, intervals):
     return P
 
 
-def _cc_rule(n_points):
-    """Clenshaw-Curtis nodes on [-1,1] and weights normalised to sum 1."""
-    if n_points == 1:
-        return np.array([0.0]), np.array([1.0])
-    n = n_points - 1
-    theta = np.pi * np.arange(n_points) / n
-    x = -np.cos(theta)
-    w = np.empty(n_points)
-    for k in range(n_points):
-        s = 0.0
-        for j in range(1, n // 2 + 1):
-            b = 1.0 if 2 * j == n else 2.0
-            s += b / (4.0 * j * j - 1.0) * np.cos(2.0 * j * theta[k])
-        w[k] = (1.0 - s) / n
-    w[0] /= 2.0
-    w[-1] /= 2.0
-    return x, w / w.sum()
-
-
-def build_grid(inputs, rule="gauss_legendre_tensor", level=5):
-    """Quadrature grid over the inputs' intervals.
-
-    gauss_legendre_tensor: ``level`` points per dimension, full tensor.
-    clenshaw_curtis_smolyak: standard sparse combination of nested
-    Clenshaw-Curtis rules up to total level ``level``; combination weights
-    can be negative, which is inherent to sparse grids.
-    """
+def build_grid(inputs, level=5):
+    """Tensor Gauss-Legendre grid over the inputs' intervals: ``level``
+    points per dimension, one node for a degenerate interval.  The node
+    count is checked against NODE_CAP before the 1-D rule is built."""
     if level < 1:
         raise ValueError("level must be >= 1")
     d = len(inputs)
     intervals = tuple((float(u.lo), float(u.hi)) for u in inputs)
-
-    if rule == "gauss_legendre_tensor":
-        x1, w1 = np.polynomial.legendre.leggauss(level)
-        w1 = w1 / 2.0  # uniform density on [-1, 1]
-        axes = []
-        for lo, hi in intervals:
-            if hi == lo:  # degenerate: one node carries all mass
-                axes.append((np.array([lo]), np.array([1.0])))
-            else:
-                axes.append((lo + (hi - lo) * (x1 + 1.0) / 2.0, w1))
-        count = int(np.prod([len(ax[0]) for ax in axes]))
-        if count > NODE_CAP:
-            raise DimensionOverflow(f"{count} nodes exceed cap {NODE_CAP}")
-        # nodes in itertools.product order (last dimension fastest), each
-        # weight the product of its dimensions' weights in dimension order
-        nodes = np.array(np.meshgrid(*(x for x, _ in axes), indexing="ij"))
-        nodes = nodes.reshape(d, count).T.copy()
-        weights = np.ones(1)
-        for _, w in axes:
-            weights = np.multiply.outer(weights, w).ravel()
-        return QuadratureGrid(dims=d, rule=rule, level=level, nodes=nodes,
-                              weights=weights, intervals=intervals)
-
-    if rule != "clenshaw_curtis_smolyak":
-        raise ValueError(f"unknown rule {rule!r}")
-
-    def n_pts(lev):
-        return 1 if lev == 1 else 2 ** (lev - 1) + 1
-
-    from math import comb
-    acc = {}
-    for combo in product(range(1, level + 1), repeat=d):
-        q = sum(combo)
-        # standard Smolyak combination: levels with level <= |l|_1 <= level + d - 1
-        if not (level <= q <= level + d - 1):
-            continue
-        coef = (-1) ** (level + d - 1 - q) * comb(d - 1, level + d - 1 - q)
-        axes = [_cc_rule(n_pts(l)) for l in combo]
-        for idx in product(*(range(len(ax[0])) for ax in axes)):
-            pt = tuple(round(float(axes[dim][0][j]), 14) for dim, j in enumerate(idx))
-            w = coef
-            for dim, j in enumerate(idx):
-                w *= axes[dim][1][j]
-            acc[pt] = acc.get(pt, 0.0) + w
-            if len(acc) > NODE_CAP:
-                raise DimensionOverflow(f"sparse grid exceeds cap {NODE_CAP}")
-    pts = sorted(acc)
-    nodes = np.empty((len(pts), d))
-    weights = np.empty(len(pts))
-    for i, pt in enumerate(pts):
-        weights[i] = acc[pt]
-        for dim in range(d):
-            lo, hi = intervals[dim]
-            nodes[i, dim] = lo + (hi - lo) * (pt[dim] + 1.0) / 2.0
-    return QuadratureGrid(dims=d, rule=rule, level=level, nodes=nodes,
-                          weights=weights, intervals=intervals)
+    count = level ** sum(hi != lo for lo, hi in intervals)
+    if count > NODE_CAP:
+        raise DimensionOverflow(f"{count} nodes exceed cap {NODE_CAP}")
+    x1, w1 = np.polynomial.legendre.leggauss(level)
+    w1 = w1 / 2.0  # uniform density on [-1, 1]
+    axes = []
+    for lo, hi in intervals:
+        if hi == lo:  # degenerate: one node carries all mass
+            axes.append((np.array([lo]), np.array([1.0])))
+        else:
+            axes.append((lo + (hi - lo) * (x1 + 1.0) / 2.0, w1))
+    # nodes in itertools.product order (last dimension fastest), each
+    # weight the product of its dimensions' weights in dimension order
+    nodes = np.array(np.meshgrid(*(x for x, _ in axes), indexing="ij"))
+    nodes = nodes.reshape(d, count).T.copy()
+    weights = np.ones(1)
+    for _, w in axes:
+        weights = np.multiply.outer(weights, w).ravel()
+    return QuadratureGrid(dims=d, level=level, nodes=nodes, weights=weights,
+                          intervals=intervals)
 
 
 def total_degree_set(dims, total_degree):
@@ -219,11 +162,11 @@ def total_degree_set(dims, total_degree):
 
 def _check_tensor_exactness(grid, total_degree):
     """ValueError for a negative total_degree; ExactnessViolation unless the
-    grid, if a tensor Gauss rule, is exact to the projection's degree:
-    2*level - 1 >= 2*total_degree per dimension."""
+    grid is exact to the projection's degree: 2*level - 1 >= 2*total_degree
+    per dimension."""
     if total_degree < 0:
         raise ValueError(f"total_degree = {total_degree} must be >= 0")
-    if grid.rule == "gauss_legendre_tensor" and 2 * grid.level - 1 < 2 * total_degree:
+    if 2 * grid.level - 1 < 2 * total_degree:
         raise ExactnessViolation(
             f"tensor level {grid.level} is exact to degree {2 * grid.level - 1}, "
             f"projection needs {2 * total_degree}")
@@ -238,9 +181,9 @@ def fit_pce(samples, grid, total_degree):
     expansion's coeffs carry one column per output.
 
     Refuses (ExactnessViolation) when the grid cannot integrate the
-    projection's Gram matrix: tensor Gauss rules need per-dimension
-    exactness 2*level - 1 >= 2*total_degree, and the empirical Gram matrix
-    must be the identity to 1e-10 for any rule.
+    projection's Gram matrix: the rule needs per-dimension exactness
+    2*level - 1 >= 2*total_degree, and the empirical Gram matrix must be
+    the identity to 1e-10.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.shape[0] != grid.n_nodes:
@@ -318,7 +261,6 @@ class SobolStudy:
     output_groups: tuple
     inputs: tuple
     indices: dict            # (year, group label) -> SobolIndices
-    grid_rule: str
     grid_level: int
     n_nodes: int
     clamp_count: int
@@ -386,8 +328,7 @@ def _batch_incidence(spec, y0, grid, eps, cfg):
     return years, table[..., member[inverse.reshape(-1)]], rhs_evals, len(nodes)
 
 
-def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
-                     level=5, total_degree=4, cfg=None):
+def sobol_timeseries(spec, y0, inputs, years=None, level=5, total_degree=4, cfg=None):
     """Sobol indices of annual incidence per output group and calendar year.
 
     Inputs map sampled values onto coverage fractions (coverage_fractions:
@@ -400,13 +341,13 @@ def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
     same cfg) bit for bit; in a larger batch each member stays within the
     tolerances of its own run.  A failing node raises EnsembleError naming
     the lowest failing one.  One projection (fit_pce) fits every (year,
-    group) series at once; a tensor grid too coarse for it is refused
+    group) series at once; a grid too coarse for it is refused
     (ExactnessViolation) before any node is integrated.
     """
     inputs = tuple(inputs)
     if cfg is None:
         cfg = IntegratorConfig(t0=2017.0, t_end=2031.0)
-    grid = build_grid(inputs, rule=rule, level=level)
+    grid = build_grid(inputs, level=level)
     _check_tensor_exactness(grid, total_degree)  # before any node is integrated
     eps, clamps = coverage_fractions(spec, y0, inputs, grid.nodes)
     all_years, table, rhs_evals, members = _batch_incidence(spec, y0, grid, eps, cfg)
@@ -417,7 +358,7 @@ def sobol_timeseries(spec, y0, inputs, years=None, rule="gauss_legendre_tensor",
     indices = dict(zip(keys, _series_indices(pce.index_set, pce.coeffs)))
     samples = {key: Y[:, c] for c, key in enumerate(keys)}
     return SobolStudy(years=[all_years[yi] for yi in kept], output_groups=spec.labels,
-                      inputs=inputs, indices=indices, grid_rule=rule, grid_level=level,
+                      inputs=inputs, indices=indices, grid_level=level,
                       n_nodes=grid.n_nodes, clamp_count=clamps,
                       boundary_affected=clamps > 0, rtol=cfg.rtol, atol=cfg.atol,
                       rhs_evals=rhs_evals, members=members, samples=samples)

@@ -68,6 +68,7 @@ class SensitivityTrajectory:
     gamma: np.ndarray
 
     def at(self, t):
+        """The block at time t (rows_at, which refuses t outside the span)."""
         return SensitivityState(source=self.source, source_index=self.source_index,
                                 sigma=rows_at(self.times, self.sigma, t),
                                 gamma=rows_at(self.times, self.gamma, t))

@@ -1,10 +1,9 @@
 """Acceptance criteria, one test (or tightly-related pair) per criterion.
 
-Each test prints a `[criterion N] PASS/FAIL` line.  Three checks are encoded
+Each test prints a `[criterion N] PASS/FAIL` line.  Two checks are encoded
 as strict xfails because the published numbers they quote are internally
 inconsistent with the published tables this package does reproduce; the
 assertions are kept exactly as stated and the reasons carry the arithmetic.
-See ../notes in the repository root's decision log for the full analysis.
 """
 
 import time

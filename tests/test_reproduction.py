@@ -9,10 +9,10 @@ import pytest
 from conftest import random_spec, stationary_risk
 from prepspill import reproduction
 from prepspill.integrators import IntegratorConfig, integrate
-from prepspill.model import StateVec, TransmissionProbs, dfe
+from prepspill.model import StateVec, TransmissionProbs, dfe, flat_rhs_factory
 from prepspill.presets import georgia_basic
 from prepspill.reproduction import (NGMatrices, _random_feasible_states,
-                                    build_ngm, rc_closed_basic,
+                                    build_ngm, rc_closed, rc_closed_basic,
                                     rc_closed_risk, rc_numeric,
                                     scale_transmission, stability_probe,
                                     tune_multiplier_to_rc, _TUNE_TOL)
@@ -197,6 +197,65 @@ def test_probe_tuned_to_decay(basic):
     assert report.regime == "decay"
     assert report.confirmed and report.conclusive
     assert report.max_terminal_ratio < 1e-3
+
+
+# The DFE threshold (van den Driessche & Watmough 2002, Theorem 2): the flat
+# RHS's Jacobian at the DFE has a positive spectral abscissa exactly when
+# R_c > 1.  It is taken by central differences with a step of _FD_STEP of
+# each group's DFE population.  Each entry then carries truncation of order
+# _FD_STEP**2 and roundoff of order eps / _FD_STEP of its row's scale;
+# _FD_TOL bounds both with a factor 1000 to spare.  Entries of F off by
+# _FD_TOL of their row's scale move rho(F V^-1) by about n * _FD_TOL, so a
+# draw that close to R_c = 1 is not decided by the sign.
+_FD_STEP = 1e-6
+_FD_TOL = 1e3 * np.finfo(float).eps / _FD_STEP
+
+
+def _dfe_jacobian(spec):
+    """Central-difference Jacobian of the flat RHS at dfe(spec), on the 2n
+    S/I slots (the C accumulators read nothing and add zero eigenvalues)."""
+    f, y = flat_rhs_factory(spec), dfe(spec).to_flat()
+    m = 2 * spec.n
+    J = np.empty((m, m))
+    for c in range(m):
+        h = _FD_STEP * y[c - c % 2]  # S_j's DFE value, for S_j and I_j
+        up, down = y.copy(), y.copy()
+        up[c] += h
+        down[c] -= h
+        J[:, c] = (np.array(f(0.0, up.tolist())[:m]) - f(0.0, down.tolist())[:m]) / (2 * h)
+    return J
+
+
+def _threshold_cases(variant):
+    """200 random_spec draws, then the preset (stationary for risk, whose
+    literal DFE does not close) tuned to R_c 0.99 and 1.01."""
+    rng = np.random.default_rng(11 if variant == "basic" else 12)
+    yield from (random_spec(rng, variant) for _ in range(200))
+    spec = {"basic": georgia_basic, "risk": stationary_risk}[variant]()[0]
+    for target in (0.99, 1.01):
+        yield scale_transmission(spec, tune_multiplier_to_rc(spec, target))
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_dfe_threshold_matches_rc_property(variant):
+    # the RHS and the NGM share no formula: the Jacobian's I block must be
+    # F - V, block-triangular beside the S block, and its abscissa must have
+    # the sign of R_c - 1 by the numeric and by the closed form
+    signs = []
+    for spec in _threshold_cases(variant):
+        J = _dfe_jacobian(spec)
+        ngm = build_ngm(spec)
+        assert np.all(J[1::2, 0::2] == 0.0)  # infections stay zero with S moved
+        FV = ngm.F - ngm.V
+        assert np.all(np.abs(J[1::2, 1::2] - FV)
+                      <= _FD_TOL * np.abs(FV).max(axis=1, keepdims=True))
+        abscissa = float(np.max(np.linalg.eigvals(J).real))
+        R = rc_numeric(ngm).value
+        assert abs(R - 1.0) > spec.n * _FD_TOL, R  # no draw is left undecided
+        want = np.sign(R - 1.0)
+        assert np.sign(abscissa) == want == np.sign(rc_closed(ngm).value - 1.0), (R, abscissa)
+        signs.append(want)
+    assert signs[-2:] == [-1.0, 1.0]
 
 
 def _rc(spec, m=1.0):

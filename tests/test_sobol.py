@@ -31,9 +31,6 @@ def test_weights_normalised_all_rules():
         for level in range(1, 7):
             g = build_grid(unit_inputs(dims), level=level)
             assert abs(g.weights.sum() - 1.0) < 1e-12
-            g2 = build_grid(unit_inputs(dims), rule="clenshaw_curtis_smolyak",
-                            level=level)
-            assert abs(g2.weights.sum() - 1.0) < 1e-12
 
 
 def test_tensor_node_count():
@@ -44,6 +41,23 @@ def test_tensor_node_count():
 def test_dimension_overflow():
     with pytest.raises(DimensionOverflow):
         build_grid(unit_inputs(4), level=12)  # 20736 > cap
+
+
+def test_node_cap_checked_before_the_1d_rule(monkeypatch):
+    # leggauss(level) costs O(level**2) memory and O(level**3) time: a huge
+    # level is refused from its node count alone; degenerate axes hold one
+    # node each, so they do not count against the cap
+    import prepspill.sobol as sobol_mod
+
+    def never(level):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(sobol_mod.np.polynomial.legendre, "leggauss", never)
+    with pytest.raises(DimensionOverflow, match="125000000000 nodes exceed cap 20000"):
+        build_grid(unit_inputs(3), level=5000)
+    monkeypatch.undo()
+    flat = [UncertainInput(group=None, lo=0.5, hi=0.5)] * 5  # 30**6 would exceed it
+    assert build_grid(unit_inputs(1) + flat, level=30).n_nodes == 30
 
 
 def test_fit_linear_coefficient():
@@ -126,10 +140,9 @@ def test_negative_degree_refused_before_integrating(basic, monkeypatch):
     inputs = [UncertainInput(group=lbl, lo=-0.5, hi=1.0) for lbl in spec.labels]
     with pytest.raises(ValueError, match="total_degree = -1 must be >= 0"):
         sobol_timeseries(spec, y0, inputs, level=2, total_degree=-1)
-    for rule in ("gauss_legendre_tensor", "clenshaw_curtis_smolyak"):
-        g = build_grid(unit_inputs(2), rule=rule, level=2)
-        with pytest.raises(ValueError, match="total_degree = -1 must be >= 0"):
-            fit_pce(np.zeros(g.n_nodes), g, total_degree=-1)
+    g = build_grid(unit_inputs(2), level=2)
+    with pytest.raises(ValueError, match="total_degree = -1 must be >= 0"):
+        fit_pce(np.zeros(g.n_nodes), g, total_degree=-1)
 
 
 def _bits(a):
@@ -179,10 +192,8 @@ def test_whole_array_sobol_layers_equal_loop_forms(seed):
 
 
 def test_gram_orthonormality_all_grids():
-    for rule, level, deg in (("gauss_legendre_tensor", 5, 4),
-                             ("gauss_legendre_tensor", 6, 5),
-                             ("clenshaw_curtis_smolyak", 5, 2)):
-        g = build_grid(unit_inputs(3), rule=rule, level=level)
+    for level, deg in ((5, 4), (6, 5)):
+        g = build_grid(unit_inputs(3), level=level)
         idx = total_degree_set(3, deg)
         P = _basis_matrix(idx, g.nodes, g.intervals)
         gram = P.T @ (P * g.weights[:, None])
@@ -266,18 +277,6 @@ def test_degenerate_intervals_zero_variance(basic):
     study = sobol_timeseries(spec, y0, inputs, level=2, total_degree=1, cfg=cfg)
     for si in study.indices.values():
         assert si.defined is False
-
-
-def test_timeseries_study_smolyak_rule(basic):
-    spec, y0 = basic
-    inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0)
-                   for l in spec.labels)
-    cfg = IntegratorConfig(t0=2017.0, t_end=2021.0)
-    study = sobol_timeseries(spec, y0, inputs, rule="clenshaw_curtis_smolyak",
-                             level=4, total_degree=2, cfg=cfg)
-    assert study.grid_rule == "clenshaw_curtis_smolyak"
-    si = study.indices[(2020, "msm")]
-    assert si.defined and si.total[0] > 0.99
 
 
 def test_timeseries_study_patterns(basic):

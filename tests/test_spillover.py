@@ -26,6 +26,17 @@ def aug_basic(basic):
     return spec, traj, sens, base
 
 
+def test_reads_outside_the_run_refused(aug_basic):
+    # the sensitivity block and the state share rows_at's span check: a time
+    # past either end is refused, not held at the end row
+    _, traj, sens, _ = aug_basic
+    for t in (2100.0, 1900.0):
+        for read in (sens["msm"].at, traj.row_at):
+            with pytest.raises(ValueError, match=f"t = {t} outside trajectory span"):
+                read(t)
+    assert np.array_equal(sens["msm"].at(2031.0).gamma, sens["msm"].gamma[-1])
+
+
 def test_rhs_zero_at_disease_free(basic):
     spec, _ = basic
     eq = dfe(spec)
