@@ -120,7 +120,9 @@ class Trajectory:
 
     states rows follow the flat layout of the integrated system; the first
     3n columns are the model state (S/I interleaved, then C), any further
-    columns belong to augmented blocks owned by the caller.  A batched
+    columns belong to augmented blocks owned by the caller.  An S/I-only run
+    (integrate(..., incidence=False)) has rows of the 2n S/I slots alone,
+    which state_at, final_state, to_csv and annual_series refuse.  A batched
     integration (integrate_batch) adds a trailing member axis.  next_step is
     the controller's step after the last accepted one, the first_step of a
     run that continues this one.
@@ -156,6 +158,14 @@ class Trajectory:
     def final_state(self):
         return StateVec.from_flat(self.states[-1], self.n_groups)
 
+    def model_states(self):
+        """The model-state columns of states (S/I interleaved, then C);
+        ValueError for an S/I-only run, which has no C."""
+        n = self.n_groups
+        if self.states.shape[1] < 3 * n:
+            raise ValueError(f"rows of {self.states.shape[1]} slots hold no C for {n} groups")
+        return self.states[:, :3 * n]
+
     def to_csv(self, path_or_file):
         header = ["t"]
         for lbl in self.labels:
@@ -163,7 +173,7 @@ class Trajectory:
         header += [f"C_{lbl}" for lbl in self.labels]
         # csv writes a float as its repr, so whole-array rows of Python
         # floats give the digits of repr(float(v)) without per-cell calls
-        rows = np.column_stack((self.times, self.states[:, :3 * self.n_groups]))
+        rows = np.column_stack((self.times, self.model_states()))
         write_csv(path_or_file, header, rows.tolist())
 
 
@@ -284,7 +294,9 @@ def _dp_step_maker(w=None):
     unpacked into locals k<s>_<i>, each stage argument is a list display
     with one expression per entry, and the norm's squares are summed term by
     term, left to right (as sum() does on Python 3.11), so an attempt costs
-    6 RHS evaluations and no list passes.
+    6 RHS evaluations and no list passes.  Each square is a product x * x:
+    float ** 2 calls libm pow, which is not correctly rounded, while numpy
+    squares by multiplying.
 
     For w = None the same text runs on whole arrays: a batch, one row of
     members per component, f returning one such array, and the squares
@@ -299,7 +311,8 @@ def _dp_step_maker(w=None):
         body = [f"k{s} = f({node}, y + h * ({stage(weights)}))"
                 for s, (node, weights) in enumerate(_DP_STAGES, start=2)]
         body += [f"y5 = y + h * ({stage(_DP_Y5)})", "k7 = f(t + h, y5)",
-                 f"q = (h * ({stage(_DP_ERR)}) / (atol + rtol * maximum(abs(y), abs(y5)))) ** 2",
+                 f"r = h * ({stage(_DP_ERR)}) / (atol + rtol * maximum(abs(y), abs(y5)))",
+                 "q = r * r",
                  "return y5, k7, float(sqrt(sum(q) / len(y)).max())"]
         namespace = {"maximum": np.maximum, "sqrt": np.sqrt}
     else:
@@ -318,8 +331,8 @@ def _dp_step_maker(w=None):
         body += ["y5 = [" + ", ".join(f"z_{i}" for i in c) + "]", "k7 = f(t + h, y5)",
                  unpack(7, "k7")]
         # max(|y_i|, |z_i|) as the builtin compares: |z_i| only if greater
-        terms = " + ".join(f"(h * ({stage(i, _DP_ERR)}) / (atol + rtol * (e if (e := abs(z_{i})) "
-                           f"> (d := abs(y_{i})) else d))) ** 2" for i in c)
+        terms = " + ".join(f"(r := h * ({stage(i, _DP_ERR)}) / (atol + rtol * (e if (e := "
+                           f"abs(z_{i})) > (d := abs(y_{i})) else d))) * r" for i in c)
         body.append(f"return y5, k7, sqrt(({terms}) / {w})")
         namespace = {"sqrt": math.sqrt}
     src = ("def step(f, t, y, h, k1, atol, rtol):\n"
@@ -376,17 +389,23 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     return ts, ys, clamps, h
 
 
-def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, coverage=None):
+def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, coverage=None,
+              incidence=True):
     """Integrate a model from StateVec y0 over the configured window.
 
-    ``tracked_counts`` and ``coverage`` go to the flat RHS
+    ``tracked_counts``, ``coverage`` and ``incidence`` go to the flat RHS
     (model.flat_rhs_factory): ``coverage`` maps group labels to fractions
     that replace the spec's, so the run equals that of
     spec.with_epsilon(coverage) bit for bit, without copying the spec.
+    ``incidence=False`` integrates only the 2n S/I slots (y0.C unread), for
+    runs that read no incidence: the trajectory's rows are those 2n slots.
     """
-    f = flat_rhs_factory(spec, tracked_counts=tracked_counts, coverage=coverage)
-    return Trajectory.of(integrate_flat(f, y0.to_flat(), cfg, n_state=2 * spec.n,
-                                        sample_times=sample_times), spec.labels)
+    f = flat_rhs_factory(spec, tracked_counts=tracked_counts, coverage=coverage,
+                         incidence=incidence)
+    y = y0.to_flat()
+    return Trajectory.of(integrate_flat(f, y if incidence else y[:2 * spec.n], cfg,
+                                        n_state=2 * spec.n, sample_times=sample_times),
+                         spec.labels)
 
 
 def integrate_batch(spec, y0, eps, cfg):
@@ -431,11 +450,12 @@ def annual_series(traj):
     if not years:
         raise PartialYear("span shorter than one year")
     n = traj.n_groups
+    C = traj.model_states()[:, 2 * n:]
     out = np.empty((len(years), n) + traj.states.shape[2:])
     for r, y in enumerate(years):
         i0 = node_index(traj.times, float(y))
         i1 = node_index(traj.times, float(y + 1))
         if i0 is None or i1 is None:
             raise PartialYear(f"year boundary {y} missing from trajectory grid")
-        out[r] = traj.states[i1, 2 * n:3 * n] - traj.states[i0, 2 * n:3 * n]
+        out[r] = C[i1] - C[i0]
     return years, out

@@ -88,7 +88,7 @@ if not (B0 > 0.0 and B1 > 0.0 and B2 > 0.0 and B3 > 0.0) and min(B0, B1, B2, B3)
     raise InfeasibleClosure("nonpositive total contact volume", t=t)
 {_RISK_ETA_MSM}
 if not 0.0 <= em <= 1.0:
-    raise _unit_interval_error("eta_msm", em, t)
+    raise _unit_interval_error("eta_msm", em, t, _hetm_deficit(B1, B2, B3))
 {_RISK_BOUNDS}
 lo = lo1 if lo1 > 0.0 else 0.0
 lo = lo2 if lo2 > lo else lo
@@ -220,9 +220,19 @@ def _at(t):
     return "" if t is None else f" at t = {t:.6f}"
 
 
-def _unit_interval_error(name, value, t):
+def _unit_interval_error(name, value, t, detail=""):
     return InfeasibleClosure(
-        f"closure gives {name} = {value:.6g} outside [0, 1]{_at(t)}", t=t, value=value)
+        f"closure gives {name} = {value:.6g} outside [0, 1]{detail}{_at(t)}", t=t,
+        value=value)
+
+
+def _hetm_deficit(B1, B2, B3):
+    """The risk eta_msm error's detail: by how much HETM's contact volume
+    exceeds all HETF's (eta_msm - 1 is that deficit over B_msm), absolute
+    and as a share of B_hetm."""
+    deficit = B3 - (B1 + B2)
+    return (f"; contact-volume deficit B_hetm - (B_hh + B_hl) = {deficit:.6g}"
+            f" ({deficit / B3:.3%} of B_hetm)")
 
 
 def _empty_interval_error(lo, hi, t):
@@ -234,6 +244,7 @@ def _empty_interval_error(lo, hi, t):
 # The names the closure texts' ``raise`` lines read.
 CLOSURE_ERRORS = {"InfeasibleClosure": InfeasibleClosure,
                   "_unit_interval_error": _unit_interval_error,
+                  "_hetm_deficit": _hetm_deficit,
                   "_empty_interval_error": _empty_interval_error}
 
 
@@ -317,10 +328,12 @@ def _first(bad):
     return int(bad.argmax()) if bad.any() else None
 
 
-def _check_unit_columns(name, v, t, slack=0.0):
+def _check_unit_columns(name, v, t, slack=0.0, detail=lambda i: ""):
+    """_unit_interval_error for the first member outside [-slack, 1 +
+    slack], with the ``detail`` of that member's index."""
     i = _first(~((-slack <= v) & (v <= 1.0 + slack)))
     if i is not None:
-        raise _unit_interval_error(name, v[i], t).for_member(i)
+        raise _unit_interval_error(name, v[i], t, detail(i)).for_member(i)
 
 
 def _volumes(N, a, t):
@@ -359,7 +372,8 @@ def close_risk_batch(N, a, priors, t=None):
     shares = v[2:]
     if not (0.0 <= v[:2].min() and v[0].max() <= 1.0
             and -1e-14 <= shares.min() and shares.max() <= 1.0 + 1e-14):
-        _check_unit_columns("eta_msm", em, t)
+        _check_unit_columns("eta_msm", em, t,
+                            detail=lambda i: _hetm_deficit(B1[i], B2[i], B3[i]))
         i = _first(lo > hi)
         if i is not None:
             raise _empty_interval_error(lo[i], hi[i], t).for_member(i)

@@ -211,6 +211,10 @@ class StateVec:
 
     @classmethod
     def from_flat(cls, y, n):
+        """The state of a row in to_flat's layout (or its leading 3n slots);
+        ValueError for a shorter row, e.g. an S/I-only one with no C."""
+        if len(y) < 3 * n:
+            raise ValueError(f"a row of {len(y)} slots holds no C for {n} groups")
         y = np.asarray(y, dtype=float)
         return cls(S=y[0:2 * n:2].copy(), I=y[1:2 * n:2].copy(), C=y[2 * n:3 * n].copy())
 
@@ -280,7 +284,7 @@ def dfe(spec):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
+def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False, incidence=True):
     """Compile ``make(**cells) -> f(t, y)`` for one variant's contact-pair
     table and closure text.
 
@@ -290,15 +294,20 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
     Cells a<j> and b<i> hold the contact rates and each pair's transmission
     probability.  ``sources``: the spillover system, y going on with one
     (sigma, gamma) block per source group after the 3n state slots;
-    ``exact``: its exact_delta mode.  The three row forms of the flat RHS
-    keep the arithmetic order of the hand-written closures they replaced,
-    and the spillover rows that of the numpy kernel, so integrations are
-    unchanged to the last bit.  Cached: at most 6 * 2**n - 2 sources per
-    variant (2 * 2**n flat and 4 * 2**n - 2 spillover: pinned or not, exact
-    or not, by source set, the empty one exact only).  The source is
-    registered under a name stating its form, e.g.
-    ``<flat_rhs risk sources=0,1,2,3>``.
+    ``exact``: its exact_delta mode.  ``incidence=False``: the S/I-only
+    form, y the 2n S/I slots alone and no accumulator rows inc<j>, its S and
+    I rows the same expressions as in the full form (no sources, not exact).
+    The three row forms of the flat RHS keep the arithmetic order of the
+    hand-written closures they replaced, and the spillover rows that of the
+    numpy kernel, so integrations are unchanged to the last bit.  Cached: at
+    most 8 * 2**n - 2 sources per variant (4 * 2**n flat: pinned or not,
+    with the C rows or not, by tracked set; 4 * 2**n - 2 spillover: pinned
+    or not, exact or not, by source set, the empty one exact only).  The
+    source is registered under a name stating its form, e.g.
+    ``<flat_rhs risk sources=0,1,2,3>`` or ``<flat_rhs basic no-incidence>``.
     """
+    if not incidence and (sources or exact):
+        raise ValueError("the S/I-only RHS has no spillover blocks")
     var = VARIANTS[variant]
     mixing, n, pairs = var.mixing, len(var.groups), var.mixing.PAIRS
     g = range(n)
@@ -308,7 +317,8 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
 
     def psum(j, x):  # sum over j's partners p of W[j, p] * x(p), term by term
         return " + ".join(f"a{j} * m{i} * b{i} * {x(p)}" for p, i, _ in rows[j])
-    body = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * n}]",
+    si = f"y[:{2 * n}]" if incidence else "y"  # the S/I-only form gets those slots alone
+    body = [", ".join(f"S{j}, I{j}" for j in g) + f" = {si}",
             *(f"N{j} = S{j} + I{j}" for j in g)]
     body += ["if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
              f"    raise zero_population(labels, ({Ns}), t)"]
@@ -332,7 +342,7 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
                 f"m{i} * b{i} * I{p} / N{p}" for p, i, _ in row) + ")"
         body.append(f"inc{j} = u{j} * ({lam}) * S{j}")
     out = [f"Pi{j} - inc{j} - mu * S{j}, inc{j} - v{j} * I{j}" for j in g]
-    out += [f"inc{j}" for j in g]
+    out += [f"inc{j}" for j in g] * incidence
     for b, k in enumerate(sources):
         s, gm, off = [f"s{b}_{j}" for j in g], [f"g{b}_{j}" for j in g], 3 * n + 2 * n * b
         body.append(", ".join(f"{s[j]}, {gm[j]}" for j in g) + f" = y[{off}:{off + 2 * n}]")
@@ -361,6 +371,7 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False):
     form = [variant] + ["pinned"] * pinned
     form += [f"{key}={','.join(map(str, js))}" for key, js in
              (("tracked", tracked), ("sources", sources)) if js] + ["exact"] * exact
+    form += ["no-incidence"] * (not incidence)
     return exec_source(src, f"<flat_rhs {' '.join(form)}>", dict(CLOSURE_ERRORS))["make"]
 
 
@@ -382,11 +393,14 @@ def _rhs_cells(spec):
     return cells
 
 
-def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact=False):
+def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact=False,
+                     incidence=True):
     """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...],
     followed, for each of the group indices ``sources`` (sorted), by that
     source's spillover block: the (sigma, gamma) pairs of every group, in
     the exact_delta mode if ``exact`` (see prepspill.spillover).
+    ``incidence=False`` drops the C slots: the RHS maps the 2n S/I slots to
+    their derivative, each entry the full RHS's bit for bit (no sources).
 
     ``coverage`` optionally maps group labels to coverage fractions that
     replace the spec's: the RHS is then that of spec.with_epsilon(coverage),
@@ -408,7 +422,7 @@ def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact
         del cells[f"u{j}"]
         cells[f"c{j}"] = float(counts[j])
     make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked, tuple(sources),
-                           exact)
+                           exact, incidence)
     return make(**cells)
 
 

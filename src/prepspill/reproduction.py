@@ -342,7 +342,10 @@ def stability_probe(spec, n_trials=50, seed=0):
     nodes; dt_max = horizon / 8) starting from the step the trial's
     controller proposed at the end of the previous span.  Where no dt_max
     binds, a trial takes the steps of one integration from t = 0 that stops
-    at each horizon.  ``n_trials`` must be at least 1 in either regime.
+    at each horizon.  The verdict reads only the sum of I, so each trial
+    integrates only its 2n S/I slots (integrate(..., incidence=False)), not
+    the cumulative incidence.  ``n_trials`` must be at least 1 in either
+    regime.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials = {n_trials} must be at least 1")
@@ -360,13 +363,15 @@ def stability_probe(spec, n_trials=50, seed=0):
         states = [StateVec.make(dfe(spec).S - I0, I0)]
     start_tot = [float(np.sum(y.I)) for y in states]
     steps = [None] * len(states)
+    n, no_c = spec.n, np.zeros(spec.n)
     t0 = 0.0
     while True:
         for i, y in enumerate(states):
             cfg = IntegratorConfig(t0=t0, t_end=h, rtol=1e-8, atol=1e-8, dt_max=h / 8,
                                    year_nodes=False, first_step=steps[i])
-            traj = integrate(spec, y, cfg)
-            states[i], steps[i] = traj.final_state(), traj.next_step
+            traj = integrate(spec, y, cfg, incidence=False)
+            end, steps[i] = traj.states[-1], traj.next_step
+            states[i] = StateVec(S=end[0:2 * n:2].copy(), I=end[1:2 * n:2].copy(), C=no_c)
         worst = max((float(np.sum(y.I)) / s if s > 0 else 0.0
                      for y, s in zip(states, start_tot)), default=0.0)
         confirmed = worst < _DECAY_RATIO if regime == "decay" else worst >= _GROWTH_FACTOR

@@ -21,6 +21,9 @@ from .errors import (DimensionOverflow, EnsembleError, ExactnessViolation,
 from .integrators import IntegratorConfig, annual_series, integrate, integrate_batch
 
 NODE_CAP = 20_000
+# Points per input: leggauss(level) builds a level x level companion matrix,
+# and a grid with one non-degenerate input passes NODE_CAP up to level 20,000.
+LEVEL_CAP = 100
 _GRAM_TOL = 1e-10
 _VARIANCE_FLOOR = 1e-28  # at or below it (or roundoff of the mean), no indices
 
@@ -126,7 +129,8 @@ def _basis_matrix(index_set, nodes, intervals):
 def build_grid(inputs, level=5):
     """Tensor Gauss-Legendre grid over the inputs' intervals: ``level``
     points per dimension, one node for a degenerate interval.  The node
-    count is checked against NODE_CAP before the 1-D rule is built."""
+    count is checked against NODE_CAP, and the level against LEVEL_CAP,
+    before the 1-D rule is built."""
     if level < 1:
         raise ValueError("level must be >= 1")
     d = len(inputs)
@@ -134,6 +138,8 @@ def build_grid(inputs, level=5):
     count = level ** sum(hi != lo for lo, hi in intervals)
     if count > NODE_CAP:
         raise DimensionOverflow(f"{count} nodes exceed cap {NODE_CAP}")
+    if level > LEVEL_CAP:
+        raise DimensionOverflow(f"level {level} exceeds cap {LEVEL_CAP}")
     x1, w1 = np.polynomial.legendre.leggauss(level)
     w1 = w1 / 2.0  # uniform density on [-1, 1]
     axes = []

@@ -101,6 +101,20 @@ def test_annual_series_partial_year(basic):
         annual_series(traj)
 
 
+def test_si_only_run_refuses_the_reads_that_need_c(basic):
+    # integrate(..., incidence=False) keeps the 2n S/I slots, which match the
+    # full run's to its tolerance; no read takes them for a 3n model row
+    spec, y0 = basic
+    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
+    traj, full = integrate(spec, y0, cfg, incidence=False), integrate(spec, y0, cfg)
+    assert traj.states.shape == (len(traj.times), 2 * spec.n)
+    assert np.allclose(traj.states[-1], full.states[-1, :2 * spec.n], rtol=1e-6, atol=0.0)
+    for read in (traj.final_state, lambda: traj.state_at(2018.0),
+                 lambda: traj.to_csv(io.StringIO()), lambda: annual_series(traj)):
+        with pytest.raises(ValueError, match="no C for 3 groups"):
+            read()
+
+
 def test_year_boundaries_are_exact_nodes(baseline_basic):
     for y in range(2017, 2032):
         assert baseline_basic.index_of(float(y)) is not None
@@ -331,7 +345,7 @@ def reference_dp_step(f, t, y, h, k1, atol, rtol):
     err = [h * (71 / 57600 * s1 - 71 / 16695 * s3 + 71 / 1920 * s4
                 - 17253 / 339200 * s5 + 22 / 525 * s6 - 1 / 40 * s7)
            for s1, s3, s4, s5, s6, s7 in zip(k1, k3, k4, k5, k6, k7)]
-    norm = math.sqrt(sum((e / (atol + rtol * max(abs(yi), abs(yn)))) ** 2
+    norm = math.sqrt(sum((q := e / (atol + rtol * max(abs(yi), abs(yn)))) * q
                          for e, yi, yn in zip(err, y, y5)) / len(y))
     return y5, k7, norm
 
@@ -361,6 +375,32 @@ def test_generated_dp_step_equals_reference_bit_for_bit(w):
         assert len(got_log) == 6 and got_log == want_log
         assert [v.hex() for v in got[0]] == [v.hex() for v in want[0]]
         assert [v.hex() for v in got[1]] == [v.hex() for v in want[1]]
+        assert got[2].hex() == want[2].hex()
+
+
+def test_batch_of_one_attempt_equals_scalar_attempt_bit_for_bit():
+    # The array attempt on (w, 1) columns against the unrolled scalar one, on
+    # a coupled linear RHS that both compute with the same float operations.
+    # About one attempt in a thousand here squares an error term whose libm
+    # pow (float ** 2) is one ulp off x * x, so the norms must both multiply.
+    w, rng = 9, np.random.default_rng(0)
+    scalar, batch = _dp_step_maker(w), _dp_step_maker()
+    for _ in range(1000):
+        a, c, p = rng.normal(0.0, 1.0, w), rng.normal(0.0, 1.0, w), rng.permutation(w)
+        y = rng.uniform(0.0, 1.0, w) * 10.0 ** rng.uniform(-3, 3, w)
+        h = float(10.0 ** rng.uniform(-4, 0))
+        atol, rtol = (float(v) for v in 10.0 ** rng.uniform(-10, -4, 2))
+        rows = list(zip(a.tolist(), c.tolist(), p.tolist()))
+
+        def f_scalar(t, y):
+            return [ai * y[i] + ci * y[pi] for i, (ai, ci, pi) in enumerate(rows)]
+
+        def f_batch(t, y):
+            return a[:, None] * y + c[:, None] * y[p]
+        got = scalar(f_scalar, 0.0, y.tolist(), h, f_scalar(0.0, y.tolist()), atol, rtol)
+        want = batch(f_batch, 0.0, y[:, None], h, f_batch(0.0, y[:, None]), atol, rtol)
+        for g, v in zip(got[:2], want[:2]):
+            assert [x.hex() for x in g] == [float(x).hex() for x in v[:, 0]]
         assert got[2].hex() == want[2].hex()
 
 

@@ -94,6 +94,27 @@ def test_flat_rhs_equals_structured_property(seed, variant, pinned, tracked):
 
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
+       pinned=st.booleans(), tracked=st.booleans())
+def test_si_only_rhs_is_the_full_rhs_without_c_property(seed, variant, pinned, tracked):
+    # the S/I-only form maps the 2n S/I slots to the full RHS's S and I
+    # entries bit for bit; it has no spillover form
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant)
+    state = random_state(rng, spec)
+    if pinned:
+        spec = replace(spec, mixing=spec.mixing_priors)
+    counts = list(state.S * rng.uniform(0.0, 1.5, spec.n)
+                  * rng.integers(0, 2, spec.n)) if tracked else None
+    y = state.to_flat().tolist()
+    full = flat_rhs_factory(spec, tracked_counts=counts)(0.0, y)
+    si = flat_rhs_factory(spec, tracked_counts=counts, incidence=False)(0.0, y[:2 * spec.n])
+    assert [v.hex() for v in si] == [v.hex() for v in full[:2 * spec.n]]
+    with pytest.raises(ValueError, match="no spillover"):
+        flat_rhs_factory(spec, sources=[0], incidence=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
        pinned=st.booleans())
 def test_batched_rhs_equals_flat_rhs_property(seed, variant, pinned):
     # member b of the batch is the scalar flat RHS with coverage eps[b], bit

@@ -395,14 +395,14 @@ def _probe_spec(basic, regime):
 
 
 def _spied_probe(monkeypatch, spec, n_trials, seed):
-    """The probe report and its integrations, (cfg, start row, trajectory)
-    per call, grouped by trial."""
+    """The probe report and its integrations, (cfg, start S/I slots,
+    trajectory) per call, grouped by trial."""
     calls = []  # trials in turn each round
     real = reproduction.integrate
 
     def spy(spec, y0, cfg, **kw):
         traj = real(spec, y0, cfg, **kw)
-        calls.append((cfg, y0.to_flat(), traj))
+        calls.append((cfg, y0.to_flat()[:2 * spec.n], traj))
         return traj
 
     monkeypatch.setattr(reproduction, "integrate", spy)
@@ -414,10 +414,12 @@ def _spied_probe(monkeypatch, spec, n_trials, seed):
 
 @pytest.mark.parametrize("regime", ["decay", "growth"])
 def test_probe_integrates_each_span_once(basic, monkeypatch, regime):
-    report, trials = _spied_probe(monkeypatch, _probe_spec(basic, regime), 2, 3)
+    spec = _probe_spec(basic, regime)
+    report, trials = _spied_probe(monkeypatch, spec, 2, 3)
     assert report.regime == regime
     for mine in trials:
         assert mine[0][0].t0 == 0.0 and mine[-1][0].t_end == report.horizon
+        assert all(traj.states.shape[1] == 2 * spec.n for _, _, traj in mine)  # S/I only
         for prev, cur in zip(mine, mine[1:]):
             assert cur[0].t0 == prev[0].t_end   # continues at the last horizon
             assert np.array_equal(cur[1], prev[2].states[-1])  # from that trial's end state
@@ -449,12 +451,12 @@ def test_probe_ratio_matches_one_direct_integration(basic, regime):
     h = report.horizon
     first = 256.0 if regime == "decay" else 64.0
     assert report.regime == regime and h > first
-    # the probe's nodes: free steps, stopping at every doubling
+    # the probe's nodes: free steps of the S/I system, stopping at every doubling
     doublings = [first * 2 ** k for k in range(int(math.log2(h / first)))]
     cfg = IntegratorConfig(t0=0.0, t_end=h, rtol=1e-8, atol=1e-8, dt_max=h / 8,
                            year_nodes=False)
-    end = integrate(spec, starts[0], cfg, sample_times=doublings).final_state()
-    direct = float(np.sum(end.I)) / float(np.sum(starts[0].I))
+    end = integrate(spec, starts[0], cfg, sample_times=doublings, incidence=False).states[-1]
+    direct = float(np.sum(end[1::2])) / float(np.sum(starts[0].I))
     assert report.max_terminal_ratio == pytest.approx(direct, rel=1e-10, abs=0.0)
 
 

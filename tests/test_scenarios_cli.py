@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from prepspill.cli import build_parser, main
 from prepspill.errors import (ConfigError, MissingSeries, SchemaViolation,
                               UnknownGroup, ZeroPopulation)
-from prepspill.model import StateVec
+from prepspill.model import StateVec, dfe
 from prepspill.presets import (ANNUAL_INCIDENCE_BAND, BASIC_ARMS,
                                PREVALENCE_ANCHOR_2017, PREVALENCE_BAND, georgia_basic)
 from prepspill.integrators import annual_series
@@ -384,6 +384,21 @@ def test_cli_infeasible_closure_names_its_time(tmp_path, capsys):
     assert err.startswith("error: closure gives eta_msm = ") and err.count("\n") == 1
     t = float(err.split(" at t = ")[1])
     assert 2042.7 <= t <= 2042.9
+
+
+def test_cli_ngm_risk_names_the_hetm_volume_deficit(risk, tmp_path, capsys):
+    # at the literal risk preset's DFE, HETM's contact volume exceeds all
+    # HETF's: the error names that deficit, eta_msm - 1 = deficit / B_msm
+    assert main(["ngm", "--model", "risk", "--out", str(tmp_path)]) == 1
+    spec = risk[0]
+    _, a, _, _ = spec.param_arrays()
+    B = (dfe(spec).N * a).tolist()
+    deficit = B[3] - (B[1] + B[2])
+    assert deficit / B[0] == pytest.approx(0.18139, abs=5e-6)
+    assert capsys.readouterr().err == (
+        "error: closure gives eta_msm = 1.18139 outside [0, 1]; contact-volume deficit"
+        f" B_hetm - (B_hh + B_hl) = {deficit:.6g} ({deficit / B[3]:.3%} of B_hetm)\n")
+    assert f"{deficit:.6g} ({deficit / B[3]:.3%}" == "3.25e+06 (2.109%"
 
 
 def test_cli_spillover_csv_schema(tmp_path, capsys):

@@ -60,6 +60,28 @@ def test_node_cap_checked_before_the_1d_rule(monkeypatch):
     assert build_grid(unit_inputs(1) + flat, level=30).n_nodes == 30
 
 
+def test_level_cap_checked_before_the_1d_rule(monkeypatch, tmp_path, capsys):
+    # a level the node count lets through (every input degenerate, or one
+    # input) is still refused above LEVEL_CAP, before leggauss builds anything
+    import prepspill.sobol as sobol_mod
+    from prepspill.cli import main
+
+    def never(level):
+        raise AssertionError("leggauss called")
+
+    monkeypatch.setattr(sobol_mod.np.polynomial.legendre, "leggauss", never)
+    over = sobol_mod.LEVEL_CAP + 1
+    flat = [UncertainInput(group=None, lo=0.0, hi=0.0)] * 3
+    for inputs in (flat, unit_inputs(1)):
+        with pytest.raises(DimensionOverflow, match=f"^level {over} exceeds cap 100$"):
+            build_grid(inputs, level=over)
+    assert main(["sobol", "--lo", "0", "--hi", "0", "--level", str(over),
+                 "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == f"error: level {over} exceeds cap 100\n"
+    monkeypatch.undo()
+    assert build_grid(unit_inputs(1), level=sobol_mod.LEVEL_CAP).n_nodes == 100
+
+
 def test_fit_linear_coefficient():
     g = build_grid(unit_inputs(2), level=5)
     pce = fit_pce(g.nodes[:, 0], g, total_degree=4)

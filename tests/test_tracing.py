@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import stationary_risk
-from prepspill import model, reproduction, sobol
+from prepspill import integrators, model, reproduction, sobol
 from prepspill.cli import main
 from prepspill.presets import georgia_basic
 
@@ -116,3 +116,54 @@ def test_traced_spillover_integrates_the_baseline_head_once(monkeypatch, tmp_pat
                   key=lambda s: s["kind"])
     assert [(s["kind"], s["t0"], s["t_end"]) for s in flat] == [
         ("aug", 2020.0, 2031.0), ("model", 2017.0, 2020.0)]
+
+
+def test_traced_probes_pass_every_span_through_integrate_flat(monkeypatch):
+    # the probe benchmark reads model.rhs_evals, the step counts and
+    # reproduction.probe_model_years from the tracer's integrate_flat
+    # wrapper: every integration of a decay and a growth probe goes through
+    # it (one that bypassed it would read zero), and each keeps the
+    # Dormand-Prince identity, 1 + 6 RHS evaluations per attempted step,
+    # with the attempts counted at the step itself
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    attempts, calls = [0], []  # per integration: (attempts, accepted steps)
+    make_step, integrate = integrators._dp_step_maker, reproduction.integrate
+
+    def counting_step_maker(w=None):
+        step = make_step(w)
+
+        def counted(*args):
+            attempts[0] += 1
+            return step(*args)
+        return counted
+
+    def spy(*args, **kwargs):
+        before = attempts[0]
+        traj = integrate(*args, **kwargs)
+        calls.append((attempts[0] - before, len(traj.times) - 1))
+        return traj
+
+    monkeypatch.setattr(integrators, "_dp_step_maker", counting_step_maker)
+    monkeypatch.setattr(reproduction, "integrate", spy)
+    spec0 = georgia_basic()[0].with_delta_zero()
+    tuned = reproduction.scale_transmission(
+        spec0, reproduction.tune_multiplier_to_rc(spec0, 0.9))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        reports = [reproduction.stability_probe(tuned, n_trials=2, seed=3),
+                   reproduction.stability_probe(spec0, seed=0)]
+    finally:
+        tracer.uninstall()
+    assert [r.regime for r in reports] == ["decay", "growth"]
+    assert tracer.violations == []
+    flat = [s for s in tracer.spans if s["name"] == "integrators.integrate_flat"]
+    assert len(flat) == len(calls) > 2
+    assert [(s["rhs_evals"], s["accepted"], s["rejected"]) for s in flat] == [
+        (1 + 6 * n, acc, n - acc) for n, acc in calls]
+    assert all(s["kind"] == "model" and s["dim"] == 2 * spec0.n for s in flat)
+    m = tracing.layer_metrics(tracer)
+    assert m["model.rhs_evals"] == sum(1 + 6 * n for n, _ in calls)
+    assert m["reproduction.probe_model_years"] == sum(r.n_trials * r.horizon for r in reports)
