@@ -150,7 +150,7 @@ def cmd_sobol(args):
     inputs = tuple(UncertainInput(group=l, lo=args.lo, hi=args.hi)
                    for l in config.spec.labels)
     study = sobol_timeseries(config.spec, config.y0, inputs, level=args.level,
-                             total_degree=args.degree)
+                             total_degree=args.degree, cfg=config.integrator)
     paths = write_sobol(study, args.out, config.variant)
     _report(args, {"files": paths, **sobol_manifest(study)}, files=paths)
     return 0

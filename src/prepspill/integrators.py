@@ -235,26 +235,21 @@ def _postprocess_step(t, y, n_state, atol, clamp_events):
 
 
 def _postprocess_columns(t, y, n_state, atol, clamp_events):
-    """_postprocess_step over columns (one entry per batch member): tiny
-    negatives are clamped member by member; a hard negative raises
-    NegativeState for the first member that has one.  One min() screens
-    the slots, as in _postprocess_step; a NaN member passes unclamped."""
+    """_postprocess_step over columns (one entry per batch member), run on
+    each member's column in order only when one min() finds a slot below
+    zero (or a NaN): clamps are written back and recorded as (t, component,
+    member, value), and its NegativeState is raised for that member."""
     if np.min(y[:n_state]) >= 0.0:
         return
-    for i in range(n_state):
-        col = y[i]
-        neg = col < 0.0
-        if neg.any():
-            hard = col < -atol
-            if hard.any():
-                b = int(hard.argmax())
-                raise NegativeState(f"state component {i} = {col[b]:.6g} < -atol at "
-                                    f"t = {t:.6f}").for_member(b)
-            for b in np.flatnonzero(neg):
-                clamp_events.append((t, i, int(b), float(col[b])))
-            log.info("clamped component %d to 0 in %d members at t=%.6f",
-                     i, int(neg.sum()), t)
-            y[i] = np.where(neg, 0.0, col)
+    for b, col in enumerate(np.asarray(y[:n_state]).T.tolist()):
+        events = []
+        try:
+            _postprocess_step(t, col, n_state, atol, events)
+        except NegativeState as e:
+            raise e.for_member(b)
+        for _, i, v in events:
+            y[i][b] = 0.0
+            clamp_events.append((t, i, b, v))
 
 
 def _unpack(names, src):

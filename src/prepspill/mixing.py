@@ -43,9 +43,10 @@ def exec_source(src, filename, namespace):
 # (CLOSURE_ERRORS).  So the success path makes no call: each min and max is
 # written as the comparisons the builtin makes
 # (an item replaces the one kept only if it is smaller, resp. greater),
-# which keeps the builtin's result on ties and NaN, and min() itself runs
-# only to tell a NaN volume from a nonpositive one.  The batch closures
-# compile the shares, eta_msm, bounds and projection pieces as functions.
+# which keeps the builtin's result on ties and NaN.  A NaN volume passes the
+# volume check wherever it stands, and the first [0, 1] check names it.  The
+# batch closures compile the shares, eta_msm, bounds and projection pieces
+# as functions, and are judged by these texts when a screen fails.
 # ---------------------------------------------------------------------------
 
 _BASIC_SHARES = """\
@@ -54,7 +55,7 @@ eta = 1.0 - alpha * B1 / B0"""
 
 _BASIC_CLOSURE = f"""\
 B0, B1, B2 = N0 * a0, N1 * a1, N2 * a2
-if not (B0 > 0.0 and B1 > 0.0 and B2 > 0.0) and min(B0, B1, B2) <= 0.0:
+if B0 <= 0.0 or B1 <= 0.0 or B2 <= 0.0:
     raise InfeasibleClosure("nonpositive total contact volume", t=t)
 {_BASIC_SHARES}
 if not 0.0 <= alpha <= 1.0:
@@ -84,7 +85,7 @@ _RISK_XI_SHARES = ("ehh, ahh, ahl = (B1 - xi * B3) / B0, 1.0 - xi * B3 / B1, "
 
 _RISK_CLOSURE = f"""\
 B0, B1, B2, B3 = N0 * a0, N1 * a1, N2 * a2, N3 * a3
-if not (B0 > 0.0 and B1 > 0.0 and B2 > 0.0 and B3 > 0.0) and min(B0, B1, B2, B3) <= 0.0:
+if B0 <= 0.0 or B1 <= 0.0 or B2 <= 0.0 or B3 <= 0.0:
     raise InfeasibleClosure("nonpositive total contact volume", t=t)
 {_RISK_ETA_MSM}
 if not 0.0 <= em <= 1.0:
@@ -319,49 +320,44 @@ _risk_xi_shares = _text_function("_risk_xi_shares", _B4 + ", xi", _RISK_XI_SHARE
 
 # Array forms of the closures over the (n, B) columns of N, giving the pair
 # fractions as the rows of one (pairs, B) array, each member's the scalar
-# solver's bit for bit.  Past the volumes, one screen passes exactly when
-# every scalar check does; only otherwise do the checks run, in the scalar's
-# order, raising its error for the first failing member.
+# solver's bit for bit: whole-array arithmetic plus screens that pass exactly
+# when every scalar check does.  When one fails, the scalar closure judges.
 
-def _first(bad):
-    """Index of the first True entry of a boolean column, or None."""
-    return int(bad.argmax()) if bad.any() else None
-
-
-def _check_unit_columns(name, v, t, slack=0.0, detail=lambda i: ""):
-    """_unit_interval_error for the first member outside [-slack, 1 +
-    slack], with the ``detail`` of that member's index."""
-    i = _first(~((-slack <= v) & (v <= 1.0 + slack)))
-    if i is not None:
-        raise _unit_interval_error(name, v[i], t, detail(i)).for_member(i)
+def _judge(fractions, N, a, priors, t):
+    """Run the scalar closure ``fractions`` on each member's column of N, in
+    order, as Python floats; raise its first error, tagged with the member."""
+    a = np.ravel(a).tolist()
+    for i, col in enumerate(np.asarray(N, dtype=float).T.tolist()):
+        try:
+            fractions(col, a, priors, t)
+        except InfeasibleClosure as e:
+            raise e.for_member(i)
 
 
-def _volumes(N, a, t):
-    """The contact volumes N_j * a_j as the rows of one array, all positive
-    (a NaN fails the reduction and passes the scan, as in the scalar)."""
+def _volumes(fractions, N, a, priors, t):
+    """The contact volumes N_j * a_j as the rows of one array, screened for
+    a nonpositive or NaN entry before any division."""
     B = np.multiply(N, np.asarray(a).reshape(-1, 1))
-    i = None if B.min() > 0.0 else _first(np.logical_or.reduce(B <= 0.0))
-    if i is not None:
-        raise InfeasibleClosure("nonpositive total contact volume", t=t).for_member(i)
+    if not B.min() > 0.0:
+        _judge(fractions, N, a, priors, t)
     return B
 
 
 def close_basic_batch(N, a, priors=None, t=None):
     """basic_fractions over the columns of N."""
-    B0, B1, B2 = _volumes(N, a, t)
+    B0, B1, B2 = _volumes(basic_fractions, N, a, priors, t)
     m = np.empty((5,) + B0.shape)
     m[2], m[0] = _basic_shares(B0, B1, B2)  # alpha, eta
     np.subtract(1.0, m[0:4:2], out=m[1:4:2])
     m[4] = 1.0
     if not m[:4].min() >= 0.0:  # x and 1 - x are both >= 0 exactly when 0 <= x <= 1
-        _check_unit_columns("alpha_hetf", m[2], t)
-        _check_unit_columns("eta_msm", m[0], t)
+        _judge(basic_fractions, N, a, priors, t)
     return m
 
 
 def close_risk_batch(N, a, priors, t=None):
     """risk_fractions over the columns of N."""
-    B0, B1, B2, B3 = _volumes(N, a, t)
+    B0, B1, B2, B3 = _volumes(risk_fractions, N, a, priors, t)
     em = _risk_eta_msm(B0, B1, B2, B3)
     lo1, lo2, hi1 = _risk_bounds(B0, B1, B2, B3)
     lo = np.maximum(np.maximum(0.0, lo1), lo2)
@@ -372,13 +368,7 @@ def close_risk_batch(N, a, priors, t=None):
     shares = v[2:]
     if not (0.0 <= v[:2].min() and v[0].max() <= 1.0
             and -1e-14 <= shares.min() and shares.max() <= 1.0 + 1e-14):
-        _check_unit_columns("eta_msm", em, t,
-                            detail=lambda i: _hetm_deficit(B1[i], B2[i], B3[i]))
-        i = _first(lo > hi)
-        if i is not None:
-            raise _empty_interval_error(lo[i], hi[i], t).for_member(i)
-        for name, share in zip(_RISK_SHARES, shares):
-            _check_unit_columns(name, share, t, slack=1e-14)
+        _judge(risk_fractions, N, a, priors, t)
     ehh, ahh, ahl, xi = np.minimum(np.maximum(shares, 0.0), 1.0)  # roundoff at a bound
     return np.array((em, ehh, np.maximum(0.0, 1.0 - em - ehh), ahh, 1.0 - ahh,
                      ahl, 1.0 - ahl, xi, 1.0 - xi))

@@ -22,30 +22,31 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ZeroPopulation
-from .mixing import CLOSURE_ERRORS, BasicMixing, RiskMixing, check_unit_fields, exec_source
-# looked up here by name at use (Variant), so rebinding them (e.g. for tracing) works
-from .mixing import close_basic, close_basic_batch, close_risk, close_risk_batch  # noqa: F401
+from .mixing import (CLOSURE_ERRORS, BasicMixing, RiskMixing, check_unit_fields,
+                     close_basic_batch, close_risk_batch, exec_source)
+# looked up here by name at use (Variant.closure), so rebinding them (e.g. for tracing) works
+from .mixing import close_basic, close_risk  # noqa: F401
 
 
 @dataclass(frozen=True)
 class Variant:
     """Group labels in state order, the mixing class (which carries the
-    contact-pair table and the closure text) and the names in this module of
-    the closure solver and its array form, looked up at use so that
-    rebinding them (e.g. for tracing) works.  An unpinned scalar RHS
-    evaluates the closure text inline and calls neither."""
+    contact-pair table and the closure text), the name in this module of the
+    closure solver, looked up at use so that rebinding it (e.g. for tracing)
+    works, and the closure's array form.  An unpinned scalar RHS evaluates
+    the closure text inline and calls neither."""
 
     groups: tuple
     mixing: type
     closure: str
-    batch_closure: str
+    batch_closure: object
 
 
 VARIANTS = {
     "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, "close_basic",
-                     "close_basic_batch"),
+                     close_basic_batch),
     "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, "close_risk",
-                    "close_risk_batch"),
+                    close_risk_batch),
 }
 
 
@@ -393,6 +394,15 @@ def _rhs_cells(spec):
     return cells
 
 
+def _checked_coverage(eps):
+    """The coverage fraction eps as a float; ValueError outside [0, 1]
+    (GroupParams' range, NaN included)."""
+    eps = float(eps)
+    if not 0.0 <= eps <= 1.0:
+        raise ValueError(f"epsilon = {eps} outside [0, 1]")
+    return eps
+
+
 def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact=False,
                      incidence=True):
     """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...],
@@ -414,10 +424,7 @@ def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact
     tracked = tuple(j for j, c in enumerate(counts) if c)
     cells = _rhs_cells(spec)
     for label, eps in (coverage or {}).items():
-        eps = float(eps)
-        if not 0.0 <= eps <= 1.0:  # GroupParams' range, NaN included
-            raise ValueError(f"epsilon = {eps} outside [0, 1]")
-        cells[f"u{spec.group_index(label)}"] = 1.0 - eps
+        cells[f"u{spec.group_index(label)}"] = 1.0 - _checked_coverage(eps)
     for j in tracked:
         del cells[f"u{j}"]
         cells[f"c{j}"] = float(counts[j])
@@ -428,17 +435,19 @@ def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact
 
 def batched_rhs_factory(spec, eps):
     """The flat RHS of a batch of models differing only in coverage (``eps``
-    (B, n)): rhs(t, y) maps the (3n, B) state (or its rows) to one (3n, B)
-    derivative; failures name the first failing member (.member).  Each step
-    is one ufunc call over the groups (n, B) or pairs (pairs, B), in the
-    scalar row forms: pair i of group j adds (m_i * c_i * I_p) / N_p, summed
-    in partner order (PAIRS lists pairs by (j, p)) and times A_j, where
-    (c_i, A_j) is (b_i, a_j) in a general row, (1, a_j * b) with one beta
-    and (a_j * b, 1) for a lone pair (m_i = 1).  Products by 1 are exact, so
-    each member's derivative is the scalar one bit for bit."""
+    (B, n), whose first entry outside [0, 1] in row order is refused as
+    integrate refuses it): rhs(t, y) maps the (3n, B) state (or its rows) to
+    one (3n, B) derivative; failures name the first failing member
+    (.member).  Each step is one ufunc call over the groups (n, B) or pairs
+    (pairs, B), in the scalar row forms: pair i of group j adds (m_i * c_i *
+    I_p) / N_p, summed in partner order (PAIRS lists pairs by (j, p)) and
+    times A_j, where (c_i, A_j) is (b_i, a_j) in a general row, (1, a_j * b)
+    with one beta and (a_j * b, 1) for a lone pair (m_i = 1).  Products by 1
+    are exact, so each member's derivative is the scalar one bit for bit."""
+    eps = np.array([list(map(_checked_coverage, row)) for row in eps])
     var = VARIANTS[spec.variant]
     pairs, n = var.mixing.PAIRS, spec.n
-    cells, close = _rhs_cells(spec), globals()[var.batch_closure]
+    cells, close = _rhs_cells(spec), var.batch_closure
     b = [cells[f"b{i}"] for i in range(len(pairs))]
     c, A, rows = [], [], [[i for i, pair in enumerate(pairs) if pair[0] == j] for j in range(n)]
     for j, row in enumerate(rows):
@@ -453,7 +462,7 @@ def batched_rhs_factory(spec, eps):
         return np.array(values, dtype=float)[:, None]
     c, A, mu = column(c), column(A), cells["mu"]
     Pi, v, a = (column([cells[f"{x}{j}"] for j in range(n)]) for x in ("Pi", "v", "a"))
-    partner, u = np.array([p for _, p, _ in pairs]), 1.0 - np.asarray(eps, dtype=float).T
+    partner, u = np.array([p for _, p, _ in pairs]), 1.0 - eps.T
     fixed = None if spec.mixing is None else column(cells["fixed"])
 
     def f(t, y):

@@ -461,9 +461,10 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
     Series names: baseline (prevalence and annual incidence), effects
     (per-person incidence effects over time), nnt (NNT curves; undefined or
     excessive values are left empty, with a sidecar note), table (scenario
-    incidence table), sobol (index time series of a level-3, degree-2
-    study).  Unknown names raise MissingSeries.  Outputs are deterministic:
-    rerunning produces identical bytes.
+    incidence table), sobol (index time series of a level-3, degree-2 study
+    over the config's window and tolerances).  Unknown names raise
+    MissingSeries.  Outputs are deterministic: rerunning produces identical
+    bytes.
     """
     known = {"baseline", "effects", "nnt", "table", "sobol"}
     unknown = set(series) - known
@@ -549,7 +550,8 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
 
     if "sobol" in series:
         inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0) for l in labels)
-        study = sobol_timeseries(spec, y0, inputs, level=3, total_degree=2)
+        study = sobol_timeseries(spec, y0, inputs, level=3, total_degree=2,
+                                 cfg=config.integrator)
         paths += write_sobol(study, out_dir, variant)
 
     return paths

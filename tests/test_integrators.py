@@ -145,7 +145,7 @@ def test_columns_clamp_tiny_and_name_hard_negative():
     clamps = []
     _postprocess_columns(0.5, y, 2, 1e-6, clamps)
     assert [list(c) for c in y] == [[1.0, 0.0, 2.0], [0.0, 3.0, 4.0]]
-    assert clamps == [(0.5, 0, 1, -1e-9), (0.5, 1, 0, -1e-8)]
+    assert clamps == [(0.5, 1, 0, -1e-8), (0.5, 0, 1, -1e-9)]
     y = [np.array([1.0, -1e-9, -2.0, -3.0])]
     with pytest.raises(NegativeState) as exc:
         _postprocess_columns(0.5, y, 1, 1e-6, [])
@@ -154,6 +154,45 @@ def test_columns_clamp_tiny_and_name_hard_negative():
         integrate_flat(lambda t, y: [0.0], [-2.0], IntegratorConfig(
             t0=0.0, t_end=0.5, first_step=0.5), n_state=1)
     assert str(exc.value) == str(scalar.value)
+
+
+def test_columns_clamp_judged_by_scalar_step_property():
+    # Batches with tiny negatives, hard negatives and NaNs at random slots:
+    # each member's column, physical slots and trailing ones, ends as
+    # _postprocess_step leaves it, with its clamps recorded member-major, or
+    # the batch raises the scalar NegativeState of the lowest member with a
+    # hard negative, tagged with it.
+    rng = np.random.default_rng(29)
+    atol, seen = 1e-6, {"clean": 0, "clamped": 0, "hard": 0, "nan": 0}
+    for _ in range(400):
+        n_state, B = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        y = rng.uniform(0.0, 1e3, (n_state + 2, B))
+        y[n_state:] -= 5e2  # trailing slots take either sign
+        for _ in range(int(rng.integers(0, 4))):
+            i, b = rng.integers(n_state), rng.integers(B)
+            y[i, b] = rng.choice([-atol * rng.random(), -rng.uniform(2 * atol, 10.0), np.nan])
+        t, cols, events, hard = float(rng.uniform(2017, 2031)), y.T.tolist(), [], None
+        for b, col in enumerate(cols):
+            clamps = []
+            try:
+                _postprocess_step(t, col, n_state, atol, clamps)
+            except NegativeState as e:
+                hard = b, str(e)
+                break
+            events += [(t, i, b, v) for _, i, v in clamps]
+        got, recorded = y.copy(), []
+        if hard is not None:
+            with pytest.raises(NegativeState) as exc:
+                _postprocess_columns(t, got, n_state, atol, recorded)
+            assert (exc.value.member, str(exc.value)) == hard
+            seen["hard"] += 1
+            continue
+        _postprocess_columns(t, got, n_state, atol, recorded)
+        assert np.array_equal(got, np.array(cols).T, equal_nan=True)
+        assert recorded == events
+        seen["clamped" if events else "clean"] += 1
+        seen["nan"] += bool(np.isnan(y).any())
+    assert min(seen.values()) > 20, seen
 
 
 def test_coverage_override_equals_spec_copy_property():
@@ -223,6 +262,22 @@ def test_batch_needs_a_member(basic):
     cfg = IntegratorConfig(t0=2017.0, t_end=2018.0)
     with pytest.raises(ValueError, match="at least one member"):
         integrate_batch(*basic, np.empty((0, 3)), cfg)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
+def test_batch_refuses_coverage_outside_unit_interval_as_scalar(basic, bad):
+    # a batch of one refuses what its scalar run refuses, with the same
+    # message; in a larger batch the first offending entry in row order
+    spec, y0 = basic
+    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0)
+    with pytest.raises(ValueError) as scalar:
+        integrate(spec, y0, cfg, coverage={"msm": bad})
+    with pytest.raises(ValueError) as batch:
+        integrate_batch(spec, y0, [[bad, 0.0, 0.0]], cfg)
+    assert str(batch.value) == str(scalar.value) == f"epsilon = {bad} outside [0, 1]"
+    with pytest.raises(ValueError) as batch:
+        integrate_batch(spec, y0, [[0.1, 0.2, 0.3], [0.0, 1.0, bad], [2.0, 0.0, 0.0]], cfg)
+    assert str(batch.value) == str(scalar.value)
 
 
 def test_step_size_underflow():

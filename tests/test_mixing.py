@@ -208,13 +208,14 @@ def test_batch_closure_names_first_failing_member(close, batch, N, a, priors):
 def test_batch_closure_checks_keep_their_order(close, batch, N, a, priors):
     # Member 1 has too many HETM contacts (basic: alpha_hetf, risk: eta_msm),
     # member 2 a NaN MSM population (eta_msm = nan), member 3 no HETF volume,
-    # which is checked first.  Each mended in turn, the next failure is named
-    # with the scalar closure's error for that member.
+    # which the volume screen sees first.  The batch names the lowest failing
+    # member with the scalar closure's error for it; each mended in turn, the
+    # next one is named.
     cols = np.tile(N[:, None], 5)
     cols[-1, 1] *= 1.5
     cols[0, 2] = np.nan
     cols[1, 3] = 0.0
-    for want in (3, 1, 2):
+    for want in (1, 2, 3):
         with pytest.raises(InfeasibleClosure) as scalar:
             close(tuple(cols[:, want]), a, priors)
         with pytest.raises(InfeasibleClosure) as batched:
@@ -317,3 +318,78 @@ def test_closure_core_property(variant):
     assert seen["interior"] > 50 and seen["infeasible"] > 20
     if variant == "risk":
         assert seen["lo"] > 20 and seen["hi"] > 20 and seen["roundoff"] > 0
+
+
+# Contact volumes (a = 1) whose xi_hetm interval is empty: lo2 = hi1 up to
+# the last bit, with lo2 > hi1.
+EMPTY_INTERVAL_B = (75061430.79574226, 20425178.543547347, 26305102.710140765,
+                    46730281.25368811)
+
+
+def _scalar_outcomes(core, cols, a, priors, t):
+    """Per member (column of ``cols``), the scalar core's fractions or its
+    InfeasibleClosure."""
+    out = []
+    for col in cols.T.tolist():
+        try:
+            out.append(core(col, a, priors, t))
+        except InfeasibleClosure as e:
+            out.append(e)
+    return out
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_batch_closure_judged_by_scalar_property(variant):
+    # Batches of 2-8 columns scattered around random DFEs, some made
+    # infeasible at random members (a NaN, a nonpositive volume, too many
+    # HETM contacts): the batch gives each member's scalar fractions bit for
+    # bit, or the scalar error (type, message, t) of the lowest failing
+    # member, tagged with it, also when a later member fails an earlier check.
+    core, batch = ((basic_fractions, close_basic_batch) if variant == "basic"
+                   else (risk_fractions, close_risk_batch))
+    rng = np.random.default_rng(23)
+    seen = {"passed": 0, "failed": 0, "later_fails_volume": 0}
+    for _ in range(10):
+        spec = random_spec(rng, variant)
+        a, priors, n = tuple(spec.param_arrays()[1]), spec.mixing_priors, spec.n
+        for _ in range(30):
+            B = int(rng.integers(2, 9))
+            cols = dfe(spec).N[:, None] * rng.uniform(0.8, 1.2, (n, B))
+            for b in np.flatnonzero(rng.random(B) < 0.2):
+                kind = rng.integers(3)
+                if kind == 0:
+                    cols[rng.integers(n), b] = np.nan
+                elif kind == 1:
+                    cols[rng.integers(n), b] = -rng.uniform(0.0, 1e3) * rng.integers(2)
+                else:
+                    cols[-1, b] *= rng.uniform(1.5, 3.0)
+            t = float(rng.choice([2020.0, 2031.25]))
+            outcomes = _scalar_outcomes(core, cols, a, priors, t)
+            failing = [i for i, o in enumerate(outcomes) if isinstance(o, InfeasibleClosure)]
+            if not failing:
+                got = batch(list(cols), a, priors, t=t)
+                assert [np.broadcast_to(row, B).tolist() for row in got] == [
+                    list(r) for r in zip(*outcomes)]
+                seen["passed"] += 1
+                continue
+            want = outcomes[failing[0]]
+            with pytest.raises(InfeasibleClosure) as exc:
+                batch(list(cols), a, priors, t=t)
+            assert type(exc.value) is type(want)
+            assert (str(exc.value), exc.value.t, exc.value.member) == (str(want), t, failing[0])
+            seen["failed"] += 1
+            seen["later_fails_volume"] += "nonpositive" not in str(want) and any(
+                "nonpositive" in str(outcomes[i]) for i in failing[1:])
+    assert seen["passed"] > 50 and seen["failed"] > 50 and seen["later_fails_volume"] > 10
+    if variant == "risk":
+        # the empty xi_hetm interval as member 2, after two feasible members
+        ones = (1.0,) * 4
+        B0 = dfe(spec).N * spec.param_arrays()[1]
+        cols = np.column_stack((B0, B0, EMPTY_INTERVAL_B, B0))
+        message = "empty feasible interval for xi_hetm: [0.437087, 0.437087]"
+        with pytest.raises(InfeasibleClosure) as scalar:
+            risk_fractions(EMPTY_INTERVAL_B, ones, priors)
+        with pytest.raises(InfeasibleClosure) as batched:
+            close_risk_batch(list(cols), ones, priors)
+        assert str(scalar.value) == str(batched.value) == message
+        assert batched.value.member == 2

@@ -11,8 +11,8 @@ from prepspill import reproduction
 from prepspill.integrators import IntegratorConfig, integrate
 from prepspill.model import StateVec, TransmissionProbs, dfe, flat_rhs_factory
 from prepspill.presets import georgia_basic
-from prepspill.reproduction import (NGMatrices, _random_feasible_states,
-                                    build_ngm, rc_closed, rc_closed_basic,
+from prepspill.reproduction import (NGMatrices, _checked_closed_form,
+                                    _random_feasible_states, build_ngm, rc_closed, rc_closed_basic,
                                     rc_closed_risk, rc_numeric,
                                     scale_transmission, stability_probe,
                                     tune_multiplier_to_rc, _TUNE_TOL)
@@ -92,6 +92,27 @@ def test_closed_basic_randomized():
         if numeric > 1e-12:
             worst = max(worst, abs(closed.value - numeric) / numeric)
     assert worst < 1e-8
+
+
+def test_closed_form_mismatch_falls_back_to_numeric(basic):
+    ngm = build_ngm(basic[0])
+    numeric = rc_numeric(ngm).value
+    comps = {"G1": 1.0}
+    r = _checked_closed_form(ngm, numeric * 1.01, comps)
+    assert (r.method, r.value, r.components) == ("numeric", numeric, comps)
+    assert r.diagnostic.startswith(f"ClosedFormMismatch: closed = {numeric * 1.01!r}")
+
+
+@pytest.mark.parametrize("spec", [georgia_basic()[0], stationary_risk()[0]],
+                         ids=["basic", "stationary_risk"])
+def test_zero_betas_give_zero_rc_by_both_routes(spec):
+    # basic takes the |G1| < 1e-300 branch of its closed form
+    ngm = build_ngm(replace(spec, probs=TransmissionProbs(0.0, 0.0, 0.0)))
+    closed, numeric = rc_closed(ngm), rc_numeric(ngm)
+    assert closed.value == numeric.value == 0.0
+    assert closed.method == "closed_form" and closed.diagnostic is None
+    if spec.variant == "basic":
+        assert abs(closed.components["G1"]) < 1e-300
 
 
 def test_closed_risk_trivial_and_decoupled():

@@ -367,6 +367,54 @@ def test_cli_ngm_and_nnt(tmp_path, capsys):
     assert len(lines) == 10
 
 
+def test_cli_ngm_reports_the_closed_form_fallback(monkeypatch, capsys):
+    # a closed form that disagrees with the numeric R_c: ngm reports the
+    # numeric value, prints the diagnostic as a note and carries it in --json
+    from prepspill import cli
+    from prepspill.reproduction import _checked_closed_form, rc_numeric
+
+    def off_by_one_percent(ngm):
+        return _checked_closed_form(ngm, rc_numeric(ngm).value * 1.01, {"G1": 1.0})
+
+    monkeypatch.setattr(cli, "rc_closed", off_by_one_percent)
+    assert main(["ngm", "--model", "basic"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    notes = [line for line in lines if line.startswith("  note: ")]
+    assert len(notes) == 1 and notes[0].startswith("  note: ClosedFormMismatch: closed = ")
+    assert any(line.endswith("[numeric]") for line in lines)
+    assert main(["ngm", "--model", "basic", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["closed_method"] == "numeric"
+    assert payload["rc_closed"] == payload["rc_numeric"]
+    assert notes[0] == f"  note: {payload['diagnostic']}"
+
+
+SOBOL_WINDOW = {"model": "basic", "horizon": {"start": 2019, "intervention": 2020, "end": 2025},
+                "integrator": {"rtol": 1e-10}}
+
+
+@pytest.mark.parametrize("command", [["sobol", "--level", "2", "--degree", "1"],
+                                     ["emit-plots", "--series", "sobol"]],
+                         ids=["sobol", "emit-plots"])
+def test_cli_sobol_integrates_the_config_window(tmp_path, capsys, command):
+    # sobol and emit-plots' sobol series run over the config's window and
+    # tolerances, and refuse a window that does not span whole years
+    path = write_config(tmp_path, SOBOL_WINDOW)
+    out = tmp_path / "out"
+    assert main(command + ["--config", path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    rows = list(csv.reader((out / "sobol_basic.csv").read_text().splitlines()))
+    assert sorted({int(r[0]) for r in rows[1:]}) == list(range(2019, 2025))
+    man = json.loads((out / "sobol_basic_manifest.json").read_text())
+    assert man["integrator"] == {"rtol": 1e-10, "atol": 1e-6}
+    partial = copy.deepcopy(SOBOL_WINDOW)
+    partial["horizon"]["start"] = 2019.5
+    path = write_config(tmp_path, partial, name="partial.json")
+    assert main(command + ["--config", path, "--out", str(tmp_path / "p")]) == 1
+    assert capsys.readouterr().err == (
+        "error: span [2019.5, 2025.0] is not aligned to whole years\n")
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

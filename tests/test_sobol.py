@@ -356,14 +356,15 @@ def test_timeseries_failure_names_member(basic, monkeypatch):
     spec, y0 = basic
     inputs = [UncertainInput(group="msm", lo=-0.5, hi=1.0)]
     cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
-    real = model.close_basic_batch
+    real = model.VARIANTS["basic"].batch_closure
 
     def reject_member_2(N, a, priors, t=None):
         N = [col.copy() for col in N]
         N[1][2] = -1.0
         return real(N, a, priors, t=t)
 
-    monkeypatch.setattr(model, "close_basic_batch", reject_member_2)
+    monkeypatch.setitem(model.VARIANTS, "basic",
+                        replace(model.VARIANTS["basic"], batch_closure=reject_member_2))
     with pytest.raises(EnsembleError) as exc:
         sobol_timeseries(spec, y0, inputs, level=4, total_degree=2, cfg=cfg)
     grid = build_grid(inputs, level=4)
