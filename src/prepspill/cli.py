@@ -17,11 +17,11 @@ import numpy as np
 
 from .errors import PrepspillError
 from .integrators import write_csv
+from .model import VARIANTS
 from .reproduction import build_ngm, rc_closed, rc_numeric
-from .scenarios import (default_config, emit_plot_data, load_config,
-                        report_to_csv, run_scenarios, run_spillover,
-                        sobol_manifest, validate_tables, write_sobol)
-from .sobol import UncertainInput, sobol_timeseries
+from .scenarios import (PLOT_SERIES, SOBOL_INTERVAL, default_config, emit_plot_data,
+                        load_config, report_to_csv, run_scenarios, run_spillover,
+                        sobol_manifest, sobol_study, validate_tables, write_sobol)
 from .spillover import nnt, sensitivity_to_csv
 
 
@@ -147,10 +147,7 @@ def cmd_sobol(args):
         raise PrepspillError(f"--lo {args.lo} and --hi {args.hi} must be finite "
                              "with lo <= hi")
     config = _config_from_args(args)
-    inputs = tuple(UncertainInput(group=l, lo=args.lo, hi=args.hi)
-                   for l in config.spec.labels)
-    study = sobol_timeseries(config.spec, config.y0, inputs, level=args.level,
-                             total_degree=args.degree, cfg=config.integrator)
+    study = sobol_study(config, args.level, args.degree, args.lo, args.hi)
     paths = write_sobol(study, args.out, config.variant)
     _report(args, {"files": paths, **sobol_manifest(study)}, files=paths)
     return 0
@@ -182,8 +179,7 @@ def cmd_validate(args):
 
 def cmd_emit_plots(args):
     config = _config_from_args(args)
-    series = tuple(args.series.split(",")) if args.series else (
-        "baseline", "effects", "nnt", "table")
+    series = tuple(args.series.split(",")) if args.series else PLOT_SERIES
     paths = emit_plot_data(args.out, series=series, config=config)
     _report(args, {"files": paths}, files=paths)
     return 0
@@ -197,7 +193,7 @@ def build_parser():
 
     def common(p):
         p.add_argument("--config", help="scenario config JSON")
-        p.add_argument("--model", choices=("basic", "risk"), default="basic",
+        p.add_argument("--model", choices=tuple(VARIANTS), default="basic",
                        help="model variant when no config is given")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--json", action="store_true", help="machine-readable output")
@@ -226,8 +222,8 @@ def build_parser():
     common(p)
     p.add_argument("--level", type=int, default=5)
     p.add_argument("--degree", type=int, default=4)
-    p.add_argument("--lo", type=float, default=-0.5)
-    p.add_argument("--hi", type=float, default=4.0)
+    p.add_argument("--lo", type=float, default=SOBOL_INTERVAL[0])
+    p.add_argument("--hi", type=float, default=SOBOL_INTERVAL[1])
     p.set_defaults(fn=cmd_sobol)
 
     about = "diff both presets against their published tables (always checks both)"

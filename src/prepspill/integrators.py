@@ -430,6 +430,28 @@ def integrate_batch(spec, y0, eps, cfg):
     return Trajectory.of(integrate_flat(f, y, cfg, 2 * spec.n), spec.labels), evals
 
 
+def whole_years(t0, t1):
+    """The calendar years of the span [t0, t1]; PartialYear unless both ends
+    are whole years and at least one year apart."""
+    if abs(t0 - round(t0)) > 1e-9 or abs(t1 - round(t1)) > 1e-9:
+        raise PartialYear(f"span [{t0}, {t1}] is not aligned to whole years")
+    years = list(range(int(round(t0)), int(round(t1))))
+    if not years:
+        raise PartialYear("span shorter than one year")
+    return years
+
+
+def year_rows(traj, first, last):
+    """The model-state rows at the whole years first..last, each at the node
+    node_index finds, in one lookup; PartialYear names the first year missing."""
+    years = np.arange(first, last + 1, dtype=float)
+    near = (traj.times.searchsorted(years) + [[-1], [0], [1]]).clip(0, len(traj.times) - 1)
+    hit = np.abs(traj.times[near] - years) <= NODE_TOL
+    if not (found := hit.any(axis=0)).all():
+        raise PartialYear(f"year boundary {first + found.argmin()} missing from trajectory grid")
+    return traj.model_states()[near[hit.argmax(axis=0), np.arange(len(years))]]
+
+
 def annual_series(traj):
     """Per calendar year, per group new infections: differences of the
     cumulative accumulators at year boundaries.
@@ -438,19 +460,6 @@ def annual_series(traj):
     (telescoping) to C(t_end) - C(t0).  A batched trajectory gives
     (years, n, B).
     """
-    t0, t1 = traj.times[0], traj.times[-1]
-    if abs(t0 - round(t0)) > 1e-9 or abs(t1 - round(t1)) > 1e-9:
-        raise PartialYear(f"span [{t0}, {t1}] is not aligned to whole years")
-    years = list(range(int(round(t0)), int(round(t1))))
-    if not years:
-        raise PartialYear("span shorter than one year")
-    n = traj.n_groups
-    C = traj.model_states()[:, 2 * n:]
-    out = np.empty((len(years), n) + traj.states.shape[2:])
-    for r, y in enumerate(years):
-        i0 = node_index(traj.times, float(y))
-        i1 = node_index(traj.times, float(y + 1))
-        if i0 is None or i1 is None:
-            raise PartialYear(f"year boundary {y} missing from trajectory grid")
-        out[r] = C[i1] - C[i0]
-    return years, out
+    years = whole_years(traj.times[0], traj.times[-1])
+    C = year_rows(traj, years[0], years[-1] + 1)[:, 2 * traj.n_groups:]
+    return years, C[1:] - C[:-1]

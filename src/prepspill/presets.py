@@ -2,7 +2,8 @@
 
 Parameter values and 2017 initial conditions for both model variants, the
 published 10-year incidence tables (used as golden data by the validators),
-and the study window conventions.
+the study window conventions, and ``STUDIES``: one record per variant
+holding everything above that belongs to it.
 
 Window convention: the published "10-yr incidence 2020-30" covers calendar
 years 2020 through 2030 inclusive, i.e. t in [2020, 2031).  Reproducing the
@@ -10,6 +11,8 @@ tables requires this window; see README for the reconciliation.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,14 +63,6 @@ def georgia_risk():
     return spec, y0
 
 
-def georgia_spec(variant):
-    if variant == "basic":
-        return georgia_basic()
-    if variant == "risk":
-        return georgia_risk()
-    raise ValueError(f"unknown variant {variant!r}")
-
-
 # Published 10-year (2020-2030 inclusive) cumulative incidence and, per
 # intervention, infections prevented relative to baseline.  Keys are
 # (group receiving PrEP, additional persons); values are dicts of published
@@ -109,29 +104,38 @@ PREVALENCE_ANCHOR_2017 = {"basic": 63700.0, "risk": 63700.0}  # total PWH at t0
 PREVALENCE_BAND = (0.85, 1.30)     # acceptable multiple of the anchor through 2020
 ANNUAL_INCIDENCE_BAND = (1800.0, 3200.0)  # total new infections/year, 2017-2019
 
-# Intervention arms of the published studies, in table order.
-BASIC_ARMS = [("msm", d) for d in (10000, 25000, 50000)] + \
-             [("hetf", d) for d in (10000, 25000, 50000)] + \
-             [("hetm", d) for d in (10000, 25000, 50000)]
-RISK_ARMS = [("msm", d) for d in (10000, 25000, 50000)] + \
-            [("hetf_h", d) for d in (10000, 25000, 50000)] + \
-            [("hetf_l", d) for d in (10000, 25000, 50000)] + \
-            [("hetm", d) for d in (10000, 25000, 50000)]
+# Intervention arms of the published studies: the table rows, in table order.
+BASIC_ARMS = list(TABLE_BASIC_INTERVENTIONS)
+RISK_ARMS = list(TABLE_RISK_INTERVENTIONS)
 
 
-def reported_groups(variant):
-    """Groups as reported in the published tables (risk HETF strata combined)."""
-    return ("msm", "hetf", "hetm")
+@dataclass(frozen=True)
+class Study:
+    """Every per-variant fact of a published study: the preset (spec and
+    2017 state), the arms in table order, the baseline cells validate
+    checks, the golden tables, and the model groups each reported column sums."""
+
+    preset: object
+    arms: tuple
+    baseline_cells: tuple
+    baseline: dict
+    interventions: dict
+    reported: dict
+
+
+STUDIES = {
+    "basic": Study(georgia_basic, tuple(BASIC_ARMS), ("total", "msm", "hetf", "hetm"),
+                   TABLE_BASIC_BASELINE, TABLE_BASIC_INTERVENTIONS,
+                   {"msm": ("msm",), "hetf": ("hetf",), "hetm": ("hetm",)}),
+    "risk": Study(georgia_risk, tuple(RISK_ARMS), ("total",),
+                  TABLE_RISK_BASELINE, TABLE_RISK_INTERVENTIONS,
+                  {"msm": ("msm",), "hetf": ("hetf_h", "hetf_l"), "hetm": ("hetm",)}),
+}
 
 
 def combine_reported(variant, labels, per_group):
-    """Map per-model-group values onto the reported (msm, hetf, hetm) columns."""
-    per_group = np.asarray(per_group, dtype=float)
-    if variant == "basic":
-        return {lbl: float(v) for lbl, v in zip(labels, per_group)}
-    return {
-        "msm": float(per_group[labels.index("msm")]),
-        "hetf": float(per_group[labels.index("hetf_h")]
-                      + per_group[labels.index("hetf_l")]),
-        "hetm": float(per_group[labels.index("hetm")]),
-    }
+    """Per-model-group values summed onto the reported columns (risk HETF
+    strata combined), then the total over every group."""
+    return {**{col: float(sum(per_group[labels.index(g)] for g in groups))
+               for col, groups in STUDIES[variant].reported.items()},
+            "total": float(np.sum(per_group))}

@@ -228,7 +228,7 @@ def rc_closed_risk(ngm):
     cands = [base + z.real for z in roots
              if abs(z.imag) <= _IMAG_TOL * max(1.0, abs(z))]
     for i, z in enumerate(roots):
-        comps[f"R_cr{i + 1}"] = base + z.real if abs(z.imag) <= 1e-9 * max(1.0, abs(z)) \
+        comps[f"R_cr{i + 1}"] = base + z.real if abs(z.imag) <= _IMAG_TOL * max(1.0, abs(z)) \
             else complex(base + z.real, z.imag)
     return _checked_closed_form(ngm, max(cands) if cands else float("nan"), comps)
 
@@ -260,7 +260,8 @@ def tune_multiplier_to_rc(spec, target):
     solves.  Next come the caps inside the bracket (nearest first), then
     secant steps on one smooth piece, Anderson-Bjorck: moving one end twice
     scales the other's value by 1 - f(new) / f(replaced), or 0.5 if that
-    is not positive.  Stops at |R_c - target| < _TUNE_TOL.
+    is not positive.  Stops at |R_c - target| < _TUNE_TOL; RuntimeError if
+    200 steps do not get there.
     """
     def rc_of(m):
         return rc_numeric(build_ngm(scale_transmission(spec, m))).value
@@ -289,7 +290,8 @@ def tune_multiplier_to_rc(spec, target):
         else:
             fhi *= scale(fm, flo) if secant and moved < 0 else 1.0
             lo, flo, moved = m, fm, -int(secant)
-    return m
+    raise RuntimeError(f"R_c tune to target {target} did not converge: last multiplier "
+                       f"{m!r} gives R_c = {fm + target!r}")
 
 
 @dataclass

@@ -23,19 +23,18 @@ import numpy as np
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup,
                      ZeroPopulation)
 from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, rows_at,
-                          write_csv)
+                          write_csv, year_rows)
 from .model import VARIANTS, ModelSpec, StateVec
-from .presets import (BASIC_ARMS, INTERVENTION_START, REPORT_END, RISK_ARMS,
-                      SIM_START, TABLE_BASIC_BASELINE,
-                      TABLE_BASIC_INTERVENTIONS, TABLE_RISK_BASELINE,
-                      TABLE_RISK_INTERVENTIONS, combine_reported,
-                      georgia_spec, reported_groups)
+from .presets import (INTERVENTION_START, REPORT_END, SIM_START, STUDIES,
+                      combine_reported)
 # nnt stays importable from here for tracers that rebind scenarios.nnt
 from .spillover import integrate_with_spillover, nnt, simple_nnt  # noqa: F401
 from .sobol import QuadratureGrid, UncertainInput, sobol_timeseries
 
 SCHEMA_VERSION = 1
 NNT_DISPLAY_CAP = 1e5  # person-years; larger values are suppressed in plot data
+PLOT_SERIES = ("baseline", "effects", "nnt", "table")  # emit-plots' default
+SOBOL_INTERVAL = (-0.5, 4.0)  # default bounds of each group's coverage-scale input
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,8 @@ class ScenarioConfig:
 
 def default_config(variant="basic", arms=None):
     """Config reproducing the published study for a variant."""
-    arms = (BASIC_ARMS if variant == "basic" else RISK_ARMS) if arms is None else arms
+    if arms is None:  # none for an unknown variant, which _config_from_raw refuses
+        arms = STUDIES[variant].arms if variant in STUDIES else ()
     raw = {
         "schema_version": SCHEMA_VERSION,
         "model": variant,
@@ -140,8 +140,8 @@ def _config_from_raw(raw):
                               key="schema_version")
     variant = raw.get("model", "basic")
     if not isinstance(variant, str) or variant not in VARIANTS:
-        raise SchemaViolation(f"model must be 'basic' or 'risk', got {variant!r}",
-                              key="model")
+        raise SchemaViolation(f"model must be {' or '.join(map(repr, VARIANTS))}, "
+                              f"got {variant!r}", key="model")
     labels = VARIANTS[variant].groups
 
     hor = _section(raw, "horizon")
@@ -191,7 +191,7 @@ def _config_from_raw(raw):
     with _guard("integrator"):
         icfg = IntegratorConfig(t0=start, t_end=end, **steps)
 
-    spec, y0 = georgia_spec(variant)
+    spec, y0 = STUDIES[variant].preset()
     overrides = _section(raw, "overrides")
     bad = set(overrides) - {"mu", "probs", "mixing_priors", "groups"}
     if bad:
@@ -316,7 +316,6 @@ def run_scenarios(config):
     base_traj = integrate_baseline(config)
     base_inc = _window_incidence(base_traj, spec, t_int, t_end)
     base_cols = combine_reported(config.variant, labels, base_inc)
-    base_cols["total"] = float(np.sum(base_inc))
     baseline = ScenarioResult(name="baseline", group="", additional_persons=0.0,
                               incidence=base_cols,
                               prevented={k: 0.0 for k in base_cols})
@@ -345,7 +344,6 @@ def run_scenarios(config):
             # add the pre-intervention part of the window from baseline
             inc = inc + _window_incidence(base_traj, spec, t_int, arm.start_year)
         cols = combine_reported(config.variant, labels, inc)
-        cols["total"] = float(np.sum(inc))
         prevented = {key: base_cols[key] - cols[key] for key in cols}
         name = f"prep_{arm.group}_{int(arm.additional_persons)}" + (
             f"_{arm.start_year:g}" if arm.start_year != t_int else "")
@@ -361,7 +359,7 @@ def run_scenarios(config):
 
 
 def report_to_csv(report, path_or_file):
-    cols = list(reported_groups(report.variant)) + ["total"]
+    cols = list(STUDIES[report.variant].reported) + ["total"]
     header = ["scenario", "group", "additional_persons"]
     for c in cols:
         header += [f"incidence_{c}", f"prevented_{c}"]
@@ -405,39 +403,27 @@ class ValidationReport:
                     f"{c.tolerance:.3f}", "ok" if c.ok else "FAIL"] for c in self.cells))
 
 
-def validate_tables(variants=("basic", "risk")):
-    """Run the published intervention studies and diff against the golden tables.
+def validate_tables():
+    """Run every published intervention study and diff against its golden tables.
 
     Baseline cells are held to +/-2 percent; each intervention row's
     "infections prevented" to +/-5 percent or +/-25 persons, whichever is
     larger.  Returns a per-cell report; nothing is raised on failure.
     """
     cells = []
-    for variant in variants:
-        config = default_config(variant)
-        report = run_scenarios(config)
-        golden_base = TABLE_BASIC_BASELINE if variant == "basic" else TABLE_RISK_BASELINE
-        golden_rows = TABLE_BASIC_INTERVENTIONS if variant == "basic" \
-            else TABLE_RISK_INTERVENTIONS
-        table = f"table_{variant}"
-        base_cells = ("total", "msm", "hetf", "hetm") if variant == "basic" \
-            else ("total",)
-        for cell in base_cells:
-            exp = golden_base[cell]
-            act = report.baseline.incidence[cell]
-            tol = 0.02 * exp
-            cells.append(CellCheck(table=table, row="baseline", cell=cell,
-                                   expected=exp, actual=act, tolerance=tol,
-                                   ok=abs(act - exp) <= tol))
+    for variant, study in STUDIES.items():
+        report = run_scenarios(default_config(variant))
+        # (row, cell, expected, actual, tolerance) per checked cell
+        checks = [("baseline", c, study.baseline[c], report.baseline.incidence[c],
+                   0.02 * study.baseline[c]) for c in study.baseline_cells]
         for r in report.scenarios:
-            key = (r.group, int(r.additional_persons))
-            exp = golden_rows[key]["prevented"]
-            act = r.prevented["total"]
-            tol = max(0.05 * exp, 25.0)
-            cells.append(CellCheck(table=table, row=f"{key[0]}+{key[1]}",
-                                   cell="prevented_total", expected=exp,
-                                   actual=act, tolerance=tol,
-                                   ok=abs(act - exp) <= tol))
+            group, persons = r.group, int(r.additional_persons)
+            exp = study.interventions[(group, persons)]["prevented"]
+            checks.append((f"{group}+{persons}", "prevented_total", exp,
+                           r.prevented["total"], max(0.05 * exp, 25.0)))
+        cells += [CellCheck(table=f"table_{variant}", row=row, cell=cell, expected=exp,
+                            actual=act, tolerance=tol, ok=abs(act - exp) <= tol)
+                  for row, cell, exp, act, tol in checks]
     return ValidationReport(cells=cells)
 
 
@@ -452,9 +438,7 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
-                                                     "nnt", "table"),
-                   config=None):
+def emit_plot_data(out_dir, variant="basic", series=PLOT_SERIES, config=None):
     """Write the figure-analog CSV bundle for one config, by default the
     published study of ``variant``; file names carry the config's variant.
 
@@ -463,24 +447,18 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
     excessive values are left empty, with a sidecar note), table (scenario
     incidence table), sobol (index time series of a level-3, degree-2 study
     over the config's window and tolerances).  Unknown names raise
-    MissingSeries.  Outputs are deterministic: rerunning produces identical
-    bytes.
+    MissingSeries.  Every series is built before out_dir is made, so a
+    refusal writes nothing.  Paths come in series order, the table and the
+    Sobol pair last.  Outputs are deterministic: reruns give identical bytes.
     """
-    known = {"baseline", "effects", "nnt", "table", "sobol"}
+    known = {*PLOT_SERIES, "sobol"}
     unknown = set(series) - known
     if unknown:
         raise MissingSeries(f"unknown series {sorted(unknown)}; known: {sorted(known)}")
-    os.makedirs(out_dir, exist_ok=True)
     config = config or default_config(variant)
-    variant = config.variant
-    spec, y0 = config.spec, config.y0
-    labels = spec.labels
+    variant, labels = config.variant, config.spec.labels
     n = len(labels)
-    paths = []
-
-    def put(name, text):
-        paths.append(os.path.join(out_dir, name))
-        _write(paths[-1], text)
+    texts = []  # (file name, text), in series order
 
     report = run_scenarios(config) if "table" in series else None
     base_traj = report.baseline_traj if report else None
@@ -494,13 +472,13 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
         # the whole calendar years inside [start, end]; every year is a node
         t0, t1 = base_traj.times[0], base_traj.times[-1]
         first, last = math.ceil(t0 - NODE_TOL), math.floor(t1 + NODE_TOL)
-        at = base_traj.states[[base_traj.index_of(float(y)) for y in range(first, last + 1)]]
+        at = year_rows(base_traj, first, last)
         header = (["year"] + [f"prevalence_{l}" for l in labels]
                   + [f"annual_incidence_{l}" for l in labels])
         rows = [[y] + [f"{v:.6f}" for v in prev] + [f"{v:.6f}" for v in row]
                 for y, prev, row in zip(range(first, last), at[:-1, 1:2 * n:2].tolist(),
                                         (at[1:, 2 * n:3 * n] - at[:-1, 2 * n:3 * n]).tolist())]
-        put(f"baseline_series_{variant}.csv", _csv_text(header, rows))
+        texts.append((f"baseline_series_{variant}.csv", _csv_text(header, rows)))
 
     if "effects" in series:
         empty = S <= 0.0
@@ -513,7 +491,7 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
         header = ["t"] + [f"per_person_{j}__{k}" for k in labels for j in labels]
         rows = [[f"{t:.6f}"] + [f"{v:.10e}" for v in row]
                 for t, row in zip(traj.times.tolist(), effects.tolist())]
-        put(f"per_person_effects_{variant}.csv", _csv_text(header, rows))
+        texts.append((f"per_person_effects_{variant}.csv", _csv_text(header, rows)))
 
     if "nnt" in series:
         suppressed = []
@@ -538,23 +516,32 @@ def emit_plot_data(out_dir, variant="basic", series=("baseline", "effects",
                 else:
                     row.append(f"{simple:.3f}")
             rows.append(row)
-        put(f"nnt_{variant}.csv", _csv_text(header, rows))
-        put(f"nnt_{variant}_suppressed.json",
-            json.dumps({"display_cap": NNT_DISPLAY_CAP, "suppressed": suppressed},
-                       indent=1, sort_keys=True))
+        texts.append((f"nnt_{variant}.csv", _csv_text(header, rows)))
+        texts.append((f"nnt_{variant}_suppressed.json",
+                      json.dumps({"display_cap": NNT_DISPLAY_CAP, "suppressed": suppressed},
+                                 indent=1, sort_keys=True)))
 
-    if "table" in series:
-        p = os.path.join(out_dir, f"table_{variant}.csv")
-        report_to_csv(report, p)
-        paths.append(p)
+    study = sobol_study(config, level=3, degree=2) if "sobol" in series else None
 
-    if "sobol" in series:
-        inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0) for l in labels)
-        study = sobol_timeseries(spec, y0, inputs, level=3, total_degree=2,
-                                 cfg=config.integrator)
+    os.makedirs(out_dir, exist_ok=True)
+    paths = []
+    for name, text in texts:
+        paths.append(os.path.join(out_dir, name))
+        _write(paths[-1], text)
+    if report is not None:
+        paths.append(os.path.join(out_dir, f"table_{variant}.csv"))
+        report_to_csv(report, paths[-1])
+    if study is not None:
         paths += write_sobol(study, out_dir, variant)
-
     return paths
+
+
+def sobol_study(config, level, degree, lo=SOBOL_INTERVAL[0], hi=SOBOL_INTERVAL[1]):
+    """The coverage Sobol study of a config: one "scale" input per group on
+    [lo, hi], integrated over the config's window and tolerances."""
+    inputs = tuple(UncertainInput(group=l, lo=lo, hi=hi) for l in config.spec.labels)
+    return sobol_timeseries(config.spec, config.y0, inputs, level=level,
+                            total_degree=degree, cfg=config.integrator)
 
 
 def write_sobol(study, out_dir, variant):

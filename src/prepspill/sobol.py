@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import (DimensionOverflow, EnsembleError, ExactnessViolation,
                      PrepspillError)
-from .integrators import IntegratorConfig, annual_series, integrate, integrate_batch
+from .integrators import IntegratorConfig, annual_series, integrate, integrate_batch, whole_years
 
 NODE_CAP = 20_000
 # Points per input: leggauss(level) builds a level x level companion matrix,
@@ -347,12 +347,13 @@ def sobol_timeseries(spec, y0, inputs, years=None, level=5, total_degree=4, cfg=
     same cfg) bit for bit; in a larger batch each member stays within the
     tolerances of its own run.  A failing node raises EnsembleError naming
     the lowest failing one.  One projection (fit_pce) fits every (year,
-    group) series at once; a grid too coarse for it is refused
-    (ExactnessViolation) before any node is integrated.
+    group) series at once.  A partial-year window (PartialYear) or a grid
+    too coarse for the fit (ExactnessViolation) is refused before any work.
     """
     inputs = tuple(inputs)
     if cfg is None:
         cfg = IntegratorConfig(t0=2017.0, t_end=2031.0)
+    whole_years(cfg.t0, cfg.t_end)  # annual_series' span check, before any work
     grid = build_grid(inputs, level=level)
     _check_tensor_exactness(grid, total_degree)  # before any node is integrated
     eps, clamps = coverage_fractions(spec, y0, inputs, grid.nodes)

@@ -531,3 +531,22 @@ def test_write_csv_round_trips_any_cells(header, rows):
         path = Path(d) / "out.csv"
         write_csv(str(path), header, rows)
         assert path.read_bytes() == text.encode("utf-8")
+
+
+@pytest.mark.parametrize("run, error, match", [
+    (lambda spec, y0: IntegratorConfig(t0=2017.0, t_end=2017.0),
+     ValueError, "t_end must exceed t0"),
+    (lambda spec, y0: integrate(spec, y0, IntegratorConfig(t0=2017.0, t_end=2018.0),
+                                sample_times=[2018.5]),
+     ValueError, r"^sample time 2018.5 outside \[2017.0, 2018.0\]$"),
+    (lambda spec, y0: annual_series(integrate(
+        spec, y0, IntegratorConfig(t0=2017.0, t_end=2017.0 + 5e-10))),
+     PartialYear, "^span shorter than one year$"),
+    # free steps over 2017-2020: 2017 is a node (t0), 2018 is the first year missing
+    (lambda spec, y0: annual_series(integrate(
+        spec, y0, IntegratorConfig(t0=2017.0, t_end=2020.0, year_nodes=False))),
+     PartialYear, "^year boundary 2018 missing from trajectory grid$"),
+], ids=["empty-window", "sample-outside", "under-a-year", "missing-boundary"])
+def test_integrator_refusals(basic, run, error, match):
+    with pytest.raises(error, match=match):
+        run(*basic)

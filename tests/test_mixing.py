@@ -393,3 +393,9 @@ def test_batch_closure_judged_by_scalar_property(variant):
             close_risk_batch(list(cols), ones, priors)
         assert str(scalar.value) == str(batched.value) == message
         assert batched.value.member == 2
+
+
+def test_risk_priors_refuse_msm_and_hetfh_shares_past_one():
+    with pytest.raises(ValueError, match=r"^eta_msm \+ eta_hetfh exceeds 1$"):
+        RiskMixing(eta_msm=0.6, eta_hetfh=0.5, alpha_hetfh=0.06, alpha_hetfl=0.01,
+                   xi_hetm=0.005)

@@ -13,8 +13,8 @@ from prepspill.integrators import IntegratorConfig, integrate, integrate_flat
 from prepspill.model import (VARIANTS, GroupParams, StateVec, TransmissionProbs,
                              _flat_rhs_maker, _rhs_cells, batched_rhs_factory,
                              closed_mixing, contact_matrix, dfe, flat_rhs_factory,
-                             make_spec)
-from prepspill.mixing import BasicMixing, basic_fractions, risk_fractions
+                             make_spec, variant_of)
+from prepspill.mixing import BasicMixing, RiskMixing, basic_fractions, risk_fractions
 from prepspill.reproduction import build_ngm
 
 
@@ -500,3 +500,24 @@ def test_group_params_reject_non_finite(field, value):
     with pytest.raises(ValueError, match="must be finite"):
         GroupParams(**{"Pi": 1000.0, "a": 50.0, "delta": 0.01, "epsilon": 0.2,
                        field: value})
+
+
+_RISK_PRIORS = RiskMixing(eta_msm=0.858, eta_hetfh=0.071, alpha_hetfh=0.06,
+                          alpha_hetfl=0.01, xi_hetm=0.005)
+
+
+@pytest.mark.parametrize("run, error, match", [
+    (lambda spec: variant_of("nosuch"), ValueError, "^unknown variant 'nosuch'$"),
+    (lambda spec: replace(spec, groups=spec.groups[:2]),
+     ValueError, r"^variant 'basic' needs groups \('msm', 'hetf', 'hetm'\), "
+                 r"got \('msm', 'hetf'\)$"),
+    (lambda spec: replace(spec, mixing_priors=_RISK_PRIORS),
+     ValueError, "^mixing_priors must be BasicMixing for basic$"),
+    (lambda spec: replace(spec, mixing=_RISK_PRIORS),
+     ValueError, "^mixing must be BasicMixing for basic$"),
+    (lambda spec: spec.group_index("hetf_h"),
+     KeyError, "no group 'hetf_h' in variant 'basic'"),
+], ids=["unknown-variant", "wrong-groups", "priors-class", "pinned-class", "group-index"])
+def test_spec_refusals(basic, run, error, match):
+    with pytest.raises(error, match=match):
+        run(basic[0])

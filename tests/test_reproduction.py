@@ -8,9 +8,10 @@ import pytest
 
 from conftest import random_spec, stationary_risk
 from prepspill import reproduction
+from prepspill.errors import InfeasibleClosure
 from prepspill.integrators import IntegratorConfig, integrate
 from prepspill.model import StateVec, TransmissionProbs, dfe, flat_rhs_factory
-from prepspill.presets import georgia_basic
+from prepspill.presets import georgia_basic, georgia_risk
 from prepspill.reproduction import (NGMatrices, _checked_closed_form,
                                     _random_feasible_states, build_ngm, rc_closed, rc_closed_basic,
                                     rc_closed_risk, rc_numeric,
@@ -506,3 +507,46 @@ def test_probe_matches_benchmark_catalog(name):
         rep = stability_probe(tuned, n_trials=1, seed=seed)
         assert rep.horizon == horizon
         assert rep.max_terminal_ratio == pytest.approx(ratio, rel=1e-4, abs=0.0)
+
+
+def _with_group(spec, i, **params):
+    """``spec`` with the parameters of group i replaced."""
+    groups = list(spec.groups)
+    groups[i] = (groups[i][0], replace(groups[i][1], **params))
+    return replace(spec, groups=tuple(groups))
+
+
+def _risk_hetm_heavy():
+    # hetm's contact volume far above all hetf's: no sampled state closes
+    spec = georgia_risk()[0]
+    spec = _with_group(spec, 3, a=10 * spec.groups[3][1].a)
+    return _random_feasible_states(spec, 2, np.random.default_rng(0))
+
+
+def _ngm(n):
+    return NGMatrices(F=np.eye(n), V=np.eye(n), labels=("g",) * n,
+                      dfe_populations=np.ones(n))
+
+
+@pytest.mark.parametrize("run, error, match", [
+    (lambda: build_ngm(_with_group(georgia_basic()[0], 2, Pi=0.0)),
+     InfeasibleClosure, "^DFE has an empty group; NGM undefined$"),
+    (lambda: rc_closed_basic(_ngm(4)), ValueError, "^basic closed form needs a 3x3 NGM$"),
+    (lambda: rc_closed_risk(_ngm(3)), ValueError, "^risk closed form needs a 4x4 NGM$"),
+    (_risk_hetm_heavy, RuntimeError, "^could not sample enough feasible states$"),
+    (lambda: stability_probe(georgia_basic()[0], n_trials=1),
+     ValueError, "^stability probe applies to delta = 0 specs$"),
+], ids=["empty-dfe-group", "basic-shape", "risk-shape", "sampling-exhausted",
+        "probe-delta"])
+def test_reproduction_refusals(run, error, match):
+    with pytest.raises(error, match=match):
+        run()
+
+
+def test_tune_that_never_converges_raises(basic, monkeypatch):
+    # no |R_c - target| is below a zero tolerance: after its 200 steps the
+    # tune names the target and where it stopped instead of returning it
+    monkeypatch.setattr(reproduction, "_TUNE_TOL", 0.0)
+    with pytest.raises(RuntimeError, match=r"^R_c tune to target 0.9 did not converge: "
+                                           r"last multiplier \S+ gives R_c = 0.9"):
+        tune_multiplier_to_rc(basic[0].with_delta_zero(), 0.9)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prepspill.cli import build_parser, main
-from prepspill.errors import (ConfigError, MissingSeries, SchemaViolation,
+from prepspill import sobol
+from prepspill.errors import (ConfigError, MissingSeries, ParseError, SchemaViolation,
                               UnknownGroup, ZeroPopulation)
 from prepspill.model import StateVec, dfe
 from prepspill.presets import (ANNUAL_INCIDENCE_BAND, BASIC_ARMS,
@@ -903,3 +904,35 @@ def test_emit_plots_baseline_covers_whole_years_of_a_partial_span(tmp_path, caps
         y = int(r[0])
         assert r[1:4] == [f"{v:.6f}" for v in at[y][1:6:2]]
         assert r[4:] == [f"{v:.6f}" for v in at[y + 1][6:] - at[y][6:]]
+
+
+@pytest.mark.parametrize("payload, error, match", [
+    (None, ParseError, "^cannot read config .*missing.json: "),
+    ([], SchemaViolation, "^config root must be an object$"),
+    ({"model": "basic", "interventions": [
+        {"group": "msm", "additional_persons": 10, "start_year": 2031}]},
+     SchemaViolation, r"^interventions\[0\].start_year 2031.0 outside horizon$"),
+], ids=["unreadable", "root-not-object", "start-year-outside"])
+def test_config_refusals(tmp_path, payload, error, match):
+    path = tmp_path / "missing.json" if payload is None else write_config(tmp_path, payload)
+    with pytest.raises(error, match=match):
+        load_config(path)
+
+
+@pytest.mark.parametrize("command", [["emit-plots", "--series", "baseline,sobol"],
+                                     ["sobol"]], ids=["emit-plots", "sobol"])
+def test_partial_year_sobol_refused_before_any_batch_or_file(tmp_path, monkeypatch,
+                                                             capsys, command):
+    # the Sobol window is checked before the batch is integrated, and
+    # emit-plots builds every series before it makes --out or writes a file
+    batches, batch = [], sobol.integrate_batch
+    monkeypatch.setattr(sobol, "integrate_batch",
+                        lambda *a, **k: batches.append(a) or batch(*a, **k))
+    raw = copy.deepcopy(SOBOL_WINDOW)
+    raw["horizon"]["start"] = 2017.5
+    path = write_config(tmp_path, raw)
+    out = tmp_path / "out"
+    assert main(command + ["--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: span [2017.5, 2025.0] is not aligned to whole years\n")
+    assert batches == [] and not out.exists()

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from conftest import (basis_matrix_loop, random_spec, random_state,
                       sobol_indices_loop, tensor_grid_loop)
 from prepspill.errors import (DimensionOverflow, EnsembleError,
-                              ExactnessViolation)
+                              ExactnessViolation, StepSizeUnderflow)
 from prepspill.integrators import IntegratorConfig
 from prepspill.sobol import (PCExpansion, UncertainInput, _basis_matrix,
                              _series_indices, build_grid, coverage_fractions,
@@ -526,3 +526,37 @@ def test_coverage_fractions_hand_values(basic):
     want = np.array([[eps0[0] * 1.5, eps0[1], 1000.0 / y0.S[2]],
                      [0.0, eps0[1], 1.0]])
     assert np.array_equal(eps, want) and clamps == 2
+
+
+def _perturbed_grid_fit():
+    grid = build_grid([UncertainInput(group="msm", lo=0.0, hi=1.0)], level=3)
+    bent = replace(grid, weights=grid.weights * np.array([1.0, 1.01, 1.0]))
+    return fit_pce(np.ones(3), bent, 2)
+
+
+def _memberless_failure(spec, y0):
+    # every step is 1.0 year and fails these tolerances: the step controller
+    # gives up for the whole batch, so no member is to blame
+    cfg = IntegratorConfig(t0=2017.0, t_end=2021.0, rtol=1e-14, atol=1e-12,
+                           dt_min=1.0, dt_max=1.0)
+    inputs = [UncertainInput(group=lbl, lo=-0.5, hi=1.0) for lbl in spec.labels]
+    sobol_timeseries(spec, y0, inputs, level=2, total_degree=1, cfg=cfg)
+
+
+@pytest.mark.parametrize("run, error, match", [
+    (lambda spec, y0: UncertainInput(group="msm", lo=0.0, hi=1.0, domain="nosuch"),
+     ValueError, "^unknown domain 'nosuch'$"),
+    (lambda spec, y0: build_grid([UncertainInput(group="msm", lo=0.0, hi=1.0)], level=0),
+     ValueError, "^level must be >= 1$"),
+    (lambda spec, y0: fit_pce(np.ones(2), build_grid(
+        [UncertainInput(group="msm", lo=0.0, hi=1.0)], level=3), 1),
+     ValueError, "^one sample per grid node required$"),
+    (lambda spec, y0: _perturbed_grid_fit(),
+     ExactnessViolation, "breaks basis orthonormality"),
+    (_memberless_failure, StepSizeUnderflow, "below dt_min at t = 2017.000000"),
+], ids=["unknown-domain", "level-0", "sample-count", "gram-check", "memberless-failure"])
+def test_sobol_refusals(basic, run, error, match):
+    with pytest.raises(error, match=match) as info:
+        run(*basic)
+    # a failure no member caused is re-raised as it is, not as EnsembleError
+    assert type(info.value) is error and getattr(info.value, "member", None) is None

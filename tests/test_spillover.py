@@ -430,3 +430,33 @@ def test_exact_delta_matches_fd_oracle_random_specs():
                     got = np.concatenate([at.sigma, at.gamma])
                     want = np.concatenate([fd.sigma[i], fd.gamma[i]])
                     assert np.abs(got - want).max() <= tol * np.abs(got).max()
+
+
+def _nnt_past_span(spec, y0):
+    traj, sens = integrate_with_spillover(spec, y0, ("msm",), CFG.over(2020.0, 2022.0))
+    return nnt(sens["msm"], traj, "hetf", "msm", 2.5, spec.mu)
+
+
+@pytest.mark.parametrize("run, match", [
+    (lambda spec, y0: integrate_with_spillover(spec, y0, ("msm",), CFG.over(2020.0, 2021.0),
+                                               mode="nosuch"),
+     "^unknown mode 'nosuch'$"),
+    (_nnt_past_span, "^T = 2.5 reaches beyond the trajectory span$"),
+], ids=["unknown-mode", "nnt-past-span"])
+def test_spillover_refusals(basic, run, match):
+    with pytest.raises(ValueError, match=match):
+        run(*basic)
+
+
+def test_fd_oracle_backward_below_full_coverage(basic):
+    # eps_k + eps_tilde passes 1, eps_k - eps_tilde does not: a one-sided
+    # backward difference, near the central one of a step that fits
+    spec, y0 = basic
+    spec = spec.with_epsilon({"hetm": 1.0 - 1e-7})
+    cfg = IntegratorConfig(t0=2020.0, t_end=2022.0, rtol=1e-11, atol=1e-9)
+    fd = fd_oracle(spec, y0, "hetm", 1e-6, cfg)
+    assert fd.scheme == "backward"
+    central = fd_oracle(spec, y0, "hetm", 5e-8, cfg)
+    assert central.scheme == "central"
+    scale = np.abs(central.gamma).max()  # about 392 persons per unit coverage
+    assert scale > 1.0 and np.abs(fd.gamma - central.gamma).max() <= 1e-4 * scale
