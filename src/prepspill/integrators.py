@@ -441,17 +441,6 @@ def whole_years(t0, t1):
     return years
 
 
-def year_rows(traj, first, last):
-    """The model-state rows at the whole years first..last, each at the node
-    node_index finds, in one lookup; PartialYear names the first year missing."""
-    years = np.arange(first, last + 1, dtype=float)
-    near = (traj.times.searchsorted(years) + [[-1], [0], [1]]).clip(0, len(traj.times) - 1)
-    hit = np.abs(traj.times[near] - years) <= NODE_TOL
-    if not (found := hit.any(axis=0)).all():
-        raise PartialYear(f"year boundary {first + found.argmin()} missing from trajectory grid")
-    return traj.model_states()[near[hit.argmax(axis=0), np.arange(len(years))]]
-
-
 def annual_series(traj):
     """Per calendar year, per group new infections: differences of the
     cumulative accumulators at year boundaries.
@@ -461,5 +450,9 @@ def annual_series(traj):
     (years, n, B).
     """
     years = whole_years(traj.times[0], traj.times[-1])
-    C = year_rows(traj, years[0], years[-1] + 1)[:, 2 * traj.n_groups:]
+    idx = [traj.index_of(float(y)) for y in range(years[0], years[-1] + 2)]
+    if None in idx:
+        missing = years[0] + idx.index(None)
+        raise PartialYear(f"year boundary {missing} missing from trajectory grid")
+    C = traj.model_states()[idx][:, 2 * traj.n_groups:]
     return years, C[1:] - C[:-1]

@@ -104,19 +104,15 @@ PREVALENCE_ANCHOR_2017 = {"basic": 63700.0, "risk": 63700.0}  # total PWH at t0
 PREVALENCE_BAND = (0.85, 1.30)     # acceptable multiple of the anchor through 2020
 ANNUAL_INCIDENCE_BAND = (1800.0, 3200.0)  # total new infections/year, 2017-2019
 
-# Intervention arms of the published studies: the table rows, in table order.
-BASIC_ARMS = list(TABLE_BASIC_INTERVENTIONS)
-RISK_ARMS = list(TABLE_RISK_INTERVENTIONS)
-
 
 @dataclass(frozen=True)
 class Study:
     """Every per-variant fact of a published study: the preset (spec and
-    2017 state), the arms in table order, the baseline cells validate
-    checks, the golden tables, and the model groups each reported column sums."""
+    2017 state), the baseline cells validate checks, the golden tables (the
+    intervention table's keys are the study's arms, in table order), and the
+    model groups each reported column sums."""
 
     preset: object
-    arms: tuple
     baseline_cells: tuple
     baseline: dict
     interventions: dict
@@ -124,18 +120,20 @@ class Study:
 
 
 STUDIES = {
-    "basic": Study(georgia_basic, tuple(BASIC_ARMS), ("total", "msm", "hetf", "hetm"),
+    "basic": Study(georgia_basic, ("total", "msm", "hetf", "hetm"),
                    TABLE_BASIC_BASELINE, TABLE_BASIC_INTERVENTIONS,
                    {"msm": ("msm",), "hetf": ("hetf",), "hetm": ("hetm",)}),
-    "risk": Study(georgia_risk, tuple(RISK_ARMS), ("total",),
+    "risk": Study(georgia_risk, ("total",),
                   TABLE_RISK_BASELINE, TABLE_RISK_INTERVENTIONS,
                   {"msm": ("msm",), "hetf": ("hetf_h", "hetf_l"), "hetm": ("hetm",)}),
 }
+BASIC_ARMS = list(STUDIES["basic"].interventions)
 
 
 def combine_reported(variant, labels, per_group):
     """Per-model-group values summed onto the reported columns (risk HETF
     strata combined), then the total over every group."""
-    return {**{col: float(sum(per_group[labels.index(g)] for g in groups))
-               for col, groups in STUDIES[variant].reported.items()},
-            "total": float(np.sum(per_group))}
+    out = {col: float(sum(per_group[labels.index(g)] for g in groups))
+           for col, groups in STUDIES[variant].reported.items()}
+    out["total"] = float(np.sum(per_group))
+    return out

@@ -281,7 +281,8 @@ def tune_multiplier_to_rc(spec, target):
             m, secant = min(bends, key=lambda c: abs(c - m)), False
         else:  # equal end values are both zero: R_c is the target over the bracket
             m, secant = lo if fhi == flo else lo - flo * (hi - lo) / (fhi - flo), True
-        fm = rc_of(m) - target
+        rc = rc_of(m)
+        fm = rc - target
         if abs(fm) < _TUNE_TOL:
             return m
         if flo * fm <= 0:
@@ -291,7 +292,7 @@ def tune_multiplier_to_rc(spec, target):
             fhi *= scale(fm, flo) if secant and moved < 0 else 1.0
             lo, flo, moved = m, fm, -int(secant)
     raise RuntimeError(f"R_c tune to target {target} did not converge: last multiplier "
-                       f"{m!r} gives R_c = {fm + target!r}")
+                       f"{m!r} gives R_c = {rc!r}")
 
 
 @dataclass

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup,
                      ZeroPopulation)
 from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, rows_at,
-                          write_csv, year_rows)
+                          write_csv)
 from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (INTERVENTION_START, REPORT_END, SIM_START, STUDIES,
                       combine_reported)
@@ -65,7 +65,7 @@ class ScenarioConfig:
 def default_config(variant="basic", arms=None):
     """Config reproducing the published study for a variant."""
     if arms is None:  # none for an unknown variant, which _config_from_raw refuses
-        arms = STUDIES[variant].arms if variant in STUDIES else ()
+        arms = list(STUDIES[variant].interventions) if variant in STUDIES else ()
     raw = {
         "schema_version": SCHEMA_VERSION,
         "model": variant,
@@ -410,20 +410,22 @@ def validate_tables():
     "infections prevented" to +/-5 percent or +/-25 persons, whichever is
     larger.  Returns a per-cell report; nothing is raised on failure.
     """
+    def check(variant, row, cell, exp, act, tol):
+        return CellCheck(table=f"table_{variant}", row=row, cell=cell, expected=exp,
+                         actual=act, tolerance=tol, ok=abs(act - exp) <= tol)
+
     cells = []
     for variant, study in STUDIES.items():
         report = run_scenarios(default_config(variant))
-        # (row, cell, expected, actual, tolerance) per checked cell
-        checks = [("baseline", c, study.baseline[c], report.baseline.incidence[c],
-                   0.02 * study.baseline[c]) for c in study.baseline_cells]
+        for c in study.baseline_cells:
+            exp = study.baseline[c]
+            cells.append(check(variant, "baseline", c, exp, report.baseline.incidence[c],
+                               0.02 * exp))
         for r in report.scenarios:
             group, persons = r.group, int(r.additional_persons)
             exp = study.interventions[(group, persons)]["prevented"]
-            checks.append((f"{group}+{persons}", "prevented_total", exp,
-                           r.prevented["total"], max(0.05 * exp, 25.0)))
-        cells += [CellCheck(table=f"table_{variant}", row=row, cell=cell, expected=exp,
-                            actual=act, tolerance=tol, ok=abs(act - exp) <= tol)
-                  for row, cell, exp, act, tol in checks]
+            cells.append(check(variant, f"{group}+{persons}", "prevented_total", exp,
+                               r.prevented["total"], max(0.05 * exp, 25.0)))
     return ValidationReport(cells=cells)
 
 
@@ -472,7 +474,7 @@ def emit_plot_data(out_dir, variant="basic", series=PLOT_SERIES, config=None):
         # the whole calendar years inside [start, end]; every year is a node
         t0, t1 = base_traj.times[0], base_traj.times[-1]
         first, last = math.ceil(t0 - NODE_TOL), math.floor(t1 + NODE_TOL)
-        at = year_rows(base_traj, first, last)
+        at = base_traj.states[[base_traj.index_of(float(y)) for y in range(first, last + 1)]]
         header = (["year"] + [f"prevalence_{l}" for l in labels]
                   + [f"annual_incidence_{l}" for l in labels])
         rows = [[y] + [f"{v:.6f}" for v in prev] + [f"{v:.6f}" for v in row]
