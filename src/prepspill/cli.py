@@ -22,7 +22,7 @@ from .reproduction import build_ngm, rc_closed, rc_numeric
 from .scenarios import (PLOT_SERIES, SOBOL_INTERVAL, default_config, emit_plot_data,
                         load_config, report_to_csv, run_scenarios, run_spillover,
                         sobol_manifest, sobol_study, validate_tables, write_sobol)
-from .spillover import nnt, sensitivity_to_csv
+from .spillover import MODES, nnt, sensitivity_to_csv
 
 
 def _config_from_args(args):
@@ -180,7 +180,7 @@ def cmd_validate(args):
 def cmd_emit_plots(args):
     config = _config_from_args(args)
     series = tuple(args.series.split(",")) if args.series else PLOT_SERIES
-    paths = emit_plot_data(args.out, series=series, config=config)
+    paths = emit_plot_data(args.out, config, series)
     _report(args, {"files": paths}, files=paths)
     return 0
 
@@ -204,8 +204,7 @@ def build_parser():
 
     p = sub.add_parser("spillover", help="integrate the coverage sensitivities")
     common(p)
-    p.add_argument("--mode", choices=("practical", "exact_delta"),
-                   default="practical")
+    p.add_argument("--mode", choices=MODES, default="practical")
     p.set_defaults(fn=cmd_spillover)
 
     p = sub.add_parser("nnt", help="person-years of PrEP per infection prevented")

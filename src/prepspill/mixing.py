@@ -280,9 +280,9 @@ def basic_fractions(N, a, priors=None, t=None):
     """
 
 
-def close_basic(N, a, priors=None, t=None):
+def close_basic(N, a, priors=None):
     """basic_fractions as a BasicMixing record."""
-    eta, _, alpha, _, _ = basic_fractions(N, a, priors, t)
+    eta, _, alpha, _, _ = basic_fractions(N, a, priors)
     return BasicMixing(eta_msm=eta, alpha_hetf=alpha)
 
 
@@ -300,9 +300,9 @@ def risk_fractions(N, a, priors, t=None):
     """
 
 
-def close_risk(N, a, priors, t=None):
+def close_risk(N, a, priors):
     """risk_fractions as a RiskMixing record."""
-    em, ehh, _, ahh, _, ahl, _, xi, _ = risk_fractions(N, a, priors, t)
+    em, ehh, _, ahh, _, ahl, _, xi, _ = risk_fractions(N, a, priors)
     return RiskMixing(em, ehh, ahh, ahl, xi)
 
 

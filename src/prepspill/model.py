@@ -166,7 +166,7 @@ class ModelSpec:
         return replace(self, groups=groups)
 
 
-def make_spec(variant, Pi, a, delta, epsilon, probs, mu, mixing_priors, mixing=None):
+def make_spec(variant, Pi, a, delta, epsilon, probs, mu, mixing_priors):
     """Assemble a ModelSpec from parallel parameter sequences in group order."""
     names = variant_of(variant).groups
     groups = tuple(
@@ -174,7 +174,7 @@ def make_spec(variant, Pi, a, delta, epsilon, probs, mu, mixing_priors, mixing=N
                           epsilon=float(epsilon[i])))
         for i, lbl in enumerate(names))
     return ModelSpec(variant=variant, groups=groups, probs=probs, mu=float(mu),
-                     mixing_priors=mixing_priors, mixing=mixing)
+                     mixing_priors=mixing_priors)
 
 
 @dataclass(frozen=True)
@@ -220,14 +220,14 @@ class StateVec:
         return cls(S=y[0:2 * n:2].copy(), I=y[1:2 * n:2].copy(), C=y[2 * n:3 * n].copy())
 
 
-def closed_mixing(spec, N, t=None):
+def closed_mixing(spec, N):
     """Mixing fractions at populations N: the pinned ones if the spec fixes
     them, otherwise the closure projection of the priors."""
     if spec.mixing is not None:
         return spec.mixing
     _, a, _, _ = spec.param_arrays()
     close = globals()[VARIANTS[spec.variant].closure]
-    return close(N, a, spec.mixing_priors, t=t)
+    return close(N, a, spec.mixing_priors)
 
 
 def contact_matrix(spec, mix):

@@ -127,7 +127,6 @@ STUDIES = {
                   TABLE_RISK_BASELINE, TABLE_RISK_INTERVENTIONS,
                   {"msm": ("msm",), "hetf": ("hetf_h", "hetf_l"), "hetm": ("hetm",)}),
 }
-BASIC_ARMS = list(STUDIES["basic"].interventions)
 
 
 def combine_reported(variant, labels, per_group):

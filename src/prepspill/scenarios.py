@@ -62,10 +62,10 @@ class ScenarioConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def default_config(variant="basic", arms=None):
+def default_config(variant):
     """Config reproducing the published study for a variant."""
-    if arms is None:  # none for an unknown variant, which _config_from_raw refuses
-        arms = list(STUDIES[variant].interventions) if variant in STUDIES else ()
+    # no arms for an unknown variant, which _config_from_raw refuses
+    arms = STUDIES[variant].interventions if variant in STUDIES else ()
     raw = {
         "schema_version": SCHEMA_VERSION,
         "model": variant,
@@ -244,22 +244,20 @@ def integrate_baseline(config):
                      sample_times=_baseline_samples(config))
 
 
-def run_spillover(config, mode="practical", baseline=None, sample_times=None):
+def run_spillover(config, mode="practical", sample_times=None):
     """Sensitivities to every group's coverage over [intervention, end],
     started from the baseline state at the intervention year, with nodes at
     ``sample_times`` besides the whole years.
 
-    Returns (state trajectory, sensitivities by source).  The start state is
-    read from ``baseline`` when one is passed in.  Otherwise only the
+    Returns (state trajectory, sensitivities by source).  Only the
     baseline's head is integrated, over [start, intervention], with the
     baseline's whole years and sample times up to the intervention year:
     its steps are the full baseline's up to there, so the start state is the
-    same bits.  With the intervention at the start it is y0 itself.
+    same bits as the full baseline's.  With the intervention at the start it
+    is y0 itself.
     """
     t_int = config.intervention_year
-    if baseline is not None:
-        y_int = baseline.state_at(t_int)
-    elif t_int == config.start:
+    if t_int == config.start:
         y_int = config.y0
     else:
         head = integrate(config.spec, config.y0, config.integrator.over(config.start, t_int),
@@ -440,9 +438,9 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def emit_plot_data(out_dir, variant="basic", series=PLOT_SERIES, config=None):
-    """Write the figure-analog CSV bundle for one config, by default the
-    published study of ``variant``; file names carry the config's variant.
+def emit_plot_data(out_dir, config, series=PLOT_SERIES):
+    """Write the figure-analog CSV bundle for one config; file names carry
+    the config's variant.
 
     Series names: baseline (prevalence and annual incidence), effects
     (per-person incidence effects over time), nnt (NNT curves; undefined or
@@ -457,7 +455,6 @@ def emit_plot_data(out_dir, variant="basic", series=PLOT_SERIES, config=None):
     unknown = set(series) - known
     if unknown:
         raise MissingSeries(f"unknown series {sorted(unknown)}; known: {sorted(known)}")
-    config = config or default_config(variant)
     variant, labels = config.variant, config.spec.labels
     n = len(labels)
     texts = []  # (file name, text), in series order
@@ -467,7 +464,7 @@ def emit_plot_data(out_dir, variant="basic", series=PLOT_SERIES, config=None):
     if "baseline" in series and base_traj is None:
         base_traj = integrate_baseline(config)
     if {"effects", "nnt"} & set(series):
-        traj, sens = run_spillover(config, baseline=base_traj)
+        traj, sens = run_spillover(config)
         S = traj.states[:, 0:2 * n:2]
 
     if "baseline" in series:

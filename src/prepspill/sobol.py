@@ -264,7 +264,6 @@ class SobolStudy:
     """
 
     years: list
-    output_groups: tuple
     inputs: tuple
     indices: dict            # (year, group label) -> SobolIndices
     grid_level: int
@@ -334,8 +333,9 @@ def _batch_incidence(spec, y0, grid, eps, cfg):
     return years, table[..., member[inverse.reshape(-1)]], rhs_evals, len(nodes)
 
 
-def sobol_timeseries(spec, y0, inputs, years=None, level=5, total_degree=4, cfg=None):
-    """Sobol indices of annual incidence per output group and calendar year.
+def sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=None):
+    """Sobol indices of annual incidence per output group and every calendar
+    year of the window.
 
     Inputs map sampled values onto coverage fractions (coverage_fractions:
     clamped to [0, 1]; a study with any clamped value is flagged
@@ -357,15 +357,13 @@ def sobol_timeseries(spec, y0, inputs, years=None, level=5, total_degree=4, cfg=
     grid = build_grid(inputs, level=level)
     _check_tensor_exactness(grid, total_degree)  # before any node is integrated
     eps, clamps = coverage_fractions(spec, y0, inputs, grid.nodes)
-    all_years, table, rhs_evals, members = _batch_incidence(spec, y0, grid, eps, cfg)
-    kept = [yi for yi, year in enumerate(all_years) if years is None or year in years]
-    keys = [(all_years[yi], lbl) for yi in kept for lbl in spec.labels]
-    Y = table[kept].reshape(len(keys), grid.n_nodes).T  # (nodes, series)
+    years, table, rhs_evals, members = _batch_incidence(spec, y0, grid, eps, cfg)
+    keys = [(year, lbl) for year in years for lbl in spec.labels]
+    Y = table.reshape(len(keys), grid.n_nodes).T  # (nodes, series)
     pce = fit_pce(Y, grid, total_degree)
     indices = dict(zip(keys, _series_indices(pce.index_set, pce.coeffs)))
     samples = {key: Y[:, c] for c, key in enumerate(keys)}
-    return SobolStudy(years=[all_years[yi] for yi in kept], output_groups=spec.labels,
-                      inputs=inputs, indices=indices, grid_level=level,
+    return SobolStudy(years=years, inputs=inputs, indices=indices, grid_level=level,
                       n_nodes=grid.n_nodes, clamp_count=clamps,
                       boundary_affected=clamps > 0, rtol=cfg.rtol, atol=cfg.atol,
                       rhs_evals=rhs_evals, members=members, samples=samples)

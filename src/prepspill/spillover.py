@@ -59,19 +59,29 @@ class SensitivityState:
 
 @dataclass
 class SensitivityTrajectory:
-    """Time series of one source's sensitivity block."""
+    """Time series of one source's sensitivity block: one row per time, each
+    group's (sigma_j, gamma_j) pair interleaved like the state's (S_j, I_j)
+    slots.  integrate_with_spillover's blocks are views of the joint run's
+    states; ``sigma`` and ``gamma`` are views of the block."""
 
     source: str
     source_index: int
     times: np.ndarray
-    sigma: np.ndarray  # (n_times, n_groups)
-    gamma: np.ndarray
+    block: np.ndarray  # (n_times, 2 * n_groups)
+
+    @property
+    def sigma(self):
+        return self.block[:, 0::2]
+
+    @property
+    def gamma(self):
+        return self.block[:, 1::2]
 
     def at(self, t):
         """The block at time t (rows_at, which refuses t outside the span)."""
+        row = rows_at(self.times, self.block, t)
         return SensitivityState(source=self.source, source_index=self.source_index,
-                                sigma=rows_at(self.times, self.sigma, t),
-                                gamma=rows_at(self.times, self.gamma, t))
+                                sigma=row[0::2], gamma=row[1::2])
 
 
 @dataclass(frozen=True)
@@ -113,10 +123,9 @@ def integrate_with_spillover(spec, y0, sources, cfg, mode="practical",
     sens = {}
     for b, k in enumerate(src):
         off = 3 * n + 2 * n * b
-        block = traj.states[:, off:off + 2 * n]
         sens[spec.labels[k]] = SensitivityTrajectory(
             source=spec.labels[k], source_index=k, times=traj.times,
-            sigma=block[:, 0::2].copy(), gamma=block[:, 1::2].copy())
+            block=traj.states[:, off:off + 2 * n])
     return traj, sens
 
 
@@ -143,7 +152,8 @@ def simple_nnt(T, S_k, gamma_j):
 def nnt(sens_traj, state_traj, j, k, T, mu):
     """Person-years of additional PrEP in group k per infection prevented in
     group j over [t_start, t_start + T], t_start being the sensitivity start.
-    j and k are group labels; k must be the block's source.
+    j and k are group labels; k must be the block's source, and both
+    trajectories must share one grid, node for node within NODE_TOL.
 
     nnt_simple = T * S_k(T) / gamma_j(T); nnt_integral keeps the
     mu * integral(gamma/S) term in the denominator.  Undefined (flagged, not
@@ -157,16 +167,16 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
     t_eval = t_start + T
     if t_eval > state_traj.times[-1] + NODE_TOL:
         raise ValueError(f"T = {T} reaches beyond the trajectory span")
+    if sens_traj.times is not state_traj.times and (  # shared by integrate_with_spillover
+            sens_traj.times.shape != state_traj.times.shape
+            or not np.allclose(sens_traj.times, state_traj.times, rtol=0.0, atol=NODE_TOL)):
+        raise ValueError("sensitivity and state trajectories use different grids")
     gam_T = sens_traj.at(t_eval).gamma[j_idx]
     S_T = state_traj.state_at(t_eval).S[k_idx]
     simple = simple_nnt(T, S_T, gam_T)
     if simple is None:
         return NNTResult(j=j, k=k, horizon=T, nnt_simple=float("nan"),
                          nnt_integral=float("nan"), defined=False)
-    if sens_traj.times is not state_traj.times and (  # shared by integrate_with_spillover
-            sens_traj.times.shape != state_traj.times.shape
-            or not np.allclose(sens_traj.times, state_traj.times)):
-        raise ValueError("sensitivity and state trajectories use different grids")
     # trapezoid over the nodes up to t_eval, then on to t_eval if not a node
     m = int(np.searchsorted(sens_traj.times, t_eval + NODE_TOL, side="right"))
     tt = sens_traj.times[:m]
@@ -220,22 +230,17 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg):
         pspec = spec.with_epsilon({k: e})
         traj = integrate(pspec, y0, cfg)
         runs.append(np.array([traj.row_at(t)[:2 * spec.n] for t in grid]))
-    diff = (runs[0] - runs[1]) / denom
     return FdEstimate(source=k, source_index=k_idx, times=np.array(grid),
-                      sigma=diff[:, 0::2], gamma=diff[:, 1::2], scheme=scheme)
+                      block=(runs[0] - runs[1]) / denom, scheme=scheme)
 
 
 def sensitivity_to_csv(sens_map, labels, path_or_file):
-    """Write sensitivity trajectories as columns sigma_<j>__<k>, gamma_<j>__<k>."""
+    """Write sensitivity trajectories as columns sigma_<j>__<k>, gamma_<j>__<k>:
+    the blocks, sources in sorted order, side by side."""
     sources = sorted(sens_map)
-    times = sens_map[sources[0]].times
-    header = ["t"]
-    n = len(labels)
-    table = np.empty((len(times), 1 + 2 * n * len(sources)))
-    table[:, 0] = times
-    for b, k in enumerate(sources):
-        header += [f"{c}_{jl}__{k}" for jl in labels for c in ("sigma", "gamma")]
-        table[:, 1 + 2 * n * b:1 + 2 * n * (b + 1):2] = sens_map[k].sigma
-        table[:, 2 + 2 * n * b:2 + 2 * n * (b + 1):2] = sens_map[k].gamma
+    header = ["t"] + [f"{c}_{jl}__{k}" for k in sources
+                      for jl in labels for c in ("sigma", "gamma")]
+    table = np.column_stack([sens_map[sources[0]].times]
+                            + [sens_map[k].block for k in sources])
     # csv writes each float of the Python-float rows as its repr
     write_csv(path_or_file, header, table.tolist())

@@ -15,14 +15,15 @@ from prepspill import sobol
 from prepspill.errors import (ConfigError, MissingSeries, ParseError, SchemaViolation,
                               UnknownGroup, ZeroPopulation)
 from prepspill.model import StateVec, dfe
-from prepspill.presets import (ANNUAL_INCIDENCE_BAND, BASIC_ARMS,
-                               PREVALENCE_ANCHOR_2017, PREVALENCE_BAND, georgia_basic)
+from prepspill.presets import (ANNUAL_INCIDENCE_BAND, PREVALENCE_ANCHOR_2017,
+                               PREVALENCE_BAND, STUDIES, georgia_basic)
 from prepspill.integrators import annual_series
 from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, default_config,
                                  emit_plot_data, integrate_baseline, load_config,
                                  report_to_csv, run_scenarios, run_spillover,
                                  validate_tables)
-from prepspill.spillover import SensitivityState, nnt, per_person_effect, simple_nnt
+from prepspill.spillover import (SensitivityState, integrate_with_spillover, nnt,
+                                 per_person_effect, simple_nnt)
 
 # Table-9 cells known to sit outside tolerance under the fixed-contact-rate
 # closure (see decisions notes); everything else must pass.
@@ -130,7 +131,8 @@ def test_reports_reproducible():
 
 
 def test_csv_to_path_and_to_open_file_agree(tmp_path):
-    report = run_scenarios(default_config("basic", arms=[("msm", 10000)]))
+    report = run_scenarios(_config_from_raw({"model": "basic", "interventions": [
+        {"group": "msm", "additional_persons": 10000}]}))
     buf = io.StringIO()
     report_to_csv(report, buf)
     assert not buf.closed  # a caller's file stays open
@@ -150,10 +152,8 @@ def test_validate_tables_known_outcome():
 
 
 def test_validate_detects_perturbed_transmission():
-    config = default_config("basic", arms=[])
-    config.raw["overrides"] = {"probs": {"beta_mm": 0.0008 * 1.1}}
-    from prepspill.scenarios import _config_from_raw
-    report = run_scenarios(_config_from_raw(config.raw))
+    report = run_scenarios(_config_from_raw({
+        "model": "basic", "overrides": {"probs": {"beta_mm": 0.0008 * 1.1}}}))
     from prepspill.presets import TABLE_BASIC_BASELINE
     exp = TABLE_BASIC_BASELINE["msm"]
     assert abs(report.baseline.incidence["msm"] - exp) > 0.02 * exp
@@ -162,32 +162,28 @@ def test_validate_detects_perturbed_transmission():
 def test_emit_plot_data_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    paths1 = emit_plot_data(str(out1), variant="basic",
+    paths1 = emit_plot_data(str(out1), default_config("basic"),
                             series=("baseline", "table"))
-    paths2 = emit_plot_data(str(out2), variant="basic",
+    paths2 = emit_plot_data(str(out2), default_config("basic"),
                             series=("baseline", "table"))
     for p1, p2 in zip(paths1, paths2):
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_emit_plot_data_names_files_after_the_config(tmp_path):
-    # the data comes from config, so the names do too; variant only picks
-    # the default config
-    risk = default_config("risk")
-    path, = emit_plot_data(str(tmp_path), variant="basic", series=("baseline",), config=risk)
+    # the data comes from config, so the names do too
+    path, = emit_plot_data(str(tmp_path), default_config("risk"), series=("baseline",))
     assert os.path.basename(path) == "baseline_series_risk.csv"
     assert Path(path).read_text().splitlines()[0].startswith("year,prevalence_msm,prevalence_hetf_h,")
-    default, = emit_plot_data(str(tmp_path / "default"), variant="risk", series=("baseline",))
-    assert Path(default).read_bytes() == Path(path).read_bytes()
 
 
 def test_emit_plot_data_unknown_series(tmp_path):
     with pytest.raises(MissingSeries):
-        emit_plot_data(str(tmp_path), series=("baseline", "nosuch"))
+        emit_plot_data(str(tmp_path), default_config("basic"), series=("baseline", "nosuch"))
 
 
 def test_emit_nnt_has_empty_cells_and_sidecar(tmp_path):
-    paths = emit_plot_data(str(tmp_path), variant="basic", series=("nnt",))
+    paths = emit_plot_data(str(tmp_path), default_config("basic"), series=("nnt",))
     csv_path = [p for p in paths if p.endswith(".csv")][0]
     side_path = [p for p in paths if p.endswith(".json")][0]
     rows = Path(csv_path).read_text().splitlines()
@@ -204,7 +200,7 @@ def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
     # exactly where nnt() is undefined or above the display cap
     config = default_config(variant)
     spec, (traj, sens) = config.spec, run_spillover(config)
-    csv_path = emit_plot_data(str(tmp_path), variant=variant, series=("nnt",))[0]
+    csv_path = emit_plot_data(str(tmp_path), config, series=("nnt",))[0]
     rows = list(csv.reader(io.StringIO(Path(csv_path).read_text())))
     pairs = [(jl, k) for k in spec.labels for jl in spec.labels]
     assert rows[0] == ["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs]
@@ -263,10 +259,9 @@ def test_emit_plot_series_equal_per_cell_formulas(tmp_path, raw):
     # the series read whole arrays; every cell is the per-cell formula's,
     # byte for byte, half-year NNT rows between nodes included
     config = _config_from_raw(raw)
-    paths = emit_plot_data(str(tmp_path), series=("baseline", "effects", "nnt"),
-                           config=config)
+    paths = emit_plot_data(str(tmp_path), config, series=("baseline", "effects", "nnt"))
     base_traj = integrate_baseline(config)
-    traj, sens = run_spillover(config, baseline=base_traj)
+    traj, sens = run_spillover(config)
     baseline, effects, nnts, suppressed = _plot_series_per_cell(config, base_traj, traj, sens)
     for path, want in zip(paths, (baseline, effects, nnts)):
         rows = list(csv.reader(io.StringIO(Path(path).read_text())))
@@ -297,8 +292,10 @@ def test_spillover_from_baseline_head_equals_full_baseline(name, horizon):
     config = _config_from_raw(HEAD_CONFIGS[name])
     samples = None if horizon is None else [config.intervention_year + horizon]
     traj, sens = run_spillover(config, sample_times=samples)
-    want, want_sens = run_spillover(config, baseline=integrate_baseline(config),
-                                    sample_times=samples)
+    t_int = config.intervention_year
+    want, want_sens = integrate_with_spillover(
+        config.spec, integrate_baseline(config).state_at(t_int), sources=config.spec.labels,
+        cfg=config.integrator.over(t_int, config.end), sample_times=samples)
     assert np.array_equal(traj.times, want.times)
     assert np.array_equal(traj.states, want.states)
     assert traj.clamp_events == want.clamp_events
@@ -641,7 +638,8 @@ def test_cli_simulate_json_names_every_arm(tmp_path, capsys):
                            "prep_msm_10000_2022#2"]
     assert got["prep_msm_10000_2022#2"] == got["prep_msm_10000_2022"] != got["prep_msm_10000"]
     report = run_scenarios(default_config("basic"))
-    assert [r.name for r in report.scenarios] == [f"prep_{g}_{d}" for g, d in BASIC_ARMS]
+    assert [r.name for r in report.scenarios] == [
+        f"prep_{g}_{d}" for g, d in STUDIES["basic"].interventions]
 
 
 def test_cli_fixed_fraction_with_empty_pool(tmp_path, capsys):
@@ -674,8 +672,7 @@ def test_emit_effects_with_empty_source_pool(tmp_path):
         "model": "basic", "overrides": {"groups": {"msm": {"Pi": 0}}},
         "initial_conditions": {"msm": {"S": 0, "I": 42000}}})
     with pytest.raises(ZeroPopulation, match="source group msm has S = 0"):
-        emit_plot_data(str(tmp_path / "out"), series=("effects",),
-                       config=load_config(path))
+        emit_plot_data(str(tmp_path / "out"), load_config(path), series=("effects",))
 
 
 def test_cli_calls_in_one_process_keep_their_own_arguments(tmp_path, capsys):

@@ -337,15 +337,6 @@ def test_timeseries_one_batched_integration(basic, monkeypatch):
     assert calls["integrate_batch"][0][2].shape == (4, spec.n)
     # Dormand-Prince: 1 + 6 RHS evaluations per attempt, 5 attempts
     assert (study.rtol, study.atol, study.rhs_evals) == (1e-8, 1e-6, 1 + 6 * 5)
-    one_year = sobol_timeseries(spec, y0, inputs, years=[2018], level=4,
-                                total_degree=2, cfg=cfg)
-    assert one_year.years == [2018] and set(one_year.indices) == {
-        (2018, lbl) for lbl in spec.labels}
-    assert np.array_equal(one_year.indices[(2018, "msm")].total,
-                          study.indices[(2018, "msm")].total)
-    none = sobol_timeseries(spec, y0, inputs, years=[1990], level=4, total_degree=2,
-                            cfg=cfg)
-    assert none.years == [] and none.indices == {} and none.samples == {}
 
 
 def test_timeseries_failure_names_member(basic, monkeypatch):

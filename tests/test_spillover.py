@@ -1,3 +1,4 @@
+import io
 from dataclasses import replace
 
 import numpy as np
@@ -7,10 +8,10 @@ from conftest import (incidence_sensitivity, random_spec, random_state, rhs, rk4
                       spillover_rhs, xi_correction)
 from prepspill.errors import (PerturbationOutOfRange, UnsupportedVariant,
                               ZeroPopulation)
-from prepspill.integrators import IntegratorConfig, integrate, node_index
+from prepspill.integrators import IntegratorConfig, integrate, node_index, rows_at, write_csv
 from prepspill.model import StateVec, closed_mixing, dfe, flat_rhs_factory
-from prepspill.spillover import (SensitivityState, fd_oracle,
-                                 integrate_with_spillover, nnt, per_person_effect)
+from prepspill.spillover import (SensitivityState, fd_oracle, integrate_with_spillover,
+                                 nnt, per_person_effect, sensitivity_to_csv)
 
 CFG = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-9, atol=1e-7)
 
@@ -35,6 +36,55 @@ def test_reads_outside_the_run_refused(aug_basic):
             with pytest.raises(ValueError, match=f"t = {t} outside trajectory span"):
                 read(t)
     assert np.array_equal(sens["msm"].at(2031.0).gamma, sens["msm"].gamma[-1])
+
+
+def test_blocks_are_views_of_the_joint_run(aug_basic):
+    # each source's block is the joint run's slots, uncopied; at() reads one
+    # row of it, the same bits as reading separate sigma and gamma arrays,
+    # at a node and between nodes
+    _, traj, sens, _ = aug_basic
+    for st in sens.values():
+        assert np.shares_memory(st.block, traj.states)
+        assert np.shares_memory(st.sigma, st.block) and np.shares_memory(st.gamma, st.block)
+        sigma, gamma = st.block[:, 0::2].copy(), st.block[:, 1::2].copy()
+        for t in (2023.0, 2023.37, traj.times[5], 0.5 * (traj.times[5] + traj.times[6])):
+            at = st.at(t)
+            assert np.array_equal(at.sigma, rows_at(st.times, sigma, t))
+            assert np.array_equal(at.gamma, rows_at(st.times, gamma, t))
+
+
+def test_csv_of_a_source_subset_equals_columnwise_assembly(basic):
+    # two sources handed over out of label order: the stacked blocks give
+    # the bytes of sigma and gamma put in column by column
+    spec, y0 = basic
+    _, sens = integrate_with_spillover(spec, y0, ("hetm", "msm"), CFG.over(2020.0, 2023.0))
+    sens_map = {"hetm": sens["hetm"], "msm": sens["msm"]}
+    sources, labels, n = sorted(sens_map), spec.labels, spec.n
+    times = sens_map[sources[0]].times
+    header = ["t"]
+    table = np.empty((len(times), 1 + 2 * n * len(sources)))
+    table[:, 0] = times
+    for b, k in enumerate(sources):
+        header += [f"{c}_{jl}__{k}" for jl in labels for c in ("sigma", "gamma")]
+        table[:, 1 + 2 * n * b:1 + 2 * n * (b + 1):2] = sens_map[k].sigma.copy()
+        table[:, 2 + 2 * n * b:2 + 2 * n * (b + 1):2] = sens_map[k].gamma.copy()
+    want, got = io.StringIO(), io.StringIO()
+    write_csv(want, header, table.tolist())
+    sensitivity_to_csv(sens_map, labels, got)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("shift", [0.015, 0.05])
+def test_nnt_refuses_a_state_grid_off_by_more_than_a_node(aug_basic, shift):
+    # the state and sensitivity grids must agree node for node (NODE_TOL);
+    # a copy of the same grid passes with the same result
+    spec, traj, sens, _ = aug_basic
+    same = replace(traj, times=traj.times.copy())
+    assert nnt(sens["msm"], same, "hetf", "msm", 10.9, spec.mu) == \
+        nnt(sens["msm"], traj, "hetf", "msm", 10.9, spec.mu)
+    shifted = replace(traj, times=traj.times + shift)
+    with pytest.raises(ValueError, match="use different grids"):
+        nnt(sens["msm"], shifted, "hetf", "msm", 10.9, spec.mu)
 
 
 def test_rhs_zero_at_disease_free(basic):
