@@ -18,10 +18,8 @@ from .reproduction import (NGMatrices, ReproductionNumber, build_ngm,
 from .scenarios import (RunReport, ScenarioConfig, default_config, load_config,
                         run_scenarios, validate_tables)
 from .sobol import (PCExpansion, QuadratureGrid, SobolIndices, UncertainInput,
-                    build_grid, fit_pce, mean_var, sobol_indices,
-                    sobol_timeseries)
+                    build_grid, fit_pce, sobol_indices, sobol_timeseries)
 from .spillover import (NNTResult, SensitivityState, SensitivityTrajectory,
-                        fd_oracle, integrate_with_spillover, nnt,
-                        per_person_effect)
+                        fd_oracle, integrate_with_spillover, nnt)
 
 __version__ = "0.1.0"

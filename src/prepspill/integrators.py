@@ -384,19 +384,17 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     return ts, ys, clamps, h
 
 
-def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, coverage=None,
-              incidence=True):
+def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=True):
     """Integrate a model from StateVec y0 over the configured window.
 
-    ``tracked_counts``, ``coverage`` and ``incidence`` go to the flat RHS
-    (model.flat_rhs_factory): ``coverage`` maps group labels to fractions
-    that replace the spec's, so the run equals that of
-    spec.with_epsilon(coverage) bit for bit, without copying the spec.
-    ``incidence=False`` integrates only the 2n S/I slots (y0.C unread), for
-    runs that read no incidence: the trajectory's rows are those 2n slots.
+    ``tracked_counts`` and ``incidence`` go to the flat RHS
+    (model.flat_rhs_factory); a run at other coverage fractions integrates
+    a copy of the spec (spec.with_epsilon), and runs that must share their
+    steps are the rows of one integrate_batch.  ``incidence=False``
+    integrates only the 2n S/I slots (y0.C unread), for runs that read no
+    incidence: the trajectory's rows are those 2n slots.
     """
-    f = flat_rhs_factory(spec, tracked_counts=tracked_counts, coverage=coverage,
-                         incidence=incidence)
+    f = flat_rhs_factory(spec, tracked_counts=tracked_counts, incidence=incidence)
     y = y0.to_flat()
     return Trajectory.of(integrate_flat(f, y if incidence else y[:2 * spec.n], cfg,
                                         n_state=2 * spec.n, sample_times=sample_times),

@@ -394,17 +394,7 @@ def _rhs_cells(spec):
     return cells
 
 
-def _checked_coverage(eps):
-    """The coverage fraction eps as a float; ValueError outside [0, 1]
-    (GroupParams' range, NaN included)."""
-    eps = float(eps)
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"epsilon = {eps} outside [0, 1]")
-    return eps
-
-
-def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact=False,
-                     incidence=True):
+def flat_rhs_factory(spec, tracked_counts=None, sources=(), exact=False, incidence=True):
     """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...],
     followed, for each of the group indices ``sources`` (sorted), by that
     source's spillover block: the (sigma, gamma) pairs of every group, in
@@ -412,19 +402,15 @@ def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact
     ``incidence=False`` drops the C slots: the RHS maps the 2n S/I slots to
     their derivative, each entry the full RHS's bit for bit (no sources).
 
-    ``coverage`` optionally maps group labels to coverage fractions that
-    replace the spec's: the RHS is then that of spec.with_epsilon(coverage),
-    bit for bit, without the copy of the spec.
-    ``tracked_counts`` optionally gives absolute person counts on PrEP per
-    group; coverage is then re-derived as E_j / S_j at every evaluation
-    (capped at 1) instead of using the fixed fractions.  Groups with a zero
-    count keep their fixed fraction.
+    The coverage fractions are the spec's (spec.with_epsilon gives another
+    set).  ``tracked_counts`` optionally gives absolute person counts on
+    PrEP per group; coverage is then re-derived as E_j / S_j at every
+    evaluation (capped at 1) instead of using the fixed fractions.  Groups
+    with a zero count keep their fixed fraction.
     """
     counts = tuple(tracked_counts) if tracked_counts is not None else (0.0,) * spec.n
     tracked = tuple(j for j, c in enumerate(counts) if c)
     cells = _rhs_cells(spec)
-    for label, eps in (coverage or {}).items():
-        cells[f"u{spec.group_index(label)}"] = 1.0 - _checked_coverage(eps)
     for j in tracked:
         del cells[f"u{j}"]
         cells[f"c{j}"] = float(counts[j])
@@ -435,16 +421,20 @@ def flat_rhs_factory(spec, tracked_counts=None, coverage=None, sources=(), exact
 
 def batched_rhs_factory(spec, eps):
     """The flat RHS of a batch of models differing only in coverage (``eps``
-    (B, n), whose first entry outside [0, 1] in row order is refused as
-    integrate refuses it): rhs(t, y) maps the (3n, B) state (or its rows) to
-    one (3n, B) derivative; failures name the first failing member
-    (.member).  Each step is one ufunc call over the groups (n, B) or pairs
-    (pairs, B), in the scalar row forms: pair i of group j adds (m_i * c_i *
-    I_p) / N_p, summed in partner order (PAIRS lists pairs by (j, p)) and
-    times A_j, where (c_i, A_j) is (b_i, a_j) in a general row, (1, a_j * b)
-    with one beta and (a_j * b, 1) for a lone pair (m_i = 1).  Products by 1
-    are exact, so each member's derivative is the scalar one bit for bit."""
-    eps = np.array([list(map(_checked_coverage, row)) for row in eps])
+    (B, n), whose first entry outside GroupParams' range [0, 1] in row
+    order, NaN included, is refused with a ValueError): rhs(t, y) maps the
+    (3n, B) state (or its rows) to one (3n, B) derivative; failures name
+    the first failing member (.member).  Each step is one ufunc call over
+    the groups (n, B) or pairs (pairs, B), in the scalar row forms: pair i
+    of group j adds (m_i * c_i * I_p) / N_p, summed in partner order (PAIRS
+    lists pairs by (j, p)) and times A_j, where (c_i, A_j) is (b_i, a_j) in
+    a general row, (1, a_j * b) with one beta and (a_j * b, 1) for a lone
+    pair (m_i = 1).  Products by 1 are exact, so each member's derivative is
+    the scalar one bit for bit."""
+    eps = np.array(eps, dtype=float)
+    for e in eps.ravel().tolist():
+        if not 0.0 <= e <= 1.0:
+            raise ValueError(f"epsilon = {e} outside [0, 1]")
     var = VARIANTS[spec.variant]
     pairs, n = var.mixing.PAIRS, spec.n
     cells, close = _rhs_cells(spec), var.batch_closure

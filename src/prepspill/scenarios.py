@@ -324,19 +324,19 @@ def run_scenarios(config):
         k = spec.group_index(arm.group)
         window = max(arm.start_year, t_int)
         start_state = base_traj.state_at(arm.start_year)
-        coverage, counts = None, None
+        arm_spec, counts = spec, None
         if config.intervention_mode == "fixed-fraction":
             # as with tracked counts: persons added to an empty pool cover it
             eps_k, S_k = spec.groups[k][1].epsilon, start_state.S[k]
             if arm.additional_persons > 0.0:
                 eps_k = min(eps_k + arm.additional_persons / S_k, 1.0) if S_k > 0.0 else 1.0
-            coverage = {arm.group: eps_k}
+            arm_spec = spec.with_epsilon({arm.group: eps_k})
         else:
             counts = [0.0] * spec.n
             counts[k] = (spec.groups[k][1].epsilon * start_state.S[k]
                          + arm.additional_persons)
-        traj = integrate(spec, start_state, free.over(arm.start_year, t_end),
-                         sample_times=[window], tracked_counts=counts, coverage=coverage)
+        traj = integrate(arm_spec, start_state, free.over(arm.start_year, t_end),
+                         sample_times=[window], tracked_counts=counts)
         inc = _window_incidence(traj, spec, window, t_end)
         if arm.start_year > t_int:
             # add the pre-intervention part of the window from baseline

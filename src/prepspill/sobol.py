@@ -215,12 +215,6 @@ def fit_pce(samples, grid, total_degree):
     return PCExpansion(index_set=index_set, coeffs=coeffs, intervals=grid.intervals)
 
 
-def mean_var(pce):
-    """Mean is the constant coefficient; variance the sum of squares of the rest."""
-    si = sobol_indices(pce)
-    return si.mean, si.variance
-
-
 def sobol_indices(pce):
     """First-order and total indices per input from the expansion coefficients:
     the share of the variance in the terms whose multi-index touches the

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PerturbationOutOfRange, UnsupportedVariant, ZeroPopulation
-from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate, integrate_flat,
-                          rows_at, write_csv)
+from .errors import PerturbationOutOfRange, UnsupportedVariant
+from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate_batch,
+                          integrate_flat, rows_at, write_csv)
 from .model import flat_rhs_factory
 
 MODES = ("practical", "exact_delta")
@@ -129,19 +129,6 @@ def integrate_with_spillover(spec, y0, sources, cfg, mode="practical",
     return traj, sens
 
 
-def per_person_effect(sens, state, j):
-    """Effect per additional person on PrEP in the source group.
-
-    Returns (gamma_j / S_k, sigma_j / S_k): infections averted in group j
-    (and susceptibles forgone) per extra person covered in group k, at the
-    current time.  j is a group index.
-    """
-    Sk = state.S[sens.source_index]
-    if Sk <= 0.0:
-        raise ZeroPopulation(f"source group {sens.source} has S = 0")
-    return sens.gamma[j] / Sk, sens.sigma[j] / Sk
-
-
 def simple_nnt(T, S_k, gamma_j):
     """nnt_simple = T * S_k / gamma_j: person-years of PrEP in k per
     infection prevented in j over a horizon T, from S_k and gamma_j at the
@@ -206,9 +193,12 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg):
 
     Integrates the given spec with eps_k (k a group label) shifted by +/- eps_tilde and forms
     (X(eps - e) - X(eps + e)) / (2 e), matching the package's
-    reduction-sign convention, at t0, every whole year and t_end.  Falls
-    back to a one-sided difference when eps_k sits at a boundary of [0, 1];
-    raises PerturbationOutOfRange when no admissible perturbation exists.
+    reduction-sign convention, at t0, every whole year (if cfg.year_nodes)
+    and t_end.  The two runs are one 2-member integrate_batch, so they take
+    every step together and the difference carries no noise from separately
+    placed nodes (internal numerical differentiation).  Falls back to a
+    one-sided difference when eps_k sits at a boundary of [0, 1]; raises
+    PerturbationOutOfRange when no admissible perturbation exists.
     """
     if eps_tilde <= 0.0:
         raise PerturbationOutOfRange("eps_tilde must be positive")
@@ -224,14 +214,13 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg):
     else:
         raise PerturbationOutOfRange(
             f"eps_{k} = {eps_k} admits no +/-{eps_tilde} perturbation in [0, 1]")
+    eps = np.repeat(spec.param_arrays()[3][None], 2, axis=0)
+    eps[:, k_idx] = pair
+    traj, _ = integrate_batch(spec, y0, eps, cfg)
     grid = _breakpoints(cfg, None)
-    runs = []
-    for e in pair:
-        pspec = spec.with_epsilon({k: e})
-        traj = integrate(pspec, y0, cfg)
-        runs.append(np.array([traj.row_at(t)[:2 * spec.n] for t in grid]))
+    rows = traj.states[[traj.index_of(t) for t in grid], :2 * spec.n]
     return FdEstimate(source=k, source_index=k_idx, times=np.array(grid),
-                      block=(runs[0] - runs[1]) / denom, scheme=scheme)
+                      block=(rows[..., 0] - rows[..., 1]) / denom, scheme=scheme)
 
 
 def sensitivity_to_csv(sens_map, labels, path_or_file):

@@ -113,10 +113,13 @@ def test_criterion_2_risk_conflicted_cells(risk_report):
 
 # ---------------------------------------------------------------- criterion 3
 
-def test_criterion_3_fd_oracle_equivalence():
+# rtols around 1e-11: the oracle must hold to the bound at any tolerance,
+# not only where the node placement of two runs happens to agree
+@pytest.mark.parametrize("rtol", [0.97e-11, 1e-11, 1.01e-11, 2e-11])
+def test_criterion_3_fd_oracle_equivalence(rtol):
     worst = 0.0
-    cfg = IntegratorConfig(t0=2020.0, t_end=2030.0, rtol=1e-11, atol=1e-9)
-    burn = IntegratorConfig(t0=2017.0, t_end=2020.0, rtol=1e-11, atol=1e-9)
+    cfg = IntegratorConfig(t0=2020.0, t_end=2030.0, rtol=rtol, atol=1e-9)
+    burn = IntegratorConfig(t0=2017.0, t_end=2020.0, rtol=rtol, atol=1e-9)
     for maker in (georgia_basic, georgia_risk):
         spec, y0 = maker()
         spec0 = spec.with_delta_zero()

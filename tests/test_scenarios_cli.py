@@ -22,8 +22,7 @@ from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, default_conf
                                  emit_plot_data, integrate_baseline, load_config,
                                  report_to_csv, run_scenarios, run_spillover,
                                  validate_tables)
-from prepspill.spillover import (SensitivityState, integrate_with_spillover, nnt,
-                                 per_person_effect, simple_nnt)
+from prepspill.spillover import integrate_with_spillover, nnt, simple_nnt
 
 # Table-9 cells known to sit outside tolerance under the fixed-contact-rate
 # closure (see decisions notes); everything else must pass.
@@ -215,9 +214,9 @@ def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
 
 def _plot_series_per_cell(config, base_traj, traj, sens):
     """The baseline, effects and nnt plot series cell by cell, through
-    state_at, SensitivityTrajectory.at and per_person_effect: the oracle of
-    emit_plot_data's whole-array series.  Rows of strings, and the nnt
-    sidecar's suppressed list."""
+    state_at, SensitivityTrajectory.at and each effect's gamma_j / S_k: the
+    oracle of emit_plot_data's whole-array series.  Rows of strings, and the
+    nnt sidecar's suppressed list."""
     labels = config.spec.labels
     n = len(labels)
     years, inc = annual_series(base_traj)
@@ -229,8 +228,7 @@ def _plot_series_per_cell(config, base_traj, traj, sens):
         row = [f"{t:.6f}"]
         for k in labels:
             st = sens[k]
-            at = SensitivityState(k, st.source_index, st.sigma[i], st.gamma[i])
-            row += [f"{per_person_effect(at, state, j)[0]:.10e}" for j in range(n)]
+            row += [f"{st.gamma[i, j] / state.S[st.source_index]:.10e}" for j in range(n)]
         effects.append(row)
     nnts, suppressed = [], []
     for T in [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]:

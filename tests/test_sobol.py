@@ -12,7 +12,7 @@ from prepspill.errors import (DimensionOverflow, EnsembleError,
 from prepspill.integrators import IntegratorConfig
 from prepspill.sobol import (PCExpansion, UncertainInput, _basis_matrix,
                              _series_indices, build_grid, coverage_fractions,
-                             coverage_model_fn, fit_pce, mean_var, sobol_indices,
+                             coverage_model_fn, fit_pce, sobol_indices,
                              sobol_timeseries, total_degree_set)
 
 
@@ -96,7 +96,8 @@ def test_fit_linear_coefficient():
 def test_fit_constant():
     g = build_grid(unit_inputs(2), level=4)
     pce = fit_pce(np.full(g.n_nodes, 3.5), g, total_degree=3)
-    m, v = mean_var(pce)
+    si = sobol_indices(pce)
+    m, v = si.mean, si.variance
     assert m == pytest.approx(3.5, rel=1e-14)
     assert v == pytest.approx(0.0, abs=1e-24)
 
@@ -208,8 +209,8 @@ def test_whole_array_sobol_layers_equal_loop_forms(seed):
         assert (si.mean, si.variance, si.defined) == (mean, variance, defined)
         assert _bits(si.first_order) == _bits(first) and _bits(si.total) == _bits(total)
         one = sobol_indices(PCExpansion(index_set, coeffs[:, c], grid.intervals))
-        assert _bits(one.total) == _bits(total) and mean_var(
-            PCExpansion(index_set, coeffs[:, c], grid.intervals)) == (mean, variance)
+        assert _bits(one.total) == _bits(total)
+        assert (one.mean, one.variance) == (mean, variance)
     assert not got[0].defined and (k == 1 or not got[1].defined)
 
 
@@ -225,7 +226,8 @@ def test_gram_orthonormality_all_grids():
 def test_mean_var_analytic():
     g = build_grid(unit_inputs(2), level=5)
     y = g.nodes[:, 0] + 2.0 * g.nodes[:, 1]
-    m, v = mean_var(fit_pce(y, g, total_degree=4))
+    si = sobol_indices(fit_pce(y, g, total_degree=4))
+    m, v = si.mean, si.variance
     assert m == pytest.approx(0.0, abs=1e-14)
     assert v == pytest.approx(5.0 / 3.0, rel=1e-12)
 
@@ -235,7 +237,8 @@ def test_mean_var_monte_carlo_cross_check():
     g = build_grid(unit_inputs(2), level=5)
     y = np.array([np.exp(0.3 * n[0]) * (1 + 0.5 * n[1]) for n in g.nodes])
     pce = fit_pce(y, g, total_degree=4)
-    m, v = mean_var(pce)
+    si = sobol_indices(pce)
+    m, v = si.mean, si.variance
     rng = np.random.default_rng(17)
     draws = rng.uniform(-1, 1, size=(10 ** 6, 2))
     vals = pce(draws)

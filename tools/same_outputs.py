@@ -28,6 +28,15 @@ CONFIGS = {
     "tracked_2022.json": {"model": "basic", "intervention_mode": "tracked-count",
                           "interventions": [{"group": "msm", "additional_persons": 10000,
                                              "start_year": 2022}]},
+    # fixed-fraction arms from 2022; 1,000,000 persons cap hetf_h's coverage at 1
+    "risk_fixed_2022.json": {"model": "risk", "intervention_mode": "fixed-fraction",
+                             "interventions": [
+                                 {"group": "hetf_h", "additional_persons": 1000000,
+                                  "start_year": 2022},
+                                 {"group": "msm", "additional_persons": 25000,
+                                  "start_year": 2022},
+                                 {"group": "hetm", "additional_persons": 0,
+                                  "start_year": 2022}]},
     "start_2017_5.json": {"model": "basic", "horizon": {"start": 2017.5}},
     "no_model.json": {"model": "nosuch"},
 }
@@ -50,6 +59,7 @@ INVOCATIONS = (
         ["simulate", "--config", "risk_2045.json"],
         ["simulate", "--config", "tracked_2022.json"],
         ["nnt", "--config", "tracked_2022.json"],
+        ["simulate", "--config", "risk_fixed_2022.json"],
         ["simulate", "--config", "start_2017_5.json"],
         ["emit-plots", "--config", "start_2017_5.json"],
         # refusals
