@@ -26,7 +26,7 @@ from .spillover import MODES, nnt, sensitivity_to_csv
 
 
 def _config_from_args(args):
-    if getattr(args, "config", None):
+    if args.config:
         return load_config(args.config)
     return default_config(args.model)
 
@@ -90,7 +90,7 @@ def cmd_nnt(args):
     T = span if args.horizon is None else args.horizon
     if not 0.0 < T <= span:
         raise PrepspillError(f"--horizon {T} outside (0, {span}] (years after intervention)")
-    # the horizon is a node, so nnt() reads it instead of interpolating
+    # nnt() reads only at nodes, so the horizon is made a sample time
     traj, sens = run_spillover(config, sample_times=[config.intervention_year + T])
     labels = config.spec.labels
     rows = [nnt(sens[k], traj, j, k, T, config.spec.mu) for k in labels for j in labels]

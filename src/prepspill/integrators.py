@@ -53,15 +53,13 @@ def interp_rows(t, times, rows):
 
 
 def rows_at(times, rows, t):
-    """The row of ``rows`` (one per entry of ``times``) at t: the stored row
-    of the node within NODE_TOL of t, else interp_rows'.  ValueError unless
-    t lies in the span or at a node."""
+    """The stored row of ``rows`` (one per entry of ``times``) at the node
+    within NODE_TOL of t.  ValueError naming t for any other t, inside the
+    span or outside it: nothing is read between nodes."""
     i = node_index(times, t)
-    if i is not None:
-        return rows[i]
-    if not times[0] <= t <= times[-1]:
-        raise ValueError(f"t = {t} outside trajectory span")
-    return interp_rows(t, times, rows)
+    if i is None:
+        raise ValueError(f"t = {t} is not a node of the trajectory")
+    return rows[i]
 
 
 def write_csv(path_or_file, header, rows):
@@ -149,7 +147,7 @@ class Trajectory:
         return node_index(self.times, t)
 
     def row_at(self, t):
-        """Flat row at time t (rows_at, which refuses t outside the span)."""
+        """Flat row at the node t (rows_at, which refuses any other t)."""
         return rows_at(self.times, self.states, t)
 
     def state_at(self, t):

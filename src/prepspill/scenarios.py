@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup,
                      ZeroPopulation)
-from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, rows_at,
+from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, interp_rows,
                           write_csv)
 from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (INTERVENTION_START, REPORT_END, SIM_START, STUDIES,
@@ -501,9 +501,11 @@ def emit_plot_data(out_dir, config, series=PLOT_SERIES):
         table = np.concatenate([S] + [sens[k].gamma for k in labels], axis=1)
         horizons = [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]
         for T in horizons:
-            # nnt()'s nnt_simple, reading each state and gamma at the horizon
-            # as Trajectory.state_at and SensitivityTrajectory.at do
-            at = rows_at(traj.times, table, traj.times[0] + T).tolist()
+            # nnt()'s nnt_simple from S_k and gamma_j at the horizon's node, else
+            # the package's one read between nodes, linear (ROADMAP item 2)
+            t = traj.times[0] + T
+            i = traj.index_of(t)
+            at = (table[i] if i is not None else interp_rows(t, traj.times, table)).tolist()
             row = [f"{T:.2f}"]
             for p, (jl, k) in enumerate(pairs):
                 simple = simple_nnt(T, at[p // n], at[n + p])

@@ -78,7 +78,7 @@ class SensitivityTrajectory:
         return self.block[:, 1::2]
 
     def at(self, t):
-        """The block at time t (rows_at, which refuses t outside the span)."""
+        """The block at the node t (rows_at, which refuses any other t)."""
         row = rows_at(self.times, self.block, t)
         return SensitivityState(source=self.source, source_index=self.source_index,
                                 sigma=row[0::2], gamma=row[1::2])
@@ -139,38 +139,34 @@ def simple_nnt(T, S_k, gamma_j):
 def nnt(sens_traj, state_traj, j, k, T, mu):
     """Person-years of additional PrEP in group k per infection prevented in
     group j over [t_start, t_start + T], t_start being the sensitivity start.
-    j and k are group labels; k must be the block's source, and both
-    trajectories must share one grid, node for node within NODE_TOL.
+    j and k are group labels; k must be the block's source.  Both trajectories
+    share one grid (node for node within NODE_TOL), and t_start + T is a node
+    of it (a sample time of the run); otherwise ValueError.
 
     nnt_simple = T * S_k(T) / gamma_j(T); nnt_integral keeps the
-    mu * integral(gamma/S) term in the denominator.  Undefined (flagged, not
-    raised) when gamma_j(T) <= 0.
+    mu * integral(gamma/S) term in the denominator, a trapezoid over the
+    nodes.  Undefined (flagged, not raised) when gamma_j(T) <= 0.
     """
     if k != sens_traj.source:
         raise ValueError(f"sensitivity block is for source {sens_traj.source!r}, not {k!r}")
     k_idx = sens_traj.source_index
     j_idx = state_traj.labels.index(j)
-    t_start = sens_traj.times[0]
-    t_eval = t_start + T
-    if t_eval > state_traj.times[-1] + NODE_TOL:
-        raise ValueError(f"T = {T} reaches beyond the trajectory span")
+    t_eval = sens_traj.times[0] + T
     if sens_traj.times is not state_traj.times and (  # shared by integrate_with_spillover
             sens_traj.times.shape != state_traj.times.shape
             or not np.allclose(sens_traj.times, state_traj.times, rtol=0.0, atol=NODE_TOL)):
         raise ValueError("sensitivity and state trajectories use different grids")
-    gam_T = sens_traj.at(t_eval).gamma[j_idx]
-    S_T = state_traj.state_at(t_eval).S[k_idx]
+    i = state_traj.index_of(t_eval)
+    if i is None:
+        raise ValueError(f"T = {T}: t = {t_eval} is not a node of the trajectory")
+    gam_T = sens_traj.gamma[i, j_idx]
+    S_T = state_traj.states[i, 2 * k_idx]
     simple = simple_nnt(T, S_T, gam_T)
     if simple is None:
         return NNTResult(j=j, k=k, horizon=T, nnt_simple=float("nan"),
                          nnt_integral=float("nan"), defined=False)
-    # trapezoid over the nodes up to t_eval, then on to t_eval if not a node
-    m = int(np.searchsorted(sens_traj.times, t_eval + NODE_TOL, side="right"))
-    tt = sens_traj.times[:m]
-    ratio = sens_traj.gamma[:m, j_idx] / state_traj.states[:m, 2 * k_idx]
-    if t_eval - tt[-1] > NODE_TOL:
-        tt, ratio = np.append(tt, t_eval), np.append(ratio, gam_T / S_T)
-    integral = float(np.trapezoid(ratio, tt))
+    ratio = sens_traj.gamma[:i + 1, j_idx] / state_traj.states[:i + 1, 2 * k_idx]
+    integral = float(np.trapezoid(ratio, sens_traj.times[:i + 1]))
     full = T / (gam_T / S_T + mu * integral)
     return NNTResult(j=j, k=k, horizon=T, nnt_simple=simple,
                      nnt_integral=full, defined=True)

@@ -17,7 +17,7 @@ from prepspill.errors import (ConfigError, MissingSeries, ParseError, SchemaViol
 from prepspill.model import StateVec, dfe
 from prepspill.presets import (ANNUAL_INCIDENCE_BAND, PREVALENCE_ANCHOR_2017,
                                PREVALENCE_BAND, STUDIES, georgia_basic)
-from prepspill.integrators import annual_series
+from prepspill.integrators import annual_series, interp_rows
 from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, default_config,
                                  emit_plot_data, integrate_baseline, load_config,
                                  report_to_csv, run_scenarios, run_spillover,
@@ -195,28 +195,41 @@ def test_emit_nnt_has_empty_cells_and_sidecar(tmp_path):
 
 @pytest.mark.parametrize("variant", ["basic", "risk"])
 def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
-    # every cell of the series is nnt()'s nnt_simple at that horizon, empty
-    # exactly where nnt() is undefined or above the display cap
+    # every whole-year cell of the series is nnt()'s nnt_simple at that
+    # horizon, empty exactly where nnt() is undefined or above the display
+    # cap; nnt() refuses the half-year horizons, which are not nodes, and
+    # their cells are simple_nnt of S and gamma interpolated there
     config = default_config(variant)
     spec, (traj, sens) = config.spec, run_spillover(config)
     csv_path = emit_plot_data(str(tmp_path), config, series=("nnt",))[0]
     rows = list(csv.reader(io.StringIO(Path(csv_path).read_text())))
-    pairs = [(jl, k) for k in spec.labels for jl in spec.labels]
+    labels = spec.labels
+    pairs = [(jl, k) for k in labels for jl in labels]
     assert rows[0] == ["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs]
     assert len(rows) == 23
     for row in rows[1:]:
         T = float(row[0])
+        t = traj.times[0] + T
         for (jl, k), cell in zip(pairs, row[1:]):
-            res = nnt(sens[k], traj, jl, k, T, spec.mu)
-            shown = res.defined and res.nnt_simple <= NNT_DISPLAY_CAP
-            assert cell == (f"{res.nnt_simple:.3f}" if shown else "")
+            if T.is_integer():
+                res = nnt(sens[k], traj, jl, k, T, spec.mu)
+                simple = res.nnt_simple if res.defined else None
+            else:
+                with pytest.raises(ValueError, match="is not a node"):
+                    nnt(sens[k], traj, jl, k, T, spec.mu)
+                S_k = interp_rows(t, traj.times, traj.states)[2 * labels.index(k)]
+                gamma_j = interp_rows(t, sens[k].times, sens[k].gamma)[labels.index(jl)]
+                simple = simple_nnt(T, S_k, gamma_j)
+            shown = simple is not None and simple <= NNT_DISPLAY_CAP
+            assert cell == (f"{simple:.3f}" if shown else "")
 
 
 def _plot_series_per_cell(config, base_traj, traj, sens):
     """The baseline, effects and nnt plot series cell by cell, through
-    state_at, SensitivityTrajectory.at and each effect's gamma_j / S_k: the
-    oracle of emit_plot_data's whole-array series.  Rows of strings, and the
-    nnt sidecar's suppressed list."""
+    state_at, SensitivityTrajectory.at (interp_rows on the state and the
+    block at a horizon that is not a node) and each effect's gamma_j / S_k:
+    the oracle of emit_plot_data's whole-array series.  Rows of strings, and
+    the nnt sidecar's suppressed list."""
     labels = config.spec.labels
     n = len(labels)
     years, inc = annual_series(base_traj)
@@ -233,12 +246,15 @@ def _plot_series_per_cell(config, base_traj, traj, sens):
     nnts, suppressed = [], []
     for T in [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]:
         t_eval = traj.times[0] + T
-        S = traj.state_at(t_eval).S
+        node = traj.index_of(t_eval) is not None
+        S = (traj.state_at(t_eval).S if node
+             else interp_rows(t_eval, traj.times, traj.states)[0:2 * n:2])
         row = [f"{T:.2f}"]
         for k in labels:
+            gamma = (sens[k].at(t_eval).gamma if node
+                     else interp_rows(t_eval, sens[k].times, sens[k].block)[1::2])
             for jl in labels:
-                simple = simple_nnt(T, S[labels.index(k)],
-                                    sens[k].at(t_eval).gamma[labels.index(jl)])
+                simple = simple_nnt(T, S[labels.index(k)], gamma[labels.index(jl)])
                 if simple is None or simple > NNT_DISPLAY_CAP:
                     row.append("")
                     suppressed.append({"T": T, "j": jl, "k": k, "reason": "undefined"

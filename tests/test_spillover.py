@@ -1,4 +1,5 @@
 import io
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -28,26 +29,52 @@ def aug_basic(basic):
 
 
 def test_reads_outside_the_run_refused(aug_basic):
-    # the sensitivity block and the state share rows_at's span check: a time
-    # past either end is refused, not held at the end row
+    # the sensitivity block and the state share rows_at's node check: a time
+    # past either end or between nodes is refused, not held at the end row
+    # or interpolated
     _, traj, sens, _ = aug_basic
-    for t in (2100.0, 1900.0):
+    for t in (2100.0, 1900.0, 0.5 * (traj.times[5] + traj.times[6])):
         for read in (sens["msm"].at, traj.row_at):
-            with pytest.raises(ValueError, match=f"t = {t} outside trajectory span"):
+            with pytest.raises(ValueError,
+                               match=re.escape(f"t = {t} is not a node of the trajectory")):
                 read(t)
     assert np.array_equal(sens["msm"].at(2031.0).gamma, sens["msm"].gamma[-1])
 
 
+OFF_NODE = {"between-nodes": lambda times: 0.5 * (times[5] + times[6]),
+            "before-span": lambda times: times[0] - 1.0,
+            "after-span": lambda times: times[-1] + 1.0}
+
+
+@pytest.mark.parametrize("where", OFF_NODE)
+@pytest.mark.parametrize("reader", ["row_at", "state_at", "at", "nnt"])
+def test_every_read_refuses_a_time_off_the_nodes(aug_basic, reader, where):
+    # each reader of a run reads stored nodes only: a time inside the span
+    # but between nodes is refused like one outside it, naming the time
+    # (T, the horizon, for nnt)
+    spec, traj, sens, _ = aug_basic
+    t = OFF_NODE[where](traj.times)
+    assert traj.index_of(t) is None
+    if reader == "nnt":
+        T = t - traj.times[0]
+        read, named = (lambda: nnt(sens["msm"], traj, "hetf", "msm", T, spec.mu)), f"T = {T}"
+    else:
+        of = sens["msm"] if reader == "at" else traj
+        read, named = (lambda: getattr(of, reader)(t)), f"t = {t} "
+    with pytest.raises(ValueError, match=re.escape(named)):
+        read()
+
+
 def test_blocks_are_views_of_the_joint_run(aug_basic):
     # each source's block is the joint run's slots, uncopied; at() reads one
-    # row of it, the same bits as reading separate sigma and gamma arrays,
-    # at a node and between nodes
+    # row of it at a node, the same bits as reading separate sigma and gamma
+    # arrays
     _, traj, sens, _ = aug_basic
     for st in sens.values():
         assert np.shares_memory(st.block, traj.states)
         assert np.shares_memory(st.sigma, st.block) and np.shares_memory(st.gamma, st.block)
         sigma, gamma = st.block[:, 0::2].copy(), st.block[:, 1::2].copy()
-        for t in (2023.0, 2023.37, traj.times[5], 0.5 * (traj.times[5] + traj.times[6])):
+        for t in (2023.0, traj.times[5]):
             at = st.at(t)
             assert np.array_equal(at.sigma, rows_at(st.times, sigma, t))
             assert np.array_equal(at.gamma, rows_at(st.times, gamma, t))
@@ -80,11 +107,11 @@ def test_nnt_refuses_a_state_grid_off_by_more_than_a_node(aug_basic, shift):
     # a copy of the same grid passes with the same result
     spec, traj, sens, _ = aug_basic
     same = replace(traj, times=traj.times.copy())
-    assert nnt(sens["msm"], same, "hetf", "msm", 10.9, spec.mu) == \
-        nnt(sens["msm"], traj, "hetf", "msm", 10.9, spec.mu)
+    assert nnt(sens["msm"], same, "hetf", "msm", 10.0, spec.mu) == \
+        nnt(sens["msm"], traj, "hetf", "msm", 10.0, spec.mu)
     shifted = replace(traj, times=traj.times + shift)
     with pytest.raises(ValueError, match="use different grids"):
-        nnt(sens["msm"], shifted, "hetf", "msm", 10.9, spec.mu)
+        nnt(sens["msm"], shifted, "hetf", "msm", 10.0, spec.mu)
 
 
 def test_rhs_zero_at_disease_free(basic):
@@ -420,17 +447,6 @@ def test_sensitivity_rows_match_finite_differences(variant, mode):
             assert np.abs(block - want).max() <= 1e-6 * np.abs(block).max()
 
 
-def test_nnt_integral_continuous_across_node(aug_basic):
-    # T = 3 is the node 2023.0: the integral runs to the horizon itself, not
-    # to the last node at or before it, so it does not jump there
-    spec, traj, sens, _ = aug_basic
-    assert traj.index_of(2023.0) is not None
-    before, at, after = (nnt(sens["msm"], traj, "hetf", "msm", T, spec.mu).nnt_integral
-                         for T in (3.0 - 1e-6, 3.0, 3.0 + 1e-6))
-    assert before == pytest.approx(at, rel=1e-5)
-    assert after == pytest.approx(at, rel=1e-5)
-
-
 @pytest.mark.parametrize("T", [3.0, 11.0])
 def test_nnt_integral_at_node_horizon_is_node_trapezoid(aug_basic, T):
     # at a node horizon the integral is the trapezoid over the nodes alone,
@@ -481,7 +497,7 @@ def _nnt_past_span(spec, y0):
     (lambda spec, y0: integrate_with_spillover(spec, y0, ("msm",), CFG.over(2020.0, 2021.0),
                                                mode="nosuch"),
      "^unknown mode 'nosuch'$"),
-    (_nnt_past_span, "^T = 2.5 reaches beyond the trajectory span$"),
+    (_nnt_past_span, r"^T = 2\.5: t = 2022\.5 is not a node of the trajectory$"),
 ], ids=["unknown-mode", "nnt-past-span"])
 def test_spillover_refusals(basic, run, match):
     with pytest.raises(ValueError, match=match):

@@ -38,6 +38,11 @@ CONFIGS = {
                                  {"group": "hetm", "additional_persons": 0,
                                   "start_year": 2022}]},
     "start_2017_5.json": {"model": "basic", "horizon": {"start": 2017.5}},
+    # an intervention between whole years: the half-year NNT horizons are
+    # not year-aligned, and most of them fall between nodes
+    "off_year_2020_25.json": {"model": "basic",
+                              "horizon": {"start": 2017, "intervention": 2020.25, "end": 2031},
+                              "integrator": {"dt_max": 0.7}},
     "no_model.json": {"model": "nosuch"},
 }
 
@@ -62,6 +67,9 @@ INVOCATIONS = (
         ["simulate", "--config", "risk_fixed_2022.json"],
         ["simulate", "--config", "start_2017_5.json"],
         ["emit-plots", "--config", "start_2017_5.json"],
+        ["emit-plots", "--config", "off_year_2020_25.json",
+         "--series", "baseline,effects,nnt,table"],
+        ["nnt", "--config", "off_year_2020_25.json", "--horizon", "0.75"],
         # refusals
         ["simulate", "--model", "nosuch"],
         ["sobol", "--level", "0"],
