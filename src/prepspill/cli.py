@@ -240,10 +240,15 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
     except PrepspillError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # the reader closed stdout: devnull takes the flush at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

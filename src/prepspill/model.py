@@ -11,6 +11,9 @@ W[j, p] = a_j * (share of j's contacts made with p) * beta(p -> j), built by
 :func:`contact_matrix` from the variant's contact-pair table
 (``PAIRS`` on its mixing class).  The per-susceptible infection rate of group
 j is then (1 - epsilon_j) * (W @ (I / N))_j.
+
+The flat RHS is generated from that table (:func:`flat_rhs_factory`); a
+spillover mode (``MODES``) adds every source group's block of prepspill.spillover.
 """
 
 from __future__ import annotations
@@ -21,11 +24,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ZeroPopulation
+from .errors import UnsupportedVariant, ZeroPopulation
 from .mixing import (CLOSURE_ERRORS, BasicMixing, RiskMixing, check_unit_fields,
                      close_basic_batch, close_risk_batch, exec_source)
 # looked up here by name at use (Variant.closure), so rebinding them (e.g. for tracing) works
 from .mixing import close_basic, close_risk  # noqa: F401
+
+MODES = ("practical", "exact_delta")  # of the spillover system (prepspill.spillover)
 
 
 @dataclass(frozen=True)
@@ -285,7 +290,7 @@ def dfe(spec):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False, incidence=True):
+def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
     """Compile ``make(**cells) -> f(t, y)`` for one variant's contact-pair
     table and closure text.
 
@@ -293,28 +298,33 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False, incidence
     re-closed at every evaluation.  ``tracked``: the groups whose coverage is
     re-derived from a tracked count (cell ``c<j>``; full while S_j <= c_j).
     Cells a<j> and b<i> hold the contact rates and each pair's transmission
-    probability.  ``sources``: the spillover system, y going on with one
-    (sigma, gamma) block per source group after the 3n state slots;
-    ``exact``: its exact_delta mode.  ``incidence=False``: the S/I-only
-    form, y the 2n S/I slots alone and no accumulator rows inc<j>, its S and
-    I rows the same expressions as in the full form (no sources, not exact).
+    probability.  ``mode`` (one of MODES, checked first): the spillover
+    system, y going on with one (sigma, gamma) block per group, in group
+    order, after the 3n state slots (see prepspill.spillover); None: no
+    blocks.  ``incidence=False``: the S/I-only form, y the 2n S/I slots
+    alone and no accumulator rows inc<j>, its S and I rows the same
+    expressions as in the full form.  Blocks need the full, untracked form.
     The three row forms of the flat RHS keep the arithmetic order of the
     hand-written closures they replaced, and the spillover rows that of the
     numpy kernel, so integrations are unchanged to the last bit.  Cached: at
-    most 8 * 2**n - 2 sources per variant (4 * 2**n flat: pinned or not,
-    with the C rows or not, by tracked set; 4 * 2**n - 2 spillover: pinned
-    or not, exact or not, by source set, the empty one exact only).  The
-    source is registered under a name stating its form, e.g.
-    ``<flat_rhs risk sources=0,1,2,3>`` or ``<flat_rhs basic no-incidence>``.
+    most 4 * 2**n + 4 sources per variant (4 * 2**n flat: pinned or not,
+    with the C rows or not, by tracked set; 4 spillover: pinned or not, by
+    mode).  The source is registered under a name stating its form, e.g.
+    ``<flat_rhs risk practical>`` or ``<flat_rhs basic no-incidence>``.
     """
-    if not incidence and (sources or exact):
-        raise ValueError("the S/I-only RHS has no spillover blocks")
+    if mode not in (None, *MODES):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact_delta" and variant != "basic":
+        raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
+    if mode and (tracked or not incidence):
+        raise ValueError("the S/I-only and tracked RHS forms have no spillover blocks")
     var = VARIANTS[variant]
     mixing, n, pairs = var.mixing, len(var.groups), var.mixing.PAIRS
     g = range(n)
     m = ", ".join(f"m{i}" for i in range(len(pairs)))
     Ns = ", ".join(f"N{j}" for j in g)
     rows = [sorted((p, i, b) for i, (jj, p, b) in enumerate(pairs) if jj == j) for j in g]
+    exact = mode == "exact_delta"
 
     def psum(j, x):  # sum over j's partners p of W[j, p] * x(p), term by term
         return " + ".join(f"a{j} * m{i} * b{i} * {x(p)}" for p, i, _ in rows[j])
@@ -330,7 +340,7 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False, incidence
     body += [f"u{j} = 1.0 - c{j} / S{j} if S{j} > c{j} else 0.0" for j in tracked]
     for j, row in enumerate(rows):
         p0, i0, _ = row[0]
-        if sources:
+        if mode:
             body.append(f"lam{j} = " + psum(j, lambda p: f"I{p} / N{p}"))
             lam = f"lam{j}"
         elif len(row) == 1:  # a lone pair holds all of j's contacts
@@ -344,11 +354,11 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False, incidence
         body.append(f"inc{j} = u{j} * ({lam}) * S{j}")
     out = [f"Pi{j} - inc{j} - mu * S{j}, inc{j} - v{j} * I{j}" for j in g]
     out += [f"inc{j}" for j in g] * incidence
-    for b, k in enumerate(sources):
-        s, gm, off = [f"s{b}_{j}" for j in g], [f"g{b}_{j}" for j in g], 3 * n + 2 * n * b
+    for k in g if mode else ():
+        s, gm, off = [f"s{k}_{j}" for j in g], [f"g{k}_{j}" for j in g], 3 * n + 2 * n * k
         body.append(", ".join(f"{s[j]}, {gm[j]}" for j in g) + f" = y[{off}:{off + 2 * n}]")
         for j in g:
-            q, r = f"q{b}_{j}", f"r{b}_{j}"
+            q, r = f"q{k}_{j}", f"r{k}_{j}"
             body.append(f"{q} = u{j} * (({psum(j, lambda p: f'{gm[p]} / N{p}')}) * S{j}"
                         f" + lam{j} * {s[j]})")
             ds, dg = f"-{q} - mu * {s[j]}", f"{q} - {f'v{j}' if exact else 'mu'} * {gm[j]}"
@@ -370,8 +380,7 @@ def _flat_rhs_maker(variant, pinned, tracked, sources=(), exact=False, incidence
            + "".join(f"        {line}\n" for line in body)
            + "    return f\n")
     form = [variant] + ["pinned"] * pinned
-    form += [f"{key}={','.join(map(str, js))}" for key, js in
-             (("tracked", tracked), ("sources", sources)) if js] + ["exact"] * exact
+    form += [f"tracked={','.join(map(str, tracked))}"] * bool(tracked) + [mode] * bool(mode)
     form += ["no-incidence"] * (not incidence)
     return exec_source(src, f"<flat_rhs {' '.join(form)}>", dict(CLOSURE_ERRORS))["make"]
 
@@ -394,13 +403,13 @@ def _rhs_cells(spec):
     return cells
 
 
-def flat_rhs_factory(spec, tracked_counts=None, sources=(), exact=False, incidence=True):
+def flat_rhs_factory(spec, tracked_counts=None, mode=None, incidence=True):
     """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...],
-    followed, for each of the group indices ``sources`` (sorted), by that
-    source's spillover block: the (sigma, gamma) pairs of every group, in
-    the exact_delta mode if ``exact`` (see prepspill.spillover).
-    ``incidence=False`` drops the C slots: the RHS maps the 2n S/I slots to
-    their derivative, each entry the full RHS's bit for bit (no sources).
+    followed, given a spillover ``mode`` (one of MODES), by one block per
+    source group in group order: the (sigma, gamma) pairs of every group
+    (see prepspill.spillover).  ``incidence=False`` drops the C slots: the
+    RHS maps the 2n S/I slots to their derivative, each entry the full RHS's
+    bit for bit (no mode).
 
     The coverage fractions are the spec's (spec.with_epsilon gives another
     set).  ``tracked_counts`` optionally gives absolute person counts on
@@ -414,8 +423,7 @@ def flat_rhs_factory(spec, tracked_counts=None, sources=(), exact=False, inciden
     for j in tracked:
         del cells[f"u{j}"]
         cells[f"c{j}"] = float(counts[j])
-    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked, tuple(sources),
-                           exact, incidence)
+    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked, mode, incidence)
     return make(**cells)
 
 

@@ -263,10 +263,8 @@ def run_spillover(config, mode="practical", sample_times=None):
         head = integrate(config.spec, config.y0, config.integrator.over(config.start, t_int),
                          sample_times=[t for t in _baseline_samples(config) if t <= t_int])
         y_int = head.final_state()
-    return integrate_with_spillover(
-        config.spec, y_int, sources=config.spec.labels,
-        cfg=config.integrator.over(t_int, config.end), mode=mode,
-        sample_times=sample_times)
+    return integrate_with_spillover(config.spec, y_int, config.integrator.over(t_int, config.end),
+                                    mode=mode, sample_times=sample_times)
 
 
 @dataclass

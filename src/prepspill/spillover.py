@@ -11,8 +11,10 @@ so gamma_j counts infections averted in group j per unit of additional
 coverage in group k, and is positive when PrEP helps.  The finite-difference
 check in :func:`fd_oracle` returns the same convention.
 
-Two dynamic modes, generated with the state equations from the same
-contact-pair table by ``model.flat_rhs_factory`` (``sources``, ``exact``):
+Every run carries one (sigma, gamma) block per source group, in group order.
+Two dynamic modes (``MODES``), generated with the state equations from the
+same contact-pair table by ``model.flat_rhs_factory``, which refuses an
+unknown mode and exact_delta on risk:
 
 * "practical" (default): the sensitivity block decays at the natural removal
   rate mu regardless of delta, while being driven by the full state
@@ -33,12 +35,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PerturbationOutOfRange, UnsupportedVariant
+from .errors import PerturbationOutOfRange
 from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate_batch,
                           integrate_flat, rows_at, write_csv)
 from .model import flat_rhs_factory
-
-MODES = ("practical", "exact_delta")
+from .model import MODES  # noqa: F401  (cli's --mode choices)
 
 
 @dataclass(frozen=True)
@@ -96,37 +97,24 @@ class NNTResult:
     defined: bool
 
 
-def _check_mode(spec, mode):
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact_delta" and spec.variant != "basic":
-        raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
+def integrate_with_spillover(spec, y0, cfg, mode="practical", sample_times=None):
+    """Jointly integrate the state and every group's sensitivity block.
 
-
-def integrate_with_spillover(spec, y0, sources, cfg, mode="practical",
-                             sample_times=None):
-    """Jointly integrate the state and the requested sensitivity blocks.
-
-    ``sources`` are group labels.  Sensitivities start from exactly zero at
+    ``mode`` is one of MODES.  Sensitivities start from exactly zero at
     cfg.t0.  Returns the state trajectory and one SensitivityTrajectory per
-    requested source, keyed by group label.  With an empty source set the
-    state trajectory is that of :func:`prepspill.integrators.integrate`, bit
-    for bit, once the mode has been checked against the variant.
+    source group, keyed by group label in group order.
     """
-    _check_mode(spec, mode)
-    src = sorted(spec.group_index(s) for s in set(sources))
+    if mode is None:  # flat_rhs_factory's plain state RHS, which has no blocks
+        raise ValueError("unknown mode None")
     n = spec.n
-    f = flat_rhs_factory(spec, sources=src, exact=mode == "exact_delta")
-    y0_flat = np.concatenate([y0.to_flat(), np.zeros(2 * n * len(src))])
+    f = flat_rhs_factory(spec, mode=mode)
+    y0_flat = np.concatenate([y0.to_flat(), np.zeros(2 * n * n)])
     traj = Trajectory.of(integrate_flat(f, y0_flat, cfg, n_state=2 * n,
                                         sample_times=sample_times), spec.labels)
-    sens = {}
-    for b, k in enumerate(src):
-        off = 3 * n + 2 * n * b
-        sens[spec.labels[k]] = SensitivityTrajectory(
-            source=spec.labels[k], source_index=k, times=traj.times,
-            block=traj.states[:, off:off + 2 * n])
-    return traj, sens
+    return traj, {label: SensitivityTrajectory(
+        source=label, source_index=k, times=traj.times,
+        block=traj.states[:, 3 * n + 2 * n * k:3 * n + 2 * n * (k + 1)])
+        for k, label in enumerate(spec.labels)}
 
 
 def simple_nnt(T, S_k, gamma_j):

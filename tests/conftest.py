@@ -189,15 +189,20 @@ def rhs(spec, state, t=0.0):
 
 
 def _one_source_rhs(spec, state, sens, mode, t):
-    """The generated one-source augmented system evaluated at (state, block):
-    the flat derivative, state slots first, then the block's (sigma, gamma)."""
-    y = state.to_flat().tolist() + np.column_stack([sens.sigma, sens.gamma]).ravel().tolist()
-    return flat_rhs_factory(spec, sources=(sens.source_index,), exact=mode == "exact_delta")(t, y)
+    """The generated augmented system evaluated at (state, block), every
+    other source's block zero: the flat derivative, state slots first, then
+    the block's (sigma, gamma).  A block's rows read no other block, so the
+    zeros do not move them."""
+    n, k = spec.n, sens.source_index
+    blocks = np.zeros((n, 2 * n))
+    blocks[k] = np.column_stack([sens.sigma, sens.gamma]).ravel()
+    d = flat_rhs_factory(spec, mode=mode)(t, state.to_flat().tolist() + blocks.ravel().tolist())
+    return d[:3 * n] + d[3 * n + 2 * n * k:3 * n + 2 * n * (k + 1)]
 
 
 def spillover_rhs(spec, state, sens, mode="practical", t=None):
     """Time derivative of one sensitivity block given the current state: the
-    block rows of the generated one-source augmented system."""
+    block's rows of the generated augmented system."""
     out = _one_source_rhs(spec, state, sens, mode, t)[3 * spec.n:]
     return SensitivityState(source=sens.source, source_index=sens.source_index,
                             sigma=np.array(out[0::2]), gamma=np.array(out[1::2]))
@@ -224,7 +229,7 @@ def xi_correction(spec, state, sens):
 def incidence_sensitivity(spec, state, sens, j, mode="practical"):
     """Sensitivity of group j's incidence rate to persons on PrEP in the source:
     d/dt [gamma_j / S_k] + mu * gamma_j / S_k, with dS_k/dt and dgamma_j/dt
-    from one evaluation of the one-source augmented system."""
+    from one evaluation of the augmented system."""
     k = sens.source_index
     Sk = state.S[k]
     if Sk <= 0.0:

@@ -124,8 +124,7 @@ def test_criterion_3_fd_oracle_equivalence(rtol):
         spec, y0 = maker()
         spec0 = spec.with_delta_zero()
         start = integrate(spec0, y0, burn).final_state()
-        _, sens = integrate_with_spillover(spec0, start, sources=spec0.labels,
-                                           cfg=cfg)
+        _, sens = integrate_with_spillover(spec0, start, cfg=cfg)
         for k in spec0.labels:
             fd = fd_oracle(spec0, start, k, 1e-6, cfg)
             st = sens[k]
@@ -149,8 +148,7 @@ def nnt_inputs():
     cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-9, atol=1e-7)
     base = integrate(spec, y0, cfg, sample_times=[2020.0])
     start = base.state_at(2020.0)
-    traj, sens = integrate_with_spillover(spec, start, sources=spec.labels,
-                                          cfg=cfg.over(2020.0, 2031.0))
+    traj, sens = integrate_with_spillover(spec, start, cfg=cfg.over(2020.0, 2031.0))
     return spec, traj, sens
 
 
@@ -200,7 +198,7 @@ def test_criterion_5_spillover_dominance():
     spec, y0 = georgia_basic()
     cfg = IntegratorConfig(t0=2017.0, t_end=2030.0, rtol=1e-9, atol=1e-7)
     # sensitivities solved along the full baseline, as in the published study
-    traj, sens = integrate_with_spillover(spec, y0, sources=spec.labels, cfg=cfg)
+    traj, sens = integrate_with_spillover(spec, y0, cfg=cfg)
     st = traj.state_at(2030.0)
     hetf = spec.group_index("hetf")
     from_msm = sens["msm"].at(2030.0).gamma[hetf] / st.S[spec.group_index("msm")]
@@ -323,8 +321,7 @@ def test_criterion_10_conservation():
     for maker in (georgia_basic, georgia_risk):
         spec, y0 = maker()
         spec0 = spec.with_delta_zero()
-        _, sens = integrate_with_spillover(spec0, y0, sources=spec0.labels,
-                                           cfg=cfg)
+        _, sens = integrate_with_spillover(spec0, y0, cfg=cfg)
         for st in sens.values():
             scale = max(np.abs(st.sigma).max(), np.abs(st.gamma).max())
             worst = max(worst, np.abs(st.sigma + st.gamma).max() / scale)

@@ -290,8 +290,7 @@ def test_float_noise_samples_beside_year_nodes(basic):
     cfg = IntegratorConfig(2020, 2031)
     samples = np.arange(2020, 2031, 0.01)
     traj = integrate(spec, y0, cfg, sample_times=samples)
-    traj_s, _ = integrate_with_spillover(spec, y0, spec.labels, cfg,
-                                         sample_times=samples)
+    traj_s, _ = integrate_with_spillover(spec, y0, cfg, sample_times=samples)
     for tr in (traj, traj_s):
         assert all(tr.index_of(t) is not None for t in samples)
         assert annual_series(tr)[0] == list(range(2020, 2031))

@@ -235,14 +235,13 @@ def test_batch_closure_checks_keep_their_order(close, batch, N, a, priors):
 def _generated_rhs_pair(variant, spec, form):
     """The unpinned generated RHS of one form (flat, tracked or spillover)
     and the same RHS pinned to given fractions: ``pinned(fixed)``."""
-    tracked, sources, exact = form
+    tracked, mode = form
     cells = _rhs_cells(spec)
     for j in tracked:
         del cells[f"u{j}"]
         cells[f"c{j}"] = 2e3
-    kw = {"sources": sources, "exact": exact}
-    unpinned = _flat_rhs_maker(variant, False, tracked, **kw)(**cells)
-    return unpinned, lambda fixed: _flat_rhs_maker(variant, True, tracked, **kw)(
+    unpinned = _flat_rhs_maker(variant, False, tracked, mode)(**cells)
+    return unpinned, lambda fixed: _flat_rhs_maker(variant, True, tracked, mode)(
         **{**cells, "fixed": fixed})
 
 
@@ -261,9 +260,9 @@ def test_closure_core_property(variant):
     rng = np.random.default_rng(17)
     block_rng = np.random.default_rng(19)
     n = 3 if variant == "basic" else 4
-    forms = [((), (), False), ((1,), (), False), ((), tuple(range(n)), False)]
+    forms = [((), None), ((1,), None), ((), "practical")]
     if variant == "basic":
-        forms.append(((), (0, 2), True))
+        forms.append(((), "exact_delta"))
     seen = {"interior": 0, "lo": 0, "hi": 0, "infeasible": 0, "roundoff": 0}
     for _ in range(12):
         spec = random_spec(rng, variant)
@@ -279,7 +278,7 @@ def test_closure_core_property(variant):
             N = tuple(float(v) for v in N)
             # S_j = I_j = N_j / 2 exactly, so the RHS closes at N itself
             y = [v / 2 for v in N for _ in (0, 1)] + [0.0] * n
-            ys = [y, y] + [y + (block_rng.uniform(-1.0, 1.0, 2 * n * len(form[1]))
+            ys = [y, y] + [y + (block_rng.uniform(-1.0, 1.0, 2 * n * n)
                                 * 1e4).tolist() for form in forms[2:]]
             for priors in pulls:
                 try:

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from conftest import (build_lambda_vectors, contact_matrix_at, incidence,
                       random_spec, random_state, rhs)
-from prepspill.errors import PrepspillError, ZeroPopulation
+from prepspill import model
+from prepspill.errors import PrepspillError, UnsupportedVariant, ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate, integrate_flat
-from prepspill.model import (VARIANTS, GroupParams, StateVec, TransmissionProbs,
+from prepspill.model import (MODES, VARIANTS, GroupParams, StateVec, TransmissionProbs,
                              _flat_rhs_maker, _rhs_cells, batched_rhs_factory,
                              closed_mixing, contact_matrix, dfe, flat_rhs_factory,
                              make_spec, variant_of)
@@ -110,7 +111,7 @@ def test_si_only_rhs_is_the_full_rhs_without_c_property(seed, variant, pinned, t
     si = flat_rhs_factory(spec, tracked_counts=counts, incidence=False)(0.0, y[:2 * spec.n])
     assert [v.hex() for v in si] == [v.hex() for v in full[:2 * spec.n]]
     with pytest.raises(ValueError, match="no spillover"):
-        flat_rhs_factory(spec, sources=[0], incidence=False)
+        flat_rhs_factory(spec, mode="practical", incidence=False)
 
 
 @settings(max_examples=100, deadline=None)
@@ -415,9 +416,8 @@ def test_float_cells_keep_the_arithmetic(variant):
                 assert make(**cells)(2017.0, y) == want
             cells = _rhs_cells(spec)
             ya = y + (block_rng.uniform(-1.0, 1.0, 2 * spec.n ** 2) * state.N.mean()).tolist()
-            for exact in ((False, True) if variant == "basic" else (False,)):
-                make = _flat_rhs_maker(variant, spec.mixing is not None, (),
-                                       sources=tuple(range(spec.n)), exact=exact)
+            for mode in (("practical", "exact_delta") if variant == "basic" else ("practical",)):
+                make = _flat_rhs_maker(variant, spec.mixing is not None, (), mode)
                 want = make(**_as_numpy_scalars(cells))(2017.0, ya)
                 assert make(**cells)(2017.0, ya) == want
             core = basic_fractions if variant == "basic" else risk_fractions
@@ -476,20 +476,64 @@ def test_zero_population_names_group_and_time(basic):
         flat_rhs_factory(spec)(2020.5, list(empty.to_flat()))
 
 
-@pytest.mark.parametrize("sources, name", [((), "<flat_rhs basic>"),
-                                           ((0, 2), "<flat_rhs basic sources=0,2>")])
-def test_generated_rhs_traceback_shows_its_source(basic, sources, name):
+@pytest.mark.parametrize("mode, name", [(None, "<flat_rhs basic>"),
+                                        ("practical", "<flat_rhs basic practical>")])
+def test_generated_rhs_traceback_shows_its_source(basic, mode, name):
     # each generated form is compiled under its own name, with its text in
     # linecache, so a traceback shows the generated line that raised
     spec, y0 = basic
     empty = StateVec.make(y0.S * [1.0, 0.0, 1.0], y0.I * [1.0, 0.0, 1.0])
-    f = flat_rhs_factory(spec, sources=sources)
-    y = empty.to_flat().tolist() + [0.0] * (6 * len(sources))
+    f = flat_rhs_factory(spec, mode=mode)
+    y = empty.to_flat().tolist() + [0.0] * (18 * bool(mode))
     with pytest.raises(ZeroPopulation) as exc:
         f(2020.5, y)
     text = "".join(traceback.format_exception(exc.value))
     assert f'File "{name}", line 8, in f\n' in text
     assert "    raise zero_population(labels, (N0, N1, N2), t)\n" in text
+
+
+@pytest.mark.parametrize("variant, kw, error, match", [
+    ("risk", {"mode": "exact_delta"}, UnsupportedVariant,
+     "^exact_delta mode is derived for the basic variant only$"),
+    ("basic", {"mode": "nosuch"}, ValueError, "^unknown mode 'nosuch'$"),
+    ("risk", {"mode": "nosuch"}, ValueError, "^unknown mode 'nosuch'$"),
+    ("basic", {"mode": "practical", "incidence": False}, ValueError, "no spillover blocks"),
+    ("basic", {"mode": "exact_delta", "tracked_counts": [1e3, 0.0, 0.0]}, ValueError,
+     "no spillover blocks"),
+], ids=["exact-delta-risk", "unknown-mode", "unknown-mode-risk", "no-incidence", "tracked"])
+def test_spillover_form_refused_before_compiling(basic, risk, monkeypatch, variant, kw,
+                                                 error, match):
+    # an unknown mode is named before the variant is checked against the
+    # mode; no refused form reaches the compiler
+    spec = (basic if variant == "basic" else risk)[0]
+    monkeypatch.setattr(model, "exec_source", None)
+    with pytest.raises(error, match=match):
+        flat_rhs_factory(spec, **kw)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
+       pinned=st.booleans())
+def test_spillover_blocks_are_independent_property(seed, variant, pinned):
+    # block k's rows read the state and block k alone: random values in the
+    # other blocks leave them bit for bit, in every mode the variant has, so
+    # a one-block oracle may read the all-source form with zeros elsewhere
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant)
+    state = random_state(rng, spec)
+    if pinned:
+        spec = replace(spec, mixing=spec.mixing_priors)
+    n, x = spec.n, state.to_flat().tolist()
+    for mode in MODES if variant == "basic" else ("practical",):
+        f = flat_rhs_factory(spec, mode=mode)
+        blocks = rng.uniform(-1.0, 1.0, (n, 2 * n)) * state.N.mean()
+        for k in range(n):
+            alone = np.zeros_like(blocks)
+            alone[k] = blocks[k]
+            rows = slice(3 * n + 2 * n * k, 3 * n + 2 * n * (k + 1))
+            got = f(2017.0, x + blocks.ravel().tolist())[rows]
+            want = f(2017.0, x + alone.ravel().tolist())[rows]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("field", ["Pi", "a", "delta", "epsilon"])

@@ -3,6 +3,8 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -308,7 +310,7 @@ def test_spillover_from_baseline_head_equals_full_baseline(name, horizon):
     traj, sens = run_spillover(config, sample_times=samples)
     t_int = config.intervention_year
     want, want_sens = integrate_with_spillover(
-        config.spec, integrate_baseline(config).state_at(t_int), sources=config.spec.labels,
+        config.spec, integrate_baseline(config).state_at(t_int),
         cfg=config.integrator.over(t_int, config.end), sample_times=samples)
     assert np.array_equal(traj.times, want.times)
     assert np.array_equal(traj.states, want.states)
@@ -433,6 +435,29 @@ def test_cli_error_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_cli_exits_1_without_a_traceback_when_stdout_is_closed(tmp_path, unbuffered):
+    # the reader closed the pipe before the run (e.g. a shell's `| head`
+    # that exited): the write fails, in print when stdout is unbuffered and
+    # in main's flush when not, the run exits 1, and the flush at
+    # interpreter exit stays quiet
+    read, write = os.pipe()
+    os.close(read)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from prepspill.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "nnt", "--model", "basic"],
+            cwd=tmp_path, stdout=write, stderr=subprocess.PIPE, check=False, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
 def test_cli_infeasible_closure_names_its_time(tmp_path, capsys):

@@ -23,8 +23,7 @@ def aug_basic(basic):
     spec, y0 = basic
     base = integrate(spec, y0, CFG, sample_times=[2020.0])
     start = base.state_at(2020.0)
-    traj, sens = integrate_with_spillover(spec, start, sources=spec.labels,
-                                          cfg=CFG.over(2020.0, 2031.0))
+    traj, sens = integrate_with_spillover(spec, start, cfg=CFG.over(2020.0, 2031.0))
     return spec, traj, sens, base
 
 
@@ -81,10 +80,10 @@ def test_blocks_are_views_of_the_joint_run(aug_basic):
 
 
 def test_csv_of_a_source_subset_equals_columnwise_assembly(basic):
-    # two sources handed over out of label order: the stacked blocks give
-    # the bytes of sigma and gamma put in column by column
+    # two of the sources, handed over out of label order: the stacked blocks
+    # give the bytes of sigma and gamma put in column by column
     spec, y0 = basic
-    _, sens = integrate_with_spillover(spec, y0, ("hetm", "msm"), CFG.over(2020.0, 2023.0))
+    _, sens = integrate_with_spillover(spec, y0, CFG.over(2020.0, 2023.0))
     sens_map = {"hetm": sens["hetm"], "msm": sens["msm"]}
     sources, labels, n = sorted(sens_map), spec.labels, spec.n
     times = sens_map[sources[0]].times
@@ -135,20 +134,10 @@ def test_sigma_gamma_cancellation_delta_zero(basic):
     # sigma + gamma stays identically zero from zero initial conditions
     spec, y0 = basic
     spec0 = spec.with_delta_zero()
-    traj, sens = integrate_with_spillover(spec0, y0, sources=spec0.labels,
-                                          cfg=CFG.over(2017.0, 2027.0))
+    traj, sens = integrate_with_spillover(spec0, y0, cfg=CFG.over(2017.0, 2027.0))
     for st in sens.values():
         scale = max(np.abs(st.sigma).max(), np.abs(st.gamma).max())
         assert np.abs(st.sigma + st.gamma).max() < 1e-9 * scale
-
-
-def test_empty_sources_identical_to_integrate(basic):
-    spec, y0 = basic
-    traj1, sens = integrate_with_spillover(spec, y0, sources=(),
-                                           cfg=CFG.over(2017.0, 2020.0))
-    traj2 = integrate(spec, y0, CFG.over(2017.0, 2020.0))
-    assert sens == {}
-    assert np.array_equal(traj1.states, traj2.states)
 
 
 def test_no_spillover_onto_msm(aug_basic):
@@ -164,15 +153,14 @@ def test_adaptive_vs_fixed_gamma(basic):
     spec, y0 = basic
     base = integrate(spec, y0, CFG, sample_times=[2020.0])
     start = base.state_at(2020.0)
-    _, sens_a = integrate_with_spillover(spec, start, sources=["msm"],
-                                         cfg=CFG.over(2020.0, 2030.0))
+    _, sens_a = integrate_with_spillover(spec, start, cfg=CFG.over(2020.0, 2030.0))
     # the fixed-step oracle over the same generated augmented system
-    msm, hetf = spec.group_index("msm"), spec.group_index("hetf")
-    f = flat_rhs_factory(spec, sources=[msm])
-    y0_flat = np.concatenate([start.to_flat(), np.zeros(2 * spec.n)])
+    n, msm, hetf = spec.n, spec.group_index("msm"), spec.group_index("hetf")
+    f = flat_rhs_factory(spec, mode="practical")
+    y0_flat = np.concatenate([start.to_flat(), np.zeros(2 * n * n)])
     _, rows = rk4_fixed(f, y0_flat, 2020.0, 2030.0, 0.05)
     ga = sens_a["msm"].at(2030.0).gamma[hetf]
-    gf = rows[-1][3 * spec.n + 2 * hetf + 1]
+    gf = rows[-1][3 * n + 2 * n * msm + 2 * hetf + 1]
     assert abs(ga - gf) / abs(ga) < 1e-3
 
 
@@ -182,8 +170,7 @@ def test_chain_rule_consistency(basic, aug_basic):
     spec, y0 = basic
     _, _, _, base = aug_basic
     start = base.state_at(2020.0)
-    traj, sens = integrate_with_spillover(spec, start, sources=["msm"],
-                                          cfg=CFG.over(2020.0, 2031.0),
+    traj, sens = integrate_with_spillover(spec, start, cfg=CFG.over(2020.0, 2031.0),
                                           mode="exact_delta")
     dE = 1000.0
     k = spec.group_index("msm")
@@ -255,7 +242,7 @@ def test_incidence_sensitivity_integral_identity(basic):
     base = integrate(spec, y0, CFG, sample_times=[2020.0])
     start = base.state_at(2020.0)
     cfg = IntegratorConfig(t0=2020.0, t_end=2025.0, dt_max=0.01)
-    traj, sens = integrate_with_spillover(spec, start, sources=["msm"], cfg=cfg)
+    traj, sens = integrate_with_spillover(spec, start, cfg=cfg)
     st = sens["msm"]
     j = spec.group_index("hetf")
     k = st.source_index
@@ -315,9 +302,8 @@ def test_exact_delta_flag_no_op_when_delta_zero(basic):
     spec, y0 = basic
     spec0 = spec.with_delta_zero()
     cfg = CFG.over(2017.0, 2027.0)
-    _, s_off = integrate_with_spillover(spec0, y0, sources=["msm"], cfg=cfg)
-    _, s_on = integrate_with_spillover(spec0, y0, sources=["msm"], cfg=cfg,
-                                       mode="exact_delta")
+    _, s_off = integrate_with_spillover(spec0, y0, cfg=cfg)
+    _, s_on = integrate_with_spillover(spec0, y0, cfg=cfg, mode="exact_delta")
     g_off = s_off["msm"].gamma[-1]
     g_on = s_on["msm"].gamma[-1]
     assert np.max(np.abs(g_on - g_off)) <= 1e-12 * np.abs(g_off).max()
@@ -329,8 +315,7 @@ def test_exact_delta_matches_fd_with_delta(basic):
     cfg = IntegratorConfig(t0=2020.0, t_end=2026.0, rtol=1e-11, atol=1e-9)
     base = integrate(spec, y0, CFG.over(2017.0, 2020.0))
     start = base.final_state()
-    _, s_ex = integrate_with_spillover(spec, start, sources=["msm"], cfg=cfg,
-                                       mode="exact_delta")
+    _, s_ex = integrate_with_spillover(spec, start, cfg=cfg, mode="exact_delta")
     fd = fd_oracle(spec, start, "msm", 1e-6, cfg)
     st = s_ex["msm"]
     for i, t in enumerate(fd.times):
@@ -347,8 +332,7 @@ def test_fd_oracle_second_order(basic):
     cfg = IntegratorConfig(t0=2020.0, t_end=2025.0, rtol=1e-12, atol=1e-10)
     base = integrate(spec0, y0, CFG.over(2017.0, 2020.0))
     start = base.final_state()
-    _, sens = integrate_with_spillover(spec0, start, sources=["msm"],
-                                       cfg=cfg)
+    _, sens = integrate_with_spillover(spec0, start, cfg=cfg)
     ref = sens["msm"].at(2025.0)
     ref_vec = np.concatenate([ref.sigma, ref.gamma])
     errs = []
@@ -382,25 +366,27 @@ def test_locality_in_epsilon(basic):
     cfg = CFG.over(2020.0, 2026.0)
     base = integrate(spec, y0, CFG.over(2017.0, 2020.0))
     start = base.final_state()
-    _, s0 = integrate_with_spillover(spec, start, sources=["msm"], cfg=cfg)
+    _, s0 = integrate_with_spillover(spec, start, cfg=cfg)
     spec2 = spec.with_epsilon({"msm": 0.20})
-    _, s2 = integrate_with_spillover(spec2, start, sources=["msm"], cfg=cfg)
+    _, s2 = integrate_with_spillover(spec2, start, cfg=cfg)
     g0 = s0["msm"].gamma[-1][0]
     g2 = s2["msm"].gamma[-1][0]
     assert abs(g0 - g2) > 1e-3 * abs(g0)
 
 
-def test_exact_delta_risk_rejected_without_sources(risk):
+def test_exact_delta_risk_rejected_without_sources(risk, monkeypatch):
+    # refused before any source is compiled or any step taken
     spec, y0 = risk
+    monkeypatch.setattr("prepspill.model.exec_source", None)
+    monkeypatch.setattr("prepspill.spillover.integrate_flat", None)
     with pytest.raises(UnsupportedVariant):
-        integrate_with_spillover(spec, y0, sources=(), cfg=CFG.over(2017.0, 2018.0),
-                                 mode="exact_delta")
+        integrate_with_spillover(spec, y0, cfg=CFG.over(2017.0, 2018.0), mode="exact_delta")
 
 
 def test_augmented_rhs_zero_population_names_group_and_time(basic):
     spec, y0 = basic
-    f = flat_rhs_factory(spec, sources=[0])
-    y = np.concatenate([y0.to_flat(), np.zeros(2 * spec.n)])
+    f = flat_rhs_factory(spec, mode="practical")
+    y = np.concatenate([y0.to_flat(), np.zeros(2 * spec.n ** 2)])
     y[4] = y[5] = 0.0  # no HETM
     with pytest.raises(ZeroPopulation, match=r"^group hetm has N = 0 at t = 2021.0$"):
         f(2021.0, list(y))
@@ -428,7 +414,7 @@ def test_sensitivity_rows_match_finite_differences(variant, mode):
         blocks = rng.uniform(-1.0, 1.0, (n, n, 2)) * state.N.mean()
         if mode == "practical":
             blocks[:, :, 0] = -blocks[:, :, 1]
-        got = np.array(flat_rhs_factory(spec, sources=range(n), exact=mode == "exact_delta")(
+        got = np.array(flat_rhs_factory(spec, mode=mode)(
             2017.0, np.concatenate([x, blocks.ravel()]).tolist()))
         flat = np.array(flat_rhs_factory(spec)(2017.0, x.tolist()))
         Pi, _, delta, _ = spec.param_arrays()
@@ -475,8 +461,7 @@ def test_exact_delta_matches_fd_oracle_random_specs():
         y0 = random_state(rng, spec)
         for model, tol in ((replace(spec, mixing=closed_mixing(spec, y0.N)), 1e-5),
                            (spec, 1e-2)):
-            _, sens = integrate_with_spillover(model, y0, model.labels, cfg,
-                                               mode="exact_delta")
+            _, sens = integrate_with_spillover(model, y0, cfg, mode="exact_delta")
             for k in model.labels:
                 fd = fd_oracle(model, y0, k, 1e-4, cfg)
                 st = sens[k]
@@ -489,16 +474,19 @@ def test_exact_delta_matches_fd_oracle_random_specs():
 
 
 def _nnt_past_span(spec, y0):
-    traj, sens = integrate_with_spillover(spec, y0, ("msm",), CFG.over(2020.0, 2022.0))
+    traj, sens = integrate_with_spillover(spec, y0, CFG.over(2020.0, 2022.0))
     return nnt(sens["msm"], traj, "hetf", "msm", 2.5, spec.mu)
 
 
 @pytest.mark.parametrize("run, match", [
-    (lambda spec, y0: integrate_with_spillover(spec, y0, ("msm",), CFG.over(2020.0, 2021.0),
+    (lambda spec, y0: integrate_with_spillover(spec, y0, CFG.over(2020.0, 2021.0),
                                                mode="nosuch"),
      "^unknown mode 'nosuch'$"),
+    # None is flat_rhs_factory's plain state RHS, which has no blocks to integrate
+    (lambda spec, y0: integrate_with_spillover(spec, y0, CFG.over(2020.0, 2021.0), mode=None),
+     "^unknown mode None$"),
     (_nnt_past_span, r"^T = 2\.5: t = 2022\.5 is not a node of the trajectory$"),
-], ids=["unknown-mode", "nnt-past-span"])
+], ids=["unknown-mode", "no-mode", "nnt-past-span"])
 def test_spillover_refusals(basic, run, match):
     with pytest.raises(ValueError, match=match):
         run(*basic)

@@ -60,6 +60,7 @@ def _preset_invocations(model):
 INVOCATIONS = (
     _preset_invocations("basic") + _preset_invocations("risk") + [
         ["spillover", "--model", "basic", "--mode", "exact_delta"],
+        ["spillover", "--model", "basic", "--mode", "exact_delta", "--json"],
         ["validate"], ["validate", "--json"],
         ["simulate", "--config", "risk_2045.json"],
         ["simulate", "--config", "tracked_2022.json"],
@@ -72,6 +73,7 @@ INVOCATIONS = (
         ["nnt", "--config", "off_year_2020_25.json", "--horizon", "0.75"],
         # refusals
         ["simulate", "--model", "nosuch"],
+        ["spillover", "--model", "risk", "--mode", "exact_delta"],
         ["sobol", "--level", "0"],
         ["sobol", "--lo", "5", "--hi", "1"],
         ["emit-plots", "--series", "nosuch"],
