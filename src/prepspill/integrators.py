@@ -9,7 +9,11 @@ shared step (_dp_step_maker).  Runs land exactly on every integer calendar
 year inside the span and on any extra sample times, so annual aggregates
 are plain differences of stored values, never interpolated.  Runs read only
 at their ends and sample times (scenario arms, stability probes) switch
-``year_nodes`` off and step freely between them.
+``year_nodes`` off and step freely between them.  A year-landing run of
+integrate or integrate_batch tries the whole way to its first node as its
+first step (at most a year), which the error norm accepts on the presets:
+a baseline has no rows between t0 and its first year, where a first step
+of 0.01 years left three (t0 + 0.01, + 0.06 and + 0.31).
 """
 
 from __future__ import annotations
@@ -80,10 +84,13 @@ class IntegratorConfig:
 
     t0/t_end are calendar years ("model year 2020" starts at t = 2020.0).
     rtol/atol/dt_min/dt_max control the step; atol is in persons.
-    year_nodes=False drops the whole years from the nodes; first_step
-    (default 1e-2) is the first trial step, e.g. the next_step of the
-    trajectory this one continues.  ``method`` names the one method; it is
-    a constant, not a setting.
+    year_nodes=False drops the whole years from the nodes.  first_step, a
+    finite positive number or None, is the first trial step, e.g. the
+    next_step of the trajectory this one continues.  None leaves it to the
+    run: integrate and integrate_batch start a year-landing run with the
+    distance to its first node (_first_node_start), and every other run
+    starts at 1e-2.  ``method`` names the one method; it is a constant, not
+    a setting.
     """
 
     method = "rk45_adaptive"
@@ -107,6 +114,9 @@ class IntegratorConfig:
             raise ValueError("rtol, atol, dt_min must be positive")
         if self.dt_min > self.dt_max:
             raise ValueError(f"dt_min = {self.dt_min} exceeds dt_max = {self.dt_max}")
+        if self.first_step is not None and not (math.isfinite(self.first_step)
+                                                and self.first_step > 0):
+            raise ValueError(f"first_step = {self.first_step} is not a finite positive number")
 
     def over(self, t0, t_end):
         return replace(self, t0=float(t0), t_end=float(t_end))
@@ -362,7 +372,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     tol = NODE_TOL * min(1.0, cfg.t_end - cfg.t0)
     t = breaks[0]
     k1 = f(t, y)
-    h = min(cfg.dt_max, max(cfg.dt_min, cfg.first_step or 1e-2))
+    h = min(cfg.dt_max, max(cfg.dt_min, 1e-2 if cfg.first_step is None else cfg.first_step))
     for target in breaks[1:]:
         while t < target - tol:
             h = min(h, cfg.dt_max, target - t)
@@ -382,6 +392,27 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     return ts, ys, clamps, h
 
 
+def _first_node_start(cfg, sample_times=None):
+    """cfg with first_step set, for a year-landing run that has none, to the
+    distance from t0 to its first node (a whole year, a sample time or
+    t_end, at most a year away).  On the presets the error norm accepts that
+    step at once, where the 1e-2 start took attempts of 0.01, 0.05 and 0.25
+    years first; a rejected first step shrinks as any other does.
+
+    integrate_flat keeps the 1e-2 start for every other run, each for a
+    measured reason.  Free-stepping runs (scenario arms, probe spans): a
+    first-node start moves the arms' step phase at the risk model's xi_hetm
+    kink and took ``simulate --model risk`` from 1,465 to 1,741 RHS
+    evaluations.  The spillover system (spillover.integrate_with_spillover):
+    emit-plots interpolates its half-year NNT rows between that system's
+    nodes, and a first-node start moved the basic T = 0.5 msm->hetf cell
+    from 31,445.9 to 21,725.3."""
+    if not cfg.year_nodes or cfg.first_step is not None:
+        return cfg
+    t0, first = _breakpoints(cfg, sample_times)[:2]
+    return replace(cfg, first_step=first - t0)
+
+
 def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=True):
     """Integrate a model from StateVec y0 over the configured window.
 
@@ -394,7 +425,8 @@ def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=T
     """
     f = flat_rhs_factory(spec, tracked_counts=tracked_counts, incidence=incidence)
     y = y0.to_flat()
-    return Trajectory.of(integrate_flat(f, y if incidence else y[:2 * spec.n], cfg,
+    return Trajectory.of(integrate_flat(f, y if incidence else y[:2 * spec.n],
+                                        _first_node_start(cfg, sample_times),
                                         n_state=2 * spec.n, sample_times=sample_times),
                          spec.labels)
 
@@ -423,7 +455,8 @@ def integrate_batch(spec, y0, eps, cfg):
         evals += 1
         return rhs(t, y)
     y = np.repeat(y0.to_flat()[:, None], len(eps), axis=1)
-    return Trajectory.of(integrate_flat(f, y, cfg, 2 * spec.n), spec.labels), evals
+    return (Trajectory.of(integrate_flat(f, y, _first_node_start(cfg), 2 * spec.n),
+                          spec.labels), evals)
 
 
 def whole_years(t0, t1):

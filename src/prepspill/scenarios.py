@@ -317,7 +317,7 @@ def run_scenarios(config):
                               prevented={k: 0.0 for k in base_cols})
 
     results, seen = [], {}
-    free = replace(config.integrator, year_nodes=False)
+    free = replace(config.integrator, year_nodes=False)  # starts at 1e-2 (_first_node_start)
     for arm in config.interventions:
         k = spec.group_index(arm.group)
         window = max(arm.start_year, t_int)

@@ -109,6 +109,8 @@ def integrate_with_spillover(spec, y0, cfg, mode="practical", sample_times=None)
     n = spec.n
     f = flat_rhs_factory(spec, mode=mode)
     y0_flat = np.concatenate([y0.to_flat(), np.zeros(2 * n * n)])
+    # integrate_flat's 1e-2 start, not the first-node start of integrate
+    # (integrators._first_node_start says why)
     traj = Trajectory.of(integrate_flat(f, y0_flat, cfg, n_state=2 * n,
                                         sample_times=sample_times), spec.labels)
     return traj, {label: SensitivityTrajectory(

@@ -203,6 +203,7 @@ def test_batch_members_equal_scalar_integrations(basic, risk):
             eps = spec.param_arrays()[3] * scale
             traj, rhs_evals = integrate_batch(spec, y0, [eps], cfg)
             one = integrate(spec.with_epsilon(dict(zip(spec.labels, eps))), y0, cfg)
+            assert one.times[1] == 2018.0  # the first-node start
             assert np.array_equal(traj.times, one.times)
             assert np.array_equal(traj.states[:, :, 0], one.states)
             assert traj.next_step == one.next_step
@@ -259,12 +260,52 @@ def test_step_size_underflow():
 @pytest.mark.parametrize("settings", [
     {"t0": math.nan}, {"t_end": math.inf}, {"dt_max": math.inf}, {"rtol": math.nan},
     {"atol": math.inf}, {"dt_min": math.nan}, {"dt_max": math.nan}, {"dt_min": 0.0},
-    {"dt_min": 2.0, "dt_max": 1.0}])
+    {"dt_min": 2.0, "dt_max": 1.0}, {"first_step": 0.0}, {"first_step": -1.0},
+    {"first_step": math.nan}, {"first_step": math.inf}])
 def test_config_rejects_nonfinite_and_inconsistent_steps(settings):
     # checked by construction only: a NaN rtol with a NaN dt_min never ends a
-    # run, and dt_min > dt_max read as underflow
+    # run, dt_min > dt_max read as underflow, a first_step of 0.0 read as
+    # unset, and a negative or NaN one crawled at dt_min
     with pytest.raises(ValueError):
         IntegratorConfig(**{"t0": 0.0, "t_end": 1.0, **settings})
+
+
+@pytest.mark.parametrize("t0, samples, first", [
+    (2017.0, [2020.0], 2018.0), (2017.5, None, 2018.0), (2017.0, [2017.25], 2017.25)])
+def test_year_landing_runs_try_their_first_node_whole(basic, risk, t0, samples, first):
+    # the first trial step is the distance to the first node, accepted at
+    # once on the presets: no node between t0 and it
+    cfg = IntegratorConfig(t0=t0, t_end=2031.0)
+    for spec, y0 in (basic, risk):
+        assert integrate(spec, y0, cfg, sample_times=samples).times[1] == first
+        if samples is None:
+            eps = spec.param_arrays()[3]
+            assert integrate_batch(spec, y0, [eps, 2.0 * eps], cfg)[0].times[1] == first
+    # a first_step given is the first trial step
+    assert integrate(*basic, replace(cfg, first_step=0.01)).times[1] == t0 + 0.01
+
+
+def test_free_and_spillover_runs_start_at_a_hundredth(basic, monkeypatch):
+    # scenario arms, probe spans and the spillover system keep the 1e-2 start
+    from prepspill import reproduction, scenarios
+    runs = []
+    for module in (scenarios, reproduction):
+        def spy(spec, y0, cfg, *args, _real=module.integrate, **kwargs):
+            traj = _real(spec, y0, cfg, *args, **kwargs)
+            runs.append((cfg, traj))
+            return traj
+        monkeypatch.setattr(module, "integrate", spy)
+    scenarios.run_scenarios(scenarios.default_config("basic"))
+    arms = [traj for cfg, traj in runs if not cfg.year_nodes]
+    assert len(arms) == 9 and len(runs) == 10
+    assert runs[0][1].times[1] == 2018.0  # the baseline lands on its first year
+    runs.clear()
+    reproduction.stability_probe(basic[0].with_delta_zero(), n_trials=1, seed=2)
+    spans = [runs[0][1]]  # the later spans start from the controller's carried step
+    spec, y0 = basic
+    joint, _ = integrate_with_spillover(spec, y0, IntegratorConfig(t0=2020.0, t_end=2022.0))
+    for traj in arms + spans + [joint]:
+        assert traj.times[1] == traj.times[0] + 0.01
 
 
 def test_no_clamps_on_presets(baseline_basic, baseline_risk):

@@ -36,3 +36,26 @@ def test_one_ulp_in_a_csv_cell_is_reported(same_outputs, tmp_path):
     assert lines[1].startswith("out/table.csv: largest relative CSV cell difference 1.39e-16 "
                                "at (row, col) (1, 1)")
     assert len(lines) == 2
+
+
+def test_rows_on_one_side_are_named_by_key(same_outputs, tmp_path):
+    # a trajectory that loses sub-year rows: those keys, then the shared rows
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, rows in ((a, ["2017.0,1.0", "2017.01,1.5", "2017.06,2.0", "2018.0,3.0"]),
+                       (b, ["2017.0,1.0", "2018.0,3.0000000003", "2019.0,4.0"])):
+        (root / "out").mkdir(parents=True)
+        (root / "out" / "trajectory.csv").write_text("\n".join(["t,x", *rows, ""]))
+    lines = same_outputs.differences(same_outputs.read_tree(a), same_outputs.read_tree(b))
+    assert lines == ["out/trajectory.csv: keys only in parent: 2017.01, 2017.06; keys only "
+                     "in change: 2019.0; shared keys: largest relative CSV cell difference "
+                     "1e-10 at (row, col) (4, 1)"]
+
+
+def test_unkeyable_csvs_of_other_shapes_say_so(same_outputs, tmp_path):
+    # a repeated first cell, or another header, leaves no rows to pair
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, text in ((a, "k,x\n1,2\n1,3\n"), (b, "k,x\n1,2\n")):
+        (root / "out").mkdir(parents=True)
+        (root / "out" / "t.csv").write_text(text)
+    lines = same_outputs.differences(same_outputs.read_tree(a), same_outputs.read_tree(b))
+    assert lines == ["out/t.csv: CSV shapes differ"]

@@ -338,8 +338,10 @@ def test_timeseries_one_batched_integration(basic, monkeypatch):
     assert study.n_nodes == 4 and study.years == [2017, 2018]
     assert len(calls["integrate_batch"]) == 1 and len(calls["fit_pce"]) == 1
     assert calls["integrate_batch"][0][2].shape == (4, spec.n)
-    # Dormand-Prince: 1 + 6 RHS evaluations per attempt, 5 attempts
-    assert (study.rtol, study.atol, study.rhs_evals) == (1e-8, 1e-6, 1 + 6 * 5)
+    # Dormand-Prince: 1 + 6 RHS evaluations per attempt, one whole-year
+    # attempt per year (the first year's included: the first trial step is
+    # the distance to the first node)
+    assert (study.rtol, study.atol, study.rhs_evals) == (1e-8, 1e-6, 1 + 6 * 2)
 
 
 def test_timeseries_failure_names_member(basic, monkeypatch):
@@ -409,7 +411,7 @@ def test_study_counts_distinct_coverage_rows(basic, risk):
     # criterion 9's layout: hetm has no baseline coverage to scale and the
     # fourth input is inert, so 625 nodes hold 25 coverage rows; the risk
     # layout's 256 nodes are 256 rows.  rhs_evals counts batch evaluations:
-    # 4 Dormand-Prince attempts over the year, 1 + 6 per attempt.
+    # 1 Dormand-Prince attempt over the year, 1 + 6 per attempt.
     from prepspill.scenarios import sobol_manifest
 
     cfg = IntegratorConfig(t0=2017.0, t_end=2018.0)
@@ -418,14 +420,14 @@ def test_study_counts_distinct_coverage_rows(basic, risk):
         UncertainInput(group=None, lo=-0.5, hi=4.0),)
     study = sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=cfg)
     man = sobol_manifest(study)
-    assert (man["node_count"], man["members"], man["rhs_evals"]) == (625, 25, 25)
+    assert (man["node_count"], man["members"], man["rhs_evals"]) == (625, 25, 7)
     assert man["integrator"] == {"rtol": 1e-8, "atol": 1e-6}
     spec, y0 = risk
     inputs = (UncertainInput("msm", -0.5, 2.0), UncertainInput("hetf_h", -0.5, 2.0),
               UncertainInput("hetf_l", 0.0, 20000.0, domain="count"),
               UncertainInput("hetm", 0.0, 20000.0, domain="count"))
     study = sobol_timeseries(spec, y0, inputs, level=4, total_degree=3, cfg=cfg)
-    assert (study.n_nodes, study.members, study.rhs_evals) == (256, 256, 25)
+    assert (study.n_nodes, study.members, study.rhs_evals) == (256, 256, 7)
 
 
 def _per_node(spec, y0, inputs, grid, cfg):

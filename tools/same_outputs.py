@@ -8,7 +8,9 @@ INVOCATIONS runs once per tree with PYTHONPATH=<tree>/src, in a fresh
 temporary directory that holds the CONFIGS files; a command writes into the
 default ``out`` directory there.  Every written file, stdout, stderr and exit
 code is compared.  Each difference is printed, a CSV file's with its largest
-relative cell difference.  Exits 1 if anything differs, else 0.
+relative cell difference; for CSV files with rows on one side only, the
+first-column keys of those rows as well, and the largest difference over the
+rows both hold.  Exits 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -111,12 +113,39 @@ def _csv_rows(data):
 
 def _largest_csv_difference(a, b):
     """Text for the largest relative difference between the numeric cells of
-    two CSV files, or for their first non-numeric difference."""
+    two CSV files, or for their first non-numeric difference.  Files of
+    different shapes under one header are compared row by row on their first
+    column: the keys found on one side only are listed, and the cells are
+    compared over the shared keys, rows numbered as in the parent's file."""
     rows_a, rows_b = _csv_rows(a), _csv_rows(b)
-    if [len(r) for r in rows_a] != [len(r) for r in rows_b]:
+    if [len(r) for r in rows_a] == [len(r) for r in rows_b]:
+        return _cell_difference(enumerate(zip(rows_a, rows_b)))
+    keyed_a, keyed_b = _keyed(rows_a), _keyed(rows_b)
+    if keyed_a is None or keyed_b is None or rows_a[0] != rows_b[0]:
         return "CSV shapes differ"
+    shared = [(r, row, keyed_b[k][1]) for k, (r, row) in keyed_a.items() if k in keyed_b]
+    if any(len(row_a) != len(row_b) for _, row_a, row_b in shared):
+        return "CSV shapes differ"
+    parts = [f"keys only in {side}: {', '.join(k for k in mine if k not in other)}"
+             for side, mine, other in (("parent", keyed_a, keyed_b),
+                                       ("change", keyed_b, keyed_a))
+             if mine.keys() - other.keys()]
+    common = _cell_difference((r, (row_a, row_b)) for r, row_a, row_b in shared)
+    return "; ".join(parts + [f"shared keys: {common}"])
+
+
+def _keyed(rows):
+    """{first cell: (row number, row)} of the rows after the header, or None
+    if the file is empty or a first cell repeats."""
+    keyed = {row[0]: (r, row) for r, row in enumerate(rows) if r and row}
+    return keyed if rows and len(keyed) == len(rows) - 1 else None
+
+
+def _cell_difference(numbered_pairs):
+    """The text of _largest_csv_difference over (row number, (row_a, row_b))
+    pairs of equal-length rows."""
     worst, where, text = 0.0, None, None
-    for r, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+    for r, (row_a, row_b) in numbered_pairs:
         for c, (x, y) in enumerate(zip(row_a, row_b)):
             if x == y:
                 continue
