@@ -13,7 +13,12 @@ at their ends and sample times (scenario arms, stability probes) switch
 integrate or integrate_batch tries the whole way to its first node as its
 first step (at most a year), which the error norm accepts on the presets:
 a baseline has no rows between t0 and its first year, where a first step
-of 0.01 years left three (t0 + 0.01, + 0.06 and + 0.31).
+of 0.01 years left three (t0 + 0.01, + 0.06 and + 0.31).  A scenario arm
+starts with the baseline's step at its start node.  After a rejection a
+free-stepping run does not grow its next accepted step, and a repeated
+rejection at least halves the step (Hairer, Norsett & Wanner, Solving ODEs
+I, II.4), so an arm does not step straight back into the risk closure's
+xi_hetm kink; year-landing runs keep the plain controller.
 """
 
 from __future__ import annotations
@@ -84,10 +89,12 @@ class IntegratorConfig:
 
     t0/t_end are calendar years ("model year 2020" starts at t = 2020.0).
     rtol/atol/dt_min/dt_max control the step; atol is in persons.
-    year_nodes=False drops the whole years from the nodes.  first_step, a
-    finite positive number or None, is the first trial step, e.g. the
-    next_step of the trajectory this one continues.  None leaves it to the
-    run: integrate and integrate_batch start a year-landing run with the
+    year_nodes=False drops the whole years from the nodes and makes the
+    controller cautious after a rejection (integrate_flat).  first_step, a
+    finite positive number or None, is the first trial step of a run that
+    continues another: a probe span takes the next_step of the span before,
+    a scenario arm the baseline's step at its start node.  None leaves it to
+    the run: integrate and integrate_batch start a year-landing run with the
     distance to its first node (_first_node_start), and every other run
     starts at 1e-2.  ``method`` names the one method; it is a constant, not
     a setting.
@@ -355,6 +362,9 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     are physical populations subject to the nonnegativity policy, member by
     member in a batch; trailing components (cumulative counters,
     sensitivity blocks) may take either sign.
+    The step factor is 0.9 err^-1/5 within [0.2, 5].  A free-stepping run
+    (not cfg.year_nodes) caps it at 1 on the accepted step right after a
+    rejection and at 0.5 on a second rejection in a row.
     Returns (times list, states list, clamp_events, Trajectory.next_step).
     """
     if np.ndim(y0) == 1:
@@ -373,6 +383,8 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     t = breaks[0]
     k1 = f(t, y)
     h = min(cfg.dt_max, max(cfg.dt_min, 1e-2 if cfg.first_step is None else cfg.first_step))
+    # caps on the step factor, lowered after a free run's rejection
+    free, grow, cut = not cfg.year_nodes, 5.0, 1.0
     for target in breaks[1:]:
         while t < target - tol:
             h = min(h, cfg.dt_max, target - t)
@@ -386,9 +398,12 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                 post(t, y, n_state, cfg.atol, clamps)
                 ts.append(t)
                 ys.append(y)
-                h *= min(5.0, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+                h *= min(grow, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+                grow, cut = 5.0, 1.0
             else:
-                h *= max(0.2, 0.9 * err ** -0.2)
+                h *= min(cut, max(0.2, 0.9 * err ** -0.2))
+                if free:
+                    grow, cut = 1.0, 0.5
     return ts, ys, clamps, h
 
 
@@ -399,14 +414,16 @@ def _first_node_start(cfg, sample_times=None):
     step at once, where the 1e-2 start took attempts of 0.01, 0.05 and 0.25
     years first; a rejected first step shrinks as any other does.
 
-    integrate_flat keeps the 1e-2 start for every other run, each for a
-    measured reason.  Free-stepping runs (scenario arms, probe spans): a
-    first-node start moves the arms' step phase at the risk model's xi_hetm
-    kink and took ``simulate --model risk`` from 1,465 to 1,741 RHS
-    evaluations.  The spillover system (spillover.integrate_with_spillover):
-    emit-plots interpolates its half-year NNT rows between that system's
-    nodes, and a first-node start moved the basic T = 0.5 msm->hetf cell
-    from 31,445.9 to 21,725.3."""
+    Free-stepping runs keep the first_step their caller gives: a scenario
+    arm the baseline's step at its start node, which pays only with
+    integrate_flat's cautious steps after a rejection (without them the
+    risk arms meet the xi_hetm kink worse: ``simulate --model risk`` 1,465
+    -> 1,687 RHS evaluations, where both together give 1,219); a probe span
+    the step its previous span proposed, the first span 1e-2.  The
+    spillover system (spillover.integrate_with_spillover) keeps the 1e-2
+    start: emit-plots interpolates its half-year NNT rows between that
+    system's nodes, and a first-node start moved the basic T = 0.5
+    msm->hetf cell from 31,445.9 to 21,725.3."""
     if not cfg.year_nodes or cfg.first_step is not None:
         return cfg
     t0, first = _breakpoints(cfg, sample_times)[:2]

@@ -301,7 +301,8 @@ def run_scenarios(config):
     additional_persons / S_k(start); incidence is aggregated over
     [intervention_year, end] per reported group.  Only the baseline lands on
     whole years: an arm, read at its window ends alone, steps freely to t_end
-    from its start year with its window start as its one sample time.
+    from its start year with its window start as its one sample time,
+    starting with the baseline's step at its start node.
     Arm names, unique in a report: prep_<group>_<int persons>, _<start year>
     unless it is the intervention year, and #<m> for the m-th of that name.
     """
@@ -317,7 +318,7 @@ def run_scenarios(config):
                               prevented={k: 0.0 for k in base_cols})
 
     results, seen = [], {}
-    free = replace(config.integrator, year_nodes=False)  # starts at 1e-2 (_first_node_start)
+    free = replace(config.integrator, year_nodes=False)
     for arm in config.interventions:
         k = spec.group_index(arm.group)
         window = max(arm.start_year, t_int)
@@ -333,7 +334,12 @@ def run_scenarios(config):
             counts = [0.0] * spec.n
             counts[k] = (spec.groups[k][1].epsilon * start_state.S[k]
                          + arm.additional_persons)
-        traj = integrate(arm_spec, start_state, free.over(arm.start_year, t_end),
+        # the arm continues the baseline: its first step is the baseline's
+        # step ending at the start node, or the first one at t0
+        i = max(base_traj.index_of(arm.start_year), 1)
+        first = float(base_traj.times[i] - base_traj.times[i - 1])
+        traj = integrate(arm_spec, start_state,
+                         replace(free.over(arm.start_year, t_end), first_step=first),
                          sample_times=[window], tracked_counts=counts)
         inc = _window_incidence(traj, spec, window, t_end)
         if arm.start_year > t_int:

@@ -286,7 +286,8 @@ def test_year_landing_runs_try_their_first_node_whole(basic, risk, t0, samples, 
 
 
 def test_free_and_spillover_runs_start_at_a_hundredth(basic, monkeypatch):
-    # scenario arms, probe spans and the spillover system keep the 1e-2 start
+    # scenario arms start with the baseline's step at their start node;
+    # probe spans and the spillover system keep the 1e-2 start
     from prepspill import reproduction, scenarios
     runs = []
     for module in (scenarios, reproduction):
@@ -296,16 +297,64 @@ def test_free_and_spillover_runs_start_at_a_hundredth(basic, monkeypatch):
             return traj
         monkeypatch.setattr(module, "integrate", spy)
     scenarios.run_scenarios(scenarios.default_config("basic"))
-    arms = [traj for cfg, traj in runs if not cfg.year_nodes]
+    base = runs[0][1]
+    arms = [(cfg, traj) for cfg, traj in runs if not cfg.year_nodes]
     assert len(arms) == 9 and len(runs) == 10
-    assert runs[0][1].times[1] == 2018.0  # the baseline lands on its first year
+    assert base.times[1] == 2018.0  # the baseline lands on its first year
+    i = base.index_of(2020.0)
+    for cfg, traj in arms:
+        assert cfg.first_step == base.times[i] - base.times[i - 1]
+        assert traj.times[1] == traj.times[0] + cfg.first_step
     runs.clear()
     reproduction.stability_probe(basic[0].with_delta_zero(), n_trials=1, seed=2)
     spans = [runs[0][1]]  # the later spans start from the controller's carried step
     spec, y0 = basic
     joint, _ = integrate_with_spillover(spec, y0, IntegratorConfig(t0=2020.0, t_end=2022.0))
-    for traj in arms + spans + [joint]:
+    for traj in spans + [joint]:
         assert traj.times[1] == traj.times[0] + 0.01
+
+
+def _kinked_run(monkeypatch, year_nodes):
+    """Every Dormand-Prince attempt, (h, accepted), of a run over
+    y' = 1000 |t - 0.3| on [0, 0.9], whose kink at t = 0.3 rejects steps."""
+    from prepspill import integrators
+    attempts = []
+
+    def maker(w=None, _real=integrators._dp_step_maker):
+        step = _real(w)
+
+        def spy(f, t, y, h, k1, atol, rtol):
+            out = step(f, t, y, h, k1, atol, rtol)
+            attempts.append((h, out[2] <= 1.0))
+            return out
+        return spy
+
+    monkeypatch.setattr(integrators, "_dp_step_maker", maker)
+    cfg = IntegratorConfig(0.0, 0.9, rtol=1e-8, atol=1e-8, year_nodes=year_nodes)
+    integrate_flat(lambda t, y: [1e3 * abs(t - 0.3)], [0.0], cfg, n_state=0)
+    return attempts
+
+
+def test_free_run_holds_its_step_after_a_rejection(monkeypatch):
+    # after a rejection the next accepted step does not grow the step, and a
+    # second rejection in a row at least halves it
+    attempts = _kinked_run(monkeypatch, year_nodes=False)
+    held = halved = 0
+    for (_, ok0), (h1, ok1), (h2, _) in zip(attempts, attempts[1:], attempts[2:]):
+        if not ok0 and ok1:
+            assert h2 <= h1
+            held += 1
+        elif not ok0 and not ok1:
+            assert h2 <= 0.5 * h1
+            halved += 1
+    assert held >= 3 and halved >= 2
+
+
+def test_year_landing_run_grows_right_after_a_rejection(monkeypatch):
+    # year-landing runs keep the plain controller: up to 5x after any accepted step
+    attempts = _kinked_run(monkeypatch, year_nodes=True)
+    assert any(not ok0 and ok1 and h2 > h1 for (_, ok0), (h1, ok1), (h2, _)
+               in zip(attempts, attempts[1:], attempts[2:]))
 
 
 def test_no_clamps_on_presets(baseline_basic, baseline_risk):

@@ -51,6 +51,20 @@ def test_rows_on_one_side_are_named_by_key(same_outputs, tmp_path):
                      "1e-10 at (row, col) (4, 1)"]
 
 
+def test_keys_moved_in_their_last_digits_still_pair(same_outputs, tmp_path):
+    # a node time that moved by 3e-13 pairs with its parent row; one that
+    # moved by more than NODE_TOL does not
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, rows in ((a, ["2017.0,1.0", "2017.3100000000002,2.0", "2017.5,2.5", "2018.0,3.0"]),
+                       (b, ["2017.0,1.0", "2017.3100000000005,2.0000000004", "2017.50001,2.5"])):
+        (root / "out").mkdir(parents=True)
+        (root / "out" / "trajectory.csv").write_text("\n".join(["t,x", *rows, ""]))
+    lines = same_outputs.differences(same_outputs.read_tree(a), same_outputs.read_tree(b))
+    assert lines == ["out/trajectory.csv: keys only in parent: 2017.5, 2018.0; keys only "
+                     "in change: 2017.50001; shared keys: largest relative CSV cell "
+                     "difference 2e-10 at (row, col) (2, 1)"]
+
+
 def test_unkeyable_csvs_of_other_shapes_say_so(same_outputs, tmp_path):
     # a repeated first cell, or another header, leaves no rows to pair
     a, b = tmp_path / "a", tmp_path / "b"

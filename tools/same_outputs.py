@@ -10,7 +10,8 @@ default ``out`` directory there.  Every written file, stdout, stderr and exit
 code is compared.  Each difference is printed, a CSV file's with its largest
 relative cell difference; for CSV files with rows on one side only, the
 first-column keys of those rows as well, and the largest difference over the
-rows both hold.  Exits 1 if anything differs, else 0.
+rows both hold (numeric keys within NODE_TOL of each other pair).  Exits 1
+if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -82,6 +83,9 @@ INVOCATIONS = (
         ["simulate", "--config", "no_model.json"],
     ])
 
+# Times this close are one node (prepspill.integrators.NODE_TOL)
+NODE_TOL = 1e-9
+
 _MAIN = "import sys; from prepspill.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
@@ -115,21 +119,23 @@ def _largest_csv_difference(a, b):
     """Text for the largest relative difference between the numeric cells of
     two CSV files, or for their first non-numeric difference.  Files of
     different shapes under one header are compared row by row on their first
-    column: the keys found on one side only are listed, and the cells are
-    compared over the shared keys, rows numbered as in the parent's file."""
+    column (_paired): the keys found on one side only are listed, and the
+    cells are compared over the paired keys, rows numbered as in the parent's
+    file."""
     rows_a, rows_b = _csv_rows(a), _csv_rows(b)
     if [len(r) for r in rows_a] == [len(r) for r in rows_b]:
         return _cell_difference(enumerate(zip(rows_a, rows_b)))
     keyed_a, keyed_b = _keyed(rows_a), _keyed(rows_b)
     if keyed_a is None or keyed_b is None or rows_a[0] != rows_b[0]:
         return "CSV shapes differ"
-    shared = [(r, row, keyed_b[k][1]) for k, (r, row) in keyed_a.items() if k in keyed_b]
+    pairs = _paired(keyed_a, keyed_b)
+    shared = [(r, row, keyed_b[pairs[k]][1]) for k, (r, row) in keyed_a.items() if k in pairs]
     if any(len(row_a) != len(row_b) for _, row_a, row_b in shared):
         return "CSV shapes differ"
-    parts = [f"keys only in {side}: {', '.join(k for k in mine if k not in other)}"
-             for side, mine, other in (("parent", keyed_a, keyed_b),
-                                       ("change", keyed_b, keyed_a))
-             if mine.keys() - other.keys()]
+    parts = [f"keys only in {side}: {', '.join(k for k in mine if k not in paired)}"
+             for side, mine, paired in (("parent", keyed_a, pairs.keys()),
+                                        ("change", keyed_b, set(pairs.values())))
+             if mine.keys() - paired]
     common = _cell_difference((r, (row_a, row_b)) for r, row_a, row_b in shared)
     return "; ".join(parts + [f"shared keys: {common}"])
 
@@ -139,6 +145,30 @@ def _keyed(rows):
     if the file is empty or a first cell repeats."""
     keyed = {row[0]: (r, row) for r, row in enumerate(rows) if r and row}
     return keyed if rows and len(keyed) == len(rows) - 1 else None
+
+
+def _paired(keyed_a, keyed_b):
+    """{parent key: change key} of the rows both files hold: the same text,
+    else, for a numeric key, the nearest unpaired numeric change key within
+    NODE_TOL, so a node whose time moved in its last digits still pairs."""
+    pairs = {k: k for k in keyed_a if k in keyed_b}
+    spare = [(v, k) for k in keyed_b if k not in pairs and (v := _float(k)) is not None]
+    for k in keyed_a:
+        v = _float(k)
+        if k in pairs or v is None or not spare:
+            continue
+        near = min(spare, key=lambda s: abs(s[0] - v))
+        if abs(near[0] - v) <= NODE_TOL:
+            pairs[k] = near[1]
+            spare.remove(near)
+    return pairs
+
+
+def _float(text):
+    try:
+        return float(text)
+    except ValueError:
+        return None
 
 
 def _cell_difference(numbered_pairs):
