@@ -17,14 +17,20 @@ of 0.01 years left three (t0 + 0.01, + 0.06 and + 0.31).  A scenario arm
 starts with the baseline's step at its start node.  After a rejection a
 free-stepping run does not grow its next accepted step, and a repeated
 rejection at least halves the step (Hairer, Norsett & Wanner, Solving ODEs
-I, II.4), so an arm does not step straight back into the risk closure's
-xi_hetm kink; year-landing runs keep the plain controller.
+I, II.4).  A free-stepping scalar run also lands on the switches of its RHS
+(the risk closure's xi_hetm clamp, a tracked-count group's full coverage):
+an attempt over which a switching margin changes sign is retried with the
+step cut to the margin's root on the step's cubic Hermite interpolant (ibid.
+II.6; Shampine & Thompson 2000), so no step straddles the kink.  Year-landing
+runs keep the plain controller and watch no margin.
 """
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import functools
+import io
 import logging
 import math
 from dataclasses import dataclass, field, replace
@@ -33,12 +39,20 @@ import numpy as np
 
 from .errors import NegativeState, PartialYear, StepSizeUnderflow
 from .mixing import exec_source
-from .model import StateVec, batched_rhs_factory, flat_rhs_factory
+from .model import StateVec, batched_rhs_factory, flat_rhs_factory, switch_factory
 
 log = logging.getLogger(__name__)
 
 # Times this close to a stored node are that node (lookups, breakpoint merging).
 NODE_TOL = 1e-9
+
+# The switching margins of the scalar run integrate() is making, as (make,
+# events): make() gives model.switch_factory's margins for the run, built
+# only for a run that watches them, and events is the list its landings go
+# to.  integrate_flat reads them here, not as a parameter, because the
+# wrappers that count its work (bench/tracing.py) pass on its five
+# parameters alone.
+_switches = contextvars.ContextVar("switches", default=None)
 
 
 def node_index(times, t):
@@ -74,13 +88,28 @@ def rows_at(times, rows, t):
 def write_csv(path_or_file, header, rows):
     """The package's one CSV writer: ``header``, then each of ``rows``, with
     "\n" line ends, to the object itself if it has ``write``, else to the
-    path opened as UTF-8 with newlines untranslated."""
-    if not hasattr(path_or_file, "write"):
+    path opened as UTF-8 with newlines untranslated.
+
+    csv quotes a cell only when it holds the delimiter, the quote or a
+    "\n", so a cell holding a "\r" and none of these would not read back:
+    ValueError naming its row (the header is row 0) and column (from 0),
+    and nothing is written.  One scan of the text finds whether any "\r"
+    is there at all."""
+    rows = [header, *rows]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    text = buf.getvalue()
+    if "\r" in text:
+        for r, row in enumerate(rows):
+            for c, cell in enumerate(row):
+                if "\r" in str(cell) and not any(ch in str(cell) for ch in ',"\n'):
+                    raise ValueError(f"CSV row {r} column {c} holds {cell!r}: a \"\\r\" "
+                                     "in an unquoted cell does not read back")
+    if hasattr(path_or_file, "write"):
+        path_or_file.write(text)
+    else:
         with open(path_or_file, "w", encoding="utf-8", newline="") as fh:
-            return write_csv(fh, header, rows)
-    w = csv.writer(path_or_file, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
+            fh.write(text)
 
 
 @dataclass(frozen=True)
@@ -140,7 +169,8 @@ class Trajectory:
     which state_at, final_state, to_csv and annual_series refuse.  A batched
     integration (integrate_batch) adds a trailing member axis.  next_step is
     the controller's step after the last accepted one, the first_step of a
-    run that continues this one.
+    run that continues this one.  switch_events holds (t, margin name) for
+    each switch of the RHS the run landed on (integrate_flat).
     """
 
     times: np.ndarray
@@ -148,13 +178,14 @@ class Trajectory:
     labels: tuple
     clamp_events: list = field(default_factory=list)
     next_step: float | None = None
+    switch_events: list = field(default_factory=list)
 
     @classmethod
-    def of(cls, run, labels):
+    def of(cls, run, labels, switch_events=()):
         """The trajectory of an integrate_flat run (its return value)."""
         ts, ys, clamps, h = run
         return cls(times=np.array(ts), states=np.array(ys), labels=labels,
-                   clamp_events=clamps, next_step=h)
+                   clamp_events=clamps, next_step=h, switch_events=list(switch_events))
 
     @property
     def n_groups(self):
@@ -351,6 +382,106 @@ def _dp_step_maker(w=None):
     return exec_source(src, f"<dp_step {form}>", namespace)["step"]
 
 
+def _switch_root(margin, a, b, y, y5, k1, k7, h, n, tol):
+    """The theta in (0, 1] at which ``margin`` (a function of the S/I slots)
+    changes sign along the cubic Hermite interpolant of the step (y, y5, k1,
+    k7) of length h over its first n components, given its values a at y
+    and b at y5 on opposite sides of zero: the end on b's side of a bracket
+    narrowed by the Illinois variant of regula falsi (Dahlquist & Bjorck)
+    until it spans at most tol of time."""
+    y, y5 = y[:n], y5[:n]
+    lo, hi, fa, fb, side = 0.0, 1.0, a, b, 0
+    for _ in range(100):
+        if (hi - lo) * h <= tol:
+            break
+        th = (lo * fb - hi * fa) / (fb - fa)
+        if not lo < th < hi:
+            th = 0.5 * (lo + hi)
+        # the Hermite basis at th, the slopes' weights times h
+        s, r = th * th, 1.0 - th
+        b0, b1, b2, b3 = (1.0 + 2.0 * th) * r * r, th * r * r * h, s * (3.0 - 2.0 * th), -s * r * h
+        v = margin([b0 * p + b1 * q + b2 * u + b3 * w for p, q, u, w in zip(y, k1, y5, k7)])
+        if (v > 0.0) == (a > 0.0):
+            lo, fa = th, v
+            if side < 0:
+                fb *= 0.5
+            side = -1
+        else:
+            hi, fb = th, v
+            if side > 0:
+                fa *= 0.5
+            side = 1
+    return hi
+
+
+class _SwitchWatch:
+    """The switches of one free-stepping scalar run (integrate_flat), for
+    the margins named ``names`` (model.switch_factory: ``signs`` and
+    ``margins`` read the first n slots of a state).  Each landing goes to
+    ``events`` as (t, name); a node within tol of a switch is on it."""
+
+    def __init__(self, names, signs, margins, events, y, n, tol):
+        self.names, self.signs, self.margins, self.events = names, signs, margins, events
+        self.n, self.tol = n, tol
+        self.m = signs(y)  # the signs at the last accepted node
+        self.landed = 0  # the bits of the margins whose switch that node is on
+        self.pending = None  # the margin the attempts are landing on
+        self.resume = None  # the step proposed before it was met
+
+    def shorten(self, y, y5, k1, k7, h, m5):
+        """The step to retry the attempt y -> y5 of length h (signs m5 at
+        y5) with when a margin changes sign along it more than tol before
+        its end: the distance to the first such root.  Else None, and the
+        attempt is judged as it stands."""
+        crossed = (self.m ^ m5) & ~self.landed
+        if not crossed:
+            return None
+        a, b = self.margins(y), self.margins(y5)
+        th, i = min((_switch_root(lambda u: self.margins(u)[i], a[i], b[i], y, y5, k1, k7, h,
+                                  self.n, self.tol), i)
+                    for i in range(len(a)) if crossed >> i & 1)
+        if th * h <= self.tol:  # the last node is on that switch
+            self.landed |= 1 << i
+            return None
+        self.pending = i
+        if (1.0 - th) * h <= self.tol:  # the attempt ends on it
+            return None
+        self.resume = h if self.resume is None else self.resume
+        return th * h
+
+    def reject(self):
+        """Forget the landing under way: the attempt after a rejection is
+        shorter, and it looks for the switch afresh."""
+        self.pending = self.resume = None
+
+    def accept(self, t, y5, k7, h, m5, proposal):
+        """The step after the accepted attempt of length h ending at t in
+        y5 (signs m5), where the RHS is k7: the controller's ``proposal``,
+        unless a landing is under way.  Then it is the step proposed before
+        the switch was met if the attempt landed on it, else the distance
+        left at the margin's rate along k7 (or ``proposal`` when the margin
+        moves away from zero)."""
+        m, i = self.m, self.pending
+        self.m, self.landed = m5, 0
+        if i is None:
+            return proposal
+        if not (m ^ m5) >> i & 1:  # short of the switch
+            eps = 1e-6 * h
+            b = self.margins(y5)[i]
+            rate = (self.margins([y5[j] + eps * k7[j] for j in range(self.n)])[i] - b) / eps
+            gap = -b / rate if rate else -1.0
+            if gap > self.tol:
+                return min(gap, proposal if self.resume is None else self.resume)
+            if gap < 0.0:  # moving away: no switch ahead
+                self.pending = self.resume = None
+                return proposal
+        self.events.append((t, self.names[i]))
+        log.info("landed on switch %s at t=%.6f", self.names[i], t)
+        self.landed, h = 1 << i, self.resume
+        self.pending = self.resume = None
+        return proposal if h is None else h
+
+
 def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     """Integrate dy/dt = f(t, y) over cfg's window by Dormand-Prince with
     FSAL.
@@ -365,6 +496,20 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     The step factor is 0.9 err^-1/5 within [0.2, 5].  A free-stepping run
     (not cfg.year_nodes) caps it at 1 on the accepted step right after a
     rejection and at 0.5 on a second rejection in a row.
+    A free-stepping scalar run lands on the switches of the margins that
+    integrate() hands it (model.switch_factory; see _switches): each attempt
+    evaluates them at y5, and when one changes sign, the attempt is retried
+    from the same start with h shortened to its root on the step's cubic
+    Hermite interpolant (no RHS evaluation, no rejection recorded).  The
+    retry is judged by the error norm as any attempt; one that stops short
+    of the switch is followed by a step of the distance left at the
+    margin's rate, until a node is within the node tolerance (or dt_min,
+    if larger) of it.  A
+    landing keeps FSAL (the RHS is continuous across a switch, so k7 is f
+    there), is appended to the margins' event list as (t, name) and logged
+    at INFO, and the run goes on with the step proposed before the switch
+    was met; the next attempts do not look at that margin until one is
+    accepted.
     Returns (times list, states list, clamp_events, Trajectory.next_step).
     """
     if np.ndim(y0) == 1:
@@ -385,12 +530,24 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     h = min(cfg.dt_max, max(cfg.dt_min, 1e-2 if cfg.first_step is None else cfg.first_step))
     # caps on the step factor, lowered after a free run's rejection
     free, grow, cut = not cfg.year_nodes, 5.0, 1.0
+    watch = None
+    if free and isinstance(y, list) and (run := _switches.get()):
+        make, events = run
+        if switches := make():
+            # a switch nearer than the smallest step allowed is reached
+            watch = _SwitchWatch(*switches, events, y, n_state, max(tol, cfg.dt_min))
+            signs = watch.signs
     for target in breaks[1:]:
         while t < target - tol:
             h = min(h, cfg.dt_max, target - t)
             if h < cfg.dt_min:
                 raise StepSizeUnderflow(f"dt = {h:.3e} below dt_min at t = {t:.6f}")
             ynew, k7, err = step(f, t, y, h, k1, cfg.atol, cfg.rtol)
+            if watch:
+                m5 = signs(ynew)
+                if m5 != watch.m and (short := watch.shorten(y, ynew, k1, k7, h, m5)):
+                    h = short
+                    continue
             if err <= 1.0:
                 t = target if target - t - h <= tol else t + h
                 y = ynew
@@ -398,12 +555,15 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                 post(t, y, n_state, cfg.atol, clamps)
                 ts.append(t)
                 ys.append(y)
-                h *= min(grow, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+                grown = h * min(grow, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+                h = watch.accept(t, y, k1, h, m5, grown) if watch else grown
                 grow, cut = 5.0, 1.0
             else:
                 h *= min(cut, max(0.2, 0.9 * err ** -0.2))
                 if free:
                     grow, cut = 1.0, 0.5
+                if watch:
+                    watch.reject()
     return ts, ys, clamps, h
 
 
@@ -415,11 +575,12 @@ def _first_node_start(cfg, sample_times=None):
     years first; a rejected first step shrinks as any other does.
 
     Free-stepping runs keep the first_step their caller gives: a scenario
-    arm the baseline's step at its start node, which pays only with
-    integrate_flat's cautious steps after a rejection (without them the
-    risk arms meet the xi_hetm kink worse: ``simulate --model risk`` 1,465
-    -> 1,687 RHS evaluations, where both together give 1,219); a probe span
-    the step its previous span proposed, the first span 1e-2.  The
+    arm the baseline's step at its start node, a probe span the step its
+    previous span proposed, the first span 1e-2.  The arm's start paid only
+    with integrate_flat's cautious steps after a rejection (``simulate
+    --model risk`` 1,465 -> 1,687 RHS evaluations without them, 1,219 with
+    both); since the arms land on the xi_hetm switch instead of stepping
+    into it, the same command takes 817.  The
     spillover system (spillover.integrate_with_spillover) keeps the 1e-2
     start: emit-plots interpolates its half-year NNT rows between that
     system's nodes, and a first-node start moved the basic T = 0.5
@@ -441,11 +602,16 @@ def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=T
     incidence: the trajectory's rows are those 2n slots.
     """
     f = flat_rhs_factory(spec, tracked_counts=tracked_counts, incidence=incidence)
+    events = []
     y = y0.to_flat()
-    return Trajectory.of(integrate_flat(f, y if incidence else y[:2 * spec.n],
-                                        _first_node_start(cfg, sample_times),
-                                        n_state=2 * spec.n, sample_times=sample_times),
-                         spec.labels)
+    token = _switches.set((functools.partial(switch_factory, spec, tracked_counts), events))
+    try:
+        run = integrate_flat(f, y if incidence else y[:2 * spec.n],
+                             _first_node_start(cfg, sample_times),
+                             n_state=2 * spec.n, sample_times=sample_times)
+    finally:
+        _switches.reset(token)
+    return Trajectory.of(run, spec.labels, events)
 
 
 def integrate_batch(spec, y0, eps, cfg):

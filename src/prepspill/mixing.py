@@ -69,6 +69,14 @@ m0, m1, m2, m3, m4 = eta, 1.0 - eta, alpha, 1.0 - alpha, 1.0
 _RISK_ETA_MSM = "em = 1.0 - (B1 + B2 - B3) / B0"
 # xi_hetm's feasible interval is [max(0, lo1, lo2), min(1, hi1)].
 _RISK_BOUNDS = "lo1, lo2, hi1 = (B1 - B0) / B3, 1.0 - B2 / B3, B1 / B3"
+# The interval's ends, then the projection x clamped into it: each branch
+# selection beside its switching margin, the signed difference of the sides
+# its comparison reads (positive where it takes its first branch).
+_RISK_INTERVAL = (("lo = lo1 if lo1 > 0.0 else 0.0", "lo1"),
+                  ("lo = lo2 if lo2 > lo else lo", "lo2 - lo"),
+                  ("hi = hi1 if hi1 < 1.0 else 1.0", "1.0 - hi1"))
+_RISK_CLAMP = (("xi = lo if lo > x else x", "lo - x"),
+               ("xi = hi if hi < xi else xi", "xi - hi"))
 # The xi_hetm minimising the squared distance to the priors on the feasible
 # line, before clamping.  Affine parameterisation x -> (eta_hetfh,
 # alpha_hetfh, alpha_hetfl, xi): slopes (s0, s1, s2, 1) and offsets
@@ -83,22 +91,27 @@ x = -lin / quad"""
 _RISK_XI_SHARES = ("ehh, ahh, ahl = (B1 - xi * B3) / B0, 1.0 - xi * B3 / B1, "
                    "1.0 - (1.0 - xi) * B3 / B2")
 
+_RISK_VOLUMES = "B0, B1, B2, B3 = N0 * a0, N1 * a1, N2 * a2, N3 * a3"
+
+
+def _selections(pairs):
+    """The selection lines of (selection, margin) pairs."""
+    return "\n".join(line for line, _ in pairs)
+
+
 _RISK_CLOSURE = f"""\
-B0, B1, B2, B3 = N0 * a0, N1 * a1, N2 * a2, N3 * a3
+{_RISK_VOLUMES}
 if B0 <= 0.0 or B1 <= 0.0 or B2 <= 0.0 or B3 <= 0.0:
     raise InfeasibleClosure("nonpositive total contact volume", t=t)
 {_RISK_ETA_MSM}
 if not 0.0 <= em <= 1.0:
     raise _unit_interval_error("eta_msm", em, t, _hetm_deficit(B1, B2, B3))
 {_RISK_BOUNDS}
-lo = lo1 if lo1 > 0.0 else 0.0
-lo = lo2 if lo2 > lo else lo
-hi = hi1 if hi1 < 1.0 else 1.0
+{_selections(_RISK_INTERVAL)}
 if lo > hi:
     raise _empty_interval_error(lo, hi, t)
 {_RISK_PROJECTION}
-xi = lo if lo > x else x
-xi = hi if hi < xi else xi
+{_selections(_RISK_CLAMP)}
 {_RISK_XI_SHARES}
 if not (0.0 <= ehh <= 1.0 and 0.0 <= ahh <= 1.0 and 0.0 <= ahl <= 1.0 and 0.0 <= xi <= 1.0):
     # roundoff at a clamped boundary (within 1e-14, then clamped), else infeasible
@@ -119,6 +132,26 @@ if not (0.0 <= ehh <= 1.0 and 0.0 <= ahh <= 1.0 and 0.0 <= ahl <= 1.0 and 0.0 <=
 rest = 1.0 - em - ehh
 m0, m1, m2, m3, m4, m5, m6, m7, m8 = (em, ehh, rest if rest > 0.0 else 0.0, ahh, 1.0 - ahh,
                                       ahl, 1.0 - ahl, xi, 1.0 - xi)
+"""
+
+
+def _watched(pairs, first):
+    """The selections, each after the line leaving its margin in w<k>,
+    numbered from ``first``."""
+    return "\n".join(f"w{k} = {margin}\n{line}"
+                     for k, (line, margin) in enumerate(pairs, start=first))
+
+
+# The switching margins of the closure's branch selections as source text,
+# reading what CLOSURE reads and leaving them in w0, w1, ... (SWITCH_NAMES
+# order).  model.switch_factory pastes it as model._flat_rhs_maker pastes
+# CLOSURE; basic has no branch selection, hence no margin.
+_RISK_SWITCHES = f"""\
+{_RISK_VOLUMES}
+{_RISK_BOUNDS}
+{_watched(_RISK_INTERVAL, 0)}
+{_RISK_PROJECTION}
+{_watched(_RISK_CLAMP, len(_RISK_INTERVAL))}
 """
 
 
@@ -164,6 +197,9 @@ class BasicMixing:
     # The scalar closure's text and the prior fields it reads (see above).
     CLOSURE = _BASIC_CLOSURE
     CLOSURE_PRIORS = ()
+    # The closure's switching margins as text and their names (see above).
+    SWITCHES = ""
+    SWITCH_NAMES = ()
 
     def __post_init__(self):
         check_unit_fields(self)
@@ -198,6 +234,8 @@ class RiskMixing:
              (3, 1, "beta_fm"), (3, 2, "beta_fm"))
     CLOSURE = _RISK_CLOSURE
     CLOSURE_PRIORS = _RISK_SHARES
+    SWITCHES = _RISK_SWITCHES
+    SWITCH_NAMES = tuple(margin for _, margin in _RISK_INTERVAL + _RISK_CLAMP)
 
     def __post_init__(self):
         check_unit_fields(self)

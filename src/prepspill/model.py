@@ -14,6 +14,7 @@ j is then (1 - epsilon_j) * (W @ (I / N))_j.
 
 The flat RHS is generated from that table (:func:`flat_rhs_factory`); a
 spillover mode (``MODES``) adds every source group's block of prepspill.spillover.
+:func:`switch_factory` gives the margins whose signs pick the RHS's branches.
 """
 
 from __future__ import annotations
@@ -385,22 +386,37 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
     return exec_source(src, f"<flat_rhs {' '.join(form)}>", dict(CLOSURE_ERRORS))["make"]
 
 
+def _closure_cells(spec):
+    """The cells the closure text reads besides the populations: the
+    contact rates a<j> and the priors p_<field>, as Python floats."""
+    cells = {f"a{j}": float(p.a) for j, (_, p) in enumerate(spec.groups)}
+    for f in VARIANTS[spec.variant].mixing.CLOSURE_PRIORS:
+        cells[f"p_{f}"] = float(getattr(spec.mixing_priors, f))
+    return cells
+
+
 def _rhs_cells(spec):
     """The cells of a generated flat RHS for the spec's own coverage, each
     numeric one converted here to a Python float (the float-cell rule)."""
     mu = float(spec.mu)
     fixed = spec.mixing and tuple(map(float, spec.mixing.pair_fractions()))
     cells = {"zero_population": _zero_population, "labels": spec.labels, "mu": mu,
-             "fixed": fixed}
+             "fixed": fixed, **_closure_cells(spec)}
     for j, (_, p) in enumerate(spec.groups):
         cells.update({f"Pi{j}": float(p.Pi), f"v{j}": mu + float(p.delta),
-                      f"a{j}": float(p.a), f"u{j}": 1.0 - float(p.epsilon)})
-    mixing = VARIANTS[spec.variant].mixing
-    for i, (_, _, beta) in enumerate(mixing.PAIRS):
+                      f"u{j}": 1.0 - float(p.epsilon)})
+    for i, (_, _, beta) in enumerate(VARIANTS[spec.variant].mixing.PAIRS):
         cells[f"b{i}"] = float(getattr(spec.probs, beta))
-    for f in mixing.CLOSURE_PRIORS:
-        cells[f"p_{f}"] = float(getattr(spec.mixing_priors, f))
     return cells
+
+
+def _tracked(tracked_counts):
+    """The groups a flat RHS tracks (those with a nonzero count, none for
+    None) and the count of each, as floats."""
+    if tracked_counts is None:
+        return (), {}
+    tracked = tuple(j for j, c in enumerate(tracked_counts) if c)
+    return tracked, {j: float(tracked_counts[j]) for j in tracked}
 
 
 def flat_rhs_factory(spec, tracked_counts=None, mode=None, incidence=True):
@@ -417,14 +433,60 @@ def flat_rhs_factory(spec, tracked_counts=None, mode=None, incidence=True):
     evaluation (capped at 1) instead of using the fixed fractions.  Groups
     with a zero count keep their fixed fraction.
     """
-    counts = tuple(tracked_counts) if tracked_counts is not None else (0.0,) * spec.n
-    tracked = tuple(j for j, c in enumerate(counts) if c)
+    tracked, counts = _tracked(tracked_counts)
     cells = _rhs_cells(spec)
     for j in tracked:
         del cells[f"u{j}"]
-        cells[f"c{j}"] = float(counts[j])
+        cells[f"c{j}"] = counts[j]
     make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked, mode, incidence)
     return make(**cells)
+
+
+@functools.lru_cache(maxsize=None)
+def _switch_maker(variant, pinned, tracked):
+    """Compile ``make(**cells) -> (signs, margins)`` for the switching
+    margins of the flat RHS of the same variant, pinning and tracked set:
+    unless pinned, the closure's (mixing.SWITCHES pasted verbatim, with the
+    cells a<j> and p_<field> of the RHS), then S_j - c_j for each tracked
+    group j (cell c<j>).  margins(y) gives them at the S/I slots y[:2n] as a
+    list, signs(y) the int whose bit k is set where margin k is positive."""
+    var = VARIANTS[variant]
+    mixing, g = var.mixing, range(len(var.groups))
+    body = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * len(g)}]",
+            *(f"N{j} = S{j} + I{j}" for j in g)]
+    cells = [f"c{j}" for j in tracked]
+    margins = [f"S{j} - c{j}" for j in tracked]
+    if not pinned:
+        body += mixing.SWITCHES.splitlines()
+        cells += [f"a{j}" for j in g] + [f"p_{f}" for f in mixing.CLOSURE_PRIORS]
+        margins[:0] = [f"w{k}" for k in range(len(mixing.SWITCH_NAMES))]
+    bits = " | ".join(f"({m} > 0.0) << {k}" for k, m in enumerate(margins))
+    src = f"def make({', '.join(cells)}):\n"
+    for name, result in (("signs", bits), ("margins", "[" + ", ".join(margins) + "]")):
+        src += (f"    def {name}(y):\n" + "".join(f"        {line}\n" for line in body)
+                + f"        return {result}\n")
+    src += "    return signs, margins\n"
+    form = [variant] + ["pinned"] * pinned
+    form += [f"tracked={','.join(map(str, tracked))}"] * bool(tracked)
+    return exec_source(src, f"<switches {' '.join(form)}>", {})["make"]
+
+
+def switch_factory(spec, tracked_counts=None):
+    """The switching margins of flat_rhs_factory(spec, tracked_counts): each
+    changes sign where the RHS switches branch, and the RHS is continuous
+    across every switch.  They are the closure's selections
+    (mixing.SWITCH_NAMES) unless the spec pins the mixing, then S_j - c_j
+    for each tracked group, where its coverage reaches 1.  Returns (names,
+    signs, margins) as _switch_maker compiles them, or None when there is
+    no margin (an untracked basic or pinned spec)."""
+    tracked, counts = _tracked(tracked_counts)
+    pinned = spec.mixing is not None
+    names = (() if pinned else VARIANTS[spec.variant].mixing.SWITCH_NAMES) + tuple(
+        f"S_{spec.labels[j]} - c_{spec.labels[j]}" for j in tracked)
+    if not names:
+        return None
+    cells = {f"c{j}": counts[j] for j in tracked} | ({} if pinned else _closure_cells(spec))
+    return (names, *_switch_maker(spec.variant, pinned, tracked)(**cells))
 
 
 def batched_rhs_factory(spec, eps):

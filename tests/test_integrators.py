@@ -357,6 +357,28 @@ def test_year_landing_run_grows_right_after_a_rejection(monkeypatch):
                in zip(attempts, attempts[1:], attempts[2:]))
 
 
+def test_year_landing_risk_runs_ignore_the_margins(risk, monkeypatch):
+    # only free-stepping runs watch the switching margins: year-landing runs
+    # (baselines, heads) step as they would without them, bit for bit, and
+    # a free run without them steps into the xi_hetm switch
+    from prepspill import integrators
+    spec, y0 = risk
+    cfg = IntegratorConfig(2017.0, 2031.0)
+    runs = [(cfg, None), (cfg.over(2017.0, 2020.0), [0.0, 50000.0, 0.0, 0.0]),
+            (replace(cfg, year_nodes=False), None)]
+
+    def trajectories():
+        return [integrate(spec, y0, c, tracked_counts=counts) for c, counts in runs]
+    watched = trajectories()
+    monkeypatch.setattr(integrators, "switch_factory", lambda *args: None)
+    for a, b in zip(watched[:2], trajectories()[:2]):
+        assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
+        assert a.switch_events == []
+    free = trajectories()[2]
+    assert len(watched[2].switch_events) == 1 and free.switch_events == []
+    assert len(watched[2].times) != len(free.times)
+
+
 def test_no_clamps_on_presets(baseline_basic, baseline_risk):
     assert baseline_basic.clamp_events == []
     assert baseline_risk.clamp_events == []
@@ -566,12 +588,15 @@ def test_dp_rhs_count_with_rejections():
     assert all(t in ts for t in range(1, 31))
 
 
-# a lone "\r" is left unquoted under the "\n" terminator and would not read
-# back, and a lone surrogate (category Cs) is not text UTF-8 can encode; no
-# cell the package writes holds either
-CELLS = st.text(alphabet=st.sampled_from(',"\n ')
-                | st.characters(exclude_characters="\r", exclude_categories=("Cs",)),
+# a lone surrogate (category Cs) is not text UTF-8 can encode; no cell the
+# package writes holds one
+CELLS = st.text(alphabet=st.sampled_from(',"\n\r ') | st.characters(exclude_categories=("Cs",)),
                 max_size=6)
+
+
+def _unquoted_cr(cell):
+    # csv quotes a cell holding the delimiter, the quote or the "\n" terminator
+    return "\r" in cell and not any(ch in cell for ch in ',"\n')
 
 
 @settings(max_examples=200, deadline=None)
@@ -579,13 +604,24 @@ CELLS = st.text(alphabet=st.sampled_from(',"\n ')
        rows=st.lists(st.lists(CELLS, max_size=4), max_size=5))
 def test_write_csv_round_trips_any_cells(header, rows):
     buf = io.StringIO()
-    write_csv(buf, header, iter(rows))
-    text = buf.getvalue()
-    assert not buf.closed  # a caller's file stays open
-    assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
-    assert text.endswith("\n") and "\r" not in text  # rows end in "\n" alone
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "out.csv"
+        bad = [(r, c) for r, row in enumerate([header] + rows)
+               for c, cell in enumerate(row) if _unquoted_cr(cell)]
+        if bad:  # a "\r" left unquoted would not read back: refused, nothing written
+            r, c = bad[0]
+            for dest in (buf, str(path)):
+                with pytest.raises(ValueError, match=f"^CSV row {r} column {c} holds "):
+                    write_csv(dest, header, iter(rows))
+            assert buf.getvalue() == "" and not path.exists()
+            return
+        write_csv(buf, header, iter(rows))
+        text = buf.getvalue()
+        assert not buf.closed  # a caller's file stays open
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
+        # rows end in "\n" alone: any "\r" is inside a quoted cell
+        assert text.endswith("\n") and text.count("\r") == sum(
+            cell.count("\r") for row in [header] + rows for cell in row)
         write_csv(str(path), header, rows)
         assert path.read_bytes() == text.encode("utf-8")
 

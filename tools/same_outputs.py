@@ -40,6 +40,12 @@ CONFIGS = {
                                   "start_year": 2022},
                                  {"group": "hetm", "additional_persons": 0,
                                   "start_year": 2022}]},
+    # 230,000 hetf_h persons on PrEP from 2020: S_hetf_h falls to the tracked
+    # count in 2024, where the arm's coverage reaches 1
+    "risk_tracked_cap.json": {"model": "risk", "intervention_mode": "tracked-count",
+                              "interventions": [{"group": "hetf_h",
+                                                 "additional_persons": 230000,
+                                                 "start_year": 2020}]},
     "start_2017_5.json": {"model": "basic", "horizon": {"start": 2017.5}},
     # an intervention between whole years: the half-year NNT horizons are
     # not year-aligned, and most of them fall between nodes
@@ -69,6 +75,7 @@ INVOCATIONS = (
         ["simulate", "--config", "tracked_2022.json"],
         ["nnt", "--config", "tracked_2022.json"],
         ["simulate", "--config", "risk_fixed_2022.json"],
+        ["simulate", "--config", "risk_tracked_cap.json"],
         ["simulate", "--config", "start_2017_5.json"],
         ["emit-plots", "--config", "start_2017_5.json"],
         ["emit-plots", "--config", "off_year_2020_25.json",
