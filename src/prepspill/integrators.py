@@ -33,7 +33,8 @@ import functools
 import io
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -57,7 +58,7 @@ _switches = contextvars.ContextVar("switches", default=None)
 
 def node_index(times, t):
     """Index of the node of the sorted ``times`` within NODE_TOL of t, or None."""
-    i = int(times.searchsorted(t))
+    i = bisect_left(times, t)  # as times.searchsorted(t), at less cost for one t
     for j in (i - 1, i, i + 1):
         if 0 <= j < len(times) and abs(times[j] - t) <= NODE_TOL:
             return j
@@ -155,7 +156,9 @@ class IntegratorConfig:
             raise ValueError(f"first_step = {self.first_step} is not a finite positive number")
 
     def over(self, t0, t_end):
-        return replace(self, t0=float(t0), t_end=float(t_end))
+        # every field in order, through the checking __init__ (not dataclasses.replace)
+        return IntegratorConfig(float(t0), float(t_end), self.rtol, self.atol, self.dt_min,
+                                self.dt_max, self.year_nodes, self.first_step)
 
 
 @dataclass
@@ -234,23 +237,21 @@ def _breakpoints(cfg, sample_times):
     so it stays below the span, and every merged-away time lies within it of
     the kept node, where node_index finds it.
     """
-    pts = {cfg.t0, cfg.t_end}
-    y = math.ceil(cfg.t0)
-    while cfg.year_nodes and y < cfg.t_end:
-        if y > cfg.t0:
-            pts.add(float(y))
-        y += 1
+    t0, t_end = cfg.t0, cfg.t_end
+    pts = {t0, t_end}
+    if cfg.year_nodes:  # the whole years y with t0 < y < t_end
+        pts.update(map(float, range(math.floor(t0) + 1, math.ceil(t_end))))
     if sample_times is not None:
         for t in sample_times:
             t = float(t)
-            if not (cfg.t0 <= t <= cfg.t_end):
-                raise ValueError(f"sample time {t} outside [{cfg.t0}, {cfg.t_end}]")
+            if not (t0 <= t <= t_end):
+                raise ValueError(f"sample time {t} outside [{t0}, {t_end}]")
             pts.add(t)
 
     def rank(t):
-        return 2 if t in (cfg.t0, cfg.t_end) else 1 if t.is_integer() else 0
+        return 2 if t in (t0, t_end) else 1 if t.is_integer() else 0
 
-    tol = NODE_TOL * min(1.0, cfg.t_end - cfg.t0)
+    tol = NODE_TOL * min(1.0, t_end - t0)
     pts = sorted(pts)
     kept = pts[:1]
     for t in pts[1:]:
@@ -513,7 +514,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     Returns (times list, states list, clamp_events, Trajectory.next_step).
     """
     if np.ndim(y0) == 1:
-        y = [float(v) for v in y0]
+        y = np.asarray(y0, dtype=float).tolist()  # Python floats
         step, post = _dp_step_maker(len(y)), _postprocess_step
     else:
         y = np.array(y0, dtype=float)
@@ -588,7 +589,8 @@ def _first_node_start(cfg, sample_times=None):
     if not cfg.year_nodes or cfg.first_step is not None:
         return cfg
     t0, first = _breakpoints(cfg, sample_times)[:2]
-    return replace(cfg, first_step=first - t0)
+    return IntegratorConfig(cfg.t0, cfg.t_end, cfg.rtol, cfg.atol, cfg.dt_min, cfg.dt_max,
+                            cfg.year_nodes, first - t0)
 
 
 def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=True):

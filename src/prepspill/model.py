@@ -111,6 +111,8 @@ class ModelSpec:
     closure.  ``mixing`` is normally None, meaning the closure is re-solved
     from the current populations at every right-hand-side evaluation; setting
     it pins the fractions (useful for frozen-mixing experiments).
+    ``labels`` (the group labels in state order) and ``n`` (their number)
+    are set once per instance.
     """
 
     variant: str
@@ -123,6 +125,8 @@ class ModelSpec:
     def __post_init__(self):
         var = variant_of(self.variant)
         expected = var.groups
+        object.__setattr__(self, "labels", tuple([label for label, _ in self.groups]))
+        object.__setattr__(self, "n", len(self.groups))
         if self.labels != expected:
             raise ValueError(f"variant {self.variant!r} needs groups {expected}, "
                              f"got {self.labels}")
@@ -133,14 +137,6 @@ class ModelSpec:
             raise ValueError(f"mixing_priors must be {want.__name__} for {self.variant}")
         if self.mixing is not None and not isinstance(self.mixing, want):
             raise ValueError(f"mixing must be {want.__name__} for {self.variant}")
-
-    @property
-    def n(self):
-        return len(self.groups)
-
-    @property
-    def labels(self):
-        return tuple(label for label, _ in self.groups)
 
     def group_index(self, label):
         try:
@@ -159,12 +155,11 @@ class ModelSpec:
 
         ``new_eps`` maps group label -> epsilon; unlisted groups keep theirs.
         """
-        groups = []
-        for label, p in self.groups:
-            if label in new_eps:
-                p = replace(p, epsilon=float(new_eps[label]))
-            groups.append((label, p))
-        return replace(self, groups=tuple(groups))
+        # through the checking __init__s, without dataclasses.replace's walk over the fields
+        groups = tuple([(label, GroupParams(p.Pi, p.a, p.delta, float(new_eps[label])))
+                        if label in new_eps else (label, p) for label, p in self.groups])
+        return ModelSpec(self.variant, groups, self.probs, self.mu, self.mixing_priors,
+                         self.mixing)
 
     def with_delta_zero(self):
         """Copy of the spec with disease-induced mortality switched off."""
@@ -275,9 +270,10 @@ def dfe(spec):
 # that consumes it over the system width).  The generated source holds only
 # integer indices and fixed names; every value enters through closure cells.
 # Float-cell rule: every numeric cell of a scalar RHS is a Python float,
-# converted once in _rhs_cells and flat_rhs_factory.  One numpy scalar cell
-# makes every returned entry, and so every Dormand-Prince stage, a numpy
-# scalar: the same IEEE values at about three times the cost.
+# converted once in _rhs_cells (by the variant's generated extractor) and
+# flat_rhs_factory.  One numpy scalar cell makes every returned entry, and so
+# every Dormand-Prince stage, a numpy scalar: the same IEEE values at about
+# three times the cost.
 # Closure-inline rule: an unpinned scalar RHS evaluates the mixing closure
 # inline, pasting the closure text of mixing.py (the text the core is
 # compiled from) verbatim into its body, with the contact rates a<j> and the
@@ -386,28 +382,35 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
     return exec_source(src, f"<flat_rhs {' '.join(form)}>", dict(CLOSURE_ERRORS))["make"]
 
 
-def _closure_cells(spec):
-    """The cells the closure text reads besides the populations: the
-    contact rates a<j> and the priors p_<field>, as Python floats."""
-    cells = {f"a{j}": float(p.a) for j, (_, p) in enumerate(spec.groups)}
-    for f in VARIANTS[spec.variant].mixing.CLOSURE_PRIORS:
-        cells[f"p_{f}"] = float(getattr(spec.mixing_priors, f))
-    return cells
+@functools.lru_cache(maxsize=None)
+def _cells_maker(variant):
+    """Compile ``cells(spec) -> dict`` for the variant: every cell of its
+    generated flat RHS (the spec's own coverage, u<j>, for every group), each
+    numeric one a Python float (the float-cell rule), one dict entry per
+    cell, so a run's set-up formats no name.  Also the cells a<j> and
+    p_<field> that the closure text and its margins read."""
+    var = VARIANTS[variant]
+    g, mixing = range(len(var.groups)), var.mixing
+    entries = ['"zero_population": zero_population', '"labels": spec.labels', '"mu": mu',
+               '"fixed": spec.mixing and tuple(map(float, spec.mixing.pair_fractions()))']
+    for j in g:
+        entries += [f'"Pi{j}": float(g{j}.Pi)', f'"v{j}": mu + float(g{j}.delta)',
+                    f'"u{j}": 1.0 - float(g{j}.epsilon)', f'"a{j}": float(g{j}.a)']
+    entries += [f'"b{i}": float(probs.{beta})' for i, (_, _, beta) in enumerate(mixing.PAIRS)]
+    entries += [f'"p_{f}": float(priors.{f})' for f in mixing.CLOSURE_PRIORS]
+    src = ("def cells(spec):\n"
+           "    " + ", ".join(f"(_, g{j})" for j in g) + " = spec.groups\n"
+           "    probs, priors, mu = spec.probs, spec.mixing_priors, float(spec.mu)\n"
+           "    return {" + ", ".join(entries) + "}\n")
+    namespace = {"zero_population": _zero_population}
+    return exec_source(src, f"<rhs_cells {variant}>", namespace)["cells"]
 
 
 def _rhs_cells(spec):
     """The cells of a generated flat RHS for the spec's own coverage, each
-    numeric one converted here to a Python float (the float-cell rule)."""
-    mu = float(spec.mu)
-    fixed = spec.mixing and tuple(map(float, spec.mixing.pair_fractions()))
-    cells = {"zero_population": _zero_population, "labels": spec.labels, "mu": mu,
-             "fixed": fixed, **_closure_cells(spec)}
-    for j, (_, p) in enumerate(spec.groups):
-        cells.update({f"Pi{j}": float(p.Pi), f"v{j}": mu + float(p.delta),
-                      f"u{j}": 1.0 - float(p.epsilon)})
-    for i, (_, _, beta) in enumerate(VARIANTS[spec.variant].mixing.PAIRS):
-        cells[f"b{i}"] = float(getattr(spec.probs, beta))
-    return cells
+    numeric one a Python float (the float-cell rule): a new dict, from the
+    variant's extractor (_cells_maker)."""
+    return _cells_maker(spec.variant)(spec)
 
 
 def _tracked(tracked_counts):
@@ -448,8 +451,9 @@ def _switch_maker(variant, pinned, tracked):
     margins of the flat RHS of the same variant, pinning and tracked set:
     unless pinned, the closure's (mixing.SWITCHES pasted verbatim, with the
     cells a<j> and p_<field> of the RHS), then S_j - c_j for each tracked
-    group j (cell c<j>).  margins(y) gives them at the S/I slots y[:2n] as a
-    list, signs(y) the int whose bit k is set where margin k is positive."""
+    group j (cell c<j>); make ignores the RHS's other cells.  margins(y)
+    gives them at the S/I slots y[:2n] as a list, signs(y) the int whose bit
+    k is set where margin k is positive."""
     var = VARIANTS[variant]
     mixing, g = var.mixing, range(len(var.groups))
     body = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * len(g)}]",
@@ -461,7 +465,7 @@ def _switch_maker(variant, pinned, tracked):
         cells += [f"a{j}" for j in g] + [f"p_{f}" for f in mixing.CLOSURE_PRIORS]
         margins[:0] = [f"w{k}" for k in range(len(mixing.SWITCH_NAMES))]
     bits = " | ".join(f"({m} > 0.0) << {k}" for k, m in enumerate(margins))
-    src = f"def make({', '.join(cells)}):\n"
+    src = f"def make({', '.join(cells + ['**_'])}):\n"  # any further RHS cell unread
     for name, result in (("signs", bits), ("margins", "[" + ", ".join(margins) + "]")):
         src += (f"    def {name}(y):\n" + "".join(f"        {line}\n" for line in body)
                 + f"        return {result}\n")
@@ -485,7 +489,8 @@ def switch_factory(spec, tracked_counts=None):
         f"S_{spec.labels[j]} - c_{spec.labels[j]}" for j in tracked)
     if not names:
         return None
-    cells = {f"c{j}": counts[j] for j in tracked} | ({} if pinned else _closure_cells(spec))
+    cells = _rhs_cells(spec)
+    cells.update({f"c{j}": counts[j] for j in tracked})
     return (names, *_switch_maker(spec.variant, pinned, tracked)(**cells))
 
 

@@ -13,11 +13,11 @@ tables requires this window; see README for the reconciliation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from functools import reduce
+from operator import add
 
 from .mixing import BasicMixing, RiskMixing
-from .model import StateVec, TransmissionProbs, make_spec
+from .model import VARIANTS, StateVec, TransmissionProbs, make_spec
 
 SIM_START = 2017.0
 INTERVENTION_START = 2020.0
@@ -129,10 +129,18 @@ STUDIES = {
 }
 
 
-def combine_reported(variant, labels, per_group):
-    """Per-model-group values summed onto the reported columns (risk HETF
-    strata combined), then the total over every group."""
-    out = {col: float(sum(per_group[labels.index(g)] for g in groups))
-           for col, groups in STUDIES[variant].reported.items()}
-    out["total"] = float(np.sum(per_group))
+# Per variant, each reported column's model groups as state-order indices.
+_COLUMNS = {variant: tuple((col, tuple(map(VARIANTS[variant].groups.index, groups)))
+                           for col, groups in study.reported.items())
+            for variant, study in STUDIES.items()}
+
+
+def combine_reported(variant, per_group):
+    """Per-model-group values (Python floats in state order) summed onto the
+    reported columns (risk HETF strata combined), then the total over every
+    group.  Each sum adds its terms left to right to 0.0, which is how
+    np.sum adds fewer than 8 terms (and sum() adds numpy scalars)."""
+    out = {col: reduce(add, map(per_group.__getitem__, idx), 0.0)
+           for col, idx in _COLUMNS[variant]}
+    out["total"] = reduce(add, per_group, 0.0)
     return out

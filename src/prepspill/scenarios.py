@@ -10,20 +10,20 @@ running susceptible pool at every step.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import json
 import math
 import os
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup,
                      ZeroPopulation)
 from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, interp_rows,
-                          write_csv)
+                          node_index, write_csv)
 from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (INTERVENTION_START, REPORT_END, SIM_START, STUDIES,
                       combine_reported)
@@ -90,12 +90,12 @@ def load_config(path):
     return _config_from_raw(raw)
 
 
-@contextlib.contextmanager
-def _guard(key):
-    """Report a TypeError, ValueError or OverflowError from reading or
-    applying the value at ``key`` as a SchemaViolation naming that key."""
+def _guarded(key, build, /, *args, **kwargs):
+    """build(*args, **kwargs), a TypeError, ValueError or OverflowError from
+    it reported as a SchemaViolation naming ``key`` (any keyword, a config's
+    own ``key`` or ``build`` too, goes to build)."""
     try:
-        yield
+        return build(*args, **kwargs)
     except (TypeError, ValueError, OverflowError) as e:
         raise SchemaViolation(f"{key}: {e}", key=key) from e
 
@@ -105,8 +105,7 @@ def _number(value, key):
     else a SchemaViolation naming ``key``."""
     if type(value) not in (int, float):
         raise SchemaViolation(f"{key}: must be a number, got {value!r}", key=key)
-    with _guard(key):
-        return float(value)
+    return _guarded(key, float, value)
 
 
 def _section(parent, key, prefix=""):
@@ -125,8 +124,7 @@ def _merged(record, parent, key, prefix):
     vals = _section(parent, key, prefix)
     key = prefix + key
     nums = {k: _number(v, f"{key}.{k}") for k, v in vals.items()}
-    with _guard(key):
-        return replace(record, **nums) if nums else record
+    return _guarded(key, replace, record, **nums) if nums else record
 
 
 def _config_from_raw(raw):
@@ -188,8 +186,7 @@ def _config_from_raw(raw):
         raise SchemaViolation(f"unknown integrator keys {sorted(bad)}",
                               key="integrator")
     steps = {k: _number(v, f"integrator.{k}") for k, v in icfg_raw.items()}
-    with _guard("integrator"):
-        icfg = IntegratorConfig(t0=start, t_end=end, **steps)
+    icfg = _guarded("integrator", IntegratorConfig, t0=start, t_end=end, **steps)
 
     spec, y0 = STUDIES[variant].preset()
     overrides = _section(raw, "overrides")
@@ -199,8 +196,7 @@ def _config_from_raw(raw):
                               key="overrides")
     if "mu" in overrides:
         mu = _number(overrides["mu"], "overrides.mu")
-        with _guard("overrides.mu"):
-            spec = replace(spec, mu=mu)
+        spec = _guarded("overrides.mu", replace, spec, mu=mu)
     groups = _section(overrides, "groups", "overrides.")
     for g in groups:
         if g not in labels:
@@ -222,8 +218,7 @@ def _config_from_raw(raw):
             raise SchemaViolation(f"{key} needs S and I", key=key)
         i = labels.index(g)
         S[i], I[i] = _number(vals["S"], f"{key}.S"), _number(vals["I"], f"{key}.I")
-        with _guard(key):
-            y0 = StateVec.make(S, I)
+        y0 = _guarded(key, StateVec.make, S, I)
 
     return ScenarioConfig(variant=variant, start=start, intervention_year=inter,
                           end=end, interventions=tuple(arms), spec=spec, y0=y0,
@@ -287,11 +282,14 @@ class RunReport:
 
 
 def _window_incidence(traj, spec, t0, t1):
-    """C(t1) - C(t0) per group, read at stored nodes, never interpolated."""
-    i0, i1, n = traj.index_of(t0), traj.index_of(t1), spec.n
+    """C(t1) - C(t0) per group as Python floats, read at stored nodes, never
+    interpolated."""
+    times = traj.times.tolist()  # one conversion, not a numpy scalar per probe
+    i0, i1, n = node_index(times, t0), node_index(times, t1), spec.n
     if i0 is None or i1 is None:
         raise ValueError(f"window [{t0}, {t1}] does not end on trajectory nodes")
-    return traj.states[i1, 2 * n:3 * n] - traj.states[i0, 2 * n:3 * n]
+    c0, c1 = traj.states[i0, 2 * n:3 * n].tolist(), traj.states[i1, 2 * n:3 * n].tolist()
+    return [b - a for a, b in zip(c0, c1)]
 
 
 def run_scenarios(config):
@@ -306,46 +304,54 @@ def run_scenarios(config):
     Arm names, unique in a report: prep_<group>_<int persons>, _<start year>
     unless it is the intervention year, and #<m> for the m-th of that name.
     """
-    spec = config.spec
+    spec, icfg = config.spec, config.integrator
     t_int, t_end = config.intervention_year, config.end
-    labels = spec.labels
+    n = spec.n
 
     base_traj = integrate_baseline(config)
     base_inc = _window_incidence(base_traj, spec, t_int, t_end)
-    base_cols = combine_reported(config.variant, labels, base_inc)
+    base_cols = combine_reported(config.variant, base_inc)
     baseline = ScenarioResult(name="baseline", group="", additional_persons=0.0,
                               incidence=base_cols,
                               prevented={k: 0.0 for k in base_cols})
 
+    # per start year t (a sample time of the baseline, so a node), shared by
+    # the arms starting then: the baseline's row at t as a list and as a
+    # state; the arms' integrator settings, stepping freely from t to t_end
+    # and continuing the baseline with its step ending at t (the first one
+    # at t0); and the baseline's incidence over [t_int, t] for t past t_int
+    starts = {}
+    for t in dict.fromkeys(arm.start_year for arm in config.interventions):
+        i = base_traj.index_of(t)
+        row = base_traj.states[i].tolist()
+        h0, h1 = base_traj.times[max(i, 1) - 1:max(i, 1) + 1].tolist()
+        arm_cfg = IntegratorConfig(float(t), float(t_end), icfg.rtol, icfg.atol, icfg.dt_min,
+                                   icfg.dt_max, year_nodes=False, first_step=h1 - h0)
+        pre = _window_incidence(base_traj, spec, t_int, t) if t > t_int else None
+        starts[t] = row, StateVec.from_flat(row, n), arm_cfg, pre
+
     results, seen = [], {}
-    free = replace(config.integrator, year_nodes=False)
     for arm in config.interventions:
         k = spec.group_index(arm.group)
         window = max(arm.start_year, t_int)
-        start_state = base_traj.state_at(arm.start_year)
+        row, start_state, arm_cfg, pre = starts[arm.start_year]
+        S_k = row[2 * k]
         arm_spec, counts = spec, None
         if config.intervention_mode == "fixed-fraction":
             # as with tracked counts: persons added to an empty pool cover it
-            eps_k, S_k = spec.groups[k][1].epsilon, start_state.S[k]
+            eps_k = spec.groups[k][1].epsilon
             if arm.additional_persons > 0.0:
                 eps_k = min(eps_k + arm.additional_persons / S_k, 1.0) if S_k > 0.0 else 1.0
             arm_spec = spec.with_epsilon({arm.group: eps_k})
         else:
-            counts = [0.0] * spec.n
-            counts[k] = (spec.groups[k][1].epsilon * start_state.S[k]
-                         + arm.additional_persons)
-        # the arm continues the baseline: its first step is the baseline's
-        # step ending at the start node, or the first one at t0
-        i = max(base_traj.index_of(arm.start_year), 1)
-        first = float(base_traj.times[i] - base_traj.times[i - 1])
-        traj = integrate(arm_spec, start_state,
-                         replace(free.over(arm.start_year, t_end), first_step=first),
-                         sample_times=[window], tracked_counts=counts)
+            counts = [0.0] * n
+            counts[k] = spec.groups[k][1].epsilon * S_k + arm.additional_persons
+        traj = integrate(arm_spec, start_state, arm_cfg, sample_times=[window],
+                         tracked_counts=counts)
         inc = _window_incidence(traj, spec, window, t_end)
-        if arm.start_year > t_int:
-            # add the pre-intervention part of the window from baseline
-            inc = inc + _window_incidence(base_traj, spec, t_int, arm.start_year)
-        cols = combine_reported(config.variant, labels, inc)
+        if pre is not None:  # add the pre-intervention part of the window from baseline
+            inc = [a + b for a, b in zip(inc, pre)]
+        cols = combine_reported(config.variant, inc)
         prevented = {key: base_cols[key] - cols[key] for key in cols}
         name = f"prep_{arm.group}_{int(arm.additional_persons)}" + (
             f"_{arm.start_year:g}" if arm.start_year != t_int else "")
@@ -442,6 +448,17 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
+def _suppressed_json(cap, suppressed):
+    """json.dumps({"display_cap": cap, "suppressed": suppressed}, indent=1,
+    sort_keys=True), byte for byte, written directly: cap and each entry's
+    "T" finite floats, its "j", "k" and "reason" strings."""
+    q = encode_basestring_ascii
+    entries = [f'  {{\n   "T": {s["T"]!r},\n   "j": {q(s["j"])},\n   "k": {q(s["k"])},\n'
+               f'   "reason": {q(s["reason"])}\n  }}' for s in suppressed]
+    listed = "[\n" + ",\n".join(entries) + "\n ]" if entries else "[]"
+    return f'{{\n "display_cap": {cap!r},\n "suppressed": {listed}\n}}'
+
+
 def emit_plot_data(out_dir, config, series=PLOT_SERIES):
     """Write the figure-analog CSV bundle for one config; file names carry
     the config's variant.
@@ -468,7 +485,12 @@ def emit_plot_data(out_dir, config, series=PLOT_SERIES):
     if "baseline" in series and base_traj is None:
         base_traj = integrate_baseline(config)
     if {"effects", "nnt"} & set(series):
-        traj, sens = run_spillover(config)
+        if base_traj is None:
+            traj, sens = run_spillover(config)
+        else:  # from the baseline's row, which run_spillover's head gives bit for bit
+            t_int = config.intervention_year
+            traj, sens = integrate_with_spillover(config.spec, base_traj.state_at(t_int),
+                                                  config.integrator.over(t_int, config.end))
         S = traj.states[:, 0:2 * n:2]
 
     if "baseline" in series:
@@ -523,8 +545,7 @@ def emit_plot_data(out_dir, config, series=PLOT_SERIES):
             rows.append(row)
         texts.append((f"nnt_{variant}.csv", _csv_text(header, rows)))
         texts.append((f"nnt_{variant}_suppressed.json",
-                      json.dumps({"display_cap": NNT_DISPLAY_CAP, "suppressed": suppressed},
-                                 indent=1, sort_keys=True)))
+                      _suppressed_json(NNT_DISPLAY_CAP, suppressed)))
 
     study = sobol_study(config, level=3, degree=2) if "sobol" in series else None
 

@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -10,19 +11,25 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prepspill.cli import build_parser, main
+from prepspill import integrators as integrators_mod
+from prepspill import model as model_mod
+from prepspill import presets as presets_mod
+from prepspill import scenarios as scenarios_mod
 from prepspill import sobol
+from prepspill import spillover as spillover_mod
 from prepspill.errors import (ConfigError, MissingSeries, ParseError, SchemaViolation,
                               UnknownGroup, ZeroPopulation)
 from prepspill.model import StateVec, dfe
 from prepspill.presets import (ANNUAL_INCIDENCE_BAND, PREVALENCE_ANCHOR_2017,
                                PREVALENCE_BAND, STUDIES, georgia_basic)
-from prepspill.integrators import annual_series, integrate, interp_rows
+from prepspill.integrators import IntegratorConfig, annual_series, integrate, interp_rows
 from prepspill.model import switch_factory
-from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, default_config,
+from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, _suppressed_json,
+                                 default_config,
                                  emit_plot_data, integrate_baseline, load_config,
                                  report_to_csv, run_scenarios, run_spillover,
                                  validate_tables)
@@ -321,6 +328,75 @@ def test_spillover_from_baseline_head_equals_full_baseline(name, horizon):
     for k in sens:
         assert np.array_equal(sens[k].sigma, want_sens[k].sigma)
         assert np.array_equal(sens[k].gamma, want_sens[k].gamma)
+
+
+@pytest.mark.parametrize("name", ["basic", "arm-before-intervention", "intervention-at-start"])
+def test_emit_plots_spillover_starts_from_the_baseline_row(name, tmp_path, monkeypatch):
+    # with the baseline or table series, emit-plots starts the spillover
+    # system from the baseline's row at the intervention year and integrates
+    # no head over [start, intervention]; the effects and nnt files keep the
+    # bytes that the head's run (run_spillover, the effects/nnt-only bundle) gives
+    config = _config_from_raw(HEAD_CONFIGS[name])
+    files = [f"per_person_effects_{config.variant}.csv", f"nnt_{config.variant}.csv",
+             f"nnt_{config.variant}_suppressed.json"]
+    windows = []
+    real = scenarios_mod.integrate
+
+    def spy(spec, y0, cfg, **kwargs):
+        windows.append((cfg.t0, cfg.t_end))
+        return real(spec, y0, cfg, **kwargs)
+    monkeypatch.setattr(scenarios_mod, "integrate", spy)
+    head = (config.start, config.intervention_year)
+    emit_plot_data(str(tmp_path / "alone"), config, series=("effects", "nnt"))
+    assert windows == ([head] if config.start < config.intervention_year else [])
+    windows.clear()
+    emit_plot_data(str(tmp_path / "bundle"), config)
+    assert head not in windows and (config.start, config.end) in windows
+    for f in files:
+        assert (tmp_path / "bundle" / f).read_bytes() == (tmp_path / "alone" / f).read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(cap=st.floats(allow_nan=False, allow_infinity=False),
+       suppressed=st.lists(st.fixed_dictionaries(
+           {"T": st.floats(allow_nan=False, allow_infinity=False), "j": st.text(),
+            "k": st.text(), "reason": st.sampled_from(["undefined", "excessive"]) | st.text()}),
+           max_size=4))
+@example(cap=NNT_DISPLAY_CAP, suppressed=[])
+def test_suppressed_json_is_json_dumps(cap, suppressed):
+    # the nnt sidecar's direct writer gives json.dumps's bytes, empty list included
+    want = json.dumps({"display_cap": cap, "suppressed": suppressed}, indent=1, sort_keys=True)
+    assert _suppressed_json(cap, suppressed) == want
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_scenario_arms_are_set_up_without_dataclasses_replace(variant, monkeypatch):
+    # set-up cost guard: an arm's spec copy and its integrator settings are
+    # built through their checking __init__s, never by dataclasses.replace
+    # (a generic walk over the fields), and one IntegratorConfig serves every
+    # arm of a start year (the baseline's first-node start makes one more)
+    config = default_config(variant)
+    calls, built = [], []
+    real_replace, real_init = dataclasses.replace, IntegratorConfig.__post_init__
+
+    def counting_replace(obj, /, **changes):
+        calls.append(type(obj).__name__)
+        return real_replace(obj, **changes)
+
+    def counting_init(self):
+        built.append((self.t0, self.t_end))
+        real_init(self)
+    monkeypatch.setattr(dataclasses, "replace", counting_replace)
+    for mod in (model_mod, integrators_mod, presets_mod, scenarios_mod, spillover_mod):
+        if getattr(mod, "replace", None) is real_replace:
+            monkeypatch.setattr(mod, "replace", counting_replace)
+    monkeypatch.setattr(IntegratorConfig, "__post_init__", counting_init)
+    report = run_scenarios(config)
+    assert len(report.scenarios) == len(config.interventions) > 0
+    assert calls == []
+    starts = {arm.start_year for arm in config.interventions}
+    assert sorted(built) == sorted([(config.start, config.end)]
+                                   + [(t, config.end) for t in starts])
 
 
 def test_baseline_brackets_surveillance_bands(baseline_basic):

@@ -10,8 +10,10 @@ default ``out`` directory there.  Every written file, stdout, stderr and exit
 code is compared.  Each difference is printed, a CSV file's with its largest
 relative cell difference; for CSV files with rows on one side only, the
 first-column keys of those rows as well, and the largest difference over the
-rows both hold (numeric keys within NODE_TOL of each other pair).  Exits 1
-if anything differs, else 0.
+rows both hold (numeric keys within NODE_TOL of each other pair).  Each
+invocation's line also gives the wall time of its process on both trees:
+one fresh-process run each, so a cold-start figure to read, not a
+measurement to claim.  Exits 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 CONFIGS = {
@@ -97,19 +100,22 @@ _MAIN = "import sys; from prepspill.cli import main; sys.exit(main(sys.argv[1:])
 
 
 def run(tree, argv):
-    """One invocation in a fresh directory: {name: bytes} of every file it
-    holds afterwards, plus <stdout>, <stderr> and <exit>."""
+    """One invocation in a fresh directory: ({name: bytes} of every file it
+    holds afterwards, plus <stdout>, <stderr> and <exit>; the wall time of
+    its process in seconds)."""
     env = dict(os.environ, PYTHONPATH=str(Path(tree).resolve() / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     with tempfile.TemporaryDirectory() as cwd:
         for name, raw in CONFIGS.items():
             Path(cwd, name).write_text(json.dumps(raw), encoding="utf-8")
+        start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", _MAIN, *argv], cwd=cwd, env=env,
                               capture_output=True, check=False)
+        wall = time.perf_counter() - start
         result = read_tree(cwd)
     result.update({"<stdout>": proc.stdout, "<stderr>": proc.stderr,
                    "<exit>": str(proc.returncode).encode()})
-    return result
+    return result, wall
 
 
 def read_tree(root):
@@ -228,9 +234,11 @@ def main():
     parent, change = args
     differing = 0
     for inv in INVOCATIONS:
-        lines = differences(run(parent, inv), run(change, inv))
+        (a, wall_a), (b, wall_b) = run(parent, inv), run(change, inv)
+        lines = differences(a, b)
         label = " ".join(inv)
-        print(f"{'same' if not lines else 'DIFF'}  {label}")
+        print(f"{'same' if not lines else 'DIFF'}  {label}  "
+              f"[{wall_a:.3f} s parent, {wall_b:.3f} s change]")
         for line in lines:
             print(f"    {line}")
         differing += bool(lines)
