@@ -17,12 +17,12 @@ import numpy as np
 
 from .errors import PrepspillError
 from .integrators import write_csv
-from .model import VARIANTS
+from .model import MODES, VARIANTS
 from .reproduction import build_ngm, rc_closed, rc_numeric
 from .scenarios import (PLOT_SERIES, SOBOL_INTERVAL, default_config, emit_plot_data,
                         load_config, report_to_csv, run_scenarios, run_spillover,
                         sobol_manifest, sobol_study, validate_tables, write_sobol)
-from .spillover import MODES, nnt, sensitivity_to_csv
+from .spillover import nnt, sensitivity_to_csv
 
 
 def _config_from_args(args):
@@ -58,7 +58,7 @@ def cmd_simulate(args):
     payload = {
         "variant": config.variant,
         "window": list(report.window),
-        "config_hash": report.config_hash,
+        "config_hash": config.content_hash(),
         "baseline": report.baseline.incidence,
         "scenarios": {r.name: {"incidence": r.incidence, "prevented": r.prevented}
                       for r in report.scenarios},

@@ -9,20 +9,20 @@ shared step (_dp_step_maker).  Runs land exactly on every integer calendar
 year inside the span and on any extra sample times, so annual aggregates
 are plain differences of stored values, never interpolated.  Runs read only
 at their ends and sample times (scenario arms, stability probes) switch
-``year_nodes`` off and step freely between them.  A year-landing run of
-integrate or integrate_batch tries the whole way to its first node as its
-first step (at most a year), which the error norm accepts on the presets:
+``year_nodes`` off and step freely between them.  integrate_flat alone
+picks a run's first trial step; a year-landing run given none tries the
+whole way to its first node, which the error norm accepts on the presets:
 a baseline has no rows between t0 and its first year, where a first step
-of 0.01 years left three (t0 + 0.01, + 0.06 and + 0.31).  A scenario arm
-starts with the baseline's step at its start node.  After a rejection a
-free-stepping run does not grow its next accepted step, and a repeated
-rejection at least halves the step (Hairer, Norsett & Wanner, Solving ODEs
-I, II.4).  A free-stepping scalar run also lands on the switches of its RHS
-(the risk closure's xi_hetm clamp, a tracked-count group's full coverage):
-an attempt over which a switching margin changes sign is retried with the
-step cut to the margin's root on the step's cubic Hermite interpolant (ibid.
-II.6; Shampine & Thompson 2000), so no step straddles the kink.  Year-landing
-runs keep the plain controller and watch no margin.
+of 0.01 years left three (t0 + 0.01, + 0.06 and + 0.31).  After a
+rejection a free-stepping run does not grow its next accepted step, and a
+repeated rejection at least halves the step (Hairer, Norsett & Wanner,
+Solving ODEs I, II.4).  A free-stepping scalar run also lands on the
+switches of its RHS (the risk closure's xi_hetm clamp, a tracked-count
+group's full coverage): an attempt over which a switching margin changes
+sign is retried with the step cut to the margin's root on the step's cubic
+Hermite interpolant (ibid. II.6; Shampine & Thompson 2000), so no step
+straddles the kink.  Year-landing runs keep the plain controller and watch
+no margin.
 """
 
 from __future__ import annotations
@@ -124,10 +124,9 @@ class IntegratorConfig:
     finite positive number or None, is the first trial step of a run that
     continues another: a probe span takes the next_step of the span before,
     a scenario arm the baseline's step at its start node.  None leaves it to
-    the run: integrate and integrate_batch start a year-landing run with the
-    distance to its first node (_first_node_start), and every other run
-    starts at 1e-2.  ``method`` names the one method; it is a constant, not
-    a setting.
+    integrate_flat: the distance to the first node on a year-landing run,
+    else 1e-2.  ``method`` names the one method; it is a constant, not a
+    setting.
     """
 
     method = "rk45_adaptive"
@@ -494,6 +493,9 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     are physical populations subject to the nonnegativity policy, member by
     member in a batch; trailing components (cumulative counters,
     sensitivity blocks) may take either sign.
+    The first trial step is cfg.first_step if given, else the distance from
+    t0 to the first node (a whole year, a sample time or t_end) on a
+    year-landing run, else 1e-2; a rejected first step shrinks as any other.
     The step factor is 0.9 err^-1/5 within [0.2, 5].  A free-stepping run
     (not cfg.year_nodes) caps it at 1 on the accepted step right after a
     rejection and at 0.5 on a second rejection in a row.
@@ -528,7 +530,9 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     tol = NODE_TOL * min(1.0, cfg.t_end - cfg.t0)
     t = breaks[0]
     k1 = f(t, y)
-    h = min(cfg.dt_max, max(cfg.dt_min, 1e-2 if cfg.first_step is None else cfg.first_step))
+    if (h := cfg.first_step) is None:
+        h = breaks[1] - t if cfg.year_nodes else 1e-2
+    h = min(cfg.dt_max, max(cfg.dt_min, h))
     # caps on the step factor, lowered after a free run's rejection
     free, grow, cut = not cfg.year_nodes, 5.0, 1.0
     watch = None
@@ -568,31 +572,6 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     return ts, ys, clamps, h
 
 
-def _first_node_start(cfg, sample_times=None):
-    """cfg with first_step set, for a year-landing run that has none, to the
-    distance from t0 to its first node (a whole year, a sample time or
-    t_end, at most a year away).  On the presets the error norm accepts that
-    step at once, where the 1e-2 start took attempts of 0.01, 0.05 and 0.25
-    years first; a rejected first step shrinks as any other does.
-
-    Free-stepping runs keep the first_step their caller gives: a scenario
-    arm the baseline's step at its start node, a probe span the step its
-    previous span proposed, the first span 1e-2.  The arm's start paid only
-    with integrate_flat's cautious steps after a rejection (``simulate
-    --model risk`` 1,465 -> 1,687 RHS evaluations without them, 1,219 with
-    both); since the arms land on the xi_hetm switch instead of stepping
-    into it, the same command takes 817.  The
-    spillover system (spillover.integrate_with_spillover) keeps the 1e-2
-    start: emit-plots interpolates its half-year NNT rows between that
-    system's nodes, and a first-node start moved the basic T = 0.5
-    msm->hetf cell from 31,445.9 to 21,725.3."""
-    if not cfg.year_nodes or cfg.first_step is not None:
-        return cfg
-    t0, first = _breakpoints(cfg, sample_times)[:2]
-    return IntegratorConfig(cfg.t0, cfg.t_end, cfg.rtol, cfg.atol, cfg.dt_min, cfg.dt_max,
-                            cfg.year_nodes, first - t0)
-
-
 def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=True):
     """Integrate a model from StateVec y0 over the configured window.
 
@@ -608,8 +587,7 @@ def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=T
     y = y0.to_flat()
     token = _switches.set((functools.partial(switch_factory, spec, tracked_counts), events))
     try:
-        run = integrate_flat(f, y if incidence else y[:2 * spec.n],
-                             _first_node_start(cfg, sample_times),
+        run = integrate_flat(f, y if incidence else y[:2 * spec.n], cfg,
                              n_state=2 * spec.n, sample_times=sample_times)
     finally:
         _switches.reset(token)
@@ -640,8 +618,7 @@ def integrate_batch(spec, y0, eps, cfg):
         evals += 1
         return rhs(t, y)
     y = np.repeat(y0.to_flat()[:, None], len(eps), axis=1)
-    return (Trajectory.of(integrate_flat(f, y, _first_node_start(cfg), 2 * spec.n),
-                          spec.labels), evals)
+    return Trajectory.of(integrate_flat(f, y, cfg, 2 * spec.n), spec.labels), evals
 
 
 def whole_years(t0, t1):

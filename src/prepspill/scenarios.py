@@ -277,7 +277,6 @@ class RunReport:
     window: tuple
     baseline: ScenarioResult
     scenarios: list
-    config_hash: str
     baseline_traj: Trajectory  # the baseline over [start, end]
 
 
@@ -362,8 +361,7 @@ def run_scenarios(config):
             incidence=cols, prevented=prevented))
 
     return RunReport(variant=config.variant, window=(t_int, t_end),
-                     baseline=baseline, scenarios=results,
-                     config_hash=config.content_hash(), baseline_traj=base_traj)
+                     baseline=baseline, scenarios=results, baseline_traj=base_traj)
 
 
 def report_to_csv(report, path_or_file):

@@ -31,7 +31,7 @@ unknown mode and exact_delta on risk:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .errors import PerturbationOutOfRange
 from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate_batch,
                           integrate_flat, rows_at, write_csv)
 from .model import flat_rhs_factory
-from .model import MODES  # noqa: F401  (cli's --mode choices)
 
 
 @dataclass(frozen=True)
@@ -101,16 +100,20 @@ def integrate_with_spillover(spec, y0, cfg, mode="practical", sample_times=None)
     """Jointly integrate the state and every group's sensitivity block.
 
     ``mode`` is one of MODES.  Sensitivities start from exactly zero at
-    cfg.t0.  Returns the state trajectory and one SensitivityTrajectory per
-    source group, keyed by group label in group order.
+    cfg.t0.  A cfg without first_step starts at 1e-2 even when it lands on
+    whole years.  Returns the state trajectory and one SensitivityTrajectory
+    per source group, keyed by group label in group order.
     """
     if mode is None:  # flat_rhs_factory's plain state RHS, which has no blocks
         raise ValueError("unknown mode None")
     n = spec.n
     f = flat_rhs_factory(spec, mode=mode)
     y0_flat = np.concatenate([y0.to_flat(), np.zeros(2 * n * n)])
-    # integrate_flat's 1e-2 start, not the first-node start of integrate
-    # (integrators._first_node_start says why)
+    if cfg.first_step is None:
+        # not the first-node start: emit-plots interpolates its half-year NNT
+        # rows between this system's nodes, and that start moved the basic
+        # T = 0.5 msm->hetf cell from 31,445.9 to 21,725.3 (ROADMAP item 2)
+        cfg = replace(cfg, first_step=1e-2)
     traj = Trajectory.of(integrate_flat(f, y0_flat, cfg, n_state=2 * n,
                                         sample_times=sample_times), spec.labels)
     return traj, {label: SensitivityTrajectory(

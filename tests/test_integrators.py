@@ -278,11 +278,37 @@ def test_year_landing_runs_try_their_first_node_whole(basic, risk, t0, samples, 
     cfg = IntegratorConfig(t0=t0, t_end=2031.0)
     for spec, y0 in (basic, risk):
         assert integrate(spec, y0, cfg, sample_times=samples).times[1] == first
+        # integrate_flat picks the start itself, for callers that go to it directly
+        ts = integrate_flat(flat_rhs_factory(spec), y0.to_flat(), cfg, 2 * spec.n,
+                            sample_times=samples)[0]
+        assert ts[1] == first
         if samples is None:
             eps = spec.param_arrays()[3]
             assert integrate_batch(spec, y0, [eps, 2.0 * eps], cfg)[0].times[1] == first
     # a first_step given is the first trial step
     assert integrate(*basic, replace(cfg, first_step=0.01)).times[1] == t0 + 0.01
+
+
+def test_breakpoints_are_built_once_per_run(basic, monkeypatch):
+    # the first step is read from the run's own breakpoints, not from a
+    # second build of them
+    from prepspill import integrators
+    built = []
+
+    def counting(cfg, sample_times):
+        built.append(cfg)
+        return real(cfg, sample_times)
+    real = integrators._breakpoints
+    monkeypatch.setattr(integrators, "_breakpoints", counting)
+    spec, y0 = basic
+    cfg = IntegratorConfig(t0=2017.0, t_end=2021.0)
+    eps = spec.param_arrays()[3]
+    for run in (lambda: integrate(spec, y0, cfg, sample_times=[2019.5]),
+                lambda: integrate(spec, y0, replace(cfg, year_nodes=False)),
+                lambda: integrate_batch(spec, y0, [eps, 2.0 * eps], cfg)):
+        built.clear()
+        run()
+        assert len(built) == 1
 
 
 def test_free_and_spillover_runs_start_at_a_hundredth(basic, monkeypatch):

@@ -73,3 +73,23 @@ def test_unkeyable_csvs_of_other_shapes_say_so(same_outputs, tmp_path):
         (root / "out" / "t.csv").write_text(text)
     lines = same_outputs.differences(same_outputs.read_tree(a), same_outputs.read_tree(b))
     assert lines == ["out/t.csv: CSV shapes differ"]
+
+
+def test_the_count_line_gives_each_trees_source_lines(same_outputs, tmp_path, monkeypatch,
+                                                      capsys):
+    # `wc -l` over src/prepspill's .py files, a last line without "\n" not
+    # counted, other files not read
+    for name, files in (("a", {"x.py": "a\nb\n", "y.py": "c\n", "notes.txt": "d\n"}),
+                        ("b", {"x.py": "a\nb", "sub/z.py": "1\n" * 1200})):
+        for rel, text in files.items():
+            path = tmp_path / name / "src" / "prepspill" / rel
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+    assert same_outputs.source_lines(tmp_path / "a") == 3
+    assert same_outputs.source_lines(tmp_path / "b") == 1201
+    monkeypatch.setattr(same_outputs, "INVOCATIONS", [])
+    monkeypatch.setattr("sys.argv", ["same_outputs.py", str(tmp_path / "a"),
+                                     str(tmp_path / "b")])
+    assert same_outputs.main() == 0
+    assert capsys.readouterr().out == ("0/0 invocations identical  "
+                                       "[src/prepspill: 3 lines parent, 1,201 change]\n")

@@ -134,7 +134,7 @@ def test_reports_reproducible():
     c2 = default_config("basic")
     r1 = run_scenarios(c1)
     r2 = run_scenarios(c2)
-    assert r1.config_hash == r2.config_hash
+    assert c1.content_hash() == c2.content_hash()
     assert r1.baseline.incidence == r2.baseline.incidence
     for a, b in zip(r1.scenarios, r2.scenarios):
         assert a.incidence == b.incidence
@@ -373,8 +373,8 @@ def test_suppressed_json_is_json_dumps(cap, suppressed):
 def test_scenario_arms_are_set_up_without_dataclasses_replace(variant, monkeypatch):
     # set-up cost guard: an arm's spec copy and its integrator settings are
     # built through their checking __init__s, never by dataclasses.replace
-    # (a generic walk over the fields), and one IntegratorConfig serves every
-    # arm of a start year (the baseline's first-node start makes one more)
+    # (a generic walk over the fields), one IntegratorConfig serves every arm
+    # of a start year, and the baseline runs on the config's own
     config = default_config(variant)
     calls, built = [], []
     real_replace, real_init = dataclasses.replace, IntegratorConfig.__post_init__
@@ -395,8 +395,7 @@ def test_scenario_arms_are_set_up_without_dataclasses_replace(variant, monkeypat
     assert len(report.scenarios) == len(config.interventions) > 0
     assert calls == []
     starts = {arm.start_year for arm in config.interventions}
-    assert sorted(built) == sorted([(config.start, config.end)]
-                                   + [(t, config.end) for t in starts])
+    assert sorted(built) == sorted((t, config.end) for t in starts)
 
 
 def test_baseline_brackets_surveillance_bands(baseline_basic):

@@ -13,7 +13,9 @@ first-column keys of those rows as well, and the largest difference over the
 rows both hold (numeric keys within NODE_TOL of each other pair).  Each
 invocation's line also gives the wall time of its process on both trees:
 one fresh-process run each, so a cold-start figure to read, not a
-measurement to claim.  Exits 1 if anything differs, else 0.
+measurement to claim.  The closing count of identical invocations gives
+each tree's line count of src/prepspill beside it, as `wc -l` counts the
+lines of its .py files.  Exits 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -116,6 +118,12 @@ def run(tree, argv):
     result.update({"<stdout>": proc.stdout, "<stderr>": proc.stderr,
                    "<exit>": str(proc.returncode).encode()})
     return result, wall
+
+
+def source_lines(tree):
+    """The newlines in the .py files under <tree>/src/prepspill (`wc -l`)."""
+    return sum(p.read_bytes().count(b"\n")
+               for p in (Path(tree) / "src" / "prepspill").rglob("*.py"))
 
 
 def read_tree(root):
@@ -242,7 +250,9 @@ def main():
         for line in lines:
             print(f"    {line}")
         differing += bool(lines)
-    print(f"{len(INVOCATIONS) - differing}/{len(INVOCATIONS)} invocations identical")
+    print(f"{len(INVOCATIONS) - differing}/{len(INVOCATIONS)} invocations identical  "
+          f"[src/prepspill: {source_lines(parent):,} lines parent, "
+          f"{source_lines(change):,} change]")
     return 1 if differing else 0
 
 
