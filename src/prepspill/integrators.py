@@ -18,7 +18,8 @@ rejection a free-stepping run does not grow its next accepted step, and a
 repeated rejection at least halves the step (Hairer, Norsett & Wanner,
 Solving ODEs I, II.4).  A free-stepping scalar run also lands on the
 switches of its RHS (the risk closure's xi_hetm clamp, a tracked-count
-group's full coverage): an attempt over which a switching margin changes
+group's full coverage), whose margins the RHS carries (model.flat_rhs_factory
+generates them with it): an attempt over which a switching margin changes
 sign is retried with the step cut to the margin's root on the step's cubic
 Hermite interpolant (ibid. II.6; Shampine & Thompson 2000), so no step
 straddles the kink.  Year-landing runs keep the plain controller and watch
@@ -40,19 +41,19 @@ import numpy as np
 
 from .errors import NegativeState, PartialYear, StepSizeUnderflow
 from .mixing import exec_source
-from .model import StateVec, batched_rhs_factory, flat_rhs_factory, switch_factory
+from .model import StateVec, batched_rhs_factory, flat_rhs_factory
 
 log = logging.getLogger(__name__)
 
 # Times this close to a stored node are that node (lookups, breakpoint merging).
 NODE_TOL = 1e-9
 
-# The switching margins of the scalar run integrate() is making, as (make,
-# events): make() gives model.switch_factory's margins for the run, built
-# only for a run that watches them, and events is the list its landings go
-# to.  integrate_flat reads them here, not as a parameter, because the
-# wrappers that count its work (bench/tracing.py) pass on its five
-# parameters alone.
+# The switching margins of the scalar run integrate() is making, as
+# (switches, events): switches is the switches attribute of the run's RHS
+# (model._flat_rhs_maker: names, signs and margins, or None), and events is
+# the list its landings go to.  integrate_flat reads them here, not from
+# its f or as a parameter, because the wrappers that count its work
+# (bench/tracing.py) pass on its five parameters alone and wrap f.
 _switches = contextvars.ContextVar("switches", default=None)
 
 
@@ -416,8 +417,9 @@ def _switch_root(margin, a, b, y, y5, k1, k7, h, n, tol):
 
 class _SwitchWatch:
     """The switches of one free-stepping scalar run (integrate_flat), for
-    the margins named ``names`` (model.switch_factory: ``signs`` and
-    ``margins`` read the first n slots of a state).  Each landing goes to
+    the margins named ``names`` (the switches its RHS carries, see
+    model._flat_rhs_maker: ``signs`` and ``margins`` read the first n slots
+    of a state).  Each landing goes to
     ``events`` as (t, name); a node within tol of a switch is on it."""
 
     def __init__(self, names, signs, margins, events, y, n, tol):
@@ -500,7 +502,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     (not cfg.year_nodes) caps it at 1 on the accepted step right after a
     rejection and at 0.5 on a second rejection in a row.
     A free-stepping scalar run lands on the switches of the margins that
-    integrate() hands it (model.switch_factory; see _switches): each attempt
+    its RHS carries, which integrate() hands it (see _switches): each attempt
     evaluates them at y5, and when one changes sign, the attempt is retried
     from the same start with h shortened to its root on the step's cubic
     Hermite interpolant (no RHS evaluation, no rejection recorded).  The
@@ -536,12 +538,11 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     # caps on the step factor, lowered after a free run's rejection
     free, grow, cut = not cfg.year_nodes, 5.0, 1.0
     watch = None
-    if free and isinstance(y, list) and (run := _switches.get()):
-        make, events = run
-        if switches := make():
-            # a switch nearer than the smallest step allowed is reached
-            watch = _SwitchWatch(*switches, events, y, n_state, max(tol, cfg.dt_min))
-            signs = watch.signs
+    if free and isinstance(y, list) and (run := _switches.get()) and run[0]:
+        switches, events = run
+        # a switch nearer than the smallest step allowed is reached
+        watch = _SwitchWatch(*switches, events, y, n_state, max(tol, cfg.dt_min))
+        signs = watch.signs
     for target in breaks[1:]:
         while t < target - tol:
             h = min(h, cfg.dt_max, target - t)
@@ -585,7 +586,7 @@ def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=T
     f = flat_rhs_factory(spec, tracked_counts=tracked_counts, incidence=incidence)
     events = []
     y = y0.to_flat()
-    token = _switches.set((functools.partial(switch_factory, spec, tracked_counts), events))
+    token = _switches.set((f.switches, events))
     try:
         run = integrate_flat(f, y if incidence else y[:2 * spec.n], cfg,
                              n_state=2 * spec.n, sample_times=sample_times)

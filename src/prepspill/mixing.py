@@ -144,8 +144,9 @@ def _watched(pairs, first):
 
 # The switching margins of the closure's branch selections as source text,
 # reading what CLOSURE reads and leaving them in w0, w1, ... (SWITCH_NAMES
-# order).  model.switch_factory pastes it as model._flat_rhs_maker pastes
-# CLOSURE; basic has no branch selection, hence no margin.
+# order).  model._flat_rhs_maker pastes it into the margins it generates
+# beside the RHS that pastes CLOSURE; basic has no branch selection, hence
+# no margin.
 _RISK_SWITCHES = f"""\
 {_RISK_VOLUMES}
 {_RISK_BOUNDS}

@@ -14,7 +14,8 @@ j is then (1 - epsilon_j) * (W @ (I / N))_j.
 
 The flat RHS is generated from that table (:func:`flat_rhs_factory`); a
 spillover mode (``MODES``) adds every source group's block of prepspill.spillover.
-:func:`switch_factory` gives the margins whose signs pick the RHS's branches.
+The RHS carries the margins whose signs pick its branches (``f.switches``),
+generated with it.
 """
 
 from __future__ import annotations
@@ -303,11 +304,22 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
     expressions as in the full form.  Blocks need the full, untracked form.
     The three row forms of the flat RHS keep the arithmetic order of the
     hand-written closures they replaced, and the spillover rows that of the
-    numpy kernel, so integrations are unchanged to the last bit.  Cached: at
-    most 4 * 2**n + 4 sources per variant (4 * 2**n flat: pinned or not,
-    with the C rows or not, by tracked set; 4 spillover: pinned or not, by
-    mode).  The source is registered under a name stating its form, e.g.
-    ``<flat_rhs risk practical>`` or ``<flat_rhs basic no-incidence>``.
+    numpy kernel, so integrations are unchanged to the last bit.
+
+    The f that make returns carries its switching margins as ``f.switches
+    = (names, signs, margins)``, written beside the branches they watch:
+    unless pinned, the closure's (mixing.SWITCHES, named SWITCH_NAMES), then
+    S_j - c_j for each tracked group j, named ``S_<label> - c_<label>``,
+    where its coverage reaches 1.  Each changes sign where f switches
+    branch, and f is continuous across every switch.  margins(y) gives them
+    at the S/I slots y[:2n] as a list, signs(y) the int whose bit k is set
+    where margin k is positive.  ``f.switches`` is None for a form with no
+    margin (untracked basic or pinned) and for every spillover form, which
+    no run watches.  Cached: at most 4 * 2**n + 4 sources per variant
+    (4 * 2**n flat: pinned or not, with the C rows or not, by tracked set;
+    4 spillover: pinned or not, by mode).  The source is registered under a
+    name stating its form, e.g. ``<flat_rhs risk practical>`` or
+    ``<flat_rhs basic no-incidence>``.
     """
     if mode not in (None, *MODES):
         raise ValueError(f"unknown mode {mode!r}")
@@ -325,16 +337,23 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
 
     def psum(j, x):  # sum over j's partners p of W[j, p] * x(p), term by term
         return " + ".join(f"a{j} * m{i} * b{i} * {x(p)}" for p, i, _ in rows[j])
+    unpack = ", ".join(f"S{j}, I{j}" for j in g) + " = {}"
     si = f"y[:{2 * n}]" if incidence else "y"  # the S/I-only form gets those slots alone
-    body = [", ".join(f"S{j}, I{j}" for j in g) + f" = {si}",
-            *(f"N{j} = S{j} + I{j}" for j in g)]
+    body = [unpack.format(si), *(f"N{j} = S{j} + I{j}" for j in g)]
+    # the margins' body: the same S/I preamble, then each branch's margin
+    watch = [unpack.format(f"y[:{2 * n}]"), *body[1:]]
+    names, margins = (), []
     body += ["if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
              f"    raise zero_population(labels, ({Ns}), t)"]
     if pinned:
         body.append(f"{m} = fixed")
     else:
         body += mixing.CLOSURE.splitlines()
+        watch += mixing.SWITCHES.splitlines()
+        names, margins = mixing.SWITCH_NAMES, [f"w{k}" for k in range(len(mixing.SWITCH_NAMES))]
     body += [f"u{j} = 1.0 - c{j} / S{j} if S{j} > c{j} else 0.0" for j in tracked]
+    names += tuple(f"S_{var.groups[j]} - c_{var.groups[j]}" for j in tracked)
+    margins += [f"S{j} - c{j}" for j in tracked]
     for j, row in enumerate(rows):
         p0, i0, _ = row[0]
         if mode:
@@ -367,19 +386,27 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
                 ds, dg = f"{ds} - lam{k} * S{k}", f"{dg} + lam{k} * S{k}"
             out.append(f"{ds}, {dg}")
     body.append("return [" + ", ".join(out) + "]")
+    functions, switches = [("f(t, y)", body)], "None"
+    if names and not mode:  # no run watches a spillover form
+        bits = " | ".join(f"({w} > 0.0) << {k}" for k, w in enumerate(margins))
+        functions += [("signs(y)", watch + [f"return {bits}"]),
+                      ("margins(y)", watch + ["return [" + ", ".join(margins) + "]"])]
+        switches = "(names, signs, margins)"
     cells = (["zero_population", "labels", "fixed", "mu"]
              + [f"{c}{j}" for c in ("Pi", "v", "a") for j in g]
              + [f"u{j}" for j in g if j not in tracked]
              + [f"c{j}" for j in tracked]
              + [f"b{i}" for i in range(len(pairs))]
              + [f"p_{f}" for f in mixing.CLOSURE_PRIORS])
-    src = (f"def make({', '.join(cells)}):\n    def f(t, y):\n"
-           + "".join(f"        {line}\n" for line in body)
-           + "    return f\n")
+    src = f"def make({', '.join(cells)}):\n" + "".join(
+        f"    def {head}:\n" + "".join(f"        {line}\n" for line in lines)
+        for head, lines in functions)
+    src += f"    f.switches = {switches}\n    return f\n"
     form = [variant] + ["pinned"] * pinned
     form += [f"tracked={','.join(map(str, tracked))}"] * bool(tracked) + [mode] * bool(mode)
     form += ["no-incidence"] * (not incidence)
-    return exec_source(src, f"<flat_rhs {' '.join(form)}>", dict(CLOSURE_ERRORS))["make"]
+    namespace = dict(CLOSURE_ERRORS, names=names)
+    return exec_source(src, f"<flat_rhs {' '.join(form)}>", namespace)["make"]
 
 
 @functools.lru_cache(maxsize=None)
@@ -413,15 +440,6 @@ def _rhs_cells(spec):
     return _cells_maker(spec.variant)(spec)
 
 
-def _tracked(tracked_counts):
-    """The groups a flat RHS tracks (those with a nonzero count, none for
-    None) and the count of each, as floats."""
-    if tracked_counts is None:
-        return (), {}
-    tracked = tuple(j for j, c in enumerate(tracked_counts) if c)
-    return tracked, {j: float(tracked_counts[j]) for j in tracked}
-
-
 def flat_rhs_factory(spec, tracked_counts=None, mode=None, incidence=True):
     """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...],
     followed, given a spillover ``mode`` (one of MODES), by one block per
@@ -434,64 +452,17 @@ def flat_rhs_factory(spec, tracked_counts=None, mode=None, incidence=True):
     set).  ``tracked_counts`` optionally gives absolute person counts on
     PrEP per group; coverage is then re-derived as E_j / S_j at every
     evaluation (capped at 1) instead of using the fixed fractions.  Groups
-    with a zero count keep their fixed fraction.
+    with a zero count keep their fixed fraction.  The RHS carries its
+    switching margins as rhs.switches (see _flat_rhs_maker).
     """
-    tracked, counts = _tracked(tracked_counts)
-    cells = _rhs_cells(spec)
-    for j in tracked:
-        del cells[f"u{j}"]
-        cells[f"c{j}"] = counts[j]
+    cells, tracked = _rhs_cells(spec), ()
+    if tracked_counts is not None:
+        tracked = tuple(j for j, c in enumerate(tracked_counts) if c)
+        for j in tracked:
+            del cells[f"u{j}"]
+            cells[f"c{j}"] = float(tracked_counts[j])
     make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked, mode, incidence)
     return make(**cells)
-
-
-@functools.lru_cache(maxsize=None)
-def _switch_maker(variant, pinned, tracked):
-    """Compile ``make(**cells) -> (signs, margins)`` for the switching
-    margins of the flat RHS of the same variant, pinning and tracked set:
-    unless pinned, the closure's (mixing.SWITCHES pasted verbatim, with the
-    cells a<j> and p_<field> of the RHS), then S_j - c_j for each tracked
-    group j (cell c<j>); make ignores the RHS's other cells.  margins(y)
-    gives them at the S/I slots y[:2n] as a list, signs(y) the int whose bit
-    k is set where margin k is positive."""
-    var = VARIANTS[variant]
-    mixing, g = var.mixing, range(len(var.groups))
-    body = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * len(g)}]",
-            *(f"N{j} = S{j} + I{j}" for j in g)]
-    cells = [f"c{j}" for j in tracked]
-    margins = [f"S{j} - c{j}" for j in tracked]
-    if not pinned:
-        body += mixing.SWITCHES.splitlines()
-        cells += [f"a{j}" for j in g] + [f"p_{f}" for f in mixing.CLOSURE_PRIORS]
-        margins[:0] = [f"w{k}" for k in range(len(mixing.SWITCH_NAMES))]
-    bits = " | ".join(f"({m} > 0.0) << {k}" for k, m in enumerate(margins))
-    src = f"def make({', '.join(cells + ['**_'])}):\n"  # any further RHS cell unread
-    for name, result in (("signs", bits), ("margins", "[" + ", ".join(margins) + "]")):
-        src += (f"    def {name}(y):\n" + "".join(f"        {line}\n" for line in body)
-                + f"        return {result}\n")
-    src += "    return signs, margins\n"
-    form = [variant] + ["pinned"] * pinned
-    form += [f"tracked={','.join(map(str, tracked))}"] * bool(tracked)
-    return exec_source(src, f"<switches {' '.join(form)}>", {})["make"]
-
-
-def switch_factory(spec, tracked_counts=None):
-    """The switching margins of flat_rhs_factory(spec, tracked_counts): each
-    changes sign where the RHS switches branch, and the RHS is continuous
-    across every switch.  They are the closure's selections
-    (mixing.SWITCH_NAMES) unless the spec pins the mixing, then S_j - c_j
-    for each tracked group, where its coverage reaches 1.  Returns (names,
-    signs, margins) as _switch_maker compiles them, or None when there is
-    no margin (an untracked basic or pinned spec)."""
-    tracked, counts = _tracked(tracked_counts)
-    pinned = spec.mixing is not None
-    names = (() if pinned else VARIANTS[spec.variant].mixing.SWITCH_NAMES) + tuple(
-        f"S_{spec.labels[j]} - c_{spec.labels[j]}" for j in tracked)
-    if not names:
-        return None
-    cells = _rhs_cells(spec)
-    cells.update({f"c{j}": counts[j] for j in tracked})
-    return (names, *_switch_maker(spec.variant, pinned, tracked)(**cells))
 
 
 def batched_rhs_factory(spec, eps):

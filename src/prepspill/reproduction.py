@@ -261,14 +261,15 @@ def tune_multiplier_to_rc(spec, target):
     secant steps on one smooth piece, Anderson-Bjorck: moving one end twice
     scales the other's value by 1 - f(new) / f(replaced), or 0.5 if that
     is not positive.  Stops at |R_c - target| < _TUNE_TOL; RuntimeError if
-    200 steps do not get there.
+    200 steps do not get there.  ValueError naming the target if the
+    bracket's ends do not hold it (a NaN target among them).
     """
     def rc_of(m):
         return rc_numeric(build_ngm(scale_transmission(spec, m))).value
 
     lo, hi = _MULTIPLIER_BRACKET
     flo, fhi = rc_of(lo) - target, rc_of(hi) - target
-    if flo * fhi > 0:
+    if not flo * fhi <= 0:  # a NaN target fails this too
         raise ValueError(f"target R = {target} not bracketed by multipliers [{lo}, {hi}]")
     caps = sorted({1.0 / b for b in vars(spec.probs).values() if b > 0.0})
     moved = 0  # the end the last secant step moved, -1 lo or +1 hi (0 after a cap)

@@ -311,6 +311,27 @@ def test_breakpoints_are_built_once_per_run(basic, monkeypatch):
         assert len(built) == 1
 
 
+def test_a_run_builds_its_rhs_cells_once(basic, risk, monkeypatch):
+    # the switching margins come with the RHS (f.switches), from the same
+    # cells: a free run reads the spec's cells once, as a year-landing one does
+    from prepspill import model
+    built = []
+
+    def counting(spec):
+        built.append(spec)
+        return real(spec)
+    real = model._rhs_cells
+    monkeypatch.setattr(model, "_rhs_cells", counting)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2021.0)
+    free = replace(cfg, year_nodes=False)
+    for (spec, y0), run_cfg, counts in ((risk, free, None),
+                                        (basic, free, [50000.0, 0.0, 0.0]),
+                                        (risk, cfg, None)):
+        built.clear()
+        integrate(spec, y0, run_cfg, tracked_counts=counts)
+        assert len(built) == 1
+
+
 def test_free_and_spillover_runs_start_at_a_hundredth(basic, monkeypatch):
     # scenario arms start with the baseline's step at their start node;
     # probe spans and the spillover system keep the 1e-2 start
@@ -396,7 +417,12 @@ def test_year_landing_risk_runs_ignore_the_margins(risk, monkeypatch):
     def trajectories():
         return [integrate(spec, y0, c, tracked_counts=counts) for c, counts in runs]
     watched = trajectories()
-    monkeypatch.setattr(integrators, "switch_factory", lambda *args: None)
+
+    def without_margins(*args, **kwargs):
+        f = flat_rhs_factory(*args, **kwargs)
+        f.switches = None
+        return f
+    monkeypatch.setattr(integrators, "flat_rhs_factory", without_margins)
     for a, b in zip(watched[:2], trajectories()[:2]):
         assert np.array_equal(a.times, b.times) and np.array_equal(a.states, b.states)
         assert a.switch_events == []

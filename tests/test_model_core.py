@@ -426,6 +426,44 @@ def test_float_cells_keep_the_arithmetic(variant):
                                   contact_matrix(spec, mix))
 
 
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
+       pinned=st.booleans(), tracked=st.booleans(),
+       form=st.sampled_from(["full", "si-only", "spillover"]))
+def test_margins_agree_with_their_rhs_property(seed, variant, pinned, tracked, form):
+    # the margins an RHS carries: the closure's (unless pinned), then
+    # S_j - c_j for a tracked group, whose sign is that group's coverage
+    # branch; none on a form without them, and none on a spillover form
+    rng = np.random.default_rng(seed)
+    spec = random_spec(rng, variant)
+    state = random_state(rng, spec)
+    if pinned:
+        spec = replace(spec, mixing=spec.mixing_priors)
+    n, tracked = spec.n, tracked and form != "spillover"
+    k = int(rng.integers(n))
+    counts = None
+    if tracked:  # the count below, at or above the pool
+        counts = [0.0] * n
+        counts[k] = float(state.S[k] * rng.choice([rng.uniform(0.0, 1.5), 1.0]))
+    f = (flat_rhs_factory(spec, mode="practical") if form == "spillover" else
+         flat_rhs_factory(spec, tracked_counts=counts, incidence=form == "full"))
+    names = (() if pinned else VARIANTS[variant].mixing.SWITCH_NAMES) + (
+        (f"S_{spec.labels[k]} - c_{spec.labels[k]}",) if tracked else ())
+    if form == "spillover" or not names:
+        assert f.switches is None
+        return
+    got, signs, margins = f.switches
+    assert got == names
+    y = state.to_flat().tolist()[:3 * n if form == "full" else 2 * n]
+    w = margins(y)
+    assert len(w) == len(names)
+    assert signs(y) == sum((m > 0.0) << i for i, m in enumerate(w))
+    if tracked:
+        assert w[-1] == y[2 * k] - counts[k]
+        inc = flat_rhs_factory(spec, tracked_counts=counts)(0.0, state.to_flat().tolist())
+        assert (w[-1] <= 0.0) == (inc[2 * n + k] == 0.0)
+
+
 def test_tracked_coverage_with_empty_pool(basic):
     # S_j <= c_j means full coverage, also at S_j = 0 (no division by zero)
     spec, y0 = basic

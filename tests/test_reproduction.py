@@ -402,7 +402,7 @@ def test_tune_lands_past_a_sharp_cap(monkeypatch, basic, betas, m):
     assert abs(_rc(spec0, got) - target) < _TUNE_TOL
 
 
-@pytest.mark.parametrize("target", [0.0, 1e3])
+@pytest.mark.parametrize("target", [0.0, 1e3, float("nan")])
 def test_tune_refuses_an_unbracketed_target(basic, target):
     with pytest.raises(ValueError, match="not bracketed"):
         tune_multiplier_to_rc(basic[0].with_delta_zero(), target)

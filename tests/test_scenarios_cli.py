@@ -23,11 +23,10 @@ from prepspill import sobol
 from prepspill import spillover as spillover_mod
 from prepspill.errors import (ConfigError, MissingSeries, ParseError, SchemaViolation,
                               UnknownGroup, ZeroPopulation)
-from prepspill.model import StateVec, dfe
+from prepspill.model import StateVec, dfe, flat_rhs_factory
 from prepspill.presets import (ANNUAL_INCIDENCE_BAND, PREVALENCE_ANCHOR_2017,
                                PREVALENCE_BAND, STUDIES, georgia_basic)
 from prepspill.integrators import IntegratorConfig, annual_series, integrate, interp_rows
-from prepspill.model import switch_factory
 from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, _suppressed_json,
                                  default_config,
                                  emit_plot_data, integrate_baseline, load_config,
@@ -733,7 +732,7 @@ def test_risk_arms_land_on_their_switch(monkeypatch, caplog):
     _, runs = _arm_runs(monkeypatch, default_config("risk"))
     assert len(runs) == 12
     for spec, _, traj in runs:
-        names, _, margins = switch_factory(spec)
+        names, _, margins = flat_rhs_factory(spec).switches
         (t, name), = traj.switch_events
         assert name == "lo - x" and 2027.2 < t < 2027.3
         _lands_on(traj, t, lambda row: margins(row.tolist())[names.index(name)])

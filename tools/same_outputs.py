@@ -51,6 +51,12 @@ CONFIGS = {
                               "interventions": [{"group": "hetf_h",
                                                  "additional_persons": 230000,
                                                  "start_year": 2020}]},
+    # 120,000 msm persons on PrEP from 2020: S_msm falls to the tracked count
+    # in 2026, the one switching margin a basic RHS carries
+    "basic_tracked_cap.json": {"model": "basic", "intervention_mode": "tracked-count",
+                               "interventions": [{"group": "msm",
+                                                  "additional_persons": 120000,
+                                                  "start_year": 2020}]},
     "start_2017_5.json": {"model": "basic", "horizon": {"start": 2017.5}},
     # an intervention between whole years: the half-year NNT horizons are
     # not year-aligned, and most of them fall between nodes
@@ -81,6 +87,7 @@ INVOCATIONS = (
         ["nnt", "--config", "tracked_2022.json"],
         ["simulate", "--config", "risk_fixed_2022.json"],
         ["simulate", "--config", "risk_tracked_cap.json"],
+        ["simulate", "--config", "basic_tracked_cap.json"],
         ["simulate", "--config", "start_2017_5.json"],
         ["emit-plots", "--config", "start_2017_5.json"],
         ["emit-plots", "--config", "off_year_2020_25.json",
