@@ -8,16 +8,18 @@ which steps a batch of systems (a row of members per component) with one
 shared step (_dp_step_maker).  Runs land exactly on every integer calendar
 year inside the span and on any extra sample times, so annual aggregates
 are plain differences of stored values, never interpolated.  Runs read only
-at their ends and sample times (scenario arms, stability probes) switch
-``year_nodes`` off and step freely between them.  integrate_flat alone
-picks a run's first trial step; a year-landing run given none tries the
-whole way to its first node, which the error norm accepts on the presets:
-a baseline has no rows between t0 and its first year, where a first step
-of 0.01 years left three (t0 + 0.01, + 0.06 and + 0.31).  After a
-rejection a free-stepping run does not grow its next accepted step, and a
-repeated rejection at least halves the step (Hairer, Norsett & Wanner,
-Solving ODEs I, II.4).  A free-stepping scalar run also lands on the
-switches of its RHS (the risk closure's xi_hetm clamp, a tracked-count
+at their ends and sample times (scenario arms, stability probes, the Sobol
+batch, whose sample times are its whole years) switch ``year_nodes`` off
+and step freely between them.  integrate_flat alone picks a run's first
+trial step; a year-landing run given none tries the whole way to its first
+node, which the error norm accepts on the presets: a baseline has no rows
+between t0 and its first year, where a first step of 0.01 years left three
+(t0 + 0.01, + 0.06 and + 0.31).  After a rejection a free-stepping run
+does not grow its next accepted step, and a repeated rejection at least
+halves the step (Hairer, Norsett & Wanner, Solving ODEs I, II.4); after a
+step cut short to land on an interior sample time it tries at least the
+step it wanted before the cut.  A free-stepping scalar run also lands on
+the switches of its RHS (the risk closure's xi_hetm clamp, a tracked-count
 group's full coverage), whose margins the RHS carries (model.flat_rhs_factory
 generates them with it): an attempt over which a switching margin changes
 sign is retried with the step cut to the margin's root on the step's cubic
@@ -500,7 +502,11 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     year-landing run, else 1e-2; a rejected first step shrinks as any other.
     The step factor is 0.9 err^-1/5 within [0.2, 5].  A free-stepping run
     (not cfg.year_nodes) caps it at 1 on the accepted step right after a
-    rejection and at 0.5 on a second rejection in a row.
+    rejection and at 0.5 on a second rejection in a row; when its accepted
+    step was cut short to land on a sample time before t_end, the next step
+    is at least the step the controller wanted before the cut (at most
+    dt_max), so a node to read does not shrink the steps after it.  Landing
+    on t_end takes no such rule: next_step is the plain proposal.
     A free-stepping scalar run lands on the switches of the margins that
     its RHS carries, which integrate() hands it (see _switches): each attempt
     evaluates them at y5, and when one changes sign, the attempt is retried
@@ -544,8 +550,10 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
         watch = _SwitchWatch(*switches, events, y, n_state, max(tol, cfg.dt_min))
         signs = watch.signs
     for target in breaks[1:]:
+        sample = free and target != breaks[-1]  # an interior sample time
         while t < target - tol:
-            h = min(h, cfg.dt_max, target - t)
+            wanted = min(h, cfg.dt_max)
+            h = min(wanted, target - t)
             if h < cfg.dt_min:
                 raise StepSizeUnderflow(f"dt = {h:.3e} below dt_min at t = {t:.6f}")
             ynew, k7, err = step(f, t, y, h, k1, cfg.atol, cfg.rtol)
@@ -562,6 +570,8 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                 ts.append(t)
                 ys.append(y)
                 grown = h * min(grow, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
+                if sample and h < wanted:  # cut short to land on the sample time
+                    grown = max(grown, wanted)
                 h = watch.accept(t, y, k1, h, m5, grown) if watch else grown
                 grow, cut = 5.0, 1.0
             else:
@@ -595,16 +605,20 @@ def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=T
     return Trajectory.of(run, spec.labels, events)
 
 
-def integrate_batch(spec, y0, eps, cfg):
+def integrate_batch(spec, y0, eps, cfg, sample_times=None):
     """Integrate a batch of models that differ only in coverage, all from y0.
 
     Row b of ``eps`` (B, n) holds member b's coverage fractions.  The batch
     state is one (3n, B) array that integrate_flat steps whole, with one
-    step for all members; a batch of one equals its scalar integration bit
-    for bit.  The trajectory keeps every accepted node, so its states are
-    (nodes, 3n, B).  The nonnegativity policy applies member by member;
-    clamp events are (t, component, member, value).  A failure carries the
-    index of the first failing member (PrepspillError.member).
+    step for all members, landing on ``sample_times`` as any run does.  A
+    batch of one equals integrate_flat on the member's own RHS
+    (flat_rhs_factory(spec.with_epsilon(...))) bit for bit: a year-landing
+    one is its integrate() run; a free-stepping one watches no switching
+    margin, where integrate() lands on them.  The trajectory keeps every
+    accepted node, so its states are (nodes, 3n, B).  The nonnegativity
+    policy applies member by member; clamp events are (t, component,
+    member, value).  A failure carries the index of the first failing
+    member (PrepspillError.member).
 
     Returns (trajectory, RHS evaluations); each evaluation covers the batch.
     """
@@ -619,7 +633,8 @@ def integrate_batch(spec, y0, eps, cfg):
         evals += 1
         return rhs(t, y)
     y = np.repeat(y0.to_flat()[:, None], len(eps), axis=1)
-    return Trajectory.of(integrate_flat(f, y, cfg, 2 * spec.n), spec.labels), evals
+    run = integrate_flat(f, y, cfg, 2 * spec.n, sample_times=sample_times)
+    return Trajectory.of(run, spec.labels), evals
 
 
 def whole_years(t0, t1):

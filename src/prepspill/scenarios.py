@@ -598,6 +598,8 @@ def sobol_manifest(study):
         "boundary_affected": study.boundary_affected,
         "integrator": {"rtol": study.rtol, "atol": study.atol},
         "rhs_evals": study.rhs_evals,
+        "steps_accepted": study.steps_accepted,
+        "steps_rejected": study.steps_rejected,
         "members": study.members,
         "inputs": [
             {"group": u.group, "lo": u.lo, "hi": u.hi, "domain": u.domain}

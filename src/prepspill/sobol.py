@@ -11,7 +11,7 @@ collects every coefficient whose multi-index touches that input).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -251,10 +251,12 @@ def _series_indices(index_set, coeffs):
 class SobolStudy:
     """Per-(year, output group) indices for a coverage-uncertainty study.
 
-    ``rtol``, ``atol`` and ``rhs_evals`` record the integration: the
-    batch's Dormand-Prince tolerances and its RHS evaluations (1 + 6 per
-    attempted step), each covering the batch.  ``members`` counts the
-    batch: the distinct coverage rows among the nodes, each integrated once.
+    ``rtol``, ``atol``, ``rhs_evals``, ``steps_accepted`` and
+    ``steps_rejected`` record the integration: the batch's Dormand-Prince
+    tolerances, its RHS evaluations (1 + 6 per attempted step), each
+    covering the batch, and its accepted and rejected steps.  ``members``
+    counts the batch: the distinct coverage rows among the nodes, each
+    integrated once.
     """
 
     years: list
@@ -267,6 +269,8 @@ class SobolStudy:
     rtol: float
     atol: float
     rhs_evals: int
+    steps_accepted: int
+    steps_rejected: int
     members: int
     samples: dict = field(default_factory=dict, repr=False)
 
@@ -306,17 +310,18 @@ def coverage_model_fn(spec, y0, inputs, cfg):
     return fn
 
 
-def _batch_incidence(spec, y0, grid, eps, cfg):
-    """Years, annual incidence (years, groups, nodes), RHS evaluations and
-    batch size of the grid nodes, coverage eps (nodes, n), integrated in one
-    batch with one member per distinct row.  Members run in order of their
-    first node, so the first failing member is the lowest failing node,
-    which the EnsembleError names."""
+def _batch_incidence(spec, y0, grid, eps, cfg, sample_times):
+    """Years, annual incidence (years, groups, nodes) and the batch's work
+    (SobolStudy's rhs_evals, steps_accepted, steps_rejected and members) of
+    the grid nodes, coverage eps (nodes, n), integrated under cfg to the
+    sample times in one batch with one member per distinct row.  Members
+    run in order of their first node, so the first failing member is the
+    lowest failing node, which the EnsembleError names."""
     _, first, inverse = np.unique(eps, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     nodes, member = first[order], np.argsort(order)  # member: of each distinct row
     try:
-        traj, rhs_evals = integrate_batch(spec, y0, eps[nodes], cfg)
+        traj, rhs_evals = integrate_batch(spec, y0, eps[nodes], cfg, sample_times)
     except PrepspillError as e:
         if e.member is None:
             raise
@@ -324,7 +329,12 @@ def _batch_incidence(spec, y0, grid, eps, cfg):
         raise EnsembleError(f"model failed at node {i}: {e}", i,
                             grid.nodes[i]) from e.for_member(i)
     years, table = annual_series(traj)
-    return years, table[..., member[inverse.reshape(-1)]], rhs_evals, len(nodes)
+    # 1 + 6 RHS evaluations per attempt: a batch watches no switch, so it
+    # retries no attempt without evaluating
+    accepted = len(traj.times) - 1
+    work = {"rhs_evals": rhs_evals, "steps_accepted": accepted,
+            "steps_rejected": (rhs_evals - 1) // 6 - accepted, "members": len(nodes)}
+    return years, table[..., member[inverse.reshape(-1)]], work
 
 
 def sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=None):
@@ -336,22 +346,29 @@ def sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=None):
     boundary-affected).  Each distinct coverage row among the grid nodes is
     integrated once, all in one batch (integrate_batch: Dormand-Prince with
     one step shared by the members, the largest member error controlling
-    it; cfg defaults to the scalar runs' 2017-2031 config).  A batch of one
-    node equals that node's scalar integration (coverage_model_fn with the
-    same cfg) bit for bit; in a larger batch each member stays within the
-    tolerances of its own run.  A failing node raises EnsembleError naming
-    the lowest failing one.  One projection (fit_pce) fits every (year,
-    group) series at once.  A partial-year window (PartialYear) or a grid
-    too coarse for the fit (ExactnessViolation) is refused before any work.
+    it; cfg defaults to the scalar runs' 2017-2031 config).  The batch
+    reads its whole years alone, so it steps freely to them as sample times
+    (integrate_flat's free controller, whatever cfg.year_nodes says), with
+    cfg.first_step as its first step if set, else the first year whole.
+    Each member stays within the tolerances of its own run
+    (coverage_model_fn with the same cfg, which lands on every year and on
+    the risk closure's switch).  On the basic preset, whose batch rejects
+    no step, the samples equal the year-landing batch's bit for bit.  A
+    failing node raises EnsembleError naming the lowest failing one.  One
+    projection (fit_pce) fits every (year, group) series at once.  A
+    partial-year window (PartialYear) or a grid too coarse for the fit
+    (ExactnessViolation) is refused before any work.
     """
     inputs = tuple(inputs)
     if cfg is None:
         cfg = IntegratorConfig(t0=2017.0, t_end=2031.0)
-    whole_years(cfg.t0, cfg.t_end)  # annual_series' span check, before any work
+    years = whole_years(cfg.t0, cfg.t_end)  # annual_series' span check, before any work
     grid = build_grid(inputs, level=level)
     _check_tensor_exactness(grid, total_degree)  # before any node is integrated
     eps, clamps = coverage_fractions(spec, y0, inputs, grid.nodes)
-    years, table, rhs_evals, members = _batch_incidence(spec, y0, grid, eps, cfg)
+    first = cfg.first_step if cfg.first_step is not None else years[0] + 1 - cfg.t0
+    free = replace(cfg, year_nodes=False, first_step=first)
+    years, table, work = _batch_incidence(spec, y0, grid, eps, free, years[1:])
     keys = [(year, lbl) for year in years for lbl in spec.labels]
     Y = table.reshape(len(keys), grid.n_nodes).T  # (nodes, series)
     pce = fit_pce(Y, grid, total_degree)
@@ -360,4 +377,4 @@ def sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=None):
     return SobolStudy(years=years, inputs=inputs, indices=indices, grid_level=level,
                       n_nodes=grid.n_nodes, clamp_count=clamps,
                       boundary_affected=clamps > 0, rtol=cfg.rtol, atol=cfg.atol,
-                      rhs_evals=rhs_evals, members=members, samples=samples)
+                      samples=samples, **work)

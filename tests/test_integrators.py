@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import rk4_fixed
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
-from prepspill.integrators import (NODE_TOL, IntegratorConfig, _breakpoints,
+from prepspill.integrators import (NODE_TOL, IntegratorConfig, Trajectory, _breakpoints,
                                    _dp_step_maker, _postprocess_columns,
                                    _postprocess_step, annual_series, integrate,
                                    integrate_batch, integrate_flat, interp_rows, write_csv)
@@ -210,6 +210,62 @@ def test_batch_members_equal_scalar_integrations(basic, risk):
             assert (rhs_evals - 1) % 6 == 0 and (rhs_evals - 1) // 6 >= len(one.times) - 1
             years, table = annual_series(traj)
             assert table.shape == (14, spec.n, 1)
+
+
+def test_free_batch_members_equal_direct_runs_and_keep_their_step(basic, risk, monkeypatch):
+    # The Sobol batch's controller: a free-stepping batch of one, read at
+    # interior sample times over a window across the risk xi_hetm kink
+    # (2027), steps as integrate_flat does on the member's own RHS, bit for
+    # bit (a direct call watches no margin, as a batch watches none).  A
+    # step cut short to land on a sample time is followed by an attempt at
+    # least as long as the step the controller wanted before the cut: the
+    # plain controller's proposal from the attempt before, at most dt_max
+    # and the distance to the next node.
+    from prepspill import integrators
+    attempts = []
+
+    def maker(w=None, _real=integrators._dp_step_maker):
+        step = _real(w)
+
+        def spy(f, t, y, h, k1, atol, rtol):
+            out = step(f, t, y, h, k1, atol, rtol)
+            attempts.append((t, h, out[2]))
+            return out
+        return spy
+
+    monkeypatch.setattr(integrators, "_dp_step_maker", maker)
+    cfg = IntegratorConfig(2017.0, 2031.0, dt_max=2.5, year_nodes=False, first_step=1.0)
+    samples = [float(y) for y in range(2018, 2031)]
+    nodes = samples + [cfg.t_end]
+    landings = 0
+    for spec, y0 in (basic, risk):
+        for scale in (0.5, 1.0, 3.0):
+            eps = spec.param_arrays()[3] * scale
+            attempts.clear()
+            traj, _ = integrate_batch(spec, y0, [eps], cfg, sample_times=samples)
+            batch_attempts = list(attempts)
+            f = flat_rhs_factory(spec.with_epsilon(dict(zip(spec.labels, eps))))
+            one = Trajectory.of(integrate_flat(f, y0.to_flat(), cfg, 2 * spec.n,
+                                               sample_times=samples), spec.labels)
+            assert np.array_equal(traj.times, one.times)
+            assert np.array_equal(traj.states[:, :, 0], one.states)
+            assert traj.next_step == one.next_step
+            assert all(traj.index_of(t) is not None for t in samples)
+            grow, cut = 5.0, 1.0  # the free controller's caps on the step factor
+            for (_, h0, e0), (t1, h1, e1), (_, h2, _) in zip(batch_attempts, batch_attempts[1:],
+                                                             batch_attempts[2:]):
+                # the plain proposal after attempt 0 (its caps set by the one before)
+                if e0 <= 1.0:
+                    plain = h0 * min(grow, max(0.2, 0.9 * e0 ** -0.2 if e0 else 5.0))
+                    grow, cut = 5.0, 1.0
+                else:
+                    plain = h0 * min(cut, max(0.2, 0.9 * e0 ** -0.2))
+                    grow, cut = 1.0, 0.5
+                end = integrators.node_index(nodes, t1 + h1)
+                if e1 <= 1.0 and end is not None and end < len(samples) and h1 < plain:
+                    assert h2 >= min(plain, cfg.dt_max, nodes[end + 1] - nodes[end])
+                    landings += 1
+    assert landings >= 10
 
 
 def test_batch_nan_member_underflows_as_its_scalar_run(basic):

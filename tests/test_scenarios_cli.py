@@ -581,6 +581,9 @@ def test_cli_sobol_small(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["node_count"] == 8  # 2**3 inputs for the basic model
+    # the batch's work: one step per year of the 2017-2031 window
+    assert (payload["rhs_evals"], payload["steps_accepted"], payload["steps_rejected"]) == (
+        85, 14, 0)
     csv_path = os.path.join(out, "sobol_basic.csv")
     header = Path(csv_path).read_text().splitlines()[0].strip()
     assert header == "year,output_group,input,first_order,total,mean,variance"

@@ -9,7 +9,7 @@ from conftest import (basis_matrix_loop, random_spec, random_state,
                       sobol_indices_loop, tensor_grid_loop)
 from prepspill.errors import (DimensionOverflow, EnsembleError,
                               ExactnessViolation, StepSizeUnderflow)
-from prepspill.integrators import IntegratorConfig
+from prepspill.integrators import IntegratorConfig, annual_series, integrate_batch
 from prepspill.sobol import (PCExpansion, UncertainInput, _basis_matrix,
                              _series_indices, build_grid, coverage_fractions,
                              coverage_model_fn, fit_pce, sobol_indices,
@@ -411,7 +411,8 @@ def test_study_counts_distinct_coverage_rows(basic, risk):
     # criterion 9's layout: hetm has no baseline coverage to scale and the
     # fourth input is inert, so 625 nodes hold 25 coverage rows; the risk
     # layout's 256 nodes are 256 rows.  rhs_evals counts batch evaluations:
-    # 1 Dormand-Prince attempt over the year, 1 + 6 per attempt.
+    # 1 Dormand-Prince attempt over the year, 1 + 6 per attempt, which the
+    # manifest reports as 1 accepted and 0 rejected steps.
     from prepspill.scenarios import sobol_manifest
 
     cfg = IntegratorConfig(t0=2017.0, t_end=2018.0)
@@ -421,6 +422,7 @@ def test_study_counts_distinct_coverage_rows(basic, risk):
     study = sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=cfg)
     man = sobol_manifest(study)
     assert (man["node_count"], man["members"], man["rhs_evals"]) == (625, 25, 7)
+    assert (man["steps_accepted"], man["steps_rejected"]) == (1, 0)
     assert man["integrator"] == {"rtol": 1e-8, "atol": 1e-6}
     spec, y0 = risk
     inputs = (UncertainInput("msm", -0.5, 2.0), UncertainInput("hetf_h", -0.5, 2.0),
@@ -428,6 +430,90 @@ def test_study_counts_distinct_coverage_rows(basic, risk):
               UncertainInput("hetm", 0.0, 20000.0, domain="count"))
     study = sobol_timeseries(spec, y0, inputs, level=4, total_degree=3, cfg=cfg)
     assert (study.n_nodes, study.members, study.rhs_evals) == (256, 256, 7)
+
+
+# The sobol benchmark's risk layout: its seed-4242 intervals, rounded
+RISK_BENCH_INPUTS = (UncertainInput("msm", -0.47, 3.05), UncertainInput("hetf_h", -0.49, 4.0),
+                     UncertainInput("hetf_l", 2900.0, 24500.0, domain="count"),
+                     UncertainInput("hetm", 4250.0, 25300.0, domain="count"))
+
+
+def test_batch_steps_freely_whatever_the_cfg(basic, monkeypatch):
+    # The batch steps freely to the whole years it reads, with cfg.first_step
+    # as its first step if set, else the first year whole.  A cfg that does
+    # not land on years gives the default cfg's study bit for bit (it used
+    # to integrate the batch and then raise PartialYear).
+    import prepspill.sobol as sobol_mod
+
+    spec, y0 = basic
+    inputs = [UncertainInput(group=l, lo=-0.5, hi=2.0) for l in spec.labels]
+    cfgs = []
+
+    def spy(spec, y0, eps, cfg, *args):
+        cfgs.append(cfg)
+        return real(spec, y0, eps, cfg, *args)
+    real = sobol_mod.integrate_batch
+    monkeypatch.setattr(sobol_mod, "integrate_batch", spy)
+    cfg = IntegratorConfig(t0=2017.0, t_end=2020.0)
+    default, free, quarter = (
+        sobol_timeseries(spec, y0, inputs, level=3, total_degree=2, cfg=c)
+        for c in (cfg, replace(cfg, year_nodes=False), replace(cfg, first_step=0.25)))
+    assert [(c.year_nodes, c.first_step) for c in cfgs] == [(False, 1.0), (False, 1.0),
+                                                            (False, 0.25)]
+    assert free.samples.keys() == default.samples.keys()
+    for key, si in default.indices.items():
+        assert np.array_equal(free.samples[key], default.samples[key])
+        assert np.array_equal(free.indices[key].total, si.total)
+    assert (free.rhs_evals, free.steps_accepted, free.steps_rejected) == (
+        default.rhs_evals, default.steps_accepted, default.steps_rejected) == (19, 3, 0)
+    assert quarter.steps_accepted > default.steps_accepted
+
+
+def test_risk_batch_work_is_pinned(risk):
+    # Free stepping after the xi_hetm kink in 2027 (rejections do not grow
+    # the next step, landings on a year keep the step wanted before): the
+    # CLI's default layout and the benchmark's each took 181 RHS
+    # evaluations (30 attempts, 10 rejected) when the batch landed on years.
+    from prepspill.scenarios import default_config, sobol_study
+
+    study = sobol_study(default_config("risk"), level=3, degree=2)
+    assert (study.rhs_evals, study.steps_accepted, study.steps_rejected) == (133, 19, 3)
+    spec, y0 = risk
+    study = sobol_timeseries(spec, y0, RISK_BENCH_INPUTS, level=4, total_degree=3)
+    assert (study.rhs_evals, study.steps_accepted, study.steps_rejected) == (133, 19, 3)
+
+
+def test_basic_samples_equal_the_year_landing_batch(basic):
+    # no basic step is rejected, and each year is one step: the free batch
+    # takes the year-landing batch's steps, so its samples keep their bits
+    spec, y0 = basic
+    inputs = tuple(UncertainInput(group=l, lo=-0.5, hi=4.0) for l in spec.labels) + (
+        UncertainInput(group=None, lo=-0.5, hi=4.0),)
+    study = sobol_timeseries(spec, y0, inputs, level=5, total_degree=4)
+    eps, _ = coverage_fractions(spec, y0, inputs, build_grid(inputs, level=5).nodes)
+    traj, rhs_evals = integrate_batch(spec, y0, eps, IntegratorConfig(2017.0, 2031.0))
+    years, table = annual_series(traj)
+    assert study.years == years and study.rhs_evals == rhs_evals == 85
+    for yi, year in enumerate(years):
+        for gi, lbl in enumerate(spec.labels):
+            assert np.array_equal(study.samples[(year, lbl)], table[yi, gi])
+
+
+def test_risk_samples_near_tight_runs(risk):
+    # every 8th node of the benchmark's risk layout against its own run at
+    # rtol 1e-12, atol 1e-10 and dt_max 0.05, relative to at least one
+    # person: the worst is 3.4e-6 (1.1e-5 when the batch landed on years)
+    spec, y0 = risk
+    study = sobol_timeseries(spec, y0, RISK_BENCH_INPUTS, level=4, total_degree=3)
+    fn = coverage_model_fn(spec, y0, RISK_BENCH_INPUTS, IntegratorConfig(
+        2017.0, 2031.0, rtol=1e-12, atol=1e-10, dt_max=0.05))
+    grid = build_grid(RISK_BENCH_INPUTS, level=4)
+    worst = 0.0
+    for i in range(0, grid.n_nodes, 8):
+        _, want = fn(grid.nodes[i])
+        got = np.array([[study.samples[(y, l)][i] for l in spec.labels] for y in study.years])
+        worst = max(worst, float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1.0))))
+    assert worst <= 4e-6
 
 
 def _per_node(spec, y0, inputs, grid, cfg):
