@@ -25,7 +25,8 @@ generates them with it): an attempt over which a switching margin changes
 sign is retried with the step cut to the margin's root on the step's cubic
 Hermite interpolant (ibid. II.6; Shampine & Thompson 2000), so no step
 straddles the kink.  Year-landing runs keep the plain controller and watch
-no margin.
+no margin.  integrate_flat returns a run's whole record (Trajectory), its
+own counts of RHS evaluations and rejected steps included.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import io
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,11 +51,10 @@ log = logging.getLogger(__name__)
 # Times this close to a stored node are that node (lookups, breakpoint merging).
 NODE_TOL = 1e-9
 
-# The switching margins of the scalar run integrate() is making, as
-# (switches, events): switches is the switches attribute of the run's RHS
-# (model._flat_rhs_maker: names, signs and margins, or None), and events is
-# the list its landings go to.  integrate_flat reads them here, not from
-# its f or as a parameter, because the wrappers that count its work
+# The switching margins of the scalar run integrate() is making: the
+# switches attribute of the run's RHS (model._flat_rhs_maker: names, signs
+# and margins, or None).  integrate_flat reads them here, not from its f or
+# as a parameter, because the wrappers that count its work
 # (bench/tracing.py) pass on its five parameters alone and wrap f.
 _switches = contextvars.ContextVar("switches", default=None)
 
@@ -175,22 +175,25 @@ class Trajectory:
     integration (integrate_batch) adds a trailing member axis.  next_step is
     the controller's step after the last accepted one, the first_step of a
     run that continues this one.  switch_events holds (t, margin name) for
-    each switch of the RHS the run landed on (integrate_flat).
+    each switch of the RHS the run landed on (integrate_flat).  rhs_evals
+    counts RHS evaluations (1, then 6 per attempt) and steps_rejected the
+    attempts the error norm refused; an attempt retried shorter to land on a
+    switch counts 6 evaluations and is neither accepted nor rejected.
     """
 
     times: np.ndarray
     states: np.ndarray
     labels: tuple
-    clamp_events: list = field(default_factory=list)
-    next_step: float | None = None
-    switch_events: list = field(default_factory=list)
+    clamp_events: list
+    next_step: float
+    switch_events: list
+    rhs_evals: int
+    steps_rejected: int
 
     @classmethod
-    def of(cls, run, labels, switch_events=()):
+    def of(cls, run, labels):
         """The trajectory of an integrate_flat run (its return value)."""
-        ts, ys, clamps, h = run
-        return cls(times=np.array(ts), states=np.array(ys), labels=labels,
-                   clamp_events=clamps, next_step=h, switch_events=list(switch_events))
+        return cls(np.array(run[0]), np.array(run[1]), labels, *run[2:])
 
     @property
     def n_groups(self):
@@ -421,11 +424,11 @@ class _SwitchWatch:
     """The switches of one free-stepping scalar run (integrate_flat), for
     the margins named ``names`` (the switches its RHS carries, see
     model._flat_rhs_maker: ``signs`` and ``margins`` read the first n slots
-    of a state).  Each landing goes to
-    ``events`` as (t, name); a node within tol of a switch is on it."""
+    of a state).  Each landing goes to ``events`` as (t, name); a node
+    within tol of a switch is on it."""
 
-    def __init__(self, names, signs, margins, events, y, n, tol):
-        self.names, self.signs, self.margins, self.events = names, signs, margins, events
+    def __init__(self, names, signs, margins, y, n, tol):
+        self.names, self.signs, self.margins, self.events = names, signs, margins, []
         self.n, self.tol = n, tol
         self.m = signs(y)  # the signs at the last accepted node
         self.landed = 0  # the bits of the margins whose switch that node is on
@@ -511,17 +514,16 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     its RHS carries, which integrate() hands it (see _switches): each attempt
     evaluates them at y5, and when one changes sign, the attempt is retried
     from the same start with h shortened to its root on the step's cubic
-    Hermite interpolant (no RHS evaluation, no rejection recorded).  The
+    Hermite interpolant (no further RHS evaluation, no rejection).  The
     retry is judged by the error norm as any attempt; one that stops short
     of the switch is followed by a step of the distance left at the
     margin's rate, until a node is within the node tolerance (or dt_min,
     if larger) of it.  A
     landing keeps FSAL (the RHS is continuous across a switch, so k7 is f
-    there), is appended to the margins' event list as (t, name) and logged
-    at INFO, and the run goes on with the step proposed before the switch
-    was met; the next attempts do not look at that margin until one is
-    accepted.
-    Returns (times list, states list, clamp_events, Trajectory.next_step).
+    there), is recorded as (t, name) and logged at INFO, and the run goes on
+    with the step proposed before the switch was met; the next attempts do
+    not look at that margin until one is accepted.
+    Returns (times, states, then Trajectory's fields from clamp_events on).
     """
     if np.ndim(y0) == 1:
         y = np.asarray(y0, dtype=float).tolist()  # Python floats
@@ -543,11 +545,10 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     h = min(cfg.dt_max, max(cfg.dt_min, h))
     # caps on the step factor, lowered after a free run's rejection
     free, grow, cut = not cfg.year_nodes, 5.0, 1.0
-    watch = None
-    if free and isinstance(y, list) and (run := _switches.get()) and run[0]:
-        switches, events = run
+    watch, attempts, rejected = None, 0, 0
+    if free and isinstance(y, list) and (switches := _switches.get()):
         # a switch nearer than the smallest step allowed is reached
-        watch = _SwitchWatch(*switches, events, y, n_state, max(tol, cfg.dt_min))
+        watch = _SwitchWatch(*switches, y, n_state, max(tol, cfg.dt_min))
         signs = watch.signs
     for target in breaks[1:]:
         sample = free and target != breaks[-1]  # an interior sample time
@@ -557,6 +558,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
             if h < cfg.dt_min:
                 raise StepSizeUnderflow(f"dt = {h:.3e} below dt_min at t = {t:.6f}")
             ynew, k7, err = step(f, t, y, h, k1, cfg.atol, cfg.rtol)
+            attempts += 1
             if watch:
                 m5 = signs(ynew)
                 if m5 != watch.m and (short := watch.shorten(y, ynew, k1, k7, h, m5)):
@@ -575,12 +577,13 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                 h = watch.accept(t, y, k1, h, m5, grown) if watch else grown
                 grow, cut = 5.0, 1.0
             else:
+                rejected += 1
                 h *= min(cut, max(0.2, 0.9 * err ** -0.2))
                 if free:
                     grow, cut = 1.0, 0.5
                 if watch:
                     watch.reject()
-    return ts, ys, clamps, h
+    return ts, ys, clamps, h, watch.events if watch else [], 1 + 6 * attempts, rejected
 
 
 def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=True):
@@ -594,15 +597,14 @@ def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=T
     incidence: the trajectory's rows are those 2n slots.
     """
     f = flat_rhs_factory(spec, tracked_counts=tracked_counts, incidence=incidence)
-    events = []
     y = y0.to_flat()
-    token = _switches.set((f.switches, events))
+    token = _switches.set(f.switches)
     try:
         run = integrate_flat(f, y if incidence else y[:2 * spec.n], cfg,
                              n_state=2 * spec.n, sample_times=sample_times)
     finally:
         _switches.reset(token)
-    return Trajectory.of(run, spec.labels, events)
+    return Trajectory.of(run, spec.labels)
 
 
 def integrate_batch(spec, y0, eps, cfg, sample_times=None):
@@ -618,23 +620,15 @@ def integrate_batch(spec, y0, eps, cfg, sample_times=None):
     accepted node, so its states are (nodes, 3n, B).  The nonnegativity
     policy applies member by member; clamp events are (t, component,
     member, value).  A failure carries the index of the first failing
-    member (PrepspillError.member).
-
-    Returns (trajectory, RHS evaluations); each evaluation covers the batch.
+    member (PrepspillError.member).  The trajectory's rhs_evals and
+    steps_rejected are the batch's: each evaluation covers every member.
     """
     eps = np.atleast_2d(np.asarray(eps, dtype=float))
     if not len(eps):
         raise ValueError("batched integration needs at least one member")
-    rhs = batched_rhs_factory(spec, eps)
-    evals = 0
-
-    def f(t, y):
-        nonlocal evals
-        evals += 1
-        return rhs(t, y)
     y = np.repeat(y0.to_flat()[:, None], len(eps), axis=1)
-    run = integrate_flat(f, y, cfg, 2 * spec.n, sample_times=sample_times)
-    return Trajectory.of(run, spec.labels), evals
+    return Trajectory.of(integrate_flat(batched_rhs_factory(spec, eps), y, cfg, 2 * spec.n,
+                                        sample_times=sample_times), spec.labels)
 
 
 def whole_years(t0, t1):

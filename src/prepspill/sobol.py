@@ -253,8 +253,8 @@ class SobolStudy:
 
     ``rtol``, ``atol``, ``rhs_evals``, ``steps_accepted`` and
     ``steps_rejected`` record the integration: the batch's Dormand-Prince
-    tolerances, its RHS evaluations (1 + 6 per attempted step), each
-    covering the batch, and its accepted and rejected steps.  ``members``
+    tolerances, its RHS evaluations, each covering the batch, and its
+    accepted and rejected steps, as its trajectory counts them.  ``members``
     counts the batch: the distinct coverage rows among the nodes, each
     integrated once.
     """
@@ -312,16 +312,16 @@ def coverage_model_fn(spec, y0, inputs, cfg):
 
 def _batch_incidence(spec, y0, grid, eps, cfg, sample_times):
     """Years, annual incidence (years, groups, nodes) and the batch's work
-    (SobolStudy's rhs_evals, steps_accepted, steps_rejected and members) of
-    the grid nodes, coverage eps (nodes, n), integrated under cfg to the
-    sample times in one batch with one member per distinct row.  Members
-    run in order of their first node, so the first failing member is the
-    lowest failing node, which the EnsembleError names."""
+    (SobolStudy's rhs_evals, steps_accepted, steps_rejected and members, from
+    its trajectory) of the grid nodes, coverage eps (nodes, n), integrated
+    under cfg to the sample times in one batch with one member per distinct
+    row.  Members run in order of their first node, so the first failing
+    member is the lowest failing node, which the EnsembleError names."""
     _, first, inverse = np.unique(eps, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     nodes, member = first[order], np.argsort(order)  # member: of each distinct row
     try:
-        traj, rhs_evals = integrate_batch(spec, y0, eps[nodes], cfg, sample_times)
+        traj = integrate_batch(spec, y0, eps[nodes], cfg, sample_times)
     except PrepspillError as e:
         if e.member is None:
             raise
@@ -329,11 +329,8 @@ def _batch_incidence(spec, y0, grid, eps, cfg, sample_times):
         raise EnsembleError(f"model failed at node {i}: {e}", i,
                             grid.nodes[i]) from e.for_member(i)
     years, table = annual_series(traj)
-    # 1 + 6 RHS evaluations per attempt: a batch watches no switch, so it
-    # retries no attempt without evaluating
-    accepted = len(traj.times) - 1
-    work = {"rhs_evals": rhs_evals, "steps_accepted": accepted,
-            "steps_rejected": (rhs_evals - 1) // 6 - accepted, "members": len(nodes)}
+    work = {"rhs_evals": traj.rhs_evals, "steps_accepted": len(traj.times) - 1,
+            "steps_rejected": traj.steps_rejected, "members": len(nodes)}
     return years, table[..., member[inverse.reshape(-1)]], work
 
 

@@ -132,9 +132,10 @@ def simple_nnt(T, S_k, gamma_j):
 def nnt(sens_traj, state_traj, j, k, T, mu):
     """Person-years of additional PrEP in group k per infection prevented in
     group j over [t_start, t_start + T], t_start being the sensitivity start.
-    j and k are group labels; k must be the block's source.  Both trajectories
-    share one grid (node for node within NODE_TOL), and t_start + T is a node
-    of it (a sample time of the run); otherwise ValueError.
+    j and k are group labels: j one of the state trajectory's, k the block's
+    source.  Both trajectories share one grid (node for node within
+    NODE_TOL), and t_start + T is a node of it (a sample time of the run);
+    otherwise ValueError.
 
     nnt_simple = T * S_k(T) / gamma_j(T); nnt_integral keeps the
     mu * integral(gamma/S) term in the denominator, a trapezoid over the
@@ -143,6 +144,8 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
     if k != sens_traj.source:
         raise ValueError(f"sensitivity block is for source {sens_traj.source!r}, not {k!r}")
     k_idx = sens_traj.source_index
+    if j not in state_traj.labels:
+        raise ValueError(f"no group {j!r} in the trajectory's labels {state_traj.labels}")
     j_idx = state_traj.labels.index(j)
     t_eval = sens_traj.times[0] + T
     if sens_traj.times is not state_traj.times and (  # shared by integrate_with_spillover
@@ -205,7 +208,7 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg):
             f"eps_{k} = {eps_k} admits no +/-{eps_tilde} perturbation in [0, 1]")
     eps = np.repeat(spec.param_arrays()[3][None], 2, axis=0)
     eps[:, k_idx] = pair
-    traj, _ = integrate_batch(spec, y0, eps, cfg)
+    traj = integrate_batch(spec, y0, eps, cfg)
     grid = _breakpoints(cfg, None)
     rows = traj.states[[traj.index_of(t) for t in grid], :2 * spec.n]
     return FdEstimate(source=k, source_index=k_idx, times=np.array(grid),

@@ -135,7 +135,7 @@ def test_negative_state_error():
 
 def test_tiny_negative_clamped_and_logged():
     cfg = IntegratorConfig(t0=0.0, t_end=2e-8, atol=1e-6)
-    ts, ys, clamps, _ = integrate_flat(lambda t, y: [-0.1], [1e-9], cfg, n_state=1)
+    ts, ys, clamps, *_ = integrate_flat(lambda t, y: [-0.1], [1e-9], cfg, n_state=1)
     assert len(clamps) >= 1
     assert ys[-1][0] == 0.0
 
@@ -201,7 +201,8 @@ def test_batch_members_equal_scalar_integrations(basic, risk):
     for spec, y0 in (basic, risk):
         for scale in (0.5, 1.0, 3.0):
             eps = spec.param_arrays()[3] * scale
-            traj, rhs_evals = integrate_batch(spec, y0, [eps], cfg)
+            traj = integrate_batch(spec, y0, [eps], cfg)
+            rhs_evals = traj.rhs_evals
             one = integrate(spec.with_epsilon(dict(zip(spec.labels, eps))), y0, cfg)
             assert one.times[1] == 2018.0  # the first-node start
             assert np.array_equal(traj.times, one.times)
@@ -242,7 +243,7 @@ def test_free_batch_members_equal_direct_runs_and_keep_their_step(basic, risk, m
         for scale in (0.5, 1.0, 3.0):
             eps = spec.param_arrays()[3] * scale
             attempts.clear()
-            traj, _ = integrate_batch(spec, y0, [eps], cfg, sample_times=samples)
+            traj = integrate_batch(spec, y0, [eps], cfg, sample_times=samples)
             batch_attempts = list(attempts)
             f = flat_rhs_factory(spec.with_epsilon(dict(zip(spec.labels, eps))))
             one = Trajectory.of(integrate_flat(f, y0.to_flat(), cfg, 2 * spec.n,
@@ -340,7 +341,7 @@ def test_year_landing_runs_try_their_first_node_whole(basic, risk, t0, samples, 
         assert ts[1] == first
         if samples is None:
             eps = spec.param_arrays()[3]
-            assert integrate_batch(spec, y0, [eps, 2.0 * eps], cfg)[0].times[1] == first
+            assert integrate_batch(spec, y0, [eps, 2.0 * eps], cfg).times[1] == first
     # a first_step given is the first trial step
     assert integrate(*basic, replace(cfg, first_step=0.01)).times[1] == t0 + 0.01
 
@@ -688,12 +689,15 @@ def test_dp_rhs_count_with_rejections():
         return [y[1], 5.0 * (1.0 - y[0] ** 2) * y[1] - y[0]]
 
     cfg = IntegratorConfig(t0=0.0, t_end=30.0, rtol=1e-3, atol=1e-6)
-    ts, ys, _, _ = integrate_flat(van_der_pol, [2.0, 0.0], cfg, n_state=0)
+    ts, ys, _, _, _, rhs_evals, rejected = integrate_flat(van_der_pol, [2.0, 0.0], cfg,
+                                                         n_state=0)
     attempts, rem = divmod(calls[0] - 1, 6)
     accepted = len(ts) - 1
     assert rem == 0 and len(ys) == len(ts)
     assert attempts > accepted  # the run rejects steps
     assert all(t in ts for t in range(1, 31))
+    # the run's own counts (no switch to land on, so no retry)
+    assert (rhs_evals, rejected) == (calls[0], attempts - accepted)
 
 
 # a lone surrogate (category Cs) is not text UTF-8 can encode; no cell the
@@ -751,3 +755,85 @@ def test_write_csv_round_trips_any_cells(header, rows):
 def test_integrator_refusals(basic, run, error, match):
     with pytest.raises(error, match=match):
         run(*basic)
+
+
+def _counted_runs(monkeypatch):
+    """Every integrate_flat run made from here on, as (calls of its f, its
+    attempts as [err, retried at a switch], its return value), seen by
+    counting wrappers around f, the generated step and the switch watch's
+    shortening."""
+    from prepspill import integrators, spillover
+    runs, attempts = [], []
+    make_step, shorten, flat = (integrators._dp_step_maker, integrators._SwitchWatch.shorten,
+                                integrators.integrate_flat)
+
+    def counting_step_maker(w=None):
+        step = make_step(w)
+
+        def counted(*args):
+            out = step(*args)
+            attempts.append([out[2], False])
+            return out
+        return counted
+
+    def counting_shorten(watch, *args):
+        short = shorten(watch, *args)
+        attempts[-1][1] = short is not None
+        return short
+
+    def counting_flat(f, *args, **kwargs):
+        calls, first = [0], len(attempts)
+
+        def counted(t, y):
+            calls[0] += 1
+            return f(t, y)
+        run = flat(counted, *args, **kwargs)
+        runs.append((calls[0], attempts[first:], run))
+        return run
+
+    monkeypatch.setattr(integrators, "_dp_step_maker", counting_step_maker)
+    monkeypatch.setattr(integrators._SwitchWatch, "shorten", counting_shorten)
+    monkeypatch.setattr(integrators, "integrate_flat", counting_flat)
+    monkeypatch.setattr(spillover, "integrate_flat", counting_flat)
+    return runs
+
+
+def test_runs_count_their_own_work(basic, risk, monkeypatch):
+    # The RHS evaluations and rejected steps a run returns are what counting
+    # wrappers see: 1 + 6 evaluations per attempt, and the attempts the
+    # error norm refused.  An attempt retried at a switch is neither
+    # accepted nor rejected.  Runs: the year-landing risk baseline and arms
+    # landing on xi_hetm, the basic arm capped at full coverage (S_msm -
+    # c_msm), a free-stepping 2-member risk batch and the year-landing risk
+    # spillover system.
+    from prepspill.scenarios import _config_from_raw, default_config, run_scenarios
+    runs = _counted_runs(monkeypatch)
+    report = run_scenarios(default_config("risk"))
+    base = report.baseline_traj
+    assert (base.rhs_evals, base.steps_rejected) == runs[0][2][5:]
+    capped = run_scenarios(_config_from_raw({
+        "model": "basic", "intervention_mode": "tracked-count",
+        "interventions": [{"group": "msm", "additional_persons": 120000,
+                           "start_year": 2020}]}))
+    spec, y0 = risk
+    eps = spec.param_arrays()[3]
+    cfg = IntegratorConfig(2017.0, 2031.0, year_nodes=False, first_step=1.0)
+    batch = integrate_batch(spec, y0, [eps, 2.0 * eps], cfg,
+                            sample_times=[float(y) for y in range(2018, 2031)])
+    spill, _ = integrate_with_spillover(spec, base.state_at(2020.0),
+                                        IntegratorConfig(2020.0, 2031.0))
+    for traj, (_, _, run) in ((batch, runs[-2]), (spill, runs[-1])):
+        assert (traj.rhs_evals, traj.steps_rejected) == run[5:]
+    retries = []
+    for calls, attempts, (ts, _, _, _, _, evals, rejected) in runs:
+        retries.append(sum(r for _, r in attempts))
+        assert evals == calls == 1 + 6 * len(attempts)
+        assert rejected == sum(err > 1.0 and not r for err, r in attempts)
+        assert len(ts) - 1 + rejected + retries[-1] == len(attempts)
+    # 13 risk runs, the basic baseline and its one arm, the batch, the system
+    assert len(runs) == 17 and len(capped.scenarios) == 1
+    switches = [[name for _, name in run[4]] for _, _, run in runs]
+    assert switches[0] == [] and base.steps_rejected > 0
+    assert all(s == ["lo - x"] and r > 0 for s, r in zip(switches[1:13], retries[1:13]))
+    assert switches[14] == ["S_msm - c_msm"] and retries[14] > 0
+    assert batch.steps_rejected > 0 and spill.steps_rejected > 0

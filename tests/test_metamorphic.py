@@ -1,4 +1,5 @@
-"""Metamorphic checks: every person count scaled by a power of two.
+"""Metamorphic checks: every person count scaled by a power of two, and
+every calendar year of a config shifted by whole years.
 
 Persons enter a run only through recruitment Pi, the start state, the arm
 sizes (or tracked counts) and atol, and every formula is homogeneous in
@@ -10,8 +11,15 @@ gives the same node times and switch-event times, and states, sensitivity
 blocks and table cells times c, bit for bit.  A constant in persons in a
 generated form, or a tolerance in persons that atol does not scale, breaks
 it.
+
+The model is autonomous: no rate reads t.  So shifting start, intervention,
+end and every arm's start year by d whole years shifts every node by d and
+changes nothing else, up to the float spacing of t (2.3e-13 years at 2017,
+4.5e-13 at 3041), which moves step sizes in their last bits.  Those checks
+hold to 1e-12 relative or of column scale.
 """
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +30,7 @@ from hypothesis import strategies as st
 from conftest import random_spec, random_state
 from prepspill import scenarios
 from prepspill.errors import PrepspillError
-from prepspill.integrators import IntegratorConfig, integrate
+from prepspill.integrators import NODE_TOL, IntegratorConfig, integrate
 from prepspill.model import StateVec
 from prepspill.scenarios import _config_from_raw, default_config, run_scenarios, run_spillover
 
@@ -150,3 +158,86 @@ def test_random_runs_scale_with_the_persons_property(seed, variant, free, tracke
         assert got is traj
     else:
         assert_scaled(traj, got, c)
+
+
+SHIFTS = (-1000.0, 16.0, 1024.0)
+
+
+def shifted_config(config, d):
+    """The scenario config with start, intervention, end and every arm's
+    start year d years later."""
+    raw = copy.deepcopy(config.raw)
+    raw["horizon"] = {k: v + d for k, v in raw["horizon"].items()}
+    for arm in raw["interventions"]:
+        arm["start_year"] += d
+    return _config_from_raw(raw)
+
+
+def assert_translated(traj, got, d):
+    """got is traj d years later: as many nodes, each within NODE_TOL of
+    its time plus d, and rows within 1e-12 of each column's largest entry."""
+    assert len(got.times) == len(traj.times)
+    assert np.abs(got.times - (traj.times + d)).max() <= NODE_TOL
+    assert np.all(np.abs(got.states - traj.states).max(axis=0)
+                  <= 1e-12 * np.abs(traj.states).max(axis=0))
+
+
+def _cells(report):
+    return [(r.name, k, r.incidence[k], r.prevented[k])
+            for r in [report.baseline, *report.scenarios] for k in r.incidence]
+
+
+@pytest.mark.parametrize("d", SHIFTS)
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_scenario_tables_translate_in_time(variant, d):
+    # the baseline's nodes and rows; each incidence cell within 1e-12
+    # relative; each prevented cell, the baseline's incidence less the
+    # arm's, within 1e-12 of the baseline's incidence in its group
+    config = default_config(variant)
+    report, got = run_scenarios(config), run_scenarios(shifted_config(config, d))
+    assert_translated(report.baseline_traj, got.baseline_traj, d)
+    scale = report.baseline.incidence
+    for (name, k, inc, prev), (got_name, got_k, got_inc, got_prev) in zip(
+            _cells(report), _cells(got), strict=True):
+        assert (got_name, got_k) == (name, k)
+        assert abs(got_inc - inc) <= 1e-12 * abs(inc)
+        assert abs(got_prev - prev) <= 1e-12 * abs(scale[k])
+
+
+# Prevented infections are a difference of two incidence cells that agree
+# to 1e-14 relative, so shifts that move step sizes in their last bits move
+# the small cross-group cells by far more, relative to themselves.
+PREVENTED_CANCELS = pytest.mark.xfail(strict=True, reason=(
+    "prevented = baseline incidence - arm incidence cancels: at -1000 or +1024 years the "
+    "basic prep_hetm_10000 msm cell (-0.0183 persons) moves 2.8e-8 relative and the risk "
+    "prep_hetf_l_10000 msm cell (0.0072 persons, +1024) 2.3e-7, while every incidence cell "
+    "stays within 1e-12"))
+
+
+@pytest.mark.parametrize("variant, d", [
+    pytest.param(v, d, marks=() if d == 16.0 else PREVENTED_CANCELS, id=f"{v}-{d:+g}")
+    for v in ("basic", "risk") for d in SHIFTS])
+def test_prevented_cells_translate_in_time(variant, d):
+    config = default_config(variant)
+    report, got = run_scenarios(config), run_scenarios(shifted_config(config, d))
+    for (*_, prev), (*_, got_prev) in zip(_cells(report), _cells(got), strict=True):
+        assert abs(got_prev - prev) <= 1e-12 * abs(prev)
+
+
+# The risk system steps freely between 2027 and 2028 near the xi_hetm
+# kink, and 4.5e-13-year moves in t there add up.
+FREE_NODE_MOVES = pytest.mark.xfail(strict=True, reason=(
+    "rows at free nodes: shifted by +1024 years, the risk spillover system's node at "
+    "2027.727 moves 4.3e-11 years and its row 6.0e-12 of column scale (a sensitivity "
+    "column); its whole-year rows stay within 2.7e-13"))
+
+
+@pytest.mark.parametrize("variant, d", [
+    pytest.param(v, d, marks=FREE_NODE_MOVES if (v, d) == ("risk", 1024.0) else (),
+                 id=f"{v}-{d:+g}")
+    for v in ("basic", "risk") for d in SHIFTS])
+def test_spillover_rows_translate_in_time(variant, d):
+    config = default_config(variant)
+    traj, _ = run_spillover(config)
+    got, _ = run_spillover(shifted_config(config, d))
+    assert_translated(traj, got, d)

@@ -373,7 +373,7 @@ def test_flat_rhs_and_dp_stages_are_python_floats(variant):
     for spec, counts, state in _float_guard_cases(rng, variant):
         f = flat_rhs_factory(spec, tracked_counts=counts)
         assert all(type(v) is float for v in f(2017.0, state.to_flat().tolist()))
-        _, rows, _, h = integrate_flat(f, state.to_flat(), cfg, n_state=2 * spec.n)
+        _, rows, _, h, *_ = integrate_flat(f, state.to_flat(), cfg, n_state=2 * spec.n)
         assert all(type(v) is float for row in rows for v in row)
         assert type(h) is float
 

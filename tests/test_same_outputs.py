@@ -75,21 +75,42 @@ def test_unkeyable_csvs_of_other_shapes_say_so(same_outputs, tmp_path):
     assert lines == ["out/t.csv: CSV shapes differ"]
 
 
+# 12 lines, 5 of them code: the docstrings, the blank lines and the comment
+# are not; the three lines of a string that is no docstring are, "#" or not
+DOCUMENTED = '''"""Module
+docstring."""
+
+# a comment
+x = """
+# in a string
+"""  # a comment after code
+
+
+def f():
+    """Docstring."""
+    return x
+'''
+
+
 def test_the_count_line_gives_each_trees_source_lines(same_outputs, tmp_path, monkeypatch,
                                                       capsys):
     # `wc -l` over src/prepspill's .py files, a last line without "\n" not
-    # counted, other files not read
-    for name, files in (("a", {"x.py": "a\nb\n", "y.py": "c\n", "notes.txt": "d\n"}),
+    # counted, other files not read; beside it the lines of code
+    for name, files in (("a", {"x.py": "a\nb\n", "y.py": "c\n", "notes.txt": "d\n",
+                               "doc.py": DOCUMENTED}),
                         ("b", {"x.py": "a\nb", "sub/z.py": "1\n" * 1200})):
         for rel, text in files.items():
             path = tmp_path / name / "src" / "prepspill" / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
-    assert same_outputs.source_lines(tmp_path / "a") == 3
+    assert same_outputs.source_lines(tmp_path / "a") == 15
     assert same_outputs.source_lines(tmp_path / "b") == 1201
+    assert same_outputs.code_lines(tmp_path / "a") == 8
+    assert same_outputs.code_lines(tmp_path / "b") == 1202
     monkeypatch.setattr(same_outputs, "INVOCATIONS", [])
     monkeypatch.setattr("sys.argv", ["same_outputs.py", str(tmp_path / "a"),
                                      str(tmp_path / "b")])
     assert same_outputs.main() == 0
-    assert capsys.readouterr().out == ("0/0 invocations identical  "
-                                       "[src/prepspill: 3 lines parent, 1,201 change]\n")
+    assert capsys.readouterr().out == (
+        "0/0 invocations identical  [src/prepspill: 15 lines parent, 1,201 change; "
+        "8 code lines parent, 1,202 change]\n")

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (basis_matrix_loop, random_spec, random_state,
@@ -491,9 +491,9 @@ def test_basic_samples_equal_the_year_landing_batch(basic):
         UncertainInput(group=None, lo=-0.5, hi=4.0),)
     study = sobol_timeseries(spec, y0, inputs, level=5, total_degree=4)
     eps, _ = coverage_fractions(spec, y0, inputs, build_grid(inputs, level=5).nodes)
-    traj, rhs_evals = integrate_batch(spec, y0, eps, IntegratorConfig(2017.0, 2031.0))
+    traj = integrate_batch(spec, y0, eps, IntegratorConfig(2017.0, 2031.0))
     years, table = annual_series(traj)
-    assert study.years == years and study.rhs_evals == rhs_evals == 85
+    assert study.years == years and study.rhs_evals == traj.rhs_evals == 85
     for yi, year in enumerate(years):
         for gi, lbl in enumerate(spec.labels):
             assert np.array_equal(study.samples[(year, lbl)], table[yi, gi])
@@ -524,19 +524,28 @@ def _per_node(spec, y0, inputs, grid, cfg):
     return np.array([fn(node)[1] for node in grid.nodes]), clamps
 
 
-def _assert_study_near_tight_runs(study, spec, y0, inputs, cfg, share=1e-9):
+def _assert_study_near_tight_runs(study, spec, y0, inputs, cfg, share=1e-9, own=None):
     """Each node's samples against the node's own run at rtol 1e-12, atol
     1e-10 and dt_max 0.05: within ``share`` of the (year, group) column's
     largest entry on basic, and within 1e-4 relative (of at least one
     person) on risk, where the closure's clamp of xi_hetm puts a kink in the
-    RHS.  The clamp counts are exact."""
+    RHS.  With ``own`` given, a basic node's samples are held within ``own``
+    of column scale of the node's own run at cfg instead, and that run
+    within ``share`` of the tight one.  The clamp counts are exact."""
     grid = build_grid(inputs, level=study.grid_level)
     want, clamps = _per_node(spec, y0, inputs, grid,
                              replace(cfg, rtol=1e-12, atol=1e-10, dt_max=0.05))
+    at_cfg = None
+    if own is not None and spec.variant == "basic":
+        at_cfg = _per_node(spec, y0, inputs, grid, cfg)[0]
     for yi, year in enumerate(study.years):
         for gi, lbl in enumerate(spec.labels):
             got, ref = study.samples[(year, lbl)], want[:, yi, gi]
-            if spec.variant == "basic":
+            if at_cfg is not None:
+                mid = at_cfg[:, yi, gi]
+                assert np.abs(got - mid).max() <= own * np.abs(mid).max()
+                assert np.abs(mid - ref).max() <= share * np.abs(ref).max()
+            elif spec.variant == "basic":
                 assert np.abs(got - ref).max() <= share * np.abs(ref).max()
             else:
                 assert np.all(np.abs(got - ref) <= 1e-4 * np.maximum(np.abs(ref), 1.0))
@@ -548,6 +557,9 @@ def _assert_study_near_tight_runs(study, spec, y0, inputs, cfg, share=1e-9):
 @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
        pinned=st.booleans(), kinds=st.lists(st.sampled_from(["scale", "count", "inert"]),
                                             min_size=1, max_size=3))
+# an rtol-1e-8 scalar run that is itself 1.26e-8 of column scale off the
+# tight run; the batch is 4.4e-9 off that run
+@example(seed=310109034, variant="basic", pinned=True, kinds=["scale"])
 def test_batched_study_near_per_node_runs_property(seed, variant, pinned, kinds):
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, variant)
@@ -578,10 +590,13 @@ def test_batched_study_near_per_node_runs_property(seed, variant, pinned, kinds)
             fn(e.node)
         assert str(e).startswith(f"model failed at node {e.node_index}: ")
         return
-    # Random specs hold the batch to its own rtol: their scalar runs at rtol
-    # 1e-8 are off by up to 1.6e-9 of column scale themselves, each batch
-    # member by the same (150 basic draws).
-    _assert_study_near_tight_runs(study, spec, y0, inputs, cfg, share=cfg.rtol)
+    # Basic draws hold each batch member to the node's own run at cfg within
+    # cfg.rtol of column scale (at most 2.2e-9 over 300 draws), and that run
+    # to the tight run within 2 * cfg.rtol (at most 5.3e-9 over the draws,
+    # 1.26e-8 on the example above).  Risk draws keep the 1e-4 relative
+    # bound against the tight run.
+    _assert_study_near_tight_runs(study, spec, y0, inputs, cfg, share=2 * cfg.rtol,
+                                  own=cfg.rtol)
 
 
 def test_batched_study_clamps_equal_per_node(basic):

@@ -214,6 +214,13 @@ def test_nnt_source_mismatch(aug_basic):
         nnt(sens["msm"], traj, "hetf", "hetf", 10.0, spec.mu)
 
 
+def test_nnt_names_an_unknown_group(aug_basic):
+    spec, traj, sens, _ = aug_basic
+    with pytest.raises(ValueError, match=re.escape(
+            "no group 'nope' in the trajectory's labels ('msm', 'hetf', 'hetm')")):
+        nnt(sens["msm"], traj, "nope", "msm", 10.0, spec.mu)
+
+
 def test_nnt_compares_distinct_time_grids(aug_basic):
     # integrate_with_spillover shares one times array between the state and
     # the sensitivities; a distinct array is still compared in full

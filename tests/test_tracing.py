@@ -74,6 +74,48 @@ def test_traced_sobol_batch_and_simulate_keep_the_step_identity(monkeypatch, tmp
     assert len(flat) > 1
 
 
+def test_traced_spans_read_the_runs_own_counts(monkeypatch, tmp_path):
+    # each traced integrate_flat span counts the RHS evaluations its
+    # trajectory reports, and the tracer's rejections (attempts less
+    # accepted steps) are the trajectory's on every run that retried no
+    # attempt at a switch; a retry counts 6 evaluations and is neither
+    # accepted nor rejected, so the tracer counts it as a rejection
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+
+    trajs, retries = [], [0]
+    of, shorten = integrators.Trajectory.of.__func__, integrators._SwitchWatch.shorten
+
+    def counting_shorten(watch, *args):
+        short = shorten(watch, *args)
+        retries[0] += short is not None
+        return short
+
+    def spy(cls, run, labels):
+        trajs.append((of(cls, run, labels), retries[0]))
+        retries[0] = 0
+        return trajs[-1][0]
+
+    monkeypatch.setattr(integrators._SwitchWatch, "shorten", counting_shorten)
+    monkeypatch.setattr(integrators.Trajectory, "of", classmethod(spy))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for args in (["simulate"], ["spillover"], ["sobol", "--level", "2", "--degree", "1"]):
+            for variant in ("basic", "risk"):
+                assert main(args + ["--model", variant, "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.violations == []
+    flat = [s for s in tracer.spans if s["name"] == "integrators.integrate_flat"]
+    assert len(flat) == len(trajs)
+    for span, (traj, retried) in zip(flat, trajs):
+        assert span["rhs_evals"] == traj.rhs_evals
+        assert span["rejected"] == traj.steps_rejected + retried
+    assert sum(r > 0 for _, r in trajs) == 12  # the risk arms, each once at xi_hetm
+    assert sum(t.steps_rejected > 0 and r == 0 for t, r in trajs) >= 3
+
+
 def test_traced_tunes_take_three_ngm_solves(monkeypatch):
     # the probe benchmark traces build_ngm, rc_numeric and the tune itself;
     # rc_of looks build_ngm and rc_numeric up in the module, so each of the

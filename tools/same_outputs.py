@@ -15,11 +15,14 @@ invocation's line also gives the wall time of its process on both trees:
 one fresh-process run each, so a cold-start figure to read, not a
 measurement to claim.  The closing count of identical invocations gives
 each tree's line count of src/prepspill beside it, as `wc -l` counts the
-lines of its .py files.  Exits 1 if anything differs, else 0.
+lines of its .py files, and its count of code lines: those lines that are
+not blank, not comment-only and not inside a docstring.  Exits 1 if
+anything differs, else 0.
 """
 
 from __future__ import annotations
 
+import ast
 import csv
 import io
 import json
@@ -28,6 +31,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tokenize
 from pathlib import Path
 
 CONFIGS = {
@@ -131,6 +135,33 @@ def source_lines(tree):
     """The newlines in the .py files under <tree>/src/prepspill (`wc -l`)."""
     return sum(p.read_bytes().count(b"\n")
                for p in (Path(tree) / "src" / "prepspill").rglob("*.py"))
+
+
+# tokens that hold no code: a line with only these is blank or comment-only
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENDMARKER}
+
+
+def code_lines(tree):
+    """The lines of the .py files under <tree>/src/prepspill that hold a
+    token of code: every line a string spans counts, except a docstring's
+    (the leading string of a module, class or function body)."""
+    total = 0
+    for path in (Path(tree) / "src" / "prepspill").rglob("*.py"):
+        text = path.read_text(encoding="utf-8")
+        docs = {(node.body[0].lineno, node.body[0].col_offset)
+                for node in ast.walk(ast.parse(text))
+                if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                     ast.AsyncFunctionDef))
+                and node.body and isinstance(node.body[0], ast.Expr)
+                and isinstance(node.body[0].value, ast.Constant)
+                and isinstance(node.body[0].value.value, str)}
+        rows = set()
+        for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+            if tok.type not in _NOT_CODE and tok.start not in docs:
+                rows.update(range(tok.start[0], tok.end[0] + 1))
+        total += len(rows)
+    return total
 
 
 def read_tree(root):
@@ -259,7 +290,8 @@ def main():
         differing += bool(lines)
     print(f"{len(INVOCATIONS) - differing}/{len(INVOCATIONS)} invocations identical  "
           f"[src/prepspill: {source_lines(parent):,} lines parent, "
-          f"{source_lines(change):,} change]")
+          f"{source_lines(change):,} change; {code_lines(parent):,} code lines parent, "
+          f"{code_lines(change):,} change]")
     return 1 if differing else 0
 
 
