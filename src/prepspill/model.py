@@ -269,12 +269,12 @@ def dfe(spec):
 # contact pairs, so the body is generated from the variant's contact-pair
 # table (as integrators._dp_step_maker unrolls the Dormand-Prince attempt
 # that consumes it over the system width).  The generated source holds only
-# integer indices and fixed names; every value enters through closure cells.
+# integer indices and fixed names; every value enters through closure cells,
+# which the generated make(spec, counts) reads from the spec.
 # Float-cell rule: every numeric cell of a scalar RHS is a Python float,
-# converted once in _rhs_cells (by the variant's generated extractor) and
-# flat_rhs_factory.  One numpy scalar cell makes every returned entry, and so
-# every Dormand-Prince stage, a numpy scalar: the same IEEE values at about
-# three times the cost.
+# converted once where make reads it.  One numpy scalar cell makes every
+# returned entry, and so every Dormand-Prince stage, a numpy scalar: the same
+# IEEE values at about three times the cost.
 # Closure-inline rule: an unpinned scalar RHS evaluates the mixing closure
 # inline, pasting the closure text of mixing.py (the text the core is
 # compiled from) verbatim into its body, with the contact rates a<j> and the
@@ -289,19 +289,23 @@ def dfe(spec):
 
 @functools.lru_cache(maxsize=None)
 def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
-    """Compile ``make(**cells) -> f(t, y)`` for one variant's contact-pair
-    table and closure text.
+    """Compile ``make(spec, counts) -> f(t, y)`` for one variant's
+    contact-pair table and closure text.  make reads every cell of f from
+    the spec (the float-cell rule): Pi<j>, v<j> = mu + delta_j, the contact
+    rates a<j>, each pair's transmission probability b<i>, the coverage
+    u<j> = 1 - epsilon_j of an untracked group and, unless pinned, the
+    priors p_<field> that the closure text reads.
 
-    ``pinned``: the mixing fractions are fixed (cell ``fixed``) instead of
-    re-closed at every evaluation.  ``tracked``: the groups whose coverage is
-    re-derived from a tracked count (cell ``c<j>``; full while S_j <= c_j).
-    Cells a<j> and b<i> hold the contact rates and each pair's transmission
-    probability.  ``mode`` (one of MODES, checked first): the spillover
-    system, y going on with one (sigma, gamma) block per group, in group
-    order, after the 3n state slots (see prepspill.spillover); None: no
-    blocks.  ``incidence=False``: the S/I-only form, y the 2n S/I slots
-    alone and no accumulator rows inc<j>, its S and I rows the same
-    expressions as in the full form.  Blocks need the full, untracked form.
+    ``pinned``: the mixing fractions are fixed (cells m<i>, the spec's
+    pinned pair fractions) instead of re-closed at every evaluation.
+    ``tracked``: the groups whose coverage is re-derived from a tracked
+    count (cell ``c<j>``, counts[j]; full while S_j <= c_j).  ``mode`` (one
+    of MODES, checked first): the spillover system, y going on with one
+    (sigma, gamma) block per group, in group order, after the 3n state
+    slots (see prepspill.spillover); None: no blocks.  ``incidence=False``:
+    the S/I-only form, y the 2n S/I slots alone and no accumulator rows
+    inc<j>, its S and I rows the same expressions as in the full form.
+    Blocks need the full, untracked form.
     The three row forms of the flat RHS keep the arithmetic order of the
     hand-written closures they replaced, and the spillover rows that of the
     numpy kernel, so integrations are unchanged to the last bit.
@@ -345,9 +349,7 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
     names, margins = (), []
     body += ["if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
              f"    raise zero_population(labels, ({Ns}), t)"]
-    if pinned:
-        body.append(f"{m} = fixed")
-    else:
+    if not pinned:
         body += mixing.CLOSURE.splitlines()
         watch += mixing.SWITCHES.splitlines()
         names, margins = mixing.SWITCH_NAMES, [f"w{k}" for k in range(len(mixing.SWITCH_NAMES))]
@@ -392,52 +394,29 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
         functions += [("signs(y)", watch + [f"return {bits}"]),
                       ("margins(y)", watch + ["return [" + ", ".join(margins) + "]"])]
         switches = "(names, signs, margins)"
-    cells = (["zero_population", "labels", "fixed", "mu"]
-             + [f"{c}{j}" for c in ("Pi", "v", "a") for j in g]
-             + [f"u{j}" for j in g if j not in tracked]
-             + [f"c{j}" for j in tracked]
-             + [f"b{i}" for i in range(len(pairs))]
-             + [f"p_{f}" for f in mixing.CLOSURE_PRIORS])
-    src = f"def make({', '.join(cells)}):\n" + "".join(
+    # the cells, each numeric one read from the spec as a Python float,
+    # after the defs so that f's lines keep their numbers
+    cells = [", ".join(f"(_, g{j})" for j in g) + " = spec.groups",
+             "labels, probs, mu = spec.labels, spec.probs, float(spec.mu)"]
+    for j in g:
+        cells += [f"Pi{j}, v{j}, a{j} = float(g{j}.Pi), mu + float(g{j}.delta), float(g{j}.a)",
+                  f"c{j} = float(counts[{j}])" if j in tracked
+                  else f"u{j} = 1.0 - float(g{j}.epsilon)"]
+    cells += [f"b{i} = float(probs.{beta})" for i, (_, _, beta) in enumerate(pairs)]
+    if pinned:
+        cells.append(f"{m} = map(float, spec.mixing.pair_fractions())")
+    else:
+        cells += [f"p_{f} = float(spec.mixing_priors.{f})" for f in mixing.CLOSURE_PRIORS]
+    src = "def make(spec, counts):\n" + "".join(
         f"    def {head}:\n" + "".join(f"        {line}\n" for line in lines)
         for head, lines in functions)
+    src += "".join(f"    {line}\n" for line in cells)
     src += f"    f.switches = {switches}\n    return f\n"
     form = [variant] + ["pinned"] * pinned
     form += [f"tracked={','.join(map(str, tracked))}"] * bool(tracked) + [mode] * bool(mode)
     form += ["no-incidence"] * (not incidence)
-    namespace = dict(CLOSURE_ERRORS, names=names)
+    namespace = dict(CLOSURE_ERRORS, names=names, zero_population=_zero_population)
     return exec_source(src, f"<flat_rhs {' '.join(form)}>", namespace)["make"]
-
-
-@functools.lru_cache(maxsize=None)
-def _cells_maker(variant):
-    """Compile ``cells(spec) -> dict`` for the variant: every cell of its
-    generated flat RHS (the spec's own coverage, u<j>, for every group), each
-    numeric one a Python float (the float-cell rule), one dict entry per
-    cell, so a run's set-up formats no name.  Also the cells a<j> and
-    p_<field> that the closure text and its margins read."""
-    var = VARIANTS[variant]
-    g, mixing = range(len(var.groups)), var.mixing
-    entries = ['"zero_population": zero_population', '"labels": spec.labels', '"mu": mu',
-               '"fixed": spec.mixing and tuple(map(float, spec.mixing.pair_fractions()))']
-    for j in g:
-        entries += [f'"Pi{j}": float(g{j}.Pi)', f'"v{j}": mu + float(g{j}.delta)',
-                    f'"u{j}": 1.0 - float(g{j}.epsilon)', f'"a{j}": float(g{j}.a)']
-    entries += [f'"b{i}": float(probs.{beta})' for i, (_, _, beta) in enumerate(mixing.PAIRS)]
-    entries += [f'"p_{f}": float(priors.{f})' for f in mixing.CLOSURE_PRIORS]
-    src = ("def cells(spec):\n"
-           "    " + ", ".join(f"(_, g{j})" for j in g) + " = spec.groups\n"
-           "    probs, priors, mu = spec.probs, spec.mixing_priors, float(spec.mu)\n"
-           "    return {" + ", ".join(entries) + "}\n")
-    namespace = {"zero_population": _zero_population}
-    return exec_source(src, f"<rhs_cells {variant}>", namespace)["cells"]
-
-
-def _rhs_cells(spec):
-    """The cells of a generated flat RHS for the spec's own coverage, each
-    numeric one a Python float (the float-cell rule): a new dict, from the
-    variant's extractor (_cells_maker)."""
-    return _cells_maker(spec.variant)(spec)
 
 
 def flat_rhs_factory(spec, tracked_counts=None, mode=None, incidence=True):
@@ -455,14 +434,10 @@ def flat_rhs_factory(spec, tracked_counts=None, mode=None, incidence=True):
     with a zero count keep their fixed fraction.  The RHS carries its
     switching margins as rhs.switches (see _flat_rhs_maker).
     """
-    cells, tracked = _rhs_cells(spec), ()
-    if tracked_counts is not None:
-        tracked = tuple(j for j, c in enumerate(tracked_counts) if c)
-        for j in tracked:
-            del cells[f"u{j}"]
-            cells[f"c{j}"] = float(tracked_counts[j])
+    tracked = () if tracked_counts is None else tuple(
+        j for j, c in enumerate(tracked_counts) if c)
     make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked, mode, incidence)
-    return make(**cells)
+    return make(spec, tracked_counts)
 
 
 def batched_rhs_factory(spec, eps):
@@ -483,23 +458,23 @@ def batched_rhs_factory(spec, eps):
             raise ValueError(f"epsilon = {e} outside [0, 1]")
     var = VARIANTS[spec.variant]
     pairs, n = var.mixing.PAIRS, spec.n
-    cells, close = _rhs_cells(spec), var.batch_closure
-    b = [cells[f"b{i}"] for i in range(len(pairs))]
+    close, mu = var.batch_closure, float(spec.mu)
+    Pi, a, delta, _ = spec.param_arrays()
+    b = [float(getattr(spec.probs, beta)) for _, _, beta in pairs]
     c, A, rows = [], [], [[i for i, pair in enumerate(pairs) if pair[0] == j] for j in range(n)]
     for j, row in enumerate(rows):
-        ab, one_beta = cells[f"a{j}"] * b[row[0]], len({pairs[i][2] for i in row}) == 1
+        ab, one_beta = a[j] * b[row[0]], len({pairs[i][2] for i in row}) == 1
         c += [ab] if len(row) == 1 else [1.0] * len(row) if one_beta else [b[i] for i in row]
-        A.append(1.0 if len(row) == 1 else ab if one_beta else cells[f"a{j}"])
+        A.append(1.0 if len(row) == 1 else ab if one_beta else a[j])
     width = max(map(len, rows))  # terms[k, j]: row j's k-th pair, where valid
     terms = np.array([row + [0] * (width - len(row)) for row in rows]).T
     valid = (np.arange(width)[:, None] < [len(row) for row in rows])[:, :, None]
 
     def column(values):
         return np.array(values, dtype=float)[:, None]
-    c, A, mu = column(c), column(A), cells["mu"]
-    Pi, v, a = (column([cells[f"{x}{j}"] for j in range(n)]) for x in ("Pi", "v", "a"))
+    c, A, Pi, v, a = column(c), column(A), column(Pi), column(mu + delta), column(a)
     partner, u = np.array([p for _, p, _ in pairs]), 1.0 - eps.T
-    fixed = None if spec.mixing is None else column(cells["fixed"])
+    fixed = None if spec.mixing is None else column(spec.mixing.pair_fractions())
 
     def f(t, y):
         y = np.asarray(y)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,15 +233,13 @@ def rc_closed_risk(ngm):
     return _checked_closed_form(ngm, max(cands) if cands else float("nan"), comps)
 
 
-def rc_closed(spec_or_ngm):
-    """Closed-form reproduction number for either variant."""
-    ngm = spec_or_ngm if isinstance(spec_or_ngm, NGMatrices) else build_ngm(spec_or_ngm)
+def rc_closed(ngm):
+    """Closed-form reproduction number of the NGM, for either variant."""
     return rc_closed_basic(ngm) if ngm.F.shape == (3, 3) else rc_closed_risk(ngm)
 
 
 def scale_transmission(spec, multiplier):
     """Spec copy with all transmission probabilities scaled by a factor."""
-    from dataclasses import replace
     p = spec.probs
     return replace(spec, probs=type(p)(beta_mm=min(p.beta_mm * multiplier, 1.0),
                                        beta_fm=min(p.beta_fm * multiplier, 1.0),

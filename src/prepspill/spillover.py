@@ -50,12 +50,6 @@ class SensitivityState:
     sigma: np.ndarray
     gamma: np.ndarray
 
-    @classmethod
-    def zero(cls, spec, source):
-        n = spec.n
-        return cls(source=source, source_index=spec.group_index(source),
-                   sigma=np.zeros(n), gamma=np.zeros(n))
-
 
 @dataclass
 class SensitivityTrajectory:

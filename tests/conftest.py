@@ -188,6 +188,12 @@ def rhs(spec, state, t=0.0):
     return StateVec(S=dS, I=dI, C=inc)
 
 
+def zero_sensitivity(spec, source):
+    """The source group's sensitivity pair with every entry zero."""
+    return SensitivityState(source=source, source_index=spec.group_index(source),
+                            sigma=np.zeros(spec.n), gamma=np.zeros(spec.n))
+
+
 def _one_source_rhs(spec, state, sens, mode, t):
     """The generated augmented system evaluated at (state, block), every
     other source's block zero: the flat derivative, state slots first, then

@@ -370,15 +370,19 @@ def test_breakpoints_are_built_once_per_run(basic, monkeypatch):
 
 def test_a_run_builds_its_rhs_cells_once(basic, risk, monkeypatch):
     # the switching margins come with the RHS (f.switches), from the same
-    # cells: a free run reads the spec's cells once, as a year-landing one does
+    # cells: a free run calls make, which reads the spec's cells, once, as a
+    # year-landing one does
     from prepspill import model
     built = []
 
-    def counting(spec):
-        built.append(spec)
-        return real(spec)
-    real = model._rhs_cells
-    monkeypatch.setattr(model, "_rhs_cells", counting)
+    def counting(*form):
+        def make(spec, counts):
+            built.append(spec)
+            return real_make(spec, counts)
+        real_make = real(*form)
+        return make
+    real = model._flat_rhs_maker
+    monkeypatch.setattr(model, "_flat_rhs_maker", counting)
     cfg = IntegratorConfig(t0=2017.0, t_end=2021.0)
     free = replace(cfg, year_nodes=False)
     for (spec, y0), run_cfg, counts in ((risk, free, None),

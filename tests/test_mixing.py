@@ -5,7 +5,7 @@ import pytest
 
 from conftest import basic_residuals, random_spec, risk_objective, risk_residuals
 from prepspill.errors import InfeasibleClosure
-from prepspill.model import _flat_rhs_maker, _rhs_cells, contact_matrix, dfe
+from prepspill.model import contact_matrix, dfe, flat_rhs_factory
 from prepspill.presets import georgia_risk
 from prepspill.mixing import (BasicMixing, RiskMixing, _risk_projection, _risk_xi_shares,
                               basic_fractions, close_basic, close_basic_batch,
@@ -232,17 +232,13 @@ def test_batch_closure_checks_keep_their_order(close, batch, N, a, priors):
     assert all(np.all(g == w) for g, w in zip(batch(list(cols), a, priors), want))
 
 
-def _generated_rhs_pair(variant, spec, form):
+def _generated_rhs_pair(spec, form):
     """The unpinned generated RHS of one form (flat, tracked or spillover)
-    and the same RHS pinned to given fractions: ``pinned(fixed)``."""
+    and the same RHS pinned to a given mixing record: ``pinned(mix)``."""
     tracked, mode = form
-    cells = _rhs_cells(spec)
-    for j in tracked:
-        del cells[f"u{j}"]
-        cells[f"c{j}"] = 2e3
-    unpinned = _flat_rhs_maker(variant, False, tracked, mode)(**cells)
-    return unpinned, lambda fixed: _flat_rhs_maker(variant, True, tracked, mode)(
-        **{**cells, "fixed": fixed})
+    counts = [2e3 if j in tracked else 0.0 for j in range(spec.n)]
+    unpinned = flat_rhs_factory(spec, counts, mode)
+    return unpinned, lambda mix: flat_rhs_factory(replace(spec, mixing=mix), counts, mode)
 
 
 @pytest.mark.parametrize("variant", ["basic", "risk"])
@@ -271,8 +267,8 @@ def test_closure_core_property(variant):
         if variant == "risk":  # pull xi_hetm to its upper bound B1/B3
             pulls.append(replace(spec.mixing_priors, eta_hetfh=0.0, alpha_hetfh=0.0,
                                  alpha_hetfl=1.0, xi_hetm=1.0))
-        rhs_pairs = {priors: [_generated_rhs_pair(variant, replace(spec, mixing_priors=priors),
-                                                  form) for form in forms]
+        rhs_pairs = {priors: [_generated_rhs_pair(replace(spec, mixing_priors=priors), form)
+                              for form in forms]
                      for priors in pulls}
         for N in dfe(spec).N * rng.uniform(0.5, 1.5, (40, spec.n)):
             N = tuple(float(v) for v in N)
@@ -302,7 +298,7 @@ def test_closure_core_property(variant):
                 assert got == mix.pair_fractions()
                 assert max(abs(r) for r in residuals(mix, N, a)) < 1e-12
                 for (unpinned, pinned), yy in zip(rhs_pairs[priors], ys):
-                    assert unpinned(2020.0, yy) == pinned(got)(2020.0, yy)
+                    assert unpinned(2020.0, yy) == pinned(mix)(2020.0, yy)
                 if variant == "risk":
                     B = [n * x for n, x in zip(N, a)]
                     x = _risk_projection(*B, priors)

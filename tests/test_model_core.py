@@ -12,9 +12,8 @@ from prepspill import model
 from prepspill.errors import PrepspillError, UnsupportedVariant, ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate, integrate_flat
 from prepspill.model import (MODES, VARIANTS, GroupParams, StateVec, TransmissionProbs,
-                             _flat_rhs_maker, _rhs_cells, batched_rhs_factory,
-                             closed_mixing, contact_matrix, dfe, flat_rhs_factory,
-                             make_spec, variant_of)
+                             batched_rhs_factory, closed_mixing, contact_matrix, dfe,
+                             flat_rhs_factory, make_spec, variant_of)
 from prepspill.mixing import BasicMixing, RiskMixing, basic_fractions, risk_fractions
 from prepspill.reproduction import build_ngm
 
@@ -378,23 +377,13 @@ def test_flat_rhs_and_dp_stages_are_python_floats(variant):
         assert type(h) is float
 
 
-def _as_numpy_scalars(cells):
-    """The cells with every Python float, alone or in a tuple, wrapped as np.float64."""
-    def wrap(v):
-        if type(v) is float:
-            return np.float64(v)
-        if isinstance(v, tuple) and all(type(x) is float for x in v):
-            return tuple(map(np.float64, v))
-        return v
-    return {k: wrap(v) for k, v in cells.items()}
-
-
 @pytest.mark.parametrize("variant", ["basic", "risk"])
 def test_float_cells_keep_the_arithmetic(variant):
-    # the same generated RHS with np.float64 cells (as before the float-cell
-    # rule) gives the same values bit for bit, tracked and untracked, as
-    # does the augmented spillover system (all sources, both basic modes),
-    # and the closure core gives the same contact matrix for a list N
+    # the generated RHS gives the same values bit for bit on np.float64
+    # state entries as on Python floats (numpy-scalar arithmetic, as with
+    # numpy-scalar cells before the float-cell rule), tracked and untracked,
+    # as does the augmented spillover system (all sources, both basic
+    # modes), and the closure core gives the same contact matrix for a list N
     rng = np.random.default_rng(47)
     block_rng = np.random.default_rng(59)
     for i in range(8):
@@ -406,20 +395,14 @@ def test_float_cells_keep_the_arithmetic(variant):
             state = random_state(rng, spec)
             y = state.to_flat().tolist()
             k = int(rng.integers(spec.n))
-            for tracked in ((), (k,)):
-                cells = _rhs_cells(spec)
-                for j in tracked:
-                    del cells[f"u{j}"]
-                    cells[f"c{j}"] = float(state.S[j] * rng.uniform(0.0, 1.5))
-                make = _flat_rhs_maker(variant, spec.mixing is not None, tracked)
-                want = make(**_as_numpy_scalars(cells))(2017.0, y)
-                assert make(**cells)(2017.0, y) == want
-            cells = _rhs_cells(spec)
+            counts = [0.0] * spec.n
+            counts[k] = float(state.S[k] * rng.uniform(0.0, 1.5))
+            for f in (flat_rhs_factory(spec), flat_rhs_factory(spec, tracked_counts=counts)):
+                assert f(2017.0, y) == f(2017.0, list(map(np.float64, y)))
             ya = y + (block_rng.uniform(-1.0, 1.0, 2 * spec.n ** 2) * state.N.mean()).tolist()
             for mode in (("practical", "exact_delta") if variant == "basic" else ("practical",)):
-                make = _flat_rhs_maker(variant, spec.mixing is not None, (), mode)
-                want = make(**_as_numpy_scalars(cells))(2017.0, ya)
-                assert make(**cells)(2017.0, ya) == want
+                f = flat_rhs_factory(spec, mode=mode)
+                assert f(2017.0, ya) == f(2017.0, list(map(np.float64, ya)))
             core = basic_fractions if variant == "basic" else risk_fractions
             mix = spec.mixing or core(state.N, a, spec.mixing_priors)
             assert np.array_equal(contact_matrix_at(spec, state.N),

@@ -56,12 +56,17 @@ def test_load_config_defaults_match_preset(tmp_path):
     assert np.array_equal(y0.S, py0.S) and np.array_equal(y0.I, py0.I)
 
 
-def test_load_config_unknown_group(tmp_path):
-    path = write_config(tmp_path, {
-        "model": "basic",
-        "interventions": [{"group": "pwid", "additional_persons": 1000}]})
-    with pytest.raises(UnknownGroup):
+@pytest.mark.parametrize("section, raw", [
+    ("interventions[0].group", {"interventions": [{"group": "pwid",
+                                                   "additional_persons": 1000}]}),
+    ("overrides.groups", {"overrides": {"groups": {"pwid": {"a": 10.0}}}}),
+    ("initial_conditions", {"initial_conditions": {"pwid": {"S": 1.0, "I": 0.0}}}),
+], ids=["interventions", "overrides", "initial_conditions"])
+def test_load_config_unknown_group(tmp_path, section, raw):
+    path = write_config(tmp_path, {"model": "basic", **raw})
+    with pytest.raises(UnknownGroup) as exc:
         load_config(path)
+    assert str(exc.value) == f"{section}: no group 'pwid' in variant 'basic'"
 
 
 def test_load_config_negative_persons(tmp_path):

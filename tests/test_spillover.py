@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (incidence_sensitivity, random_spec, random_state, rhs, rk4_fixed,
-                      spillover_rhs, xi_correction)
+                      spillover_rhs, xi_correction, zero_sensitivity)
 from prepspill.errors import (PerturbationOutOfRange, UnsupportedVariant,
                               ZeroPopulation)
 from prepspill.integrators import IntegratorConfig, integrate, node_index, rows_at, write_csv
@@ -116,7 +116,7 @@ def test_nnt_refuses_a_state_grid_off_by_more_than_a_node(aug_basic, shift):
 def test_rhs_zero_at_disease_free(basic):
     spec, _ = basic
     eq = dfe(spec)
-    zero = SensitivityState.zero(spec, "msm")
+    zero = zero_sensitivity(spec, "msm")
     d = spillover_rhs(spec, eq, zero)
     assert np.all(d.sigma == 0.0)
     assert np.all(d.gamma == 0.0)
@@ -237,7 +237,7 @@ def test_nnt_compares_distinct_time_grids(aug_basic):
 def test_incidence_sensitivity_zero_state(basic):
     spec, _ = basic
     eq = dfe(spec)
-    zero = SensitivityState.zero(spec, "msm")
+    zero = zero_sensitivity(spec, "msm")
     val = incidence_sensitivity(spec, eq, zero, spec.group_index("hetf"))
     assert val == 0.0
 
@@ -279,7 +279,7 @@ def test_incidence_sensitivity_nonnegative_along_baseline(aug_basic):
 
 def test_xi_correction_zero_sens(basic):
     spec, y0 = basic
-    zero = SensitivityState.zero(spec, "msm")
+    zero = zero_sensitivity(spec, "msm")
     Xi, contrib = xi_correction(spec, y0, zero)
     assert np.all(Xi == 0.0)
     assert np.all(contrib == 0.0)
@@ -288,7 +288,7 @@ def test_xi_correction_zero_sens(basic):
 def test_xi_correction_risk_unsupported(risk):
     spec, y0 = risk
     with pytest.raises(UnsupportedVariant):
-        xi_correction(spec, y0, SensitivityState.zero(spec, "msm"))
+        xi_correction(spec, y0, zero_sensitivity(spec, "msm"))
 
 
 def test_xi_correction_magnitude_bound(basic, aug_basic):
@@ -399,7 +399,7 @@ def test_augmented_rhs_zero_population_names_group_and_time(basic):
         f(2021.0, list(y))
     empty = StateVec.make(y0.S * [1.0, 1.0, 0.0], y0.I * [1.0, 1.0, 0.0])
     with pytest.raises(ZeroPopulation, match=r"^group hetm has N = 0$"):
-        spillover_rhs(spec, empty, SensitivityState.zero(spec, "msm"))
+        spillover_rhs(spec, empty, zero_sensitivity(spec, "msm"))
 
 
 @pytest.mark.parametrize("variant, mode", [("basic", "exact_delta"),

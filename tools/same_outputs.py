@@ -68,6 +68,10 @@ CONFIGS = {
                               "horizon": {"start": 2017, "intervention": 2020.25, "end": 2031},
                               "integrator": {"dt_max": 0.7}},
     "no_model.json": {"model": "nosuch"},
+    "unknown_override_group.json": {"model": "basic",
+                                    "overrides": {"groups": {"pwid": {"a": 10.0}}}},
+    "unknown_initial_group.json": {"model": "basic",
+                                   "initial_conditions": {"pwid": {"S": 1.0, "I": 0.0}}},
 }
 
 
@@ -104,6 +108,8 @@ INVOCATIONS = (
         ["sobol", "--lo", "5", "--hi", "1"],
         ["emit-plots", "--series", "nosuch"],
         ["simulate", "--config", "no_model.json"],
+        ["simulate", "--config", "unknown_override_group.json"],
+        ["simulate", "--config", "unknown_initial_group.json"],
     ])
 
 # Times this close are one node (prepspill.integrators.NODE_TOL)
