@@ -39,6 +39,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -192,8 +193,14 @@ class Trajectory:
 
     @classmethod
     def of(cls, run, labels):
-        """The trajectory of an integrate_flat run (its return value)."""
-        return cls(np.array(run[0]), np.array(run[1]), labels, *run[2:])
+        """The trajectory of an integrate_flat run (its return value).  A
+        scalar run's rows are lists of floats, read in one pass by fromiter
+        (np.array's array, without its walk over the nested lists to find
+        the shape); a batch's rows are arrays."""
+        ys, n = run[1], len(run[1])
+        states = (np.fromiter(chain.from_iterable(ys), float, n * len(ys[0])).reshape(n, -1)
+                  if isinstance(ys[0], list) else np.array(ys))
+        return cls(np.array(run[0]), states, labels, *run[2:])
 
     @property
     def n_groups(self):

@@ -224,12 +224,12 @@ class StateVec:
 
 def closed_mixing(spec, N):
     """Mixing fractions at populations N: the pinned ones if the spec fixes
-    them, otherwise the closure projection of the priors."""
+    them, otherwise the closure projection of the priors.  The closure reads
+    the contact rates as Python floats."""
     if spec.mixing is not None:
         return spec.mixing
-    _, a, _, _ = spec.param_arrays()
     close = globals()[VARIANTS[spec.variant].closure]
-    return close(N, a, spec.mixing_priors)
+    return close(N, [float(p.a) for _, p in spec.groups], spec.mixing_priors)
 
 
 def contact_matrix(spec, mix):

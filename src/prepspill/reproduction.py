@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleClosure
 from .integrators import IntegratorConfig, integrate
-from .model import StateVec, closed_mixing, contact_matrix, dfe
+from .model import VARIANTS, StateVec, closed_mixing, dfe
 
 _AGREE_RTOL = 1e-9
 _IMAG_TOL = 1e-9
@@ -26,6 +26,9 @@ _IMAG_TOL = 1e-9
 # of stability_probe (see there).
 _MULTIPLIER_BRACKET, _TUNE_TOL = (1e-6, 10.0), 1e-10
 _DECAY_RATIO, _GROWTH_FACTOR, _HORIZON_CAP = 1e-3, 10.0, 32768.0
+# Candidates _random_feasible_states draws at once per state still wanted;
+# about one in ten is kept.
+_SAMPLE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -56,21 +59,30 @@ def build_ngm(spec):
 
     Mixing fractions are closed at the DFE populations Pi_j / mu (unless the
     spec pins them).  Entry (j, p) of F is the rate at which one infected in
-    group p creates infections in group j near the DFE.
+    group p creates infections in group j near the DFE:
+    (1 - epsilon_j) W[j, p] N_j / N_p, with W[j, p] = a_j * frac * beta the
+    contact matrix entry (model.contact_matrix), each in that order, in
+    Python floats; entries outside the variant's contact pairs are zero.
     """
-    Nstar = dfe(spec).N
-    if np.any(Nstar <= 0.0):
+    mu, params = float(spec.mu), [p for _, p in spec.groups]
+    N = [float(p.Pi) / mu for p in params]
+    if min(N) <= 0.0:
         raise InfeasibleClosure("DFE has an empty group; NGM undefined")
-    _, _, delta, eps = spec.param_arrays()
-    W = contact_matrix(spec, closed_mixing(spec, Nstar))
-    F = (1.0 - eps)[:, None] * W * Nstar[:, None] / Nstar[None, :]
-    V = np.diag(spec.mu + delta)
-    return NGMatrices(F=F, V=V, labels=spec.labels, dfe_populations=Nstar)
+    fractions = closed_mixing(spec, N).pair_fractions()
+    F = np.zeros((spec.n, spec.n))
+    for (j, p, beta), frac in zip(VARIANTS[spec.variant].mixing.PAIRS, fractions):
+        W = params[j].a * frac * getattr(spec.probs, beta)
+        F[j, p] = (1.0 - float(params[j].epsilon)) * W * N[j] / N[p]
+    V = np.diag([mu + float(p.delta) for p in params])
+    return NGMatrices(F=F, V=V, labels=spec.labels, dfe_populations=np.array(N))
 
 
 def rc_numeric(ngm):
-    """Spectral radius of F V^{-1} by dense eigenvalues."""
-    A = ngm.F @ np.linalg.inv(ngm.V)
+    """Spectral radius of F V^{-1} by dense eigenvalues.  V is a positive
+    diagonal, so F V^{-1} is F with column p scaled by 1 / V[p, p]: the bits
+    of F @ inv(V), whose inverse holds those reciprocals and whose product
+    adds exact zeros."""
+    A = ngm.F * (1.0 / ngm.K)
     value = float(np.max(np.abs(np.linalg.eigvals(A))))
     return ReproductionNumber(value=value, method="numeric", components={})
 
@@ -306,26 +318,44 @@ class StabilityProbeReport:
     notes: str = ""
 
 
+def _uniform(lo, hi, u):
+    """rng.uniform(lo, hi) of the draws u of rng.random(), as numpy's
+    Generator computes it."""
+    return lo + (hi - lo) * u
+
+
 def _random_feasible_states(spec, n_trials, rng):
     """Random states inside the delta=0 invariant box (S_j <= S_j*, N <= Pi/mu)
-    that are also mixing-feasible; rejection sampling."""
-    eq = dfe(spec)
-    Sstar = eq.S
-    out = []
-    guard = 0
+    that are also mixing-feasible; rejection sampling.
+
+    Candidate k is S = S* U(0.3, 1), I = S* U(0, 0.2), the draws of
+    rng.uniform(0.3, 1.0, n) then rng.uniform(0.0, 0.2, n).  The
+    candidates are drawn a chunk at a time, rng.random((k, 2, n)), and
+    boxed as whole arrays; those inside the box are closed
+    (closed_mixing, N as Python floats: the same bits) in order.
+    RuntimeError when 200 n_trials candidates give fewer than n_trials
+    states.
+    """
+    Sstar = dfe(spec).S
+    cap = np.sum(Sstar)
+    out, left = [], 200 * n_trials  # candidates the guard still allows
     while len(out) < n_trials:
-        guard += 1
-        if guard > 200 * n_trials:
+        if not left:
             raise RuntimeError("could not sample enough feasible states")
-        S = Sstar * rng.uniform(0.3, 1.0, size=spec.n)
-        I = Sstar * rng.uniform(0.0, 0.2, size=spec.n)
-        if np.sum(S + I) > np.sum(Sstar):
-            continue
-        try:
-            closed_mixing(spec, S + I)
-        except InfeasibleClosure:
-            continue
-        out.append(StateVec.make(S, I))
+        k = min(left, _SAMPLE_CHUNK * (n_trials - len(out)))
+        left -= k
+        u = rng.random((k, 2, spec.n))
+        S, I = Sstar * _uniform(0.3, 1.0, u[:, 0]), Sstar * _uniform(0.0, 0.2, u[:, 1])
+        N = S + I
+        rows = N.tolist()
+        for i in np.flatnonzero(~(np.sum(N, axis=1) > cap)):  # not above the cap
+            try:
+                closed_mixing(spec, rows[i])
+            except InfeasibleClosure:
+                continue
+            out.append(StateVec.make(S[i], I[i]))
+            if len(out) == n_trials:
+                break
     return out
 
 
@@ -351,8 +381,7 @@ def stability_probe(spec, n_trials=50, seed=0):
     """
     if n_trials < 1:
         raise ValueError(f"n_trials = {n_trials} must be at least 1")
-    _, _, delta, _ = spec.param_arrays()
-    if np.any(delta != 0.0):
+    if any(p.delta != 0.0 for _, p in spec.groups):
         raise ValueError("stability probe applies to delta = 0 specs")
     rc_hat = rc_numeric(build_ngm(spec)).value
 
@@ -364,16 +393,15 @@ def stability_probe(spec, n_trials=50, seed=0):
         I0 = np.full(spec.n, 1.0)
         states = [StateVec.make(dfe(spec).S - I0, I0)]
     start_tot = [float(np.sum(y.I)) for y in states]
-    steps = [None] * len(states)
-    n, no_c = spec.n, np.zeros(spec.n)
+    steps, no_c = [None] * len(states), np.zeros(spec.n)
     t0 = 0.0
     while True:
         for i, y in enumerate(states):
             cfg = IntegratorConfig(t0=t0, t_end=h, rtol=1e-8, atol=1e-8, dt_max=h / 8,
                                    year_nodes=False, first_step=steps[i])
             traj = integrate(spec, y, cfg, incidence=False)
-            end, steps[i] = traj.states[-1], traj.next_step
-            states[i] = StateVec(S=end[0:2 * n:2].copy(), I=end[1:2 * n:2].copy(), C=no_c)
+            end = traj.states[-1].copy()  # the S/I slots, without the trajectory
+            states[i], steps[i] = StateVec(S=end[0::2], I=end[1::2], C=no_c), traj.next_step
         worst = max((float(np.sum(y.I)) / s if s > 0 else 0.0
                      for y, s in zip(states, start_tot)), default=0.0)
         confirmed = worst < _DECAY_RATIO if regime == "decay" else worst >= _GROWTH_FACTOR

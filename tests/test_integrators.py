@@ -508,6 +508,39 @@ def test_trajectory_csv(baseline_basic):
     assert len(lines) == len(baseline_basic.times) + 1
 
 
+def test_trajectory_reads_rows_as_np_array_does(basic, risk, monkeypatch):
+    # Trajectory.of reads a scalar run's rows (lists of floats) by fromiter
+    # and a batch's (arrays) by np.array: either way the states are
+    # np.array(rows), in values, dtype, shape and C order.  Runs: flat,
+    # S/I-only, tracked, spillover and a batch
+    from prepspill import integrators, spillover
+    runs = []
+
+    def recording(flat):
+        def recorded(*args, **kwargs):
+            runs.append(flat(*args, **kwargs))
+            return runs[-1]
+        return recorded
+    monkeypatch.setattr(integrators, "integrate_flat", recording(integrators.integrate_flat))
+    monkeypatch.setattr(spillover, "integrate_flat", recording(spillover.integrate_flat))
+    spec, y0 = basic
+    cfg = IntegratorConfig(t0=2017.0, t_end=2021.0)
+    eps = spec.param_arrays()[3]
+    trajs = [integrate(spec, y0, cfg),
+             integrate(*risk, replace(cfg, year_nodes=False), incidence=False),
+             integrate(spec, y0, cfg, tracked_counts=[50000.0, 0.0, 0.0]),
+             integrate_with_spillover(spec, y0, cfg)[0],
+             integrate_batch(spec, y0, [eps, 2.0 * eps], cfg)]
+    assert len(runs) == len(trajs)
+    for traj, run in zip(trajs, runs):
+        want = np.array(run[1])
+        assert isinstance(run[1][0], list) == (want.ndim == 2)  # scalar rows, else a batch
+        assert traj.states.dtype == want.dtype == np.float64
+        assert traj.states.shape == want.shape and traj.states.flags.c_contiguous
+        assert traj.states.tobytes() == want.tobytes()
+        assert traj.times.tobytes() == np.array(run[0]).tobytes()
+
+
 def test_float_noise_samples_beside_year_nodes(basic):
     # np.arange(2020, 2031, 0.01) holds 2020.999999999999 beside the year
     # node 2021.0; the two must merge instead of forcing a 9e-13 step

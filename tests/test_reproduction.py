@@ -2,15 +2,16 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import random_spec, stationary_risk
-from prepspill import reproduction
+from prepspill import model, reproduction
 from prepspill.errors import InfeasibleClosure
 from prepspill.integrators import IntegratorConfig, integrate
-from prepspill.model import StateVec, TransmissionProbs, dfe, flat_rhs_factory
+from prepspill.model import StateVec, TransmissionProbs, contact_matrix, dfe, flat_rhs_factory
 from prepspill.presets import georgia_basic, georgia_risk
 from prepspill.reproduction import (NGMatrices, _checked_closed_form,
                                     _random_feasible_states, build_ngm, rc_closed, rc_closed_basic,
@@ -550,3 +551,203 @@ def test_tune_that_never_converges_raises(basic, monkeypatch):
     with pytest.raises(RuntimeError, match=r"^R_c tune to target 0.9 did not converge: "
                                            r"last multiplier \S+ gives R_c = 0.9"):
         tune_multiplier_to_rc(basic[0].with_delta_zero(), 0.9)
+
+
+# ---------------------------------------------------------------------------
+# The probe's driver against copies of its per-candidate and per-matrix forms
+# (the forms the chunked sampler, the float NGM and the reciprocal R_c
+# replaced, with the same bits), and the closure solves where the tracer
+# counts them: every one passes model.close_basic / close_risk.
+
+def _reference_feasible_states(spec, n_trials, rng):
+    """Per-candidate rejection sampling: two uniform draws, the box test and
+    a closure per candidate, 200 n_trials candidates at most."""
+    Sstar = dfe(spec).S
+    out, guard = [], 0
+    while len(out) < n_trials:
+        guard += 1
+        if guard > 200 * n_trials:
+            raise RuntimeError("could not sample enough feasible states")
+        S = Sstar * rng.uniform(0.3, 1.0, size=spec.n)
+        I = Sstar * rng.uniform(0.0, 0.2, size=spec.n)
+        if np.sum(S + I) > np.sum(Sstar):
+            continue
+        try:
+            reproduction.closed_mixing(spec, S + I)
+        except InfeasibleClosure:
+            continue
+        out.append(StateVec.make(S, I))
+    return out
+
+
+def _reference_ngm(spec):
+    """(F, V, DFE populations) by contact_matrix and whole-array broadcasts."""
+    Nstar = dfe(spec).N
+    if np.any(Nstar <= 0.0):
+        raise InfeasibleClosure("DFE has an empty group; NGM undefined")
+    _, _, delta, eps = spec.param_arrays()
+    W = contact_matrix(spec, model.closed_mixing(spec, Nstar))
+    F = (1.0 - eps)[:, None] * W * Nstar[:, None] / Nstar[None, :]
+    return F, np.diag(spec.mu + delta), Nstar
+
+
+def _bits(states):
+    return [(s.S.tobytes(), s.I.tobytes(), s.C.tobytes()) for s in states]
+
+
+@pytest.fixture
+def closure_calls(monkeypatch):
+    """The N of every closure solve through model.close_basic / close_risk
+    (the functions the tracer rebinds), as tuples of floats, in order."""
+    calls = []
+
+    def counting(close):
+        def counted(N, a, priors=None):
+            calls.append(tuple(map(float, N)))
+            return close(N, a, priors)
+        return counted
+    for name in ("close_basic", "close_risk"):
+        monkeypatch.setattr(model, name, counting(getattr(model, name)))
+    return calls
+
+
+def _probe_specs():
+    """The delta = 0 probe specs: basic preset and stationary risk."""
+    return [georgia_basic()[0].with_delta_zero(), stationary_risk()[0].with_delta_zero()]
+
+
+def test_chunked_sampler_equals_per_candidate_loop_property(closure_calls):
+    # states bitwise and the same closure solves, so the same candidates: a
+    # k-state run is the first k states of a longer run, and its solves are
+    # the reference's up to the one that closed its k-th state.  Seeds 0-255
+    # at 1 and 8 states, 0-31 at 50 (50 states at all 256 seeds take 8 s)
+    for spec in _probe_specs():
+        for seed in range(256):
+            counts = (1, 8, 50) if seed < 32 else (1, 8)
+            closure_calls.clear()
+            want = _reference_feasible_states(spec, counts[-1], np.random.default_rng(seed))
+            ref_calls, ends, pos = list(closure_calls), [], 0
+            for y in want:
+                pos = ref_calls.index(tuple(y.N.tolist()), pos) + 1
+                ends.append(pos)
+            for n_trials in counts:
+                closure_calls.clear()
+                got = _random_feasible_states(spec, n_trials, np.random.default_rng(seed))
+                assert _bits(got) == _bits(want[:n_trials])
+                assert closure_calls == ref_calls[:ends[n_trials - 1]]
+
+
+@pytest.mark.parametrize("n_trials", [1, 8])
+@pytest.mark.parametrize("spec", _probe_specs(), ids=["basic", "stationary_risk"])
+def test_chunked_sampler_gives_up_where_the_loop_does(monkeypatch, spec, n_trials):
+    # a closure that closes only chosen candidates: the first n_trials - 1
+    # inside the box, then the last the guard allows (candidate 200 n_trials)
+    # or the first after it.  Both samplers close the same candidates, and
+    # give up after the same one.
+    limit, Sstar = 200 * n_trials, dfe(spec).S
+    rng, boxed = np.random.default_rng(7), []  # (candidate index, N) inside the box
+    for c in range(limit + 50):
+        S = Sstar * rng.uniform(0.3, 1.0, size=spec.n)
+        I = Sstar * rng.uniform(0.0, 0.2, size=spec.n)
+        if np.sum(S + I) <= np.sum(Sstar):
+            boxed.append((c, tuple((S + I).tolist())))
+    inside = [N for c, N in boxed if c < limit]
+    after = [N for c, N in boxed if c >= limit]
+    for last, feasible in ((inside[-1], True), (after[0], False)):
+        closes, calls = set(inside[:n_trials - 1] + [last]), []
+
+        def closed_mixing(spec, N):
+            calls.append(tuple(map(float, N)))
+            if calls[-1] not in closes:
+                raise InfeasibleClosure("not chosen")
+        monkeypatch.setattr(reproduction, "closed_mixing", closed_mixing)
+        outcomes = []
+        for sample in (_reference_feasible_states, _random_feasible_states):
+            calls.clear()
+            try:
+                outcomes.append((_bits(sample(spec, n_trials, np.random.default_rng(7))),
+                                 list(calls)))
+            except RuntimeError as e:
+                outcomes.append((str(e), list(calls)))
+        assert outcomes[0] == outcomes[1]
+        assert (outcomes[0][0] == "could not sample enough feasible states") != feasible
+        assert outcomes[0][1] == inside  # every candidate in the box up to the guard
+
+
+def _outcome(build):
+    """The arrays' bits that ``build()`` gives, else its error's type and text."""
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in build()]
+    except InfeasibleClosure as e:
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_float_ngm_equals_broadcast_ngm_property(variant):
+    # F, V and the DFE populations bitwise, or the same error, over free
+    # random_spec draws (infeasible DFEs included), pinned to their priors,
+    # and with an empty group; R_c is rho(F @ inv(V)) to the bit
+    rng = np.random.default_rng(41 if variant == "basic" else 42)
+    errors = []
+    for i in range(300):
+        spec = random_spec(rng, variant, feasible=False)
+        if i % 3 == 1:
+            spec = replace(spec, mixing=spec.mixing_priors)
+        elif i % 30 == 2:
+            spec = _with_group(spec, i % spec.n, Pi=0.0)
+        ngm = None
+
+        def float_ngm():
+            nonlocal ngm
+            ngm = build_ngm(spec)
+            return ngm.F, ngm.V, ngm.dfe_populations
+        want = _outcome(lambda: _reference_ngm(spec))
+        assert _outcome(float_ngm) == want
+        if ngm is None:
+            errors.append(want[1])
+            continue
+        assert ngm.labels == spec.labels
+        A = ngm.F @ np.linalg.inv(ngm.V)
+        assert (ngm.F * (1.0 / ngm.K)).tobytes() == A.tobytes()
+        assert rc_numeric(ngm).value == float(np.max(np.abs(np.linalg.eigvals(A))))
+    assert "DFE has an empty group; NGM undefined" in errors
+    assert any(e.startswith("closure gives") for e in errors)
+
+
+def test_closure_solves_stay_where_the_tracer_counts_them(monkeypatch, closure_calls):
+    # the NGM, the tune and the probes solve the closures that the
+    # contact_matrix assembly and the per-candidate loop solve, in order,
+    # through model.close_basic / close_risk, which the tracer rebinds to
+    # count mixing.close_calls.  A probe's integrations solve none there:
+    # seed 0 runs them; seeds 1-31 stand them in by spans that end with no
+    # infections (decay confirmed at once, growth run to the horizon cap)
+    def solves(run):
+        closure_calls.clear()
+        out = run()
+        return out, list(closure_calls)
+
+    def reference_ngm(spec):
+        F, V, N = _reference_ngm(spec)
+        return NGMatrices(F=F, V=V, labels=spec.labels, dfe_populations=N)
+
+    def no_infections(spec, y0, cfg, incidence=True):
+        return SimpleNamespace(states=np.zeros((1, 2 * spec.n)), next_step=1.0)
+    for spec0 in _probe_specs():
+        _, want = solves(lambda: _reference_ngm(spec0))
+        assert want == [tuple(dfe(spec0).N.tolist())]
+        assert solves(lambda: build_ngm(spec0))[1] == want
+        m, tune_solves = solves(lambda: tune_multiplier_to_rc(spec0, 0.9))
+        with monkeypatch.context() as patch:
+            patch.setattr(reproduction, "build_ngm", reference_ngm)
+            assert solves(lambda: tune_multiplier_to_rc(spec0, 0.9)) == (m, tune_solves)
+        for spec in (spec0, scale_transmission(spec0, m)):  # growth, decay
+            _, dfe_solve = solves(lambda: _reference_ngm(spec))
+            for seed in range(32):
+                for n_trials in (1, 8):
+                    with monkeypatch.context() as patch:
+                        if seed:
+                            patch.setattr(reproduction, "integrate", no_infections)
+                        report, got = solves(lambda: stability_probe(spec, n_trials, seed))
+                    _, sampled = solves(lambda: _reference_feasible_states(
+                        spec, n_trials, np.random.default_rng(seed)))
+                    assert got == dfe_solve + sampled * (report.regime == "decay")

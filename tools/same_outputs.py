@@ -62,6 +62,13 @@ CONFIGS = {
                                                   "additional_persons": 120000,
                                                   "start_year": 2020}]},
     "start_2017_5.json": {"model": "basic", "horizon": {"start": 2017.5}},
+    # the NGM away from the presets: other betas, priors, and hetf's coverage
+    # and disease mortality
+    "ngm_overrides.json": {"model": "basic",
+                           "overrides": {"probs": {"beta_mm": 0.0011, "beta_mf": 0.00055},
+                                         "mixing_priors": {"eta_msm": 0.8, "alpha_hetf": 0.05},
+                                         "groups": {"hetf": {"epsilon": 0.12,
+                                                             "delta": 0.015}}}},
     # an intervention between whole years: the half-year NNT horizons are
     # not year-aligned, and most of them fall between nodes
     "off_year_2020_25.json": {"model": "basic",
@@ -101,6 +108,7 @@ INVOCATIONS = (
         ["emit-plots", "--config", "off_year_2020_25.json",
          "--series", "baseline,effects,nnt,table"],
         ["nnt", "--config", "off_year_2020_25.json", "--horizon", "0.75"],
+        ["ngm", "--config", "ngm_overrides.json", "--json"],
         # refusals
         ["simulate", "--model", "nosuch"],
         ["spillover", "--model", "risk", "--mode", "exact_delta"],
