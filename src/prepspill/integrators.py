@@ -170,16 +170,17 @@ class Trajectory:
 
     states rows follow the flat layout of the integrated system; the first
     3n columns are the model state (S/I interleaved, then C), any further
-    columns belong to augmented blocks owned by the caller.  An S/I-only run
-    (integrate(..., incidence=False)) has rows of the 2n S/I slots alone,
-    which state_at, final_state, to_csv and annual_series refuse.  A batched
-    integration (integrate_batch) adds a trailing member axis.  next_step is
-    the controller's step after the last accepted one, the first_step of a
-    run that continues this one.  switch_events holds (t, margin name) for
-    each switch of the RHS the run landed on (integrate_flat).  rhs_evals
-    counts RHS evaluations (1, then 6 per attempt) and steps_rejected the
-    attempts the error norm refused; an attempt retried shorter to land on a
-    switch counts 6 evaluations and is neither accepted nor rejected.
+    columns belong to augmented blocks owned by the caller.  An
+    infected-only run (integrate(..., infected_only=True)) has rows of the n
+    I slots alone, which state_at, final_state, to_csv and annual_series
+    refuse.  A batched integration (integrate_batch) adds a trailing member
+    axis.  next_step is the controller's step after the last accepted one,
+    the first_step of a run that continues this one.  switch_events holds
+    (t, margin name) for each switch of the RHS the run landed on
+    (integrate_flat).  rhs_evals counts RHS evaluations (1, then 6 per
+    attempt) and steps_rejected the attempts the error norm refused; an
+    attempt retried shorter to land on a switch counts 6 evaluations and is
+    neither accepted nor rejected.
     """
 
     times: np.ndarray
@@ -221,7 +222,7 @@ class Trajectory:
 
     def model_states(self):
         """The model-state columns of states (S/I interleaved, then C);
-        ValueError for an S/I-only run, which has no C."""
+        ValueError for an infected-only run, which has no C."""
         n = self.n_groups
         if self.states.shape[1] < 3 * n:
             raise ValueError(f"rows of {self.states.shape[1]} slots hold no C for {n} groups")
@@ -395,13 +396,13 @@ def _dp_step_maker(w=None):
     return exec_source(src, f"<dp_step {form}>", namespace)["step"]
 
 
-def _switch_root(margin, a, b, y, y5, k1, k7, h, n, tol):
-    """The theta in (0, 1] at which ``margin`` (a function of the S/I slots)
-    changes sign along the cubic Hermite interpolant of the step (y, y5, k1,
-    k7) of length h over its first n components, given its values a at y
-    and b at y5 on opposite sides of zero: the end on b's side of a bracket
-    narrowed by the Illinois variant of regula falsi (Dahlquist & Bjorck)
-    until it spans at most tol of time."""
+def _switch_root(margin, t, a, b, y, y5, k1, k7, h, n, tol):
+    """The theta in (0, 1] at which ``margin`` (a function of a time and the
+    state's first n components) changes sign along the cubic Hermite
+    interpolant of the step (y, y5, k1, k7) from t of length h, given its
+    values a at (t, y) and b at (t + h, y5) on opposite sides of zero: the
+    end on b's side of a bracket narrowed by the Illinois variant of regula
+    falsi (Dahlquist & Bjorck) until it spans at most tol of time."""
     y, y5 = y[:n], y5[:n]
     lo, hi, fa, fb, side = 0.0, 1.0, a, b, 0
     for _ in range(100):
@@ -413,7 +414,8 @@ def _switch_root(margin, a, b, y, y5, k1, k7, h, n, tol):
         # the Hermite basis at th, the slopes' weights times h
         s, r = th * th, 1.0 - th
         b0, b1, b2, b3 = (1.0 + 2.0 * th) * r * r, th * r * r * h, s * (3.0 - 2.0 * th), -s * r * h
-        v = margin([b0 * p + b1 * q + b2 * u + b3 * w for p, q, u, w in zip(y, k1, y5, k7)])
+        v = margin(t + th * h,
+                   [b0 * p + b1 * q + b2 * u + b3 * w for p, q, u, w in zip(y, k1, y5, k7)])
         if (v > 0.0) == (a > 0.0):
             lo, fa = th, v
             if side < 0:
@@ -430,29 +432,30 @@ def _switch_root(margin, a, b, y, y5, k1, k7, h, n, tol):
 class _SwitchWatch:
     """The switches of one free-stepping scalar run (integrate_flat), for
     the margins named ``names`` (the switches its RHS carries, see
-    model._flat_rhs_maker: ``signs`` and ``margins`` read the first n slots
-    of a state).  Each landing goes to ``events`` as (t, name); a node
-    within tol of a switch is on it."""
+    model._flat_rhs_maker: ``signs`` and ``margins`` read a time and the
+    first n slots of a state, and each call passes the time of the state it
+    evaluates).  Each landing goes to ``events`` as (t, name); a node within
+    tol of a switch is on it."""
 
-    def __init__(self, names, signs, margins, y, n, tol):
+    def __init__(self, names, signs, margins, t, y, n, tol):
         self.names, self.signs, self.margins, self.events = names, signs, margins, []
         self.n, self.tol = n, tol
-        self.m = signs(y)  # the signs at the last accepted node
+        self.m = signs(t, y)  # the signs at the last accepted node
         self.landed = 0  # the bits of the margins whose switch that node is on
         self.pending = None  # the margin the attempts are landing on
         self.resume = None  # the step proposed before it was met
 
-    def shorten(self, y, y5, k1, k7, h, m5):
-        """The step to retry the attempt y -> y5 of length h (signs m5 at
-        y5) with when a margin changes sign along it more than tol before
-        its end: the distance to the first such root.  Else None, and the
-        attempt is judged as it stands."""
+    def shorten(self, t, y, y5, k1, k7, h, m5):
+        """The step to retry the attempt y -> y5 from t of length h (signs
+        m5 at y5) with when a margin changes sign along it more than tol
+        before its end: the distance to the first such root.  Else None,
+        and the attempt is judged as it stands."""
         crossed = (self.m ^ m5) & ~self.landed
         if not crossed:
             return None
-        a, b = self.margins(y), self.margins(y5)
-        th, i = min((_switch_root(lambda u: self.margins(u)[i], a[i], b[i], y, y5, k1, k7, h,
-                                  self.n, self.tol), i)
+        a, b = self.margins(t, y), self.margins(t + h, y5)
+        th, i = min((_switch_root(lambda s, u: self.margins(s, u)[i], t, a[i], b[i], y, y5,
+                                  k1, k7, h, self.n, self.tol), i)
                     for i in range(len(a)) if crossed >> i & 1)
         if th * h <= self.tol:  # the last node is on that switch
             self.landed |= 1 << i
@@ -481,8 +484,9 @@ class _SwitchWatch:
             return proposal
         if not (m ^ m5) >> i & 1:  # short of the switch
             eps = 1e-6 * h
-            b = self.margins(y5)[i]
-            rate = (self.margins([y5[j] + eps * k7[j] for j in range(self.n)])[i] - b) / eps
+            b = self.margins(t, y5)[i]
+            rate = (self.margins(t + eps, [y5[j] + eps * k7[j] for j in range(self.n)])[i]
+                    - b) / eps
             gap = -b / rate if rate else -1.0
             if gap > self.tol:
                 return min(gap, proposal if self.resume is None else self.resume)
@@ -555,7 +559,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     watch, attempts, rejected = None, 0, 0
     if free and isinstance(y, list) and (switches := _switches.get()):
         # a switch nearer than the smallest step allowed is reached
-        watch = _SwitchWatch(*switches, y, n_state, max(tol, cfg.dt_min))
+        watch = _SwitchWatch(*switches, t, y, n_state, max(tol, cfg.dt_min))
         signs = watch.signs
     for target in breaks[1:]:
         sample = free and target != breaks[-1]  # an interior sample time
@@ -567,8 +571,8 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
             ynew, k7, err = step(f, t, y, h, k1, cfg.atol, cfg.rtol)
             attempts += 1
             if watch:
-                m5 = signs(ynew)
-                if m5 != watch.m and (short := watch.shorten(y, ynew, k1, k7, h, m5)):
+                m5 = signs(t + h, ynew)
+                if m5 != watch.m and (short := watch.shorten(t, y, ynew, k1, k7, h, m5)):
                     h = short
                     continue
             if err <= 1.0:
@@ -593,22 +597,24 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     return ts, ys, clamps, h, watch.events if watch else [], 1 + 6 * attempts, rejected
 
 
-def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, incidence=True):
+def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, infected_only=False):
     """Integrate a model from StateVec y0 over the configured window.
 
-    ``tracked_counts`` and ``incidence`` go to the flat RHS
-    (model.flat_rhs_factory); a run at other coverage fractions integrates
-    a copy of the spec (spec.with_epsilon), and runs that must share their
-    steps are the rows of one integrate_batch.  ``incidence=False``
-    integrates only the 2n S/I slots (y0.C unread), for runs that read no
-    incidence: the trajectory's rows are those 2n slots.
+    ``tracked_counts`` goes to the flat RHS (model.flat_rhs_factory); a run
+    at other coverage fractions integrates a copy of the spec
+    (spec.with_epsilon), and runs that must share their steps are the rows
+    of one integrate_batch.  ``infected_only`` integrates only the n I
+    slots of a delta = 0 spec, for runs that read neither S nor incidence:
+    the RHS's N_j(t) is in closed form from y0 at cfg.t0 (the RHS's
+    infected-only form, which flat_rhs_factory(spec, start=(cfg.t0, y0))
+    builds), and the trajectory's rows are those n slots.
     """
-    f = flat_rhs_factory(spec, tracked_counts=tracked_counts, incidence=incidence)
-    y = y0.to_flat()
+    start = (cfg.t0, y0) if infected_only else None
+    f = flat_rhs_factory(spec, tracked_counts=tracked_counts, start=start)
+    y, n_state = (y0.I, spec.n) if infected_only else (y0.to_flat(), 2 * spec.n)
     token = _switches.set(f.switches)
     try:
-        run = integrate_flat(f, y if incidence else y[:2 * spec.n], cfg,
-                             n_state=2 * spec.n, sample_times=sample_times)
+        run = integrate_flat(f, y, cfg, n_state=n_state, sample_times=sample_times)
     finally:
         _switches.reset(token)
     return Trajectory.of(run, spec.labels)

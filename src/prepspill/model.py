@@ -215,7 +215,7 @@ class StateVec:
     @classmethod
     def from_flat(cls, y, n):
         """The state of a row in to_flat's layout (or its leading 3n slots);
-        ValueError for a shorter row, e.g. an S/I-only one with no C."""
+        ValueError for a shorter row, e.g. an infected-only one with no C."""
         if len(y) < 3 * n:
             raise ValueError(f"a row of {len(y)} slots holds no C for {n} groups")
         y = np.asarray(y, dtype=float)
@@ -270,7 +270,7 @@ def dfe(spec):
 # table (as integrators._dp_step_maker unrolls the Dormand-Prince attempt
 # that consumes it over the system width).  The generated source holds only
 # integer indices and fixed names; every value enters through closure cells,
-# which the generated make(spec, counts) reads from the spec.
+# which the generated make(spec, counts, start) reads from the spec.
 # Float-cell rule: every numeric cell of a scalar RHS is a Python float,
 # converted once where make reads it.  One numpy scalar cell makes every
 # returned entry, and so every Dormand-Prince stage, a numpy scalar: the same
@@ -288,8 +288,8 @@ def dfe(spec):
 # ---------------------------------------------------------------------------
 
 @functools.lru_cache(maxsize=None)
-def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
-    """Compile ``make(spec, counts) -> f(t, y)`` for one variant's
+def _flat_rhs_maker(variant, pinned, tracked, mode=None, infected=False):
+    """Compile ``make(spec, counts, start) -> f(t, y)`` for one variant's
     contact-pair table and closure text.  make reads every cell of f from
     the spec (the float-cell rule): Pi<j>, v<j> = mu + delta_j, the contact
     rates a<j>, each pair's transmission probability b<i>, the coverage
@@ -302,10 +302,14 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
     count (cell ``c<j>``, counts[j]; full while S_j <= c_j).  ``mode`` (one
     of MODES, checked first): the spillover system, y going on with one
     (sigma, gamma) block per group, in group order, after the 3n state
-    slots (see prepspill.spillover); None: no blocks.  ``incidence=False``:
-    the S/I-only form, y the 2n S/I slots alone and no accumulator rows
-    inc<j>, its S and I rows the same expressions as in the full form.
-    Blocks need the full, untracked form.
+    slots (see prepspill.spillover); None: no blocks.  ``infected``: the
+    infected-only form of a delta = 0 spec (make refuses any delta_j != 0
+    with a ValueError), y the n I slots alone.  With no disease deaths
+    N_j' = Pi_j - mu N_j, so N_j(t) = Ns_j + d_j e^(-mu (t - t0)) exactly,
+    with Ns_j = Pi_j / mu and d_j = N_j(t0) - Ns_j read from ``start``, the
+    (t0, StateVec) the run starts from; S_j = N_j(t) - I_j, and f returns
+    the I rows alone, as in the full form.  ``f.susceptible(t, y)`` gives
+    those S_j.  Blocks need the full, untracked form.
     The three row forms of the flat RHS keep the arithmetic order of the
     hand-written closures they replaced, and the spillover rows that of the
     numpy kernel, so integrations are unchanged to the last bit.
@@ -315,22 +319,24 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
     unless pinned, the closure's (mixing.SWITCHES, named SWITCH_NAMES), then
     S_j - c_j for each tracked group j, named ``S_<label> - c_<label>``,
     where its coverage reaches 1.  Each changes sign where f switches
-    branch, and f is continuous across every switch.  margins(y) gives them
-    at the S/I slots y[:2n] as a list, signs(y) the int whose bit k is set
-    where margin k is positive.  ``f.switches`` is None for a form with no
-    margin (untracked basic or pinned) and for every spillover form, which
-    no run watches.  Cached: at most 4 * 2**n + 4 sources per variant
-    (4 * 2**n flat: pinned or not, with the C rows or not, by tracked set;
-    4 spillover: pinned or not, by mode).  The source is registered under a
-    name stating its form, e.g. ``<flat_rhs risk practical>`` or
-    ``<flat_rhs basic no-incidence>``.
+    branch, and f is continuous across every switch.  margins(t, y) gives
+    them at time t and the state y (its S/I slots y[:2n], or the I slots of
+    the infected-only form, whose N and S t sets, so that its closure's
+    margins depend on t alone) as a list, signs(t, y) the int whose bit k
+    is set where margin k is positive; a full form's ignore t.
+    ``f.switches`` is None for a form with no margin (untracked basic or
+    pinned) and for every spillover form, which no run watches.  Cached: at
+    most 4 * 2**n + 4 sources per variant (4 * 2**n flat: pinned or not,
+    full or infected-only, by tracked set; 4 spillover: pinned or not, by
+    mode).  The source is registered under a name stating its form, e.g.
+    ``<flat_rhs risk practical>`` or ``<flat_rhs basic infected>``.
     """
     if mode not in (None, *MODES):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "exact_delta" and variant != "basic":
         raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
-    if mode and (tracked or not incidence):
-        raise ValueError("the S/I-only and tracked RHS forms have no spillover blocks")
+    if mode and (tracked or infected):
+        raise ValueError("the infected-only and tracked RHS forms have no spillover blocks")
     var = VARIANTS[variant]
     mixing, n, pairs = var.mixing, len(var.groups), var.mixing.PAIRS
     g = range(n)
@@ -341,11 +347,14 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
 
     def psum(j, x):  # sum over j's partners p of W[j, p] * x(p), term by term
         return " + ".join(f"a{j} * m{i} * b{i} * {x(p)}" for p, i, _ in rows[j])
-    unpack = ", ".join(f"S{j}, I{j}" for j in g) + " = {}"
-    si = f"y[:{2 * n}]" if incidence else "y"  # the S/I-only form gets those slots alone
-    body = [unpack.format(si), *(f"N{j} = S{j} + I{j}" for j in g)]
-    # the margins' body: the same S/I preamble, then each branch's margin
-    watch = [unpack.format(f"y[:{2 * n}]"), *body[1:]]
+    # the state preamble of f and of the margins: S, I and N of each group
+    if infected:  # N in closed form, S what is left of it
+        state = [", ".join(f"I{j}" for j in g) + " = y", "e = exp(-mu * (t - t0))",
+                 *(f"N{j} = Ns{j} + d{j} * e" for j in g), *(f"S{j} = N{j} - I{j}" for j in g)]
+    else:
+        state = [", ".join(f"S{j}, I{j}" for j in g) + f" = y[:{2 * n}]",
+                 *(f"N{j} = S{j} + I{j}" for j in g)]
+    body, watch = list(state), list(state)
     names, margins = (), []
     body += ["if " + " or ".join(f"N{j} <= 0.0" for j in g) + ":",
              f"    raise zero_population(labels, ({Ns}), t)"]
@@ -370,8 +379,9 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
             lam = f"a{j} * (" + " + ".join(
                 f"m{i} * b{i} * I{p} / N{p}" for p, i, _ in row) + ")"
         body.append(f"inc{j} = u{j} * ({lam}) * S{j}")
-    out = [f"Pi{j} - inc{j} - mu * S{j}, inc{j} - v{j} * I{j}" for j in g]
-    out += [f"inc{j}" for j in g] * incidence
+    out = ([f"inc{j} - v{j} * I{j}" for j in g] if infected else
+           [f"Pi{j} - inc{j} - mu * S{j}, inc{j} - v{j} * I{j}" for j in g]
+           + [f"inc{j}" for j in g])
     for k in g if mode else ():
         s, gm, off = [f"s{k}_{j}" for j in g], [f"g{k}_{j}" for j in g], 3 * n + 2 * n * k
         body.append(", ".join(f"{s[j]}, {gm[j]}" for j in g) + f" = y[{off}:{off + 2 * n}]")
@@ -389,10 +399,13 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
             out.append(f"{ds}, {dg}")
     body.append("return [" + ", ".join(out) + "]")
     functions, switches = [("f(t, y)", body)], "None"
+    if infected:
+        functions.append(("susceptible(t, y)",
+                          state + ["return [" + ", ".join(f"S{j}" for j in g) + "]"]))
     if names and not mode:  # no run watches a spillover form
         bits = " | ".join(f"({w} > 0.0) << {k}" for k, w in enumerate(margins))
-        functions += [("signs(y)", watch + [f"return {bits}"]),
-                      ("margins(y)", watch + ["return [" + ", ".join(margins) + "]"])]
+        functions += [("signs(t, y)", watch + [f"return {bits}"]),
+                      ("margins(t, y)", watch + ["return [" + ", ".join(margins) + "]"])]
         switches = "(names, signs, margins)"
     # the cells, each numeric one read from the spec as a Python float,
     # after the defs so that f's lines keep their numbers
@@ -407,25 +420,34 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, incidence=True):
         cells.append(f"{m} = map(float, spec.mixing.pair_fractions())")
     else:
         cells += [f"p_{f} = float(spec.mixing_priors.{f})" for f in mixing.CLOSURE_PRIORS]
-    src = "def make(spec, counts):\n" + "".join(
+    if infected:
+        cells += ["if " + " or ".join(f"g{j}.delta" for j in g) + ":",
+                  "    raise ValueError('the infected-only RHS form needs delta = 0')",
+                  "t0, N = float(start[0]), start[1].N.tolist()"]
+        cells += [f"Ns{j} = Pi{j} / mu" for j in g] + [f"d{j} = N[{j}] - Ns{j}" for j in g]
+    src = "def make(spec, counts, start):\n" + "".join(
         f"    def {head}:\n" + "".join(f"        {line}\n" for line in lines)
         for head, lines in functions)
     src += "".join(f"    {line}\n" for line in cells)
-    src += f"    f.switches = {switches}\n    return f\n"
+    src += f"    f.switches = {switches}\n" + "    f.susceptible = susceptible\n" * infected
+    src += "    return f\n"
     form = [variant] + ["pinned"] * pinned
     form += [f"tracked={','.join(map(str, tracked))}"] * bool(tracked) + [mode] * bool(mode)
-    form += ["no-incidence"] * (not incidence)
-    namespace = dict(CLOSURE_ERRORS, names=names, zero_population=_zero_population)
+    form += ["infected"] * infected
+    namespace = dict(CLOSURE_ERRORS, names=names, zero_population=_zero_population,
+                     exp=math.exp)
     return exec_source(src, f"<flat_rhs {' '.join(form)}>", namespace)["make"]
 
 
-def flat_rhs_factory(spec, tracked_counts=None, mode=None, incidence=True):
+def flat_rhs_factory(spec, tracked_counts=None, mode=None, start=None):
     """Build rhs(t, y) -> list over the flat layout [Sj,Ij interleaved, C...],
     followed, given a spillover ``mode`` (one of MODES), by one block per
     source group in group order: the (sigma, gamma) pairs of every group
-    (see prepspill.spillover).  ``incidence=False`` drops the C slots: the
-    RHS maps the 2n S/I slots to their derivative, each entry the full RHS's
-    bit for bit (no mode).
+    (see prepspill.spillover).  ``start``, a (t0, StateVec) pair, gives the
+    infected-only form of a delta = 0 spec instead (ValueError for any
+    other; no mode): the RHS maps the n I slots to their derivative, its N
+    in closed form from that start state (see _flat_rhs_maker), and
+    rhs.susceptible(t, y) gives the S slots that go with them.
 
     The coverage fractions are the spec's (spec.with_epsilon gives another
     set).  ``tracked_counts`` optionally gives absolute person counts on
@@ -436,8 +458,9 @@ def flat_rhs_factory(spec, tracked_counts=None, mode=None, incidence=True):
     """
     tracked = () if tracked_counts is None else tuple(
         j for j, c in enumerate(tracked_counts) if c)
-    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked, mode, incidence)
-    return make(spec, tracked_counts)
+    make = _flat_rhs_maker(spec.variant, spec.mixing is not None, tracked, mode,
+                           start is not None)
+    return make(spec, tracked_counts, start)
 
 
 def batched_rhs_factory(spec, eps):

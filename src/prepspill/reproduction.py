@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleClosure
 from .integrators import IntegratorConfig, integrate
-from .model import VARIANTS, StateVec, closed_mixing, dfe
+from .model import VARIANTS, StateVec, closed_mixing, dfe, flat_rhs_factory
 
 _AGREE_RTOL = 1e-9
 _IMAG_TOL = 1e-9
@@ -374,10 +374,12 @@ def stability_probe(spec, n_trials=50, seed=0):
     nodes; dt_max = horizon / 8) starting from the step the trial's
     controller proposed at the end of the previous span.  Where no dt_max
     binds, a trial takes the steps of one integration from t = 0 that stops
-    at each horizon.  The verdict reads only the sum of I, so each trial
-    integrates only its 2n S/I slots (integrate(..., incidence=False)), not
-    the cumulative incidence.  ``n_trials`` must be at least 1 in either
-    regime.
+    at each horizon.  The verdict reads only the sum of I, and at delta = 0
+    each N_j(t) is known in closed form, so each trial integrates only its
+    n I slots (integrate(..., infected_only=True)); the S it carries to the
+    next span is N_j(h) - I_j at the span's end h, from the same closed form
+    (the RHS's susceptible(h, I)).  ``n_trials`` must be at least 1 in
+    either regime.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials = {n_trials} must be at least 1")
@@ -399,9 +401,10 @@ def stability_probe(spec, n_trials=50, seed=0):
         for i, y in enumerate(states):
             cfg = IntegratorConfig(t0=t0, t_end=h, rtol=1e-8, atol=1e-8, dt_max=h / 8,
                                    year_nodes=False, first_step=steps[i])
-            traj = integrate(spec, y, cfg, incidence=False)
-            end = traj.states[-1].copy()  # the S/I slots, without the trajectory
-            states[i], steps[i] = StateVec(S=end[0::2], I=end[1::2], C=no_c), traj.next_step
+            traj = integrate(spec, y, cfg, infected_only=True)
+            I = traj.states[-1].copy()  # without the trajectory
+            S = flat_rhs_factory(spec, start=(t0, y)).susceptible(h, I.tolist())
+            states[i], steps[i] = StateVec(S=np.array(S), I=I, C=no_c), traj.next_step
         worst = max((float(np.sum(y.I)) / s if s > 0 else 0.0
                      for y, s in zip(states, start_tot)), default=0.0)
         confirmed = worst < _DECAY_RATIO if regime == "decay" else worst >= _GROWTH_FACTOR

@@ -101,14 +101,16 @@ def test_annual_series_partial_year(basic):
         annual_series(traj)
 
 
-def test_si_only_run_refuses_the_reads_that_need_c(basic):
-    # integrate(..., incidence=False) keeps the 2n S/I slots, which match the
-    # full run's to its tolerance; no read takes them for a 3n model row
+def test_infected_only_run_refuses_the_reads_that_need_s(basic):
+    # integrate(..., infected_only=True) keeps the n I slots of a delta = 0
+    # spec, which match the full run's to its tolerance; no read takes them
+    # for a 3n model row
     spec, y0 = basic
+    spec = spec.with_delta_zero()
     cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
-    traj, full = integrate(spec, y0, cfg, incidence=False), integrate(spec, y0, cfg)
-    assert traj.states.shape == (len(traj.times), 2 * spec.n)
-    assert np.allclose(traj.states[-1], full.states[-1, :2 * spec.n], rtol=1e-6, atol=0.0)
+    traj, full = integrate(spec, y0, cfg, infected_only=True), integrate(spec, y0, cfg)
+    assert traj.states.shape == (len(traj.times), spec.n)
+    assert np.allclose(traj.states[-1], full.states[-1, 1:2 * spec.n:2], rtol=1e-6, atol=0.0)
     for read in (traj.final_state, lambda: traj.state_at(2018.0),
                  lambda: traj.to_csv(io.StringIO()), lambda: annual_series(traj)):
         with pytest.raises(ValueError, match="no C for 3 groups"):
@@ -376,9 +378,9 @@ def test_a_run_builds_its_rhs_cells_once(basic, risk, monkeypatch):
     built = []
 
     def counting(*form):
-        def make(spec, counts):
+        def make(spec, counts, start):
             built.append(spec)
-            return real_make(spec, counts)
+            return real_make(spec, counts, start)
         real_make = real(*form)
         return make
     real = model._flat_rhs_maker
@@ -512,7 +514,7 @@ def test_trajectory_reads_rows_as_np_array_does(basic, risk, monkeypatch):
     # Trajectory.of reads a scalar run's rows (lists of floats) by fromiter
     # and a batch's (arrays) by np.array: either way the states are
     # np.array(rows), in values, dtype, shape and C order.  Runs: flat,
-    # S/I-only, tracked, spillover and a batch
+    # infected-only, tracked, spillover and a batch
     from prepspill import integrators, spillover
     runs = []
 
@@ -527,7 +529,8 @@ def test_trajectory_reads_rows_as_np_array_does(basic, risk, monkeypatch):
     cfg = IntegratorConfig(t0=2017.0, t_end=2021.0)
     eps = spec.param_arrays()[3]
     trajs = [integrate(spec, y0, cfg),
-             integrate(*risk, replace(cfg, year_nodes=False), incidence=False),
+             integrate(risk[0].with_delta_zero(), risk[1], replace(cfg, year_nodes=False),
+                       infected_only=True),
              integrate(spec, y0, cfg, tracked_counts=[50000.0, 0.0, 0.0]),
              integrate_with_spillover(spec, y0, cfg)[0],
              integrate_batch(spec, y0, [eps, 2.0 * eps], cfg)]

@@ -2,12 +2,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import basic_residuals, random_spec, risk_objective, risk_residuals
 from prepspill.errors import InfeasibleClosure
 from prepspill.model import contact_matrix, dfe, flat_rhs_factory
 from prepspill.presets import georgia_risk
-from prepspill.mixing import (BasicMixing, RiskMixing, _risk_projection, _risk_xi_shares,
+from prepspill.mixing import (BasicMixing, RiskMixing, _empty_interval_error, _hetm_deficit,
+                              _risk_projection, _risk_xi_shares, _unit_interval_error,
                               basic_fractions, close_basic, close_basic_batch,
                               close_risk, close_risk_batch, risk_fractions)
 
@@ -394,3 +397,33 @@ def test_risk_priors_refuse_msm_and_hetfh_shares_past_one():
     with pytest.raises(ValueError, match=r"^eta_msm \+ eta_hetfh exceeds 1$"):
         RiskMixing(eta_msm=0.6, eta_hetfh=0.5, alpha_hetfh=0.06, alpha_hetfl=0.01,
                    xi_hetm=0.005)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_ANY = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=st.sampled_from(["alpha_hetf", "eta_msm", "eta_hetfh", "alpha_hetfh",
+                             "alpha_hetfl", "xi_hetm"]),
+       value=_ANY, lo=_ANY, hi=_ANY, t=st.one_of(st.none(), _FINITE),
+       B=st.tuples(_FINITE, _FINITE, st.floats(min_value=1e-300, max_value=1e300)),
+       with_detail=st.booleans())
+def test_closure_errors_format_the_eager_text_property(name, value, lo, hi, t, B,
+                                                       with_detail):
+    # each closure error keeps its numbers and formats its message on str():
+    # the text the eager f-strings gave, and the same t and value
+    def at(t):
+        return "" if t is None else f" at t = {t:.6f}"
+    B1, B2, B3 = B
+    deficit = B3 - (B1 + B2)
+    detail = (f"; contact-volume deficit B_hetm - (B_hh + B_hl) = {deficit:.6g}"
+              f" ({deficit / B3:.3%} of B_hetm)") if with_detail else ""
+    e = (_unit_interval_error(name, value, t, _hetm_deficit(B1, B2, B3)) if with_detail
+         else _unit_interval_error(name, value, t))
+    want = f"closure gives {name} = {value:.6g} outside [0, 1]{detail}{at(t)}"
+    assert isinstance(e, InfeasibleClosure) and e.t is t and e.value is value
+    assert str(e) == str(e) == want
+    e = _empty_interval_error(lo, hi, t)
+    assert e.t is t and e.value is lo
+    assert str(e) == f"empty feasible interval for xi_hetm: [{lo:.6g}, {hi:.6g}]{at(t)}"

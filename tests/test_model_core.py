@@ -1,3 +1,4 @@
+import math
 import traceback
 from dataclasses import replace
 
@@ -92,25 +93,51 @@ def test_flat_rhs_equals_structured_property(seed, variant, pinned, tracked):
     assert np.all(err <= 1e-12 * scale)
 
 
+def _infected_start(rng, spec, pinned):
+    """A delta = 0 copy of ``spec`` (pinned to its priors if ``pinned``), a
+    random start state, a start time t0 and a later time t."""
+    spec = spec.with_delta_zero()
+    if pinned:
+        spec = replace(spec, mixing=spec.mixing_priors)
+    t0 = float(rng.uniform(0.0, 2000.0))
+    return spec, random_state(rng, spec), t0, t0 + float(rng.uniform(0.0, 40.0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
        pinned=st.booleans(), tracked=st.booleans())
-def test_si_only_rhs_is_the_full_rhs_without_c_property(seed, variant, pinned, tracked):
-    # the S/I-only form maps the 2n S/I slots to the full RHS's S and I
-    # entries bit for bit; it has no spillover form
+def test_infected_only_rhs_is_the_full_rhs_at_closed_form_n_property(seed, variant, pinned,
+                                                                    tracked):
+    # the infected-only form of a delta = 0 spec maps the n I slots at t to
+    # the full RHS's I entries at (N(t) - I, I), N_j(t) = Ns_j + (N_j(t0) -
+    # Ns_j) e^(-mu (t - t0)) and Ns_j = Pi_j / mu, to within 1e-14 of the
+    # entry's terms, inc_j + mu I_j (measured: 1.6e-15 over 3,000 draws);
+    # it refuses a spec with disease deaths, and has no spillover form
     rng = np.random.default_rng(seed)
-    spec = random_spec(rng, variant)
-    state = random_state(rng, spec)
-    if pinned:
-        spec = replace(spec, mixing=spec.mixing_priors)
+    spec0 = random_spec(rng, variant)
+    spec, state, t0, t = _infected_start(rng, spec0, pinned)
     counts = list(state.S * rng.uniform(0.0, 1.5, spec.n)
                   * rng.integers(0, 2, spec.n)) if tracked else None
-    y = state.to_flat().tolist()
-    full = flat_rhs_factory(spec, tracked_counts=counts)(0.0, y)
-    si = flat_rhs_factory(spec, tracked_counts=counts, incidence=False)(0.0, y[:2 * spec.n])
-    assert [v.hex() for v in si] == [v.hex() for v in full[:2 * spec.n]]
+    f = flat_rhs_factory(spec, tracked_counts=counts, start=(t0, state))
+    I = (state.I * rng.uniform(0.5, 1.5, spec.n)).tolist()
+    S = f.susceptible(t, I)
+    Ns = spec.param_arrays()[0] / spec.mu
+    N = Ns + (state.N - Ns) * math.exp(-spec.mu * (t - t0))
+    assert S == (N - I).tolist()
+    y = StateVec(S=np.array(S), I=np.array(I), C=np.zeros(spec.n)).to_flat().tolist()
+    try:
+        full = flat_rhs_factory(spec, tracked_counts=counts)(t, y)
+    except PrepspillError as e:
+        with pytest.raises(type(e)):
+            f(t, I)
+        return
+    got = f(t, I)
+    scale = np.abs(full[2 * spec.n:]) + spec.mu * np.array(I)
+    assert np.all(np.abs(np.subtract(got, full[1:2 * spec.n:2])) <= 1e-14 * scale)
+    with pytest.raises(ValueError, match="^the infected-only RHS form needs delta = 0$"):
+        flat_rhs_factory(spec0, start=(t0, state))
     with pytest.raises(ValueError, match="no spillover"):
-        flat_rhs_factory(spec, mode="practical", incidence=False)
+        flat_rhs_factory(spec, mode="practical", start=(t0, state))
 
 
 @settings(max_examples=100, deadline=None)
@@ -412,24 +439,37 @@ def test_float_cells_keep_the_arithmetic(variant):
 @settings(max_examples=100, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), variant=st.sampled_from(["basic", "risk"]),
        pinned=st.booleans(), tracked=st.booleans(),
-       form=st.sampled_from(["full", "si-only", "spillover"]))
+       form=st.sampled_from(["full", "infected", "spillover"]))
 def test_margins_agree_with_their_rhs_property(seed, variant, pinned, tracked, form):
     # the margins an RHS carries: the closure's (unless pinned), then
     # S_j - c_j for a tracked group, whose sign is that group's coverage
-    # branch; none on a form without them, and none on a spillover form
+    # branch; none on a form without them, and none on a spillover form.
+    # The infected-only form's margins at (t, I) are the full form's at the
+    # row (N(t) - I, I), up to rounding in N (within 1e-14 of the larger of
+    # 1 and the margin; measured: 7.3e-16 over 3,000 draws), with the same
+    # signs
     rng = np.random.default_rng(seed)
     spec = random_spec(rng, variant)
-    state = random_state(rng, spec)
-    if pinned:
-        spec = replace(spec, mixing=spec.mixing_priors)
+    if form == "infected":
+        spec, state, t0, t = _infected_start(rng, spec, pinned)
+        I = state.I.tolist()
+        S = flat_rhs_factory(spec, start=(t0, state)).susceptible(t, I)
+        row = StateVec(S=np.array(S), I=state.I, C=state.C).to_flat().tolist()
+    else:
+        state, t = random_state(rng, spec), float(rng.uniform(0.0, 2000.0))
+        if pinned:
+            spec = replace(spec, mixing=spec.mixing_priors)
+        row = state.to_flat().tolist()
     n, tracked = spec.n, tracked and form != "spillover"
     k = int(rng.integers(n))
     counts = None
     if tracked:  # the count below, at or above the pool
         counts = [0.0] * n
-        counts[k] = float(state.S[k] * rng.choice([rng.uniform(0.0, 1.5), 1.0]))
+        counts[k] = float(row[2 * k] * rng.choice([rng.uniform(0.0, 1.5), 1.0]))
+    full = flat_rhs_factory(spec, tracked_counts=counts)
     f = (flat_rhs_factory(spec, mode="practical") if form == "spillover" else
-         flat_rhs_factory(spec, tracked_counts=counts, incidence=form == "full"))
+         flat_rhs_factory(spec, tracked_counts=counts, start=(t0, state))
+         if form == "infected" else full)
     names = (() if pinned else VARIANTS[variant].mixing.SWITCH_NAMES) + (
         (f"S_{spec.labels[k]} - c_{spec.labels[k]}",) if tracked else ())
     if form == "spillover" or not names:
@@ -437,13 +477,18 @@ def test_margins_agree_with_their_rhs_property(seed, variant, pinned, tracked, f
         return
     got, signs, margins = f.switches
     assert got == names
-    y = state.to_flat().tolist()[:3 * n if form == "full" else 2 * n]
-    w = margins(y)
+    y = I if form == "infected" else row
+    w = margins(t, y)
     assert len(w) == len(names)
-    assert signs(y) == sum((m > 0.0) << i for i, m in enumerate(w))
+    assert signs(t, y) == sum((m > 0.0) << i for i, m in enumerate(w))
+    if form == "infected":
+        _, full_signs, full_margins = full.switches
+        wf = full_margins(t, row)
+        assert all(abs(a - b) <= 1e-14 * max(1.0, abs(b)) for a, b in zip(w, wf))
+        assert signs(t, y) == full_signs(t, row)
     if tracked:
-        assert w[-1] == y[2 * k] - counts[k]
-        inc = flat_rhs_factory(spec, tracked_counts=counts)(0.0, state.to_flat().tolist())
+        assert w[-1] == row[2 * k] - counts[k]
+        inc = full(t, row)
         assert (w[-1] <= 0.0) == (inc[2 * n + k] == 0.0)
 
 
@@ -518,7 +563,7 @@ def test_generated_rhs_traceback_shows_its_source(basic, mode, name):
      "^exact_delta mode is derived for the basic variant only$"),
     ("basic", {"mode": "nosuch"}, ValueError, "^unknown mode 'nosuch'$"),
     ("risk", {"mode": "nosuch"}, ValueError, "^unknown mode 'nosuch'$"),
-    ("basic", {"mode": "practical", "incidence": False}, ValueError, "no spillover blocks"),
+    ("basic", {"mode": "practical", "start": (0.0, None)}, ValueError, "no spillover blocks"),
     ("basic", {"mode": "exact_delta", "tracked_counts": [1e3, 0.0, 0.0]}, ValueError,
      "no spillover blocks"),
 ], ids=["exact-delta-risk", "unknown-mode", "unknown-mode-risk", "no-incidence", "tracked"])

@@ -743,7 +743,7 @@ def test_risk_arms_land_on_their_switch(monkeypatch, caplog):
         names, _, margins = flat_rhs_factory(spec).switches
         (t, name), = traj.switch_events
         assert name == "lo - x" and 2027.2 < t < 2027.3
-        _lands_on(traj, t, lambda row: margins(row.tolist())[names.index(name)])
+        _lands_on(traj, t, lambda row: margins(t, row.tolist())[names.index(name)])
     landings = [r.getMessage() for r in caplog.records if "landed on switch" in r.getMessage()]
     assert len(landings) == 12 and landings[0].startswith("landed on switch lo - x at t=2027.2")
 

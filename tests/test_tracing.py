@@ -205,7 +205,7 @@ def test_traced_probes_pass_every_span_through_integrate_flat(monkeypatch):
     assert len(flat) == len(calls) > 2
     assert [(s["rhs_evals"], s["accepted"], s["rejected"]) for s in flat] == [
         (1 + 6 * n, acc, n - acc) for n, acc in calls]
-    assert all(s["kind"] == "model" and s["dim"] == 2 * spec0.n for s in flat)
+    assert all(s["kind"] == "model" and s["dim"] == spec0.n for s in flat)
     m = tracing.layer_metrics(tracer)
     assert m["model.rhs_evals"] == sum(1 + 6 * n for n, _ in calls)
     assert m["reproduction.probe_model_years"] == sum(r.n_trials * r.horizon for r in reports)
