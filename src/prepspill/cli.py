@@ -248,6 +248,9 @@ def main(argv=None):
     except BrokenPipeError:  # the reader closed stdout: devnull takes the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except OSError as e:  # e.g. an --out path that is a file
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -52,7 +52,7 @@ log = logging.getLogger(__name__)
 # Times this close to a stored node are that node (lookups, breakpoint merging).
 NODE_TOL = 1e-9
 
-# The switching margins of the scalar run integrate() is making: the
+# The switching margins of the scalar run integrate_rhs is making: the
 # switches attribute of the run's RHS (model._flat_rhs_maker: names, signs
 # and margins, or None).  integrate_flat reads them here, not from its f or
 # as a parameter, because the wrappers that count its work
@@ -170,17 +170,14 @@ class Trajectory:
 
     states rows follow the flat layout of the integrated system; the first
     3n columns are the model state (S/I interleaved, then C), any further
-    columns belong to augmented blocks owned by the caller.  An
-    infected-only run (integrate(..., infected_only=True)) has rows of the n
-    I slots alone, which state_at, final_state, to_csv and annual_series
-    refuse.  A batched integration (integrate_batch) adds a trailing member
-    axis.  next_step is the controller's step after the last accepted one,
-    the first_step of a run that continues this one.  switch_events holds
-    (t, margin name) for each switch of the RHS the run landed on
-    (integrate_flat).  rhs_evals counts RHS evaluations (1, then 6 per
-    attempt) and steps_rejected the attempts the error norm refused; an
-    attempt retried shorter to land on a switch counts 6 evaluations and is
-    neither accepted nor rejected.
+    columns belong to augmented blocks owned by the caller.  A batched
+    integration (integrate_batch) adds a trailing member axis.  next_step
+    is the controller's step after the last accepted one, the first_step of
+    a run that continues this one.  switch_events holds (t, margin name) for
+    each switch of the RHS the run landed on (integrate_flat).  rhs_evals
+    counts RHS evaluations (1, then 6 per attempt) and steps_rejected the
+    attempts the error norm refused; an attempt retried shorter to land on
+    a switch counts 6 evaluations and is neither accepted nor rejected.
     """
 
     times: np.ndarray
@@ -221,12 +218,8 @@ class Trajectory:
         return StateVec.from_flat(self.states[-1], self.n_groups)
 
     def model_states(self):
-        """The model-state columns of states (S/I interleaved, then C);
-        ValueError for an infected-only run, which has no C."""
-        n = self.n_groups
-        if self.states.shape[1] < 3 * n:
-            raise ValueError(f"rows of {self.states.shape[1]} slots hold no C for {n} groups")
-        return self.states[:, :3 * n]
+        """The model-state columns of states (S/I interleaved, then C)."""
+        return self.states[:, :3 * self.n_groups]
 
     def to_csv(self, path_or_file):
         header = ["t"]
@@ -522,15 +515,14 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     dt_max), so a node to read does not shrink the steps after it.  Landing
     on t_end takes no such rule: next_step is the plain proposal.
     A free-stepping scalar run lands on the switches of the margins that
-    its RHS carries, which integrate() hands it (see _switches): each attempt
-    evaluates them at y5, and when one changes sign, the attempt is retried
-    from the same start with h shortened to its root on the step's cubic
-    Hermite interpolant (no further RHS evaluation, no rejection).  The
-    retry is judged by the error norm as any attempt; one that stops short
-    of the switch is followed by a step of the distance left at the
+    its RHS carries, which integrate_rhs hands it (see _switches): each
+    attempt evaluates them at y5, and when one changes sign, the attempt is
+    retried from the same start with h shortened to its root on the step's
+    cubic Hermite interpolant (no further RHS evaluation, no rejection).
+    The retry is judged by the error norm as any attempt; one that stops
+    short of the switch is followed by a step of the distance left at the
     margin's rate, until a node is within the node tolerance (or dt_min,
-    if larger) of it.  A
-    landing keeps FSAL (the RHS is continuous across a switch, so k7 is f
+    if larger) of it.  A landing keeps FSAL (the RHS is continuous across a switch, so k7 is f
     there), is recorded as (t, name) and logged at INFO, and the run goes on
     with the step proposed before the switch was met; the next attempts do
     not look at that margin until one is accepted.
@@ -597,27 +589,28 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     return ts, ys, clamps, h, watch.events if watch else [], 1 + 6 * attempts, rejected
 
 
-def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None, infected_only=False):
+def integrate_rhs(f, y0, cfg, n_state, sample_times=None):
+    """integrate_flat on a scalar RHS that model.flat_rhs_factory generated,
+    landing on the switches it carries (f.switches, handed over through
+    _switches).  Returns integrate_flat's record of the run."""
+    token = _switches.set(f.switches)
+    try:
+        return integrate_flat(f, y0, cfg, n_state=n_state, sample_times=sample_times)
+    finally:
+        _switches.reset(token)
+
+
+def integrate(spec, y0, cfg, sample_times=None, tracked_counts=None):
     """Integrate a model from StateVec y0 over the configured window.
 
     ``tracked_counts`` goes to the flat RHS (model.flat_rhs_factory); a run
     at other coverage fractions integrates a copy of the spec
     (spec.with_epsilon), and runs that must share their steps are the rows
-    of one integrate_batch.  ``infected_only`` integrates only the n I
-    slots of a delta = 0 spec, for runs that read neither S nor incidence:
-    the RHS's N_j(t) is in closed form from y0 at cfg.t0 (the RHS's
-    infected-only form, which flat_rhs_factory(spec, start=(cfg.t0, y0))
-    builds), and the trajectory's rows are those n slots.
+    of one integrate_batch.
     """
-    start = (cfg.t0, y0) if infected_only else None
-    f = flat_rhs_factory(spec, tracked_counts=tracked_counts, start=start)
-    y, n_state = (y0.I, spec.n) if infected_only else (y0.to_flat(), 2 * spec.n)
-    token = _switches.set(f.switches)
-    try:
-        run = integrate_flat(f, y, cfg, n_state=n_state, sample_times=sample_times)
-    finally:
-        _switches.reset(token)
-    return Trajectory.of(run, spec.labels)
+    f = flat_rhs_factory(spec, tracked_counts=tracked_counts)
+    return Trajectory.of(integrate_rhs(f, y0.to_flat(), cfg, 2 * spec.n, sample_times),
+                         spec.labels)
 
 
 def integrate_batch(spec, y0, eps, cfg, sample_times=None):

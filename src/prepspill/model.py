@@ -189,9 +189,14 @@ class StateVec:
 
     @classmethod
     def make(cls, S, I, C=None):
+        """The state of S, I and C (zeros if None), one entry per group;
+        ValueError unless their lengths agree and every count is finite
+        and nonnegative."""
         S = np.asarray(S, dtype=float)
         I = np.asarray(I, dtype=float)
         C = np.zeros_like(S) if C is None else np.asarray(C, dtype=float)
+        if not len(S) == len(I) == len(C):
+            raise ValueError(f"S, I and C have lengths {len(S)}, {len(I)} and {len(C)}")
         counts = S.tolist() + I.tolist() + C.tolist()  # floats check faster than arrays
         if not all(map(math.isfinite, counts)):
             raise ValueError("compartment populations must be finite")
@@ -214,10 +219,7 @@ class StateVec:
 
     @classmethod
     def from_flat(cls, y, n):
-        """The state of a row in to_flat's layout (or its leading 3n slots);
-        ValueError for a shorter row, e.g. an infected-only one with no C."""
-        if len(y) < 3 * n:
-            raise ValueError(f"a row of {len(y)} slots holds no C for {n} groups")
+        """The state of a row in to_flat's layout (or its leading 3n slots)."""
         y = np.asarray(y, dtype=float)
         return cls(S=y[0:2 * n:2].copy(), I=y[1:2 * n:2].copy(), C=y[2 * n:3 * n].copy())
 
@@ -306,10 +308,10 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, infected=False):
     infected-only form of a delta = 0 spec (make refuses any delta_j != 0
     with a ValueError), y the n I slots alone.  With no disease deaths
     N_j' = Pi_j - mu N_j, so N_j(t) = Ns_j + d_j e^(-mu (t - t0)) exactly,
-    with Ns_j = Pi_j / mu and d_j = N_j(t0) - Ns_j read from ``start``, the
-    (t0, StateVec) the run starts from; S_j = N_j(t) - I_j, and f returns
-    the I rows alone, as in the full form.  ``f.susceptible(t, y)`` gives
-    those S_j.  Blocks need the full, untracked form.
+    with Ns_j = Pi_j / mu and d_j = N_j(t0) - Ns_j read from ``start``, a
+    (t0, StateVec) pair, at every t before or after t0; S_j = N_j(t) - I_j,
+    and f returns the I rows alone, as in the full form.  Blocks need the
+    full, untracked form.
     The three row forms of the flat RHS keep the arithmetic order of the
     hand-written closures they replaced, and the spillover rows that of the
     numpy kernel, so integrations are unchanged to the last bit.
@@ -347,7 +349,7 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, infected=False):
 
     def psum(j, x):  # sum over j's partners p of W[j, p] * x(p), term by term
         return " + ".join(f"a{j} * m{i} * b{i} * {x(p)}" for p, i, _ in rows[j])
-    # the state preamble of f and of the margins: S, I and N of each group
+    # the state preamble of f and of its margins: S, I and N of each group
     if infected:  # N in closed form, S what is left of it
         state = [", ".join(f"I{j}" for j in g) + " = y", "e = exp(-mu * (t - t0))",
                  *(f"N{j} = Ns{j} + d{j} * e" for j in g), *(f"S{j} = N{j} - I{j}" for j in g)]
@@ -399,9 +401,6 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, infected=False):
             out.append(f"{ds}, {dg}")
     body.append("return [" + ", ".join(out) + "]")
     functions, switches = [("f(t, y)", body)], "None"
-    if infected:
-        functions.append(("susceptible(t, y)",
-                          state + ["return [" + ", ".join(f"S{j}" for j in g) + "]"]))
     if names and not mode:  # no run watches a spillover form
         bits = " | ".join(f"({w} > 0.0) << {k}" for k, w in enumerate(margins))
         functions += [("signs(t, y)", watch + [f"return {bits}"]),
@@ -429,8 +428,7 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, infected=False):
         f"    def {head}:\n" + "".join(f"        {line}\n" for line in lines)
         for head, lines in functions)
     src += "".join(f"    {line}\n" for line in cells)
-    src += f"    f.switches = {switches}\n" + "    f.susceptible = susceptible\n" * infected
-    src += "    return f\n"
+    src += f"    f.switches = {switches}\n    return f\n"
     form = [variant] + ["pinned"] * pinned
     form += [f"tracked={','.join(map(str, tracked))}"] * bool(tracked) + [mode] * bool(mode)
     form += ["infected"] * infected
@@ -445,9 +443,8 @@ def flat_rhs_factory(spec, tracked_counts=None, mode=None, start=None):
     source group in group order: the (sigma, gamma) pairs of every group
     (see prepspill.spillover).  ``start``, a (t0, StateVec) pair, gives the
     infected-only form of a delta = 0 spec instead (ValueError for any
-    other; no mode): the RHS maps the n I slots to their derivative, its N
-    in closed form from that start state (see _flat_rhs_maker), and
-    rhs.susceptible(t, y) gives the S slots that go with them.
+    other; no mode): the RHS maps the n I slots to their derivative at any
+    t, its N in closed form from that start state (see _flat_rhs_maker).
 
     The coverage fractions are the spec's (spec.with_epsilon gives another
     set).  ``tracked_counts`` optionally gives absolute person counts on
@@ -465,17 +462,20 @@ def flat_rhs_factory(spec, tracked_counts=None, mode=None, start=None):
 
 def batched_rhs_factory(spec, eps):
     """The flat RHS of a batch of models differing only in coverage (``eps``
-    (B, n), whose first entry outside GroupParams' range [0, 1] in row
-    order, NaN included, is refused with a ValueError): rhs(t, y) maps the
-    (3n, B) state (or its rows) to one (3n, B) derivative; failures name
-    the first failing member (.member).  Each step is one ufunc call over
-    the groups (n, B) or pairs (pairs, B), in the scalar row forms: pair i
-    of group j adds (m_i * c_i * I_p) / N_p, summed in partner order (PAIRS
-    lists pairs by (j, p)) and times A_j, where (c_i, A_j) is (b_i, a_j) in
-    a general row, (1, a_j * b) with one beta and (a_j * b, 1) for a lone
-    pair (m_i = 1).  Products by 1 are exact, so each member's derivative is
-    the scalar one bit for bit."""
+    (B, n); ValueError naming its shape for any other, then for its first
+    entry outside GroupParams' range [0, 1] in row order, NaN included):
+    rhs(t, y) maps the (3n, B) state (or its rows) to one (3n, B)
+    derivative; failures name the first failing member (.member).  Each
+    step is one ufunc call over the groups (n, B) or pairs (pairs, B), in
+    the scalar row forms: pair i of group j adds (m_i * c_i * I_p) / N_p,
+    summed in partner order (PAIRS lists pairs by (j, p)) and times A_j,
+    where (c_i, A_j) is (b_i, a_j) in a general row, (1, a_j * b) with one
+    beta and (a_j * b, 1) for a lone pair (m_i = 1).  Products by 1 are
+    exact, so each member's derivative is the scalar one bit for bit."""
     eps = np.array(eps, dtype=float)
+    if eps.ndim != 2 or eps.shape[1] != spec.n:
+        raise ValueError(f"eps of shape {eps.shape} is not (B, {spec.n}): each row needs "
+                         "one coverage fraction per group")
     for e in eps.ravel().tolist():
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"epsilon = {e} outside [0, 1]")

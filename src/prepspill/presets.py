@@ -98,12 +98,6 @@ TABLE_RISK_INTERVENTIONS = {
     ("hetm", 50000): {"total": 29591.0, "prevented": 53.0},
 }
 
-# Qualitative surveillance bands for the 2017-2020 burn-in (plot-data sanity
-# checks; the underlying anchors are read off charts, not tabulated).
-PREVALENCE_ANCHOR_2017 = {"basic": 63700.0, "risk": 63700.0}  # total PWH at t0
-PREVALENCE_BAND = (0.85, 1.30)     # acceptable multiple of the anchor through 2020
-ANNUAL_INCIDENCE_BAND = (1800.0, 3200.0)  # total new infections/year, 2017-2019
-
 
 @dataclass(frozen=True)
 class Study:

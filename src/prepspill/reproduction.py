@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleClosure
-from .integrators import IntegratorConfig, integrate
+from .integrators import IntegratorConfig, integrate_rhs
 from .model import VARIANTS, StateVec, closed_mixing, dfe, flat_rhs_factory
 
 _AGREE_RTOL = 1e-9
@@ -376,10 +376,9 @@ def stability_probe(spec, n_trials=50, seed=0):
     binds, a trial takes the steps of one integration from t = 0 that stops
     at each horizon.  The verdict reads only the sum of I, and at delta = 0
     each N_j(t) is known in closed form, so each trial integrates only its
-    n I slots (integrate(..., infected_only=True)); the S it carries to the
-    next span is N_j(h) - I_j at the span's end h, from the same closed form
-    (the RHS's susceptible(h, I)).  ``n_trials`` must be at least 1 in
-    either regime.
+    n I slots, on one RHS built once from its state at t = 0 (the
+    infected-only form of model.flat_rhs_factory), and carries only its I
+    to the next span.  ``n_trials`` must be at least 1 in either regime.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials = {n_trials} must be at least 1")
@@ -395,18 +394,17 @@ def stability_probe(spec, n_trials=50, seed=0):
         I0 = np.full(spec.n, 1.0)
         states = [StateVec.make(dfe(spec).S - I0, I0)]
     start_tot = [float(np.sum(y.I)) for y in states]
-    steps, no_c = [None] * len(states), np.zeros(spec.n)
+    rhs = [flat_rhs_factory(spec, start=(0.0, y)) for y in states]
+    rows, steps = [y.I for y in states], [None] * len(states)
     t0 = 0.0
     while True:
-        for i, y in enumerate(states):
+        for i, f in enumerate(rhs):
             cfg = IntegratorConfig(t0=t0, t_end=h, rtol=1e-8, atol=1e-8, dt_max=h / 8,
                                    year_nodes=False, first_step=steps[i])
-            traj = integrate(spec, y, cfg, infected_only=True)
-            I = traj.states[-1].copy()  # without the trajectory
-            S = flat_rhs_factory(spec, start=(t0, y)).susceptible(h, I.tolist())
-            states[i], steps[i] = StateVec(S=np.array(S), I=I, C=no_c), traj.next_step
-        worst = max((float(np.sum(y.I)) / s if s > 0 else 0.0
-                     for y, s in zip(states, start_tot)), default=0.0)
+            run = integrate_rhs(f, rows[i], cfg, spec.n)
+            rows[i], steps[i] = run[1][-1], run[3]
+        worst = max((float(np.sum(I)) / s if s > 0 else 0.0
+                     for I, s in zip(rows, start_tot)), default=0.0)
         confirmed = worst < _DECAY_RATIO if regime == "decay" else worst >= _GROWTH_FACTOR
         if confirmed or h >= _HORIZON_CAP:
             return StabilityProbeReport(

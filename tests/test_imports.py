@@ -4,9 +4,9 @@ A module that stops using a name after a refactor should stop importing
 it.  Names a module imports only so that others can find or rebind them
 there (the benchmark's tracer does) sit on an import line marked
 ``# noqa: F401``; the package's __init__ re-exports its public names.
-Likewise a function, class or method that nothing in the package refers
-to, and that __init__ does not export, should go, unless it is listed in
-UNREFERENCED_KEPT with the reason it stays."""
+Likewise a function, class, method or module-level constant that nothing
+in the package refers to, and that __init__ does not export, should go,
+unless it is listed in UNREFERENCED_KEPT with the reason it stays."""
 
 import ast
 from pathlib import Path
@@ -51,15 +51,15 @@ UNREFERENCED_KEPT = {"model.ModelSpec.with_delta_zero", "sobol.coverage_model_fn
 
 
 def unreferenced_definitions(src):
-    """The top-level functions and classes, and the methods (dunders aside),
-    of the package at ``src`` that no code in it names, reads as an
-    attribute or spells as a whole string literal, and that __init__ does
-    not export, as module.name or module.Class.method."""
+    """The top-level functions, classes and constants, and the methods
+    (dunders aside), of the package at ``src`` that no code in it reads by
+    name or as an attribute or spells as a whole string literal, and that
+    __init__ does not export, as module.name or module.Class.method."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
     referred, exported = set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 referred.add(node.id)
             elif isinstance(node, ast.Attribute):
                 referred.add(node.attr)
@@ -71,6 +71,11 @@ def unreferenced_definitions(src):
     defs, found = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef), []
     for module, tree in trees.items():
         for node in tree.body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                found += [f"{module}.{name.id}" for t in targets for name in ast.walk(t)
+                          if isinstance(name, ast.Name) and not name.id.startswith("__")
+                          and name.id not in referred | exported]
             if not isinstance(node, defs):
                 continue
             if node.name not in referred | exported:

@@ -101,22 +101,6 @@ def test_annual_series_partial_year(basic):
         annual_series(traj)
 
 
-def test_infected_only_run_refuses_the_reads_that_need_s(basic):
-    # integrate(..., infected_only=True) keeps the n I slots of a delta = 0
-    # spec, which match the full run's to its tolerance; no read takes them
-    # for a 3n model row
-    spec, y0 = basic
-    spec = spec.with_delta_zero()
-    cfg = IntegratorConfig(t0=2017.0, t_end=2019.0)
-    traj, full = integrate(spec, y0, cfg, infected_only=True), integrate(spec, y0, cfg)
-    assert traj.states.shape == (len(traj.times), spec.n)
-    assert np.allclose(traj.states[-1], full.states[-1, 1:2 * spec.n:2], rtol=1e-6, atol=0.0)
-    for read in (traj.final_state, lambda: traj.state_at(2018.0),
-                 lambda: traj.to_csv(io.StringIO()), lambda: annual_series(traj)):
-        with pytest.raises(ValueError, match="no C for 3 groups"):
-            read()
-
-
 def test_year_boundaries_are_exact_nodes(baseline_basic):
     for y in range(2017, 2032):
         assert baseline_basic.index_of(float(y)) is not None
@@ -294,6 +278,20 @@ def test_batch_needs_a_member(basic):
         integrate_batch(*basic, np.empty((0, 3)), cfg)
 
 
+@pytest.mark.parametrize("eps", [[[0.1]], [[0.1, 0.2, 0.3, 0.4]], [[2.0]], [[[0.1, 0.2, 0.3]]]],
+                         ids=["one", "four", "one-out-of-range", "three-d"])
+def test_batch_refuses_coverage_rows_of_another_width(basic, eps):
+    # a (B, n) eps only: a row of one entry is not broadcast to every group,
+    # and the shape is checked before the range
+    spec, y0 = basic
+    cfg = IntegratorConfig(t0=2017.0, t_end=2018.0)
+    shape = np.shape(eps)
+    with pytest.raises(ValueError) as batch:
+        integrate_batch(spec, y0, eps, cfg)
+    assert str(batch.value) == (f"eps of shape {shape} is not (B, 3): each row needs one "
+                                "coverage fraction per group")
+
+
 @pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
 def test_batch_refuses_coverage_outside_unit_interval_as_scalar(basic, bad):
     # a batch refuses the coverage that a scalar run's spec copy
@@ -399,13 +397,19 @@ def test_free_and_spillover_runs_start_at_a_hundredth(basic, monkeypatch):
     # scenario arms start with the baseline's step at their start node;
     # probe spans and the spillover system keep the 1e-2 start
     from prepspill import reproduction, scenarios
-    runs = []
-    for module in (scenarios, reproduction):
-        def spy(spec, y0, cfg, *args, _real=module.integrate, **kwargs):
-            traj = _real(spec, y0, cfg, *args, **kwargs)
-            runs.append((cfg, traj))
-            return traj
-        monkeypatch.setattr(module, "integrate", spy)
+    runs, spans = [], []
+
+    def spy(spec, y0, cfg, *args, _real=scenarios.integrate, **kwargs):
+        traj = _real(spec, y0, cfg, *args, **kwargs)
+        runs.append((cfg, traj))
+        return traj
+
+    def span_spy(*args, _real=reproduction.integrate_rhs, **kwargs):
+        run = _real(*args, **kwargs)
+        spans.append(run[0])  # its times
+        return run
+    monkeypatch.setattr(scenarios, "integrate", spy)
+    monkeypatch.setattr(reproduction, "integrate_rhs", span_spy)
     scenarios.run_scenarios(scenarios.default_config("basic"))
     base = runs[0][1]
     arms = [(cfg, traj) for cfg, traj in runs if not cfg.year_nodes]
@@ -415,13 +419,12 @@ def test_free_and_spillover_runs_start_at_a_hundredth(basic, monkeypatch):
     for cfg, traj in arms:
         assert cfg.first_step == base.times[i] - base.times[i - 1]
         assert traj.times[1] == traj.times[0] + cfg.first_step
-    runs.clear()
     reproduction.stability_probe(basic[0].with_delta_zero(), n_trials=1, seed=2)
-    spans = [runs[0][1]]  # the later spans start from the controller's carried step
     spec, y0 = basic
     joint, _ = integrate_with_spillover(spec, y0, IntegratorConfig(t0=2020.0, t_end=2022.0))
-    for traj in spans + [joint]:
-        assert traj.times[1] == traj.times[0] + 0.01
+    # the later spans start from the controller's carried step
+    for times in (spans[0], joint.times):
+        assert times[1] == times[0] + 0.01
 
 
 def _kinked_run(monkeypatch, year_nodes):
@@ -510,11 +513,11 @@ def test_trajectory_csv(baseline_basic):
     assert len(lines) == len(baseline_basic.times) + 1
 
 
-def test_trajectory_reads_rows_as_np_array_does(basic, risk, monkeypatch):
+def test_trajectory_reads_rows_as_np_array_does(basic, monkeypatch):
     # Trajectory.of reads a scalar run's rows (lists of floats) by fromiter
     # and a batch's (arrays) by np.array: either way the states are
     # np.array(rows), in values, dtype, shape and C order.  Runs: flat,
-    # infected-only, tracked, spillover and a batch
+    # tracked, spillover and a batch
     from prepspill import integrators, spillover
     runs = []
 
@@ -529,8 +532,6 @@ def test_trajectory_reads_rows_as_np_array_does(basic, risk, monkeypatch):
     cfg = IntegratorConfig(t0=2017.0, t_end=2021.0)
     eps = spec.param_arrays()[3]
     trajs = [integrate(spec, y0, cfg),
-             integrate(risk[0].with_delta_zero(), risk[1], replace(cfg, year_nodes=False),
-                       infected_only=True),
              integrate(spec, y0, cfg, tracked_counts=[50000.0, 0.0, 0.0]),
              integrate_with_spillover(spec, y0, cfg)[0],
              integrate_batch(spec, y0, [eps, 2.0 * eps], cfg)]

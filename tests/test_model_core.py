@@ -93,6 +93,13 @@ def test_flat_rhs_equals_structured_property(seed, variant, pinned, tracked):
     assert np.all(err <= 1e-12 * scale)
 
 
+def _closed_form_s(spec, state, t0, t, I):
+    """S_j = N_j(t) - I_j, N_j(t) = Ns_j + (N_j(t0) - Ns_j) e^(-mu (t - t0))
+    and Ns_j = Pi_j / mu, N(t0) that of ``state``."""
+    Ns = spec.param_arrays()[0] / spec.mu
+    return Ns + (state.N - Ns) * math.exp(-spec.mu * (t - t0)) - I
+
+
 def _infected_start(rng, spec, pinned):
     """A delta = 0 copy of ``spec`` (pinned to its priors if ``pinned``), a
     random start state, a start time t0 and a later time t."""
@@ -120,11 +127,8 @@ def test_infected_only_rhs_is_the_full_rhs_at_closed_form_n_property(seed, varia
                   * rng.integers(0, 2, spec.n)) if tracked else None
     f = flat_rhs_factory(spec, tracked_counts=counts, start=(t0, state))
     I = (state.I * rng.uniform(0.5, 1.5, spec.n)).tolist()
-    S = f.susceptible(t, I)
-    Ns = spec.param_arrays()[0] / spec.mu
-    N = Ns + (state.N - Ns) * math.exp(-spec.mu * (t - t0))
-    assert S == (N - I).tolist()
-    y = StateVec(S=np.array(S), I=np.array(I), C=np.zeros(spec.n)).to_flat().tolist()
+    y = StateVec(S=_closed_form_s(spec, state, t0, t, I), I=np.array(I),
+                 C=np.zeros(spec.n)).to_flat().tolist()
     try:
         full = flat_rhs_factory(spec, tracked_counts=counts)(t, y)
     except PrepspillError as e:
@@ -453,8 +457,8 @@ def test_margins_agree_with_their_rhs_property(seed, variant, pinned, tracked, f
     if form == "infected":
         spec, state, t0, t = _infected_start(rng, spec, pinned)
         I = state.I.tolist()
-        S = flat_rhs_factory(spec, start=(t0, state)).susceptible(t, I)
-        row = StateVec(S=np.array(S), I=state.I, C=state.C).to_flat().tolist()
+        row = StateVec(S=_closed_form_s(spec, state, t0, t, I), I=state.I,
+                       C=state.C).to_flat().tolist()
     else:
         state, t = random_state(rng, spec), float(rng.uniform(0.0, 2000.0))
         if pinned:
@@ -600,6 +604,18 @@ def test_spillover_blocks_are_independent_property(seed, variant, pinned):
             got = f(2017.0, x + blocks.ravel().tolist())[rows]
             want = f(2017.0, x + alone.ravel().tolist())[rows]
             assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+@pytest.mark.parametrize("S, I, C", [((1.0, 2.0), (5.0,), None),
+                                     ((1.0,), (5.0, 6.0), None),
+                                     ((1.0, 2.0), (5.0, 6.0), (0.0,)),
+                                     ((1.0, 2.0), (5.0, 6.0), (0.0, 0.0, 0.0))])
+def test_state_vec_refuses_compartments_of_unequal_length(S, I, C):
+    # to_flat would broadcast the shorter compartment over the groups
+    with pytest.raises(ValueError) as e:
+        StateVec.make(S, I, C)
+    lengths = (len(S), len(I), len(S) if C is None else len(C))
+    assert str(e.value) == "S, I and C have lengths {}, {} and {}".format(*lengths)
 
 
 @pytest.mark.parametrize("field", ["Pi", "a", "delta", "epsilon"])

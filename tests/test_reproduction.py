@@ -10,7 +10,7 @@ import pytest
 from conftest import random_spec, stationary_risk
 from prepspill import model, reproduction
 from prepspill.errors import InfeasibleClosure
-from prepspill.integrators import IntegratorConfig, integrate
+from prepspill.integrators import IntegratorConfig, integrate, integrate_rhs
 from prepspill.model import StateVec, TransmissionProbs, contact_matrix, dfe, flat_rhs_factory
 from prepspill.presets import georgia_basic, georgia_risk
 from prepspill.reproduction import (NGMatrices, _checked_closed_form,
@@ -423,17 +423,21 @@ def _probe_spec(basic, regime):
 
 
 def _spied_probe(monkeypatch, spec, n_trials, seed):
-    """The probe report and its integrations, (cfg, start state,
-    trajectory) per call, grouped by trial."""
+    """The probe report and its integrations, one record per call (cfg, the
+    start row y0, the RHS f, then the run's times, rows, next_step,
+    switch_events, rhs_evals and steps_rejected), grouped by trial."""
     calls = []  # trials in turn each round
-    real = reproduction.integrate
+    real = reproduction.integrate_rhs
 
-    def spy(spec, y0, cfg, **kw):
-        traj = real(spec, y0, cfg, **kw)
-        calls.append((cfg, y0, traj))
-        return traj
+    def spy(f, y0, cfg, n_state, sample_times=None):
+        run = real(f, y0, cfg, n_state, sample_times)
+        times, rows, _, next_step, switch_events, rhs_evals, steps_rejected = run
+        calls.append(SimpleNamespace(
+            cfg=cfg, y0=y0, f=f, times=times, rows=rows, next_step=next_step,
+            switch_events=switch_events, rhs_evals=rhs_evals, steps_rejected=steps_rejected))
+        return run
 
-    monkeypatch.setattr(reproduction, "integrate", spy)
+    monkeypatch.setattr(reproduction, "integrate_rhs", spy)
     report = stability_probe(spec, n_trials=n_trials, seed=seed)
     n = report.n_trials
     assert len(calls) % n == 0 and len(calls) > n  # more than one round
@@ -446,27 +450,47 @@ def test_probe_integrates_each_span_once(basic, monkeypatch, regime):
     report, trials = _spied_probe(monkeypatch, spec, 2, 3)
     assert report.regime == regime
     for mine in trials:
-        assert mine[0][0].t0 == 0.0 and mine[-1][0].t_end == report.horizon
-        assert all(traj.states.shape[1] == spec.n for _, _, traj in mine)  # I only
+        assert mine[0].cfg.t0 == 0.0 and mine[-1].cfg.t_end == report.horizon
+        assert all(len(row) == spec.n for span in mine for row in span.rows)  # I only
         for prev, cur in zip(mine, mine[1:]):
-            assert cur[0].t0 == prev[0].t_end   # continues at the last horizon
-            # from that trial's end: its I, and S = N - I from the closed-form N
-            I = prev[2].states[-1]
-            S = flat_rhs_factory(spec, start=(prev[0].t0, prev[1])).susceptible(cur[0].t0, I)
-            assert np.array_equal(cur[1].I, I) and cur[1].S.tolist() == S
+            assert cur.cfg.t0 == prev.cfg.t_end   # continues at the last horizon
+            assert cur.f is mine[0].f   # on the trial's one RHS
+            assert list(cur.y0) == prev.rows[-1]   # from that trial's end I row
+
+
+@pytest.mark.parametrize("n_trials", [1, 3])
+@pytest.mark.parametrize("regime", ["decay", "growth"])
+def test_probe_builds_one_rhs_per_trial(basic, monkeypatch, regime, n_trials):
+    # each trial's infected-only RHS, N(t) in closed form from its state at
+    # t = 0, serves every span: flat_rhs_factory runs once per trial, called
+    # from the probe or from any integrate() it makes
+    from prepspill import integrators
+    spec, starts = _probe_spec(basic, regime), []
+    real = model.flat_rhs_factory
+
+    def counting(spec, tracked_counts=None, mode=None, start=None):
+        starts.append(start)
+        return real(spec, tracked_counts, mode, start)
+
+    for owner in (reproduction, integrators):
+        monkeypatch.setattr(owner, "flat_rhs_factory", counting)
+    report = stability_probe(spec, n_trials=n_trials, seed=3)
+    assert report.regime == regime and report.horizon > (256.0 if regime == "decay" else 64.0)
+    assert len(starts) == report.n_trials
+    assert all(t0 == 0.0 for t0, _ in starts)
 
 
 @pytest.mark.parametrize("regime", ["decay", "growth"])
 def test_probe_steps_freely_and_carries_the_step(basic, monkeypatch, regime):
     report, trials = _spied_probe(monkeypatch, _probe_spec(basic, regime), 2, 3)
     for mine in trials:
-        assert mine[0][0].first_step is None
+        assert mine[0].cfg.first_step is None
         for prev, cur in zip(mine, mine[1:]):
-            assert cur[0].first_step == prev[2].next_step > 0.0
-        for _, _, traj in mine:
-            inner = traj.times[1:-1]
+            assert cur.cfg.first_step == prev.next_step > 0.0
+        for span in mine:
+            inner = span.times[1:-1]
             assert not any(t.is_integer() for t in inner)  # no whole-year nodes
-    steps = sum(len(traj.times) - 1 for mine in trials for _, _, traj in mine)
+    steps = sum(len(span.times) - 1 for mine in trials for span in mine)
     assert steps < report.n_trials * report.horizon
 
 
@@ -486,7 +510,8 @@ def test_probe_ratio_matches_one_direct_integration(basic, regime):
     doublings = [first * 2 ** k for k in range(int(math.log2(h / first)))]
     cfg = IntegratorConfig(t0=0.0, t_end=h, rtol=1e-8, atol=1e-8, dt_max=h / 8,
                            year_nodes=False)
-    end = integrate(spec, starts[0], cfg, sample_times=doublings, infected_only=True).states[-1]
+    f = flat_rhs_factory(spec, start=(0.0, starts[0]))
+    end = integrate_rhs(f, starts[0].I, cfg, spec.n, sample_times=doublings)[1][-1]
     direct = float(np.sum(end)) / float(np.sum(starts[0].I))
     assert report.max_terminal_ratio == pytest.approx(direct, rel=1e-10, abs=0.0)
 
@@ -539,19 +564,20 @@ def _probe_start(spec, regime, seed):
 
 @pytest.mark.parametrize("spec0", _probe_specs(), ids=["basic", "risk"])
 def test_closed_form_n_follows_a_tight_full_run(spec0):
-    # N_j(t) of the infected-only form, S_j + I_j at the tight run's I, is
-    # S_j + I_j of the tight run at every node of 256 years from three trial
-    # states, within 1e-12 relative (measured: 1.3e-13)
+    # the infected-only f(t, I), its N(t) in closed form from the start at
+    # t = 0, is the full RHS's I entries at every row of the tight run over
+    # 256 years from three trial states, within 5e-13 of each entry's terms,
+    # inc_j + mu I_j (measured: 4.1e-14 basic, 5.4e-14 risk)
     spec = scale_transmission(spec0, tune_multiplier_to_rc(spec0, 0.9))
+    full, n = flat_rhs_factory(spec), spec.n
     for seed in range(3):
         y0 = _probe_start(spec, "decay", seed)
         traj = _tight_run(spec, y0, 256.0, sample_times=[16.0 * k for k in range(1, 16)])
         f = flat_rhs_factory(spec, start=(0.0, y0))
-        n = spec.n
         for t, row in zip(traj.times, traj.states):
-            S, I = row[0:2 * n:2], row[1:2 * n:2]
-            N = np.add(f.susceptible(t, I.tolist()), I)
-            assert np.all(np.abs(N - (S + I)) <= 1e-12 * N), (seed, t)
+            I, want = row[1:2 * n:2], np.array(full(t, row.tolist()))
+            scale = np.abs(want[2 * n:]) + spec.mu * I
+            assert np.all(np.abs(f(t, I.tolist()) - want[1:2 * n:2]) <= 5e-13 * scale), (seed, t)
 
 
 @pytest.mark.parametrize("spec0", _probe_specs(), ids=["basic", "risk"])
@@ -588,7 +614,7 @@ def test_probe_work_is_pinned(monkeypatch, spec0, regime, seed, work):
         spec0, tune_multiplier_to_rc(spec0, 0.9))
     report, trials = _spied_probe(monkeypatch, spec, 1, seed)
     assert report.regime == regime
-    runs = [traj for _, _, traj in trials[0]]
+    runs = trials[0]
     assert (sum(t.rhs_evals for t in runs), sum(len(t.times) - 1 for t in runs),
             sum(t.steps_rejected for t in runs),
             sum(len(t.switch_events) for t in runs)) == work
@@ -809,8 +835,9 @@ def test_closure_solves_stay_where_the_tracer_counts_them(monkeypatch, closure_c
         F, V, N = _reference_ngm(spec)
         return NGMatrices(F=F, V=V, labels=spec.labels, dfe_populations=N)
 
-    def no_infections(spec, y0, cfg, infected_only=False):
-        return SimpleNamespace(states=np.zeros((1, spec.n)), next_step=1.0)
+    def no_infections(f, y0, cfg, n_state, sample_times=None):
+        rows = [list(y0), [0.0] * len(y0)]
+        return [cfg.t0, cfg.t_end], rows, [], 1.0, [], 7, 0
     for spec0 in _probe_specs():
         _, want = solves(lambda: _reference_ngm(spec0))
         assert want == [tuple(dfe(spec0).N.tolist())]
@@ -825,7 +852,7 @@ def test_closure_solves_stay_where_the_tracer_counts_them(monkeypatch, closure_c
                 for n_trials in (1, 8):
                     with monkeypatch.context() as patch:
                         if seed:
-                            patch.setattr(reproduction, "integrate", no_infections)
+                            patch.setattr(reproduction, "integrate_rhs", no_infections)
                         report, got = solves(lambda: stability_probe(spec, n_trials, seed))
                     _, sampled = solves(lambda: _reference_feasible_states(
                         spec, n_trials, np.random.default_rng(seed)))

@@ -24,8 +24,7 @@ from prepspill import spillover as spillover_mod
 from prepspill.errors import (ConfigError, MissingSeries, ParseError, SchemaViolation,
                               UnknownGroup, ZeroPopulation)
 from prepspill.model import StateVec, dfe, flat_rhs_factory
-from prepspill.presets import (ANNUAL_INCIDENCE_BAND, PREVALENCE_ANCHOR_2017,
-                               PREVALENCE_BAND, STUDIES, georgia_basic)
+from prepspill.presets import STUDIES, georgia_basic
 from prepspill.integrators import IntegratorConfig, annual_series, integrate, interp_rows
 from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, _suppressed_json,
                                  default_config,
@@ -402,6 +401,13 @@ def test_scenario_arms_are_set_up_without_dataclasses_replace(variant, monkeypat
     assert sorted(built) == sorted((t, config.end) for t in starts)
 
 
+# Qualitative surveillance bands for the 2017-2020 burn-in (plot-data sanity
+# checks; the underlying anchors are read off charts, not tabulated).
+PREVALENCE_ANCHOR_2017 = {"basic": 63700.0, "risk": 63700.0}  # total PWH at t0
+PREVALENCE_BAND = (0.85, 1.30)     # acceptable multiple of the anchor through 2020
+ANNUAL_INCIDENCE_BAND = (1800.0, 3200.0)  # total new infections/year, 2017-2019
+
+
 def test_baseline_brackets_surveillance_bands(baseline_basic):
     # qualitative check of the burn-in against the published chart anchors
     anchor = PREVALENCE_ANCHOR_2017["basic"]
@@ -516,6 +522,20 @@ def test_cli_error_exit_code(tmp_path, capsys):
     rc = main(["simulate", "--config", str(bad), "--out", str(tmp_path)])
     assert rc == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["simulate"], ["emit-plots", "--series", "baseline"],
+                                     ["sobol", "--level", "2", "--degree", "1"]],
+                         ids=["simulate", "emit-plots", "sobol"])
+def test_cli_out_path_that_is_a_file_is_an_error_line(tmp_path, capsys, command):
+    # an OSError (here the FileExistsError of making the --out directory)
+    # ends the run with exit code 1 and one error line, not a traceback
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main([*command, "--model", "basic", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
+    assert out.read_text() == ""
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])

@@ -171,7 +171,7 @@ def test_traced_probes_pass_every_span_through_integrate_flat(monkeypatch):
     import tracing
 
     attempts, calls = [0], []  # per integration: (attempts, accepted steps)
-    make_step, integrate = integrators._dp_step_maker, reproduction.integrate
+    make_step, integrate_rhs = integrators._dp_step_maker, reproduction.integrate_rhs
 
     def counting_step_maker(w=None):
         step = make_step(w)
@@ -183,12 +183,12 @@ def test_traced_probes_pass_every_span_through_integrate_flat(monkeypatch):
 
     def spy(*args, **kwargs):
         before = attempts[0]
-        traj = integrate(*args, **kwargs)
-        calls.append((attempts[0] - before, len(traj.times) - 1))
-        return traj
+        run = integrate_rhs(*args, **kwargs)
+        calls.append((attempts[0] - before, len(run[0]) - 1))  # its times
+        return run
 
     monkeypatch.setattr(integrators, "_dp_step_maker", counting_step_maker)
-    monkeypatch.setattr(reproduction, "integrate", spy)
+    monkeypatch.setattr(reproduction, "integrate_rhs", spy)
     spec0 = georgia_basic()[0].with_delta_zero()
     tuned = reproduction.scale_transmission(
         spec0, reproduction.tune_multiplier_to_rc(spec0, 0.9))
