@@ -19,9 +19,9 @@ from .errors import PrepspillError
 from .integrators import write_csv
 from .model import MODES, VARIANTS
 from .reproduction import build_ngm, rc_closed, rc_numeric
-from .scenarios import (PLOT_SERIES, SOBOL_INTERVAL, default_config, emit_plot_data,
-                        load_config, report_to_csv, run_scenarios, run_spillover,
-                        sobol_manifest, sobol_study, validate_tables, write_sobol)
+from .scenarios import (SOBOL_INTERVAL, default_config, emit_plot_data, load_config,
+                        report_to_csv, run_scenarios, run_spillover, sobol_manifest,
+                        sobol_study, validate_tables, write_sobol)
 from .spillover import nnt, sensitivity_to_csv
 
 
@@ -55,15 +55,17 @@ def cmd_simulate(args):
     report.baseline_traj.to_csv(path)
     table = _out_path(args, f"table_{config.variant}.csv")
     report_to_csv(report, table)
-    payload = {
-        "variant": config.variant,
-        "window": list(report.window),
-        "config_hash": config.content_hash(),
-        "baseline": report.baseline.incidence,
-        "scenarios": {r.name: {"incidence": r.incidence, "prevented": r.prevented}
-                      for r in report.scenarios},
-        "files": [path, table],
-    }
+    payload = None
+    if args.json:  # only the payload needs the config's hash
+        payload = {
+            "variant": config.variant,
+            "window": list(report.window),
+            "config_hash": config.content_hash(),
+            "baseline": report.baseline.incidence,
+            "scenarios": {r.name: {"incidence": r.incidence, "prevented": r.prevented}
+                          for r in report.scenarios},
+            "files": [path, table],
+        }
     b = report.baseline.incidence
     _report(args, payload, files=[path, table],
             lines=[f"baseline {config.variant} {report.window[0]:.0f}-{report.window[1]:.0f}: "
@@ -178,9 +180,10 @@ def cmd_validate(args):
 
 
 def cmd_emit_plots(args):
+    """Write the config's figure-analog bundle (emit_plot_data); the Sobol
+    indices are the `sobol` subcommand's."""
     config = _config_from_args(args)
-    series = tuple(args.series.split(",")) if args.series else PLOT_SERIES
-    paths = emit_plot_data(args.out, config, series)
+    paths = emit_plot_data(args.out, config)
     _report(args, {"files": paths}, files=paths)
     return 0
 
@@ -230,9 +233,8 @@ def build_parser():
     common(p)
     p.set_defaults(fn=cmd_validate)
 
-    p = sub.add_parser("emit-plots", help="write figure-analog CSV bundles")
+    p = sub.add_parser("emit-plots", help="write the figure-analog CSV bundle")
     common(p)
-    p.add_argument("--series", help="comma list: baseline,effects,nnt,table,sobol")
     p.set_defaults(fn=cmd_emit_plots)
     return ap
 

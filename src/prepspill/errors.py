@@ -93,6 +93,3 @@ class SchemaViolation(ConfigError):
 class UnknownGroup(ConfigError):
     """Config references a group that does not exist in the chosen variant."""
 
-
-class MissingSeries(PrepspillError):
-    """A plot-data export was requested for a series that was not computed."""

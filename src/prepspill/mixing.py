@@ -258,7 +258,8 @@ class RiskMixing:
 class _Message:
     """A closure error's text, ``text.format(*numbers)`` on each str().  The
     trial-state sampler (reproduction._random_feasible_states) drops most
-    closure errors unread, so they keep their numbers, not the text."""
+    closure errors unread, so they keep their numbers, not the text.  A
+    complex number (a complex-step run's) prints its real part."""
 
     __slots__ = ("text", "numbers")
 
@@ -266,7 +267,8 @@ class _Message:
         self.text, self.numbers = text, numbers
 
     def __str__(self):
-        return self.text.format(*self.numbers)
+        return self.text.format(*(x.real if isinstance(x, complex) else x
+                                   for x in self.numbers))
 
 
 def _at(t):

@@ -10,7 +10,6 @@ running susceptible pool at every step.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import math
@@ -20,8 +19,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import (MissingSeries, ParseError, SchemaViolation, UnknownGroup,
-                     ZeroPopulation)
+from .errors import ParseError, SchemaViolation, UnknownGroup, ZeroPopulation
 from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, interp_rows,
                           node_index, write_csv)
 from .model import VARIANTS, ModelSpec, StateVec
@@ -33,7 +31,6 @@ from .sobol import QuadratureGrid, UncertainInput, sobol_timeseries
 
 SCHEMA_VERSION = 1
 NNT_DISPLAY_CAP = 1e5  # person-years; larger values are suppressed in plot data
-PLOT_SERIES = ("baseline", "effects", "nnt", "table")  # emit-plots' default
 SOBOL_INTERVAL = (-0.5, 4.0)  # default bounds of each group's coverage-scale input
 
 
@@ -58,6 +55,8 @@ class ScenarioConfig:
     raw: dict = field(default_factory=dict)
 
     def content_hash(self):
+        import hashlib  # here, so a run that prints no hash loads no OpenSSL
+
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
@@ -457,106 +456,85 @@ def _suppressed_json(cap, suppressed):
     return f'{{\n "display_cap": {cap!r},\n "suppressed": {listed}\n}}'
 
 
-def emit_plot_data(out_dir, config, series=PLOT_SERIES):
+def emit_plot_data(out_dir, config):
     """Write the figure-analog CSV bundle for one config; file names carry
     the config's variant.
 
-    Series names: baseline (prevalence and annual incidence), effects
-    (per-person incidence effects over time), nnt (NNT curves; undefined or
-    excessive values are left empty, with a sidecar note), table (scenario
-    incidence table), sobol (index time series of a level-3, degree-2 study
-    over the config's window and tolerances).  Unknown names raise
-    MissingSeries.  Every series is built before out_dir is made, so a
-    refusal writes nothing.  Paths come in series order, the table and the
-    Sobol pair last.  Outputs are deterministic: reruns give identical bytes.
+    The bundle: baseline_series (prevalence and annual incidence), the
+    per-person incidence effects over time, the NNT curves (undefined or
+    excessive values are left empty, with a sidecar note) and the scenario
+    incidence table.  One run_scenarios gives the baseline and the table;
+    the spillover system starts from the baseline's row at the intervention
+    year.  Every file is built before out_dir is made, so a refusal writes
+    nothing.  Paths come in that order, the table last.  Outputs are
+    deterministic: reruns give identical bytes.
     """
-    known = {*PLOT_SERIES, "sobol"}
-    unknown = set(series) - known
-    if unknown:
-        raise MissingSeries(f"unknown series {sorted(unknown)}; known: {sorted(known)}")
     variant, labels = config.variant, config.spec.labels
     n = len(labels)
-    texts = []  # (file name, text), in series order
+    report = run_scenarios(config)
+    base_traj = report.baseline_traj
+    t_int = config.intervention_year  # run_spillover's head gives this row bit for bit
+    traj, sens = integrate_with_spillover(config.spec, base_traj.state_at(t_int),
+                                          config.integrator.over(t_int, config.end))
+    S = traj.states[:, 0:2 * n:2]
 
-    report = run_scenarios(config) if "table" in series else None
-    base_traj = report.baseline_traj if report else None
-    if "baseline" in series and base_traj is None:
-        base_traj = integrate_baseline(config)
-    if {"effects", "nnt"} & set(series):
-        if base_traj is None:
-            traj, sens = run_spillover(config)
-        else:  # from the baseline's row, which run_spillover's head gives bit for bit
-            t_int = config.intervention_year
-            traj, sens = integrate_with_spillover(config.spec, base_traj.state_at(t_int),
-                                                  config.integrator.over(t_int, config.end))
-        S = traj.states[:, 0:2 * n:2]
+    # the whole calendar years inside [start, end]; every year is a node
+    t0, t1 = base_traj.times[0], base_traj.times[-1]
+    first, last = math.ceil(t0 - NODE_TOL), math.floor(t1 + NODE_TOL)
+    at = base_traj.states[[base_traj.index_of(float(y)) for y in range(first, last + 1)]]
+    header = (["year"] + [f"prevalence_{l}" for l in labels]
+              + [f"annual_incidence_{l}" for l in labels])
+    rows = [[y] + [f"{v:.6f}" for v in prev] + [f"{v:.6f}" for v in row]
+            for y, prev, row in zip(range(first, last), at[:-1, 1:2 * n:2].tolist(),
+                                    (at[1:, 2 * n:3 * n] - at[:-1, 2 * n:3 * n]).tolist())]
+    texts = [(f"baseline_series_{variant}.csv", _csv_text(header, rows))]
 
-    if "baseline" in series:
-        # the whole calendar years inside [start, end]; every year is a node
-        t0, t1 = base_traj.times[0], base_traj.times[-1]
-        first, last = math.ceil(t0 - NODE_TOL), math.floor(t1 + NODE_TOL)
-        at = base_traj.states[[base_traj.index_of(float(y)) for y in range(first, last + 1)]]
-        header = (["year"] + [f"prevalence_{l}" for l in labels]
-                  + [f"annual_incidence_{l}" for l in labels])
-        rows = [[y] + [f"{v:.6f}" for v in prev] + [f"{v:.6f}" for v in row]
-                for y, prev, row in zip(range(first, last), at[:-1, 1:2 * n:2].tolist(),
-                                        (at[1:, 2 * n:3 * n] - at[:-1, 2 * n:3 * n]).tolist())]
-        texts.append((f"baseline_series_{variant}.csv", _csv_text(header, rows)))
+    empty = S <= 0.0
+    if empty.any():  # the first (node, source) with an empty pool
+        k = labels[int(empty.argmax()) % n]
+        raise ZeroPopulation(f"source group {k} has S = 0")
+    # gamma_j / S_k per node, j within the block of source k
+    effects = np.concatenate([sens[k].gamma / S[:, [c]] for c, k in enumerate(labels)],
+                             axis=1)
+    header = ["t"] + [f"per_person_{j}__{k}" for k in labels for j in labels]
+    rows = [[f"{t:.6f}"] + [f"{v:.10e}" for v in row]
+            for t, row in zip(traj.times.tolist(), effects.tolist())]
+    texts.append((f"per_person_effects_{variant}.csv", _csv_text(header, rows)))
 
-    if "effects" in series:
-        empty = S <= 0.0
-        if empty.any():  # the first (node, source) with an empty pool
-            k = labels[int(empty.argmax()) % n]
-            raise ZeroPopulation(f"source group {k} has S = 0")
-        # gamma_j / S_k per node, j within the block of source k
-        effects = np.concatenate([sens[k].gamma / S[:, [c]] for c, k in enumerate(labels)],
-                                 axis=1)
-        header = ["t"] + [f"per_person_{j}__{k}" for k in labels for j in labels]
-        rows = [[f"{t:.6f}"] + [f"{v:.10e}" for v in row]
-                for t, row in zip(traj.times.tolist(), effects.tolist())]
-        texts.append((f"per_person_effects_{variant}.csv", _csv_text(header, rows)))
-
-    if "nnt" in series:
-        suppressed = []
-        pairs = [(jl, k) for k in labels for jl in labels]
-        header = ["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs]
-        rows = []
-        # S_k, then gamma_j of each source block in pair order, per node
-        table = np.concatenate([S] + [sens[k].gamma for k in labels], axis=1)
-        horizons = [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]
-        for T in horizons:
-            # nnt()'s nnt_simple from S_k and gamma_j at the horizon's node, else
-            # the package's one read between nodes, linear (ROADMAP item 2)
-            t = traj.times[0] + T
-            i = traj.index_of(t)
-            at = (table[i] if i is not None else interp_rows(t, traj.times, table)).tolist()
-            row = [f"{T:.2f}"]
-            for p, (jl, k) in enumerate(pairs):
-                simple = simple_nnt(T, at[p // n], at[n + p])
-                if simple is None or simple > NNT_DISPLAY_CAP:
-                    row.append("")
-                    suppressed.append({"T": T, "j": jl, "k": k,
-                                       "reason": "undefined" if simple is None
-                                       else "excessive"})
-                else:
-                    row.append(f"{simple:.3f}")
-            rows.append(row)
-        texts.append((f"nnt_{variant}.csv", _csv_text(header, rows)))
-        texts.append((f"nnt_{variant}_suppressed.json",
-                      _suppressed_json(NNT_DISPLAY_CAP, suppressed)))
-
-    study = sobol_study(config, level=3, degree=2) if "sobol" in series else None
+    suppressed = []
+    pairs = [(jl, k) for k in labels for jl in labels]
+    header = ["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs]
+    rows = []
+    # S_k, then gamma_j of each source block in pair order, per node
+    table = np.concatenate([S] + [sens[k].gamma for k in labels], axis=1)
+    horizons = [0.5 * i for i in range(1, int(2 * (config.end - t_int)) + 1)]
+    for T in horizons:
+        # nnt()'s nnt_simple from S_k and gamma_j at the horizon's node, else
+        # the package's one read between nodes, linear (ROADMAP item 2)
+        t = traj.times[0] + T
+        i = traj.index_of(t)
+        at = (table[i] if i is not None else interp_rows(t, traj.times, table)).tolist()
+        row = [f"{T:.2f}"]
+        for p, (jl, k) in enumerate(pairs):
+            simple = simple_nnt(T, at[p // n], at[n + p])
+            if simple is None or simple > NNT_DISPLAY_CAP:
+                row.append("")
+                suppressed.append({"T": T, "j": jl, "k": k,
+                                   "reason": "undefined" if simple is None
+                                   else "excessive"})
+            else:
+                row.append(f"{simple:.3f}")
+        rows.append(row)
+    texts.append((f"nnt_{variant}.csv", _csv_text(header, rows)))
+    texts.append((f"nnt_{variant}_suppressed.json", _suppressed_json(NNT_DISPLAY_CAP, suppressed)))
 
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for name, text in texts:
         paths.append(os.path.join(out_dir, name))
         _write(paths[-1], text)
-    if report is not None:
-        paths.append(os.path.join(out_dir, f"table_{variant}.csv"))
-        report_to_csv(report, paths[-1])
-    if study is not None:
-        paths += write_sobol(study, out_dir, variant)
+    paths.append(os.path.join(out_dir, f"table_{variant}.csv"))
+    report_to_csv(report, paths[-1])
     return paths
 
 

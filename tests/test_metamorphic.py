@@ -8,9 +8,10 @@ the rest are ratios (I/N, the closure's volume shares, c_j/S_j, the error
 norm's y/atol).  Multiplying a float by c = 2^k is exact and commutes with
 rounding while nothing under- or overflows, so scaling those inputs by c
 gives the same node times and switch-event times, and states, sensitivity
-blocks and table cells times c, bit for bit.  A constant in persons in a
-generated form, or a tolerance in persons that atol does not scale, breaks
-it.
+blocks and table cells times c, bit for bit; their ratios (NNT, per-person
+effects, the NGM and R_c) are unchanged, bit for bit.  A constant in
+persons in a generated form, or a tolerance in persons that atol does not
+scale, breaks it.
 
 The model is autonomous: no rate reads t.  So shifting start, intervention,
 end and every arm's start year by d whole years shifts every node by d and
@@ -32,7 +33,10 @@ from prepspill import scenarios
 from prepspill.errors import PrepspillError
 from prepspill.integrators import NODE_TOL, IntegratorConfig, integrate
 from prepspill.model import StateVec
-from prepspill.scenarios import _config_from_raw, default_config, run_scenarios, run_spillover
+from prepspill.reproduction import build_ngm, rc_closed, rc_numeric
+from prepspill.scenarios import (_config_from_raw, default_config, emit_plot_data, run_scenarios,
+                                 run_spillover)
+from prepspill.spillover import nnt
 
 SCALES = (2.0 ** -3, 4.0, 2.0 ** 8)
 
@@ -158,6 +162,66 @@ def test_random_runs_scale_with_the_persons_property(seed, variant, free, tracke
         assert got is traj
     else:
         assert_scaled(traj, got, c)
+
+
+def _end_nnts(config):
+    """(defined, nnt_simple, nnt_integral) of nnt() for every (j, k) at the
+    window's end, the floats as reprs so that NaN compares."""
+    traj, sens = run_spillover(config)
+    T, labels = config.end - config.intervention_year, config.spec.labels
+    return [(r.defined, repr(r.nnt_simple), repr(r.nnt_integral))
+            for k in labels for j in labels
+            for r in [nnt(sens[k], traj, j, k, T, config.spec.mu)]]
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_nnt_is_unchanged_by_the_person_scale(variant):
+    # person-years of PrEP over infections prevented: both scale by c
+    config = default_config(variant)
+    want = _end_nnts(config)
+    assert any(defined for defined, _, _ in want)
+    for c in SCALES:
+        assert _end_nnts(scaled_config(config, c)) == want
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_plot_ratios_are_unchanged_by_the_person_scale(variant, tmp_path):
+    # the bundle's per-person effects and NNT curves are ratios of a
+    # sensitivity to a pool: their files keep their bytes
+    config = default_config(variant)
+    names = [f"per_person_effects_{variant}.csv", f"nnt_{variant}.csv",
+             f"nnt_{variant}_suppressed.json"]
+    emit_plot_data(str(tmp_path / "1"), config)
+    for c in SCALES:
+        emit_plot_data(str(tmp_path / repr(c)), scaled_config(config, c))
+        for name in names:
+            assert (tmp_path / repr(c) / name).read_bytes() == (tmp_path / "1" / name).read_bytes()
+
+
+def _ngm_outcome(spec):
+    ngm = build_ngm(spec)
+    numeric, closed = rc_numeric(ngm), rc_closed(ngm)
+    return (ngm.F.tobytes(), ngm.V.tobytes(), numeric.value,
+            closed.value, closed.method, closed.diagnostic)
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_ngm_is_unchanged_by_the_person_scale_property(variant):
+    # F's entries are (1 - eps_j) W[j, p] N_j / N_p, with the mixing closed
+    # on volume shares, and V holds rates: both, R_c by eigenvalues and by
+    # radicals, bit for bit; the DFE populations times c.  The risk
+    # preset's DFE does not close, so risk is held on draws alone
+    rng = np.random.default_rng(61 if variant == "basic" else 62)
+    specs = [random_spec(rng, variant) for _ in range(100)]
+    if variant == "basic":
+        specs.insert(0, default_config("basic").spec)
+    for spec in specs:
+        want = _ngm_outcome(spec)
+        for c in SCALES:
+            got = scaled_spec(spec, c)
+            assert _ngm_outcome(got) == want
+            assert np.array_equal(build_ngm(got).dfe_populations,
+                                  c * build_ngm(spec).dfe_populations)
 
 
 SHIFTS = (-1000.0, 16.0, 1024.0)

@@ -427,3 +427,16 @@ def test_closure_errors_format_the_eager_text_property(name, value, lo, hi, t, B
     e = _empty_interval_error(lo, hi, t)
     assert e.t is t and e.value is lo
     assert str(e) == f"empty feasible interval for xi_hetm: [{lo:.6g}, {hi:.6g}]{at(t)}"
+
+
+@pytest.mark.parametrize("number", [complex, np.complex128], ids=["complex", "complex128"])
+def test_closure_errors_built_from_complex_values_print_their_real_parts(number):
+    # a complex-step run's closure error prints like the real run's: every
+    # complex number in the message shows its real part
+    e = _unit_interval_error("eta_msm", number(1.18, 1e-30), number(0.5, 1e-30),
+                             _hetm_deficit(number(1.0, 1e-30), 2.0, 3.5))
+    assert str(e) == str(_unit_interval_error("eta_msm", 1.18, 0.5, _hetm_deficit(1.0, 2.0, 3.5)))
+    assert str(e) == ("closure gives eta_msm = 1.18 outside [0, 1]; contact-volume deficit "
+                      "B_hetm - (B_hh + B_hl) = 0.5 (14.286% of B_hetm) at t = 0.500000")
+    e = _empty_interval_error(number(0.25, -1e-30), number(0.125, 1e-30), None)
+    assert str(e) == "empty feasible interval for xi_hetm: [0.25, 0.125]"

@@ -281,6 +281,83 @@ def test_dfe_threshold_matches_rc_property(variant):
     assert signs[-2:] == [-1.0, 1.0]
 
 
+# The same threshold read from the RHS the integrator runs, with no step to
+# pick: complex step (Squire & Trapp 1998, SIAM Rev 40:110).  The
+# infected-only form of the delta = 0 spec reads N(t) alone, so its closure
+# stays real; at I = i h e_p the imaginary parts of its rows over h are
+# column p of J = dI'/dI = F - mu, exact to roundoff for h this small.  The
+# bounds, shares of F's largest entry, are ROADMAP item 23's figures over
+# 300 draws per variant.
+_CS_STEP = 1e-30
+_CS_TOL = {"basic": 1.2e-15, "risk": 2.5e-15}
+
+
+def _complex_step_jacobian(spec):
+    """J = dI'/dI at dfe(spec) of the delta = 0 infected-only flat RHS,
+    one complex-step column per group."""
+    f, n = flat_rhs_factory(spec.with_delta_zero(), start=(0.0, dfe(spec))), spec.n
+    J = np.empty((n, n))
+    for p in range(n):
+        I = [complex(0.0, _CS_STEP) if j == p else 0.0 for j in range(n)]
+        J[:, p] = [v.imag / _CS_STEP for v in f(0.0, I)]
+    return J
+
+
+def _outcome_of(run):
+    """run()'s value, or the InfeasibleClosure it raises."""
+    try:
+        return run()
+    except InfeasibleClosure as e:
+        return e
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_complex_step_jacobian_at_the_dfe_is_f_minus_mu_property(variant):
+    # J + mu Id is build_ngm's F, though the two share no formula; where
+    # the DFE does not close, both raise the closure's error on the same
+    # value, the RHS's naming its t = 0
+    rng = np.random.default_rng(51 if variant == "basic" else 52)
+    preset = {"basic": georgia_basic, "risk": georgia_risk}[variant]()[0]
+    specs = ([preset] + [random_spec(rng, variant) for _ in range(300)]
+             + [random_spec(rng, variant, feasible=False) for _ in range(100)])
+    closed = 0
+    for spec in specs:
+        J, ngm = _outcome_of(lambda: _complex_step_jacobian(spec)), _outcome_of(
+            lambda: build_ngm(spec.with_delta_zero()))
+        if isinstance(ngm, InfeasibleClosure):
+            assert type(J) is type(ngm) and J.value == ngm.value and J.t == 0.0
+            assert str(J) == f"{ngm} at t = 0.000000"
+            continue
+        closed += 1
+        F = ngm.F
+        assert np.all(np.abs(J + spec.mu * np.eye(spec.n) - F)
+                      <= _CS_TOL[variant] * np.abs(F).max())
+    assert 300 < closed < len(specs)  # both outcomes are drawn
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_rc_threshold_is_the_sign_of_the_complex_step_abscissa_property(variant):
+    # van den Driessche & Watmough 2002, Theorem 2: R_c > 1 exactly where
+    # F - V = J - diag(delta) has an eigenvalue of positive real part; also
+    # for draws tuned to within 1e-3 of R_c = 1 from either side
+    rng = np.random.default_rng(53 if variant == "basic" else 54)
+    specs = [random_spec(rng, variant) for _ in range(200)]
+    tuned = []
+    for spec in specs[:40]:
+        for side in (-1.0, 1.0):
+            target = 1.0 + side * rng.uniform(1e-5, 1e-3)
+            tuned.append(scale_transmission(spec, tune_multiplier_to_rc(spec, target)))
+    near = []
+    for spec in specs + tuned:
+        _, _, delta, _ = spec.param_arrays()
+        abscissa = float(np.max(np.linalg.eigvals(_complex_step_jacobian(spec)
+                                                  - np.diag(delta)).real))
+        R = rc_numeric(build_ngm(spec)).value
+        assert np.sign(abscissa) == np.sign(R - 1.0) != 0.0, (R, abscissa)
+        near.append(R - 1.0)
+    assert sum(-1e-3 < d < 0.0 for d in near) >= 20 and sum(0.0 < d < 1e-3 for d in near) >= 20
+
+
 def _rc(spec, m=1.0):
     return rc_numeric(build_ngm(scale_transmission(spec, m))).value
 

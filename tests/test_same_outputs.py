@@ -1,5 +1,6 @@
 """The output comparison of tools/same_outputs.py, on two directories."""
 
+import json
 import math
 from pathlib import Path
 
@@ -36,6 +37,36 @@ def test_one_ulp_in_a_csv_cell_is_reported(same_outputs, tmp_path):
     assert lines[1].startswith("out/table.csv: largest relative CSV cell difference 1.39e-16 "
                                "at (row, col) (1, 1)")
     assert len(lines) == 2
+
+
+def test_one_ulp_in_a_nested_json_number_is_reported_with_its_path(same_outputs, tmp_path):
+    # a *.json file and a --json stdout: the largest relative difference
+    # among the numbers paired by path, then the first other difference
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, x, word in ((a, 0.1, "ok"), (b, math.nextafter(0.1, 1.0), "no")):
+        (root / "out").mkdir(parents=True)
+        (root / "out" / "note.json").write_text(
+            json.dumps({"a": 1, "F": [[2.0, x], [3.0, 4.0]], "why": word}))
+    tree_a, tree_b = same_outputs.read_tree(a), same_outputs.read_tree(b)
+    tree_a["<stdout>"], tree_b["<stdout>"] = tree_a["out/note.json"], tree_b["out/note.json"]
+    why = ("largest relative JSON number difference 1.39e-16 at F[0][1]; "
+           "first other difference at why: 'ok' != 'no'")
+    assert same_outputs.differences(tree_a, tree_b) == [f"<stdout>: {why}",
+                                                        f"out/note.json: {why}"]
+
+
+def test_json_paths_on_one_side_are_named(same_outputs, tmp_path):
+    # leaves on one side only are listed by path; equal values in other
+    # bytes, and a stdout that is not JSON, fall back to the first byte
+    a = {"x.json": b'{"r": [1, 2], "s": {"t": true}}', "y.json": b'{"v": 1.0}',
+         "<stdout>": b"wrote out/x.json\n"}
+    b = {"x.json": b'{"r": [1, 2, 3], "s": {}}', "y.json": b'{"v":1.0}',
+         "<stdout>": b"wrote out/y.json\n"}
+    assert same_outputs.differences(a, b) == [
+        "<stdout>: byte 10: b'wrote out/x.json\\n' != b'wrote out/y.json\\n'",
+        "x.json: paths only in parent: s.t; paths only in change: r[2], s; "
+        "bytes differ, values equal",
+        "y.json: bytes differ, values equal"]
 
 
 def test_rows_on_one_side_are_named_by_key(same_outputs, tmp_path):

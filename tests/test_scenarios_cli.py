@@ -21,8 +21,8 @@ from prepspill import presets as presets_mod
 from prepspill import scenarios as scenarios_mod
 from prepspill import sobol
 from prepspill import spillover as spillover_mod
-from prepspill.errors import (ConfigError, MissingSeries, ParseError, SchemaViolation,
-                              UnknownGroup, ZeroPopulation)
+from prepspill.errors import (ConfigError, ParseError, SchemaViolation, UnknownGroup,
+                              ZeroPopulation)
 from prepspill.model import StateVec, dfe, flat_rhs_factory
 from prepspill.presets import STUDIES, georgia_basic
 from prepspill.integrators import IntegratorConfig, annual_series, integrate, interp_rows
@@ -175,30 +175,26 @@ def test_validate_detects_perturbed_transmission():
 def test_emit_plot_data_deterministic(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
-    paths1 = emit_plot_data(str(out1), default_config("basic"),
-                            series=("baseline", "table"))
-    paths2 = emit_plot_data(str(out2), default_config("basic"),
-                            series=("baseline", "table"))
+    paths1 = emit_plot_data(str(out1), default_config("basic"))
+    paths2 = emit_plot_data(str(out2), default_config("basic"))
     for p1, p2 in zip(paths1, paths2):
         assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_emit_plot_data_names_files_after_the_config(tmp_path):
     # the data comes from config, so the names do too
-    path, = emit_plot_data(str(tmp_path), default_config("risk"), series=("baseline",))
-    assert os.path.basename(path) == "baseline_series_risk.csv"
-    assert Path(path).read_text().splitlines()[0].startswith("year,prevalence_msm,prevalence_hetf_h,")
-
-
-def test_emit_plot_data_unknown_series(tmp_path):
-    with pytest.raises(MissingSeries):
-        emit_plot_data(str(tmp_path), default_config("basic"), series=("baseline", "nosuch"))
+    paths = emit_plot_data(str(tmp_path), default_config("risk"))
+    assert [os.path.basename(p) for p in paths] == [
+        "baseline_series_risk.csv", "per_person_effects_risk.csv", "nnt_risk.csv",
+        "nnt_risk_suppressed.json", "table_risk.csv"]
+    assert sorted(os.listdir(tmp_path)) == sorted(os.path.basename(p) for p in paths)
+    assert Path(paths[0]).read_text().splitlines()[0].startswith(
+        "year,prevalence_msm,prevalence_hetf_h,")
 
 
 def test_emit_nnt_has_empty_cells_and_sidecar(tmp_path):
-    paths = emit_plot_data(str(tmp_path), default_config("basic"), series=("nnt",))
-    csv_path = [p for p in paths if p.endswith(".csv")][0]
-    side_path = [p for p in paths if p.endswith(".json")][0]
+    paths = emit_plot_data(str(tmp_path), default_config("basic"))
+    csv_path, side_path = paths[2], paths[3]
     rows = Path(csv_path).read_text().splitlines()
     assert any(",," in r or r.endswith(",") for r in rows[1:])
     side = json.loads(Path(side_path).read_text())
@@ -215,7 +211,7 @@ def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
     # their cells are simple_nnt of S and gamma interpolated there
     config = default_config(variant)
     spec, (traj, sens) = config.spec, run_spillover(config)
-    csv_path = emit_plot_data(str(tmp_path), config, series=("nnt",))[0]
+    csv_path = emit_plot_data(str(tmp_path), config)[2]
     rows = list(csv.reader(io.StringIO(Path(csv_path).read_text())))
     labels = spec.labels
     pairs = [(jl, k) for k in labels for jl in labels]
@@ -287,7 +283,7 @@ def test_emit_plot_series_equal_per_cell_formulas(tmp_path, raw):
     # the series read whole arrays; every cell is the per-cell formula's,
     # byte for byte, half-year NNT rows between nodes included
     config = _config_from_raw(raw)
-    paths = emit_plot_data(str(tmp_path), config, series=("baseline", "effects", "nnt"))
+    paths = emit_plot_data(str(tmp_path), config)
     base_traj = integrate_baseline(config)
     traj, sens = run_spillover(config)
     baseline, effects, nnts, suppressed = _plot_series_per_cell(config, base_traj, traj, sens)
@@ -335,13 +331,11 @@ def test_spillover_from_baseline_head_equals_full_baseline(name, horizon):
 
 @pytest.mark.parametrize("name", ["basic", "arm-before-intervention", "intervention-at-start"])
 def test_emit_plots_spillover_starts_from_the_baseline_row(name, tmp_path, monkeypatch):
-    # with the baseline or table series, emit-plots starts the spillover
-    # system from the baseline's row at the intervention year and integrates
-    # no head over [start, intervention]; the effects and nnt files keep the
-    # bytes that the head's run (run_spillover, the effects/nnt-only bundle) gives
+    # emit-plots starts the spillover system from the baseline's row at the
+    # intervention year and integrates no head over [start, intervention];
+    # test_emit_plot_series_equal_per_cell_formulas holds its effects and nnt
+    # files to run_spillover's head run
     config = _config_from_raw(HEAD_CONFIGS[name])
-    files = [f"per_person_effects_{config.variant}.csv", f"nnt_{config.variant}.csv",
-             f"nnt_{config.variant}_suppressed.json"]
     windows = []
     real = scenarios_mod.integrate
 
@@ -350,13 +344,8 @@ def test_emit_plots_spillover_starts_from_the_baseline_row(name, tmp_path, monke
         return real(spec, y0, cfg, **kwargs)
     monkeypatch.setattr(scenarios_mod, "integrate", spy)
     head = (config.start, config.intervention_year)
-    emit_plot_data(str(tmp_path / "alone"), config, series=("effects", "nnt"))
-    assert windows == ([head] if config.start < config.intervention_year else [])
-    windows.clear()
-    emit_plot_data(str(tmp_path / "bundle"), config)
+    emit_plot_data(str(tmp_path), config)
     assert head not in windows and (config.start, config.end) in windows
-    for f in files:
-        assert (tmp_path / "bundle" / f).read_bytes() == (tmp_path / "alone" / f).read_bytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -494,12 +483,11 @@ SOBOL_WINDOW = {"model": "basic", "horizon": {"start": 2019, "intervention": 202
                 "integrator": {"rtol": 1e-10}}
 
 
-@pytest.mark.parametrize("command", [["sobol", "--level", "2", "--degree", "1"],
-                                     ["emit-plots", "--series", "sobol"]],
-                         ids=["sobol", "emit-plots"])
+@pytest.mark.parametrize("command", [["sobol", "--level", "2", "--degree", "1"]],
+                         ids=["sobol"])
 def test_cli_sobol_integrates_the_config_window(tmp_path, capsys, command):
-    # sobol and emit-plots' sobol series run over the config's window and
-    # tolerances, and refuse a window that does not span whole years
+    # sobol runs over the config's window and tolerances, and refuses a
+    # window that does not span whole years
     path = write_config(tmp_path, SOBOL_WINDOW)
     out = tmp_path / "out"
     assert main(command + ["--config", path, "--out", str(out)]) == 0
@@ -524,7 +512,7 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [["simulate"], ["emit-plots", "--series", "baseline"],
+@pytest.mark.parametrize("command", [["simulate"], ["emit-plots"],
                                      ["sobol", "--level", "2", "--degree", "1"]],
                          ids=["simulate", "emit-plots", "sobol"])
 def test_cli_out_path_that_is_a_file_is_an_error_line(tmp_path, capsys, command):
@@ -536,6 +524,22 @@ def test_cli_out_path_that_is_a_file_is_an_error_line(tmp_path, capsys, command)
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1
     assert out.read_text() == ""
+
+
+def test_simulate_loads_no_hashlib_unless_json_asks_for_the_hash(tmp_path):
+    # the config hash is only in the --json payload, so a plain simulate
+    # never imports hashlib (and with it OpenSSL); --json still prints it
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    code = ("import json, sys; from prepspill.cli import main; "
+            "main(sys.argv[1:]); print(json.dumps('hashlib' in sys.modules))")
+    runs = [subprocess.run([sys.executable, "-c", code, "simulate", "--model", "basic",
+                            "--out", str(tmp_path), *extra],
+                           capture_output=True, text=True, check=True, env=env)
+            for extra in ([], ["--json"])]
+    assert runs[0].stdout.splitlines()[-1] == "false"
+    *payload, loaded = runs[1].stdout.splitlines()
+    assert loaded == "true"
+    assert json.loads("\n".join(payload))["config_hash"] == default_config("basic").content_hash()
 
 
 @pytest.mark.parametrize("unbuffered", [False, True])
@@ -912,12 +916,13 @@ def test_cli_fixed_fraction_with_empty_pool(tmp_path, capsys):
 
 def test_emit_effects_with_empty_source_pool(tmp_path):
     # an MSM pool that starts empty and recruits no one has no per-person
-    # effect: the series raises instead of writing gamma / 0
+    # effect: the bundle raises instead of writing gamma / 0, and writes no file
     path = write_config(tmp_path, {
         "model": "basic", "overrides": {"groups": {"msm": {"Pi": 0}}},
         "initial_conditions": {"msm": {"S": 0, "I": 42000}}})
     with pytest.raises(ZeroPopulation, match="source group msm has S = 0"):
-        emit_plot_data(str(tmp_path / "out"), load_config(path), series=("effects",))
+        emit_plot_data(str(tmp_path / "out"), load_config(path))
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_calls_in_one_process_keep_their_own_arguments(tmp_path, capsys):
@@ -1161,12 +1166,10 @@ def test_config_refusals(tmp_path, payload, error, match):
         load_config(path)
 
 
-@pytest.mark.parametrize("command", [["emit-plots", "--series", "baseline,sobol"],
-                                     ["sobol"]], ids=["emit-plots", "sobol"])
+@pytest.mark.parametrize("command", [["sobol"]], ids=["sobol"])
 def test_partial_year_sobol_refused_before_any_batch_or_file(tmp_path, monkeypatch,
                                                              capsys, command):
-    # the Sobol window is checked before the batch is integrated, and
-    # emit-plots builds every series before it makes --out or writes a file
+    # the Sobol window is checked before the batch is integrated or --out made
     batches, batch = [], sobol.integrate_batch
     monkeypatch.setattr(sobol, "integrate_batch",
                         lambda *a, **k: batches.append(a) or batch(*a, **k))

@@ -10,7 +10,9 @@ default ``out`` directory there.  Every written file, stdout, stderr and exit
 code is compared.  Each difference is printed, a CSV file's with its largest
 relative cell difference; for CSV files with rows on one side only, the
 first-column keys of those rows as well, and the largest difference over the
-rows both hold (numeric keys within NODE_TOL of each other pair).  Each
+rows both hold (numeric keys within NODE_TOL of each other pair).  A JSON
+output (a ``*.json`` file, or a stdout that parses as JSON) is compared the
+same way leaf by leaf, the leaves paired by their path in the document.  Each
 invocation's line also gives the wall time of its process on both trees:
 one fresh-process run each, so a cold-start figure to read, not a
 measurement to claim.  The closing count of identical invocations gives
@@ -79,6 +81,9 @@ CONFIGS = {
                                     "overrides": {"groups": {"pwid": {"a": 10.0}}}},
     "unknown_initial_group.json": {"model": "basic",
                                    "initial_conditions": {"pwid": {"S": 1.0, "I": 0.0}}},
+    # an msm pool that starts empty and recruits no one: no per-person effect
+    "empty_msm_pool.json": {"model": "basic", "overrides": {"groups": {"msm": {"Pi": 0}}},
+                            "initial_conditions": {"msm": {"S": 0, "I": 42000}}},
 }
 
 
@@ -89,7 +94,7 @@ def _preset_invocations(model):
             ["nnt", *m], ["nnt", *m, "--horizon", "2.5", "--json"],
             ["ngm", *m], ["ngm", *m, "--json"],
             ["sobol", *m, "--level", "3", "--degree", "2"],
-            ["emit-plots", *m, "--series", "baseline,effects,nnt,table,sobol"]]
+            ["emit-plots", *m]]
 
 
 INVOCATIONS = (
@@ -105,8 +110,7 @@ INVOCATIONS = (
         ["simulate", "--config", "basic_tracked_cap.json"],
         ["simulate", "--config", "start_2017_5.json"],
         ["emit-plots", "--config", "start_2017_5.json"],
-        ["emit-plots", "--config", "off_year_2020_25.json",
-         "--series", "baseline,effects,nnt,table"],
+        ["emit-plots", "--config", "off_year_2020_25.json"],
         ["nnt", "--config", "off_year_2020_25.json", "--horizon", "0.75"],
         ["ngm", "--config", "ngm_overrides.json", "--json"],
         # refusals
@@ -114,7 +118,7 @@ INVOCATIONS = (
         ["spillover", "--model", "risk", "--mode", "exact_delta"],
         ["sobol", "--level", "0"],
         ["sobol", "--lo", "5", "--hi", "1"],
-        ["emit-plots", "--series", "nosuch"],
+        ["emit-plots", "--config", "empty_msm_pool.json"],
         ["simulate", "--config", "no_model.json"],
         ["simulate", "--config", "unknown_override_group.json"],
         ["simulate", "--config", "unknown_initial_group.json"],
@@ -247,23 +251,71 @@ def _float(text):
 def _cell_difference(numbered_pairs):
     """The text of _largest_csv_difference over (row number, (row_a, row_b))
     pairs of equal-length rows."""
+    return _value_difference(
+        (((r, c), x, y) for r, (row_a, row_b) in numbered_pairs
+         for c, (x, y) in enumerate(zip(row_a, row_b))),
+        _float, "largest relative CSV cell difference {:.3g} at (row, col) {}",
+        "cell {} {!r} != {!r}", "bytes differ, cells equal")
+
+
+def _value_difference(triples, number, largest, other, same):
+    """Text for the largest relative difference over the (place, x, y)
+    triples whose x and y both read as numbers (``number`` gives a float or
+    None), then for the first other triple whose x and y differ, joined by
+    "; "; ``same`` if neither is found.  ``largest`` formats (size, place),
+    ``other`` (place, x, y)."""
     worst, where, text = 0.0, None, None
-    for r, (row_a, row_b) in numbered_pairs:
-        for c, (x, y) in enumerate(zip(row_a, row_b)):
-            if x == y:
-                continue
-            try:
-                fx, fy = float(x), float(y)
-            except ValueError:
-                text = text or f"cell ({r}, {c}) {x!r} != {y!r}"
-                continue
-            scale = max(abs(fx), abs(fy))
-            rel = abs(fx - fy) / scale if scale > 0.0 else 0.0
-            if where is None or rel > worst:
-                worst, where = rel, (r, c)
-    if where is not None:
-        return f"largest relative CSV cell difference {worst:.3g} at (row, col) {where}"
-    return text or "bytes differ, cells equal"
+    for place, x, y in triples:
+        if x == y and type(x) is type(y):
+            continue
+        fx, fy = number(x), number(y)
+        if fx is None or fy is None:
+            text = text or other.format(place, x, y)
+            continue
+        scale = max(abs(fx), abs(fy))
+        rel = abs(fx - fy) / scale if scale > 0.0 else 0.0
+        if where is None or rel > worst:
+            worst, where = rel, place
+    parts = [largest.format(worst, where)] if where is not None else []
+    return "; ".join(parts + [text] if text else parts) or same
+
+
+def _largest_json_difference(a, b):
+    """Text for the largest relative difference between the numbers of two
+    JSON documents and their first other difference, the leaves paired by
+    path; the paths found on one side only are listed first.  None if either
+    side is not JSON."""
+    try:
+        leaves_a, leaves_b = dict(_json_leaves(json.loads(a))), dict(_json_leaves(json.loads(b)))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError among them
+        return None
+    parts = [f"paths only in {side}: {', '.join(p for p in mine if p not in theirs)}"
+             for side, mine, theirs in (("parent", leaves_a, leaves_b),
+                                        ("change", leaves_b, leaves_a))
+             if mine.keys() - theirs.keys()]
+    parts.append(_value_difference(
+        ((p, x, leaves_b[p]) for p, x in leaves_a.items() if p in leaves_b), _json_number,
+        "largest relative JSON number difference {:.3g} at {}",
+        "first other difference at {}: {!r} != {!r}", "bytes differ, values equal"))
+    return "; ".join(parts)
+
+
+def _json_leaves(value, path=""):
+    """(path, leaf) of each leaf of a parsed JSON value, in document order:
+    keys joined by ".", list indices in brackets, an empty object or list a
+    leaf of its own."""
+    if isinstance(value, dict) and value:
+        for k, v in value.items():
+            yield from _json_leaves(v, f"{path}.{k}" if path else k)
+    elif isinstance(value, list) and value:
+        for i, v in enumerate(value):
+            yield from _json_leaves(v, f"{path}[{i}]")
+    else:
+        yield path, value
+
+
+def _json_number(v):
+    return float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else None
 
 
 def differences(a, b):
@@ -273,9 +325,12 @@ def differences(a, b):
         if name not in b or name not in a:
             lines.append(f"{name}: only in {'parent' if name in a else 'change'}")
         elif a[name] != b[name]:
-            why = (_largest_csv_difference(a[name], b[name]) if name.endswith(".csv")
-                   else _first_difference(a[name], b[name]))
-            lines.append(f"{name}: {why}")
+            why = None
+            if name.endswith(".csv"):
+                why = _largest_csv_difference(a[name], b[name])
+            elif name.endswith(".json") or name == "<stdout>":  # a --json stdout parses
+                why = _largest_json_difference(a[name], b[name])
+            lines.append(f"{name}: {why or _first_difference(a[name], b[name])}")
     return lines
 
 
