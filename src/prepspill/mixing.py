@@ -255,30 +255,16 @@ class RiskMixing:
                 xi, 1.0 - xi)
 
 
-class _Message:
-    """A closure error's text, ``text.format(*numbers)`` on each str().  The
-    trial-state sampler (reproduction._random_feasible_states) drops most
-    closure errors unread, so they keep their numbers, not the text.  A
-    complex number (a complex-step run's) prints its real part."""
-
-    __slots__ = ("text", "numbers")
-
-    def __init__(self, text, *numbers):
-        self.text, self.numbers = text, numbers
-
-    def __str__(self):
-        return self.text.format(*(x.real if isinstance(x, complex) else x
-                                   for x in self.numbers))
-
-
 def _at(t):
-    """The message suffix naming a known time t, else the empty string."""
-    return "" if t is None else _Message(" at t = {:.6f}", t)
+    """The message suffix naming a known time t, else the empty string.  The
+    messages format each number's real part, so a complex-step run's error
+    prints like the real run's."""
+    return "" if t is None else f" at t = {t.real:.6f}"
 
 
 def _unit_interval_error(name, value, t, detail=""):
-    return InfeasibleClosure(_Message("closure gives {} = {:.6g} outside [0, 1]{}{}", name,
-                                      value, detail, _at(t)), t=t, value=value)
+    return InfeasibleClosure(f"closure gives {name} = {value.real:.6g} outside [0, 1]"
+                             f"{detail}{_at(t)}", t=t, value=value)
 
 
 def _hetm_deficit(B1, B2, B3):
@@ -286,13 +272,13 @@ def _hetm_deficit(B1, B2, B3):
     exceeds all HETF's (eta_msm - 1 is that deficit over B_msm), absolute
     and as a share of B_hetm."""
     deficit = B3 - (B1 + B2)
-    return _Message("; contact-volume deficit B_hetm - (B_hh + B_hl) = {:.6g}"
-                    " ({:.3%} of B_hetm)", deficit, deficit / B3)
+    return (f"; contact-volume deficit B_hetm - (B_hh + B_hl) = {deficit.real:.6g}"
+            f" ({(deficit / B3).real:.3%} of B_hetm)")
 
 
 def _empty_interval_error(lo, hi, t):
-    return InfeasibleClosure(_Message("empty feasible interval for xi_hetm: [{:.6g}, {:.6g}]{}",
-                                      lo, hi, _at(t)), t=t, value=lo)
+    return InfeasibleClosure(f"empty feasible interval for xi_hetm: [{lo.real:.6g}, "
+                             f"{hi.real:.6g}]{_at(t)}", t=t, value=lo)
 
 
 # The names the closure texts' ``raise`` lines read.

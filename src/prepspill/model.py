@@ -6,14 +6,14 @@ hetf_l, hetm).  Each group carries susceptible S_j, infected I_j, and a
 cumulative-incidence accumulator C_j integrated alongside the state so annual
 counts are exact under adaptive stepping.
 
-The force of infection is written through the n x n contact matrix
-W[j, p] = a_j * (share of j's contacts made with p) * beta(p -> j), built by
-:func:`contact_matrix` from the variant's contact-pair table
-(``PAIRS`` on its mixing class).  The per-susceptible infection rate of group
-j is then (1 - epsilon_j) * (W @ (I / N))_j.
-
-The flat RHS is generated from that table (:func:`flat_rhs_factory`); a
-spillover mode (``MODES``) adds every source group's block of prepspill.spillover.
+The force of infection on group j is (1 - epsilon_j) * (W @ (I / N))_j, with
+W the n x n contact matrix W[j, p] = a_j * (share of j's contacts made with
+p) * beta(p -> j) over the variant's contact-pair table (``PAIRS`` on its
+mixing class).  The flat RHS is generated from that table
+(:func:`flat_rhs_factory`), each product written out term by term, not read
+through W; :func:`contact_matrix` builds W for the next-generation matrix
+(prepspill.reproduction.build_ngm) and the package's export.  A spillover
+mode (``MODES``) adds every source group's block of prepspill.spillover.
 The RHS carries the margins whose signs pick its branches (``f.switches``),
 generated with it.
 """
@@ -238,9 +238,11 @@ def contact_matrix(spec, mix):
     """Contact matrix W (n x n) for mixing fractions ``mix``: a mixing
     record, or the tuple its pair_fractions() gives.
 
-    W[j, p] = a_j * (share of j's contacts made with p) * beta(p -> j), so
-    (W @ (I / N))_j is the raw (pre-(1 - eps), pre-S) force of infection on
-    group j.  Entries outside the variant's contact pairs are zero.
+    W[j, p] = a_j * (share of j's contacts made with p) * beta(p -> j), in
+    that order, so (W @ (I / N))_j is the raw (pre-(1 - eps), pre-S) force
+    of infection on group j.  Entries outside the variant's contact pairs
+    are zero.  reproduction.build_ngm reads F from it; the generated RHS
+    forms the same products itself.
     """
     W = np.zeros((spec.n, spec.n))
     fractions = mix if isinstance(mix, tuple) else mix.pair_fractions()

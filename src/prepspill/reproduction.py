@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import InfeasibleClosure
 from .integrators import IntegratorConfig, integrate_rhs
-from .model import VARIANTS, StateVec, closed_mixing, dfe, flat_rhs_factory
+from .model import StateVec, closed_mixing, contact_matrix, dfe, flat_rhs_factory
 
 _AGREE_RTOL = 1e-9
 _IMAG_TOL = 1e-9
@@ -60,19 +60,17 @@ def build_ngm(spec):
     Mixing fractions are closed at the DFE populations Pi_j / mu (unless the
     spec pins them).  Entry (j, p) of F is the rate at which one infected in
     group p creates infections in group j near the DFE:
-    (1 - epsilon_j) W[j, p] N_j / N_p, with W[j, p] = a_j * frac * beta the
-    contact matrix entry (model.contact_matrix), each in that order, in
-    Python floats; entries outside the variant's contact pairs are zero.
+    (1 - epsilon_j) W[j, p] N_j / N_p, with W = model.contact_matrix at those
+    fractions, each product in that order, in Python floats; W is zero
+    outside the variant's contact pairs, and so is F.
     """
     mu, params = float(spec.mu), [p for _, p in spec.groups]
     N = [float(p.Pi) / mu for p in params]
     if min(N) <= 0.0:
         raise InfeasibleClosure("DFE has an empty group; NGM undefined")
-    fractions = closed_mixing(spec, N).pair_fractions()
-    F = np.zeros((spec.n, spec.n))
-    for (j, p, beta), frac in zip(VARIANTS[spec.variant].mixing.PAIRS, fractions):
-        W = params[j].a * frac * getattr(spec.probs, beta)
-        F[j, p] = (1.0 - float(params[j].epsilon)) * W * N[j] / N[p]
+    W = contact_matrix(spec, closed_mixing(spec, N)).tolist()
+    F = np.array([[(1.0 - float(p.epsilon)) * Wjp * Nj / Np for Wjp, Np in zip(row, N)]
+                  for p, row, Nj in zip(params, W, N)])
     V = np.diag([mu + float(p.delta) for p in params])
     return NGMatrices(F=F, V=V, labels=spec.labels, dfe_populations=np.array(N))
 
@@ -251,11 +249,11 @@ def rc_closed(ngm):
 
 
 def scale_transmission(spec, multiplier):
-    """Spec copy with all transmission probabilities scaled by a factor."""
+    """Spec copy with every transmission probability (each field of
+    spec.probs) times ``multiplier``, each capped at 1."""
     p = spec.probs
-    return replace(spec, probs=type(p)(beta_mm=min(p.beta_mm * multiplier, 1.0),
-                                       beta_fm=min(p.beta_fm * multiplier, 1.0),
-                                       beta_mf=min(p.beta_mf * multiplier, 1.0)))
+    return replace(spec, probs=type(p)(**{f: min(b * multiplier, 1.0)
+                                          for f, b in vars(p).items()}))
 
 
 def tune_multiplier_to_rc(spec, target):

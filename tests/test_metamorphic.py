@@ -8,8 +8,9 @@ the rest are ratios (I/N, the closure's volume shares, c_j/S_j, the error
 norm's y/atol).  Multiplying a float by c = 2^k is exact and commutes with
 rounding while nothing under- or overflows, so scaling those inputs by c
 gives the same node times and switch-event times, and states, sensitivity
-blocks and table cells times c, bit for bit; their ratios (NNT, per-person
-effects, the NGM and R_c) are unchanged, bit for bit.  A constant in
+blocks (the finite-difference oracle's too), table cells and Sobol samples
+times c, bit for bit; their ratios (NNT, per-person effects, the NGM and
+R_c, Sobol indices) are unchanged, bit for bit.  A constant in
 persons in a generated form, or a tolerance in persons that atol does not
 scale, breaks it.
 
@@ -35,8 +36,9 @@ from prepspill.integrators import NODE_TOL, IntegratorConfig, integrate
 from prepspill.model import StateVec
 from prepspill.reproduction import build_ngm, rc_closed, rc_numeric
 from prepspill.scenarios import (_config_from_raw, default_config, emit_plot_data, run_scenarios,
-                                 run_spillover)
-from prepspill.spillover import nnt
+                                 run_spillover, sobol_study)
+from prepspill.sobol import UncertainInput, sobol_timeseries
+from prepspill.spillover import fd_oracle, nnt
 
 SCALES = (2.0 ** -3, 4.0, 2.0 ** 8)
 
@@ -222,6 +224,67 @@ def test_ngm_is_unchanged_by_the_person_scale_property(variant):
             assert _ngm_outcome(got) == want
             assert np.array_equal(build_ngm(got).dfe_populations,
                                   c * build_ngm(spec).dfe_populations)
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_fd_oracle_blocks_scale_with_the_persons(variant):
+    # the two perturbed members are one batch of the config's window: the
+    # same times, each source's difference quotient times c
+    config = default_config(variant)
+    for k in config.spec.labels:
+        fd = fd_oracle(config.spec, config.y0, k, 1e-4, config.integrator)
+        for c in SCALES:
+            scaled = scaled_config(config, c)
+            got = fd_oracle(scaled.spec, scaled.y0, k, 1e-4, scaled.integrator)
+            assert got.scheme == fd.scheme
+            assert np.array_equal(got.times, fd.times)
+            assert np.array_equal(got.block, c * fd.block)
+
+
+def assert_sobol_scaled(study, got, c):
+    """got is study's Sobol study with its samples, means and clamps'
+    persons times c: the same work and clamps, samples and means times c,
+    variances times c^2, and every first-order and total index, bit for
+    bit."""
+    assert (got.years, got.clamp_count, got.rhs_evals, got.steps_accepted,
+            got.steps_rejected, got.members) == (study.years, study.clamp_count,
+                                                 study.rhs_evals, study.steps_accepted,
+                                                 study.steps_rejected, study.members)
+    assert got.samples.keys() == study.samples.keys()
+    for key, sample in study.samples.items():
+        assert np.array_equal(got.samples[key], c * sample)
+    for key, si in study.indices.items():
+        g = got.indices[key]
+        assert (g.defined, g.mean, g.variance) == (si.defined, c * si.mean, c * c * si.variance)
+        assert np.array_equal(g.first_order, si.first_order)
+        assert np.array_equal(g.total, si.total)
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_sobol_study_scales_with_the_persons(variant):
+    # the CLI's study: one scale input per group, integrated over the
+    # config's window and tolerances
+    config = default_config(variant)
+    study = sobol_study(config, 3, 2)
+    for c in SCALES:
+        assert_sobol_scaled(study, sobol_study(scaled_config(config, c), 3, 2), c)
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_sobol_count_input_scales_with_the_persons(variant):
+    # a count input over [0, 1.5 S_k(t0)] of the scaled config (its bounds
+    # times c, some nodes clamped at full coverage) beside a scale input
+    def study(config):
+        labels, S = config.spec.labels, config.y0.S
+        inputs = (UncertainInput(labels[0], -0.5, 0.5),
+                  UncertainInput(labels[-1], 0.0, 1.5 * float(S[-1]), domain="count"))
+        return sobol_timeseries(config.spec, config.y0, inputs, level=3, total_degree=2,
+                                cfg=config.integrator)
+    config = default_config(variant)
+    want = study(config)
+    assert want.clamp_count > 0
+    for c in SCALES:
+        assert_sobol_scaled(want, study(scaled_config(config, c)), c)
 
 
 SHIFTS = (-1000.0, 16.0, 1024.0)

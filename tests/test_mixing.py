@@ -411,8 +411,8 @@ _ANY = st.floats(allow_nan=True, allow_infinity=True)
        with_detail=st.booleans())
 def test_closure_errors_format_the_eager_text_property(name, value, lo, hi, t, B,
                                                        with_detail):
-    # each closure error keeps its numbers and formats its message on str():
-    # the text the eager f-strings gave, and the same t and value
+    # each closure error's message is the text of the eager f-strings, and
+    # the error keeps the same t and value
     def at(t):
         return "" if t is None else f" at t = {t:.6f}"
     B1, B2, B3 = B

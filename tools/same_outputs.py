@@ -76,6 +76,13 @@ CONFIGS = {
     "off_year_2020_25.json": {"model": "basic",
                               "horizon": {"start": 2017, "intervention": 2020.25, "end": 2031},
                               "integrator": {"dt_max": 0.7}},
+    # the risk preset with recruitment Pi_j = mu * N0_j: its DFE closes, so
+    # the risk NGM and R_c by radicals are compared on their success path
+    "risk_stationary.json": {"model": "risk",
+                             "overrides": {"groups": {"msm": {"Pi": 3308.36},
+                                                      "hetf_h": {"Pi": 5043.2},
+                                                      "hetf_l": {"Pi": 60452.840000000004},
+                                                      "hetm": {"Pi": 62918.78}}}},
     "no_model.json": {"model": "nosuch"},
     "unknown_override_group.json": {"model": "basic",
                                     "overrides": {"groups": {"pwid": {"a": 10.0}}}},
@@ -113,6 +120,8 @@ INVOCATIONS = (
         ["emit-plots", "--config", "off_year_2020_25.json"],
         ["nnt", "--config", "off_year_2020_25.json", "--horizon", "0.75"],
         ["ngm", "--config", "ngm_overrides.json", "--json"],
+        ["ngm", "--config", "risk_stationary.json"],
+        ["ngm", "--config", "risk_stationary.json", "--json"],
         # refusals
         ["simulate", "--model", "nosuch"],
         ["spillover", "--model", "risk", "--mode", "exact_delta"],
