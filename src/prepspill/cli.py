@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .errors import PrepspillError
-from .integrators import write_csv
+from .integrators import NODE_TOL, write_csv
 from .model import MODES, VARIANTS
 from .reproduction import build_ngm, rc_closed, rc_numeric
 from .scenarios import (SOBOL_INTERVAL, default_config, emit_plot_data, load_config,
@@ -87,13 +87,18 @@ def cmd_spillover(args):
 
 
 def cmd_nnt(args):
+    """NNT of every (j, k) pair at T = --horizon years after the
+    intervention (the whole window by default).  T may pass the window's
+    float length by NODE_TOL, so that T = end - intervention as typed is
+    accepted; its sample time is then the window's end node."""
     config = _config_from_args(args)
     span = config.end - config.intervention_year
     T = span if args.horizon is None else args.horizon
-    if not 0.0 < T <= span:
+    if not 0.0 < T <= span + NODE_TOL:
         raise PrepspillError(f"--horizon {T} outside (0, {span}] (years after intervention)")
     # nnt() reads only at nodes, so the horizon is made a sample time
-    traj, sens = run_spillover(config, sample_times=[config.intervention_year + T])
+    traj, sens = run_spillover(config,
+                               sample_times=[min(config.intervention_year + T, config.end)])
     labels = config.spec.labels
     rows = [nnt(sens[k], traj, j, k, T, config.spec.mu) for k in labels for j in labels]
     path = _out_path(args, f"nnt_{config.variant}.csv")

@@ -90,16 +90,14 @@ def rows_at(times, rows, t):
     return rows[i]
 
 
-def write_csv(path_or_file, header, rows):
-    """The package's one CSV writer: ``header``, then each of ``rows``, with
-    "\n" line ends, to the object itself if it has ``write``, else to the
-    path opened as UTF-8 with newlines untranslated.
+def csv_text(header, rows):
+    """The package's one CSV text: ``header``, then each of ``rows``, with
+    "\n" line ends.
 
     csv quotes a cell only when it holds the delimiter, the quote or a
     "\n", so a cell holding a "\r" and none of these would not read back:
-    ValueError naming its row (the header is row 0) and column (from 0),
-    and nothing is written.  One scan of the text finds whether any "\r"
-    is there at all."""
+    ValueError naming its row (the header is row 0) and column (from 0).
+    One scan of the text finds whether any "\r" is there at all."""
     rows = [header, *rows]
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
@@ -110,6 +108,14 @@ def write_csv(path_or_file, header, rows):
                 if "\r" in str(cell) and not any(ch in str(cell) for ch in ',"\n'):
                     raise ValueError(f"CSV row {r} column {c} holds {cell!r}: a \"\\r\" "
                                      "in an unquoted cell does not read back")
+    return text
+
+
+def write_csv(path_or_file, header, rows):
+    """csv_text(header, rows), to the object itself if it has ``write``,
+    else to the path opened as UTF-8 with newlines untranslated; csv_text's
+    ValueError writes nothing."""
+    text = csv_text(header, rows)
     if hasattr(path_or_file, "write"):
         path_or_file.write(text)
     else:
@@ -639,8 +645,8 @@ def integrate_batch(spec, y0, eps, cfg, sample_times=None):
 
 def whole_years(t0, t1):
     """The calendar years of the span [t0, t1]; PartialYear unless both ends
-    are whole years and at least one year apart."""
-    if abs(t0 - round(t0)) > 1e-9 or abs(t1 - round(t1)) > 1e-9:
+    are whole years, within NODE_TOL, and at least one year apart."""
+    if abs(t0 - round(t0)) > NODE_TOL or abs(t1 - round(t1)) > NODE_TOL:
         raise PartialYear(f"span [{t0}, {t1}] is not aligned to whole years")
     years = list(range(int(round(t0)), int(round(t1))))
     if not years:

@@ -27,10 +27,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import UnsupportedVariant, ZeroPopulation
-from .mixing import (CLOSURE_ERRORS, BasicMixing, RiskMixing, check_unit_fields,
-                     close_basic_batch, close_risk_batch, exec_source)
-# looked up here by name at use (Variant.closure), so rebinding them (e.g. for tracing) works
-from .mixing import close_basic, close_risk  # noqa: F401
+from .mixing import (CLOSURE_ERRORS, BasicMixing, RiskMixing, check_unit_fields, close_basic,
+                     close_basic_batch, close_risk, close_risk_batch, exec_source)
 
 MODES = ("practical", "exact_delta")  # of the spillover system (prepspill.spillover)
 
@@ -38,22 +36,19 @@ MODES = ("practical", "exact_delta")  # of the spillover system (prepspill.spill
 @dataclass(frozen=True)
 class Variant:
     """Group labels in state order, the mixing class (which carries the
-    contact-pair table and the closure text), the name in this module of the
-    closure solver, looked up at use so that rebinding it (e.g. for tracing)
-    works, and the closure's array form.  An unpinned scalar RHS evaluates
-    the closure text inline and calls neither."""
+    contact-pair table and the closure text) and the closure's array form.
+    The scalar closure solver is this module's close_basic or close_risk
+    (closed_mixing).  An unpinned scalar RHS evaluates the closure text
+    inline and calls neither."""
 
     groups: tuple
     mixing: type
-    closure: str
     batch_closure: object
 
 
 VARIANTS = {
-    "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, "close_basic",
-                     close_basic_batch),
-    "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, "close_risk",
-                    close_risk_batch),
+    "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, close_basic_batch),
+    "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, close_risk_batch),
 }
 
 
@@ -226,11 +221,13 @@ class StateVec:
 
 def closed_mixing(spec, N):
     """Mixing fractions at populations N: the pinned ones if the spec fixes
-    them, otherwise the closure projection of the priors.  The closure reads
-    the contact rates as Python floats."""
+    them, otherwise the closure projection of the priors by this module's
+    close_basic or close_risk.  The closure reads the contact rates as
+    Python floats."""
     if spec.mixing is not None:
         return spec.mixing
-    close = globals()[VARIANTS[spec.variant].closure]
+    # module globals read at each call, so a rebinding (e.g. for tracing) is seen
+    close = close_basic if spec.variant == "basic" else close_risk
     return close(N, [float(p.a) for _, p in spec.groups], spec.mixing_priors)
 
 

@@ -10,7 +10,6 @@ running susceptible pool at every step.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -20,8 +19,8 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .errors import ParseError, SchemaViolation, UnknownGroup, ZeroPopulation
-from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, integrate, interp_rows,
-                          node_index, write_csv)
+from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, csv_text, integrate,
+                          interp_rows, node_index, write_csv)
 from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (INTERVENTION_START, REPORT_END, SIM_START, STUDIES,
                       combine_reported)
@@ -439,12 +438,6 @@ def _write(path, text):
         fh.write(text)
 
 
-def _csv_text(header, rows):
-    buf = io.StringIO()
-    write_csv(buf, header, rows)
-    return buf.getvalue()
-
-
 def _suppressed_json(cap, suppressed):
     """json.dumps({"display_cap": cap, "suppressed": suppressed}, indent=1,
     sort_keys=True), byte for byte, written directly: cap and each entry's
@@ -487,7 +480,7 @@ def emit_plot_data(out_dir, config):
     rows = [[y] + [f"{v:.6f}" for v in prev] + [f"{v:.6f}" for v in row]
             for y, prev, row in zip(range(first, last), at[:-1, 1:2 * n:2].tolist(),
                                     (at[1:, 2 * n:3 * n] - at[:-1, 2 * n:3 * n]).tolist())]
-    texts = [(f"baseline_series_{variant}.csv", _csv_text(header, rows))]
+    texts = [(f"baseline_series_{variant}.csv", csv_text(header, rows))]
 
     empty = S <= 0.0
     if empty.any():  # the first (node, source) with an empty pool
@@ -499,7 +492,7 @@ def emit_plot_data(out_dir, config):
     header = ["t"] + [f"per_person_{j}__{k}" for k in labels for j in labels]
     rows = [[f"{t:.6f}"] + [f"{v:.10e}" for v in row]
             for t, row in zip(traj.times.tolist(), effects.tolist())]
-    texts.append((f"per_person_effects_{variant}.csv", _csv_text(header, rows)))
+    texts.append((f"per_person_effects_{variant}.csv", csv_text(header, rows)))
 
     suppressed = []
     pairs = [(jl, k) for k in labels for jl in labels]
@@ -507,7 +500,8 @@ def emit_plot_data(out_dir, config):
     rows = []
     # S_k, then gamma_j of each source block in pair order, per node
     table = np.concatenate([S] + [sens[k].gamma for k in labels], axis=1)
-    horizons = [0.5 * i for i in range(1, int(2 * (config.end - t_int)) + 1)]
+    # every half year T <= end - t_int, within NODE_TOL of float noise
+    horizons = [0.5 * i for i in range(1, int(2 * (config.end - t_int + NODE_TOL)) + 1)]
     for T in horizons:
         # nnt()'s nnt_simple from S_k and gamma_j at the horizon's node, else
         # the package's one read between nodes, linear (ROADMAP item 2)
@@ -525,7 +519,7 @@ def emit_plot_data(out_dir, config):
             else:
                 row.append(f"{simple:.3f}")
         rows.append(row)
-    texts.append((f"nnt_{variant}.csv", _csv_text(header, rows)))
+    texts.append((f"nnt_{variant}.csv", csv_text(header, rows)))
     texts.append((f"nnt_{variant}_suppressed.json", _suppressed_json(NNT_DISPLAY_CAP, suppressed)))
 
     os.makedirs(out_dir, exist_ok=True)

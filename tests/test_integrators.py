@@ -14,7 +14,7 @@ from conftest import rk4_fixed
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
 from prepspill.integrators import (NODE_TOL, IntegratorConfig, Trajectory, _breakpoints,
                                    _dp_step_maker, _postprocess_columns,
-                                   _postprocess_step, annual_series, integrate,
+                                   _postprocess_step, annual_series, csv_text, integrate,
                                    integrate_batch, integrate_flat, interp_rows, write_csv)
 from prepspill.model import (StateVec, TransmissionProbs, closed_mixing, flat_rhs_factory,
                              make_spec)
@@ -766,10 +766,13 @@ def test_write_csv_round_trips_any_cells(header, rows):
             for dest in (buf, str(path)):
                 with pytest.raises(ValueError, match=f"^CSV row {r} column {c} holds "):
                     write_csv(dest, header, iter(rows))
+            with pytest.raises(ValueError, match=f"^CSV row {r} column {c} holds "):
+                csv_text(header, iter(rows))
             assert buf.getvalue() == "" and not path.exists()
             return
         write_csv(buf, header, iter(rows))
         text = buf.getvalue()
+        assert csv_text(header, iter(rows)) == text
         assert not buf.closed  # a caller's file stays open
         assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
         # rows end in "\n" alone: any "\r" is inside a quoted cell

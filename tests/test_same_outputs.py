@@ -144,4 +144,15 @@ def test_the_count_line_gives_each_trees_source_lines(same_outputs, tmp_path, mo
     assert same_outputs.main() == 0
     assert capsys.readouterr().out == (
         "0/0 invocations identical  [src/prepspill: 15 lines parent, 1,201 change; "
-        "8 code lines parent, 1,202 change]\n")
+        "8 code lines parent, 1,202 change]\n"
+        "code lines by module: doc.py 5 → -, sub/z.py - → 1200, y.py 1 → -\n")
+    assert same_outputs.moved_code_lines(tmp_path / "a", tmp_path / "a") == "none"
+
+
+def test_module_code_lines_sum_to_the_trees_code_lines(same_outputs):
+    # one counter: the per-module counts of this tree, one per .py file
+    root = TOOLS.parent
+    counts = same_outputs.module_code_lines(root)
+    assert sorted(counts) == sorted(p.relative_to(root / "src" / "prepspill").as_posix()
+                                    for p in (root / "src" / "prepspill").rglob("*.py"))
+    assert sum(counts.values()) == same_outputs.code_lines(root) > 0

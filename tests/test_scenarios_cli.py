@@ -847,6 +847,41 @@ def test_cli_nnt_horizon_within_window(tmp_path, capsys, horizon, rc):
     assert err.startswith("error: --horizon ") if rc else err == ""
 
 
+@pytest.mark.parametrize("intervention, end, horizon, rc", [
+    (2019.9, 2031, "11.1", 0), (2020.2, 2030.3, "10.1", 0), (2020.7, 2031, "10.3", 0),
+    (2017.2, 2017.3, "0.1", 0), (2019.9, 2031, "11.2", 1)])
+def test_cli_nnt_horizon_equal_to_the_window_is_accepted(tmp_path, capsys, intervention, end,
+                                                         horizon, rc):
+    # end - intervention falls short of the typed horizon in its last bits
+    # (2031 - 2019.9 = 11.099999999999909): the horizon is the window's end;
+    # one past it is still refused
+    path = write_config(tmp_path, {"model": "basic", "horizon": {
+        "start": 2017, "intervention": intervention, "end": end}})
+    out = tmp_path / "out"
+    assert main(["nnt", "--config", path, "--out", str(out), "--horizon", horizon]) == rc
+    err = capsys.readouterr().err
+    if rc:
+        assert err.startswith(f"error: --horizon {horizon} outside (0, {end - intervention}]")
+        assert not out.exists()
+        return
+    assert err == "" and end - intervention < float(horizon)
+    header, *rows = csv.reader(io.StringIO((out / "nnt_basic.csv").read_text()))
+    assert len(rows) == 9
+    assert {(r[header.index("T")], r[header.index("defined")]) for r in rows} == \
+        {(horizon, "true")}
+
+
+@pytest.mark.parametrize("intervention", [2020.0, 2020.0000000001, 2019.9999999999])
+def test_emit_plots_nnt_rows_count_the_last_half_year_within_node_tol(tmp_path,
+                                                                      intervention):
+    # 2 * (2031 - 2020.0000000001) = 21.9999999998 still holds T = 11.00
+    path = write_config(tmp_path, {"model": "basic", "horizon": {
+        "start": 2017, "intervention": intervention, "end": 2031}})
+    emit_plot_data(str(tmp_path / "out"), load_config(path))
+    header, *rows = csv.reader(io.StringIO((tmp_path / "out" / "nnt_basic.csv").read_text()))
+    assert [r[0] for r in rows] == [f"{0.5 * i:.2f}" for i in range(1, 23)]
+
+
 @pytest.mark.parametrize("args, flag", [
     (["--level", "0"], "--level"), (["--degree", "-1"], "--degree"),
     (["--lo", "5", "--hi", "1"], "--lo"), (["--lo", "nan"], "--lo"),

@@ -18,8 +18,9 @@ one fresh-process run each, so a cold-start figure to read, not a
 measurement to claim.  The closing count of identical invocations gives
 each tree's line count of src/prepspill beside it, as `wc -l` counts the
 lines of its .py files, and its count of code lines: those lines that are
-not blank, not comment-only and not inside a docstring.  Exits 1 if
-anything differs, else 0.
+not blank, not comment-only and not inside a docstring; a last line names
+each module whose count of code lines moved.  Exits 1 if anything differs,
+else 0.
 """
 
 from __future__ import annotations
@@ -169,12 +170,14 @@ _NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
              tokenize.DEDENT, tokenize.ENDMARKER}
 
 
-def code_lines(tree):
-    """The lines of the .py files under <tree>/src/prepspill that hold a
-    token of code: every line a string spans counts, except a docstring's
-    (the leading string of a module, class or function body)."""
-    total = 0
-    for path in (Path(tree) / "src" / "prepspill").rglob("*.py"):
+def module_code_lines(tree):
+    """{path under <tree>/src/prepspill: its lines that hold a token of
+    code} over the .py files there: every line a string spans counts,
+    except a docstring's (the leading string of a module, class or function
+    body)."""
+    counts = {}
+    root = Path(tree) / "src" / "prepspill"
+    for path in root.rglob("*.py"):
         text = path.read_text(encoding="utf-8")
         docs = {(node.body[0].lineno, node.body[0].col_offset)
                 for node in ast.walk(ast.parse(text))
@@ -187,8 +190,23 @@ def code_lines(tree):
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             if tok.type not in _NOT_CODE and tok.start not in docs:
                 rows.update(range(tok.start[0], tok.end[0] + 1))
-        total += len(rows)
-    return total
+        counts[path.relative_to(root).as_posix()] = len(rows)
+    return counts
+
+
+def code_lines(tree):
+    """The code lines of <tree>/src/prepspill: module_code_lines summed."""
+    return sum(module_code_lines(tree).values())
+
+
+def moved_code_lines(parent, change):
+    """Text naming each module whose code lines differ between the trees,
+    e.g. "model.py 292 → 288" ("-" for a module on one side only), or
+    "none"."""
+    a, b = module_code_lines(parent), module_code_lines(change)
+    moved = [f"{m} {a.get(m, '-')} → {b.get(m, '-')}"
+             for m in sorted(a.keys() | b.keys()) if a.get(m) != b.get(m)]
+    return ", ".join(moved) or "none"
 
 
 def read_tree(root):
@@ -370,6 +388,7 @@ def main():
           f"[src/prepspill: {source_lines(parent):,} lines parent, "
           f"{source_lines(change):,} change; {code_lines(parent):,} code lines parent, "
           f"{code_lines(change):,} change]")
+    print(f"code lines by module: {moved_code_lines(parent, change)}")
     return 1 if differing else 0
 
 
