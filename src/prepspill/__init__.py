@@ -20,6 +20,6 @@ from .scenarios import (RunReport, ScenarioConfig, default_config, load_config,
 from .sobol import (PCExpansion, QuadratureGrid, SobolIndices, UncertainInput,
                     build_grid, fit_pce, sobol_indices, sobol_timeseries)
 from .spillover import (NNTResult, SensitivityState, SensitivityTrajectory,
-                        fd_oracle, integrate_with_spillover, nnt)
+                        integrate_with_spillover, nnt)
 
 __version__ = "0.1.0"

@@ -90,12 +90,14 @@ def cmd_nnt(args):
     """NNT of every (j, k) pair at T = --horizon years after the
     intervention (the whole window by default).  T may pass the window's
     float length by NODE_TOL, so that T = end - intervention as typed is
-    accepted; its sample time is then the window's end node."""
+    accepted; its sample time is then the window's end node.  A refusal
+    prints that length rounded to NODE_TOL's 9 decimals."""
     config = _config_from_args(args)
     span = config.end - config.intervention_year
     T = span if args.horizon is None else args.horizon
     if not 0.0 < T <= span + NODE_TOL:
-        raise PrepspillError(f"--horizon {T} outside (0, {span}] (years after intervention)")
+        raise PrepspillError(f"--horizon {T} outside (0, {round(span, 9)}] "
+                             "(years after intervention)")
     # nnt() reads only at nodes, so the horizon is made a sample time
     traj, sens = run_spillover(config,
                                sample_times=[min(config.intervention_year + T, config.end)])

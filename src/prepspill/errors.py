@@ -45,14 +45,6 @@ class PartialYear(PrepspillError):
     """Annual aggregation requested on a trajectory not aligned to whole years."""
 
 
-class UnsupportedVariant(PrepspillError):
-    """Operation is only defined for one model variant."""
-
-
-class PerturbationOutOfRange(PrepspillError):
-    """Finite-difference perturbation would push a coverage fraction outside [0, 1]."""
-
-
 class DimensionOverflow(PrepspillError):
     """Quadrature grid would exceed the configured node cap."""
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import UnsupportedVariant, ZeroPopulation
+from .errors import ZeroPopulation
 from .mixing import (CLOSURE_ERRORS, BasicMixing, RiskMixing, check_unit_fields, close_basic,
                      close_basic_batch, close_risk, close_risk_batch, exec_source)
 
@@ -303,14 +303,15 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, infected=False):
     count (cell ``c<j>``, counts[j]; full while S_j <= c_j).  ``mode`` (one
     of MODES, checked first): the spillover system, y going on with one
     (sigma, gamma) block per group, in group order, after the 3n state
-    slots (see prepspill.spillover); None: no blocks.  ``infected``: the
-    infected-only form of a delta = 0 spec (make refuses any delta_j != 0
-    with a ValueError), y the n I slots alone.  With no disease deaths
-    N_j' = Pi_j - mu N_j, so N_j(t) = Ns_j + d_j e^(-mu (t - t0)) exactly,
-    with Ns_j = Pi_j / mu and d_j = N_j(t0) - Ns_j read from ``start``, a
-    (t0, StateVec) pair, at every t before or after t0; S_j = N_j(t) - I_j,
-    and f returns the I rows alone, as in the full form.  Blocks need the
-    full, untracked form.
+    slots (see prepspill.spillover), its rows generated from the same
+    contact-pair table for either variant in either mode; None: no blocks.
+    ``infected``: the infected-only form of a delta = 0 spec (make refuses
+    any delta_j != 0 with a ValueError), y the n I slots alone.  With no
+    disease deaths N_j' = Pi_j - mu N_j, so
+    N_j(t) = Ns_j + d_j e^(-mu (t - t0)) exactly, with Ns_j = Pi_j / mu and
+    d_j = N_j(t0) - Ns_j read from ``start``, a (t0, StateVec) pair, at
+    every t before or after t0; S_j = N_j(t) - I_j, and f returns the I rows
+    alone, as in the full form.  Blocks need the full, untracked form.
     The three row forms of the flat RHS keep the arithmetic order of the
     hand-written closures they replaced, and the spillover rows that of the
     numpy kernel, so integrations are unchanged to the last bit.
@@ -334,8 +335,6 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, infected=False):
     """
     if mode not in (None, *MODES):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact_delta" and variant != "basic":
-        raise UnsupportedVariant("exact_delta mode is derived for the basic variant only")
     if mode and (tracked or infected):
         raise ValueError("the infected-only and tracked RHS forms have no spillover blocks")
     var = VARIANTS[variant]

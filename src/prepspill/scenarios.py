@@ -21,6 +21,8 @@ import numpy as np
 from .errors import ParseError, SchemaViolation, UnknownGroup, ZeroPopulation
 from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, csv_text, integrate,
                           interp_rows, node_index, write_csv)
+# the one file writer, under the name tracers rebind for the non-CSV outputs
+from .integrators import write_text as _write
 from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (INTERVENTION_START, REPORT_END, SIM_START, STUDIES,
                       combine_reported)
@@ -431,11 +433,6 @@ def validate_tables():
             cells.append(check(variant, f"{group}+{persons}", "prevented_total", exp,
                                r.prevented["total"], max(0.05 * exp, 25.0)))
     return ValidationReport(cells=cells)
-
-
-def _write(path, text):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
 
 
 def _suppressed_json(cap, suppressed):

@@ -8,25 +8,26 @@ this package: responses are reported as *reductions*, i.e.
     sigma_j = -dS_j/d(eps_k),   gamma_j = -dI_j/d(eps_k),
 
 so gamma_j counts infections averted in group j per unit of additional
-coverage in group k, and is positive when PrEP helps.  The finite-difference
-check in :func:`fd_oracle` returns the same convention.
+coverage in group k, and is positive when PrEP helps.  The test suite's
+finite-difference and complex-step oracles (tests/oracles.py) return the
+same convention.
 
 Every run carries one (sigma, gamma) block per source group, in group order.
 Two dynamic modes (``MODES``), generated with the state equations from the
-same contact-pair table by ``model.flat_rhs_factory``, which refuses an
-unknown mode and exact_delta on risk:
+same contact-pair table by ``model.flat_rhs_factory`` for either variant,
+which refuses an unknown mode:
 
 * "practical" (default): the sensitivity block decays at the natural removal
   rate mu regardless of delta, while being driven by the full state
   trajectory.  This mirrors how the published simulations treat the system.
-* "exact_delta" (basic variant only): infected sensitivities decay at
-  mu + delta_j and the population-size correction
+* "exact_delta": infected sensitivities decay at mu + delta_j and the
+  population-size correction
   (1 - eps_j) * sum_p W[j, p] * (sigma_p + gamma_p) * I_p / N_p^2 * S_j is
   added to dsigma_j/dt and subtracted from dgamma_j/dt, making the block the
   exact derivative system of the delta != 0 model at fixed mixing
-  fractions.  A closure re-solved from N at every evaluation moves with N
-  too, which the block leaves out (up to 3.3e-3 of a row's largest entry on
-  random basic specs).
+  fractions, on both variants.  A closure re-solved from N at every
+  evaluation moves with N too, which the block leaves out (up to 3.3e-3 of
+  a row's largest entry on random basic specs).
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import PerturbationOutOfRange
-from .integrators import (NODE_TOL, Trajectory, _breakpoints, integrate_batch,
-                          integrate_flat, rows_at, write_csv)
+from .integrators import NODE_TOL, Trajectory, integrate_flat, rows_at, write_csv
 from .model import flat_rhs_factory
 
 
@@ -160,53 +159,6 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
     full = T / (gam_T / S_T + mu * integral)
     return NNTResult(j=j, k=k, horizon=T, nnt_simple=simple,
                      nnt_integral=full, defined=True)
-
-
-@dataclass
-class FdEstimate(SensitivityTrajectory):
-    """Finite-difference sensitivity estimate on a fixed sample grid.
-
-    Same sign convention as SensitivityTrajectory (reductions).  ``scheme``
-    records whether a central difference was possible or a one-sided
-    fallback was used at a coverage boundary.
-    """
-
-    scheme: str
-
-
-def fd_oracle(spec, y0, k, eps_tilde, cfg):
-    """Estimate the coverage sensitivity by differencing two perturbed runs.
-
-    Integrates the given spec with eps_k (k a group label) shifted by +/- eps_tilde and forms
-    (X(eps - e) - X(eps + e)) / (2 e), matching the package's
-    reduction-sign convention, at t0, every whole year (if cfg.year_nodes)
-    and t_end.  The two runs are one 2-member integrate_batch, so they take
-    every step together and the difference carries no noise from separately
-    placed nodes (internal numerical differentiation).  Falls back to a
-    one-sided difference when eps_k sits at a boundary of [0, 1]; raises
-    PerturbationOutOfRange when no admissible perturbation exists.
-    """
-    if eps_tilde <= 0.0:
-        raise PerturbationOutOfRange("eps_tilde must be positive")
-    k_idx = spec.group_index(k)
-    eps_k = spec.groups[k_idx][1].epsilon
-    hi, lo = eps_k + eps_tilde, eps_k - eps_tilde
-    if lo >= 0.0 and hi <= 1.0:
-        scheme, pair, denom = "central", (lo, hi), 2.0 * eps_tilde
-    elif hi <= 1.0:
-        scheme, pair, denom = "forward", (eps_k, hi), eps_tilde
-    elif lo >= 0.0:
-        scheme, pair, denom = "backward", (lo, eps_k), eps_tilde
-    else:
-        raise PerturbationOutOfRange(
-            f"eps_{k} = {eps_k} admits no +/-{eps_tilde} perturbation in [0, 1]")
-    eps = np.repeat(spec.param_arrays()[3][None], 2, axis=0)
-    eps[:, k_idx] = pair
-    traj = integrate_batch(spec, y0, eps, cfg)
-    grid = _breakpoints(cfg, None)
-    rows = traj.states[[traj.index_of(t) for t in grid], :2 * spec.n]
-    return FdEstimate(source=k, source_index=k_idx, times=np.array(grid),
-                      block=(rows[..., 0] - rows[..., 1]) / denom, scheme=scheme)
 
 
 def sensitivity_to_csv(sens_map, labels, path_or_file):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from prepspill.errors import UnsupportedVariant, ZeroPopulation
+from prepspill.errors import ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate
 from prepspill.mixing import BasicMixing, RiskMixing, basic_fractions, risk_fractions
 from prepspill.model import (StateVec, TransmissionProbs, _zero_population, contact_matrix,
@@ -221,10 +221,10 @@ def xi_correction(spec, state, sens):
     W[j, p] * (sigma_p + gamma_p) / N_p^2 at partner infected slots, and
     contrib_j = (1 - eps_j) * (Xi_j . X) * S_j is the term added to
     dsigma_j/dt and subtracted from dgamma_j/dt when the flag is on.
-    Only derived for the basic variant.
+    Only derived for the basic variant: ValueError on any other.
     """
     if spec.variant != "basic":
-        raise UnsupportedVariant("correction vectors exist for the basic variant only")
+        raise ValueError("correction vectors exist for the basic variant only")
     N = state.N
     _, _, _, eps = spec.param_arrays()
     Xi = np.zeros((spec.n, 2 * spec.n))

@@ -1,23 +1,27 @@
-"""Oracles that share no code with the package's integrators.
+"""Oracles for the package's runs and coverage sensitivities.
 
-Every accuracy check that compares two prepspill runs (a tight run, the
-finite-difference oracle, the per-node Sobol runs) goes through
-integrators.integrate_flat on both sides, so a defect in its step or its
-controller would appear on both.  reference_run integrates the same
-generated RHS with scipy's solve_ivp instead: an explicit eighth-order pair
-(DOP853) as the reference and an implicit one (Radau) as its cross-check.
-complex_step differentiates the generated RHS's run with respect to one
-group's coverage with no step to pick (Squire & Trapp 1998, SIAM Rev
-40:110; Martins, Sturdza & Alonso 2003, ACM TOMS 29:245), through its own
-Dormand-Prince loop.
+fd_oracle differences two runs of the package's own batch integrator.
+Every accuracy check that compares two prepspill runs (a tight run,
+fd_oracle, the per-node Sobol runs) goes through integrators.integrate_flat
+on both sides, so a defect in its step or its controller would appear on
+both.  The other two oracles share no code with the package's integrators.
+reference_run integrates the same generated RHS with scipy's solve_ivp
+instead: an explicit eighth-order pair (DOP853) as the reference and an
+implicit one (Radau) as its cross-check.  complex_step differentiates the
+generated RHS's run with respect to one group's coverage with no step to
+pick (Squire & Trapp 1998, SIAM Rev 40:110; Martins, Sturdza & Alonso 2003,
+ACM TOMS 29:245), through its own Dormand-Prince loop.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from prepspill.integrators import _breakpoints, integrate_batch
 from prepspill.model import flat_rhs_factory
+from prepspill.spillover import SensitivityTrajectory
 
 # solve_ivp's options for the reference and for its cross-check
 REFERENCE = {"method": "DOP853", "rtol": 1e-13, "atol": 1e-10, "max_step": 0.05}
@@ -42,6 +46,57 @@ def reference_run(spec, y0, window, sample_times):
     f = flat_rhs_factory(spec)
     return tuple(_solve(f, y0, window, sample_times, options)
                  for options in (REFERENCE, CROSS_CHECK))
+
+
+class PerturbationOutOfRange(ValueError):
+    """Finite-difference perturbation would push a coverage fraction outside [0, 1]."""
+
+
+@dataclass
+class FdEstimate(SensitivityTrajectory):
+    """Finite-difference sensitivity estimate on a fixed sample grid.
+
+    Same sign convention as SensitivityTrajectory (reductions).  ``scheme``
+    records whether a central difference was possible or a one-sided
+    fallback was used at a coverage boundary.
+    """
+
+    scheme: str
+
+
+def fd_oracle(spec, y0, k, eps_tilde, cfg):
+    """Estimate the coverage sensitivity by differencing two perturbed runs.
+
+    Integrates the given spec with eps_k (k a group label) shifted by +/- eps_tilde and forms
+    (X(eps - e) - X(eps + e)) / (2 e), matching the package's
+    reduction-sign convention, at t0, every whole year (if cfg.year_nodes)
+    and t_end.  The two runs are one 2-member integrate_batch, so they take
+    every step together and the difference carries no noise from separately
+    placed nodes (internal numerical differentiation).  Falls back to a
+    one-sided difference when eps_k sits at a boundary of [0, 1]; raises
+    PerturbationOutOfRange when no admissible perturbation exists.
+    """
+    if eps_tilde <= 0.0:
+        raise PerturbationOutOfRange("eps_tilde must be positive")
+    k_idx = spec.group_index(k)
+    eps_k = spec.groups[k_idx][1].epsilon
+    hi, lo = eps_k + eps_tilde, eps_k - eps_tilde
+    if lo >= 0.0 and hi <= 1.0:
+        scheme, pair, denom = "central", (lo, hi), 2.0 * eps_tilde
+    elif hi <= 1.0:
+        scheme, pair, denom = "forward", (eps_k, hi), eps_tilde
+    elif lo >= 0.0:
+        scheme, pair, denom = "backward", (lo, eps_k), eps_tilde
+    else:
+        raise PerturbationOutOfRange(
+            f"eps_{k} = {eps_k} admits no +/-{eps_tilde} perturbation in [0, 1]")
+    eps = np.repeat(spec.param_arrays()[3][None], 2, axis=0)
+    eps[:, k_idx] = pair
+    traj = integrate_batch(spec, y0, eps, cfg)
+    grid = _breakpoints(cfg, None)
+    rows = traj.states[[traj.index_of(t) for t in grid], :2 * spec.n]
+    return FdEstimate(source=k, source_index=k_idx, times=np.array(grid),
+                      block=(rows[..., 0] - rows[..., 1]) / denom, scheme=scheme)
 
 
 def column_share(rows, other):
@@ -74,7 +129,7 @@ def complex_step(spec, y0, source, window):
     complex step: (times, block), the times t0, each whole year inside
     ``window`` = (t0, t1) and t1, and one row per time of the (sigma_j,
     gamma_j) pairs interleaved, in the package's reduction sign, as
-    spillover.fd_oracle's block.
+    fd_oracle's block.
 
     The spec's untracked flat RHS (model.flat_rhs_factory) runs unchanged
     with its cell u<k> = 1 - eps_k set to the complex 1 - eps_k - i h,

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_spec, stationary_risk
+from oracles import fd_oracle
 from prepspill.integrators import IntegratorConfig, integrate
 from prepspill.presets import (TABLE_BASIC_BASELINE, TABLE_BASIC_INTERVENTIONS,
                                TABLE_RISK_BASELINE, TABLE_RISK_INTERVENTIONS,
@@ -22,7 +23,7 @@ from prepspill.reproduction import (build_ngm, rc_closed_basic, rc_closed_risk,
 from prepspill.scenarios import default_config, run_scenarios
 from prepspill.sobol import (UncertainInput, build_grid, fit_pce,
                              sobol_indices, sobol_timeseries)
-from prepspill.spillover import fd_oracle, integrate_with_spillover, nnt
+from prepspill.spillover import integrate_with_spillover, nnt
 
 
 def report(criterion, ok, detail):

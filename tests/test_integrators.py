@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import os
 import tempfile
 from dataclasses import replace
 from pathlib import Path
@@ -11,11 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import rk4_fixed
+from prepspill import scenarios
 from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
 from prepspill.integrators import (NODE_TOL, IntegratorConfig, Trajectory, _breakpoints,
                                    _dp_step_maker, _postprocess_columns,
                                    _postprocess_step, annual_series, csv_text, integrate,
-                                   integrate_batch, integrate_flat, interp_rows, write_csv)
+                                   integrate_batch, integrate_flat, interp_rows, write_csv,
+                                   write_text)
 from prepspill.model import (StateVec, TransmissionProbs, closed_mixing, flat_rhs_factory,
                              make_spec)
 from prepspill.mixing import BasicMixing
@@ -780,6 +783,30 @@ def test_write_csv_round_trips_any_cells(header, rows):
             cell.count("\r") for row in [header] + rows for cell in row)
         write_csv(str(path), header, rows)
         assert path.read_bytes() == text.encode("utf-8")
+
+
+def test_a_shorter_rewrite_leaves_no_trailing_bytes_and_keeps_the_file(tmp_path):
+    # the one writer overwrites in place, then truncates to the new length:
+    # nothing of the longer text is left, and the file keeps its inode, its
+    # hard links and its mode; write_csv's path branch and scenarios._write
+    # go through it, and a new file gets the mode open(path, "w") gives
+    path, link = tmp_path / "out.csv", tmp_path / "link.csv"
+    write_text(path, "é,a longer row\r\n" * 50)
+    os.link(path, link)
+    path.chmod(0o640)
+    before = path.stat()
+    for write, want in ((lambda: write_text(path, "é\r\n"), "é\r\n"),
+                        (lambda: write_csv(str(path), ["a"], [["b"]]), "a\nb\n"),
+                        (lambda: scenarios._write(path, "{}"), "{}"),
+                        (lambda: write_text(path, ""), "")):
+        write()
+        after = path.stat()
+        assert path.read_bytes() == link.read_bytes() == want.encode("utf-8")
+        assert (after.st_ino, after.st_mode, after.st_nlink) == (before.st_ino, before.st_mode, 2)
+    write_text(tmp_path / "new.csv", "x")
+    with open(tmp_path / "plain.csv", "w"):
+        pass
+    assert (tmp_path / "new.csv").stat().st_mode == (tmp_path / "plain.csv").stat().st_mode
 
 
 @pytest.mark.parametrize("run, error, match", [

@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spec, random_state
+from oracles import fd_oracle
 from prepspill import scenarios
 from prepspill.errors import PrepspillError
 from prepspill.integrators import NODE_TOL, IntegratorConfig, integrate
@@ -38,7 +39,7 @@ from prepspill.reproduction import build_ngm, rc_closed, rc_numeric
 from prepspill.scenarios import (_config_from_raw, default_config, emit_plot_data, run_scenarios,
                                  run_spillover, sobol_study)
 from prepspill.sobol import UncertainInput, sobol_timeseries
-from prepspill.spillover import fd_oracle, nnt
+from prepspill.spillover import nnt
 
 SCALES = (2.0 ** -3, 4.0, 2.0 ** 8)
 
@@ -120,7 +121,7 @@ def test_scenario_tables_scale_with_the_persons(variant, arms, monkeypatch):
 
 
 @pytest.mark.parametrize("variant, mode", [("basic", "practical"), ("basic", "exact_delta"),
-                                           ("risk", "practical")])
+                                           ("risk", "practical"), ("risk", "exact_delta")])
 def test_spillover_blocks_scale_with_the_persons(variant, mode):
     # the joint run's rows hold the state and every source's block
     config = default_config(variant)

@@ -259,9 +259,7 @@ def test_closure_core_property(variant):
     rng = np.random.default_rng(17)
     block_rng = np.random.default_rng(19)
     n = 3 if variant == "basic" else 4
-    forms = [((), None), ((1,), None), ((), "practical")]
-    if variant == "basic":
-        forms.append(((), "exact_delta"))
+    forms = [((), None), ((1,), None), ((), "practical"), ((), "exact_delta")]
     seen = {"interior": 0, "lo": 0, "hi": 0, "infeasible": 0, "roundoff": 0}
     for _ in range(12):
         spec = random_spec(rng, variant)

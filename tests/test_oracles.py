@@ -12,7 +12,7 @@ The tight run is integrate() at rtol 1e-12, atol 1e-10 and dt_max 0.05,
 landing on every year.
 
 Complex-step distances are shares of the block's largest entry over its
-2017-2031 year rows: spillover.fd_oracle at eps~ = 1e-4 on that tight
+2017-2031 year rows: oracles.fd_oracle at eps~ = 1e-4 on that tight
 configuration (oracles.COMPLEX_TOL) against oracles.complex_step, per
 source group (numpy 2.4.6):
 
@@ -22,8 +22,13 @@ source group (numpy 2.4.6):
 
 hetm and hetf_l sit at eps = 0, where fd_oracle differences forwards.  Over
 8 random_spec draws per variant (seed 0, all central) the worst block is
-2.0e-9 (basic) and 1.1e-8 (risk).  Each bound is set once from these
-figures.
+2.0e-9 (basic) and 1.1e-8 (risk).
+
+The exact_delta block of a spec whose mixing is pinned is the derivative
+of that model, so it meets complex step to the integrators' tolerance: over
+6 random_spec draws per variant (seed 61, 2020-2026, rtol 1e-12, atol
+1e-10) the worst year row is within 1.0e-12 (basic) and 1.6e-12 (risk) of
+its largest entry.  Each bound is set once from these figures.
 """
 
 import functools
@@ -33,16 +38,19 @@ import numpy as np
 import pytest
 
 from conftest import random_spec, random_state
-from oracles import COMPLEX_TOL, column_share, complex_step, reference_run
+from oracles import COMPLEX_TOL, column_share, complex_step, fd_oracle, reference_run
 from prepspill.integrators import IntegratorConfig, integrate
+from prepspill.model import closed_mixing
 from prepspill.scenarios import default_config
-from prepspill.spillover import fd_oracle, integrate_with_spillover
+from prepspill.spillover import integrate_with_spillover
 
 CROSS_CHECK_BOUND = 1e-11
 TIGHT_BOUND = 1e-10
 # complex step against fd_oracle, by fd_oracle's scheme
 FD_BOUND = {"central": 2e-7, "forward": 1e-6}
 FD_EPS = 1e-4
+# exact_delta on pinned specs against complex step, each year row's share
+EXACT_DELTA_BOUND = 2e-12
 
 
 def _baseline_reference(variant):
@@ -126,3 +134,22 @@ def test_practical_block_distance_from_complex_step_is_printed(variant):
     print(f"practical {variant} block vs complex step: "
           + ", ".join(f"{k} {v:.2g}" for k, v in shares.items()))
     assert all(np.isfinite(v) for v in shares.values())
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_exact_delta_block_is_the_complex_step_derivative_on_pinned_random_specs(variant):
+    # the same rows on both variants, generated from the contact-pair table
+    rng = np.random.default_rng(61)
+    window = (2020.0, 2026.0)
+    cfg = IntegratorConfig(t0=window[0], t_end=window[1], rtol=1e-12, atol=1e-10)
+    for _ in range(6):
+        spec = random_spec(rng, variant)
+        y0 = random_state(rng, spec)
+        spec = replace(spec, mixing=closed_mixing(spec, y0.N))
+        traj, sens = integrate_with_spillover(spec, y0, cfg, mode="exact_delta")
+        for k in spec.labels:
+            times, block = complex_step(spec, y0, k, window)
+            rows = sens[k].block[[traj.index_of(t) for t in times]]
+            assert not rows[0].any() and not block[0].any()
+            for got, want in zip(rows[1:], block[1:]):
+                assert np.abs(got - want).max() <= EXACT_DELTA_BOUND * np.abs(want).max(), k

@@ -126,16 +126,23 @@ def f():
 def test_the_count_line_gives_each_trees_source_lines(same_outputs, tmp_path, monkeypatch,
                                                       capsys):
     # `wc -l` over src/prepspill's .py files, a last line without "\n" not
-    # counted, other files not read; beside it the lines of code
-    for name, files in (("a", {"x.py": "a\nb\n", "y.py": "c\n", "notes.txt": "d\n",
-                               "doc.py": DOCUMENTED}),
-                        ("b", {"x.py": "a\nb", "sub/z.py": "1\n" * 1200})):
+    # counted, other files not read; beside it the lines of code, then
+    # `wc -l` over the .py files under tests/
+    for name, files in (("a", {"src/prepspill/x.py": "a\nb\n", "src/prepspill/y.py": "c\n",
+                               "src/prepspill/notes.txt": "d\n",
+                               "src/prepspill/doc.py": DOCUMENTED,
+                               "tests/test_x.py": "t\n" * 3, "tests/notes.txt": "d\n"}),
+                        ("b", {"src/prepspill/x.py": "a\nb",
+                               "src/prepspill/sub/z.py": "1\n" * 1200,
+                               "tests/test_x.py": "t\n" * 3, "tests/oracles.py": "o\n" * 1001})):
         for rel, text in files.items():
-            path = tmp_path / name / "src" / "prepspill" / rel
+            path = tmp_path / name / rel
             path.parent.mkdir(parents=True, exist_ok=True)
             path.write_text(text)
     assert same_outputs.source_lines(tmp_path / "a") == 15
     assert same_outputs.source_lines(tmp_path / "b") == 1201
+    assert same_outputs.source_lines(tmp_path / "a", "tests") == 3
+    assert same_outputs.source_lines(tmp_path / "b", "tests") == 1004
     assert same_outputs.code_lines(tmp_path / "a") == 8
     assert same_outputs.code_lines(tmp_path / "b") == 1202
     monkeypatch.setattr(same_outputs, "INVOCATIONS", [])
@@ -144,7 +151,7 @@ def test_the_count_line_gives_each_trees_source_lines(same_outputs, tmp_path, mo
     assert same_outputs.main() == 0
     assert capsys.readouterr().out == (
         "0/0 invocations identical  [src/prepspill: 15 lines parent, 1,201 change; "
-        "8 code lines parent, 1,202 change]\n"
+        "8 code lines parent, 1,202 change; tests: 3 lines parent, 1,004 change]\n"
         "code lines by module: doc.py 5 → -, sub/z.py - → 1200, y.py 1 → -\n")
     assert same_outputs.moved_code_lines(tmp_path / "a", tmp_path / "a") == "none"
 

@@ -854,14 +854,14 @@ def test_cli_nnt_horizon_equal_to_the_window_is_accepted(tmp_path, capsys, inter
                                                          horizon, rc):
     # end - intervention falls short of the typed horizon in its last bits
     # (2031 - 2019.9 = 11.099999999999909): the horizon is the window's end;
-    # one past it is still refused
+    # one past it is still refused, the window's length printed to NODE_TOL
     path = write_config(tmp_path, {"model": "basic", "horizon": {
         "start": 2017, "intervention": intervention, "end": end}})
     out = tmp_path / "out"
     assert main(["nnt", "--config", path, "--out", str(out), "--horizon", horizon]) == rc
     err = capsys.readouterr().err
     if rc:
-        assert err.startswith(f"error: --horizon {horizon} outside (0, {end - intervention}]")
+        assert err.startswith(f"error: --horizon {horizon} outside (0, 11.1]")
         assert not out.exists()
         return
     assert err == "" and end - intervention < float(horizon)

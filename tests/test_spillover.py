@@ -7,12 +7,12 @@ import pytest
 
 from conftest import (incidence_sensitivity, random_spec, random_state, rhs, rk4_fixed,
                       spillover_rhs, xi_correction, zero_sensitivity)
-from prepspill.errors import (PerturbationOutOfRange, UnsupportedVariant,
-                              ZeroPopulation)
+from oracles import PerturbationOutOfRange, fd_oracle
+from prepspill.errors import ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate, node_index, rows_at, write_csv
 from prepspill.model import StateVec, closed_mixing, dfe, flat_rhs_factory
-from prepspill.spillover import (SensitivityState, fd_oracle, integrate_with_spillover,
-                                 nnt, sensitivity_to_csv)
+from prepspill.spillover import (SensitivityState, integrate_with_spillover, nnt,
+                                 sensitivity_to_csv)
 
 CFG = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-9, atol=1e-7)
 
@@ -287,7 +287,7 @@ def test_xi_correction_zero_sens(basic):
 
 def test_xi_correction_risk_unsupported(risk):
     spec, y0 = risk
-    with pytest.raises(UnsupportedVariant):
+    with pytest.raises(ValueError, match="^correction vectors exist for the basic variant only$"):
         xi_correction(spec, y0, zero_sensitivity(spec, "msm"))
 
 
@@ -381,15 +381,6 @@ def test_locality_in_epsilon(basic):
     assert abs(g0 - g2) > 1e-3 * abs(g0)
 
 
-def test_exact_delta_risk_rejected_without_sources(risk, monkeypatch):
-    # refused before any source is compiled or any step taken
-    spec, y0 = risk
-    monkeypatch.setattr("prepspill.model.exec_source", None)
-    monkeypatch.setattr("prepspill.spillover.integrate_flat", None)
-    with pytest.raises(UnsupportedVariant):
-        integrate_with_spillover(spec, y0, cfg=CFG.over(2017.0, 2018.0), mode="exact_delta")
-
-
 def test_augmented_rhs_zero_population_names_group_and_time(basic):
     spec, y0 = basic
     f = flat_rhs_factory(spec, mode="practical")
@@ -402,7 +393,7 @@ def test_augmented_rhs_zero_population_names_group_and_time(basic):
         spillover_rhs(spec, empty, zero_sensitivity(spec, "msm"))
 
 
-@pytest.mark.parametrize("variant, mode", [("basic", "exact_delta"),
+@pytest.mark.parametrize("variant, mode", [("basic", "exact_delta"), ("risk", "exact_delta"),
                                            ("basic", "practical"), ("risk", "practical")])
 def test_sensitivity_rows_match_finite_differences(variant, mode):
     # Each block of the augmented RHS is -d/dh at h = 0 of the flat RHS at

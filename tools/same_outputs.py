@@ -18,9 +18,10 @@ one fresh-process run each, so a cold-start figure to read, not a
 measurement to claim.  The closing count of identical invocations gives
 each tree's line count of src/prepspill beside it, as `wc -l` counts the
 lines of its .py files, and its count of code lines: those lines that are
-not blank, not comment-only and not inside a docstring; a last line names
-each module whose count of code lines moved.  Exits 1 if anything differs,
-else 0.
+not blank, not comment-only and not inside a docstring; then the line count
+of tests/ the same way, so code moved into the tests shows beside the drop
+in src/prepspill.  A last line names each module whose count of code lines
+moved.  Exits 1 if anything differs, else 0.
 """
 
 from __future__ import annotations
@@ -109,6 +110,8 @@ INVOCATIONS = (
     _preset_invocations("basic") + _preset_invocations("risk") + [
         ["spillover", "--model", "basic", "--mode", "exact_delta"],
         ["spillover", "--model", "basic", "--mode", "exact_delta", "--json"],
+        ["spillover", "--model", "risk", "--mode", "exact_delta"],
+        ["spillover", "--model", "risk", "--mode", "exact_delta", "--json"],
         ["validate"], ["validate", "--json"],
         ["simulate", "--config", "risk_2045.json"],
         ["simulate", "--config", "tracked_2022.json"],
@@ -125,7 +128,6 @@ INVOCATIONS = (
         ["ngm", "--config", "risk_stationary.json", "--json"],
         # refusals
         ["simulate", "--model", "nosuch"],
-        ["spillover", "--model", "risk", "--mode", "exact_delta"],
         ["sobol", "--level", "0"],
         ["sobol", "--lo", "5", "--hi", "1"],
         ["emit-plots", "--config", "empty_msm_pool.json"],
@@ -159,10 +161,9 @@ def run(tree, argv):
     return result, wall
 
 
-def source_lines(tree):
-    """The newlines in the .py files under <tree>/src/prepspill (`wc -l`)."""
-    return sum(p.read_bytes().count(b"\n")
-               for p in (Path(tree) / "src" / "prepspill").rglob("*.py"))
+def source_lines(tree, under="src/prepspill"):
+    """The newlines in the .py files under <tree>/<under> (`wc -l`)."""
+    return sum(p.read_bytes().count(b"\n") for p in (Path(tree) / under).rglob("*.py"))
 
 
 # tokens that hold no code: a line with only these is blank or comment-only
@@ -387,7 +388,8 @@ def main():
     print(f"{len(INVOCATIONS) - differing}/{len(INVOCATIONS)} invocations identical  "
           f"[src/prepspill: {source_lines(parent):,} lines parent, "
           f"{source_lines(change):,} change; {code_lines(parent):,} code lines parent, "
-          f"{code_lines(change):,} change]")
+          f"{code_lines(change):,} change; tests: {source_lines(parent, 'tests'):,} lines "
+          f"parent, {source_lines(change, 'tests'):,} change]")
     print(f"code lines by module: {moved_code_lines(parent, change)}")
     return 1 if differing else 0
 
