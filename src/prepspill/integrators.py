@@ -18,7 +18,11 @@ between t0 and its first year, where a first step of 0.01 years left three
 does not grow its next accepted step, and a repeated rejection at least
 halves the step (Hairer, Norsett & Wanner, Solving ODEs I, II.4); after a
 step cut short to land on an interior sample time it tries at least the
-step it wanted before the cut.  A free-stepping scalar run also lands on
+step it wanted before the cut.  An attempt of a scalar run whose stage
+leaves the RHS's domain (the RHS raises ZeroPopulation or
+InfeasibleClosure) is a rejected attempt, as SUNDIALS treats a recoverable
+RHS failure (Hindmarsh et al. 2005, ACM TOMS 31:363), so a run fails only
+where steps below dt_min fail too.  A free-stepping scalar run also lands on
 the switches of its RHS (the risk closure's xi_hetm clamp, a tracked-count
 group's full coverage), whose margins the RHS carries (model.flat_rhs_factory
 generates them with it): an attempt over which a switching margin changes
@@ -44,7 +48,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import NegativeState, PartialYear, StepSizeUnderflow
+from .errors import (InfeasibleClosure, NegativeState, PartialYear, StepSizeUnderflow,
+                     ZeroPopulation)
 from .mixing import exec_source
 from .model import StateVec, batched_rhs_factory, flat_rhs_factory
 
@@ -193,8 +198,10 @@ class Trajectory:
     a run that continues this one.  switch_events holds (t, margin name) for
     each switch of the RHS the run landed on (integrate_flat).  rhs_evals
     counts RHS evaluations (1, then 6 per attempt) and steps_rejected the
-    attempts the error norm refused; an attempt retried shorter to land on
-    a switch counts 6 evaluations and is neither accepted nor rejected.
+    attempts the error norm refused or a stage outside the RHS's domain
+    ended (6 evaluations each, however many ran); an attempt retried
+    shorter to land on a switch counts 6 evaluations and is neither
+    accepted nor rejected.
     """
 
     times: np.ndarray
@@ -524,12 +531,19 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     The first trial step is cfg.first_step if given, else the distance from
     t0 to the first node (a whole year, a sample time or t_end) on a
     year-landing run, else 1e-2; a rejected first step shrinks as any other.
-    The step factor is 0.9 err^-1/5 within [0.2, 5].  A free-stepping run
-    (not cfg.year_nodes) caps it at 1 on the accepted step right after a
-    rejection and at 0.5 on a second rejection in a row; when its accepted
-    step was cut short to land on a sample time before t_end, the next step
-    is at least the step the controller wanted before the cut (at most
-    dt_max), so a node to read does not shrink the steps after it.  Landing
+    The step factor is 0.9 err^-1/5 within [0.2, 5].  An attempt of a
+    scalar run whose step raises ZeroPopulation or InfeasibleClosure (a
+    stage outside the RHS's domain) is rejected as one with err = inf: the
+    step shrinks by 0.2, the switch watch forgets its landing, and a free
+    run takes its post-rejection caps.  When that step would fall below
+    dt_min the error itself is raised, as it is at once in a batch (whose
+    RHS screens its members and raises the first failing member's).  A
+    free-stepping run (not cfg.year_nodes) caps the factor at 1 on the
+    accepted step right after a rejection and at 0.5 on a second rejection
+    in a row; when its accepted step was cut short to land on a sample time
+    before t_end, the next step is at least the step the controller wanted
+    before the cut (at most dt_max), so a node to read does not shrink the
+    steps after it.  Landing
     on t_end takes no such rule: next_step is the plain proposal.
     A free-stepping scalar run lands on the switches of the margins that
     its RHS carries, which integrate_rhs hands it (see _switches): each
@@ -577,9 +591,15 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
             h = min(wanted, target - t)
             if h < cfg.dt_min:
                 raise StepSizeUnderflow(f"dt = {h:.3e} below dt_min at t = {t:.6f}")
-            ynew, k7, err = step(f, t, y, h, k1, cfg.atol, cfg.rtol)
+            try:
+                ynew, k7, err = step(f, t, y, h, k1, cfg.atol, cfg.rtol)
+            except (ZeroPopulation, InfeasibleClosure):
+                # a scalar stage outside the RHS's domain rejects the attempt
+                if not isinstance(y, list) or 0.2 * h < cfg.dt_min:
+                    raise
+                err = math.inf
             attempts += 1
-            if watch:
+            if watch and err < math.inf:
                 m5 = signs(t + h, ynew)
                 if m5 != watch.m and (short := watch.shorten(t, y, ynew, k1, k7, h, m5)):
                     h = short

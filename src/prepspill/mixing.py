@@ -263,7 +263,12 @@ def _at(t):
 
 
 def _unit_interval_error(name, value, t, detail=""):
-    return InfeasibleClosure(f"closure gives {name} = {value.real:.6g} outside [0, 1]"
+    """The error of a closure value outside [0, 1]; a value that ":.6g"
+    rounds onto 1 prints as 1 plus its excess."""
+    shown = f"{value.real:.6g}"
+    if shown == "1" and value.real > 1.0:
+        shown = f"1 + {value.real - 1.0:.6g}"
+    return InfeasibleClosure(f"closure gives {name} = {shown} outside [0, 1]"
                              f"{detail}{_at(t)}", t=t, value=value)
 
 

@@ -36,18 +36,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrators import NODE_TOL, Trajectory, integrate_flat, rows_at, write_csv
+from .integrators import NODE_TOL, Trajectory, integrate_flat, write_csv
 from .model import flat_rhs_factory
-
-
-@dataclass(frozen=True)
-class SensitivityState:
-    """Sensitivity pair for one source group at one instant."""
-
-    source: str
-    source_index: int
-    sigma: np.ndarray
-    gamma: np.ndarray
 
 
 @dataclass
@@ -55,10 +45,10 @@ class SensitivityTrajectory:
     """Time series of one source's sensitivity block: one row per time, each
     group's (sigma_j, gamma_j) pair interleaved like the state's (S_j, I_j)
     slots.  integrate_with_spillover's blocks are views of the joint run's
-    states; ``sigma`` and ``gamma`` are views of the block."""
+    states; ``sigma`` and ``gamma`` are views of the block.  A row at a
+    node is integrators.rows_at(times, block, t), which refuses any other t."""
 
     source: str
-    source_index: int
     times: np.ndarray
     block: np.ndarray  # (n_times, 2 * n_groups)
 
@@ -69,12 +59,6 @@ class SensitivityTrajectory:
     @property
     def gamma(self):
         return self.block[:, 1::2]
-
-    def at(self, t):
-        """The block at the node t (rows_at, which refuses any other t)."""
-        row = rows_at(self.times, self.block, t)
-        return SensitivityState(source=self.source, source_index=self.source_index,
-                                sigma=row[0::2], gamma=row[1::2])
 
 
 @dataclass(frozen=True)
@@ -110,7 +94,7 @@ def integrate_with_spillover(spec, y0, cfg, mode="practical", sample_times=None)
     traj = Trajectory.of(integrate_flat(f, y0_flat, cfg, n_state=2 * n,
                                         sample_times=sample_times), spec.labels)
     return traj, {label: SensitivityTrajectory(
-        source=label, source_index=k, times=traj.times,
+        source=label, times=traj.times,
         block=traj.states[:, 3 * n + 2 * n * k:3 * n + 2 * n * (k + 1)])
         for k, label in enumerate(spec.labels)}
 
@@ -125,10 +109,10 @@ def simple_nnt(T, S_k, gamma_j):
 def nnt(sens_traj, state_traj, j, k, T, mu):
     """Person-years of additional PrEP in group k per infection prevented in
     group j over [t_start, t_start + T], t_start being the sensitivity start.
-    j and k are group labels: j one of the state trajectory's, k the block's
-    source.  Both trajectories share one grid (node for node within
-    NODE_TOL), and t_start + T is a node of it (a sample time of the run);
-    otherwise ValueError.
+    j and k are group labels of the state trajectory, k the block's source.
+    Both trajectories share one grid (node for node within NODE_TOL), and
+    t_start + T is a node of it (a sample time of the run); otherwise
+    ValueError.
 
     nnt_simple = T * S_k(T) / gamma_j(T); nnt_integral keeps the
     mu * integral(gamma/S) term in the denominator, a trapezoid over the
@@ -136,10 +120,10 @@ def nnt(sens_traj, state_traj, j, k, T, mu):
     """
     if k != sens_traj.source:
         raise ValueError(f"sensitivity block is for source {sens_traj.source!r}, not {k!r}")
-    k_idx = sens_traj.source_index
-    if j not in state_traj.labels:
-        raise ValueError(f"no group {j!r} in the trajectory's labels {state_traj.labels}")
-    j_idx = state_traj.labels.index(j)
+    for g in (j, k):
+        if g not in state_traj.labels:
+            raise ValueError(f"no group {g!r} in the trajectory's labels {state_traj.labels}")
+    j_idx, k_idx = state_traj.labels.index(j), state_traj.labels.index(k)
     t_eval = sens_traj.times[0] + T
     if sens_traj.times is not state_traj.times and (  # shared by integrate_with_spillover
             sens_traj.times.shape != state_traj.times.shape

@@ -9,7 +9,6 @@ from prepspill.mixing import BasicMixing, RiskMixing, basic_fractions, risk_frac
 from prepspill.model import (StateVec, TransmissionProbs, _zero_population, contact_matrix,
                              dfe, flat_rhs_factory, make_spec)
 from prepspill.presets import georgia_basic, georgia_risk
-from prepspill.spillover import SensitivityState
 
 
 @pytest.fixture(scope="session")
@@ -188,34 +187,29 @@ def rhs(spec, state, t=0.0):
     return StateVec(S=dS, I=dI, C=inc)
 
 
-def zero_sensitivity(spec, source):
-    """The source group's sensitivity pair with every entry zero."""
-    return SensitivityState(source=source, source_index=spec.group_index(source),
-                            sigma=np.zeros(spec.n), gamma=np.zeros(spec.n))
-
-
-def _one_source_rhs(spec, state, sens, mode, t):
-    """The generated augmented system evaluated at (state, block), every
-    other source's block zero: the flat derivative, state slots first, then
-    the block's (sigma, gamma).  A block's rows read no other block, so the
-    zeros do not move them."""
-    n, k = spec.n, sens.source_index
+def _one_source_rhs(spec, state, k, row, mode, t):
+    """The generated augmented system evaluated at (state, block row ``row``
+    of source k), every other source's block zero: the flat derivative,
+    state slots first, then the block's (sigma, gamma) pairs interleaved.  A
+    block's rows read no other block, so the zeros do not move them."""
+    n = spec.n
     blocks = np.zeros((n, 2 * n))
-    blocks[k] = np.column_stack([sens.sigma, sens.gamma]).ravel()
+    blocks[k] = row
     d = flat_rhs_factory(spec, mode=mode)(t, state.to_flat().tolist() + blocks.ravel().tolist())
     return d[:3 * n] + d[3 * n + 2 * n * k:3 * n + 2 * n * (k + 1)]
 
 
-def spillover_rhs(spec, state, sens, mode="practical", t=None):
-    """Time derivative of one sensitivity block given the current state: the
-    block's rows of the generated augmented system."""
-    out = _one_source_rhs(spec, state, sens, mode, t)[3 * spec.n:]
-    return SensitivityState(source=sens.source, source_index=sens.source_index,
-                            sigma=np.array(out[0::2]), gamma=np.array(out[1::2]))
+def spillover_rhs(spec, state, k, row, mode="practical", t=None):
+    """Time derivative of source k's sensitivity block row ``row`` (the
+    (sigma_j, gamma_j) pairs interleaved) given the current state: the
+    block's rows of the generated augmented system, as an array laid out
+    like ``row``."""
+    return np.array(_one_source_rhs(spec, state, k, row, mode, t)[3 * spec.n:])
 
 
-def xi_correction(spec, state, sens):
-    """Population-size correction vectors for the exact-delta mode.
+def xi_correction(spec, state, row):
+    """Population-size correction vectors for the exact-delta mode at the
+    block row ``row`` (the (sigma_j, gamma_j) pairs interleaved).
 
     Returns (Xi, contrib): Xi is (n, 2n) with entries
     W[j, p] * (sigma_p + gamma_p) / N_p^2 at partner infected slots, and
@@ -228,21 +222,22 @@ def xi_correction(spec, state, sens):
     N = state.N
     _, _, _, eps = spec.param_arrays()
     Xi = np.zeros((spec.n, 2 * spec.n))
-    Xi[:, 1::2] = contact_matrix_at(spec, N) * ((sens.sigma + sens.gamma) / N ** 2)
+    Xi[:, 1::2] = contact_matrix_at(spec, N) * ((row[0::2] + row[1::2]) / N ** 2)
     return Xi, (1.0 - eps) * (Xi[:, 1::2] @ state.I) * state.S
 
 
-def incidence_sensitivity(spec, state, sens, j, mode="practical"):
-    """Sensitivity of group j's incidence rate to persons on PrEP in the source:
-    d/dt [gamma_j / S_k] + mu * gamma_j / S_k, with dS_k/dt and dgamma_j/dt
-    from one evaluation of the augmented system."""
-    k = sens.source_index
+def incidence_sensitivity(spec, state, k, row, j, mode="practical"):
+    """Sensitivity of group j's incidence rate to persons on PrEP in source
+    group k, whose block row is ``row``: d/dt [gamma_j / S_k] + mu * gamma_j
+    / S_k, with dS_k/dt and dgamma_j/dt from one evaluation of the augmented
+    system."""
     Sk = state.S[k]
     if Sk <= 0.0:
-        raise ZeroPopulation(f"source group {sens.source} has S = 0")
-    d = _one_source_rhs(spec, state, sens, mode, 0.0)
-    quot_dot = (d[3 * spec.n + 2 * j + 1] * Sk - sens.gamma[j] * d[2 * k]) / Sk ** 2
-    return quot_dot + spec.mu * sens.gamma[j] / Sk
+        raise ZeroPopulation(f"source group {spec.labels[k]} has S = 0")
+    d = _one_source_rhs(spec, state, k, row, mode, 0.0)
+    gamma_j = row[2 * j + 1]
+    quot_dot = (d[3 * spec.n + 2 * j + 1] * Sk - gamma_j * d[2 * k]) / Sk ** 2
+    return quot_dot + spec.mu * gamma_j / Sk
 
 
 def basic_residuals(mix, N, a):

@@ -95,7 +95,7 @@ def fd_oracle(spec, y0, k, eps_tilde, cfg):
     traj = integrate_batch(spec, y0, eps, cfg)
     grid = _breakpoints(cfg, None)
     rows = traj.states[[traj.index_of(t) for t in grid], :2 * spec.n]
-    return FdEstimate(source=k, source_index=k_idx, times=np.array(grid),
+    return FdEstimate(source=k, times=np.array(grid),
                       block=(rows[..., 0] - rows[..., 1]) / denom, scheme=scheme)
 
 

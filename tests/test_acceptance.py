@@ -13,7 +13,7 @@ import pytest
 
 from conftest import random_spec, stationary_risk
 from oracles import fd_oracle
-from prepspill.integrators import IntegratorConfig, integrate
+from prepspill.integrators import IntegratorConfig, integrate, rows_at
 from prepspill.presets import (TABLE_BASIC_BASELINE, TABLE_BASIC_INTERVENTIONS,
                                TABLE_RISK_BASELINE, TABLE_RISK_INTERVENTIONS,
                                georgia_basic, georgia_risk)
@@ -130,9 +130,7 @@ def test_criterion_3_fd_oracle_equivalence(rtol):
             fd = fd_oracle(spec0, start, k, 1e-6, cfg)
             st = sens[k]
             for i, t in enumerate(fd.times):
-                at = st.at(t)
-                both = np.concatenate([at.sigma, at.gamma])
-                est = np.concatenate([fd.sigma[i], fd.gamma[i]])
+                both, est = rows_at(st.times, st.block, t), fd.block[i]
                 scale = max(np.abs(both).max(), 1e-30)
                 worst = max(worst, np.abs(both - est).max() / scale)
     ok = worst < 1e-3
@@ -202,8 +200,9 @@ def test_criterion_5_spillover_dominance():
     traj, sens = integrate_with_spillover(spec, y0, cfg=cfg)
     st = traj.state_at(2030.0)
     hetf = spec.group_index("hetf")
-    from_msm = sens["msm"].at(2030.0).gamma[hetf] / st.S[spec.group_index("msm")]
-    direct = sens["hetf"].at(2030.0).gamma[hetf] / st.S[hetf]
+    from_msm = (rows_at(sens["msm"].times, sens["msm"].gamma, 2030.0)[hetf]
+                / st.S[spec.group_index("msm")])
+    direct = rows_at(sens["hetf"].times, sens["hetf"].gamma, 2030.0)[hetf] / st.S[hetf]
     ratio = from_msm / direct
     ok = ratio > 5.0
 
@@ -212,7 +211,7 @@ def test_criterion_5_spillover_dominance():
     msm = spec.group_index("msm")
     for src in ("hetf", "hetm"):
         stj = sens[src]
-        k = stj.source_index
+        k = spec.group_index(src)
         ratio_ts = stj.gamma[:, msm] / traj.states[:, 2 * k]
         cum = ratio_ts[-1] + spec.mu * np.trapezoid(ratio_ts, traj.times)
         ok &= 50000.0 * cum < 0.5

@@ -9,6 +9,7 @@ in the package refers to, and that __init__ does not export, should go,
 unless it is listed in UNREFERENCED_KEPT with the reason it stays."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -52,19 +53,26 @@ UNREFERENCED_KEPT = {"model.ModelSpec.with_delta_zero", "sobol.coverage_model_fn
 
 def unreferenced_definitions(src):
     """The top-level functions, classes and constants, and the methods
-    (dunders aside), of the package at ``src`` that no code in it reads by
-    name or as an attribute or spells as a whole string literal, and that
-    __init__ does not export, as module.name or module.Class.method."""
+    (dunders aside), of the package at ``src`` that nothing in it refers
+    to, as module.name or module.Class.method.  A top-level definition is
+    referred to when code reads it by name or as an attribute, spells it as
+    a whole string literal, or __init__ exports it.  A method or property
+    is referred to only when code reads it as an attribute or spells
+    ".name" inside a string constant (generated source, as
+    model._flat_rhs_maker's text reads start[1].N): a local variable of the
+    same name does not count."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(src.glob("*.py"))}
-    referred, exported = set(), set()
+    names, attributes, generated, exported = set(), set(), set(), set()
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                referred.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referred.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                referred.add(node.value)
+                names.add(node.value)
+                generated.update(re.findall(r"\.([A-Za-z_]\w*)", node.value))
+    referred = names | attributes
     for node in ast.walk(trees["__init__"]):
         if isinstance(node, ast.ImportFrom):
             exported.update(alias.asname or alias.name for alias in node.names)
@@ -82,10 +90,25 @@ def unreferenced_definitions(src):
                 found.append(f"{module}.{node.name}")
             for item in node.body if isinstance(node, ast.ClassDef) else ():
                 if (isinstance(item, defs[:2]) and not item.name.startswith("__")
-                        and item.name not in referred):
+                        and item.name not in attributes | generated):
                     found.append(f"{module}.{node.name}.{item.name}")
     return found
 
 
 def test_every_definition_is_referred_to():
     assert sorted(set(unreferenced_definitions(SRC)) - UNREFERENCED_KEPT) == []
+
+
+def test_a_method_hidden_by_a_local_name_is_unreferenced(tmp_path):
+    # a local variable named like a method does not refer to it; an
+    # attribute read does, and so does ".name" in generated source text
+    (tmp_path / "__init__.py").write_text("from .mod import Run, use\n")
+    (tmp_path / "mod.py").write_text(
+        "class Run:\n"
+        "    def at(self):\n        return 1\n"
+        "    def row(self):\n        return 2\n"
+        "    def gen(self):\n        return 3\n\n\n"
+        "def use(run):\n"
+        "    at = run.row()\n"
+        "    return at, 'r = run.gen()'\n")
+    assert unreferenced_definitions(tmp_path) == ["mod.Run.at"]

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 
 from conftest import rk4_fixed
 from prepspill import scenarios
-from prepspill.errors import NegativeState, PartialYear, StepSizeUnderflow
+from prepspill.errors import (InfeasibleClosure, NegativeState, PartialYear,
+                             StepSizeUnderflow, ZeroPopulation)
 from prepspill.integrators import (NODE_TOL, IntegratorConfig, Trajectory, _breakpoints,
                                    _dp_step_maker, _postprocess_columns,
                                    _postprocess_step, annual_series, csv_text, integrate,
@@ -315,6 +316,61 @@ def test_step_size_underflow():
     with pytest.raises(StepSizeUnderflow):
         integrate_flat(lambda t, y: [math.cos(40.0 * t) * y[0]], [1.0], cfg,
                        n_state=1)
+
+
+def test_a_stage_outside_the_domain_rejects_the_attempt(risk):
+    # Georgia risk with every contact rate a_j x 1,000: the first attempts'
+    # stages leave the RHS's domain (msm N = -1.1e8 at t = 2017.889), so
+    # they are rejected and shorter steps run to the end.  The year rows lie
+    # within 4.5e-14 of column scale of the run that starts at 1e-4
+    # (measured 4.48e-14; bound 1e-13).
+    spec, y0 = risk
+    spec = replace(spec, groups=tuple((label, replace(g, a=1000.0 * g.a))
+                                      for label, g in spec.groups))
+    cfg = IntegratorConfig(2017.0, 2031.0)
+    run, small = (integrate(spec, y0, c) for c in (cfg, replace(cfg, first_step=1e-4)))
+    assert run.steps_rejected > 0
+    years = [float(y) for y in range(2017, 2032)]
+    rows, want = (np.array([traj.row_at(t) for t in years]) for traj in (run, small))
+    assert np.all(np.abs(rows - want).max(axis=0) <= 1e-13 * np.abs(want).max(axis=0))
+
+
+def test_a_genuine_crossing_fails_where_a_tight_run_fails(risk):
+    # Georgia risk to 2045: the closure has no solution from the crossing
+    # on.  Stages past it are rejected attempts, so the run stops with the
+    # closure's error at the crossing, which prints eta_msm as 1 plus its
+    # excess; its time is within 4.2e-7 years of a tight run's (measured
+    # 2042.7471988715 against 2042.7471984562)
+    spec, y0 = risk
+    cfg = IntegratorConfig(2017.0, 2045.0)
+    errors = []
+    for c in (cfg, replace(cfg, rtol=1e-12, atol=1e-10, dt_max=0.05)):
+        with pytest.raises(InfeasibleClosure, match=r"^closure gives eta_msm = 1 \+ ") as e:
+            integrate(spec, y0, c)
+        errors.append(e.value)
+    assert str(errors[0]).endswith(" at t = 2042.747199")
+    assert abs(errors[0].t - errors[1].t) <= 4.2e-7
+
+
+def test_a_stage_error_is_raised_below_dt_min_and_at_once_in_a_batch():
+    # a scalar run rejects the attempts whose stages pass t = 0.5 until the
+    # next step would fall below dt_min, then raises the stage's own error;
+    # a batch screens and raises at its first such stage
+    calls = []
+
+    def edge(t, y):
+        calls.append(t)
+        if t > 0.5:
+            raise ZeroPopulation(f"past the edge at t = {t}")
+        return [-v for v in y] if isinstance(y, list) else -y
+    cfg = IntegratorConfig(0.0, 1.0, dt_min=1e-3)
+    with pytest.raises(ZeroPopulation, match="^past the edge"):
+        integrate_flat(edge, [1.0], cfg, n_state=1)
+    assert 0.5 - 5e-3 < max(t for t in calls if t <= 0.5)
+    calls.clear()
+    with pytest.raises(ZeroPopulation, match="^past the edge at t = 0.8$"):
+        integrate_flat(edge, np.ones((1, 2)), cfg, n_state=1)
+    assert calls == [0.0, 0.2, 0.3, 0.8]
 
 
 @pytest.mark.parametrize("settings", [

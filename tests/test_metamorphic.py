@@ -167,14 +167,18 @@ def test_random_runs_scale_with_the_persons_property(seed, variant, free, tracke
         assert_scaled(traj, got, c)
 
 
-def _end_nnts(config):
-    """(defined, nnt_simple, nnt_integral) of nnt() for every (j, k) at the
-    window's end, the floats as reprs so that NaN compares."""
+def _end_nnt_results(config):
+    """nnt() for every (j, k) at the window's end."""
     traj, sens = run_spillover(config)
     T, labels = config.end - config.intervention_year, config.spec.labels
+    return [nnt(sens[k], traj, j, k, T, config.spec.mu) for k in labels for j in labels]
+
+
+def _end_nnts(config):
+    """(defined, nnt_simple, nnt_integral) of _end_nnt_results, the floats
+    as reprs so that NaN compares."""
     return [(r.defined, repr(r.nnt_simple), repr(r.nnt_integral))
-            for k in labels for j in labels
-            for r in [nnt(sens[k], traj, j, k, T, config.spec.mu)]]
+            for r in _end_nnt_results(config)]
 
 
 @pytest.mark.parametrize("variant", ["basic", "risk"])
@@ -369,3 +373,20 @@ def test_spillover_rows_translate_in_time(variant, d):
     traj, _ = run_spillover(config)
     got, _ = run_spillover(shifted_config(config, d))
     assert_translated(traj, got, d)
+
+
+@pytest.mark.parametrize("d", [-1024.0, 1024.0])
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_nnt_translates_in_time(variant, d):
+    # nnt() at the end horizon for every (j, k): the same cells defined, and
+    # each defined nnt_simple and nnt_integral within 1e-12 relative (worst
+    # 2.7e-13, risk hetf_l <- hetf_h at +1024, where the rows at the free
+    # nodes move past their bound)
+    config = default_config(variant)
+    want = _end_nnt_results(config)
+    got = _end_nnt_results(shifted_config(config, d))
+    assert any(r.defined for r in want)
+    for r, g in zip(want, got, strict=True):
+        assert (g.j, g.k, g.defined) == (r.j, r.k, r.defined)
+        for term in ("nnt_simple", "nnt_integral") if r.defined else ():
+            assert abs(getattr(g, term) - getattr(r, term)) <= 1e-12 * abs(getattr(r, term))

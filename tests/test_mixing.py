@@ -419,12 +419,23 @@ def test_closure_errors_format_the_eager_text_property(name, value, lo, hi, t, B
               f" ({deficit / B3:.3%} of B_hetm)") if with_detail else ""
     e = (_unit_interval_error(name, value, t, _hetm_deficit(B1, B2, B3)) if with_detail
          else _unit_interval_error(name, value, t))
-    want = f"closure gives {name} = {value:.6g} outside [0, 1]{detail}{at(t)}"
+    shown = f"1 + {value - 1.0:.6g}" if value > 1.0 and f"{value:.6g}" == "1" else f"{value:.6g}"
+    want = f"closure gives {name} = {shown} outside [0, 1]{detail}{at(t)}"
     assert isinstance(e, InfeasibleClosure) and e.t is t and e.value is value
     assert str(e) == str(e) == want
     e = _empty_interval_error(lo, hi, t)
     assert e.t is t and e.value is lo
     assert str(e) == f"empty feasible interval for xi_hetm: [{lo:.6g}, {hi:.6g}]{at(t)}"
+
+
+@pytest.mark.parametrize("value, shown", [
+    (1.0 + 2 ** -40, "1 + 9.09495e-13"), (1.000004, "1 + 4e-06"), (1.000006, "1.00001"),
+    (1.0, "1")])
+def test_a_value_rounded_onto_one_shows_its_excess(value, shown):
+    # ":.6g" prints a value just past 1 as "1", which reads as inside
+    # [0, 1]: such a value prints as 1 plus its excess
+    assert str(_unit_interval_error("eta_msm", value, None)) == \
+        f"closure gives eta_msm = {shown} outside [0, 1]"
 
 
 @pytest.mark.parametrize("number", [complex, np.complex128], ids=["complex", "complex128"])

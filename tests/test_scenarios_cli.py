@@ -25,7 +25,8 @@ from prepspill.errors import (ConfigError, ParseError, SchemaViolation, UnknownG
                               ZeroPopulation)
 from prepspill.model import StateVec, dfe, flat_rhs_factory
 from prepspill.presets import STUDIES, georgia_basic
-from prepspill.integrators import IntegratorConfig, annual_series, integrate, interp_rows
+from prepspill.integrators import (IntegratorConfig, annual_series, integrate, interp_rows,
+                                   rows_at)
 from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, _suppressed_json,
                                  default_config,
                                  emit_plot_data, integrate_baseline, load_config,
@@ -249,9 +250,8 @@ def _plot_series_per_cell(config, base_traj, traj, sens):
     for i, t in enumerate(traj.times):
         state = StateVec.from_flat(traj.states[i], n)
         row = [f"{t:.6f}"]
-        for k in labels:
-            st = sens[k]
-            row += [f"{st.gamma[i, j] / state.S[st.source_index]:.10e}" for j in range(n)]
+        for k, label in enumerate(labels):
+            row += [f"{sens[label].gamma[i, j] / state.S[k]:.10e}" for j in range(n)]
         effects.append(row)
     nnts, suppressed = [], []
     for T in [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]:
@@ -261,7 +261,7 @@ def _plot_series_per_cell(config, base_traj, traj, sens):
              else interp_rows(t_eval, traj.times, traj.states)[0:2 * n:2])
         row = [f"{T:.2f}"]
         for k in labels:
-            gamma = (sens[k].at(t_eval).gamma if node
+            gamma = (rows_at(sens[k].times, sens[k].gamma, t_eval) if node
                      else interp_rows(t_eval, sens[k].times, sens[k].block)[1::2])
             for jl in labels:
                 simple = simple_nnt(T, S[labels.index(k)], gamma[labels.index(jl)])

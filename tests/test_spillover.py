@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import (incidence_sensitivity, random_spec, random_state, rhs, rk4_fixed,
-                      spillover_rhs, xi_correction, zero_sensitivity)
+                      spillover_rhs, xi_correction)
 from oracles import PerturbationOutOfRange, fd_oracle
 from prepspill.errors import ZeroPopulation
 from prepspill.integrators import IntegratorConfig, integrate, node_index, rows_at, write_csv
 from prepspill.model import StateVec, closed_mixing, dfe, flat_rhs_factory
-from prepspill.spillover import (SensitivityState, integrate_with_spillover, nnt,
-                                 sensitivity_to_csv)
+from prepspill.spillover import integrate_with_spillover, nnt, sensitivity_to_csv
 
 CFG = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-9, atol=1e-7)
 
@@ -28,16 +27,17 @@ def aug_basic(basic):
 
 
 def test_reads_outside_the_run_refused(aug_basic):
-    # the sensitivity block and the state share rows_at's node check: a time
-    # past either end or between nodes is refused, not held at the end row
-    # or interpolated
+    # the sensitivity block is read by rows_at, the state's node check: a
+    # time past either end or between nodes is refused, not held at the end
+    # row or interpolated
     _, traj, sens, _ = aug_basic
+    st = sens["msm"]
     for t in (2100.0, 1900.0, 0.5 * (traj.times[5] + traj.times[6])):
-        for read in (sens["msm"].at, traj.row_at):
+        for read in (lambda t: rows_at(st.times, st.block, t), traj.row_at):
             with pytest.raises(ValueError,
                                match=re.escape(f"t = {t} is not a node of the trajectory")):
                 read(t)
-    assert np.array_equal(sens["msm"].at(2031.0).gamma, sens["msm"].gamma[-1])
+    assert np.array_equal(rows_at(st.times, st.gamma, 2031.0), st.gamma[-1])
 
 
 OFF_NODE = {"between-nodes": lambda times: 0.5 * (times[5] + times[6]),
@@ -50,33 +50,35 @@ OFF_NODE = {"between-nodes": lambda times: 0.5 * (times[5] + times[6]),
 def test_every_read_refuses_a_time_off_the_nodes(aug_basic, reader, where):
     # each reader of a run reads stored nodes only: a time inside the span
     # but between nodes is refused like one outside it, naming the time
-    # (T, the horizon, for nnt)
+    # (T, the horizon, for nnt); "at" reads a sensitivity block's row by
+    # rows_at
     spec, traj, sens, _ = aug_basic
     t = OFF_NODE[where](traj.times)
     assert traj.index_of(t) is None
+    st = sens["msm"]
     if reader == "nnt":
         T = t - traj.times[0]
-        read, named = (lambda: nnt(sens["msm"], traj, "hetf", "msm", T, spec.mu)), f"T = {T}"
+        read, named = (lambda: nnt(st, traj, "hetf", "msm", T, spec.mu)), f"T = {T}"
+    elif reader == "at":
+        read, named = (lambda: rows_at(st.times, st.block, t)), f"t = {t} "
     else:
-        of = sens["msm"] if reader == "at" else traj
-        read, named = (lambda: getattr(of, reader)(t)), f"t = {t} "
+        read, named = (lambda: getattr(traj, reader)(t)), f"t = {t} "
     with pytest.raises(ValueError, match=re.escape(named)):
         read()
 
 
 def test_blocks_are_views_of_the_joint_run(aug_basic):
-    # each source's block is the joint run's slots, uncopied; at() reads one
-    # row of it at a node, the same bits as reading separate sigma and gamma
-    # arrays
+    # each source's block is the joint run's slots, uncopied; its row at a
+    # node is the same bits as the rows of separate sigma and gamma arrays
     _, traj, sens, _ = aug_basic
     for st in sens.values():
         assert np.shares_memory(st.block, traj.states)
         assert np.shares_memory(st.sigma, st.block) and np.shares_memory(st.gamma, st.block)
         sigma, gamma = st.block[:, 0::2].copy(), st.block[:, 1::2].copy()
         for t in (2023.0, traj.times[5]):
-            at = st.at(t)
-            assert np.array_equal(at.sigma, rows_at(st.times, sigma, t))
-            assert np.array_equal(at.gamma, rows_at(st.times, gamma, t))
+            row = rows_at(st.times, st.block, t)
+            assert np.array_equal(row[0::2], rows_at(st.times, sigma, t))
+            assert np.array_equal(row[1::2], rows_at(st.times, gamma, t))
 
 
 def test_csv_of_a_source_subset_equals_columnwise_assembly(basic):
@@ -116,10 +118,8 @@ def test_nnt_refuses_a_state_grid_off_by_more_than_a_node(aug_basic, shift):
 def test_rhs_zero_at_disease_free(basic):
     spec, _ = basic
     eq = dfe(spec)
-    zero = zero_sensitivity(spec, "msm")
-    d = spillover_rhs(spec, eq, zero)
-    assert np.all(d.sigma == 0.0)
-    assert np.all(d.gamma == 0.0)
+    d = spillover_rhs(spec, eq, spec.group_index("msm"), np.zeros(2 * spec.n))
+    assert np.all(d == 0.0)
 
 
 def test_initial_conditions_exactly_zero(aug_basic):
@@ -145,7 +145,7 @@ def test_no_spillover_onto_msm(aug_basic):
     spec, traj, sens, _ = aug_basic
     msm = spec.group_index("msm")
     for src in ("hetf", "hetm"):
-        per_person = sens[src].gamma[:, msm] / traj.states[:, 2 * sens[src].source_index]
+        per_person = sens[src].gamma[:, msm] / traj.states[:, 2 * spec.group_index(src)]
         assert np.abs(per_person).max() < 1e-3
 
 
@@ -159,7 +159,7 @@ def test_adaptive_vs_fixed_gamma(basic):
     f = flat_rhs_factory(spec, mode="practical")
     y0_flat = np.concatenate([start.to_flat(), np.zeros(2 * n * n)])
     _, rows = rk4_fixed(f, y0_flat, 2020.0, 2030.0, 0.05)
-    ga = sens_a["msm"].at(2030.0).gamma[hetf]
+    ga = rows_at(sens_a["msm"].times, sens_a["msm"].gamma, 2030.0)[hetf]
     gf = rows[-1][3 * n + 2 * n * msm + 2 * hetf + 1]
     assert abs(ga - gf) / abs(ga) < 1e-3
 
@@ -190,7 +190,7 @@ def test_chain_rule_consistency(basic, aug_basic):
 def test_monotone_growth_of_spillover(aug_basic):
     spec, traj, sens, _ = aug_basic
     hetf = spec.group_index("hetf")
-    msm_idx = sens["msm"].source_index
+    msm_idx = spec.group_index("msm")
     ratio = np.abs(sens["msm"].gamma[:, hetf]) / traj.states[:, 2 * msm_idx]
     assert np.all(np.diff(ratio) >= -1e-15)
 
@@ -215,10 +215,14 @@ def test_nnt_source_mismatch(aug_basic):
 
 
 def test_nnt_names_an_unknown_group(aug_basic):
+    # j, and k the block's source, are both looked up in the trajectory's labels
     spec, traj, sens, _ = aug_basic
     with pytest.raises(ValueError, match=re.escape(
             "no group 'nope' in the trajectory's labels ('msm', 'hetf', 'hetm')")):
         nnt(sens["msm"], traj, "nope", "msm", 10.0, spec.mu)
+    with pytest.raises(ValueError, match=re.escape(
+            "no group 'nope' in the trajectory's labels ('msm', 'hetf', 'hetm')")):
+        nnt(replace(sens["msm"], source="nope"), traj, "hetf", "nope", 10.0, spec.mu)
 
 
 def test_nnt_compares_distinct_time_grids(aug_basic):
@@ -237,8 +241,8 @@ def test_nnt_compares_distinct_time_grids(aug_basic):
 def test_incidence_sensitivity_zero_state(basic):
     spec, _ = basic
     eq = dfe(spec)
-    zero = zero_sensitivity(spec, "msm")
-    val = incidence_sensitivity(spec, eq, zero, spec.group_index("hetf"))
+    val = incidence_sensitivity(spec, eq, spec.group_index("msm"), np.zeros(2 * spec.n),
+                                spec.group_index("hetf"))
     assert val == 0.0
 
 
@@ -252,13 +256,11 @@ def test_incidence_sensitivity_integral_identity(basic):
     traj, sens = integrate_with_spillover(spec, start, cfg=cfg)
     st = sens["msm"]
     j = spec.group_index("hetf")
-    k = st.source_index
+    k = spec.group_index("msm")
     vals = np.empty(len(traj.times))
-    for i, t in enumerate(traj.times):
+    for i in range(len(traj.times)):
         state = StateVec.from_flat(traj.states[i], spec.n)
-        s = SensitivityState(source=st.source, source_index=k,
-                             sigma=st.sigma[i], gamma=st.gamma[i])
-        vals[i] = incidence_sensitivity(spec, state, s, j)
+        vals[i] = incidence_sensitivity(spec, state, k, st.block[i], j)
     lhs = np.trapezoid(vals, traj.times)
     ratio = st.gamma[:, j] / traj.states[:, 2 * k]
     rhs_val = ratio[-1] + spec.mu * np.trapezoid(ratio, traj.times)
@@ -267,20 +269,17 @@ def test_incidence_sensitivity_integral_identity(basic):
 
 def test_incidence_sensitivity_nonnegative_along_baseline(aug_basic):
     spec, traj, sens, _ = aug_basic
-    for src in spec.labels:
+    for k, src in enumerate(spec.labels):
         st = sens[src]
         for i in range(0, len(traj.times), 2):
             state = StateVec.from_flat(traj.states[i], spec.n)
-            s = SensitivityState(source=src, source_index=st.source_index,
-                                 sigma=st.sigma[i], gamma=st.gamma[i])
             for j in range(spec.n):
-                assert incidence_sensitivity(spec, state, s, j) >= -1e-12
+                assert incidence_sensitivity(spec, state, k, st.block[i], j) >= -1e-12
 
 
 def test_xi_correction_zero_sens(basic):
     spec, y0 = basic
-    zero = zero_sensitivity(spec, "msm")
-    Xi, contrib = xi_correction(spec, y0, zero)
+    Xi, contrib = xi_correction(spec, y0, np.zeros(2 * spec.n))
     assert np.all(Xi == 0.0)
     assert np.all(contrib == 0.0)
 
@@ -288,7 +287,7 @@ def test_xi_correction_zero_sens(basic):
 def test_xi_correction_risk_unsupported(risk):
     spec, y0 = risk
     with pytest.raises(ValueError, match="^correction vectors exist for the basic variant only$"):
-        xi_correction(spec, y0, zero_sensitivity(spec, "msm"))
+        xi_correction(spec, y0, np.zeros(2 * spec.n))
 
 
 def test_xi_correction_magnitude_bound(basic, aug_basic):
@@ -296,12 +295,11 @@ def test_xi_correction_magnitude_bound(basic, aug_basic):
     spec, traj, sens, _ = aug_basic
     i = len(traj.times) // 2
     state = StateVec.from_flat(traj.states[i], spec.n)
-    st = sens["msm"]
-    synthetic = SensitivityState(source="msm", source_index=0,
-                                 sigma=st.sigma[i] + 10.0, gamma=st.gamma[i])
+    synthetic = sens["msm"].block[i].copy()
+    synthetic[0::2] += 10.0  # sigma
     Xi, contrib = xi_correction(spec, state, synthetic)
-    d = spillover_rhs(spec, state, synthetic)
-    dominant = np.abs(d.gamma).max()
+    d = spillover_rhs(spec, state, spec.group_index("msm"), synthetic)
+    dominant = np.abs(d[1::2]).max()
     assert np.abs(contrib).max() < 1e-3 * dominant
 
 
@@ -326,9 +324,7 @@ def test_exact_delta_matches_fd_with_delta(basic):
     fd = fd_oracle(spec, start, "msm", 1e-6, cfg)
     st = s_ex["msm"]
     for i, t in enumerate(fd.times):
-        at = st.at(t)
-        both = np.concatenate([at.sigma, at.gamma])
-        est = np.concatenate([fd.sigma[i], fd.gamma[i]])
+        both, est = rows_at(st.times, st.block, t), fd.block[i]
         scale = max(np.abs(both).max(), 1e-30)
         assert np.abs(both - est).max() < 1e-3 * scale
 
@@ -340,14 +336,12 @@ def test_fd_oracle_second_order(basic):
     base = integrate(spec0, y0, CFG.over(2017.0, 2020.0))
     start = base.final_state()
     _, sens = integrate_with_spillover(spec0, start, cfg=cfg)
-    ref = sens["msm"].at(2025.0)
-    ref_vec = np.concatenate([ref.sigma, ref.gamma])
+    ref_vec = rows_at(sens["msm"].times, sens["msm"].block, 2025.0)
     errs = []
     # perturbations large enough that truncation dominates integrator noise
     for e in (1.6e-2, 8e-3, 4e-3):
         fd = fd_oracle(spec0, start, "msm", e, cfg)
-        est = np.concatenate([fd.sigma[-1], fd.gamma[-1]])
-        errs.append(np.abs(est - ref_vec).max())
+        errs.append(np.abs(fd.block[-1] - ref_vec).max())
     r1 = np.log2(errs[0] / errs[1])
     r2 = np.log2(errs[1] / errs[2])
     assert 1.6 < r1 < 2.4
@@ -390,7 +384,7 @@ def test_augmented_rhs_zero_population_names_group_and_time(basic):
         f(2021.0, list(y))
     empty = StateVec.make(y0.S * [1.0, 1.0, 0.0], y0.I * [1.0, 1.0, 0.0])
     with pytest.raises(ZeroPopulation, match=r"^group hetm has N = 0$"):
-        spillover_rhs(spec, empty, zero_sensitivity(spec, "msm"))
+        spillover_rhs(spec, empty, spec.group_index("msm"), np.zeros(2 * spec.n))
 
 
 @pytest.mark.parametrize("variant, mode", [("basic", "exact_delta"), ("risk", "exact_delta"),
@@ -465,9 +459,7 @@ def test_exact_delta_matches_fd_oracle_random_specs():
                 st = sens[k]
                 for i, t in enumerate(fd.times[1:], 1):
                     assert node_index(st.times, t) is not None  # a stored row
-                    at = st.at(t)
-                    got = np.concatenate([at.sigma, at.gamma])
-                    want = np.concatenate([fd.sigma[i], fd.gamma[i]])
+                    got, want = rows_at(st.times, st.block, t), fd.block[i]
                     assert np.abs(got - want).max() <= tol * np.abs(got).max()
 
 

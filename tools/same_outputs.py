@@ -41,6 +41,13 @@ from pathlib import Path
 CONFIGS = {
     # the risk closure has no solution from 2042.8 on: exit 1
     "risk_2045.json": {"model": "risk", "horizon": {"end": 2045}},
+    # the risk preset with every contact rate a_j x 1,000: a first attempt's
+    # stages leave the RHS's domain (msm N < 0), shorter steps do not
+    "risk_contacts_x1000.json": {"model": "risk",
+                                 "overrides": {"groups": {"msm": {"a": 94700.0},
+                                                          "hetf_h": {"a": 91000.0},
+                                                          "hetf_l": {"a": 43700.0},
+                                                          "hetm": {"a": 48500.0}}}},
     "tracked_2022.json": {"model": "basic", "intervention_mode": "tracked-count",
                           "interventions": [{"group": "msm", "additional_persons": 10000,
                                              "start_year": 2022}]},
@@ -114,6 +121,7 @@ INVOCATIONS = (
         ["spillover", "--model", "risk", "--mode", "exact_delta", "--json"],
         ["validate"], ["validate", "--json"],
         ["simulate", "--config", "risk_2045.json"],
+        ["simulate", "--config", "risk_contacts_x1000.json"],
         ["simulate", "--config", "tracked_2022.json"],
         ["nnt", "--config", "tracked_2022.json"],
         ["simulate", "--config", "risk_fixed_2022.json"],
