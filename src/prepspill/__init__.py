@@ -19,6 +19,6 @@ from .scenarios import (RunReport, ScenarioConfig, default_config, load_config,
                         run_scenarios, validate_tables)
 from .sobol import (PCExpansion, QuadratureGrid, SobolIndices, UncertainInput,
                     build_grid, fit_pce, sobol_indices, sobol_timeseries)
-from .spillover import NNTResult, SensitivityTrajectory, integrate_with_spillover, nnt
+from .spillover import NNTResult, integrate_with_spillover, nnt
 
 __version__ = "0.1.0"

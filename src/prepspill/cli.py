@@ -22,7 +22,7 @@ from .reproduction import build_ngm, rc_closed, rc_numeric
 from .scenarios import (SOBOL_INTERVAL, default_config, emit_plot_data, load_config,
                         report_to_csv, run_scenarios, run_spillover, sobol_manifest,
                         sobol_study, validate_tables, write_sobol)
-from .spillover import nnt, sensitivity_to_csv
+from .spillover import block, nnt, sensitivity_to_csv
 
 
 def _config_from_args(args):
@@ -75,13 +75,13 @@ def cmd_simulate(args):
 
 def cmd_spillover(args):
     config = _config_from_args(args)
-    _, sens = run_spillover(config, mode=args.mode)
+    traj = run_spillover(config, mode=args.mode)
     path = _out_path(args, f"spillover_{config.variant}.csv")
-    sensitivity_to_csv(sens, config.spec.labels, path)
-    payload = {"file": path, "sources": list(sens),
-               "final": {k: {"gamma": sens[k].gamma[-1].tolist(),
-                             "sigma": sens[k].sigma[-1].tolist()}
-                         for k in sens}}
+    sensitivity_to_csv(traj, traj.labels, path)
+    payload = {"file": path, "sources": list(traj.labels),
+               "final": {k: {"gamma": block(traj, k)[-1, 1::2].tolist(),
+                             "sigma": block(traj, k)[-1, 0::2].tolist()}
+                         for k in traj.labels}}
     _report(args, payload, files=[path])
     return 0
 
@@ -99,10 +99,9 @@ def cmd_nnt(args):
         raise PrepspillError(f"--horizon {T} outside (0, {round(span, 9)}] "
                              "(years after intervention)")
     # nnt() reads only at nodes, so the horizon is made a sample time
-    traj, sens = run_spillover(config,
-                               sample_times=[min(config.intervention_year + T, config.end)])
+    traj = run_spillover(config, sample_times=[min(config.intervention_year + T, config.end)])
     labels = config.spec.labels
-    rows = [nnt(sens[k], traj, j, k, T, config.spec.mu) for k in labels for j in labels]
+    rows = [nnt(traj, j, k, T, config.spec.mu) for k in labels for j in labels]
     path = _out_path(args, f"nnt_{config.variant}.csv")
     write_csv(path, ["j", "k", "T", "nnt_simple", "nnt_integral", "defined"],
               ([r.j, r.k, r.horizon,
@@ -113,8 +112,10 @@ def cmd_nnt(args):
     for r in rows:
         val = f"{r.nnt_simple:10.1f}" if r.defined else " undefined"
         lines.append(f"  NNT[{r.k} -> {r.j}, T={r.horizon}] = {val}")
-    _report(args, {"file": path, "results": [r.__dict__ for r in rows]},
-            files=[path], lines=lines)
+    # an undefined pair's two nan values are JSON's null, as the CSV leaves them empty
+    results = [r.__dict__ if r.defined else dict(r.__dict__, nnt_simple=None, nnt_integral=None)
+               for r in rows]
+    _report(args, {"file": path, "results": results}, files=[path], lines=lines)
     return 0
 
 

@@ -129,14 +129,10 @@ def write_text(path, text):
         fh.truncate()
 
 
-def write_csv(path_or_file, header, rows):
-    """csv_text(header, rows), to the object itself if it has ``write``,
-    else to the path by write_text; csv_text's ValueError writes nothing."""
-    text = csv_text(header, rows)
-    if hasattr(path_or_file, "write"):
-        path_or_file.write(text)
-    else:
-        write_text(path_or_file, text)
+def write_csv(path, header, rows):
+    """csv_text(header, rows) to the file at ``path`` by write_text;
+    csv_text's ValueError writes nothing."""
+    write_text(path, csv_text(header, rows))
 
 
 @dataclass(frozen=True)
@@ -245,7 +241,7 @@ class Trajectory:
         """The model-state columns of states (S/I interleaved, then C)."""
         return self.states[:, :3 * self.n_groups]
 
-    def to_csv(self, path_or_file):
+    def to_csv(self, path):
         header = ["t"]
         for lbl in self.labels:
             header += [f"S_{lbl}", f"I_{lbl}"]
@@ -253,7 +249,7 @@ class Trajectory:
         # csv writes a float as its repr, so whole-array rows of Python
         # floats give the digits of repr(float(v)) without per-cell calls
         rows = np.column_stack((self.times, self.model_states()))
-        write_csv(path_or_file, header, rows.tolist())
+        write_csv(path, header, rows.tolist())
 
 
 def _breakpoints(cfg, sample_times):

@@ -27,7 +27,7 @@ from .model import VARIANTS, ModelSpec, StateVec
 from .presets import (INTERVENTION_START, REPORT_END, SIM_START, STUDIES,
                       combine_reported)
 # nnt stays importable from here for tracers that rebind scenarios.nnt
-from .spillover import integrate_with_spillover, nnt, simple_nnt  # noqa: F401
+from .spillover import block, integrate_with_spillover, nnt, simple_nnt  # noqa: F401
 from .sobol import QuadratureGrid, UncertainInput, sobol_timeseries
 
 SCHEMA_VERSION = 1
@@ -244,12 +244,12 @@ def run_spillover(config, mode="practical", sample_times=None):
     started from the baseline state at the intervention year, with nodes at
     ``sample_times`` besides the whole years.
 
-    Returns (state trajectory, sensitivities by source).  Only the
-    baseline's head is integrated, over [start, intervention], with the
-    baseline's whole years and sample times up to the intervention year:
-    its steps are the full baseline's up to there, so the start state is the
-    same bits as the full baseline's.  With the intervention at the start it
-    is y0 itself.
+    Returns the joint run's Trajectory (spillover.block reads a source's
+    sensitivities).  Only the baseline's head is integrated, over [start,
+    intervention], with the baseline's whole years and sample times up to
+    the intervention year: its steps are the full baseline's up to there,
+    so the start state is the same bits as the full baseline's.  With the
+    intervention at the start it is y0 itself.
     """
     t_int = config.intervention_year
     if t_int == config.start:
@@ -364,7 +364,7 @@ def run_scenarios(config):
                      baseline=baseline, scenarios=results, baseline_traj=base_traj)
 
 
-def report_to_csv(report, path_or_file):
+def report_to_csv(report, path):
     cols = list(STUDIES[report.variant].reported) + ["total"]
     header = ["scenario", "group", "additional_persons"]
     for c in cols:
@@ -377,7 +377,7 @@ def report_to_csv(report, path_or_file):
                 row += [f"{r.incidence[c]:.3f}", f"{r.prevented[c]:.3f}"]
             yield row
 
-    write_csv(path_or_file, header, rows())
+    write_csv(path, header, rows())
 
 
 @dataclass
@@ -402,8 +402,8 @@ class ValidationReport:
     def failures(self):
         return [c for c in self.cells if not c.ok]
 
-    def to_csv(self, path_or_file):
-        write_csv(path_or_file,
+    def to_csv(self, path):
+        write_csv(path,
                   ["table", "row", "cell", "expected", "actual", "tolerance", "status"],
                   ([c.table, c.row, c.cell, f"{c.expected:.3f}", f"{c.actual:.3f}",
                     f"{c.tolerance:.3f}", "ok" if c.ok else "FAIL"] for c in self.cells))
@@ -464,8 +464,8 @@ def emit_plot_data(out_dir, config):
     report = run_scenarios(config)
     base_traj = report.baseline_traj
     t_int = config.intervention_year  # run_spillover's head gives this row bit for bit
-    traj, sens = integrate_with_spillover(config.spec, base_traj.state_at(t_int),
-                                          config.integrator.over(t_int, config.end))
+    traj = integrate_with_spillover(config.spec, base_traj.state_at(t_int),
+                                    config.integrator.over(t_int, config.end))
     S = traj.states[:, 0:2 * n:2]
 
     # the whole calendar years inside [start, end]; every year is a node
@@ -484,8 +484,8 @@ def emit_plot_data(out_dir, config):
         k = labels[int(empty.argmax()) % n]
         raise ZeroPopulation(f"source group {k} has S = 0")
     # gamma_j / S_k per node, j within the block of source k
-    effects = np.concatenate([sens[k].gamma / S[:, [c]] for c, k in enumerate(labels)],
-                             axis=1)
+    effects = np.concatenate([block(traj, k)[:, 1::2] / S[:, [c]]
+                              for c, k in enumerate(labels)], axis=1)
     header = ["t"] + [f"per_person_{j}__{k}" for k in labels for j in labels]
     rows = [[f"{t:.6f}"] + [f"{v:.10e}" for v in row]
             for t, row in zip(traj.times.tolist(), effects.tolist())]
@@ -496,7 +496,7 @@ def emit_plot_data(out_dir, config):
     header = ["T"] + [f"nnt_{jl}__{k}" for jl, k in pairs]
     rows = []
     # S_k, then gamma_j of each source block in pair order, per node
-    table = np.concatenate([S] + [sens[k].gamma for k in labels], axis=1)
+    table = np.concatenate([S] + [block(traj, k)[:, 1::2] for k in labels], axis=1)
     # every half year T <= end - t_int, within NODE_TOL of float noise
     horizons = [0.5 * i for i in range(1, int(2 * (config.end - t_int + NODE_TOL)) + 1)]
     for T in horizons:

@@ -12,7 +12,10 @@ coverage in group k, and is positive when PrEP helps.  The test suite's
 finite-difference and complex-step oracles (tests/oracles.py) return the
 same convention.
 
-Every run carries one (sigma, gamma) block per source group, in group order.
+A run is one Trajectory of the joint system: the 3n state columns, then one
+(sigma, gamma) block of 2n columns per source group, in group order, each
+group's (sigma_j, gamma_j) interleaved like the state's (S_j, I_j).
+``block(traj, k)`` is the one reader of that layout.
 Two dynamic modes (``MODES``), generated with the state equations from the
 same contact-pair table by ``model.flat_rhs_factory`` for either variant,
 which refuses an unknown mode:
@@ -36,29 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .integrators import NODE_TOL, Trajectory, integrate_flat, write_csv
+from .integrators import Trajectory, integrate_flat, write_csv
 from .model import flat_rhs_factory
-
-
-@dataclass
-class SensitivityTrajectory:
-    """Time series of one source's sensitivity block: one row per time, each
-    group's (sigma_j, gamma_j) pair interleaved like the state's (S_j, I_j)
-    slots.  integrate_with_spillover's blocks are views of the joint run's
-    states; ``sigma`` and ``gamma`` are views of the block.  A row at a
-    node is integrators.rows_at(times, block, t), which refuses any other t."""
-
-    source: str
-    times: np.ndarray
-    block: np.ndarray  # (n_times, 2 * n_groups)
-
-    @property
-    def sigma(self):
-        return self.block[:, 0::2]
-
-    @property
-    def gamma(self):
-        return self.block[:, 1::2]
 
 
 @dataclass(frozen=True)
@@ -78,8 +60,8 @@ def integrate_with_spillover(spec, y0, cfg, mode="practical", sample_times=None)
 
     ``mode`` is one of MODES.  Sensitivities start from exactly zero at
     cfg.t0.  A cfg without first_step starts at 1e-2 even when it lands on
-    whole years.  Returns the state trajectory and one SensitivityTrajectory
-    per source group, keyed by group label in group order.
+    whole years.  Returns the joint run's Trajectory; ``block`` reads a
+    source's columns.
     """
     if mode is None:  # flat_rhs_factory's plain state RHS, which has no blocks
         raise ValueError("unknown mode None")
@@ -91,12 +73,18 @@ def integrate_with_spillover(spec, y0, cfg, mode="practical", sample_times=None)
         # rows between this system's nodes, and that start moved the basic
         # T = 0.5 msm->hetf cell from 31,445.9 to 21,725.3 (ROADMAP item 2)
         cfg = replace(cfg, first_step=1e-2)
-    traj = Trajectory.of(integrate_flat(f, y0_flat, cfg, n_state=2 * n,
+    return Trajectory.of(integrate_flat(f, y0_flat, cfg, n_state=2 * n,
                                         sample_times=sample_times), spec.labels)
-    return traj, {label: SensitivityTrajectory(
-        source=label, times=traj.times,
-        block=traj.states[:, 3 * n + 2 * n * k:3 * n + 2 * n * (k + 1)])
-        for k, label in enumerate(spec.labels)}
+
+
+def block(traj, k):
+    """Source group k's sensitivity block of a spillover run: a view of its
+    2n columns of traj.states, one row per node, each group's (sigma_j,
+    gamma_j) pair interleaved, so ``[:, 0::2]`` is sigma and ``[:, 1::2]``
+    gamma."""
+    n = traj.n_groups
+    c = 3 * n + 2 * n * traj.labels.index(k)
+    return traj.states[:, c:c + 2 * n]
 
 
 def simple_nnt(T, S_k, gamma_j):
@@ -106,52 +94,43 @@ def simple_nnt(T, S_k, gamma_j):
     return None if gamma_j <= 0.0 else T * S_k / gamma_j
 
 
-def nnt(sens_traj, state_traj, j, k, T, mu):
+def nnt(traj, j, k, T, mu):
     """Person-years of additional PrEP in group k per infection prevented in
-    group j over [t_start, t_start + T], t_start being the sensitivity start.
-    j and k are group labels of the state trajectory, k the block's source.
-    Both trajectories share one grid (node for node within NODE_TOL), and
+    group j over [t_start, t_start + T], t_start being the first node of the
+    spillover run ``traj``.  j and k are group labels of the run, and
     t_start + T is a node of it (a sample time of the run); otherwise
     ValueError.
 
-    nnt_simple = T * S_k(T) / gamma_j(T); nnt_integral keeps the
-    mu * integral(gamma/S) term in the denominator, a trapezoid over the
-    nodes.  Undefined (flagged, not raised) when gamma_j(T) <= 0.
+    nnt_simple = T * S_k(T) / gamma_j(T), gamma_j read from k's block;
+    nnt_integral keeps the mu * integral(gamma/S) term in the denominator,
+    a trapezoid over the nodes.  Undefined (flagged, not raised) when
+    gamma_j(T) <= 0.
     """
-    if k != sens_traj.source:
-        raise ValueError(f"sensitivity block is for source {sens_traj.source!r}, not {k!r}")
     for g in (j, k):
-        if g not in state_traj.labels:
-            raise ValueError(f"no group {g!r} in the trajectory's labels {state_traj.labels}")
-    j_idx, k_idx = state_traj.labels.index(j), state_traj.labels.index(k)
-    t_eval = sens_traj.times[0] + T
-    if sens_traj.times is not state_traj.times and (  # shared by integrate_with_spillover
-            sens_traj.times.shape != state_traj.times.shape
-            or not np.allclose(sens_traj.times, state_traj.times, rtol=0.0, atol=NODE_TOL)):
-        raise ValueError("sensitivity and state trajectories use different grids")
-    i = state_traj.index_of(t_eval)
+        if g not in traj.labels:
+            raise ValueError(f"no group {g!r} in the trajectory's labels {traj.labels}")
+    t_eval = traj.times[0] + T
+    i = traj.index_of(t_eval)
     if i is None:
         raise ValueError(f"T = {T}: t = {t_eval} is not a node of the trajectory")
-    gam_T = sens_traj.gamma[i, j_idx]
-    S_T = state_traj.states[i, 2 * k_idx]
-    simple = simple_nnt(T, S_T, gam_T)
+    gamma = block(traj, k)[:i + 1, 2 * traj.labels.index(j) + 1]
+    S = traj.states[:i + 1, 2 * traj.labels.index(k)]
+    simple = simple_nnt(T, S[-1], gamma[-1])
     if simple is None:
         return NNTResult(j=j, k=k, horizon=T, nnt_simple=float("nan"),
                          nnt_integral=float("nan"), defined=False)
-    ratio = sens_traj.gamma[:i + 1, j_idx] / state_traj.states[:i + 1, 2 * k_idx]
-    integral = float(np.trapezoid(ratio, sens_traj.times[:i + 1]))
-    full = T / (gam_T / S_T + mu * integral)
+    integral = float(np.trapezoid(gamma / S, traj.times[:i + 1]))
+    full = T / (gamma[-1] / S[-1] + mu * integral)
     return NNTResult(j=j, k=k, horizon=T, nnt_simple=simple,
                      nnt_integral=full, defined=True)
 
 
-def sensitivity_to_csv(sens_map, labels, path_or_file):
-    """Write sensitivity trajectories as columns sigma_<j>__<k>, gamma_<j>__<k>:
-    the blocks, sources in sorted order, side by side."""
-    sources = sorted(sens_map)
+def sensitivity_to_csv(traj, sources, path):
+    """Write the blocks of a spillover run's ``sources`` as columns
+    sigma_<j>__<k>, gamma_<j>__<k>: sources in sorted order, side by side."""
+    sources = sorted(sources)
     header = ["t"] + [f"{c}_{jl}__{k}" for k in sources
-                      for jl in labels for c in ("sigma", "gamma")]
-    table = np.column_stack([sens_map[sources[0]].times]
-                            + [sens_map[k].block for k in sources])
+                      for jl in traj.labels for c in ("sigma", "gamma")]
+    table = np.column_stack([traj.times] + [block(traj, k) for k in sources])
     # csv writes each float of the Python-float rows as its repr
-    write_csv(path_or_file, header, table.tolist())
+    write_csv(path, header, table.tolist())

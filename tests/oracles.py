@@ -21,7 +21,6 @@ from scipy.integrate import solve_ivp
 
 from prepspill.integrators import _breakpoints, integrate_batch
 from prepspill.model import flat_rhs_factory
-from prepspill.spillover import SensitivityTrajectory
 
 # solve_ivp's options for the reference and for its cross-check
 REFERENCE = {"method": "DOP853", "rtol": 1e-13, "atol": 1e-10, "max_step": 0.05}
@@ -53,14 +52,18 @@ class PerturbationOutOfRange(ValueError):
 
 
 @dataclass
-class FdEstimate(SensitivityTrajectory):
-    """Finite-difference sensitivity estimate on a fixed sample grid.
-
-    Same sign convention as SensitivityTrajectory (reductions).  ``scheme``
-    records whether a central difference was possible or a one-sided
-    fallback was used at a coverage boundary.
+class FdEstimate:
+    """Finite-difference sensitivity estimate of source group ``source`` on a
+    fixed sample grid: ``block`` has one row per time in ``times``, laid out
+    like spillover.block's (sigma_j, gamma_j interleaved), in the same
+    reduction sign convention.  ``scheme`` records whether a central
+    difference was possible or a one-sided fallback was used at a coverage
+    boundary.
     """
 
+    source: str
+    times: np.ndarray
+    block: np.ndarray  # (n_times, 2 * n_groups)
     scheme: str
 
 

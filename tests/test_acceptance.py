@@ -23,7 +23,7 @@ from prepspill.reproduction import (build_ngm, rc_closed_basic, rc_closed_risk,
 from prepspill.scenarios import default_config, run_scenarios
 from prepspill.sobol import (UncertainInput, build_grid, fit_pce,
                              sobol_indices, sobol_timeseries)
-from prepspill.spillover import integrate_with_spillover, nnt
+from prepspill.spillover import block, integrate_with_spillover, nnt
 
 
 def report(criterion, ok, detail):
@@ -125,12 +125,11 @@ def test_criterion_3_fd_oracle_equivalence(rtol):
         spec, y0 = maker()
         spec0 = spec.with_delta_zero()
         start = integrate(spec0, y0, burn).final_state()
-        _, sens = integrate_with_spillover(spec0, start, cfg=cfg)
+        traj = integrate_with_spillover(spec0, start, cfg=cfg)
         for k in spec0.labels:
             fd = fd_oracle(spec0, start, k, 1e-6, cfg)
-            st = sens[k]
             for i, t in enumerate(fd.times):
-                both, est = rows_at(st.times, st.block, t), fd.block[i]
+                both, est = rows_at(traj.times, block(traj, k), t), fd.block[i]
                 scale = max(np.abs(both).max(), 1e-30)
                 worst = max(worst, np.abs(both - est).max() / scale)
     ok = worst < 1e-3
@@ -147,8 +146,7 @@ def nnt_inputs():
     cfg = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-9, atol=1e-7)
     base = integrate(spec, y0, cfg, sample_times=[2020.0])
     start = base.state_at(2020.0)
-    traj, sens = integrate_with_spillover(spec, start, cfg=cfg.over(2020.0, 2031.0))
-    return spec, traj, sens
+    return spec, integrate_with_spillover(spec, start, cfg=cfg.over(2020.0, 2031.0))
 
 
 NNT_BANDS = {("msm", "msm"): (40.0, 50.0),
@@ -156,16 +154,16 @@ NNT_BANDS = {("msm", "msm"): (40.0, 50.0),
              ("hetf", "hetf"): (7500.0, 10500.0)}
 
 
-def _nnt_at(spec, traj, sens, j, k, T=10.0):
-    return nnt(sens[k], traj, j, k, T, spec.mu)
+def _nnt_at(spec, traj, j, k, T=10.0):
+    return nnt(traj, j, k, T, spec.mu)
 
 
 def test_criterion_4_nnt_anchors(nnt_inputs):
-    spec, traj, sens = nnt_inputs
+    spec, traj = nnt_inputs
     ok = True
     parts = []
     for (j, k), (lo, hi) in NNT_BANDS.items():
-        res = _nnt_at(spec, traj, sens, j, k)
+        res = _nnt_at(spec, traj, j, k)
         good = res.defined and lo <= res.nnt_integral <= hi
         ok &= good
         parts.append(f"{k}->{j}: {res.nnt_integral:.0f} in [{lo:.0f},{hi:.0f}]"
@@ -183,8 +181,8 @@ def test_criterion_4_nnt_anchors(nnt_inputs):
            "reproduces the table (34.7 prevented, NNT ~15,800-17,700) and "
            "therefore cannot also land in [10500, 14500].")
 def test_criterion_4_nnt_hetm_anchor(nnt_inputs):
-    spec, traj, sens = nnt_inputs
-    res = _nnt_at(spec, traj, sens, "hetm", "hetm")
+    spec, traj = nnt_inputs
+    res = _nnt_at(spec, traj, "hetm", "hetm")
     ok = res.defined and 10500.0 <= res.nnt_integral <= 14500.0
     report(4, ok, f"hetm->hetm: integral {res.nnt_integral:.0f}, "
                   f"simple {res.nnt_simple:.0f} vs band [10500, 14500]")
@@ -197,12 +195,12 @@ def test_criterion_5_spillover_dominance():
     spec, y0 = georgia_basic()
     cfg = IntegratorConfig(t0=2017.0, t_end=2030.0, rtol=1e-9, atol=1e-7)
     # sensitivities solved along the full baseline, as in the published study
-    traj, sens = integrate_with_spillover(spec, y0, cfg=cfg)
+    traj = integrate_with_spillover(spec, y0, cfg=cfg)
     st = traj.state_at(2030.0)
     hetf = spec.group_index("hetf")
-    from_msm = (rows_at(sens["msm"].times, sens["msm"].gamma, 2030.0)[hetf]
+    from_msm = (rows_at(traj.times, block(traj, "msm")[:, 1::2], 2030.0)[hetf]
                 / st.S[spec.group_index("msm")])
-    direct = rows_at(sens["hetf"].times, sens["hetf"].gamma, 2030.0)[hetf] / st.S[hetf]
+    direct = rows_at(traj.times, block(traj, "hetf")[:, 1::2], 2030.0)[hetf] / st.S[hetf]
     ratio = from_msm / direct
     ok = ratio > 5.0
 
@@ -210,9 +208,8 @@ def test_criterion_5_spillover_dominance():
     # MSM infections over the window (cumulative-incidence sensitivity)
     msm = spec.group_index("msm")
     for src in ("hetf", "hetm"):
-        stj = sens[src]
         k = spec.group_index(src)
-        ratio_ts = stj.gamma[:, msm] / traj.states[:, 2 * k]
+        ratio_ts = block(traj, src)[:, 1::2][:, msm] / traj.states[:, 2 * k]
         cum = ratio_ts[-1] + spec.mu * np.trapezoid(ratio_ts, traj.times)
         ok &= 50000.0 * cum < 0.5
     report(5, ok, f"per-person hetf effect from msm / direct = {ratio:.2f} (> 5); "
@@ -321,10 +318,11 @@ def test_criterion_10_conservation():
     for maker in (georgia_basic, georgia_risk):
         spec, y0 = maker()
         spec0 = spec.with_delta_zero()
-        _, sens = integrate_with_spillover(spec0, y0, cfg=cfg)
-        for st in sens.values():
-            scale = max(np.abs(st.sigma).max(), np.abs(st.gamma).max())
-            worst = max(worst, np.abs(st.sigma + st.gamma).max() / scale)
+        traj = integrate_with_spillover(spec0, y0, cfg=cfg)
+        for k in traj.labels:
+            sigma, gamma = block(traj, k)[:, 0::2], block(traj, k)[:, 1::2]
+            scale = max(np.abs(sigma).max(), np.abs(gamma).max())
+            worst = max(worst, np.abs(sigma + gamma).max() / scale)
     ok = worst < 1e-9
     report(10, ok, f"max |sigma + gamma| / max(|sigma|,|gamma|) with delta=0: "
                    f"{worst:.2e}")

@@ -480,7 +480,7 @@ def test_free_and_spillover_runs_start_at_a_hundredth(basic, monkeypatch):
         assert traj.times[1] == traj.times[0] + cfg.first_step
     reproduction.stability_probe(basic[0].with_delta_zero(), n_trials=1, seed=2)
     spec, y0 = basic
-    joint, _ = integrate_with_spillover(spec, y0, IntegratorConfig(t0=2020.0, t_end=2022.0))
+    joint = integrate_with_spillover(spec, y0, IntegratorConfig(t0=2020.0, t_end=2022.0))
     # the later spans start from the controller's carried step
     for times in (spans[0], joint.times):
         assert times[1] == times[0] + 0.01
@@ -561,10 +561,9 @@ def test_no_clamps_on_presets(baseline_basic, baseline_risk):
     assert baseline_risk.clamp_events == []
 
 
-def test_trajectory_csv(baseline_basic):
-    buf = io.StringIO()
-    baseline_basic.to_csv(buf)
-    lines = buf.getvalue().splitlines()
+def test_trajectory_csv(baseline_basic, tmp_path):
+    baseline_basic.to_csv(str(tmp_path / "trajectory.csv"))
+    lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines[0] == "t,S_msm,I_msm,S_hetf,I_hetf,S_hetm,I_hetm,C_msm,C_hetf,C_hetm"
     first = lines[1].split(",")
     assert float(first[0]) == 2017.0
@@ -592,7 +591,7 @@ def test_trajectory_reads_rows_as_np_array_does(basic, monkeypatch):
     eps = spec.param_arrays()[3]
     trajs = [integrate(spec, y0, cfg),
              integrate(spec, y0, cfg, tracked_counts=[50000.0, 0.0, 0.0]),
-             integrate_with_spillover(spec, y0, cfg)[0],
+             integrate_with_spillover(spec, y0, cfg),
              integrate_batch(spec, y0, [eps, 2.0 * eps], cfg)]
     assert len(runs) == len(trajs)
     for traj, run in zip(trajs, runs):
@@ -611,7 +610,7 @@ def test_float_noise_samples_beside_year_nodes(basic):
     cfg = IntegratorConfig(2020, 2031)
     samples = np.arange(2020, 2031, 0.01)
     traj = integrate(spec, y0, cfg, sample_times=samples)
-    traj_s, _ = integrate_with_spillover(spec, y0, cfg, sample_times=samples)
+    traj_s = integrate_with_spillover(spec, y0, cfg, sample_times=samples)
     for tr in (traj, traj_s):
         assert all(tr.index_of(t) is not None for t in samples)
         assert annual_series(tr)[0] == list(range(2020, 2031))
@@ -815,24 +814,19 @@ def _unquoted_cr(cell):
 @given(header=st.lists(CELLS, min_size=1, max_size=4),
        rows=st.lists(st.lists(CELLS, max_size=4), max_size=5))
 def test_write_csv_round_trips_any_cells(header, rows):
-    buf = io.StringIO()
     with tempfile.TemporaryDirectory() as d:
         path = Path(d) / "out.csv"
         bad = [(r, c) for r, row in enumerate([header] + rows)
                for c, cell in enumerate(row) if _unquoted_cr(cell)]
         if bad:  # a "\r" left unquoted would not read back: refused, nothing written
             r, c = bad[0]
-            for dest in (buf, str(path)):
-                with pytest.raises(ValueError, match=f"^CSV row {r} column {c} holds "):
-                    write_csv(dest, header, iter(rows))
+            with pytest.raises(ValueError, match=f"^CSV row {r} column {c} holds "):
+                write_csv(str(path), header, iter(rows))
             with pytest.raises(ValueError, match=f"^CSV row {r} column {c} holds "):
                 csv_text(header, iter(rows))
-            assert buf.getvalue() == "" and not path.exists()
+            assert not path.exists()
             return
-        write_csv(buf, header, iter(rows))
-        text = buf.getvalue()
-        assert csv_text(header, iter(rows)) == text
-        assert not buf.closed  # a caller's file stays open
+        text = csv_text(header, iter(rows))
         assert list(csv.reader(io.StringIO(text, newline=""))) == [header] + rows
         # rows end in "\n" alone: any "\r" is inside a quoted cell
         assert text.endswith("\n") and text.count("\r") == sum(
@@ -844,7 +838,7 @@ def test_write_csv_round_trips_any_cells(header, rows):
 def test_a_shorter_rewrite_leaves_no_trailing_bytes_and_keeps_the_file(tmp_path):
     # the one writer overwrites in place, then truncates to the new length:
     # nothing of the longer text is left, and the file keeps its inode, its
-    # hard links and its mode; write_csv's path branch and scenarios._write
+    # hard links and its mode; write_csv and scenarios._write
     # go through it, and a new file gets the mode open(path, "w") gives
     path, link = tmp_path / "out.csv", tmp_path / "link.csv"
     write_text(path, "é,a longer row\r\n" * 50)
@@ -947,8 +941,8 @@ def test_runs_count_their_own_work(basic, risk, monkeypatch):
     cfg = IntegratorConfig(2017.0, 2031.0, year_nodes=False, first_step=1.0)
     batch = integrate_batch(spec, y0, [eps, 2.0 * eps], cfg,
                             sample_times=[float(y) for y in range(2018, 2031)])
-    spill, _ = integrate_with_spillover(spec, base.state_at(2020.0),
-                                        IntegratorConfig(2020.0, 2031.0))
+    spill = integrate_with_spillover(spec, base.state_at(2020.0),
+                                     IntegratorConfig(2020.0, 2031.0))
     for traj, (_, _, run) in ((batch, runs[-2]), (spill, runs[-1])):
         assert (traj.rhs_evals, traj.steps_rejected) == run[5:]
     retries = []

@@ -39,7 +39,7 @@ from prepspill.reproduction import build_ngm, rc_closed, rc_numeric
 from prepspill.scenarios import (_config_from_raw, default_config, emit_plot_data, run_scenarios,
                                  run_spillover, sobol_study)
 from prepspill.sobol import UncertainInput, sobol_timeseries
-from prepspill.spillover import nnt
+from prepspill.spillover import block, nnt
 
 SCALES = (2.0 ** -3, 4.0, 2.0 ** 8)
 
@@ -125,12 +125,12 @@ def test_scenario_tables_scale_with_the_persons(variant, arms, monkeypatch):
 def test_spillover_blocks_scale_with_the_persons(variant, mode):
     # the joint run's rows hold the state and every source's block
     config = default_config(variant)
-    traj, blocks = run_spillover(config, mode)
+    traj = run_spillover(config, mode)
     for c in SCALES:
-        got, got_blocks = run_spillover(scaled_config(config, c), mode)
+        got = run_spillover(scaled_config(config, c), mode)
         assert_scaled(traj, got, c)
-        for label, sens in blocks.items():
-            assert np.array_equal(got_blocks[label].block, c * sens.block)
+        for label in traj.labels:
+            assert np.array_equal(block(got, label), c * block(traj, label))
 
 
 @settings(max_examples=200, deadline=None)
@@ -169,9 +169,9 @@ def test_random_runs_scale_with_the_persons_property(seed, variant, free, tracke
 
 def _end_nnt_results(config):
     """nnt() for every (j, k) at the window's end."""
-    traj, sens = run_spillover(config)
+    traj = run_spillover(config)
     T, labels = config.end - config.intervention_year, config.spec.labels
-    return [nnt(sens[k], traj, j, k, T, config.spec.mu) for k in labels for j in labels]
+    return [nnt(traj, j, k, T, config.spec.mu) for k in labels for j in labels]
 
 
 def _end_nnts(config):
@@ -370,8 +370,8 @@ FREE_NODE_MOVES = pytest.mark.xfail(strict=True, reason=(
     for v in ("basic", "risk") for d in SHIFTS])
 def test_spillover_rows_translate_in_time(variant, d):
     config = default_config(variant)
-    traj, _ = run_spillover(config)
-    got, _ = run_spillover(shifted_config(config, d))
+    traj = run_spillover(config)
+    got = run_spillover(shifted_config(config, d))
     assert_translated(traj, got, d)
 
 
@@ -390,3 +390,37 @@ def test_nnt_translates_in_time(variant, d):
         assert (g.j, g.k, g.defined) == (r.j, r.k, r.defined)
         for term in ("nnt_simple", "nnt_integral") if r.defined else ():
             assert abs(getattr(g, term) - getattr(r, term)) <= 1e-12 * abs(getattr(r, term))
+
+
+# the preset Sobol studies of the benchmark's layout: every group's coverage
+# scaled on (-0.5, 4.0), basic at level 5 / degree 4, risk at level 4 / degree 3
+SOBOL_LAYOUTS = {"basic": (5, 4), "risk": (4, 3)}
+
+
+@pytest.mark.parametrize("d", [-1024.0, 1024.0])
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_sobol_outputs_translate_in_time(variant, d):
+    # the study over 2017-2031 and d years later: the same work, each
+    # sample series within 1e-12 of its largest magnitude, each mean within
+    # 1e-12 relative and each index within 2e-12.  Measured: basic bit for
+    # bit (85 RHS); risk (133 RHS) samples 4.6e-13, means 4.6e-13 and
+    # first-order and total indices 1.04e-12, worst at +1024
+    config = default_config(variant)
+    level, degree = SOBOL_LAYOUTS[variant]
+    inputs = [UncertainInput(label, -0.5, 4.0) for label in config.spec.labels]
+
+    def study(t0):
+        return sobol_timeseries(config.spec, config.y0, inputs, level=level,
+                                total_degree=degree, cfg=IntegratorConfig(t0, t0 + 14.0))
+    want, got = study(2017.0), study(2017.0 + d)
+    assert got.years == [y + d for y in want.years]
+    assert (got.rhs_evals, got.steps_accepted, got.steps_rejected, got.clamp_count) == \
+        (want.rhs_evals, want.steps_accepted, want.steps_rejected, want.clamp_count)
+    for (year, label), sample in want.samples.items():
+        assert np.abs(got.samples[(year + d, label)] - sample).max() <= \
+            1e-12 * np.abs(sample).max()
+        si, g = want.indices[(year, label)], got.indices[(year + d, label)]
+        assert g.defined == si.defined
+        assert abs(g.mean - si.mean) <= 1e-12 * abs(si.mean)
+        assert np.abs(g.first_order - si.first_order).max() <= 2e-12
+        assert np.abs(g.total - si.total).max() <= 2e-12

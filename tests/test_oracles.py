@@ -42,7 +42,7 @@ from oracles import COMPLEX_TOL, column_share, complex_step, fd_oracle, referenc
 from prepspill.integrators import IntegratorConfig, integrate
 from prepspill.model import closed_mixing
 from prepspill.scenarios import default_config
-from prepspill.spillover import integrate_with_spillover
+from prepspill.spillover import block, integrate_with_spillover
 
 CROSS_CHECK_BOUND = 1e-11
 TIGHT_BOUND = 1e-10
@@ -126,11 +126,11 @@ def test_practical_block_distance_from_complex_step_is_printed(variant):
     # distance is printed (pytest -s), not bounded: 3.5e-2 to 1.2e-1 (basic),
     # 3.4e-2 to 1.3e-1 (risk) of the block's largest entry when measured
     config, blocks = _preset_complex_steps(variant)
-    traj, sens = integrate_with_spillover(config.spec, config.y0, config.integrator)
+    traj = integrate_with_spillover(config.spec, config.y0, config.integrator)
     shares = {}
-    for k, (times, block) in blocks.items():
-        rows = sens[k].block[[traj.index_of(t) for t in times]]
-        shares[k] = _block_share(block, rows)
+    for k, (times, cs) in blocks.items():
+        rows = block(traj, k)[[traj.index_of(t) for t in times]]
+        shares[k] = _block_share(cs, rows)
     print(f"practical {variant} block vs complex step: "
           + ", ".join(f"{k} {v:.2g}" for k, v in shares.items()))
     assert all(np.isfinite(v) for v in shares.values())
@@ -146,10 +146,10 @@ def test_exact_delta_block_is_the_complex_step_derivative_on_pinned_random_specs
         spec = random_spec(rng, variant)
         y0 = random_state(rng, spec)
         spec = replace(spec, mixing=closed_mixing(spec, y0.N))
-        traj, sens = integrate_with_spillover(spec, y0, cfg, mode="exact_delta")
+        traj = integrate_with_spillover(spec, y0, cfg, mode="exact_delta")
         for k in spec.labels:
-            times, block = complex_step(spec, y0, k, window)
-            rows = sens[k].block[[traj.index_of(t) for t in times]]
-            assert not rows[0].any() and not block[0].any()
-            for got, want in zip(rows[1:], block[1:]):
+            times, cs = complex_step(spec, y0, k, window)
+            rows = block(traj, k)[[traj.index_of(t) for t in times]]
+            assert not rows[0].any() and not cs[0].any()
+            for got, want in zip(rows[1:], cs[1:]):
                 assert np.abs(got - want).max() <= EXACT_DELTA_BOUND * np.abs(want).max(), k

@@ -32,7 +32,7 @@ from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, _suppressed_
                                  emit_plot_data, integrate_baseline, load_config,
                                  report_to_csv, run_scenarios, run_spillover,
                                  validate_tables)
-from prepspill.spillover import integrate_with_spillover, nnt, simple_nnt
+from prepspill.spillover import block, integrate_with_spillover, nnt, simple_nnt
 
 # Table-9 cells known to sit outside tolerance under the fixed-contact-rate
 # closure (see decisions notes); everything else must pass.
@@ -145,15 +145,15 @@ def test_reports_reproducible():
 
 
 def test_csv_to_path_and_to_open_file_agree(tmp_path):
+    # the writers take a path only, a str or an os.PathLike: both give the
+    # same bytes, a header and one row per run
     report = run_scenarios(_config_from_raw({"model": "basic", "interventions": [
         {"group": "msm", "additional_persons": 10000}]}))
-    buf = io.StringIO()
-    report_to_csv(report, buf)
-    assert not buf.closed  # a caller's file stays open
-    path = tmp_path / "table.csv"
+    path, other = tmp_path / "table.csv", tmp_path / "other.csv"
     report_to_csv(report, str(path))
-    assert path.read_bytes() == buf.getvalue().encode("utf-8")
-    assert buf.getvalue().count("\n") == 3
+    report_to_csv(report, other)
+    assert path.read_bytes() == other.read_bytes()
+    assert path.read_text().count("\n") == 3
 
 
 def test_validate_tables_known_outcome():
@@ -211,7 +211,7 @@ def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
     # cap; nnt() refuses the half-year horizons, which are not nodes, and
     # their cells are simple_nnt of S and gamma interpolated there
     config = default_config(variant)
-    spec, (traj, sens) = config.spec, run_spillover(config)
+    spec, traj = config.spec, run_spillover(config)
     csv_path = emit_plot_data(str(tmp_path), config)[2]
     rows = list(csv.reader(io.StringIO(Path(csv_path).read_text())))
     labels = spec.labels
@@ -223,22 +223,22 @@ def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
         t = traj.times[0] + T
         for (jl, k), cell in zip(pairs, row[1:]):
             if T.is_integer():
-                res = nnt(sens[k], traj, jl, k, T, spec.mu)
+                res = nnt(traj, jl, k, T, spec.mu)
                 simple = res.nnt_simple if res.defined else None
             else:
                 with pytest.raises(ValueError, match="is not a node"):
-                    nnt(sens[k], traj, jl, k, T, spec.mu)
+                    nnt(traj, jl, k, T, spec.mu)
                 S_k = interp_rows(t, traj.times, traj.states)[2 * labels.index(k)]
-                gamma_j = interp_rows(t, sens[k].times, sens[k].gamma)[labels.index(jl)]
+                gamma_j = interp_rows(t, traj.times, block(traj, k))[2 * labels.index(jl) + 1]
                 simple = simple_nnt(T, S_k, gamma_j)
             shown = simple is not None and simple <= NNT_DISPLAY_CAP
             assert cell == (f"{simple:.3f}" if shown else "")
 
 
-def _plot_series_per_cell(config, base_traj, traj, sens):
+def _plot_series_per_cell(config, base_traj, traj):
     """The baseline, effects and nnt plot series cell by cell, through
-    state_at, SensitivityTrajectory.at (interp_rows on the state and the
-    block at a horizon that is not a node) and each effect's gamma_j / S_k:
+    state_at, rows_at of each source's block (interp_rows on the state and
+    the block at a horizon that is not a node) and each effect's gamma_j / S_k:
     the oracle of emit_plot_data's whole-array series.  Rows of strings, and
     the nnt sidecar's suppressed list."""
     labels = config.spec.labels
@@ -251,7 +251,7 @@ def _plot_series_per_cell(config, base_traj, traj, sens):
         state = StateVec.from_flat(traj.states[i], n)
         row = [f"{t:.6f}"]
         for k, label in enumerate(labels):
-            row += [f"{sens[label].gamma[i, j] / state.S[k]:.10e}" for j in range(n)]
+            row += [f"{block(traj, label)[i, 2 * j + 1] / state.S[k]:.10e}" for j in range(n)]
         effects.append(row)
     nnts, suppressed = [], []
     for T in [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]:
@@ -261,8 +261,8 @@ def _plot_series_per_cell(config, base_traj, traj, sens):
              else interp_rows(t_eval, traj.times, traj.states)[0:2 * n:2])
         row = [f"{T:.2f}"]
         for k in labels:
-            gamma = (rows_at(sens[k].times, sens[k].gamma, t_eval) if node
-                     else interp_rows(t_eval, sens[k].times, sens[k].block)[1::2])
+            gamma = (rows_at(traj.times, block(traj, k), t_eval) if node
+                     else interp_rows(t_eval, traj.times, block(traj, k)))[1::2]
             for jl in labels:
                 simple = simple_nnt(T, S[labels.index(k)], gamma[labels.index(jl)])
                 if simple is None or simple > NNT_DISPLAY_CAP:
@@ -285,8 +285,8 @@ def test_emit_plot_series_equal_per_cell_formulas(tmp_path, raw):
     config = _config_from_raw(raw)
     paths = emit_plot_data(str(tmp_path), config)
     base_traj = integrate_baseline(config)
-    traj, sens = run_spillover(config)
-    baseline, effects, nnts, suppressed = _plot_series_per_cell(config, base_traj, traj, sens)
+    traj = run_spillover(config)
+    baseline, effects, nnts, suppressed = _plot_series_per_cell(config, base_traj, traj)
     for path, want in zip(paths, (baseline, effects, nnts)):
         rows = list(csv.reader(io.StringIO(Path(path).read_text())))
         assert rows[1:] == want
@@ -315,18 +315,17 @@ def test_spillover_from_baseline_head_equals_full_baseline(name, horizon):
     # year; the run from it is the run from the full baseline, bit for bit
     config = _config_from_raw(HEAD_CONFIGS[name])
     samples = None if horizon is None else [config.intervention_year + horizon]
-    traj, sens = run_spillover(config, sample_times=samples)
+    traj = run_spillover(config, sample_times=samples)
     t_int = config.intervention_year
-    want, want_sens = integrate_with_spillover(
+    want = integrate_with_spillover(
         config.spec, integrate_baseline(config).state_at(t_int),
         cfg=config.integrator.over(t_int, config.end), sample_times=samples)
     assert np.array_equal(traj.times, want.times)
     assert np.array_equal(traj.states, want.states)
     assert traj.clamp_events == want.clamp_events
-    assert sorted(sens) == sorted(want_sens) == sorted(config.spec.labels)
-    for k in sens:
-        assert np.array_equal(sens[k].sigma, want_sens[k].sigma)
-        assert np.array_equal(sens[k].gamma, want_sens[k].gamma)
+    assert traj.labels == want.labels == config.spec.labels
+    for k in traj.labels:
+        assert np.array_equal(block(traj, k), block(want, k))
 
 
 @pytest.mark.parametrize("name", ["basic", "arm-before-intervention", "intervention-at-start"])
@@ -637,9 +636,9 @@ def test_cli_simulate_integrates_baseline_once(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_scenarios", run)
     assert main(["simulate", "--model", "basic", "--out", str(tmp_path)]) == 0
     assert len(calls) == 10  # the baseline and 9 arms
-    buf = io.StringIO()
-    reports[0].baseline_traj.to_csv(buf)
-    assert (tmp_path / "trajectory_basic.csv").read_text() == buf.getvalue()
+    reports[0].baseline_traj.to_csv(str(tmp_path / "want.csv"))
+    assert (tmp_path / "trajectory_basic.csv").read_bytes() == \
+        (tmp_path / "want.csv").read_bytes()
 
 
 def test_cli_spillover_starting_at_intervention(tmp_path, capsys):
@@ -960,6 +959,29 @@ def test_emit_effects_with_empty_source_pool(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_nnt_json_writes_null_for_an_undefined_pair(tmp_path, capsys):
+    # JSON has no NaN (RFC 8259, section 6): an undefined pair's two values
+    # are null, where the CSV leaves its cells empty.  An empty msm pool
+    # that recruits no one leaves the 5 pairs of source msm, or of j = msm
+    # from a heterosexual source, undefined
+    path = write_config(tmp_path, {
+        "model": "basic", "overrides": {"groups": {"msm": {"Pi": 0}}},
+        "initial_conditions": {"msm": {"S": 0, "I": 42000}}})
+    out = tmp_path / "out"
+    assert main(["nnt", "--config", path, "--out", str(out), "--json"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    results = json.loads(capsys.readouterr().out, parse_constant=refuse)["results"]
+    undefined = [r for r in results if not r["defined"]]
+    assert len(results) == 9 and len(undefined) == 5
+    assert all(r["nnt_simple"] is None and r["nnt_integral"] is None for r in undefined)
+    assert all(isinstance(r["nnt_simple"], float) and isinstance(r["nnt_integral"], float)
+               for r in results if r["defined"])
+    header, *rows = csv.reader(io.StringIO((out / "nnt_basic.csv").read_text()))
+    assert [r[3:5] == ["", ""] for r in rows] == [not r["defined"] for r in results]
+
+
 def test_cli_calls_in_one_process_keep_their_own_arguments(tmp_path, capsys):
     # one cached parser serves every main() call in a process; no call's
     # subcommand, flags or defaults leak into the next
@@ -1081,11 +1103,11 @@ def test_cli_nnt_lands_on_its_horizon(tmp_path, capsys, variant, T):
     raw["horizon"]["end"] = raw["horizon"]["intervention"] + T
     from prepspill.scenarios import _config_from_raw
     config = _config_from_raw(raw)
-    traj, sens = run_spillover(config)
+    traj = run_spillover(config)
     labels = config.spec.labels
     for k in labels:
         for j in labels:
-            want = nnt(sens[k], traj, j, k, T, config.spec.mu)
+            want = nnt(traj, j, k, T, config.spec.mu)
             assert got[(j, k)]["defined"] == want.defined
             if want.defined:
                 assert got[(j, k)]["nnt_simple"] == pytest.approx(want.nnt_simple, rel=1e-9)

@@ -1,4 +1,3 @@
-import io
 import re
 from dataclasses import replace
 
@@ -9,9 +8,9 @@ from conftest import (incidence_sensitivity, random_spec, random_state, rhs, rk4
                       spillover_rhs, xi_correction)
 from oracles import PerturbationOutOfRange, fd_oracle
 from prepspill.errors import ZeroPopulation
-from prepspill.integrators import IntegratorConfig, integrate, node_index, rows_at, write_csv
+from prepspill.integrators import IntegratorConfig, csv_text, integrate, node_index, rows_at
 from prepspill.model import StateVec, closed_mixing, dfe, flat_rhs_factory
-from prepspill.spillover import integrate_with_spillover, nnt, sensitivity_to_csv
+from prepspill.spillover import block, integrate_with_spillover, nnt, sensitivity_to_csv
 
 CFG = IntegratorConfig(t0=2017.0, t_end=2031.0, rtol=1e-9, atol=1e-7)
 
@@ -22,22 +21,22 @@ def aug_basic(basic):
     spec, y0 = basic
     base = integrate(spec, y0, CFG, sample_times=[2020.0])
     start = base.state_at(2020.0)
-    traj, sens = integrate_with_spillover(spec, start, cfg=CFG.over(2020.0, 2031.0))
-    return spec, traj, sens, base
+    traj = integrate_with_spillover(spec, start, cfg=CFG.over(2020.0, 2031.0))
+    return spec, traj, base
 
 
 def test_reads_outside_the_run_refused(aug_basic):
     # the sensitivity block is read by rows_at, the state's node check: a
     # time past either end or between nodes is refused, not held at the end
     # row or interpolated
-    _, traj, sens, _ = aug_basic
-    st = sens["msm"]
+    _, traj, _ = aug_basic
+    msm = block(traj, "msm")
     for t in (2100.0, 1900.0, 0.5 * (traj.times[5] + traj.times[6])):
-        for read in (lambda t: rows_at(st.times, st.block, t), traj.row_at):
+        for read in (lambda t: rows_at(traj.times, msm, t), traj.row_at):
             with pytest.raises(ValueError,
                                match=re.escape(f"t = {t} is not a node of the trajectory")):
                 read(t)
-    assert np.array_equal(rows_at(st.times, st.gamma, 2031.0), st.gamma[-1])
+    assert np.array_equal(rows_at(traj.times, msm[:, 1::2], 2031.0), msm[-1, 1::2])
 
 
 OFF_NODE = {"between-nodes": lambda times: 0.5 * (times[5] + times[6]),
@@ -52,15 +51,14 @@ def test_every_read_refuses_a_time_off_the_nodes(aug_basic, reader, where):
     # but between nodes is refused like one outside it, naming the time
     # (T, the horizon, for nnt); "at" reads a sensitivity block's row by
     # rows_at
-    spec, traj, sens, _ = aug_basic
+    spec, traj, _ = aug_basic
     t = OFF_NODE[where](traj.times)
     assert traj.index_of(t) is None
-    st = sens["msm"]
     if reader == "nnt":
         T = t - traj.times[0]
-        read, named = (lambda: nnt(st, traj, "hetf", "msm", T, spec.mu)), f"T = {T}"
+        read, named = (lambda: nnt(traj, "hetf", "msm", T, spec.mu)), f"T = {T}"
     elif reader == "at":
-        read, named = (lambda: rows_at(st.times, st.block, t)), f"t = {t} "
+        read, named = (lambda: rows_at(traj.times, block(traj, "msm"), t)), f"t = {t} "
     else:
         read, named = (lambda: getattr(traj, reader)(t)), f"t = {t} "
     with pytest.raises(ValueError, match=re.escape(named)):
@@ -70,49 +68,33 @@ def test_every_read_refuses_a_time_off_the_nodes(aug_basic, reader, where):
 def test_blocks_are_views_of_the_joint_run(aug_basic):
     # each source's block is the joint run's slots, uncopied; its row at a
     # node is the same bits as the rows of separate sigma and gamma arrays
-    _, traj, sens, _ = aug_basic
-    for st in sens.values():
-        assert np.shares_memory(st.block, traj.states)
-        assert np.shares_memory(st.sigma, st.block) and np.shares_memory(st.gamma, st.block)
-        sigma, gamma = st.block[:, 0::2].copy(), st.block[:, 1::2].copy()
+    _, traj, _ = aug_basic
+    for k in traj.labels:
+        b = block(traj, k)
+        assert np.shares_memory(b, traj.states)
+        sigma, gamma = b[:, 0::2].copy(), b[:, 1::2].copy()
         for t in (2023.0, traj.times[5]):
-            row = rows_at(st.times, st.block, t)
-            assert np.array_equal(row[0::2], rows_at(st.times, sigma, t))
-            assert np.array_equal(row[1::2], rows_at(st.times, gamma, t))
+            row = rows_at(traj.times, b, t)
+            assert np.array_equal(row[0::2], rows_at(traj.times, sigma, t))
+            assert np.array_equal(row[1::2], rows_at(traj.times, gamma, t))
 
 
-def test_csv_of_a_source_subset_equals_columnwise_assembly(basic):
+def test_csv_of_a_source_subset_equals_columnwise_assembly(basic, tmp_path):
     # two of the sources, handed over out of label order: the stacked blocks
     # give the bytes of sigma and gamma put in column by column
     spec, y0 = basic
-    _, sens = integrate_with_spillover(spec, y0, CFG.over(2020.0, 2023.0))
-    sens_map = {"hetm": sens["hetm"], "msm": sens["msm"]}
-    sources, labels, n = sorted(sens_map), spec.labels, spec.n
-    times = sens_map[sources[0]].times
+    traj = integrate_with_spillover(spec, y0, CFG.over(2020.0, 2023.0))
+    sources, labels, n = sorted(["hetm", "msm"]), spec.labels, spec.n
     header = ["t"]
-    table = np.empty((len(times), 1 + 2 * n * len(sources)))
-    table[:, 0] = times
+    table = np.empty((len(traj.times), 1 + 2 * n * len(sources)))
+    table[:, 0] = traj.times
     for b, k in enumerate(sources):
         header += [f"{c}_{jl}__{k}" for jl in labels for c in ("sigma", "gamma")]
-        table[:, 1 + 2 * n * b:1 + 2 * n * (b + 1):2] = sens_map[k].sigma.copy()
-        table[:, 2 + 2 * n * b:2 + 2 * n * (b + 1):2] = sens_map[k].gamma.copy()
-    want, got = io.StringIO(), io.StringIO()
-    write_csv(want, header, table.tolist())
-    sensitivity_to_csv(sens_map, labels, got)
-    assert got.getvalue() == want.getvalue()
-
-
-@pytest.mark.parametrize("shift", [0.015, 0.05])
-def test_nnt_refuses_a_state_grid_off_by_more_than_a_node(aug_basic, shift):
-    # the state and sensitivity grids must agree node for node (NODE_TOL);
-    # a copy of the same grid passes with the same result
-    spec, traj, sens, _ = aug_basic
-    same = replace(traj, times=traj.times.copy())
-    assert nnt(sens["msm"], same, "hetf", "msm", 10.0, spec.mu) == \
-        nnt(sens["msm"], traj, "hetf", "msm", 10.0, spec.mu)
-    shifted = replace(traj, times=traj.times + shift)
-    with pytest.raises(ValueError, match="use different grids"):
-        nnt(sens["msm"], shifted, "hetf", "msm", 10.0, spec.mu)
+        table[:, 1 + 2 * n * b:1 + 2 * n * (b + 1):2] = block(traj, k)[:, 0::2].copy()
+        table[:, 2 + 2 * n * b:2 + 2 * n * (b + 1):2] = block(traj, k)[:, 1::2].copy()
+    path = tmp_path / "spillover.csv"
+    sensitivity_to_csv(traj, ["hetm", "msm"], str(path))
+    assert path.read_bytes() == csv_text(header, table.tolist()).encode()
 
 
 def test_rhs_zero_at_disease_free(basic):
@@ -123,10 +105,9 @@ def test_rhs_zero_at_disease_free(basic):
 
 
 def test_initial_conditions_exactly_zero(aug_basic):
-    _, traj, sens, _ = aug_basic
-    for st in sens.values():
-        assert np.all(st.sigma[0] == 0.0)
-        assert np.all(st.gamma[0] == 0.0)
+    _, traj, _ = aug_basic
+    for k in traj.labels:
+        assert np.all(block(traj, k)[0] == 0.0)
 
 
 def test_sigma_gamma_cancellation_delta_zero(basic):
@@ -134,18 +115,19 @@ def test_sigma_gamma_cancellation_delta_zero(basic):
     # sigma + gamma stays identically zero from zero initial conditions
     spec, y0 = basic
     spec0 = spec.with_delta_zero()
-    traj, sens = integrate_with_spillover(spec0, y0, cfg=CFG.over(2017.0, 2027.0))
-    for st in sens.values():
-        scale = max(np.abs(st.sigma).max(), np.abs(st.gamma).max())
-        assert np.abs(st.sigma + st.gamma).max() < 1e-9 * scale
+    traj = integrate_with_spillover(spec0, y0, cfg=CFG.over(2017.0, 2027.0))
+    for k in traj.labels:
+        sigma, gamma = block(traj, k)[:, 0::2], block(traj, k)[:, 1::2]
+        scale = max(np.abs(sigma).max(), np.abs(gamma).max())
+        assert np.abs(sigma + gamma).max() < 1e-9 * scale
 
 
 def test_no_spillover_onto_msm(aug_basic):
     # gamma_msm^{hetf} ~ 0 throughout the published baseline
-    spec, traj, sens, _ = aug_basic
+    spec, traj, _ = aug_basic
     msm = spec.group_index("msm")
     for src in ("hetf", "hetm"):
-        per_person = sens[src].gamma[:, msm] / traj.states[:, 2 * spec.group_index(src)]
+        per_person = block(traj, src)[:, 1::2][:, msm] / traj.states[:, 2 * spec.group_index(src)]
         assert np.abs(per_person).max() < 1e-3
 
 
@@ -153,13 +135,13 @@ def test_adaptive_vs_fixed_gamma(basic):
     spec, y0 = basic
     base = integrate(spec, y0, CFG, sample_times=[2020.0])
     start = base.state_at(2020.0)
-    _, sens_a = integrate_with_spillover(spec, start, cfg=CFG.over(2020.0, 2030.0))
+    traj_a = integrate_with_spillover(spec, start, cfg=CFG.over(2020.0, 2030.0))
     # the fixed-step oracle over the same generated augmented system
     n, msm, hetf = spec.n, spec.group_index("msm"), spec.group_index("hetf")
     f = flat_rhs_factory(spec, mode="practical")
     y0_flat = np.concatenate([start.to_flat(), np.zeros(2 * n * n)])
     _, rows = rk4_fixed(f, y0_flat, 2020.0, 2030.0, 0.05)
-    ga = rows_at(sens_a["msm"].times, sens_a["msm"].gamma, 2030.0)[hetf]
+    ga = rows_at(traj_a.times, block(traj_a, "msm")[:, 1::2], 2030.0)[hetf]
     gf = rows[-1][3 * n + 2 * n * msm + 2 * hetf + 1]
     assert abs(ga - gf) / abs(ga) < 1e-3
 
@@ -168,10 +150,10 @@ def test_chain_rule_consistency(basic, aug_basic):
     # (gamma_j/S_k) * dE predicts infections averted by a finite intervention;
     # the exact-delta mode is the true derivative of the delta != 0 model
     spec, y0 = basic
-    _, _, _, base = aug_basic
+    _, _, base = aug_basic
     start = base.state_at(2020.0)
-    traj, sens = integrate_with_spillover(spec, start, cfg=CFG.over(2020.0, 2031.0),
-                                          mode="exact_delta")
+    traj = integrate_with_spillover(spec, start, cfg=CFG.over(2020.0, 2031.0),
+                                    mode="exact_delta")
     dE = 1000.0
     k = spec.group_index("msm")
     eps_new = spec.groups[k][1].epsilon + dE / start.S[k]
@@ -182,60 +164,41 @@ def test_chain_rule_consistency(basic, aug_basic):
     pert_c = pert.row_at(2031.0)[2 * n:] - pert.row_at(2020.0)[2 * n:]
     averted_msm = base_c[0] - pert_c[0]
     # cumulative-incidence sensitivity: gamma(T)/S_k(T) + mu*int(gamma/S_k)
-    res = nnt(sens["msm"], traj, "msm", "msm", 11.0, spec.mu)
+    res = nnt(traj, "msm", "msm", 11.0, spec.mu)
     predicted = 11.0 * dE / res.nnt_integral
     assert abs(predicted - averted_msm) / averted_msm < 0.05
 
 
 def test_monotone_growth_of_spillover(aug_basic):
-    spec, traj, sens, _ = aug_basic
+    spec, traj, _ = aug_basic
     hetf = spec.group_index("hetf")
     msm_idx = spec.group_index("msm")
-    ratio = np.abs(sens["msm"].gamma[:, hetf]) / traj.states[:, 2 * msm_idx]
+    ratio = np.abs(block(traj, "msm")[:, 1::2][:, hetf]) / traj.states[:, 2 * msm_idx]
     assert np.all(np.diff(ratio) >= -1e-15)
 
 
 def test_nnt_undefined_for_nonpositive_gamma(aug_basic):
-    spec, traj, sens, _ = aug_basic
-    res = nnt(sens["hetm"], traj, "msm", "hetm", 10.0, spec.mu)
+    spec, traj, _ = aug_basic
+    res = nnt(traj, "msm", "hetm", 10.0, spec.mu)
     # msm gains essentially nothing from hetm PrEP; at early times gamma can
     # be zero to roundoff -- force the undefined branch with T tiny
-    res0 = nnt(sens["hetm"], traj, "msm", "hetm", 0.0, spec.mu)
+    res0 = nnt(traj, "msm", "hetm", 0.0, spec.mu)
     assert res0.defined is False
     assert np.isnan(res0.nnt_simple)
     # and a genuinely positive pair is defined with positive values
-    res1 = nnt(sens["msm"], traj, "msm", "msm", 10.0, spec.mu)
+    res1 = nnt(traj, "msm", "msm", 10.0, spec.mu)
     assert res1.defined and res1.nnt_simple > 0 and res1.nnt_integral > 0
-
-
-def test_nnt_source_mismatch(aug_basic):
-    spec, traj, sens, _ = aug_basic
-    with pytest.raises(ValueError):
-        nnt(sens["msm"], traj, "hetf", "hetf", 10.0, spec.mu)
 
 
 def test_nnt_names_an_unknown_group(aug_basic):
     # j, and k the block's source, are both looked up in the trajectory's labels
-    spec, traj, sens, _ = aug_basic
+    spec, traj, _ = aug_basic
     with pytest.raises(ValueError, match=re.escape(
             "no group 'nope' in the trajectory's labels ('msm', 'hetf', 'hetm')")):
-        nnt(sens["msm"], traj, "nope", "msm", 10.0, spec.mu)
+        nnt(traj, "nope", "msm", 10.0, spec.mu)
     with pytest.raises(ValueError, match=re.escape(
             "no group 'nope' in the trajectory's labels ('msm', 'hetf', 'hetm')")):
-        nnt(replace(sens["msm"], source="nope"), traj, "hetf", "nope", 10.0, spec.mu)
-
-
-def test_nnt_compares_distinct_time_grids(aug_basic):
-    # integrate_with_spillover shares one times array between the state and
-    # the sensitivities; a distinct array is still compared in full
-    spec, traj, sens, _ = aug_basic
-    assert sens["msm"].times is traj.times
-    want = nnt(sens["msm"], traj, "hetf", "msm", 10.0, spec.mu)
-    copied = replace(traj, times=traj.times.copy())
-    assert nnt(sens["msm"], copied, "hetf", "msm", 10.0, spec.mu) == want
-    shifted = replace(traj, times=traj.times + 0.1)
-    with pytest.raises(ValueError, match="different grids"):
-        nnt(sens["msm"], shifted, "hetf", "msm", 10.0, spec.mu)
+        nnt(traj, "hetf", "nope", 10.0, spec.mu)
 
 
 def test_incidence_sensitivity_zero_state(basic):
@@ -253,28 +216,28 @@ def test_incidence_sensitivity_integral_identity(basic):
     base = integrate(spec, y0, CFG, sample_times=[2020.0])
     start = base.state_at(2020.0)
     cfg = IntegratorConfig(t0=2020.0, t_end=2025.0, dt_max=0.01)
-    traj, sens = integrate_with_spillover(spec, start, cfg=cfg)
-    st = sens["msm"]
+    traj = integrate_with_spillover(spec, start, cfg=cfg)
+    b = block(traj, "msm")
     j = spec.group_index("hetf")
     k = spec.group_index("msm")
     vals = np.empty(len(traj.times))
     for i in range(len(traj.times)):
         state = StateVec.from_flat(traj.states[i], spec.n)
-        vals[i] = incidence_sensitivity(spec, state, k, st.block[i], j)
+        vals[i] = incidence_sensitivity(spec, state, k, b[i], j)
     lhs = np.trapezoid(vals, traj.times)
-    ratio = st.gamma[:, j] / traj.states[:, 2 * k]
+    ratio = b[:, 1::2][:, j] / traj.states[:, 2 * k]
     rhs_val = ratio[-1] + spec.mu * np.trapezoid(ratio, traj.times)
     assert abs(lhs - rhs_val) < 1e-6 * max(abs(rhs_val), 1e-12)
 
 
 def test_incidence_sensitivity_nonnegative_along_baseline(aug_basic):
-    spec, traj, sens, _ = aug_basic
+    spec, traj, _ = aug_basic
     for k, src in enumerate(spec.labels):
-        st = sens[src]
+        b = block(traj, src)
         for i in range(0, len(traj.times), 2):
             state = StateVec.from_flat(traj.states[i], spec.n)
             for j in range(spec.n):
-                assert incidence_sensitivity(spec, state, k, st.block[i], j) >= -1e-12
+                assert incidence_sensitivity(spec, state, k, b[i], j) >= -1e-12
 
 
 def test_xi_correction_zero_sens(basic):
@@ -292,10 +255,10 @@ def test_xi_correction_risk_unsupported(risk):
 
 def test_xi_correction_magnitude_bound(basic, aug_basic):
     # correction terms are ~1/N smaller than the dominant coupling terms
-    spec, traj, sens, _ = aug_basic
+    spec, traj, _ = aug_basic
     i = len(traj.times) // 2
     state = StateVec.from_flat(traj.states[i], spec.n)
-    synthetic = sens["msm"].block[i].copy()
+    synthetic = block(traj, "msm")[i].copy()
     synthetic[0::2] += 10.0  # sigma
     Xi, contrib = xi_correction(spec, state, synthetic)
     d = spillover_rhs(spec, state, spec.group_index("msm"), synthetic)
@@ -307,10 +270,10 @@ def test_exact_delta_flag_no_op_when_delta_zero(basic):
     spec, y0 = basic
     spec0 = spec.with_delta_zero()
     cfg = CFG.over(2017.0, 2027.0)
-    _, s_off = integrate_with_spillover(spec0, y0, cfg=cfg)
-    _, s_on = integrate_with_spillover(spec0, y0, cfg=cfg, mode="exact_delta")
-    g_off = s_off["msm"].gamma[-1]
-    g_on = s_on["msm"].gamma[-1]
+    s_off = integrate_with_spillover(spec0, y0, cfg=cfg)
+    s_on = integrate_with_spillover(spec0, y0, cfg=cfg, mode="exact_delta")
+    g_off = block(s_off, "msm")[-1, 1::2]
+    g_on = block(s_on, "msm")[-1, 1::2]
     assert np.max(np.abs(g_on - g_off)) <= 1e-12 * np.abs(g_off).max()
 
 
@@ -320,11 +283,10 @@ def test_exact_delta_matches_fd_with_delta(basic):
     cfg = IntegratorConfig(t0=2020.0, t_end=2026.0, rtol=1e-11, atol=1e-9)
     base = integrate(spec, y0, CFG.over(2017.0, 2020.0))
     start = base.final_state()
-    _, s_ex = integrate_with_spillover(spec, start, cfg=cfg, mode="exact_delta")
+    s_ex = integrate_with_spillover(spec, start, cfg=cfg, mode="exact_delta")
     fd = fd_oracle(spec, start, "msm", 1e-6, cfg)
-    st = s_ex["msm"]
     for i, t in enumerate(fd.times):
-        both, est = rows_at(st.times, st.block, t), fd.block[i]
+        both, est = rows_at(s_ex.times, block(s_ex, "msm"), t), fd.block[i]
         scale = max(np.abs(both).max(), 1e-30)
         assert np.abs(both - est).max() < 1e-3 * scale
 
@@ -335,8 +297,8 @@ def test_fd_oracle_second_order(basic):
     cfg = IntegratorConfig(t0=2020.0, t_end=2025.0, rtol=1e-12, atol=1e-10)
     base = integrate(spec0, y0, CFG.over(2017.0, 2020.0))
     start = base.final_state()
-    _, sens = integrate_with_spillover(spec0, start, cfg=cfg)
-    ref_vec = rows_at(sens["msm"].times, sens["msm"].block, 2025.0)
+    traj = integrate_with_spillover(spec0, start, cfg=cfg)
+    ref_vec = rows_at(traj.times, block(traj, "msm"), 2025.0)
     errs = []
     # perturbations large enough that truncation dominates integrator noise
     for e in (1.6e-2, 8e-3, 4e-3):
@@ -367,11 +329,11 @@ def test_locality_in_epsilon(basic):
     cfg = CFG.over(2020.0, 2026.0)
     base = integrate(spec, y0, CFG.over(2017.0, 2020.0))
     start = base.final_state()
-    _, s0 = integrate_with_spillover(spec, start, cfg=cfg)
+    s0 = integrate_with_spillover(spec, start, cfg=cfg)
     spec2 = spec.with_epsilon({"msm": 0.20})
-    _, s2 = integrate_with_spillover(spec2, start, cfg=cfg)
-    g0 = s0["msm"].gamma[-1][0]
-    g2 = s2["msm"].gamma[-1][0]
+    s2 = integrate_with_spillover(spec2, start, cfg=cfg)
+    g0 = block(s0, "msm")[-1, 1::2][0]
+    g2 = block(s2, "msm")[-1, 1::2][0]
     assert abs(g0 - g2) > 1e-3 * abs(g0)
 
 
@@ -429,12 +391,12 @@ def test_sensitivity_rows_match_finite_differences(variant, mode):
 def test_nnt_integral_at_node_horizon_is_node_trapezoid(aug_basic, T):
     # at a node horizon the integral is the trapezoid over the nodes alone,
     # with the arithmetic unchanged
-    spec, traj, sens, _ = aug_basic
+    spec, traj, _ = aug_basic
     j, k = spec.group_index("hetf"), spec.group_index("msm")
     m = traj.index_of(2020.0 + T) + 1
-    ratio = sens["msm"].gamma[:m, j] / traj.states[:m, 2 * k]
+    ratio = block(traj, "msm")[:m, 1::2][:, j] / traj.states[:m, 2 * k]
     integral = float(np.trapezoid(ratio, traj.times[:m]))
-    res = nnt(sens["msm"], traj, "hetf", "msm", T, spec.mu)
+    res = nnt(traj, "hetf", "msm", T, spec.mu)
     assert res.nnt_integral == T / (ratio[-1] + spec.mu * integral)
 
 
@@ -453,19 +415,18 @@ def test_exact_delta_matches_fd_oracle_random_specs():
         y0 = random_state(rng, spec)
         for model, tol in ((replace(spec, mixing=closed_mixing(spec, y0.N)), 1e-5),
                            (spec, 1e-2)):
-            _, sens = integrate_with_spillover(model, y0, cfg, mode="exact_delta")
+            traj = integrate_with_spillover(model, y0, cfg, mode="exact_delta")
             for k in model.labels:
                 fd = fd_oracle(model, y0, k, 1e-4, cfg)
-                st = sens[k]
                 for i, t in enumerate(fd.times[1:], 1):
-                    assert node_index(st.times, t) is not None  # a stored row
-                    got, want = rows_at(st.times, st.block, t), fd.block[i]
+                    assert node_index(traj.times, t) is not None  # a stored row
+                    got, want = rows_at(traj.times, block(traj, k), t), fd.block[i]
                     assert np.abs(got - want).max() <= tol * np.abs(got).max()
 
 
 def _nnt_past_span(spec, y0):
-    traj, sens = integrate_with_spillover(spec, y0, CFG.over(2020.0, 2022.0))
-    return nnt(sens["msm"], traj, "hetf", "msm", 2.5, spec.mu)
+    traj = integrate_with_spillover(spec, y0, CFG.over(2020.0, 2022.0))
+    return nnt(traj, "hetf", "msm", 2.5, spec.mu)
 
 
 @pytest.mark.parametrize("run, match", [
@@ -492,5 +453,6 @@ def test_fd_oracle_backward_below_full_coverage(basic):
     assert fd.scheme == "backward"
     central = fd_oracle(spec, y0, "hetm", 5e-8, cfg)
     assert central.scheme == "central"
-    scale = np.abs(central.gamma).max()  # about 392 persons per unit coverage
-    assert scale > 1.0 and np.abs(fd.gamma - central.gamma).max() <= 1e-4 * scale
+    gamma, central_gamma = fd.block[:, 1::2], central.block[:, 1::2]
+    scale = np.abs(central_gamma).max()  # about 392 persons per unit coverage
+    assert scale > 1.0 and np.abs(gamma - central_gamma).max() <= 1e-4 * scale

@@ -131,6 +131,8 @@ INVOCATIONS = (
         ["emit-plots", "--config", "start_2017_5.json"],
         ["emit-plots", "--config", "off_year_2020_25.json"],
         ["nnt", "--config", "off_year_2020_25.json", "--horizon", "0.75"],
+        # its 5 pairs with msm as source or j are undefined
+        ["nnt", "--config", "empty_msm_pool.json", "--json"],
         ["ngm", "--config", "ngm_overrides.json", "--json"],
         ["ngm", "--config", "risk_stationary.json"],
         ["ngm", "--config", "risk_stationary.json", "--json"],
