@@ -68,7 +68,7 @@ def cmd_simulate(args):
         }
     b = report.baseline.incidence
     _report(args, payload, files=[path, table],
-            lines=[f"baseline {config.variant} {report.window[0]:.0f}-{report.window[1]:.0f}: "
+            lines=[f"baseline {config.variant} {report.window[0]:g}-{report.window[1]:g}: "
                    f"total {b['total']:.0f}"])
     return 0
 
@@ -90,11 +90,12 @@ def cmd_nnt(args):
     """NNT of every (j, k) pair at T = --horizon years after the
     intervention (the whole window by default).  T may pass the window's
     float length by NODE_TOL, so that T = end - intervention as typed is
-    accepted; its sample time is then the window's end node.  A refusal
-    prints that length rounded to NODE_TOL's 9 decimals."""
+    accepted; its sample time is then the window's end node.  The default
+    T, and a refusal's text, is that length rounded to NODE_TOL's 9
+    decimals, so 2019.9 to 2031 reads 11.1, not 11.099999999999909."""
     config = _config_from_args(args)
     span = config.end - config.intervention_year
-    T = span if args.horizon is None else args.horizon
+    T = round(span, 9) if args.horizon is None else args.horizon
     if not 0.0 < T <= span + NODE_TOL:
         raise PrepspillError(f"--horizon {T} outside (0, {round(span, 9)}] "
                              "(years after intervention)")

@@ -108,20 +108,29 @@ def _number(value, key):
     return _guarded(key, float, value)
 
 
-def _section(parent, key, prefix=""):
+def _known(obj, allowed, key):
+    """The object ``obj``, refused as a SchemaViolation naming ``key`` if it
+    holds a key outside ``allowed``."""
+    if bad := obj.keys() - allowed:
+        raise SchemaViolation(f"unknown {key} keys {sorted(bad)}", key=key)
+    return obj
+
+
+def _section(parent, key, prefix="", allowed=None):
     """The object at parent[key], {} when absent or null; the section is
-    reported as prefix + key."""
+    reported as prefix + key, and any key of it outside ``allowed`` (unless
+    None) refused."""
     sec = parent.get(key)
     if sec is None:
         return {}
     if not isinstance(sec, dict):
         raise SchemaViolation(f"{prefix}{key} must be an object", key=prefix + key)
-    return sec
+    return sec if allowed is None else _known(sec, allowed, prefix + key)
 
 
-def _merged(record, parent, key, prefix):
+def _merged(record, parent, key, prefix, allowed=None):
     """Dataclass ``record`` with the numbers in the section parent[key] put in."""
-    vals = _section(parent, key, prefix)
+    vals = _section(parent, key, prefix, allowed)
     key = prefix + key
     nums = {k: _number(v, f"{key}.{k}") for k, v in vals.items()}
     return _guarded(key, replace, record, **nums) if nums else record
@@ -136,13 +145,15 @@ def _config_from_raw(raw):
     if type(version) is not int or version != SCHEMA_VERSION:
         raise SchemaViolation(f"unsupported schema_version {version}",
                               key="schema_version")
+    _known(raw, {"schema_version", "model", "horizon", "interventions", "intervention_mode",
+                 "integrator", "overrides", "initial_conditions"}, "config")
     variant = raw.get("model", "basic")
     if not isinstance(variant, str) or variant not in VARIANTS:
         raise SchemaViolation(f"model must be {' or '.join(map(repr, VARIANTS))}, "
                               f"got {variant!r}", key="model")
     labels = VARIANTS[variant].groups
 
-    hor = _section(raw, "horizon")
+    hor = _section(raw, "horizon", allowed={"start", "intervention", "end"})
     start = _number(hor.get("start", SIM_START), "horizon.start")
     inter = _number(hor.get("intervention", INTERVENTION_START), "horizon.intervention")
     end = _number(hor.get("end", REPORT_END), "horizon.end")
@@ -159,6 +170,7 @@ def _config_from_raw(raw):
         key = f"interventions[{i}]"
         if not isinstance(item, dict):
             raise SchemaViolation("intervention must be an object", key=key)
+        _known(item, {"group", "additional_persons", "start_year"}, key)
         g = item.get("group")
         if g not in labels:
             raise UnknownGroup(f"{key}.group: no group {g!r} in variant {variant!r}")
@@ -179,21 +191,11 @@ def _config_from_raw(raw):
         raise SchemaViolation(f"unknown intervention_mode {mode!r}",
                               key="intervention_mode")
 
-    icfg_raw = _section(raw, "integrator")
-    allowed = {"rtol", "atol", "dt_min", "dt_max"}
-    bad = set(icfg_raw) - allowed
-    if bad:
-        raise SchemaViolation(f"unknown integrator keys {sorted(bad)}",
-                              key="integrator")
-    steps = {k: _number(v, f"integrator.{k}") for k, v in icfg_raw.items()}
-    icfg = _guarded("integrator", IntegratorConfig, t0=start, t_end=end, **steps)
+    icfg = _merged(IntegratorConfig(start, end), raw, "integrator", "",
+                   {"rtol", "atol", "dt_min", "dt_max"})
 
     spec, y0 = STUDIES[variant].preset()
-    overrides = _section(raw, "overrides")
-    bad = set(overrides) - {"mu", "probs", "mixing_priors", "groups"}
-    if bad:
-        raise SchemaViolation(f"unknown override keys {sorted(bad)}",
-                              key="overrides")
+    overrides = _section(raw, "overrides", allowed={"mu", "probs", "mixing_priors", "groups"})
     if "mu" in overrides:
         mu = _number(overrides["mu"], "overrides.mu")
         spec = _guarded("overrides.mu", replace, spec, mu=mu)
@@ -213,7 +215,7 @@ def _config_from_raw(raw):
         key = f"initial_conditions.{g}"
         if g not in labels:
             raise UnknownGroup(f"initial_conditions: no group {g!r} in variant {variant!r}")
-        vals = _section(ics, g, "initial_conditions.")
+        vals = _section(ics, g, "initial_conditions.", {"S", "I"})
         if not {"S", "I"} <= vals.keys():
             raise SchemaViolation(f"{key} needs S and I", key=key)
         i = labels.index(g)

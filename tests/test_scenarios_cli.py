@@ -1181,6 +1181,78 @@ def test_cli_nnt_default_horizon_is_the_window(tmp_path, capsys, args, T):
     assert rows and {r[2] for r in rows} == {str(T)}
 
 
+def test_cli_nnt_default_horizon_is_the_window_to_nine_decimals(tmp_path, capsys):
+    # 2031 - 2019.9 = 11.099999999999909: without --horizon the horizon is
+    # that length to NODE_TOL's 9 decimals, which every text line, CSV cell
+    # and JSON value reads, and the table is the one --horizon 11.1 writes
+    path = write_config(tmp_path, {"model": "basic", "horizon": {
+        "start": 2017, "intervention": 2019.9, "end": 2031}})
+    runs = {}
+    for name, extra in (("default", []), ("typed", ["--horizon", "11.1"])):
+        assert main(["nnt", "--config", path, "--out", str(tmp_path / name), *extra]) == 0
+        runs[name] = capsys.readouterr().out
+    assert (tmp_path / "default" / "nnt_basic.csv").read_bytes() == \
+        (tmp_path / "typed" / "nnt_basic.csv").read_bytes()
+    lines = runs["default"].splitlines()[1:]
+    assert len(lines) == 9 and all(", T=11.1] = " in line for line in lines)
+    assert lines == runs["typed"].splitlines()[1:]
+    assert main(["nnt", "--config", path, "--out", str(tmp_path / "json"), "--json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert {r["horizon"] for r in results} == {11.1}
+
+
+@pytest.mark.parametrize("args, window", [
+    (["--model", "basic"], "basic 2020-2031"), (["--model", "risk"], "risk 2020-2031"),
+    ({"start": 2014, "intervention": 2015, "end": 2017.3}, "basic 2015-2017.3"),
+    ({"start": 2017, "intervention": 2020.25, "end": 2031}, "basic 2020.25-2031")],
+    ids=["basic", "risk", "end-2017.3", "intervention-2020.25"])
+def test_cli_simulate_prints_the_window_unrounded(tmp_path, capsys, args, window):
+    # the window's ends once printed rounded to whole years: 2017-2017 for
+    # 2015-2017.3 and 2020-2031 for 2020.25-2031
+    if isinstance(args, dict):
+        args = ["--config", write_config(tmp_path, {"model": "basic", "horizon": args})]
+    assert main(["simulate", *args, "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith(f"baseline {window}: total ")
+
+
+# one misspelt key in each object of the schema, and the object it names
+MISSPELT = [
+    ("config", "intervention_mod", {"intervention_mod": "tracked-count"}),
+    ("horizon", "strat", {"horizon": {"strat": 2018}}),
+    ("interventions[0]", "start",
+     {"interventions": [{"group": "msm", "additional_persons": 25000, "start": 2025}]}),
+    ("initial_conditions.msm", "C",
+     {"initial_conditions": {"msm": {"S": 123418, "I": 42000, "C": 0}}}),
+    ("integrator", "rtoll", {"integrator": {"rtoll": 1e-6}}),
+    ("overrides", "muu", {"overrides": {"muu": 0.02}}),
+]
+
+
+@pytest.mark.parametrize("key, typo, payload", MISSPELT, ids=[m[0] for m in MISSPELT])
+def test_a_misspelt_key_is_refused_naming_its_object(tmp_path, capsys, key, typo, payload):
+    # each but integrator's and overrides' once ran a different study and
+    # exited 0: the key was dropped unread
+    path = write_config(tmp_path, {"schema_version": 1, "model": "basic", **payload})
+    with pytest.raises(SchemaViolation) as exc:
+        load_config(path)
+    assert exc.value.key == key
+    assert str(exc.value) == f"unknown {key} keys [{typo!r}]"
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", path, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: unknown {key} keys [{typo!r}]\n"
+    assert not out.exists()
+
+
+def test_readme_example_config_loads():
+    # the example under "Scenario configs" uses every object of the schema
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Scenario configs", 1)[1].split("```json\n", 1)[1].split("```", 1)[0]
+    raw = json.loads(block)
+    config = _config_from_raw(raw)
+    assert config.raw == raw and config.interventions[0].group == "msm"
+    assert config.spec.mu == 0.02 and config.integrator.rtol == 1e-8
+
+
 def test_cli_validate_refuses_a_config(tmp_path, capsys):
     # validate always checks both published tables, so a config is an error
     path = write_config(tmp_path, {"model": "basic"})

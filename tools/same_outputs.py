@@ -100,6 +100,13 @@ CONFIGS = {
     # an msm pool that starts empty and recruits no one: no per-person effect
     "empty_msm_pool.json": {"model": "basic", "overrides": {"groups": {"msm": {"Pi": 0}}},
                             "initial_conditions": {"msm": {"S": 0, "I": 42000}}},
+    # a misspelt key in the root, an arm and an initial-conditions group
+    "typo_root.json": {"model": "basic", "intervention_mod": "tracked-count"},
+    "typo_arm.json": {"model": "basic",
+                      "interventions": [{"group": "msm", "additional_persons": 25000,
+                                         "start": 2025}]},
+    "typo_initial.json": {"model": "basic",
+                          "initial_conditions": {"msm": {"S": 123418, "I": 42000, "C": 0}}},
 }
 
 
@@ -144,6 +151,9 @@ INVOCATIONS = (
         ["simulate", "--config", "no_model.json"],
         ["simulate", "--config", "unknown_override_group.json"],
         ["simulate", "--config", "unknown_initial_group.json"],
+        ["simulate", "--config", "typo_root.json"],
+        ["simulate", "--config", "typo_arm.json"],
+        ["simulate", "--config", "typo_initial.json"],
     ])
 
 # Times this close are one node (prepspill.integrators.NODE_TOL)
