@@ -1,0 +1,6 @@
+"""python -m prepspill: the prepspill command (cli.main)."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -66,10 +66,9 @@ def cmd_simulate(args):
                           for r in report.scenarios},
             "files": [path, table],
         }
-    b = report.baseline.incidence
-    _report(args, payload, files=[path, table],
-            lines=[f"baseline {config.variant} {report.window[0]:g}-{report.window[1]:g}: "
-                   f"total {b['total']:.0f}"])
+    window = "-".join(repr(float(t)).removesuffix(".0") for t in report.window)
+    _report(args, payload, files=[path, table], lines=[
+        f"baseline {config.variant} {window}: total {report.baseline.incidence['total']:.0f}"])
     return 0
 
 
@@ -263,7 +262,3 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

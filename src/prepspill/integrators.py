@@ -18,8 +18,8 @@ between t0 and its first year, where a first step of 0.01 years left three
 does not grow its next accepted step, and a repeated rejection at least
 halves the step (Hairer, Norsett & Wanner, Solving ODEs I, II.4); after a
 step cut short to land on an interior sample time it tries at least the
-step it wanted before the cut.  An attempt of a scalar run whose stage
-leaves the RHS's domain (the RHS raises ZeroPopulation or
+step it wanted before the cut.  An attempt, of a scalar run or a batch,
+whose stage leaves the RHS's domain (the RHS raises ZeroPopulation or
 InfeasibleClosure) is a rejected attempt, as SUNDIALS treats a recoverable
 RHS failure (Hindmarsh et al. 2005, ACM TOMS 31:363), so a run fails only
 where steps below dt_min fail too.  A free-stepping scalar run also lands on
@@ -527,20 +527,18 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     The first trial step is cfg.first_step if given, else the distance from
     t0 to the first node (a whole year, a sample time or t_end) on a
     year-landing run, else 1e-2; a rejected first step shrinks as any other.
-    The step factor is 0.9 err^-1/5 within [0.2, 5].  An attempt of a
-    scalar run whose step raises ZeroPopulation or InfeasibleClosure (a
-    stage outside the RHS's domain) is rejected as one with err = inf: the
-    step shrinks by 0.2, the switch watch forgets its landing, and a free
-    run takes its post-rejection caps.  When that step would fall below
-    dt_min the error itself is raised, as it is at once in a batch (whose
-    RHS screens its members and raises the first failing member's).  A
+    The step factor is 0.9 err^-1/5 within [0.2, 5].  An attempt whose
+    step raises ZeroPopulation or InfeasibleClosure (a stage outside the
+    RHS's domain) is rejected as one with err = inf: the step shrinks by
+    0.2, the switch watch forgets its landing, and a free run takes its
+    post-rejection caps.  When that step would fall below dt_min the error
+    itself is raised (in a batch, the first failing member's).  A
     free-stepping run (not cfg.year_nodes) caps the factor at 1 on the
     accepted step right after a rejection and at 0.5 on a second rejection
     in a row; when its accepted step was cut short to land on a sample time
     before t_end, the next step is at least the step the controller wanted
     before the cut (at most dt_max), so a node to read does not shrink the
-    steps after it.  Landing
-    on t_end takes no such rule: next_step is the plain proposal.
+    steps after it.  Landing on t_end takes no such rule: next_step is the plain proposal.
     A free-stepping scalar run lands on the switches of the margins that
     its RHS carries, which integrate_rhs hands it (see _switches): each
     attempt evaluates them at y5, and when one changes sign, the attempt is
@@ -576,7 +574,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     # caps on the step factor, lowered after a free run's rejection
     free, grow, cut = not cfg.year_nodes, 5.0, 1.0
     watch, attempts, rejected = None, 0, 0
-    if free and isinstance(y, list) and (switches := _switches.get()):
+    if free and (switches := _switches.get()):
         # a switch nearer than the smallest step allowed is reached
         watch = _SwitchWatch(*switches, t, y, n_state, max(tol, cfg.dt_min))
         signs = watch.signs
@@ -590,8 +588,8 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
             try:
                 ynew, k7, err = step(f, t, y, h, k1, cfg.atol, cfg.rtol)
             except (ZeroPopulation, InfeasibleClosure):
-                # a scalar stage outside the RHS's domain rejects the attempt
-                if not isinstance(y, list) or 0.2 * h < cfg.dt_min:
+                # a stage outside the RHS's domain rejects the attempt
+                if 0.2 * h < cfg.dt_min:
                     raise
                 err = math.inf
             attempts += 1
@@ -658,8 +656,8 @@ def integrate_batch(spec, y0, eps, cfg, sample_times=None):
     margin, where integrate() lands on them.  The trajectory keeps every
     accepted node, so its states are (nodes, 3n, B).  The nonnegativity
     policy applies member by member; clamp events are (t, component,
-    member, value).  A failure carries the index of the first failing
-    member (PrepspillError.member).  The trajectory's rhs_evals and
+    member, value).  A failure names the lowest member failing at the last
+    attempt (PrepspillError.member).  The trajectory's rhs_evals and
     steps_rejected are the batch's: each evaluation covers every member.
     """
     eps = np.atleast_2d(np.asarray(eps, dtype=float))

@@ -315,8 +315,8 @@ def _batch_incidence(spec, y0, grid, eps, cfg, sample_times):
     (SobolStudy's rhs_evals, steps_accepted, steps_rejected and members, from
     its trajectory) of the grid nodes, coverage eps (nodes, n), integrated
     under cfg to the sample times in one batch with one member per distinct
-    row.  Members run in order of their first node, so the first failing
-    member is the lowest failing node, which the EnsembleError names."""
+    row.  Members run in order of their first node, so the EnsembleError
+    names the lowest node failing at the batch's last attempt."""
     _, first, inverse = np.unique(eps, axis=0, return_index=True, return_inverse=True)
     order = np.argsort(first)
     nodes, member = first[order], np.argsort(order)  # member: of each distinct row
@@ -351,7 +351,7 @@ def sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=None):
     (coverage_model_fn with the same cfg, which lands on every year and on
     the risk closure's switch).  On the basic preset, whose batch rejects
     no step, the samples equal the year-landing batch's bit for bit.  A
-    failing node raises EnsembleError naming the lowest failing one.  One
+    failing batch raises EnsembleError naming the node that fails first.  One
     projection (fit_pce) fits every (year, group) series at once.  A
     partial-year window (PartialYear) or a grid too coarse for the fit
     (ExactnessViolation) is refused before any work.

@@ -352,10 +352,11 @@ def test_a_genuine_crossing_fails_where_a_tight_run_fails(risk):
     assert abs(errors[0].t - errors[1].t) <= 4.2e-7
 
 
-def test_a_stage_error_is_raised_below_dt_min_and_at_once_in_a_batch():
-    # a scalar run rejects the attempts whose stages pass t = 0.5 until the
-    # next step would fall below dt_min, then raises the stage's own error;
-    # a batch screens and raises at its first such stage
+def test_a_stage_error_is_raised_below_dt_min_in_a_run_and_a_batch():
+    # a scalar run and a batch alike reject the attempts whose stages pass
+    # t = 0.5 until the next step would fall below dt_min, then raise the
+    # stage's own error (a batch once raised at its first such stage, at
+    # t = 0.8)
     calls = []
 
     def edge(t, y):
@@ -364,13 +365,57 @@ def test_a_stage_error_is_raised_below_dt_min_and_at_once_in_a_batch():
             raise ZeroPopulation(f"past the edge at t = {t}")
         return [-v for v in y] if isinstance(y, list) else -y
     cfg = IntegratorConfig(0.0, 1.0, dt_min=1e-3)
-    with pytest.raises(ZeroPopulation, match="^past the edge"):
-        integrate_flat(edge, [1.0], cfg, n_state=1)
-    assert 0.5 - 5e-3 < max(t for t in calls if t <= 0.5)
-    calls.clear()
-    with pytest.raises(ZeroPopulation, match="^past the edge at t = 0.8$"):
-        integrate_flat(edge, np.ones((1, 2)), cfg, n_state=1)
-    assert calls == [0.0, 0.2, 0.3, 0.8]
+    for y0 in ([1.0], np.ones((1, 2))):
+        calls.clear()
+        with pytest.raises(ZeroPopulation, match="^past the edge"):
+            integrate_flat(edge, y0, cfg, n_state=1)
+        assert 0.5 - 5e-3 < max(t for t in calls if t <= 0.5)
+
+
+@pytest.mark.parametrize("raw", [
+    {"model": "basic", "overrides": {"mu": 2.0}},
+    {"model": "risk", "overrides": {"groups": {"msm": {"delta": 100.0}}}}],
+    ids=["basic-mu-2", "risk-msm-delta-100"])
+def test_a_batch_of_one_is_its_scalar_run_failing_stages_included(raw):
+    # stages of the first whole-year attempts leave the RHS's domain (basic
+    # mu = 2: msm N = -96448.8 at t = 2017.8), where a batch once raised;
+    # the batch rejects them as the scalar run does and steps as it does,
+    # bit for bit (measured: 715 and 3,325 RHS, 2 and 37 rejections)
+    config = scenarios._config_from_raw(raw)
+    spec, y0, cfg = config.spec, config.y0, config.integrator
+    batch = integrate_batch(spec, y0, [spec.param_arrays()[3]], cfg)
+    one = integrate(spec, y0, cfg)
+    assert one.steps_rejected > 0
+    assert np.array_equal(batch.times, one.times)
+    assert np.array_equal(batch.states[:, :, 0], one.states)
+    assert (batch.rhs_evals, batch.steps_rejected) == (one.rhs_evals, one.steps_rejected)
+
+
+def test_a_failing_batch_names_the_member_that_crosses_first(risk):
+    # Georgia risk to 2045 with hetf_h and hetf_l coverage 0, 0.02, 0.05,
+    # 0.1 and 0.2: the scalar runs cross the closure's domain from 2042.7432
+    # (coverage 0) to 2042.9082 (0.2).  In either member order the batch
+    # names the member that crosses first, within 1e-6 years of its own
+    # crossing (measured 3.3e-7).  It once raised at the stage time 2042.8,
+    # naming the lowest member failing there: member 2 (0.05) in one order.
+    spec, y0 = risk
+    cfg = IntegratorConfig(2017.0, 2045.0)
+    rows = []
+    for cov in (0.0, 0.02, 0.05, 0.1, 0.2):
+        eps = spec.param_arrays()[3].copy()
+        eps[[spec.group_index("hetf_h"), spec.group_index("hetf_l")]] = cov
+        rows.append(eps)
+    crossings = []
+    for eps in rows:
+        with pytest.raises(InfeasibleClosure) as own:
+            integrate(spec.with_epsilon(dict(zip(spec.labels, eps))), y0, cfg)
+        crossings.append(own.value.t)
+    assert crossings == sorted(crossings)  # the coverage-0 member crosses first
+    for order in ([0, 1, 2, 3, 4], [4, 3, 2, 1, 0]):
+        with pytest.raises(InfeasibleClosure) as e:
+            integrate_batch(spec, y0, [rows[i] for i in order], cfg)
+        assert order[e.value.member] == 0
+        assert abs(e.value.t - crossings[0]) <= 1e-6
 
 
 @pytest.mark.parametrize("settings", [

@@ -564,6 +564,19 @@ def test_cli_exits_1_without_a_traceback_when_stdout_is_closed(tmp_path, unbuffe
     assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
+def test_python_m_prepspill_is_the_prepspill_command(tmp_path, capsys):
+    # the module form runs cli.main: its payload, and its exit 1 on a refusal
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    runs = [subprocess.run([sys.executable, "-m", "prepspill", *argv], cwd=tmp_path,
+                           capture_output=True, text=True, check=False, env=env)
+            for argv in (["ngm", "--model", "basic", "--json"], ["sobol", "--level", "0"])]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert main(["ngm", "--model", "basic", "--json"]) == 0
+    assert json.loads(runs[0].stdout) == json.loads(capsys.readouterr().out)
+    assert runs[1].returncode == 1
+    assert runs[1].stderr == "error: --level 0 must be >= 1\n"
+
+
 def test_cli_infeasible_closure_names_its_time(tmp_path, capsys):
     # the risk preset's closure has no solution from about 2042.75 on; the
     # error line keeps its prefix and names the time it failed at
@@ -1204,11 +1217,13 @@ def test_cli_nnt_default_horizon_is_the_window_to_nine_decimals(tmp_path, capsys
 @pytest.mark.parametrize("args, window", [
     (["--model", "basic"], "basic 2020-2031"), (["--model", "risk"], "risk 2020-2031"),
     ({"start": 2014, "intervention": 2015, "end": 2017.3}, "basic 2015-2017.3"),
-    ({"start": 2017, "intervention": 2020.25, "end": 2031}, "basic 2020.25-2031")],
-    ids=["basic", "risk", "end-2017.3", "intervention-2020.25"])
+    ({"start": 2017, "intervention": 2020.25, "end": 2031}, "basic 2020.25-2031"),
+    ({"start": 2017, "intervention": 2020.125, "end": 2031}, "basic 2020.125-2031")],
+    ids=["basic", "risk", "end-2017.3", "intervention-2020.25", "intervention-2020.125"])
 def test_cli_simulate_prints_the_window_unrounded(tmp_path, capsys, args, window):
     # the window's ends once printed rounded to whole years: 2017-2017 for
-    # 2015-2017.3 and 2020-2031 for 2020.25-2031
+    # 2015-2017.3 and 2020-2031 for 2020.25-2031; then to 6 significant
+    # digits, 2020.12-2031 for 2020.125-2031
     if isinstance(args, dict):
         args = ["--config", write_config(tmp_path, {"model": "basic", "horizon": args})]
     assert main(["simulate", *args, "--out", str(tmp_path / "out")]) == 0

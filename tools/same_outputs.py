@@ -48,6 +48,9 @@ CONFIGS = {
                                                           "hetf_h": {"a": 91000.0},
                                                           "hetf_l": {"a": 43700.0},
                                                           "hetm": {"a": 48500.0}}}},
+    # the basic preset with mu = 2: the Sobol batch's first whole-year
+    # attempts leave the RHS's domain (msm N < 0), shorter steps do not
+    "basic_mu_2.json": {"model": "basic", "overrides": {"mu": 2.0}},
     "tracked_2022.json": {"model": "basic", "intervention_mode": "tracked-count",
                           "interventions": [{"group": "msm", "additional_persons": 10000,
                                              "start_year": 2022}]},
@@ -129,6 +132,7 @@ INVOCATIONS = (
         ["validate"], ["validate", "--json"],
         ["simulate", "--config", "risk_2045.json"],
         ["simulate", "--config", "risk_contacts_x1000.json"],
+        ["sobol", "--config", "basic_mu_2.json", "--level", "3", "--degree", "2"],
         ["simulate", "--config", "tracked_2022.json"],
         ["nnt", "--config", "tracked_2022.json"],
         ["simulate", "--config", "risk_fixed_2022.json"],
