@@ -252,13 +252,10 @@ def main(argv=None):
     try:
         code = args.fn(args)
         sys.stdout.flush()  # a closed pipe fails here, not in the flush at exit
-    except PrepspillError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except BrokenPipeError:  # the reader closed stdout: devnull takes the flush at exit
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except OSError as e:  # e.g. an --out path that is a file
+    except (PrepspillError, OSError) as e:  # OSError: e.g. an --out path that is a file
         print(f"error: {e}", file=sys.stderr)
         return 1
     return code

@@ -67,7 +67,9 @@ _switches = contextvars.ContextVar("switches", default=None)
 
 
 def node_index(times, t):
-    """Index of the node of the sorted ``times`` within NODE_TOL of t, or None."""
+    """Index of the node of the sorted ``times`` within NODE_TOL of t, or
+    None: for a caller that handles a missing node; Trajectory.node refuses
+    one."""
     i = bisect_left(times, t)  # as times.searchsorted(t), at less cost for one t
     for j in (i - 1, i, i + 1):
         if 0 <= j < len(times) and abs(times[j] - t) <= NODE_TOL:
@@ -84,16 +86,6 @@ def interp_rows(t, times, rows):
         return rows[0 if j < 0 else -1].copy()
     slope = (rows[j + 1] - rows[j]) / (times[j + 1] - times[j])
     return slope * (t - times[j]) + rows[j]
-
-
-def rows_at(times, rows, t):
-    """The stored row of ``rows`` (one per entry of ``times``) at the node
-    within NODE_TOL of t.  ValueError naming t for any other t, inside the
-    span or outside it: nothing is read between nodes."""
-    i = node_index(times, t)
-    if i is None:
-        raise ValueError(f"t = {t} is not a node of the trajectory")
-    return rows[i]
 
 
 def csv_text(header, rows):
@@ -224,22 +216,20 @@ class Trajectory:
     def n_groups(self):
         return len(self.labels)
 
-    def index_of(self, t):
-        return node_index(self.times, t)
-
-    def row_at(self, t):
-        """Flat row at the node t (rows_at, which refuses any other t)."""
-        return rows_at(self.times, self.states, t)
+    def node(self, t):
+        """Index of the node within NODE_TOL of t; ValueError naming t for
+        any other t, inside the span or outside it: every read of a run is a
+        row at one of its nodes, never between them."""
+        i = node_index(self.times, t)
+        if i is None:
+            raise ValueError(f"t = {t} is not a node of the trajectory")
+        return i
 
     def state_at(self, t):
-        return StateVec.from_flat(self.row_at(t), self.n_groups)
+        return StateVec.from_flat(self.states[self.node(t)], self.n_groups)
 
     def final_state(self):
         return StateVec.from_flat(self.states[-1], self.n_groups)
-
-    def model_states(self):
-        """The model-state columns of states (S/I interleaved, then C)."""
-        return self.states[:, :3 * self.n_groups]
 
     def to_csv(self, path):
         header = ["t"]
@@ -248,7 +238,7 @@ class Trajectory:
         header += [f"C_{lbl}" for lbl in self.labels]
         # csv writes a float as its repr, so whole-array rows of Python
         # floats give the digits of repr(float(v)) without per-cell calls
-        rows = np.column_stack((self.times, self.model_states()))
+        rows = np.column_stack((self.times, self.states[:, :3 * self.n_groups]))
         write_csv(path, header, rows.tolist())
 
 
@@ -688,9 +678,9 @@ def annual_series(traj):
     (years, n, B).
     """
     years = whole_years(traj.times[0], traj.times[-1])
-    idx = [traj.index_of(float(y)) for y in range(years[0], years[-1] + 2)]
+    idx = [node_index(traj.times, float(y)) for y in range(years[0], years[-1] + 2)]
     if None in idx:
         missing = years[0] + idx.index(None)
         raise PartialYear(f"year boundary {missing} missing from trajectory grid")
-    C = traj.model_states()[idx][:, 2 * traj.n_groups:]
+    C = traj.states[idx, 2 * traj.n_groups:3 * traj.n_groups]
     return years, C[1:] - C[:-1]

@@ -283,13 +283,10 @@ class RunReport:
 
 
 def _window_incidence(traj, spec, t0, t1):
-    """C(t1) - C(t0) per group as Python floats, read at stored nodes, never
-    interpolated."""
-    times = traj.times.tolist()  # one conversion, not a numpy scalar per probe
-    i0, i1, n = node_index(times, t0), node_index(times, t1), spec.n
-    if i0 is None or i1 is None:
-        raise ValueError(f"window [{t0}, {t1}] does not end on trajectory nodes")
-    c0, c1 = traj.states[i0, 2 * n:3 * n].tolist(), traj.states[i1, 2 * n:3 * n].tolist()
+    """C(t1) - C(t0) per group as Python floats, read at stored nodes
+    (Trajectory.node, which refuses any other t), never interpolated."""
+    n = spec.n
+    c0, c1 = (traj.states[traj.node(t), 2 * n:3 * n].tolist() for t in (t0, t1))
     return [b - a for a, b in zip(c0, c1)]
 
 
@@ -323,7 +320,7 @@ def run_scenarios(config):
     # at t0); and the baseline's incidence over [t_int, t] for t past t_int
     starts = {}
     for t in dict.fromkeys(arm.start_year for arm in config.interventions):
-        i = base_traj.index_of(t)
+        i = base_traj.node(t)
         row = base_traj.states[i].tolist()
         h0, h1 = base_traj.times[max(i, 1) - 1:max(i, 1) + 1].tolist()
         arm_cfg = IntegratorConfig(float(t), float(t_end), icfg.rtol, icfg.atol, icfg.dt_min,
@@ -473,7 +470,7 @@ def emit_plot_data(out_dir, config):
     # the whole calendar years inside [start, end]; every year is a node
     t0, t1 = base_traj.times[0], base_traj.times[-1]
     first, last = math.ceil(t0 - NODE_TOL), math.floor(t1 + NODE_TOL)
-    at = base_traj.states[[base_traj.index_of(float(y)) for y in range(first, last + 1)]]
+    at = base_traj.states[[base_traj.node(float(y)) for y in range(first, last + 1)]]
     header = (["year"] + [f"prevalence_{l}" for l in labels]
               + [f"annual_incidence_{l}" for l in labels])
     rows = [[y] + [f"{v:.6f}" for v in prev] + [f"{v:.6f}" for v in row]
@@ -505,7 +502,7 @@ def emit_plot_data(out_dir, config):
         # nnt()'s nnt_simple from S_k and gamma_j at the horizon's node, else
         # the package's one read between nodes, linear (ROADMAP item 2)
         t = traj.times[0] + T
-        i = traj.index_of(t)
+        i = node_index(traj.times, t)
         at = (table[i] if i is not None else interp_rows(t, traj.times, table)).tolist()
         row = [f"{T:.2f}"]
         for p, (jl, k) in enumerate(pairs):

@@ -104,19 +104,17 @@ def nnt(traj, j, k, T, mu):
     nnt_simple = T * S_k(T) / gamma_j(T), gamma_j read from k's block;
     nnt_integral keeps the mu * integral(gamma/S) term in the denominator,
     a trapezoid over the nodes.  Undefined (flagged, not raised) when
-    gamma_j(T) <= 0.
+    gamma_j(T) <= 0 or S_k <= 0 at any node up to T, where gamma/S has no
+    value.
     """
     for g in (j, k):
         if g not in traj.labels:
             raise ValueError(f"no group {g!r} in the trajectory's labels {traj.labels}")
-    t_eval = traj.times[0] + T
-    i = traj.index_of(t_eval)
-    if i is None:
-        raise ValueError(f"T = {T}: t = {t_eval} is not a node of the trajectory")
+    i = traj.node(traj.times[0] + T)
     gamma = block(traj, k)[:i + 1, 2 * traj.labels.index(j) + 1]
     S = traj.states[:i + 1, 2 * traj.labels.index(k)]
     simple = simple_nnt(T, S[-1], gamma[-1])
-    if simple is None:
+    if simple is None or S.min() <= 0.0:  # before the division by S
         return NNTResult(j=j, k=k, horizon=T, nnt_simple=float("nan"),
                          nnt_integral=float("nan"), defined=False)
     integral = float(np.trapezoid(gamma / S, traj.times[:i + 1]))

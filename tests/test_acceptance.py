@@ -13,7 +13,7 @@ import pytest
 
 from conftest import random_spec, stationary_risk
 from oracles import fd_oracle
-from prepspill.integrators import IntegratorConfig, integrate, rows_at
+from prepspill.integrators import IntegratorConfig, integrate
 from prepspill.presets import (TABLE_BASIC_BASELINE, TABLE_BASIC_INTERVENTIONS,
                                TABLE_RISK_BASELINE, TABLE_RISK_INTERVENTIONS,
                                georgia_basic, georgia_risk)
@@ -129,7 +129,7 @@ def test_criterion_3_fd_oracle_equivalence(rtol):
         for k in spec0.labels:
             fd = fd_oracle(spec0, start, k, 1e-6, cfg)
             for i, t in enumerate(fd.times):
-                both, est = rows_at(traj.times, block(traj, k), t), fd.block[i]
+                both, est = block(traj, k)[traj.node(t)], fd.block[i]
                 scale = max(np.abs(both).max(), 1e-30)
                 worst = max(worst, np.abs(both - est).max() / scale)
     ok = worst < 1e-3
@@ -198,9 +198,9 @@ def test_criterion_5_spillover_dominance():
     traj = integrate_with_spillover(spec, y0, cfg=cfg)
     st = traj.state_at(2030.0)
     hetf = spec.group_index("hetf")
-    from_msm = (rows_at(traj.times, block(traj, "msm")[:, 1::2], 2030.0)[hetf]
+    from_msm = (block(traj, "msm")[traj.node(2030.0), 1::2][hetf]
                 / st.S[spec.group_index("msm")])
-    direct = rows_at(traj.times, block(traj, "hetf")[:, 1::2], 2030.0)[hetf] / st.S[hetf]
+    direct = block(traj, "hetf")[traj.node(2030.0), 1::2][hetf] / st.S[hetf]
     ratio = from_msm / direct
     ok = ratio > 5.0
 

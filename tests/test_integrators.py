@@ -77,7 +77,8 @@ def test_adaptive_and_fixed_agree(baseline_basic, basic):
     times, rows = rk4_fixed(flat_rhs_factory(spec), y0.to_flat(), 2017.0, 2031.0, 0.05)
     n = spec.n
     c_fixed = rows[-1][2 * n:] - rows[list(times).index(2020.0)][2 * n:]
-    c_adapt = baseline_basic.row_at(2031.0)[2 * n:] - baseline_basic.row_at(2020.0)[2 * n:]
+    c_adapt = (baseline_basic.states[baseline_basic.node(2031.0)][2 * n:]
+               - baseline_basic.states[baseline_basic.node(2020.0)][2 * n:])
     assert np.all(np.abs(c_fixed - c_adapt) / c_adapt < 1e-3)
 
 
@@ -107,7 +108,7 @@ def test_annual_series_partial_year(basic):
 
 def test_year_boundaries_are_exact_nodes(baseline_basic):
     for y in range(2017, 2032):
-        assert baseline_basic.index_of(float(y)) is not None
+        baseline_basic.node(float(y))  # ValueError unless y is a node
 
 
 def test_negative_state_error():
@@ -241,7 +242,8 @@ def test_free_batch_members_equal_direct_runs_and_keep_their_step(basic, risk, m
             assert np.array_equal(traj.times, one.times)
             assert np.array_equal(traj.states[:, :, 0], one.states)
             assert traj.next_step == one.next_step
-            assert all(traj.index_of(t) is not None for t in samples)
+            for t in samples:
+                traj.node(t)  # ValueError unless t is a node
             grow, cut = 5.0, 1.0  # the free controller's caps on the step factor
             for (_, h0, e0), (t1, h1, e1), (_, h2, _) in zip(batch_attempts, batch_attempts[1:],
                                                              batch_attempts[2:]):
@@ -331,7 +333,7 @@ def test_a_stage_outside_the_domain_rejects_the_attempt(risk):
     run, small = (integrate(spec, y0, c) for c in (cfg, replace(cfg, first_step=1e-4)))
     assert run.steps_rejected > 0
     years = [float(y) for y in range(2017, 2032)]
-    rows, want = (np.array([traj.row_at(t) for t in years]) for traj in (run, small))
+    rows, want = (traj.states[[traj.node(t) for t in years]] for traj in (run, small))
     assert np.all(np.abs(rows - want).max(axis=0) <= 1e-13 * np.abs(want).max(axis=0))
 
 
@@ -519,7 +521,7 @@ def test_free_and_spillover_runs_start_at_a_hundredth(basic, monkeypatch):
     arms = [(cfg, traj) for cfg, traj in runs if not cfg.year_nodes]
     assert len(arms) == 9 and len(runs) == 10
     assert base.times[1] == 2018.0  # the baseline lands on its first year
-    i = base.index_of(2020.0)
+    i = base.node(2020.0)
     for cfg, traj in arms:
         assert cfg.first_step == base.times[i] - base.times[i - 1]
         assert traj.times[1] == traj.times[0] + cfg.first_step
@@ -657,7 +659,8 @@ def test_float_noise_samples_beside_year_nodes(basic):
     traj = integrate(spec, y0, cfg, sample_times=samples)
     traj_s = integrate_with_spillover(spec, y0, cfg, sample_times=samples)
     for tr in (traj, traj_s):
-        assert all(tr.index_of(t) is not None for t in samples)
+        for t in samples:
+            tr.node(t)  # ValueError unless t is a node
         assert annual_series(tr)[0] == list(range(2020, 2031))
 
 
@@ -676,7 +679,8 @@ def test_no_year_nodes_keeps_samples(basic):
     cfg = IntegratorConfig(2017.0, 2031.0, dt_max=4.0, year_nodes=False)
     samples = [2020.5, 2024.0]
     traj = integrate(spec, y0, cfg, sample_times=samples)
-    assert all(traj.index_of(t) is not None for t in samples)
+    for t in samples:
+        traj.node(t)  # ValueError unless t is a node
     years = [t for t in traj.times if t.is_integer()]
     assert years == [2017.0, 2024.0, 2031.0]
     with_years = integrate(spec, y0, replace(cfg, year_nodes=True), sample_times=samples)

@@ -74,7 +74,7 @@ def test_tight_run_agrees_with_the_reference(variant):
     config, years, (reference, _) = _baseline_reference(variant)
     traj = integrate(config.spec, config.y0,
                      replace(config.integrator, rtol=1e-12, atol=1e-10, dt_max=0.05))
-    rows = traj.states[[traj.index_of(float(y)) for y in years]]
+    rows = traj.states[[traj.node(float(y)) for y in years]]
     assert column_share(reference, rows) <= TIGHT_BOUND
 
 
@@ -129,7 +129,7 @@ def test_practical_block_distance_from_complex_step_is_printed(variant):
     traj = integrate_with_spillover(config.spec, config.y0, config.integrator)
     shares = {}
     for k, (times, cs) in blocks.items():
-        rows = block(traj, k)[[traj.index_of(t) for t in times]]
+        rows = block(traj, k)[[traj.node(t) for t in times]]
         shares[k] = _block_share(cs, rows)
     print(f"practical {variant} block vs complex step: "
           + ", ".join(f"{k} {v:.2g}" for k, v in shares.items()))
@@ -149,7 +149,7 @@ def test_exact_delta_block_is_the_complex_step_derivative_on_pinned_random_specs
         traj = integrate_with_spillover(spec, y0, cfg, mode="exact_delta")
         for k in spec.labels:
             times, cs = complex_step(spec, y0, k, window)
-            rows = block(traj, k)[[traj.index_of(t) for t in times]]
+            rows = block(traj, k)[[traj.node(t) for t in times]]
             assert not rows[0].any() and not cs[0].any()
             for got, want in zip(rows[1:], cs[1:]):
                 assert np.abs(got - want).max() <= EXACT_DELTA_BOUND * np.abs(want).max(), k

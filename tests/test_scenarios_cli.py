@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -26,7 +27,7 @@ from prepspill.errors import (ConfigError, ParseError, SchemaViolation, UnknownG
 from prepspill.model import StateVec, dfe, flat_rhs_factory
 from prepspill.presets import STUDIES, georgia_basic
 from prepspill.integrators import (IntegratorConfig, annual_series, integrate, interp_rows,
-                                   rows_at)
+                                   node_index)
 from prepspill.scenarios import (NNT_DISPLAY_CAP, _config_from_raw, _suppressed_json,
                                  default_config,
                                  emit_plot_data, integrate_baseline, load_config,
@@ -237,7 +238,7 @@ def test_emit_nnt_series_is_nnt_simple(tmp_path, variant):
 
 def _plot_series_per_cell(config, base_traj, traj):
     """The baseline, effects and nnt plot series cell by cell, through
-    state_at, rows_at of each source's block (interp_rows on the state and
+    state_at, each source's block at Trajectory.node (interp_rows on the state and
     the block at a horizon that is not a node) and each effect's gamma_j / S_k:
     the oracle of emit_plot_data's whole-array series.  Rows of strings, and
     the nnt sidecar's suppressed list."""
@@ -256,12 +257,12 @@ def _plot_series_per_cell(config, base_traj, traj):
     nnts, suppressed = [], []
     for T in [0.5 * i for i in range(1, int(2 * (config.end - config.intervention_year)) + 1)]:
         t_eval = traj.times[0] + T
-        node = traj.index_of(t_eval) is not None
+        node = node_index(traj.times, t_eval) is not None
         S = (traj.state_at(t_eval).S if node
              else interp_rows(t_eval, traj.times, traj.states)[0:2 * n:2])
         row = [f"{T:.2f}"]
         for k in labels:
-            gamma = (rows_at(traj.times, block(traj, k), t_eval) if node
+            gamma = (block(traj, k)[traj.node(t_eval)] if node
                      else interp_rows(t_eval, traj.times, block(traj, k)))[1::2]
             for jl in labels:
                 simple = simple_nnt(T, S[labels.index(k)], gamma[labels.index(jl)])
@@ -679,7 +680,7 @@ def test_fractional_start_year_starts_from_baseline_node(tmp_path, monkeypatch):
 
     monkeypatch.setattr(scenarios, "integrate", spy)
     report = scenarios.run_scenarios(config)
-    assert report.baseline_traj.index_of(2021.5) is not None
+    report.baseline_traj.node(2021.5)  # ValueError unless 2021.5 is a node
     spec, y0 = config.spec, config.y0
     direct = integrate(spec, y0, config.integrator, sample_times=[2020.0, 2021.5])
     arm_start = dict(starts)[2021.5]
@@ -709,8 +710,7 @@ def test_arm_before_intervention_samples_window_start(tmp_path, monkeypatch):
     report = scenarios.run_scenarios(config)
     (cfg, kwargs, traj), = arms
     assert not cfg.year_nodes and kwargs["sample_times"] == [2020.0]
-    i = traj.index_of(2020.0)
-    assert i is not None
+    i = traj.node(2020.0)  # ValueError unless 2020.0 is a node
     assert cfg.first_step == 0.5 and traj.times[1] == 2019.0
     assert not any(float(t).is_integer() for t in traj.times[2:-1] if t != 2020.0)
     inc = traj.states[-1, 6:9] - traj.states[i, 6:9]
@@ -762,7 +762,7 @@ def _arm_runs(monkeypatch, config):
 def _lands_on(traj, t, margin):
     """Assert that the node t of traj is within 1e-8 years of the root of
     margin (a function of a row), which changes sign there."""
-    i = traj.index_of(t)
+    i = traj.node(t)
     before, at, after = (margin(traj.states[k]) for k in (i - 1, i, i + 1))
     assert (before > 0.0) != (after > 0.0)
     for k, w in ((i - 1, before), (i + 1, after)):  # the margin's rate on either side
@@ -813,8 +813,8 @@ def test_tracked_arm_lands_where_coverage_reaches_one(monkeypatch):
 def test_window_incidence_reads_only_nodes(baseline_basic, basic):
     from prepspill.scenarios import _window_incidence
     spec, _ = basic
-    assert baseline_basic.index_of(2020.123456) is None
-    with pytest.raises(ValueError, match="does not end on trajectory nodes"):
+    assert node_index(baseline_basic.times, 2020.123456) is None
+    with pytest.raises(ValueError, match=r"^t = 2020\.123456 is not a node of the trajectory$"):
         _window_incidence(baseline_basic, spec, 2020.123456, 2031.0)
 
 
@@ -993,6 +993,32 @@ def test_cli_nnt_json_writes_null_for_an_undefined_pair(tmp_path, capsys):
                for r in results if r["defined"])
     header, *rows = csv.reader(io.StringIO((out / "nnt_basic.csv").read_text()))
     assert [r[3:5] == ["", ""] for r in rows] == [not r["defined"] for r in results]
+
+
+def test_cli_nnt_pair_of_a_source_pool_empty_at_the_start_is_undefined(tmp_path, capsys):
+    # an msm pool that starts empty but recruits: gamma_j(T) > 0, but
+    # gamma/S has no value at the first node, so the three pairs of source
+    # msm are undefined (null, empty cells) with no division by S = 0, and
+    # every other pair is defined and finite
+    path = write_config(tmp_path, {
+        "model": "basic", "horizon": {"start": 2017, "intervention": 2017, "end": 2031},
+        "initial_conditions": {"msm": {"S": 0, "I": 42000}}})
+    out = tmp_path / "out"
+    assert main(["nnt", "--config", path, "--out", str(out), "--json"]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    results = json.loads(capsys.readouterr().out, parse_constant=refuse)["results"]
+    assert len(results) == 9
+    for r in results:
+        if r["k"] == "msm":
+            assert not r["defined"] and r["nnt_simple"] is None and r["nnt_integral"] is None
+        else:
+            assert r["defined"] and math.isfinite(r["nnt_simple"])
+            assert math.isfinite(r["nnt_integral"])
+    header, *rows = csv.reader(io.StringIO((out / "nnt_basic.csv").read_text()))
+    assert [(r[1], r[3:5] == ["", ""]) for r in rows] == [(r["k"], r["k"] == "msm")
+                                                          for r in results]
 
 
 def test_cli_calls_in_one_process_keep_their_own_arguments(tmp_path, capsys):
@@ -1289,7 +1315,7 @@ def test_emit_plots_baseline_covers_whole_years_of_a_partial_span(tmp_path, caps
     text = (tmp_path / "out" / "baseline_series_basic.csv").read_text()
     rows = list(csv.reader(text.splitlines()))
     traj = integrate_baseline(load_config(path))
-    at = {y: traj.states[traj.index_of(float(y))] for y in range(2020, 2027)}
+    at = {y: traj.states[traj.node(float(y))] for y in range(2020, 2027)}
     assert [int(r[0]) for r in rows[1:]] == list(range(2020, 2026))
     for r in rows[1:]:
         y = int(r[0])

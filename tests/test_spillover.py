@@ -8,7 +8,7 @@ from conftest import (incidence_sensitivity, random_spec, random_state, rhs, rk4
                       spillover_rhs, xi_correction)
 from oracles import PerturbationOutOfRange, fd_oracle
 from prepspill.errors import ZeroPopulation
-from prepspill.integrators import IntegratorConfig, csv_text, integrate, node_index, rows_at
+from prepspill.integrators import IntegratorConfig, csv_text, integrate, node_index
 from prepspill.model import StateVec, closed_mixing, dfe, flat_rhs_factory
 from prepspill.spillover import block, integrate_with_spillover, nnt, sensitivity_to_csv
 
@@ -26,17 +26,17 @@ def aug_basic(basic):
 
 
 def test_reads_outside_the_run_refused(aug_basic):
-    # the sensitivity block is read by rows_at, the state's node check: a
-    # time past either end or between nodes is refused, not held at the end
-    # row or interpolated
+    # the sensitivity block is read through Trajectory.node, the state's
+    # node check: a time past either end or between nodes is refused, not
+    # held at the end row or interpolated
     _, traj, _ = aug_basic
     msm = block(traj, "msm")
     for t in (2100.0, 1900.0, 0.5 * (traj.times[5] + traj.times[6])):
-        for read in (lambda t: rows_at(traj.times, msm, t), traj.row_at):
+        for read in (lambda t: msm[traj.node(t)], lambda t: traj.states[traj.node(t)]):
             with pytest.raises(ValueError,
                                match=re.escape(f"t = {t} is not a node of the trajectory")):
                 read(t)
-    assert np.array_equal(rows_at(traj.times, msm[:, 1::2], 2031.0), msm[-1, 1::2])
+    assert np.array_equal(msm[traj.node(2031.0), 1::2], msm[-1, 1::2])
 
 
 OFF_NODE = {"between-nodes": lambda times: 0.5 * (times[5] + times[6]),
@@ -48,20 +48,19 @@ OFF_NODE = {"between-nodes": lambda times: 0.5 * (times[5] + times[6]),
 @pytest.mark.parametrize("reader", ["row_at", "state_at", "at", "nnt"])
 def test_every_read_refuses_a_time_off_the_nodes(aug_basic, reader, where):
     # each reader of a run reads stored nodes only: a time inside the span
-    # but between nodes is refused like one outside it, naming the time
-    # (T, the horizon, for nnt); "at" reads a sensitivity block's row by
-    # rows_at
+    # but between nodes is refused like one outside it, naming the time (for
+    # nnt, t_start + T); "row_at" reads a flat row and "at" a sensitivity
+    # block's row through Trajectory.node
     spec, traj, _ = aug_basic
     t = OFF_NODE[where](traj.times)
-    assert traj.index_of(t) is None
-    if reader == "nnt":
-        T = t - traj.times[0]
-        read, named = (lambda: nnt(traj, "hetf", "msm", T, spec.mu)), f"T = {T}"
-    elif reader == "at":
-        read, named = (lambda: rows_at(traj.times, block(traj, "msm"), t)), f"t = {t} "
-    else:
-        read, named = (lambda: getattr(traj, reader)(t)), f"t = {t} "
-    with pytest.raises(ValueError, match=re.escape(named)):
+    assert node_index(traj.times, t) is None
+    T = t - traj.times[0]
+    read = {"row_at": lambda: traj.states[traj.node(t)],
+            "state_at": lambda: traj.state_at(t),
+            "at": lambda: block(traj, "msm")[traj.node(t)],
+            "nnt": lambda: nnt(traj, "hetf", "msm", T, spec.mu)}[reader]
+    named = traj.times[0] + T if reader == "nnt" else t
+    with pytest.raises(ValueError, match=re.escape(f"t = {named} is not a node")):
         read()
 
 
@@ -74,9 +73,9 @@ def test_blocks_are_views_of_the_joint_run(aug_basic):
         assert np.shares_memory(b, traj.states)
         sigma, gamma = b[:, 0::2].copy(), b[:, 1::2].copy()
         for t in (2023.0, traj.times[5]):
-            row = rows_at(traj.times, b, t)
-            assert np.array_equal(row[0::2], rows_at(traj.times, sigma, t))
-            assert np.array_equal(row[1::2], rows_at(traj.times, gamma, t))
+            row = b[traj.node(t)]
+            assert np.array_equal(row[0::2], sigma[traj.node(t)])
+            assert np.array_equal(row[1::2], gamma[traj.node(t)])
 
 
 def test_csv_of_a_source_subset_equals_columnwise_assembly(basic, tmp_path):
@@ -141,7 +140,7 @@ def test_adaptive_vs_fixed_gamma(basic):
     f = flat_rhs_factory(spec, mode="practical")
     y0_flat = np.concatenate([start.to_flat(), np.zeros(2 * n * n)])
     _, rows = rk4_fixed(f, y0_flat, 2020.0, 2030.0, 0.05)
-    ga = rows_at(traj_a.times, block(traj_a, "msm")[:, 1::2], 2030.0)[hetf]
+    ga = block(traj_a, "msm")[traj_a.node(2030.0), 1::2][hetf]
     gf = rows[-1][3 * n + 2 * n * msm + 2 * hetf + 1]
     assert abs(ga - gf) / abs(ga) < 1e-3
 
@@ -160,8 +159,8 @@ def test_chain_rule_consistency(basic, aug_basic):
     pert = integrate(spec.with_epsilon({"msm": eps_new}), start,
                      CFG.over(2020.0, 2031.0))
     n = spec.n
-    base_c = base.row_at(2031.0)[2 * n:] - base.row_at(2020.0)[2 * n:]
-    pert_c = pert.row_at(2031.0)[2 * n:] - pert.row_at(2020.0)[2 * n:]
+    base_c, pert_c = (r.states[r.node(2031.0)][2 * n:] - r.states[r.node(2020.0)][2 * n:]
+                      for r in (base, pert))
     averted_msm = base_c[0] - pert_c[0]
     # cumulative-incidence sensitivity: gamma(T)/S_k(T) + mu*int(gamma/S_k)
     res = nnt(traj, "msm", "msm", 11.0, spec.mu)
@@ -286,7 +285,7 @@ def test_exact_delta_matches_fd_with_delta(basic):
     s_ex = integrate_with_spillover(spec, start, cfg=cfg, mode="exact_delta")
     fd = fd_oracle(spec, start, "msm", 1e-6, cfg)
     for i, t in enumerate(fd.times):
-        both, est = rows_at(s_ex.times, block(s_ex, "msm"), t), fd.block[i]
+        both, est = block(s_ex, "msm")[s_ex.node(t)], fd.block[i]
         scale = max(np.abs(both).max(), 1e-30)
         assert np.abs(both - est).max() < 1e-3 * scale
 
@@ -298,7 +297,7 @@ def test_fd_oracle_second_order(basic):
     base = integrate(spec0, y0, CFG.over(2017.0, 2020.0))
     start = base.final_state()
     traj = integrate_with_spillover(spec0, start, cfg=cfg)
-    ref_vec = rows_at(traj.times, block(traj, "msm"), 2025.0)
+    ref_vec = block(traj, "msm")[traj.node(2025.0)]
     errs = []
     # perturbations large enough that truncation dominates integrator noise
     for e in (1.6e-2, 8e-3, 4e-3):
@@ -393,7 +392,7 @@ def test_nnt_integral_at_node_horizon_is_node_trapezoid(aug_basic, T):
     # with the arithmetic unchanged
     spec, traj, _ = aug_basic
     j, k = spec.group_index("hetf"), spec.group_index("msm")
-    m = traj.index_of(2020.0 + T) + 1
+    m = traj.node(2020.0 + T) + 1
     ratio = block(traj, "msm")[:m, 1::2][:, j] / traj.states[:m, 2 * k]
     integral = float(np.trapezoid(ratio, traj.times[:m]))
     res = nnt(traj, "hetf", "msm", T, spec.mu)
@@ -419,8 +418,8 @@ def test_exact_delta_matches_fd_oracle_random_specs():
             for k in model.labels:
                 fd = fd_oracle(model, y0, k, 1e-4, cfg)
                 for i, t in enumerate(fd.times[1:], 1):
-                    assert node_index(traj.times, t) is not None  # a stored row
-                    got, want = rows_at(traj.times, block(traj, k), t), fd.block[i]
+                    # a stored row: ValueError unless t is a node
+                    got, want = block(traj, k)[traj.node(t)], fd.block[i]
                     assert np.abs(got - want).max() <= tol * np.abs(got).max()
 
 
@@ -436,7 +435,7 @@ def _nnt_past_span(spec, y0):
     # None is flat_rhs_factory's plain state RHS, which has no blocks to integrate
     (lambda spec, y0: integrate_with_spillover(spec, y0, CFG.over(2020.0, 2021.0), mode=None),
      "^unknown mode None$"),
-    (_nnt_past_span, r"^T = 2\.5: t = 2022\.5 is not a node of the trajectory$"),
+    (_nnt_past_span, r"^t = 2022\.5 is not a node of the trajectory$"),
 ], ids=["unknown-mode", "no-mode", "nnt-past-span"])
 def test_spillover_refusals(basic, run, match):
     with pytest.raises(ValueError, match=match):

@@ -103,6 +103,11 @@ CONFIGS = {
     # an msm pool that starts empty and recruits no one: no per-person effect
     "empty_msm_pool.json": {"model": "basic", "overrides": {"groups": {"msm": {"Pi": 0}}},
                             "initial_conditions": {"msm": {"S": 0, "I": 42000}}},
+    # an msm pool that starts empty but recruits, from an intervention at the
+    # start: gamma/S has no value at the first node
+    "empty_msm_start.json": {"model": "basic",
+                             "horizon": {"start": 2017, "intervention": 2017, "end": 2031},
+                             "initial_conditions": {"msm": {"S": 0, "I": 42000}}},
     # a misspelt key in the root, an arm and an initial-conditions group
     "typo_root.json": {"model": "basic", "intervention_mod": "tracked-count"},
     "typo_arm.json": {"model": "basic",
@@ -144,6 +149,8 @@ INVOCATIONS = (
         ["nnt", "--config", "off_year_2020_25.json", "--horizon", "0.75"],
         # its 5 pairs with msm as source or j are undefined
         ["nnt", "--config", "empty_msm_pool.json", "--json"],
+        # its 3 pairs with msm as source are undefined
+        ["nnt", "--config", "empty_msm_start.json", "--json"],
         ["ngm", "--config", "ngm_overrides.json", "--json"],
         ["ngm", "--config", "risk_stationary.json"],
         ["ngm", "--config", "risk_stationary.json", "--json"],
