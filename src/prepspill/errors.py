@@ -41,6 +41,10 @@ class StepSizeUnderflow(PrepspillError):
     """Adaptive step control pushed dt below dt_min."""
 
 
+class StepBudgetExceeded(PrepspillError):
+    """A run spent its budget of attempted steps before t_end."""
+
+
 class PartialYear(PrepspillError):
     """Annual aggregation requested on a trajectory not aligned to whole years."""
 

@@ -28,9 +28,18 @@ group's full coverage), whose margins the RHS carries (model.flat_rhs_factory
 generates them with it): an attempt over which a switching margin changes
 sign is retried with the step cut to the margin's root on the step's cubic
 Hermite interpolant (ibid. II.6; Shampine & Thompson 2000), so no step
-straddles the kink.  Year-landing runs keep the plain controller and watch
-no margin.  integrate_flat returns a run's whole record (Trajectory), its
-own counts of RHS evaluations and rejected steps included.
+straddles the kink.  A free-stepping batch (the Sobol study's, whose risk
+RHS carries the closure's margins, model.batched_rhs_factory) lands once
+per cluster of its members' switches instead: it looks at the margins only
+when an attempt fails the error norm, and lands on the earliest and the
+latest root among the members crossing over that attempt.  On the
+benchmark's risk layouts every member's xi_hetm switch falls within one
+window under 0.008 years wide, so two landings serve them all.
+Year-landing runs keep the plain controller and watch no margin.  A run
+that makes MAX_ATTEMPTS attempts without reaching t_end is refused
+(StepBudgetExceeded), as DOPRI5 refuses one past NMAX.
+integrate_flat returns a run's whole record (Trajectory), its own counts of
+RHS evaluations and rejected steps included.
 """
 
 from __future__ import annotations
@@ -48,8 +57,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (InfeasibleClosure, NegativeState, PartialYear, StepSizeUnderflow,
-                     ZeroPopulation)
+from .errors import (InfeasibleClosure, NegativeState, PartialYear, StepBudgetExceeded,
+                     StepSizeUnderflow, ZeroPopulation)
 from .mixing import exec_source
 from .model import StateVec, batched_rhs_factory, flat_rhs_factory
 
@@ -58,11 +67,17 @@ log = logging.getLogger(__name__)
 # Times this close to a stored node are that node (lookups, breakpoint merging).
 NODE_TOL = 1e-9
 
-# The switching margins of the scalar run integrate_rhs is making: the
-# switches attribute of the run's RHS (model._flat_rhs_maker: names, signs
-# and margins, or None).  integrate_flat reads them here, not from its f or
-# as a parameter, because the wrappers that count its work
-# (bench/tracing.py) pass on its five parameters alone and wrap f.
+# Attempted steps per integrate_flat call, a batch's shared attempts
+# included, before the run is refused: DOPRI5's NMAX (Hairer & Wanner,
+# Solving ODEs II, IV.2), about twice what a 14-year run at msm delta = 1e4 takes.
+MAX_ATTEMPTS = 100_000
+
+# The switching margins of the run integrate_rhs is making: the switches
+# attribute of the run's RHS (model._flat_rhs_maker: names, signs and
+# margins; model.batched_rhs_factory: names and margins; or None).
+# integrate_flat reads them here, not from its f or as a parameter, because
+# the wrappers that count its work (bench/tracing.py) pass on its five
+# parameters alone and wrap f.
 _switches = contextvars.ContextVar("switches", default=None)
 
 
@@ -184,12 +199,12 @@ class Trajectory:
     integration (integrate_batch) adds a trailing member axis.  next_step
     is the controller's step after the last accepted one, the first_step of
     a run that continues this one.  switch_events holds (t, margin name) for
-    each switch of the RHS the run landed on (integrate_flat).  rhs_evals
-    counts RHS evaluations (1, then 6 per attempt) and steps_rejected the
-    attempts the error norm refused or a stage outside the RHS's domain
-    ended (6 evaluations each, however many ran); an attempt retried
-    shorter to land on a switch counts 6 evaluations and is neither
-    accepted nor rejected.
+    each switch of the RHS the run (a batch: some member) landed on
+    (integrate_flat).  rhs_evals counts RHS evaluations (1, then 6 per
+    attempt) and steps_rejected the attempts the error norm refused or a
+    stage outside the RHS's domain ended (6 evaluations each, however many
+    ran); an attempt retried shorter to land on a switch counts 6
+    evaluations and is neither accepted nor rejected.
     """
 
     times: np.ndarray
@@ -503,6 +518,67 @@ class _SwitchWatch:
         return proposal if h is None else h
 
 
+class _ClusterLanding:
+    """The switches of one free-stepping batch (integrate_flat), for the
+    margins named ``names`` (the switches its RHS carries, see
+    model.batched_rhs_factory: ``margins`` reads a time and the first n rows
+    of a state and gives one row per margin, one column per member; or one
+    member's first n slots, as a list, and gives a list).  Each landing
+    goes to ``events`` as (t, name); a switch within tol of a node is on
+    it.  Margins are evaluated on failed attempts alone."""
+
+    def __init__(self, names, margins, n, tol):
+        self.names, self.margins, self.n, self.tol, self.events = names, margins, n, tol, []
+        self.plan = []  # the landings ahead, (t, name) in time order
+        self.resume = None  # the step of the failed attempt that found them
+
+    def reject(self, t, y, y5, k1, k7, h):
+        """The step after the failed attempt y -> y5 from t of length h,
+        which forgets the landings under way: None, unless the attempt
+        reached its end (y5 is None where a stage left the RHS's domain) and
+        a member's margin changes sign along it more than tol after t.  Then
+        the landings are planned at the roots, on the members' cubic Hermite
+        interpolants, of the two (member, margin) crossings whose linear
+        estimates come first and last; the step is the distance to the first
+        of them."""
+        self.plan, self.resume = [], None
+        if y5 is None:
+            return None
+        a, b = self.margins(t, y), self.margins(t + h, y5)
+        crossed = (a > 0.0) != (b > 0.0)
+        th = np.divide(a, a - b, out=np.zeros(a.shape), where=crossed)
+        ahead = crossed & (th * h > self.tol)
+        if not ahead.any():
+            return None
+        ends = (np.where(ahead, th, np.inf).argmin(), np.where(ahead, th, -np.inf).argmax())
+        for k, m in (np.unravel_index(e, a.shape) for e in dict.fromkeys(ends)):
+            columns = [v[:, m].tolist() for v in (y, y5, k1, k7)]  # as a scalar run's
+            th = _switch_root(lambda s, u: self.margins(s, u)[k], t, float(a[k, m]),
+                              float(b[k, m]), *columns, h, self.n, self.tol)
+            root = t + th * h
+            if root - (self.plan[-1][0] if self.plan else t) > self.tol:
+                self.plan.append((root, self.names[k]))
+        if not self.plan:
+            return None
+        self.resume = h
+        return self.plan[0][0] - t
+
+    def accept(self, t, proposal):
+        """The step after an accepted attempt ending at t: the controller's
+        ``proposal``, unless landings are under way.  Then the attempt
+        landed on the first of them: the distance to the next, else the
+        step of the failed attempt that found them."""
+        if not self.plan:
+            return proposal
+        name = self.plan.pop(0)[1]
+        self.events.append((t, name))
+        log.info("landed on switch %s at t=%.6f", name, t)
+        if self.plan:
+            return self.plan[0][0] - t
+        h, self.resume = self.resume, None
+        return h
+
+
 def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     """Integrate dy/dt = f(t, y) over cfg's window by Dormand-Prince with
     FSAL.
@@ -541,6 +617,16 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     there), is recorded as (t, name) and logged at INFO, and the run goes on
     with the step proposed before the switch was met; the next attempts do
     not look at that margin until one is accepted.
+    A free-stepping batch whose RHS carries margins (integrate_batch) looks
+    at them only when an attempt fails the error norm: when some member's
+    margin changed sign over it, the next step is cut to the earliest
+    member's root, the one after it goes to the latest root of that
+    attempt, and the batch then tries the failed attempt's step again (see
+    _ClusterLanding).  Each landing is recorded and logged as a scalar
+    run's; the failed attempt counts as one rejection, the landings as
+    accepted steps.
+    A run (a batch: its shared attempts) refuses an attempt past
+    MAX_ATTEMPTS with StepBudgetExceeded naming t and the step.
     Returns (times, states, then Trajectory's fields from clamp_events on).
     """
     if np.ndim(y0) == 1:
@@ -563,11 +649,15 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     h = min(cfg.dt_max, max(cfg.dt_min, h))
     # caps on the step factor, lowered after a free run's rejection
     free, grow, cut = not cfg.year_nodes, 5.0, 1.0
-    watch, attempts, rejected = None, 0, 0
+    watch = landing = None
+    attempts, rejected = 0, 0
     if free and (switches := _switches.get()):
         # a switch nearer than the smallest step allowed is reached
-        watch = _SwitchWatch(*switches, t, y, n_state, max(tol, cfg.dt_min))
-        signs = watch.signs
+        if isinstance(y, list):
+            watch = _SwitchWatch(*switches, t, y, n_state, max(tol, cfg.dt_min))
+            signs = watch.signs
+        else:
+            landing = _ClusterLanding(*switches, n_state, max(tol, cfg.dt_min))
     for target in breaks[1:]:
         sample = free and target != breaks[-1]  # an interior sample time
         while t < target - tol:
@@ -575,13 +665,16 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
             h = min(wanted, target - t)
             if h < cfg.dt_min:
                 raise StepSizeUnderflow(f"dt = {h:.3e} below dt_min at t = {t:.6f}")
+            if attempts == MAX_ATTEMPTS:
+                raise StepBudgetExceeded(f"step budget spent: {MAX_ATTEMPTS} attempted steps "
+                                         f"reach t = {t:.6f} of {cfg.t_end}, dt = {h:.3e}")
             try:
                 ynew, k7, err = step(f, t, y, h, k1, cfg.atol, cfg.rtol)
             except (ZeroPopulation, InfeasibleClosure):
                 # a stage outside the RHS's domain rejects the attempt
                 if 0.2 * h < cfg.dt_min:
                     raise
-                err = math.inf
+                ynew, err = None, math.inf
             attempts += 1
             if watch and err < math.inf:
                 m5 = signs(t + h, ynew)
@@ -598,22 +691,30 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                 grown = h * min(grow, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
                 if sample and h < wanted:  # cut short to land on the sample time
                     grown = max(grown, wanted)
-                h = watch.accept(t, y, k1, h, m5, grown) if watch else grown
-                grow, cut = 5.0, 1.0
+                if watch:
+                    grown = watch.accept(t, y, k1, h, m5, grown)
+                elif landing:
+                    grown = landing.accept(t, grown)
+                h, grow, cut = grown, 5.0, 1.0
             else:
                 rejected += 1
-                h *= min(cut, max(0.2, 0.9 * err ** -0.2))
-                if free:
-                    grow, cut = 1.0, 0.5
+                short = None
                 if watch:
                     watch.reject()
-    return ts, ys, clamps, h, watch.events if watch else [], 1 + 6 * attempts, rejected
+                elif landing:
+                    short = landing.reject(t, y, ynew, k1, k7, h)
+                h = short or h * min(cut, max(0.2, 0.9 * err ** -0.2))
+                if free:
+                    grow, cut = 1.0, 0.5
+    events = watch.events if watch else landing.events if landing else []
+    return ts, ys, clamps, h, events, 1 + 6 * attempts, rejected
 
 
 def integrate_rhs(f, y0, cfg, n_state, sample_times=None):
-    """integrate_flat on a scalar RHS that model.flat_rhs_factory generated,
-    landing on the switches it carries (f.switches, handed over through
-    _switches).  Returns integrate_flat's record of the run."""
+    """integrate_flat on an RHS that model.flat_rhs_factory or, for a batch,
+    model.batched_rhs_factory generated, landing on the switches it carries
+    (f.switches, handed over through _switches).  Returns integrate_flat's
+    record of the run."""
     token = _switches.set(f.switches)
     try:
         return integrate_flat(f, y0, cfg, n_state=n_state, sample_times=sample_times)
@@ -640,10 +741,14 @@ def integrate_batch(spec, y0, eps, cfg, sample_times=None):
     Row b of ``eps`` (B, n) holds member b's coverage fractions.  The batch
     state is one (3n, B) array that integrate_flat steps whole, with one
     step for all members, landing on ``sample_times`` as any run does.  A
-    batch of one equals integrate_flat on the member's own RHS
-    (flat_rhs_factory(spec.with_epsilon(...))) bit for bit: a year-landing
-    one is its integrate() run; a free-stepping one watches no switching
-    margin, where integrate() lands on them.  The trajectory keeps every
+    year-landing batch of one is its member's integrate() run bit for bit,
+    and so is a free-stepping one whose RHS carries no switching margin
+    (basic, or pinned mixing).  A free-stepping risk batch lands on its
+    members' xi_hetm clamp switches once per cluster of them, at the first
+    and the last root found on a failed attempt's interpolant
+    (integrate_flat): each landing is 5.5e-7 to 6.3e-7 years from where the
+    member's own integrate() run, which refines its root to NODE_TOL, lands
+    (preset coverage x 0.5, 1 and 3).  The trajectory keeps every
     accepted node, so its states are (nodes, 3n, B).  The nonnegativity
     policy applies member by member; clamp events are (t, component,
     member, value).  A failure names the lowest member failing at the last
@@ -654,8 +759,8 @@ def integrate_batch(spec, y0, eps, cfg, sample_times=None):
     if not len(eps):
         raise ValueError("batched integration needs at least one member")
     y = np.repeat(y0.to_flat()[:, None], len(eps), axis=1)
-    return Trajectory.of(integrate_flat(batched_rhs_factory(spec, eps), y, cfg, 2 * spec.n,
-                                        sample_times=sample_times), spec.labels)
+    return Trajectory.of(integrate_rhs(batched_rhs_factory(spec, eps), y, cfg, 2 * spec.n,
+                                       sample_times), spec.labels)
 
 
 def whole_years(t0, t1):

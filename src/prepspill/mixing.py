@@ -416,3 +416,17 @@ def close_risk_batch(N, a, priors, t=None):
     ehh, ahh, ahl, xi = np.minimum(np.maximum(shares, 0.0), 1.0)  # roundoff at a bound
     return np.array((em, ehh, np.maximum(0.0, 1.0 - em - ehh), ahh, 1.0 - ahh,
                      ahl, 1.0 - ahl, xi, 1.0 - xi))
+
+
+def risk_margins_batch(N, a, priors):
+    """The risk closure's switching margins over the columns of N, as the
+    rows of one array in SWITCH_NAMES order: each selection of
+    _RISK_INTERVAL and _RISK_CLAMP beside its margin, as _RISK_SWITCHES
+    leaves them in w0, w1, ...  No screen: a margin only locates a switch."""
+    B0, B1, B2, B3 = np.multiply(N, np.asarray(a).reshape(-1, 1))
+    lo1, lo2, hi1 = _risk_bounds(B0, B1, B2, B3)
+    lo = np.maximum(lo1, 0.0)
+    w1, lo = lo2 - lo, np.maximum(lo2, lo)
+    x = _risk_projection(B0, B1, B2, B3, priors)
+    w3, xi = lo - x, np.maximum(lo, x)
+    return np.array((lo1, w1, 1.0 - hi1, w3, xi - np.minimum(hi1, 1.0)))

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import ZeroPopulation
 from .mixing import (CLOSURE_ERRORS, BasicMixing, RiskMixing, check_unit_fields, close_basic,
-                     close_basic_batch, close_risk, close_risk_batch, exec_source)
+                     close_basic_batch, close_risk, close_risk_batch, exec_source,
+                     risk_margins_batch)
 
 MODES = ("practical", "exact_delta")  # of the spillover system (prepspill.spillover)
 
@@ -36,7 +37,8 @@ MODES = ("practical", "exact_delta")  # of the spillover system (prepspill.spill
 @dataclass(frozen=True)
 class Variant:
     """Group labels in state order, the mixing class (which carries the
-    contact-pair table and the closure text) and the closure's array form.
+    contact-pair table and the closure text), the closure's array form and
+    the array form of its switching margins (None where it has none).
     The scalar closure solver is this module's close_basic or close_risk
     (closed_mixing).  An unpinned scalar RHS evaluates the closure text
     inline and calls neither."""
@@ -44,11 +46,13 @@ class Variant:
     groups: tuple
     mixing: type
     batch_closure: object
+    batch_margins: object
 
 
 VARIANTS = {
-    "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, close_basic_batch),
-    "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, close_risk_batch),
+    "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, close_basic_batch, None),
+    "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, close_risk_batch,
+                    risk_margins_batch),
 }
 
 
@@ -469,7 +473,15 @@ def batched_rhs_factory(spec, eps):
     summed in partner order (PAIRS lists pairs by (j, p)) and times A_j,
     where (c_i, A_j) is (b_i, a_j) in a general row, (1, a_j * b) with one
     beta and (a_j * b, 1) for a lone pair (m_i = 1).  Products by 1 are
-    exact, so each member's derivative is the scalar one bit for bit."""
+    exact, so each member's derivative is the scalar one bit for bit.
+
+    An unpinned risk rhs carries the closure's switching margins as
+    ``rhs.switches = (names, margins)``: SWITCH_NAMES, and margins(t, y)
+    giving them at the state y, as the rows of one (margins, B) array for
+    the (3n, B) state, and as a list for one member's S/I slots given as a
+    list of floats (the scalar RHS's margins, evaluated at a few points
+    along a step to find one member's switch).  ``rhs.switches`` is None
+    for basic and pinned batches."""
     eps = np.array(eps, dtype=float)
     if eps.ndim != 2 or eps.shape[1] != spec.n:
         raise ValueError(f"eps of shape {eps.shape} is not (B, {spec.n}): each row needs "
@@ -511,4 +523,15 @@ def batched_rhs_factory(spec, eps):
         out = np.empty(y.shape)
         out[0:2 * n:2], out[1:2 * n:2], out[2 * n:] = Pi - inc - mu * S, inc - v * I, inc
         return out
+
+    f.switches = None
+    if fixed is None and var.batch_margins is not None:
+        # one member's: the scalar RHS's margins, which no coverage moves
+        member = flat_rhs_factory(spec).switches[2]
+
+        def margins(t, y):
+            if isinstance(y, list):
+                return member(t, y)
+            return var.batch_margins(y[0:2 * n:2] + y[1:2 * n:2], a, spec.mixing_priors)
+        f.switches = (var.mixing.SWITCH_NAMES, margins)
     return f

@@ -18,7 +18,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .errors import ParseError, SchemaViolation, UnknownGroup, ZeroPopulation
+from .errors import ParseError, SchemaViolation, UnknownGroup
 from .integrators import (NODE_TOL, IntegratorConfig, Trajectory, csv_text, integrate,
                           interp_rows, node_index, write_csv)
 # the one file writer, under the name tracers rebind for the non-CSV outputs
@@ -478,16 +478,15 @@ def emit_plot_data(out_dir, config):
                                     (at[1:, 2 * n:3 * n] - at[:-1, 2 * n:3 * n]).tolist())]
     texts = [(f"baseline_series_{variant}.csv", csv_text(header, rows))]
 
+    # gamma_j / S_k per node, j within the block of source k; where S_k <= 0
+    # it has no value (nnt's rule), and source k's cells at that node are empty
     empty = S <= 0.0
-    if empty.any():  # the first (node, source) with an empty pool
-        k = labels[int(empty.argmax()) % n]
-        raise ZeroPopulation(f"source group {k} has S = 0")
-    # gamma_j / S_k per node, j within the block of source k
-    effects = np.concatenate([block(traj, k)[:, 1::2] / S[:, [c]]
+    effects = np.concatenate([block(traj, k)[:, 1::2] / np.where(empty[:, [c]], 1.0, S[:, [c]])
                               for c, k in enumerate(labels)], axis=1)
     header = ["t"] + [f"per_person_{j}__{k}" for k in labels for j in labels]
-    rows = [[f"{t:.6f}"] + [f"{v:.10e}" for v in row]
-            for t, row in zip(traj.times.tolist(), effects.tolist())]
+    rows = [[f"{t:.6f}"] + ["" if gap else f"{v:.10e}" for v, gap in zip(row, gaps)]
+            for t, row, gaps in zip(traj.times.tolist(), effects.tolist(),
+                                    np.repeat(empty, n, axis=1).tolist())]
     texts.append((f"per_person_effects_{variant}.csv", csv_text(header, rows)))
 
     suppressed = []
@@ -498,15 +497,19 @@ def emit_plot_data(out_dir, config):
     table = np.concatenate([S] + [block(traj, k)[:, 1::2] for k in labels], axis=1)
     # every half year T <= end - t_int, within NODE_TOL of float noise
     horizons = [0.5 * i for i in range(1, int(2 * (config.end - t_int + NODE_TOL)) + 1)]
+    # per node, the sources whose pool was empty at it or at a node before
+    dry = np.logical_or.accumulate(empty, axis=0).tolist()
     for T in horizons:
         # nnt()'s nnt_simple from S_k and gamma_j at the horizon's node, else
-        # the package's one read between nodes, linear (ROADMAP item 2)
+        # the package's one read between nodes, linear (ROADMAP item 2);
+        # undefined, as in nnt(), for a source empty at a node of the window
         t = traj.times[0] + T
         i = node_index(traj.times, t)
         at = (table[i] if i is not None else interp_rows(t, traj.times, table)).tolist()
+        gone = dry[int(np.searchsorted(traj.times, t + NODE_TOL, side="right")) - 1]
         row = [f"{T:.2f}"]
         for p, (jl, k) in enumerate(pairs):
-            simple = simple_nnt(T, at[p // n], at[n + p])
+            simple = None if gone[p // n] else simple_nnt(T, at[p // n], at[n + p])
             if simple is None or simple > NNT_DISPLAY_CAP:
                 row.append("")
                 suppressed.append({"T": T, "j": jl, "k": k,

@@ -347,10 +347,14 @@ def sobol_timeseries(spec, y0, inputs, level=5, total_degree=4, cfg=None):
     reads its whole years alone, so it steps freely to them as sample times
     (integrate_flat's free controller, whatever cfg.year_nodes says), with
     cfg.first_step as its first step if set, else the first year whole.
-    Each member stays within the tolerances of its own run
-    (coverage_model_fn with the same cfg, which lands on every year and on
-    the risk closure's switch).  On the basic preset, whose batch rejects
-    no step, the samples equal the year-landing batch's bit for bit.  A
+    On risk it lands once on the first and once on the last of its
+    members' xi_hetm clamp switches, found on the attempt that fails across
+    them (integrate_batch).  Each member stays within the tolerances of its
+    own run (coverage_model_fn with the same cfg, which lands on every year
+    and on the risk closure's switch): the benchmark's risk layout within
+    6.0e-8 relative of tight per-node runs.  On the basic preset, whose
+    batch rejects no step, the samples equal the year-landing batch's bit
+    for bit.  A
     failing batch raises EnsembleError naming the node that fails first.  One
     projection (fit_pce) fits every (year, group) series at once.  A
     partial-year window (PartialYear) or a grid too coarse for the fit

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from conftest import rk4_fixed
 from prepspill import scenarios
 from prepspill.errors import (InfeasibleClosure, NegativeState, PartialYear,
-                             StepSizeUnderflow, ZeroPopulation)
+                             StepBudgetExceeded, StepSizeUnderflow, ZeroPopulation)
 from prepspill.integrators import (NODE_TOL, IntegratorConfig, Trajectory, _breakpoints,
                                    _dp_step_maker, _postprocess_columns,
                                    _postprocess_step, annual_series, csv_text, integrate,
@@ -207,12 +207,15 @@ def test_batch_members_equal_scalar_integrations(basic, risk):
 def test_free_batch_members_equal_direct_runs_and_keep_their_step(basic, risk, monkeypatch):
     # The Sobol batch's controller: a free-stepping batch of one, read at
     # interior sample times over a window across the risk xi_hetm kink
-    # (2027), steps as integrate_flat does on the member's own RHS, bit for
-    # bit (a direct call watches no margin, as a batch watches none).  A
-    # step cut short to land on a sample time is followed by an attempt at
-    # least as long as the step the controller wanted before the cut: the
-    # plain controller's proposal from the attempt before, at most dt_max
-    # and the distance to the next node.
+    # (2027).  A basic one steps as integrate_flat does on the member's own
+    # RHS, bit for bit (neither carries a margin); a risk one lands on the
+    # member's switch, within 1e-6 years of where the member's own
+    # integrate() run lands (the root on the failed attempt's interpolant,
+    # which the scalar run refines to NODE_TOL: 5.5e-7 to 6.3e-7 apart at
+    # these three coverages).  A step cut short to land on a sample time is
+    # followed by an attempt at least as long as the step the controller
+    # wanted before the cut: the plain controller's proposal from the
+    # attempt before, at most dt_max and the distance to the next node.
     from prepspill import integrators
     attempts = []
 
@@ -236,12 +239,19 @@ def test_free_batch_members_equal_direct_runs_and_keep_their_step(basic, risk, m
             attempts.clear()
             traj = integrate_batch(spec, y0, [eps], cfg, sample_times=samples)
             batch_attempts = list(attempts)
-            f = flat_rhs_factory(spec.with_epsilon(dict(zip(spec.labels, eps))))
-            one = Trajectory.of(integrate_flat(f, y0.to_flat(), cfg, 2 * spec.n,
-                                               sample_times=samples), spec.labels)
-            assert np.array_equal(traj.times, one.times)
-            assert np.array_equal(traj.states[:, :, 0], one.states)
-            assert traj.next_step == one.next_step
+            member = spec.with_epsilon(dict(zip(spec.labels, eps)))
+            if spec.variant == "basic":
+                f = flat_rhs_factory(member)
+                one = Trajectory.of(integrate_flat(f, y0.to_flat(), cfg, 2 * spec.n,
+                                                   sample_times=samples), spec.labels)
+                assert np.array_equal(traj.times, one.times)
+                assert np.array_equal(traj.states[:, :, 0], one.states)
+                assert traj.next_step == one.next_step
+            else:
+                own = integrate(member, y0, cfg, sample_times=samples).switch_events
+                assert len(traj.switch_events) == len(own) == 1
+                (t, name), (t_own, name_own) = traj.switch_events[0], own[0]
+                assert name == name_own == "lo - x" and abs(t - t_own) <= 1e-6
             for t in samples:
                 traj.node(t)  # ValueError unless t is a node
             grow, cut = 5.0, 1.0  # the free controller's caps on the step factor
@@ -261,6 +271,83 @@ def test_free_batch_members_equal_direct_runs_and_keep_their_step(basic, risk, m
     assert landings >= 10
 
 
+def _spied_batch(monkeypatch, spec, y0, eps, cfg, samples):
+    """integrate_batch of the rows ``eps``, with the (t, h, err) of each
+    attempt and the time of each evaluation of the batch's margins."""
+    from prepspill import integrators
+    attempts, margin_calls = [], []
+    real_maker, real_factory = integrators._dp_step_maker, integrators.batched_rhs_factory
+
+    def maker(w=None):
+        step = real_maker(w)
+
+        def spy(f, t, y, h, k1, atol, rtol):
+            out = step(f, t, y, h, k1, atol, rtol)
+            attempts.append((t, h, out[2]))
+            return out
+        return spy
+
+    def factory(spec, eps):
+        f = real_factory(spec, eps)
+        names, margins = f.switches
+
+        def counted(t, y):
+            margin_calls.append(t)
+            return margins(t, y)
+        f.switches = (names, counted)
+        return f
+
+    monkeypatch.setattr(integrators, "_dp_step_maker", maker)
+    monkeypatch.setattr(integrators, "batched_rhs_factory", factory)
+    return integrate_batch(spec, y0, eps, cfg, samples), attempts, margin_calls
+
+
+def test_batch_evaluates_its_margins_on_failed_attempts_alone(risk, monkeypatch):
+    # Sobol's free batch over the risk kink: every margin evaluation lies on
+    # a failed attempt (its ends, or its interpolant's root search), and a
+    # window that no attempt fails evaluates none
+    spec, y0 = risk
+    eps = spec.param_arrays()[3] * np.array([[0.5], [1.0], [3.0]])
+    cfg = IntegratorConfig(2017.0, 2031.0, year_nodes=False, first_step=1.0)
+    samples = [float(y) for y in range(2018, 2031)]
+    _, attempts, calls = _spied_batch(monkeypatch, spec, y0, eps, cfg, samples)
+    failed = [(t, t + h) for t, h, err in attempts if err > 1.0]
+    assert failed and calls
+    assert all(any(t0 <= t <= t1 for t0, t1 in failed) for t in calls)
+    _, attempts, calls = _spied_batch(monkeypatch, spec, y0, eps, cfg.over(2017.0, 2026.0),
+                                      samples[:8])
+    assert calls == [] and all(err <= 1.0 for _, _, err in attempts)
+
+
+def test_clustered_batch_lands_on_its_first_and_last_switch(risk, monkeypatch):
+    # three members whose xi_hetm clamps switch within 0.001 years of each
+    # other: the failed attempt across them plans two landings, the earliest
+    # member's switch (coverage x 3) and the latest (x 0.5), each where the
+    # member's own batch of one lands, within 1e-6 years of its integrate()
+    # landing; the attempt after them is the failed attempt's step, cut to
+    # the next year
+    spec, y0 = risk
+    scales = (0.5, 1.0, 3.0)
+    eps = [spec.param_arrays()[3] * s for s in scales]
+    cfg = IntegratorConfig(2017.0, 2031.0, year_nodes=False, first_step=1.0)
+    samples = [float(y) for y in range(2018, 2031)]
+    traj, attempts, _ = _spied_batch(monkeypatch, spec, y0, eps, cfg, samples)
+    own = {s: integrate(spec.with_epsilon(dict(zip(spec.labels, e))), y0, cfg,
+                        sample_times=samples).switch_events for s, e in zip(scales, eps)}
+    assert [name for _, name in traj.switch_events] == ["lo - x", "lo - x"]
+    (first, _), (last, _) = traj.switch_events
+    assert abs(first - own[3.0][0][0]) <= 1e-6 and abs(last - own[0.5][0][0]) <= 1e-6
+    for t, row in ((first, eps[2]), (last, eps[0])):
+        assert integrate_batch(spec, y0, [row], cfg, samples).switch_events == [(t, "lo - x")]
+    i = next(i for i, (_, _, err) in enumerate(attempts) if err > 1.0)
+    (t, h, _), land1, land2, resume = attempts[i:i + 4]
+    assert land1[0] == t and land1[0] + land1[1] == pytest.approx(first, abs=NODE_TOL)
+    assert land2[0] == traj.times[traj.node(first)] and land2[0] + land2[1] == \
+        pytest.approx(last, abs=NODE_TOL)
+    assert resume[:2] == (traj.times[traj.node(last)], min(h, 2028.0 - resume[0]))
+    assert traj.steps_rejected == 1
+
+
 def test_batch_nan_member_underflows_as_its_scalar_run(basic):
     # a NaN population makes every error norm NaN, so each attempt is
     # rejected until the step underflows, in the batch as in the scalar run
@@ -276,6 +363,64 @@ def test_batch_nan_member_underflows_as_its_scalar_run(basic):
     with pytest.raises(StepSizeUnderflow) as scalar:
         integrate(spec, y0, cfg)
     assert str(batch.value) == str(scalar.value)
+
+
+def test_batch_stage_failure_forgets_its_landings(risk, monkeypatch):
+    # the first landing attempt after the failed 2027 step (2027 to about
+    # 2027.2759) leaves the domain at its second stage (t = 2027 + 0.2 h):
+    # it is rejected, its landings are forgotten, and the shorter attempt
+    # after it records no landing; the batch plans them afresh and lands on
+    # the same two switches
+    from prepspill import integrators
+    spec, y0 = risk
+    eps = [spec.param_arrays()[3] * s for s in (0.5, 3.0)]
+    cfg = IntegratorConfig(2017.0, 2031.0, year_nodes=False, first_step=1.0)
+    samples = [float(y) for y in range(2018, 2031)]
+    plain = integrate_batch(spec, y0, eps, cfg, samples)
+    real, raised = integrators.batched_rhs_factory, []
+
+    def factory(spec, eps):
+        f = real(spec, eps)
+
+        def g(t, y):
+            if 2027.05 < t < 2027.06 and not raised:
+                raised.append(t)
+                raise ZeroPopulation(f"past the edge at t = {t}").for_member(0)
+            return f(t, y)
+        g.switches = f.switches
+        return g
+
+    monkeypatch.setattr(integrators, "batched_rhs_factory", factory)
+    traj = integrate_batch(spec, y0, eps, cfg, samples)
+    assert raised and traj.steps_rejected > plain.steps_rejected == 1
+    assert [name for _, name in traj.switch_events] == ["lo - x", "lo - x"]
+    assert all(2027.27 < t < 2027.28 for t, _ in traj.switch_events)
+
+
+@pytest.mark.parametrize("variant", ["basic", "risk"])
+def test_step_budget_counts_every_attempt_of_a_run_or_a_batch(basic, risk, variant,
+                                                              monkeypatch):
+    # a run makes at most MAX_ATTEMPTS attempts: a budget of exactly its
+    # count passes, one less is refused before the attempt over it, naming
+    # t and dt.  A free batch counts its shared attempts, its rejection and
+    # its switch landings included, once each
+    from prepspill import integrators
+    spec, y0 = basic if variant == "basic" else risk
+    cfg = IntegratorConfig(2017.0, 2031.0)
+    eps = spec.param_arrays()[3] * np.array([[0.5], [3.0]])
+    free = replace(cfg, year_nodes=False, first_step=1.0)
+    samples = [float(y) for y in range(2018, 2031)]
+    for run in (lambda: integrate(spec, y0, cfg),
+                lambda: integrate_batch(spec, y0, eps, free, samples)):
+        attempts = (run().rhs_evals - 1) // 6
+        monkeypatch.setattr(integrators, "MAX_ATTEMPTS", attempts)
+        run()
+        monkeypatch.setattr(integrators, "MAX_ATTEMPTS", attempts - 1)
+        with pytest.raises(StepBudgetExceeded, match=(
+                rf"^step budget spent: {attempts - 1} attempted steps reach "
+                r"t = 20[23]\d\.\d{6} of 2031\.0, dt = \d\.\d{3}e[+-]\d\d$")):
+            run()
+        monkeypatch.undo()
 
 
 def test_batch_needs_a_member(basic):

@@ -22,8 +22,7 @@ from prepspill import presets as presets_mod
 from prepspill import scenarios as scenarios_mod
 from prepspill import sobol
 from prepspill import spillover as spillover_mod
-from prepspill.errors import (ConfigError, ParseError, SchemaViolation, UnknownGroup,
-                              ZeroPopulation)
+from prepspill.errors import ConfigError, ParseError, SchemaViolation, UnknownGroup
 from prepspill.model import StateVec, dfe, flat_rhs_factory
 from prepspill.presets import STUDIES, georgia_basic
 from prepspill.integrators import (IntegratorConfig, annual_series, integrate, interp_rows,
@@ -565,6 +564,24 @@ def test_cli_exits_1_without_a_traceback_when_stdout_is_closed(tmp_path, unbuffe
     assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
+def test_cli_stiff_config_ends_on_the_step_budget(tmp_path):
+    # msm delta = 1e6 holds the step near DP5's stability bound (h * delta
+    # about 2.5): 14 years would take some 5.6 million attempts.  The
+    # baseline spends its 100,000 within seconds and the run exits 1 with
+    # one error line naming where it stopped
+    path = write_config(tmp_path, {"model": "basic",
+                                   "overrides": {"groups": {"msm": {"delta": 1e6}}}})
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "prepspill", "simulate", "--config", path,
+                           "--out", str(tmp_path / "out")], cwd=tmp_path, capture_output=True,
+                          text=True, check=False, env=env, timeout=10)
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("error: step budget spent: 100000 attempted steps "
+                                  "reach t = ")
+    assert " of 2031.0, dt = " in proc.stderr
+
+
 def test_python_m_prepspill_is_the_prepspill_command(tmp_path, capsys):
     # the module form runs cli.main: its payload, and its exit 1 on a refusal
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
@@ -961,15 +978,48 @@ def test_cli_fixed_fraction_with_empty_pool(tmp_path, capsys):
             assert float(none[col]) == 0.0
 
 
+def _emitted_msm_source_cells(tmp_path, payload):
+    """emit_plot_data on the config ``payload``: per node whether the
+    per-person cells of source msm are empty, per horizon whether its NNT
+    cells are, and the (T, j) of its pairs the sidecar lists as undefined.
+    Every other source's per-person cells are filled."""
+    out = tmp_path / "out"
+    emit_plot_data(str(out), load_config(write_config(tmp_path, payload)))
+    header, *rows = csv.reader(io.StringIO((out / "per_person_effects_basic.csv").read_text()))
+    msm = [c for c, name in enumerate(header) if name.endswith("__msm")]
+    assert all(all(r[c] != "" for c in range(1, len(header)) if c not in msm) for r in rows)
+    per_person = [{r[c] == "" for c in msm} for r in rows]
+    header, *rows = csv.reader(io.StringIO((out / "nnt_basic.csv").read_text()))
+    nnt_cells = [{r[c] == "" for c, name in enumerate(header) if name.endswith("__msm")}
+                 for r in rows]
+    sidecar = json.loads((out / "nnt_basic_suppressed.json").read_text())["suppressed"]
+    undefined = {(e["T"], e["j"]) for e in sidecar
+                 if e["k"] == "msm" and e["reason"] == "undefined"}
+    return per_person, nnt_cells, undefined, [float(r[0]) for r in rows]
+
+
 def test_emit_effects_with_empty_source_pool(tmp_path):
     # an MSM pool that starts empty and recruits no one has no per-person
-    # effect: the bundle raises instead of writing gamma / 0, and writes no file
-    path = write_config(tmp_path, {
+    # effect: the bundle leaves source msm's cells empty at every node, and
+    # its NNT cells at every horizon, listed as undefined (nnt's rule)
+    per_person, nnt_cells, undefined, horizons = _emitted_msm_source_cells(tmp_path, {
         "model": "basic", "overrides": {"groups": {"msm": {"Pi": 0}}},
         "initial_conditions": {"msm": {"S": 0, "I": 42000}}})
-    with pytest.raises(ZeroPopulation, match="source group msm has S = 0"):
-        emit_plot_data(str(tmp_path / "out"), load_config(path))
-    assert not (tmp_path / "out").exists()
+    assert all(cells == {True} for cells in per_person + nnt_cells)
+    assert undefined == {(T, j) for T in horizons for j in ("msm", "hetf", "hetm")}
+
+
+def test_emit_plots_of_a_source_pool_empty_at_the_start(tmp_path):
+    # an msm pool that starts empty but recruits: source msm's per-person
+    # cells are empty at the first node alone, and every horizon's window
+    # holds that node, so its NNT pairs are undefined at every horizon, as
+    # nnt() marks them
+    per_person, nnt_cells, undefined, horizons = _emitted_msm_source_cells(tmp_path, {
+        "model": "basic", "horizon": {"start": 2017, "intervention": 2017, "end": 2031},
+        "initial_conditions": {"msm": {"S": 0, "I": 42000}}})
+    assert per_person[0] == {True} and all(cells == {False} for cells in per_person[1:])
+    assert all(cells == {True} for cells in nnt_cells) and len(horizons) == 28
+    assert undefined == {(T, j) for T in horizons for j in ("msm", "hetf", "hetm")}
 
 
 def test_cli_nnt_json_writes_null_for_an_undefined_pair(tmp_path, capsys):

@@ -151,6 +151,9 @@ INVOCATIONS = (
         ["nnt", "--config", "empty_msm_pool.json", "--json"],
         # its 3 pairs with msm as source are undefined
         ["nnt", "--config", "empty_msm_start.json", "--json"],
+        # source msm's cells are empty, its NNT pairs undefined
+        ["emit-plots", "--config", "empty_msm_pool.json"],
+        ["emit-plots", "--config", "empty_msm_start.json"],
         ["ngm", "--config", "ngm_overrides.json", "--json"],
         ["ngm", "--config", "risk_stationary.json"],
         ["ngm", "--config", "risk_stationary.json", "--json"],
@@ -158,7 +161,6 @@ INVOCATIONS = (
         ["simulate", "--model", "nosuch"],
         ["sobol", "--level", "0"],
         ["sobol", "--lo", "5", "--hi", "1"],
-        ["emit-plots", "--config", "empty_msm_pool.json"],
         ["simulate", "--config", "no_model.json"],
         ["simulate", "--config", "unknown_override_group.json"],
         ["simulate", "--config", "unknown_initial_group.json"],
