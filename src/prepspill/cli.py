@@ -21,7 +21,7 @@ from .model import MODES, VARIANTS
 from .reproduction import build_ngm, rc_closed, rc_numeric
 from .scenarios import (SOBOL_INTERVAL, default_config, emit_plot_data, load_config,
                         report_to_csv, run_scenarios, run_spillover, sobol_manifest,
-                        sobol_study, validate_tables, write_sobol)
+                        sobol_study, validate_tables, write_sobol, year_text)
 from .spillover import block, nnt, sensitivity_to_csv
 
 
@@ -66,7 +66,7 @@ def cmd_simulate(args):
                           for r in report.scenarios},
             "files": [path, table],
         }
-    window = "-".join(repr(float(t)).removesuffix(".0") for t in report.window)
+    window = "-".join(map(year_text, report.window))
     _report(args, payload, files=[path, table], lines=[
         f"baseline {config.variant} {window}: total {report.baseline.incidence['total']:.0f}"])
     return 0

@@ -22,20 +22,22 @@ step it wanted before the cut.  An attempt, of a scalar run or a batch,
 whose stage leaves the RHS's domain (the RHS raises ZeroPopulation or
 InfeasibleClosure) is a rejected attempt, as SUNDIALS treats a recoverable
 RHS failure (Hindmarsh et al. 2005, ACM TOMS 31:363), so a run fails only
-where steps below dt_min fail too.  A free-stepping scalar run also lands on
-the switches of its RHS (the risk closure's xi_hetm clamp, a tracked-count
-group's full coverage), whose margins the RHS carries (model.flat_rhs_factory
-generates them with it): an attempt over which a switching margin changes
-sign is retried with the step cut to the margin's root on the step's cubic
-Hermite interpolant (ibid. II.6; Shampine & Thompson 2000), so no step
-straddles the kink.  A free-stepping batch (the Sobol study's, whose risk
-RHS carries the closure's margins, model.batched_rhs_factory) lands once
-per cluster of its members' switches instead: it looks at the margins only
-when an attempt fails the error norm, and lands on the earliest and the
-latest root among the members crossing over that attempt.  On the
-benchmark's risk layouts every member's xi_hetm switch falls within one
-window under 0.008 years wide, so two landings serve them all.
-Year-landing runs keep the plain controller and watch no margin.  A run
+where steps below dt_min fail too.  A free-stepping run also lands on the
+switches of its RHS (the risk closure's xi_hetm clamp, a tracked-count
+group's full coverage), whose margins the RHS carries as ``f.switches``,
+generated with it (model.flat_rhs_factory, model.batched_rhs_factory).  One
+object built from that tuple, the run's lander, answers every accepted and
+rejected attempt.  A scalar run's (_SwitchWatch) retries an attempt over
+which a switching margin changes sign with the step cut to the margin's
+root on the step's cubic Hermite interpolant (ibid. II.6; Shampine &
+Thompson 2000), so no step straddles the kink.  A batch's (_ClusterLanding,
+the Sobol study's) never retries: it looks at the margins only when an
+attempt fails the error norm, and lands once per cluster of its members'
+switches, on the earliest and the latest root among the members crossing
+over that attempt.  On the benchmark's risk layouts every member's xi_hetm
+switch falls within one window under 0.008 years wide, so two landings
+serve them all.
+Year-landing runs keep the plain controller and have no lander.  A run
 that makes MAX_ATTEMPTS attempts without reaching t_end is refused
 (StepBudgetExceeded), as DOPRI5 refuses one past NMAX.
 integrate_flat returns a run's whole record (Trajectory), its own counts of
@@ -73,8 +75,9 @@ NODE_TOL = 1e-9
 MAX_ATTEMPTS = 100_000
 
 # The switching margins of the run integrate_rhs is making: the switches
-# attribute of the run's RHS (model._flat_rhs_maker: names, signs and
-# margins; model.batched_rhs_factory: names and margins; or None).
+# attribute of the run's RHS, a three-entry tuple (model._flat_rhs_maker:
+# names, signs and margins; model.batched_rhs_factory: names, rows and
+# member), or None.
 # integrate_flat reads them here, not from its f or as a parameter, because
 # the wrappers that count its work (bench/tracing.py) pass on its five
 # parameters alone and wrap f.
@@ -448,55 +451,58 @@ def _switch_root(margin, t, a, b, y, y5, k1, k7, h, n, tol):
 
 
 class _SwitchWatch:
-    """The switches of one free-stepping scalar run (integrate_flat), for
-    the margins named ``names`` (the switches its RHS carries, see
-    model._flat_rhs_maker: ``signs`` and ``margins`` read a time and the
-    first n slots of a state, and each call passes the time of the state it
-    evaluates).  Each landing goes to ``events`` as (t, name); a node within
-    tol of a switch is on it."""
+    """The switches of one free-stepping scalar run (integrate_flat): its
+    RHS's ``switches``, (names, signs, margins) (model._flat_rhs_maker:
+    signs and margins read a time and the first n slots of a state, and
+    each call passes the time of the state it evaluates).  ``m`` holds the
+    signs at the last accepted node; integrate_flat asks retry only of an
+    attempt at whose end they differ.  Each landing goes to ``events`` as
+    (t, name); a node within tol of a switch is on it."""
 
-    def __init__(self, names, signs, margins, t, y, n, tol):
-        self.names, self.signs, self.margins, self.events = names, signs, margins, []
-        self.n, self.tol = n, tol
-        self.m = signs(t, y)  # the signs at the last accepted node
-        self.landed = 0  # the bits of the margins whose switch that node is on
+    def __init__(self, switches, t, y, n, tol):
+        self.names, self.signs, self.margins = switches
+        self.events, self.n, self.tol = [], n, tol
+        self.m = self.m5 = self.signs(t, y)  # m5: the signs the attempt judged ends at
+        self.landed = 0  # the bits of the margins whose switch the last node is on
         self.pending = None  # the margin the attempts are landing on
         self.resume = None  # the step proposed before it was met
 
-    def shorten(self, t, y, y5, k1, k7, h, m5):
-        """The step to retry the attempt y -> y5 from t of length h (signs
-        m5 at y5) with when a margin changes sign along it more than tol
-        before its end: the distance to the first such root.  Else None,
-        and the attempt is judged as it stands."""
-        crossed = (self.m ^ m5) & ~self.landed
-        if not crossed:
-            return None
-        a, b = self.margins(t, y), self.margins(t + h, y5)
-        th, i = min((_switch_root(lambda s, u: self.margins(s, u)[i], t, a[i], b[i], y, y5,
-                                  k1, k7, h, self.n, self.tol), i)
-                    for i in range(len(a)) if crossed >> i & 1)
-        if th * h <= self.tol:  # the last node is on that switch
-            self.landed |= 1 << i
-            return None
-        self.pending = i
-        if (1.0 - th) * h <= self.tol:  # the attempt ends on it
-            return None
-        self.resume = h if self.resume is None else self.resume
-        return th * h
+    def retry(self, t, y, y5, k1, k7, h):
+        """The step to retry the attempt y -> y5 from t of length h with
+        (asked where the signs at y5 differ from m) when a margin changes
+        sign along it more than tol before its end: the distance to the
+        first such root.  Else None, and the attempt is judged as it stands,
+        its signs at y5 kept for accept."""
+        m5 = self.signs(t + h, y5)
+        if crossed := (self.m ^ m5) & ~self.landed:
+            a, b = self.margins(t, y), self.margins(t + h, y5)
+            th, i = min((_switch_root(lambda s, u: self.margins(s, u)[i], t, a[i], b[i], y,
+                                      y5, k1, k7, h, self.n, self.tol), i)
+                        for i in range(len(a)) if crossed >> i & 1)
+            if th * h <= self.tol:  # the last node is on that switch
+                self.landed |= 1 << i
+            else:
+                self.pending = i
+                if (1.0 - th) * h > self.tol:  # the attempt stops short of it
+                    self.resume = h if self.resume is None else self.resume
+                    return th * h
+        self.m5 = m5
+        return None
 
-    def reject(self):
+    def reject(self, t, y, y5, k1, k7, h):
         """Forget the landing under way: the attempt after a rejection is
-        shorter, and it looks for the switch afresh."""
-        self.pending = self.resume = None
+        shorter, and it looks for the switch afresh.  None: the controller
+        picks that step."""
+        self.m5, self.pending, self.resume = self.m, None, None
 
-    def accept(self, t, y5, k7, h, m5, proposal):
+    def accept(self, t, y5, k7, h, proposal):
         """The step after the accepted attempt of length h ending at t in
-        y5 (signs m5), where the RHS is k7: the controller's ``proposal``,
-        unless a landing is under way.  Then it is the step proposed before
-        the switch was met if the attempt landed on it, else the distance
-        left at the margin's rate along k7 (or ``proposal`` when the margin
-        moves away from zero)."""
-        m, i = self.m, self.pending
+        y5, where the RHS is k7: the controller's ``proposal``, unless a
+        landing is under way.  Then it is the step proposed before the
+        switch was met if the attempt landed on it, else the distance left
+        at the margin's rate along k7 (or ``proposal`` when the margin moves
+        away from zero)."""
+        m, m5, i = self.m, self.m5, self.pending
         self.m, self.landed = m5, 0
         if i is None:
             return proposal
@@ -519,16 +525,25 @@ class _SwitchWatch:
 
 
 class _ClusterLanding:
-    """The switches of one free-stepping batch (integrate_flat), for the
-    margins named ``names`` (the switches its RHS carries, see
-    model.batched_rhs_factory: ``margins`` reads a time and the first n rows
-    of a state and gives one row per margin, one column per member; or one
-    member's first n slots, as a list, and gives a list).  Each landing
-    goes to ``events`` as (t, name); a switch within tol of a node is on
-    it.  Margins are evaluated on failed attempts alone."""
+    """The switches of one free-stepping batch (integrate_flat): its RHS's
+    ``switches``, (names, rows, member) (model.batched_rhs_factory: rows
+    reads a time and the first n rows of a state and gives one row per
+    margin, one column per member; member is one member's, the scalar
+    RHS's margins).  The batch evaluates them on failed attempts alone: it
+    reads no signs per attempt (``signs`` is 0 throughout, as ``m``), so it
+    is never asked to retry one, and t and y, the run's start, go unread.
+    Each landing goes to ``events`` as (t, name); a switch within tol of a
+    node is on it."""
 
-    def __init__(self, names, margins, n, tol):
-        self.names, self.margins, self.n, self.tol, self.events = names, margins, n, tol, []
+    m = 0
+
+    @staticmethod
+    def signs(t, y):
+        return 0
+
+    def __init__(self, switches, t, y, n, tol):
+        self.names, self.rows, self.member = switches
+        self.n, self.tol, self.events = n, tol, []
         self.plan = []  # the landings ahead, (t, name) in time order
         self.resume = None  # the step of the failed attempt that found them
 
@@ -544,7 +559,7 @@ class _ClusterLanding:
         self.plan, self.resume = [], None
         if y5 is None:
             return None
-        a, b = self.margins(t, y), self.margins(t + h, y5)
+        a, b = self.rows(t, y), self.rows(t + h, y5)
         crossed = (a > 0.0) != (b > 0.0)
         th = np.divide(a, a - b, out=np.zeros(a.shape), where=crossed)
         ahead = crossed & (th * h > self.tol)
@@ -553,7 +568,7 @@ class _ClusterLanding:
         ends = (np.where(ahead, th, np.inf).argmin(), np.where(ahead, th, -np.inf).argmax())
         for k, m in (np.unravel_index(e, a.shape) for e in dict.fromkeys(ends)):
             columns = [v[:, m].tolist() for v in (y, y5, k1, k7)]  # as a scalar run's
-            th = _switch_root(lambda s, u: self.margins(s, u)[k], t, float(a[k, m]),
+            th = _switch_root(lambda s, u: self.member(s, u)[k], t, float(a[k, m]),
                               float(b[k, m]), *columns, h, self.n, self.tol)
             root = t + th * h
             if root - (self.plan[-1][0] if self.plan else t) > self.tol:
@@ -563,7 +578,7 @@ class _ClusterLanding:
         self.resume = h
         return self.plan[0][0] - t
 
-    def accept(self, t, proposal):
+    def accept(self, t, y5, k7, h, proposal):
         """The step after an accepted attempt ending at t: the controller's
         ``proposal``, unless landings are under way.  Then the attempt
         landed on the first of them: the distance to the next, else the
@@ -605,26 +620,24 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     before t_end, the next step is at least the step the controller wanted
     before the cut (at most dt_max), so a node to read does not shrink the
     steps after it.  Landing on t_end takes no such rule: next_step is the plain proposal.
-    A free-stepping scalar run lands on the switches of the margins that
-    its RHS carries, which integrate_rhs hands it (see _switches): each
-    attempt evaluates them at y5, and when one changes sign, the attempt is
-    retried from the same start with h shortened to its root on the step's
-    cubic Hermite interpolant (no further RHS evaluation, no rejection).
-    The retry is judged by the error norm as any attempt; one that stops
-    short of the switch is followed by a step of the distance left at the
-    margin's rate, until a node is within the node tolerance (or dt_min,
-    if larger) of it.  A landing keeps FSAL (the RHS is continuous across a switch, so k7 is f
-    there), is recorded as (t, name) and logged at INFO, and the run goes on
-    with the step proposed before the switch was met; the next attempts do
-    not look at that margin until one is accepted.
-    A free-stepping batch whose RHS carries margins (integrate_batch) looks
-    at them only when an attempt fails the error norm: when some member's
-    margin changed sign over it, the next step is cut to the earliest
-    member's root, the one after it goes to the latest root of that
-    attempt, and the batch then tries the failed attempt's step again (see
-    _ClusterLanding).  Each landing is recorded and logged as a scalar
-    run's; the failed attempt counts as one rejection, the landings as
-    accepted steps.
+    A free-stepping run lands on the switches of the margins that its RHS
+    carries, which integrate_rhs hands it (see _switches), through one
+    lander built from them: a _SwitchWatch for a scalar run, a
+    _ClusterLanding for a batch.  Each accepted attempt passes the
+    controller's proposal through its accept, each rejected one asks its
+    reject for the next step (None: the controller's), and an attempt at
+    whose end its signs differ from those at the last node asks its retry
+    for a shorter step to try from the same start (no further RHS
+    evaluation, no rejection).  The scalar watch retries an attempt over
+    which a margin changes sign, cut to its root on the step's cubic
+    Hermite interpolant, until a node is within the node tolerance (or
+    dt_min, if larger) of the switch, and then goes on with the step
+    proposed before it was met.  A batch reads no signs, so it never
+    retries: the attempt that fails the error norm across its members'
+    switches plans landings on the first and the last of them, then the
+    failed attempt's step.  A landing keeps FSAL (the RHS is continuous
+    across a switch, so k7 is f there), is recorded as (t, name) and logged
+    at INFO.
     A run (a batch: its shared attempts) refuses an attempt past
     MAX_ATTEMPTS with StepBudgetExceeded naming t and the step.
     Returns (times, states, then Trajectory's fields from clamp_events on).
@@ -649,15 +662,11 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
     h = min(cfg.dt_max, max(cfg.dt_min, h))
     # caps on the step factor, lowered after a free run's rejection
     free, grow, cut = not cfg.year_nodes, 5.0, 1.0
-    watch = landing = None
-    attempts, rejected = 0, 0
+    attempts, rejected, lander = 0, 0, None
     if free and (switches := _switches.get()):
         # a switch nearer than the smallest step allowed is reached
-        if isinstance(y, list):
-            watch = _SwitchWatch(*switches, t, y, n_state, max(tol, cfg.dt_min))
-            signs = watch.signs
-        else:
-            landing = _ClusterLanding(*switches, n_state, max(tol, cfg.dt_min))
+        lander = (_SwitchWatch if isinstance(y, list) else _ClusterLanding)(
+            switches, t, y, n_state, max(tol, cfg.dt_min))
     for target in breaks[1:]:
         sample = free and target != breaks[-1]  # an interior sample time
         while t < target - tol:
@@ -676,11 +685,10 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                     raise
                 ynew, err = None, math.inf
             attempts += 1
-            if watch and err < math.inf:
-                m5 = signs(t + h, ynew)
-                if m5 != watch.m and (short := watch.shorten(t, y, ynew, k1, k7, h, m5)):
-                    h = short
-                    continue
+            if (lander and err < math.inf and lander.signs(t + h, ynew) != lander.m
+                    and (short := lander.retry(t, y, ynew, k1, k7, h))):
+                h = short
+                continue
             if err <= 1.0:
                 t = target if target - t - h <= tol else t + h
                 y = ynew
@@ -691,23 +699,16 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                 grown = h * min(grow, max(0.2, 0.9 * err ** -0.2 if err > 0 else 5.0))
                 if sample and h < wanted:  # cut short to land on the sample time
                     grown = max(grown, wanted)
-                if watch:
-                    grown = watch.accept(t, y, k1, h, m5, grown)
-                elif landing:
-                    grown = landing.accept(t, grown)
+                if lander:
+                    grown = lander.accept(t, y, k1, h, grown)
                 h, grow, cut = grown, 5.0, 1.0
             else:
                 rejected += 1
-                short = None
-                if watch:
-                    watch.reject()
-                elif landing:
-                    short = landing.reject(t, y, ynew, k1, k7, h)
+                short = lander and lander.reject(t, y, ynew, k1, k7, h)
                 h = short or h * min(cut, max(0.2, 0.9 * err ** -0.2))
                 if free:
                     grow, cut = 1.0, 0.5
-    events = watch.events if watch else landing.events if landing else []
-    return ts, ys, clamps, h, events, 1 + 6 * attempts, rejected
+    return ts, ys, clamps, h, lander.events if lander else [], 1 + 6 * attempts, rejected
 
 
 def integrate_rhs(f, y0, cfg, n_state, sample_times=None):
@@ -744,9 +745,10 @@ def integrate_batch(spec, y0, eps, cfg, sample_times=None):
     year-landing batch of one is its member's integrate() run bit for bit,
     and so is a free-stepping one whose RHS carries no switching margin
     (basic, or pinned mixing).  A free-stepping risk batch lands on its
-    members' xi_hetm clamp switches once per cluster of them, at the first
-    and the last root found on a failed attempt's interpolant
-    (integrate_flat): each landing is 5.5e-7 to 6.3e-7 years from where the
+    members' xi_hetm clamp switches through the same lander protocol as a
+    scalar run, once per cluster of them, at the first and the last root
+    found on a failed attempt's interpolant (integrate_flat,
+    _ClusterLanding): each landing is 5.5e-7 to 6.3e-7 years from where the
     member's own integrate() run, which refines its root to NODE_TOL, lands
     (preset coverage x 0.5, 1 and 3).  The trajectory keeps every
     accepted node, so its states are (nodes, 3n, B).  The nonnegativity

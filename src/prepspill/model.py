@@ -476,10 +476,11 @@ def batched_rhs_factory(spec, eps):
     exact, so each member's derivative is the scalar one bit for bit.
 
     An unpinned risk rhs carries the closure's switching margins as
-    ``rhs.switches = (names, margins)``: SWITCH_NAMES, and margins(t, y)
-    giving them at the state y, as the rows of one (margins, B) array for
-    the (3n, B) state, and as a list for one member's S/I slots given as a
-    list of floats (the scalar RHS's margins, evaluated at a few points
+    ``rhs.switches = (names, rows, member)``, the three-entry shape of the
+    scalar RHS's (names, signs, margins): SWITCH_NAMES; rows(t, y) giving
+    them at the (3n, B) state y as the rows of one (margins, B) array; and
+    member(t, y), the scalar RHS's margins, giving them as a list for one
+    member's S/I slots given as a list of floats (evaluated at a few points
     along a step to find one member's switch).  ``rhs.switches`` is None
     for basic and pinned batches."""
     eps = np.array(eps, dtype=float)
@@ -526,12 +527,8 @@ def batched_rhs_factory(spec, eps):
 
     f.switches = None
     if fixed is None and var.batch_margins is not None:
-        # one member's: the scalar RHS's margins, which no coverage moves
-        member = flat_rhs_factory(spec).switches[2]
-
-        def margins(t, y):
-            if isinstance(y, list):
-                return member(t, y)
+        def rows(t, y):
             return var.batch_margins(y[0:2 * n:2] + y[1:2 * n:2], a, spec.mixing_priors)
-        f.switches = (var.mixing.SWITCH_NAMES, margins)
+        # one member's: the scalar RHS's margins, which no coverage moves
+        f.switches = (var.mixing.SWITCH_NAMES, rows, flat_rhs_factory(spec).switches[2])
     return f

@@ -282,6 +282,12 @@ class RunReport:
     baseline_traj: Trajectory  # the baseline over [start, end]
 
 
+def year_text(t):
+    """The shortest text that reads back as the year t (repr of the float),
+    less a trailing ".0": 2021 -> "2021", 2020.125 -> "2020.125"."""
+    return repr(float(t)).removesuffix(".0")
+
+
 def _window_incidence(traj, spec, t0, t1):
     """C(t1) - C(t0) per group as Python floats, read at stored nodes
     (Trajectory.node, which refuses any other t), never interpolated."""
@@ -352,7 +358,7 @@ def run_scenarios(config):
         cols = combine_reported(config.variant, inc)
         prevented = {key: base_cols[key] - cols[key] for key in cols}
         name = f"prep_{arm.group}_{int(arm.additional_persons)}" + (
-            f"_{arm.start_year:g}" if arm.start_year != t_int else "")
+            f"_{year_text(arm.start_year)}" if arm.start_year != t_int else "")
         seen[name] = seen.get(name, 0) + 1
         results.append(ScenarioResult(
             name=name if seen[name] == 1 else f"{name}#{seen[name]}",

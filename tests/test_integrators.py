@@ -289,12 +289,14 @@ def _spied_batch(monkeypatch, spec, y0, eps, cfg, samples):
 
     def factory(spec, eps):
         f = real_factory(spec, eps)
-        names, margins = f.switches
+        names, *margins = f.switches
 
-        def counted(t, y):
-            margin_calls.append(t)
-            return margins(t, y)
-        f.switches = (names, counted)
+        def counted(margins):
+            def spy(t, y):
+                margin_calls.append(t)
+                return margins(t, y)
+            return spy
+        f.switches = (names, *map(counted, margins))
         return f
 
     monkeypatch.setattr(integrators, "_dp_step_maker", maker)
@@ -1076,11 +1078,11 @@ def _counted_runs(monkeypatch):
     """Every integrate_flat run made from here on, as (calls of its f, its
     attempts as [err, retried at a switch], its return value), seen by
     counting wrappers around f, the generated step and the switch watch's
-    shortening."""
+    retry."""
     from prepspill import integrators, spillover
     runs, attempts = [], []
-    make_step, shorten, flat = (integrators._dp_step_maker, integrators._SwitchWatch.shorten,
-                                integrators.integrate_flat)
+    make_step, retry, flat = (integrators._dp_step_maker, integrators._SwitchWatch.retry,
+                              integrators.integrate_flat)
 
     def counting_step_maker(w=None):
         step = make_step(w)
@@ -1091,8 +1093,8 @@ def _counted_runs(monkeypatch):
             return out
         return counted
 
-    def counting_shorten(watch, *args):
-        short = shorten(watch, *args)
+    def counting_retry(watch, *args):
+        short = retry(watch, *args)
         attempts[-1][1] = short is not None
         return short
 
@@ -1107,7 +1109,7 @@ def _counted_runs(monkeypatch):
         return run
 
     monkeypatch.setattr(integrators, "_dp_step_maker", counting_step_maker)
-    monkeypatch.setattr(integrators._SwitchWatch, "shorten", counting_shorten)
+    monkeypatch.setattr(integrators._SwitchWatch, "retry", counting_retry)
     monkeypatch.setattr(integrators, "integrate_flat", counting_flat)
     monkeypatch.setattr(spillover, "integrate_flat", counting_flat)
     return runs
@@ -1152,3 +1154,4 @@ def test_runs_count_their_own_work(basic, risk, monkeypatch):
     assert all(s == ["lo - x"] and r > 0 for s, r in zip(switches[1:13], retries[1:13]))
     assert switches[14] == ["S_msm - c_msm"] and retries[14] > 0
     assert batch.steps_rejected > 0 and spill.steps_rejected > 0
+    assert switches[15] == ["lo - x", "lo - x"] and retries[15] == 0  # a batch never retries

@@ -940,14 +940,17 @@ def test_cli_tracked_count_with_empty_pool(tmp_path, capsys):
 
 def test_cli_simulate_json_names_every_arm(tmp_path, capsys):
     # arms differing only in start year, or repeated outright, each get an
-    # entry; preset arms keep their plain names
+    # entry; a name gives its start year as the shortest text that reads
+    # back as it (2020.125 and 2020.12 apart); preset arms keep their plain
+    # names
     arms = [("msm", 10000, 2020), ("msm", 10000, 2022), ("msm", 10000, 2022),
-            ("msm", 10000.4, 2018.5)]
+            ("msm", 10000.4, 2018.5), ("msm", 10000, 2020.125), ("msm", 10000, 2020.12)]
     path = write_config(tmp_path, {"model": "basic", "interventions": [
         {"group": g, "additional_persons": d, "start_year": y} for g, d, y in arms]})
     assert main(["simulate", "--config", path, "--out", str(tmp_path / "out"), "--json"]) == 0
     got = json.loads(capsys.readouterr().out)["scenarios"]
-    assert sorted(got) == ["prep_msm_10000", "prep_msm_10000_2018.5", "prep_msm_10000_2022",
+    assert sorted(got) == ["prep_msm_10000", "prep_msm_10000_2018.5", "prep_msm_10000_2020.12",
+                           "prep_msm_10000_2020.125", "prep_msm_10000_2022",
                            "prep_msm_10000_2022#2"]
     assert got["prep_msm_10000_2022#2"] == got["prep_msm_10000_2022"] != got["prep_msm_10000"]
     report = run_scenarios(default_config("basic"))

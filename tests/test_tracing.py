@@ -84,10 +84,10 @@ def test_traced_spans_read_the_runs_own_counts(monkeypatch, tmp_path):
     import tracing
 
     trajs, retries = [], [0]
-    of, shorten = integrators.Trajectory.of.__func__, integrators._SwitchWatch.shorten
+    of, retry = integrators.Trajectory.of.__func__, integrators._SwitchWatch.retry
 
-    def counting_shorten(watch, *args):
-        short = shorten(watch, *args)
+    def counting_retry(watch, *args):
+        short = retry(watch, *args)
         retries[0] += short is not None
         return short
 
@@ -96,7 +96,7 @@ def test_traced_spans_read_the_runs_own_counts(monkeypatch, tmp_path):
         retries[0] = 0
         return trajs[-1][0]
 
-    monkeypatch.setattr(integrators._SwitchWatch, "shorten", counting_shorten)
+    monkeypatch.setattr(integrators._SwitchWatch, "retry", counting_retry)
     monkeypatch.setattr(integrators.Trajectory, "of", classmethod(spy))
     tracer = tracing.Tracer()
     tracer.install()
@@ -113,6 +113,8 @@ def test_traced_spans_read_the_runs_own_counts(monkeypatch, tmp_path):
         assert span["rhs_evals"] == traj.rhs_evals
         assert span["rejected"] == traj.steps_rejected + retried
     assert sum(r > 0 for _, r in trajs) == 12  # the risk arms, each once at xi_hetm
+    # the two Sobol batches: a batch never retries
+    assert [r for t, r in trajs if t.states.ndim == 3] == [0, 0]
     assert sum(t.steps_rejected > 0 and r == 0 for t, r in trajs) >= 3
 
 

@@ -115,6 +115,10 @@ CONFIGS = {
                                          "start": 2025}]},
     "typo_initial.json": {"model": "basic",
                           "initial_conditions": {"msm": {"S": 123418, "I": 42000, "C": 0}}},
+    # arms from 2020.12 and 2020.125: each name gives its arm's start year whole
+    "fractional_arms.json": {"model": "basic",
+                             "interventions": [{"group": "msm", "additional_persons": 10000,
+                                                "start_year": y} for y in (2020.12, 2020.125)]},
 }
 
 
@@ -157,6 +161,7 @@ INVOCATIONS = (
         ["ngm", "--config", "ngm_overrides.json", "--json"],
         ["ngm", "--config", "risk_stationary.json"],
         ["ngm", "--config", "risk_stationary.json", "--json"],
+        ["simulate", "--config", "fractional_arms.json", "--json"],
         # refusals
         ["simulate", "--model", "nosuch"],
         ["sobol", "--level", "0"],
