@@ -683,7 +683,7 @@ def integrate_flat(f, y0, cfg, n_state, sample_times=None):
                 # a stage outside the RHS's domain rejects the attempt
                 if 0.2 * h < cfg.dt_min:
                     raise
-                ynew, err = None, math.inf
+                ynew, k7, err = None, None, math.inf
             attempts += 1
             if (lander and err < math.inf and lander.signs(t + h, ynew) != lander.m
                     and (short := lander.retry(t, y, ynew, k1, k7, h))):

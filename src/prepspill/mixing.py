@@ -189,9 +189,13 @@ class BasicMixing:
     eta_msm: float
     alpha_hetf: float
 
-    # Contact pairs (j, p, beta): group j's contacts with group p, and the
+    # The variant's one record: its group labels in state order, then its
+    # contact pairs (j, p, beta): group j's contacts with group p, and the
     # TransmissionProbs field for infection of j by p.  pair_fractions()
     # gives the share of j's contacts in each pair, in the same order.
+    # The closure's array forms, batch_closure and batch_margins, are set
+    # below risk_margins_batch.
+    GROUPS = ("msm", "hetf", "hetm")
     PAIRS = ((0, 0, "beta_mm"), (0, 1, "beta_fm"),
              (1, 0, "beta_mf"), (1, 2, "beta_mf"),
              (2, 1, "beta_fm"))
@@ -228,7 +232,8 @@ class RiskMixing:
     alpha_hetfl: float
     xi_hetm: float
 
-    # Contact pairs (j, p, beta), as for BasicMixing.
+    # The variant's record, as for BasicMixing.
+    GROUPS = ("msm", "hetf_h", "hetf_l", "hetm")
     PAIRS = ((0, 0, "beta_mm"), (0, 1, "beta_fm"), (0, 2, "beta_fm"),
              (1, 0, "beta_mf"), (1, 3, "beta_mf"),
              (2, 0, "beta_mf"), (2, 3, "beta_mf"),
@@ -297,7 +302,7 @@ def _compiled_from(mixing):
     """Decorator: the function with the stub's name, signature and docstring
     whose body is ``mixing.CLOSURE``, returning the pair fractions as a tuple."""
     def build(stub):
-        g = range(1 + max(j for j, _, _ in mixing.PAIRS))
+        g = range(len(mixing.GROUPS))
         head = [", ".join(f"N{j}" for j in g) + " = N",
                 ", ".join(f"a{j}" for j in g) + " = a"]
         if mixing.CLOSURE_PRIORS:
@@ -430,3 +435,9 @@ def risk_margins_batch(N, a, priors):
     x = _risk_projection(B0, B1, B2, B3, priors)
     w3, xi = lo - x, np.maximum(lo, x)
     return np.array((lo1, w1, 1.0 - hi1, w3, xi - np.minimum(hi1, 1.0)))
+
+
+# Each variant's array forms: its closure over the columns of N, and its
+# switching margins (None where the closure has no branch selection).
+BasicMixing.batch_closure, BasicMixing.batch_margins = close_basic_batch, None
+RiskMixing.batch_closure, RiskMixing.batch_margins = close_risk_batch, risk_margins_batch

@@ -8,11 +8,13 @@ counts are exact under adaptive stepping.
 
 The force of infection on group j is (1 - epsilon_j) * (W @ (I / N))_j, with
 W the n x n contact matrix W[j, p] = a_j * (share of j's contacts made with
-p) * beta(p -> j) over the variant's contact-pair table (``PAIRS`` on its
-mixing class).  The flat RHS is generated from that table
-(:func:`flat_rhs_factory`), each product written out term by term, not read
-through W; :func:`contact_matrix` builds W for the next-generation matrix
-(prepspill.reproduction.build_ngm) and the package's export.  A spillover
+p) * beta(p -> j) over the variant's contact-pair table.  Each variant's one
+record is its mixing class (``VARIANTS``): its groups (``GROUPS``), contact
+pairs (``PAIRS``), closure text and the closure's array forms.  The flat RHS
+is generated from that table (:func:`flat_rhs_factory`), each product
+written out term by term, not read through W; :func:`contact_matrix` builds
+W for the next-generation matrix (prepspill.reproduction.build_ngm) and the
+package's export.  A spillover
 mode (``MODES``) adds every source group's block of prepspill.spillover.
 The RHS carries the margins whose signs pick its branches (``f.switches``),
 generated with it.
@@ -28,36 +30,22 @@ import numpy as np
 
 from .errors import ZeroPopulation
 from .mixing import (CLOSURE_ERRORS, BasicMixing, RiskMixing, check_unit_fields, close_basic,
-                     close_basic_batch, close_risk, close_risk_batch, exec_source,
-                     risk_margins_batch)
+                     close_risk, exec_source)
 
 MODES = ("practical", "exact_delta")  # of the spillover system (prepspill.spillover)
 
 
-@dataclass(frozen=True)
-class Variant:
-    """Group labels in state order, the mixing class (which carries the
-    contact-pair table and the closure text), the closure's array form and
-    the array form of its switching margins (None where it has none).
-    The scalar closure solver is this module's close_basic or close_risk
-    (closed_mixing).  An unpinned scalar RHS evaluates the closure text
-    inline and calls neither."""
-
-    groups: tuple
-    mixing: type
-    batch_closure: object
-    batch_margins: object
-
-
-VARIANTS = {
-    "basic": Variant(("msm", "hetf", "hetm"), BasicMixing, close_basic_batch, None),
-    "risk": Variant(("msm", "hetf_h", "hetf_l", "hetm"), RiskMixing, close_risk_batch,
-                    risk_margins_batch),
-}
+# Each variant's mixing class, its one record: the group labels in state
+# order (GROUPS), the contact-pair table (PAIRS), the closure text and its
+# switching margins, and the array forms batch_closure and batch_margins.
+# The scalar closure solver is this module's close_basic or close_risk
+# (closed_mixing).  An unpinned scalar RHS evaluates the closure text
+# inline and calls neither.
+VARIANTS = {"basic": BasicMixing, "risk": RiskMixing}
 
 
 def variant_of(name):
-    """The Variant record for a variant name; ValueError if unknown."""
+    """The mixing class of a variant name; ValueError if unknown."""
     try:
         return VARIANTS[name]
     except KeyError:
@@ -124,19 +112,17 @@ class ModelSpec:
 
     def __post_init__(self):
         var = variant_of(self.variant)
-        expected = var.groups
         object.__setattr__(self, "labels", tuple([label for label, _ in self.groups]))
         object.__setattr__(self, "n", len(self.groups))
-        if self.labels != expected:
-            raise ValueError(f"variant {self.variant!r} needs groups {expected}, "
+        if self.labels != var.GROUPS:
+            raise ValueError(f"variant {self.variant!r} needs groups {var.GROUPS}, "
                              f"got {self.labels}")
         if not 0.0 < self.mu < math.inf:  # NaN fails both comparisons
             raise ValueError(f"mu = {self.mu} must be positive and finite")
-        want = var.mixing
-        if not isinstance(self.mixing_priors, want):
-            raise ValueError(f"mixing_priors must be {want.__name__} for {self.variant}")
-        if self.mixing is not None and not isinstance(self.mixing, want):
-            raise ValueError(f"mixing must be {want.__name__} for {self.variant}")
+        if not isinstance(self.mixing_priors, var):
+            raise ValueError(f"mixing_priors must be {var.__name__} for {self.variant}")
+        if self.mixing is not None and not isinstance(self.mixing, var):
+            raise ValueError(f"mixing must be {var.__name__} for {self.variant}")
 
     def group_index(self, label):
         try:
@@ -169,7 +155,7 @@ class ModelSpec:
 
 def make_spec(variant, Pi, a, delta, epsilon, probs, mu, mixing_priors):
     """Assemble a ModelSpec from parallel parameter sequences in group order."""
-    names = variant_of(variant).groups
+    names = variant_of(variant).GROUPS
     groups = tuple(
         (lbl, GroupParams(Pi=float(Pi[i]), a=float(a[i]), delta=float(delta[i]),
                           epsilon=float(epsilon[i])))
@@ -247,7 +233,7 @@ def contact_matrix(spec, mix):
     """
     W = np.zeros((spec.n, spec.n))
     fractions = mix if isinstance(mix, tuple) else mix.pair_fractions()
-    for (j, p, beta), frac in zip(VARIANTS[spec.variant].mixing.PAIRS, fractions):
+    for (j, p, beta), frac in zip(VARIANTS[spec.variant].PAIRS, fractions):
         W[j, p] = spec.groups[j][1].a * frac * getattr(spec.probs, beta)
     return W
 
@@ -341,8 +327,8 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, infected=False):
         raise ValueError(f"unknown mode {mode!r}")
     if mode and (tracked or infected):
         raise ValueError("the infected-only and tracked RHS forms have no spillover blocks")
-    var = VARIANTS[variant]
-    mixing, n, pairs = var.mixing, len(var.groups), var.mixing.PAIRS
+    mixing = VARIANTS[variant]
+    n, pairs = len(mixing.GROUPS), mixing.PAIRS
     g = range(n)
     m = ", ".join(f"m{i}" for i in range(len(pairs)))
     Ns = ", ".join(f"N{j}" for j in g)
@@ -367,7 +353,7 @@ def _flat_rhs_maker(variant, pinned, tracked, mode=None, infected=False):
         watch += mixing.SWITCHES.splitlines()
         names, margins = mixing.SWITCH_NAMES, [f"w{k}" for k in range(len(mixing.SWITCH_NAMES))]
     body += [f"u{j} = 1.0 - c{j} / S{j} if S{j} > c{j} else 0.0" for j in tracked]
-    names += tuple(f"S_{var.groups[j]} - c_{var.groups[j]}" for j in tracked)
+    names += tuple(f"S_{mixing.GROUPS[j]} - c_{mixing.GROUPS[j]}" for j in tracked)
     margins += [f"S{j} - c{j}" for j in tracked]
     for j, row in enumerate(rows):
         p0, i0, _ = row[0]
@@ -491,7 +477,7 @@ def batched_rhs_factory(spec, eps):
         if not 0.0 <= e <= 1.0:
             raise ValueError(f"epsilon = {e} outside [0, 1]")
     var = VARIANTS[spec.variant]
-    pairs, n = var.mixing.PAIRS, spec.n
+    pairs, n = var.PAIRS, spec.n
     close, mu = var.batch_closure, float(spec.mu)
     Pi, a, delta, _ = spec.param_arrays()
     b = [float(getattr(spec.probs, beta)) for _, _, beta in pairs]
@@ -530,5 +516,5 @@ def batched_rhs_factory(spec, eps):
         def rows(t, y):
             return var.batch_margins(y[0:2 * n:2] + y[1:2 * n:2], a, spec.mixing_priors)
         # one member's: the scalar RHS's margins, which no coverage moves
-        f.switches = (var.mixing.SWITCH_NAMES, rows, flat_rhs_factory(spec).switches[2])
+        f.switches = (var.SWITCH_NAMES, rows, flat_rhs_factory(spec).switches[2])
     return f

@@ -124,7 +124,7 @@ STUDIES = {
 
 
 # Per variant, each reported column's model groups as state-order indices.
-_COLUMNS = {variant: tuple((col, tuple(map(VARIANTS[variant].groups.index, groups)))
+_COLUMNS = {variant: tuple((col, tuple(map(VARIANTS[variant].GROUPS.index, groups)))
                            for col, groups in study.reported.items())
             for variant, study in STUDIES.items()}
 

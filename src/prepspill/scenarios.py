@@ -151,7 +151,7 @@ def _config_from_raw(raw):
     if not isinstance(variant, str) or variant not in VARIANTS:
         raise SchemaViolation(f"model must be {' or '.join(map(repr, VARIANTS))}, "
                               f"got {variant!r}", key="model")
-    labels = VARIANTS[variant].groups
+    labels = VARIANTS[variant].GROUPS
 
     hor = _section(raw, "horizon", allowed={"start", "intervention", "end"})
     start = _number(hor.get("start", SIM_START), "horizon.start")

@@ -484,6 +484,39 @@ def test_a_stage_outside_the_domain_rejects_the_attempt(risk):
     assert np.all(np.abs(rows - want).max(axis=0) <= 1e-13 * np.abs(want).max(axis=0))
 
 
+@pytest.mark.parametrize("form", ["risk", "basic-tracked", "risk-batch"])
+def test_a_free_run_with_switches_rejects_a_first_attempt_outside_the_domain(form):
+    # msm delta = 3, first step 1 year: the first attempt's stages leave the
+    # RHS's domain, in a free run that lands on switches (risk's closure
+    # margins, or basic's tracked msm count).  The attempt is rejected, as
+    # on a run without switches; it once raised UnboundLocalError.
+    # The year rows lie within 1e-10 of column scale of the run that starts
+    # at 1e-4, and its landings within 1e-9 years (measured 2.7e-11 and
+    # 2.0e-12 at most)
+    model = form.split("-")[0]
+    config = scenarios._config_from_raw(
+        {"model": model, "overrides": {"groups": {"msm": {"delta": 3.0}}}})
+    spec, y0 = config.spec, config.y0
+    cfg = IntegratorConfig(2017.0, 2031.0, year_nodes=False, first_step=1.0)
+    samples = [float(y) for y in range(2018, 2031)]
+    if form == "risk-batch":
+        eps = [spec.param_arrays()[3] * s for s in (0.5, 3.0)]
+        run, small = (integrate_batch(spec, y0, eps, c, samples)
+                      for c in (cfg, replace(cfg, first_step=1e-4)))
+    else:
+        counts = [1000.0, 0.0, 0.0] if form == "basic-tracked" else None
+        run, small = (integrate(spec, y0, c, samples, counts)
+                      for c in (cfg, replace(cfg, first_step=1e-4)))
+    assert run.steps_rejected > small.steps_rejected
+    landings = {"risk": 1, "basic-tracked": 0, "risk-batch": 2}[form]
+    assert len(run.switch_events) == len(small.switch_events) == landings
+    for (t, name), (want, want_name) in zip(run.switch_events, small.switch_events):
+        assert name == want_name and abs(t - want) <= 1e-9
+    years = [2017.0] + samples + [2031.0]
+    rows, want = (traj.states[[traj.node(t) for t in years]] for traj in (run, small))
+    assert np.all(np.abs(rows - want).max(axis=0) <= 1e-10 * np.abs(want).max(axis=0))
+
+
 def test_a_genuine_crossing_fails_where_a_tight_run_fails(risk):
     # Georgia risk to 2045: the closure has no solution from the crossing
     # on.  Stages past it are rejected attempts, so the run stops with the

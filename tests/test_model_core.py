@@ -182,7 +182,7 @@ def test_pairs_are_listed_by_group_then_partner():
     # the batched RHS sums each group's pairs as one contiguous run, in
     # partner order, as the scalar RHS does
     for var in VARIANTS.values():
-        pairs = var.mixing.PAIRS
+        pairs = var.PAIRS
         assert list(pairs) == sorted(pairs, key=lambda pair: pair[:2])
 
 
@@ -481,7 +481,7 @@ def test_margins_agree_with_their_rhs_property(seed, variant, pinned, tracked, f
     f = (flat_rhs_factory(spec, mode="practical") if form == "spillover" else
          flat_rhs_factory(spec, tracked_counts=counts, start=(t0, state))
          if form == "infected" else full)
-    names = (() if pinned else VARIANTS[variant].mixing.SWITCH_NAMES) + (
+    names = (() if pinned else VARIANTS[variant].SWITCH_NAMES) + (
         (f"S_{spec.labels[k]} - c_{spec.labels[k]}",) if tracked else ())
     if form == "spillover" or not names:
         assert f.switches is None

@@ -503,6 +503,25 @@ def test_cli_sobol_integrates_the_config_window(tmp_path, capsys, command):
         "error: span [2019.5, 2025.0] is not aligned to whole years\n")
 
 
+@pytest.mark.parametrize("overrides, rc, err", [
+    ({"groups": {"msm": {"delta": 3.0}}}, 0, ""),
+    ({"mu": 2.0}, 1, "error: model failed at node 0: closure gives eta_msm = 1 + ")],
+    ids=["msm-delta-3", "mu-2"])
+def test_cli_sobol_on_risk_rejects_a_first_attempt_outside_the_domain(tmp_path, capsys,
+                                                                      overrides, rc, err):
+    # the batch's first whole-year attempt leaves the RHS's domain, and the
+    # batch lands on the closure's switches: the attempt is rejected, where
+    # it once raised UnboundLocalError.  msm delta = 3 runs as simulate does;
+    # mu = 2 stops at the closure's crossing, with its message
+    path = write_config(tmp_path, {"model": "risk", "overrides": overrides})
+    out = tmp_path / "out"
+    assert main(["sobol", "--config", path, "--out", str(out), "--level", "3",
+                 "--degree", "2"]) == rc
+    captured = capsys.readouterr()
+    assert captured.err.startswith(err) and captured.err.count("\n") == (rc == 1)
+    assert (out / "sobol_risk.csv").exists() == (rc == 0)
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{nope")

@@ -359,8 +359,7 @@ def test_timeseries_failure_names_member(basic, monkeypatch):
         N[1][2] = -1.0
         return real(N, a, priors, t=t)
 
-    monkeypatch.setitem(model.VARIANTS, "basic",
-                        replace(model.VARIANTS["basic"], batch_closure=reject_member_2))
+    monkeypatch.setattr(model.VARIANTS["basic"], "batch_closure", reject_member_2)
     with pytest.raises(EnsembleError) as exc:
         sobol_timeseries(spec, y0, inputs, level=4, total_degree=2, cfg=cfg)
     grid = build_grid(inputs, level=4)

@@ -51,6 +51,14 @@ CONFIGS = {
     # the basic preset with mu = 2: the Sobol batch's first whole-year
     # attempts leave the RHS's domain (msm N < 0), shorter steps do not
     "basic_mu_2.json": {"model": "basic", "overrides": {"mu": 2.0}},
+    # the risk preset with msm delta = 3: the Sobol batch's first whole-year
+    # attempt leaves the RHS's domain, in a run that lands on the closure's
+    # switches
+    "risk_msm_delta_3.json": {"model": "risk",
+                              "overrides": {"groups": {"msm": {"delta": 3.0}}}},
+    # the basic preset with msm delta = 1e6: stiff, so the run spends its
+    # step budget within its first year and exits 1
+    "stiff_msm.json": {"model": "basic", "overrides": {"groups": {"msm": {"delta": 1e6}}}},
     "tracked_2022.json": {"model": "basic", "intervention_mode": "tracked-count",
                           "interventions": [{"group": "msm", "additional_persons": 10000,
                                              "start_year": 2022}]},
@@ -142,6 +150,8 @@ INVOCATIONS = (
         ["simulate", "--config", "risk_2045.json"],
         ["simulate", "--config", "risk_contacts_x1000.json"],
         ["sobol", "--config", "basic_mu_2.json", "--level", "3", "--degree", "2"],
+        ["sobol", "--config", "risk_msm_delta_3.json", "--level", "3", "--degree", "2"],
+        ["simulate", "--config", "stiff_msm.json"],
         ["simulate", "--config", "tracked_2022.json"],
         ["nnt", "--config", "tracked_2022.json"],
         ["simulate", "--config", "risk_fixed_2022.json"],
